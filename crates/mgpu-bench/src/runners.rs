@@ -1,6 +1,7 @@
 //! Uniform primitive dispatch for the experiment binaries.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, ResilientRunner, Runner};
 use mgpu_graph::{Csr, CsrAuto, Id};
@@ -62,6 +63,27 @@ impl Primitive {
     }
 }
 
+/// Host wall of the ingest stages a run pays between the CSR and the bind
+/// (the CSR build itself is timed by whoever holds the edge list).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct IngestWall {
+    /// `Partitioner::assign` + `DistGraph::build` in µs, summed over the
+    /// re-partitions of a governed retry chain. The resilient executor
+    /// builds its host graphs inside each attempt, so there this is the
+    /// `assign` alone.
+    pub partition_us: f64,
+    /// `DistGraph::build_cscs` in µs; 0 for primitives that never pull.
+    pub csc_us: f64,
+}
+
+/// Run `f`, adding its host wall in µs to `acc`.
+pub fn timed<T>(acc: &mut f64, f: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let out = f();
+    *acc += start.elapsed().as_secs_f64() * 1e6;
+    out
+}
+
 /// The outcome of one measured run.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
@@ -69,6 +91,8 @@ pub struct RunOutcome {
     pub report: EnactReport,
     /// Edge count the run is credited with (the graph's |E|).
     pub edges: usize,
+    /// What partitioning and the reverse adjacency cost on the host.
+    pub ingest: IngestWall,
 }
 
 impl RunOutcome {
@@ -166,6 +190,7 @@ pub fn run_primitive<O: Id>(
     let mut cfg = config;
     let mut dup = prim.duplication();
     let mut notes: Vec<Downgrade> = Vec::new();
+    let mut ingest = IngestWall::default();
     loop {
         let sys = match system.take() {
             Some(s) => s,
@@ -180,13 +205,14 @@ pub fn run_primitive<O: Id>(
                 s
             }
         };
-        let mut dist = DistGraph::partition(g, partitioner, n, dup);
+        let mut dist =
+            timed(&mut ingest.partition_us, || DistGraph::partition(g, partitioner, n, dup));
         if prim == Primitive::Dobfs {
-            dist.build_cscs();
+            timed(&mut ingest.csc_us, || dist.build_cscs());
         }
         let one_hop = dup == Duplication::OneHop;
         match dispatch(prim, sys, &dist, cfg, src, &notes, one_hop) {
-            Ok(report) => return Ok(RunOutcome { report, edges: g.n_edges() }),
+            Ok(report) => return Ok(RunOutcome { report, edges: g.n_edges(), ingest }),
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
                 if cfg.pressure.enabled
                     && cfg.comm == Some(CommStrategy::Broadcast)
@@ -233,7 +259,8 @@ pub fn run_primitive_resilient(
     config: EnactConfig,
     plan: FaultPlan,
 ) -> Result<RunOutcome> {
-    let owner = partitioner.assign(g, n);
+    let mut ingest = IngestWall::default();
+    let owner = timed(&mut ingest.partition_us, || partitioner.assign(g, n));
     let src = prim.needs_source().then(|| pick_source(g));
     macro_rules! resilient {
         ($problem:expr) => {
@@ -253,7 +280,7 @@ pub fn run_primitive_resilient(
             resilient!(pr).enact(None)?
         }
     };
-    Ok(RunOutcome { report, edges: g.n_edges() })
+    Ok(RunOutcome { report, edges: g.n_edges(), ingest })
 }
 
 /// How a multi-source campaign is executed.
@@ -290,7 +317,10 @@ pub fn run_multi_source<O: Id>(
         prim.name()
     );
     let n = system.n_devices();
-    let dist = DistGraph::partition(g, partitioner, n, prim.duplication());
+    let mut ingest = IngestWall::default();
+    let dist = timed(&mut ingest.partition_us, || {
+        DistGraph::partition(g, partitioner, n, prim.duplication())
+    });
     let report = match (mode, prim) {
         (MultiSourceMode::Repeated, Primitive::Bfs) => {
             let mut runner = Runner::new(system, &dist, Bfs::default(), config)?;
@@ -310,7 +340,7 @@ pub fn run_multi_source<O: Id>(
     };
     // The repeated aggregate still credits one |E|: both modes answer the
     // same batch of traversals, so GTEPS comparisons stay apples-to-apples.
-    Ok(RunOutcome { report, edges: g.n_edges() })
+    Ok(RunOutcome { report, edges: g.n_edges(), ingest })
 }
 
 /// Enact every source on the already-bound runner, folding the reports.

@@ -96,7 +96,9 @@
 
 use std::process::ExitCode;
 
-use mgpu_bench::runners::{run_primitive_resilient, scaled_system, MultiSourceMode, Primitive};
+use mgpu_bench::runners::{
+    run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode, Primitive,
+};
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{pick_source, run_multi_source, run_primitive};
 use mgpu_core::{AllocScheme, EnactConfig, PressurePolicy, RecoveryPolicy, Service, ServicePolicy};
@@ -147,6 +149,63 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args[1..]),
         _ => usage(),
     }
+}
+
+/// What the CSR build cost on the host.
+struct BuildWall {
+    /// Edges in the input list (before symmetrization and cleaning).
+    input_edges: usize,
+    /// `GraphBuilder::undirected`, µs.
+    us: f64,
+}
+
+/// Generate `--dataset` or parse `--mtx`, attach the paper's weights when a
+/// primitive needs them, and build the undirected CSR under a stopwatch.
+fn load_graph(
+    dataset: &Option<String>,
+    mtx: &Option<String>,
+    shift: u32,
+    seed: u64,
+    wants_weights: bool,
+) -> Result<(Csr<u32, u64>, BuildWall), ExitCode> {
+    let mut coo = match (dataset, mtx) {
+        (Some(name), None) => {
+            let Some(ds) = Dataset::by_name(name) else {
+                eprintln!("unknown dataset {name}; try `mgpu datasets`");
+                return Err(ExitCode::FAILURE);
+            };
+            ds.generate(shift, seed)
+        }
+        (None, Some(path)) => {
+            let file = std::fs::File::open(path).map_err(|e| {
+                eprintln!("cannot open {path}: {e}");
+                ExitCode::FAILURE
+            })?;
+            read_mtx::<u32, _>(std::io::BufReader::new(file)).map_err(|e| {
+                eprintln!("cannot parse {path}: {e}");
+                ExitCode::FAILURE
+            })?
+        }
+        _ => return Err(usage()),
+    };
+    if wants_weights && coo.weights.is_none() {
+        add_paper_weights(&mut coo, seed ^ 0x77);
+    }
+    let mut us = 0.0;
+    let graph = timed(&mut us, || GraphBuilder::undirected(&coo));
+    Ok((graph, BuildWall { input_edges: coo.n_edges(), us }))
+}
+
+/// The one ingest line of the human output: where the host time before the
+/// bind went, and how fast the builder took the input in.
+fn print_ingest(built: &BuildWall, ingest: &IngestWall) {
+    println!(
+        "ingest         build {:.1} ms, partition {:.1} ms, CSC {:.1} ms ({:.1} input Medges/s)",
+        built.us / 1e3,
+        ingest.partition_us / 1e3,
+        ingest.csc_us / 1e3,
+        built.input_edges as f64 / built.us.max(1e-3)
+    );
 }
 
 /// Parse `--fault-plan`: the event grammar understood by
@@ -270,40 +329,10 @@ fn run(args: &[String]) -> ExitCode {
     };
 
     // --- graph ---
-    let graph: Csr<u32, u64> = match (&a.dataset, &a.mtx) {
-        (Some(name), None) => {
-            let Some(ds) = Dataset::by_name(name) else {
-                eprintln!("unknown dataset {name}; try `mgpu datasets`");
-                return ExitCode::FAILURE;
-            };
-            let mut coo = ds.generate(a.shift, a.seed);
-            if prim == Primitive::Sssp {
-                add_paper_weights(&mut coo, a.seed ^ 0x77);
-            }
-            GraphBuilder::undirected(&coo)
-        }
-        (None, Some(path)) => {
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match read_mtx::<u32, _>(std::io::BufReader::new(file)) {
-                Ok(mut coo) => {
-                    if prim == Primitive::Sssp && coo.weights.is_none() {
-                        add_paper_weights(&mut coo, a.seed ^ 0x77);
-                    }
-                    GraphBuilder::undirected(&coo)
-                }
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        _ => return usage(),
+    let wants_weights = prim == Primitive::Sssp;
+    let (graph, built) = match load_graph(&a.dataset, &a.mtx, a.shift, a.seed, wants_weights) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
 
     // --- hardware ---
@@ -529,6 +558,7 @@ fn run(args: &[String]) -> ExitCode {
         println!("graph          |V|={} |E|={}", graph.n_vertices(), graph.n_edges());
         println!("devices        {} × {}", a.gpus, a.profile);
         println!("partitioner    {}", a.partitioner);
+        print_ingest(&built, &outcome.ingest);
         println!("supersteps     {}", r.iterations);
         println!("simulated      {:.3} ms", r.sim_time_us / 1e3);
         println!("wall clock     {:.3} ms", r.wall_time_us / 1e3);
@@ -693,40 +723,9 @@ fn serve(args: &[String]) -> ExitCode {
     let wants_csc = descs.iter().any(|d| d.prim == Primitive::Dobfs);
 
     // --- graph (weights whenever the mix contains SSSP) ---
-    let graph: Csr<u32, u64> = match (&a.dataset, &a.mtx) {
-        (Some(name), None) => {
-            let Some(ds) = Dataset::by_name(name) else {
-                eprintln!("unknown dataset {name}; try `mgpu datasets`");
-                return ExitCode::FAILURE;
-            };
-            let mut coo = ds.generate(a.shift, a.seed);
-            if wants_weights {
-                add_paper_weights(&mut coo, a.seed ^ 0x77);
-            }
-            GraphBuilder::undirected(&coo)
-        }
-        (None, Some(path)) => {
-            let file = match std::fs::File::open(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("cannot open {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match read_mtx::<u32, _>(std::io::BufReader::new(file)) {
-                Ok(mut coo) => {
-                    if wants_weights && coo.weights.is_none() {
-                        add_paper_weights(&mut coo, a.seed ^ 0x77);
-                    }
-                    GraphBuilder::undirected(&coo)
-                }
-                Err(e) => {
-                    eprintln!("cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        _ => return usage(),
+    let (graph, built) = match load_graph(&a.dataset, &a.mtx, a.shift, a.seed, wants_weights) {
+        Ok(loaded) => loaded,
+        Err(code) => return code,
     };
 
     let profile = match a.profile.as_str() {
@@ -764,24 +763,28 @@ fn serve(args: &[String]) -> ExitCode {
     };
 
     // --- one shared residency for every query ---
-    macro_rules! build {
-        ($p:expr) => {{
-            let p = $p;
-            (DistGraph::partition(&graph, &p, a.gpus, Duplication::All), p.assign(&graph, a.gpus))
-        }};
-    }
-    let (mut dist, owner) = match a.partitioner.as_str() {
-        "random" => build!(RandomPartitioner { seed: a.seed }),
-        "biased" => build!(BiasedRandomPartitioner { seed: a.seed, slack: 0.05 }),
-        "metis" => build!(MultilevelPartitioner { seed: a.seed, ..Default::default() }),
-        "chunked" => build!(ChunkedPartitioner),
-        other => {
-            eprintln!("unknown partitioner {other}");
-            return ExitCode::FAILURE;
+    let mut ingest = IngestWall::default();
+    let owner = timed(&mut ingest.partition_us, || match a.partitioner.as_str() {
+        "random" => Some(RandomPartitioner { seed: a.seed }.assign(&graph, a.gpus)),
+        "biased" => {
+            Some(BiasedRandomPartitioner { seed: a.seed, slack: 0.05 }.assign(&graph, a.gpus))
         }
+        "metis" => Some(
+            MultilevelPartitioner { seed: a.seed, ..Default::default() }.assign(&graph, a.gpus),
+        ),
+        "chunked" => Some(ChunkedPartitioner.assign(&graph, a.gpus)),
+        _ => None,
+    });
+    let Some(owner) = owner else {
+        eprintln!("unknown partitioner {}", a.partitioner);
+        return ExitCode::FAILURE;
     };
+    // The resilient queries re-partition from the same table.
+    let mut dist = timed(&mut ingest.partition_us, || {
+        DistGraph::build(&graph, owner.clone(), a.gpus, Duplication::All)
+    });
     if wants_csc {
-        dist.build_cscs();
+        timed(&mut ingest.csc_us, || dist.build_cscs());
     }
 
     let specs = match build_query_specs(&graph, &dist, &owner, profile, a.shift, config, &descs) {
@@ -806,7 +809,7 @@ fn serve(args: &[String]) -> ExitCode {
         println!("{}", report.to_json());
     } else {
         println!(
-            "serving {} queries on {} GPUs over {} (|V|={} |E|={}, shift {})\n",
+            "serving {} queries on {} GPUs over {} (|V|={} |E|={}, shift {})",
             specs.len(),
             a.gpus,
             a.dataset.as_deref().unwrap_or("mtx"),
@@ -814,6 +817,8 @@ fn serve(args: &[String]) -> ExitCode {
             graph.n_edges(),
             a.shift
         );
+        print_ingest(&built, &ingest);
+        println!();
         println!("{:<3} {:<22} {:>4} {:>10} {:>6}  status", "q", "name", "wave", "sim ms", "iters");
         for o in &report.outcomes {
             match &o.result {

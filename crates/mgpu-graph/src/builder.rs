@@ -2,10 +2,11 @@
 //!
 //! The paper's experimental setup (§VII-A): "all graphs we use are converted
 //! to undirected graphs. Self-loops and duplicated edges are removed." The
-//! builder implements exactly that pipeline, with a parallel sort (rayon) for
-//! large edge lists.
-
-use rayon::prelude::*;
+//! builder implements exactly that pipeline in linear time: count degrees,
+//! prefix-sum, scatter the forward then the reverse edges in input order
+//! straight into the adjacency arrays, then sort, dedup and compact row by
+//! row — `O(|V| + |E|)` plus `Σ d·log d` for the row sorts, and no
+//! materialised triple list.
 
 use crate::coo::Coo;
 use crate::csr::{Csr, CsrError};
@@ -107,40 +108,161 @@ impl<V: Id> CsrAuto<V> {
     }
 }
 
+/// The cleaned adjacency before an offset width is chosen: row offsets are
+/// kept in `usize` so the width check sees the *post-preprocessing* edge
+/// count and the arrays are converted exactly once.
+struct Clean<V: Id> {
+    offsets: Vec<usize>,
+    cols: Vec<V>,
+    weights: Option<Vec<u32>>,
+}
+
+impl<V: Id> Clean<V> {
+    fn check_width<O: Id>(&self) -> Result<(), CsrError> {
+        if self.cols.len() > O::MAX_AS_USIZE {
+            return Err(CsrError::OffsetOverflow { edges: self.cols.len(), max: O::MAX_AS_USIZE });
+        }
+        Ok(())
+    }
+
+    /// The caller has checked the width.
+    fn into_csr<O: Id>(self) -> Csr<V, O> {
+        let offsets = self.offsets.into_iter().map(O::from_usize).collect();
+        Csr::from_parts(offsets, self.cols, self.weights)
+    }
+}
+
+/// Scatter every kept edge into its source's row — all forward edges in
+/// input order, then (under `symmetrize`) all reverse edges in input order —
+/// which is the order a stable sort by source of "edges ++ reversed edges"
+/// produces. `slot(neighbor, input index)` makes the stored item.
+fn scatter<V: Id, T: Copy + Default>(
+    coo: &Coo<V>,
+    options: BuildOptions,
+    offsets: &[usize],
+    slot: impl Fn(V, usize) -> T,
+) -> Vec<T> {
+    let n = coo.n_vertices;
+    let mut cursor = offsets[..n].to_vec();
+    let mut out = vec![T::default(); offsets[n]];
+    let keep = |s: V, d: V| !(options.remove_self_loops && s == d);
+    for (i, &(s, d)) in coo.edges.iter().enumerate() {
+        if keep(s, d) {
+            out[cursor[s.idx()]] = slot(d, i);
+            cursor[s.idx()] += 1;
+        }
+    }
+    if options.symmetrize {
+        for (i, &(s, d)) in coo.edges.iter().enumerate() {
+            if keep(s, d) {
+                out[cursor[d.idx()]] = slot(s, i);
+                cursor[d.idx()] += 1;
+            }
+        }
+    }
+    out
+}
+
+/// Sort every row with `sort_row` (under `sort_rows`, and under `dedup`,
+/// which needs equal destinations adjacent), then under `dedup` drop every
+/// item that is `same` as its predecessor in its row — in place, keeping the
+/// first of each run, rewriting `offsets` and truncating `items`.
+fn tidy_rows<T: Copy>(
+    options: BuildOptions,
+    offsets: &mut [usize],
+    items: &mut Vec<T>,
+    sort_row: impl Fn(&mut [T]),
+    same: impl Fn(&T, &T) -> bool,
+) {
+    if options.dedup || options.sort_rows {
+        offsets.windows(2).for_each(|w| sort_row(&mut items[w[0]..w[1]]));
+    }
+    if !options.dedup {
+        return;
+    }
+    let mut out = 0;
+    let mut start = 0;
+    for v in 0..offsets.len() - 1 {
+        let end = offsets[v + 1];
+        let row_out = out;
+        offsets[v] = out;
+        for i in start..end {
+            let x = items[i];
+            if out == row_out || !same(&items[out - 1], &x) {
+                items[out] = x;
+                out += 1;
+            }
+        }
+        start = end;
+    }
+    *offsets.last_mut().expect("offsets hold the terminating entry") = out;
+    items.truncate(out);
+}
+
 /// Stateless builder entry points.
 pub struct GraphBuilder;
 
 impl GraphBuilder {
     /// The shared preprocessing pipeline: symmetrize / clean / sort / dedup
-    /// into a canonical edge list.
-    fn preprocess<V: Id>(coo: &Coo<V>, options: BuildOptions) -> Coo<V> {
-        let mut triples: Vec<(V, V, u32)> = coo.iter_weighted().collect();
-
-        if options.symmetrize {
-            let rev: Vec<(V, V, u32)> = triples.iter().map(|&(s, d, w)| (d, s, w)).collect();
-            triples.extend(rev);
+    /// into adjacency arrays, validating every endpoint on the way.
+    fn clean<V: Id>(coo: &Coo<V>, options: BuildOptions) -> Result<Clean<V>, CsrError> {
+        let n = coo.n_vertices;
+        CsrError::check_vertices::<V>(n)?;
+        let mut offsets = vec![0usize; n + 1];
+        for (edge, &(s, d)) in coo.edges.iter().enumerate() {
+            CsrError::check_edge(edge, (s, d), n)?;
+            if options.remove_self_loops && s == d {
+                continue;
+            }
+            offsets[s.idx() + 1] += 1;
+            if options.symmetrize {
+                offsets[d.idx() + 1] += 1;
+            }
         }
-        if options.remove_self_loops {
-            triples.retain(|&(s, d, _)| s != d);
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
         }
-        if options.dedup || options.sort_rows {
-            // Stable parallel sort: for duplicates, the first-listed weight
-            // survives the dedup below.
-            triples.par_sort_by_key(|&(s, d, _)| (s, d));
+        match &coo.weights {
+            None => {
+                let mut cols = scatter(coo, options, &offsets, |v, _| v);
+                // equal ids are indistinguishable: no stability needed
+                tidy_rows(
+                    options,
+                    &mut offsets,
+                    &mut cols,
+                    |row| row.sort_unstable(),
+                    |a, b| a == b,
+                );
+                Ok(Clean { offsets, cols, weights: None })
+            }
+            Some(w) => {
+                let mut pairs = scatter(coo, options, &offsets, |v, i| (v, w[i]));
+                // Stable by destination: parallel edges stay in scatter order
+                // (forward before reverse, each in input order), so the
+                // first-listed weight survives the dedup.
+                let by_dst = |row: &mut [(V, u32)]| row.sort_by_key(|&(d, _)| d);
+                tidy_rows(options, &mut offsets, &mut pairs, by_dst, |a, b| a.0 == b.0);
+                let (cols, weights) = pairs.into_iter().unzip();
+                Ok(Clean { offsets, cols, weights: Some(weights) })
+            }
         }
-        if options.dedup {
-            triples.dedup_by_key(|&mut (s, d, _)| (s, d));
-        }
-
-        let weighted = coo.weights.is_some();
-        let edges: Vec<(V, V)> = triples.iter().map(|&(s, d, _)| (s, d)).collect();
-        let weights = weighted.then(|| triples.iter().map(|&(_, _, w)| w).collect());
-        Coo::from_edges(coo.n_vertices, edges, weights)
     }
 
-    /// Apply `options` to `coo` and produce a CSR graph.
+    /// Apply `options` to `coo` and produce a CSR graph; typed errors for an
+    /// endpoint `>= n_vertices` and for index-width overflow (checked on the
+    /// cleaned edge count).
+    pub fn try_build<V: Id, O: Id>(
+        coo: &Coo<V>,
+        options: BuildOptions,
+    ) -> Result<Csr<V, O>, CsrError> {
+        let clean = Self::clean(coo, options)?;
+        clean.check_width::<O>()?;
+        Ok(clean.into_csr())
+    }
+
+    /// [`GraphBuilder::try_build`], panicking with the typed error's message.
     pub fn build<V: Id, O: Id>(coo: &Coo<V>, options: BuildOptions) -> Csr<V, O> {
-        Csr::from_coo(&Self::preprocess(coo, options))
+        Self::try_build(coo, options).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The paper's default preprocessing.
@@ -150,23 +272,32 @@ impl GraphBuilder {
 
     /// The widening decision, generic over the narrow offset type `N` so
     /// tests can exercise the fallback with `u16` (a genuine u32 overflow
-    /// would need a >4-billion-edge graph). `Ok` is the narrow build, `Err`
-    /// the u64 fallback; a vertex-width overflow is not recoverable by
-    /// widening offsets and panics with the typed error's message.
-    fn narrow_or_widen<V: Id, N: Id>(clean: &Coo<V>) -> Result<Csr<V, N>, Csr<V, u64>> {
-        match Csr::<V, N>::try_from_coo(clean) {
-            Ok(g) => Ok(g),
-            Err(CsrError::OffsetOverflow { .. }) => Err(Csr::from_coo(clean)),
-            Err(e @ CsrError::VertexOverflow { .. }) => panic!("{e}"),
+    /// would need a >4-billion-edge graph). The width is chosen once, from
+    /// the cleaned edge count: `Ok` is the narrow build, `Err` the u64
+    /// fallback. A vertex-width overflow or a bad endpoint is not recoverable
+    /// by widening offsets and panics with the typed error's message.
+    fn build_widening<V: Id, N: Id>(
+        coo: &Coo<V>,
+        options: BuildOptions,
+    ) -> Result<Csr<V, N>, Csr<V, u64>> {
+        let clean = Self::clean(coo, options).unwrap_or_else(|e| panic!("{e}"));
+        match clean.check_width::<N>() {
+            Ok(()) => Ok(clean.into_csr()),
+            Err(_) => Err(clean.into_csr()),
         }
+    }
+
+    /// [`GraphBuilder::build_widening`] of an already clean edge list.
+    #[cfg(test)]
+    fn narrow_or_widen<V: Id, N: Id>(clean: &Coo<V>) -> Result<Csr<V, N>, Csr<V, u64>> {
+        Self::build_widening(clean, BuildOptions::raw())
     }
 
     /// [`GraphBuilder::build`] at the automatically chosen offset width:
     /// narrow (u32) when the preprocessed edge count fits, else the checked
     /// u64 fallback.
     pub fn build_auto<V: Id>(coo: &Coo<V>, options: BuildOptions) -> CsrAuto<V> {
-        let clean = Self::preprocess(coo, options);
-        match Self::narrow_or_widen::<V, u32>(&clean) {
+        match Self::build_widening::<V, u32>(coo, options) {
             Ok(g) => CsrAuto::Narrow(g),
             Err(g) => CsrAuto::Wide(g),
         }
@@ -274,5 +405,31 @@ mod tests {
         // type cannot fix that, so the builder refuses loudly.
         let coo = Coo::<u16>::from_edges(70_000, vec![], None);
         let _ = GraphBuilder::narrow_or_widen::<u16, u16>(&coo);
+    }
+
+    #[test]
+    fn out_of_range_endpoint_is_typed() {
+        // A `Coo` built through its public fields skips `from_edges`' debug
+        // check; with `symmetrize: false` nothing ever indexes by the bad
+        // destination, so only the count pass can catch it.
+        let coo = Coo::<u32> { n_vertices: 3, edges: vec![(0, 1), (2, 7)], weights: None };
+        for options in [BuildOptions::default(), BuildOptions::directed(), BuildOptions::raw()] {
+            assert_eq!(
+                GraphBuilder::try_build::<u32, u64>(&coo, options),
+                Err(CsrError::EndpointOutOfRange { edge: 1, endpoint: 7, vertices: 3 })
+            );
+        }
+        let bad_src = Coo::<u32> { n_vertices: 3, edges: vec![(5, 1)], weights: None };
+        assert_eq!(
+            GraphBuilder::try_build::<u32, u64>(&bad_src, BuildOptions::raw()),
+            Err(CsrError::EndpointOutOfRange { edge: 0, endpoint: 5, vertices: 3 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "names vertex 7, out of range for 3 vertices")]
+    fn build_panics_with_the_typed_endpoint_message() {
+        let coo = Coo::<u32> { n_vertices: 3, edges: vec![(2, 7)], weights: None };
+        let _: Csr<u32, u64> = GraphBuilder::build(&coo, BuildOptions::directed());
     }
 }

@@ -26,6 +26,17 @@ pub enum CsrError {
         /// Largest vertex count the id type can address.
         max: usize,
     },
+    /// An edge names a vertex `>= n_vertices`. Left in, a bad source indexes
+    /// past the offsets and a bad destination becomes a dangling column that
+    /// panics later inside a kernel.
+    EndpointOutOfRange {
+        /// Index of the offending edge in the input list.
+        edge: usize,
+        /// The out-of-range vertex id.
+        endpoint: usize,
+        /// Vertices the graph has.
+        vertices: usize,
+    },
 }
 
 impl std::fmt::Display for CsrError {
@@ -37,11 +48,44 @@ impl std::fmt::Display for CsrError {
             CsrError::VertexOverflow { vertices, max } => {
                 write!(f, "vertex count {vertices} does not fit in the vertex id type (max {max})")
             }
+            CsrError::EndpointOutOfRange { edge, endpoint, vertices } => {
+                write!(
+                    f,
+                    "edge {edge} names vertex {endpoint}, out of range for {vertices} vertices"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for CsrError {}
+
+impl CsrError {
+    /// `n` vertices must be addressable by `V`: ids run `0..n`, so the
+    /// largest id is `n - 1` and `MAX_AS_USIZE + 1` vertices fit.
+    pub(crate) fn check_vertices<V: Id>(n: usize) -> Result<(), CsrError> {
+        if n > 0 && n - 1 > V::MAX_AS_USIZE {
+            return Err(CsrError::VertexOverflow {
+                vertices: n,
+                max: V::MAX_AS_USIZE.saturating_add(1),
+            });
+        }
+        Ok(())
+    }
+
+    /// Both endpoints of input edge number `edge` must be `< n`.
+    #[inline]
+    pub(crate) fn check_edge<V: Id>(edge: usize, (s, d): (V, V), n: usize) -> Result<(), CsrError> {
+        let bad = if s.idx() >= n {
+            s
+        } else if d.idx() >= n {
+            d
+        } else {
+            return Ok(());
+        };
+        Err(CsrError::EndpointOutOfRange { edge, endpoint: bad.idx(), vertices: n })
+    }
+}
 
 /// A CSR graph with vertex ids of type `V` and edge offsets of type `O`.
 ///
@@ -86,22 +130,18 @@ impl<V: Id, O: Id> Csr<V, O> {
         Self::try_from_coo(coo).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Csr::from_coo`] with a typed width check: errors (never truncates)
-    /// when the edge count overflows `O` or the vertex count overflows `V`.
+    /// [`Csr::from_coo`] with typed checks: errors (never truncates) when the
+    /// edge count overflows `O`, the vertex count overflows `V`, or an edge
+    /// names a vertex `>= n_vertices`.
     pub fn try_from_coo(coo: &Coo<V>) -> Result<Self, CsrError> {
         let n = coo.n_vertices;
         if coo.n_edges() > O::MAX_AS_USIZE {
             return Err(CsrError::OffsetOverflow { edges: coo.n_edges(), max: O::MAX_AS_USIZE });
         }
-        // ids run 0..n, so the largest id is n-1; MAX_AS_USIZE+1 vertices fit
-        if n > 0 && n - 1 > V::MAX_AS_USIZE {
-            return Err(CsrError::VertexOverflow {
-                vertices: n,
-                max: V::MAX_AS_USIZE.saturating_add(1),
-            });
-        }
+        CsrError::check_vertices::<V>(n)?;
         let mut degree = vec![0usize; n];
-        for &(s, _) in &coo.edges {
+        for (edge, &(s, d)) in coo.edges.iter().enumerate() {
+            CsrError::check_edge(edge, (s, d), n)?;
             degree[s.idx()] += 1;
         }
         let mut offsets = vec![O::zero(); n + 1];
@@ -179,26 +219,39 @@ impl<V: Id, O: Id> Csr<V, O> {
         &self.col_indices
     }
 
+    /// Raw edge weights (length `n_edges`), if the graph carries any.
+    pub fn weights(&self) -> Option<&[u32]> {
+        self.weights.as_deref()
+    }
+
     /// The transpose (reverse graph): the CSC view used by pull-mode
-    /// traversal. Weights follow their edges.
+    /// traversal. Weights follow their edges. A direct in-degree count and
+    /// scatter, `O(|V| + |E|)`; sources within a reverse row stay ascending.
     pub fn transpose(&self) -> Csr<V, O> {
         let n = self.n_vertices();
-        let mut coo = Coo::<V>::new(n);
-        coo.edges.reserve(self.n_edges());
-        if self.weights.is_some() {
-            coo.weights = Some(Vec::with_capacity(self.n_edges()));
+        let mut offsets = vec![O::zero(); n + 1];
+        let mut cursor = vec![0usize; n + 1];
+        for &d in &self.col_indices {
+            cursor[d.idx() + 1] += 1;
         }
+        for v in 0..n {
+            cursor[v + 1] += cursor[v];
+            offsets[v + 1] = O::from_usize(cursor[v + 1]);
+        }
+        let mut cols = vec![V::default(); self.n_edges()];
+        let mut weights = self.weights.as_ref().map(|_| vec![0u32; self.n_edges()]);
         for v in 0..n {
             let v = V::from_usize(v);
             for e in self.edge_range(v) {
-                let d = self.col_indices[e];
-                coo.edges.push((d, v));
-                if let Some(w) = &mut coo.weights {
-                    w.push(self.weights.as_ref().unwrap()[e]);
+                let at = &mut cursor[self.col_indices[e].idx()];
+                cols[*at] = v;
+                if let (Some(wo), Some(wi)) = (&mut weights, &self.weights) {
+                    wo[*at] = wi[e];
                 }
+                *at += 1;
             }
         }
-        Csr::from_coo(&coo)
+        Csr { row_offsets: offsets, col_indices: cols, weights }
     }
 
     /// In-memory footprint in bytes: what storing this graph costs a device

@@ -21,10 +21,9 @@
 //! sends carry global ids (which under duplicate-all are already local ids
 //! everywhere, which is why the paper pairs broadcast with duplicate-all).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use mgpu_graph::{Coo, Csr, Id};
+use mgpu_graph::{Csr, Id};
 
 use crate::partitioner::Partitioner;
 
@@ -57,7 +56,10 @@ pub struct SubGraph<V: Id, O: Id> {
     /// vertices are scattered through the global id space — use
     /// [`SubGraph::is_owned`].
     pub n_local: usize,
-    /// Local id → global id (identity under duplicate-all).
+    /// Local id → global id (identity under duplicate-all). Under
+    /// duplicate-1-hop the owned ids `0..n_local` and the proxy ids after
+    /// them are each ascending in global id, which is what
+    /// [`SubGraph::from_global`] searches.
     local_to_global: Option<Vec<V>>,
     /// Local id → owning GPU. Under duplicate-all this is the global
     /// partition table (shared); under duplicate-1-hop it is per-subgraph.
@@ -65,12 +67,33 @@ pub struct SubGraph<V: Id, O: Id> {
     /// Local id → owner-local id (what to put on the wire for selective
     /// communication). `None` = identity (duplicate-all).
     owner_local: Option<Vec<V>>,
-    /// Global id → local id for broadcast receive under duplicate-1-hop.
-    global_to_local: Option<HashMap<V, V>>,
     /// `|B_{i,j}|` for each peer j: the number of distinct remote vertices
     /// owned by j that this GPU's edges point at (outgoing vertex border,
     /// §III-A). `border_out[gpu] == 0`.
     pub border_out: Vec<usize>,
+}
+
+/// Set bit `i` of a border bitset; true the first time it is set.
+fn first_sight(seen: &mut [u64], i: usize) -> bool {
+    let (word, bit) = (i / 64, 1u64 << (i % 64));
+    let first = seen[word] & bit == 0;
+    seen[word] |= bit;
+    first
+}
+
+/// Run one job per part concurrently — the first on the calling thread, the
+/// rest on scoped threads — and return the results in job order. Parts are
+/// built from shared read-only inputs and write nothing shared, so the output
+/// is the sequential one whatever the interleaving.
+fn per_part<T: Send, J: FnOnce() -> T + Send>(jobs: impl IntoIterator<Item = J>) -> Vec<T> {
+    let mut jobs = jobs.into_iter();
+    let Some(first) = jobs.next() else { return Vec::new() };
+    std::thread::scope(|s| {
+        let rest: Vec<_> = jobs.map(|job| s.spawn(job)).collect();
+        let mut out = vec![first()];
+        out.extend(rest.into_iter().map(|h| h.join().expect("a part builder panicked")));
+        out
+    })
 }
 
 #[derive(Debug)]
@@ -133,9 +156,16 @@ impl<V: Id, O: Id> SubGraph<V, O> {
     /// GPU hosts the vertex or a proxy of it.
     #[inline]
     pub fn from_global(&self, g: V) -> Option<V> {
-        match &self.global_to_local {
+        match &self.local_to_global {
             None => Some(g), // duplicate-all: global ids are local ids
-            Some(map) => map.get(&g).copied(),
+            Some(table) => {
+                let (owned, proxies) = table.split_at(self.n_local);
+                let local = match owned.binary_search(&g) {
+                    Ok(i) => i,
+                    Err(_) => self.n_local + proxies.binary_search(&g).ok()?,
+                };
+                Some(V::from_usize(local))
+            }
         }
     }
 
@@ -218,49 +248,17 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     fn build_dup_all(graph: &Csr<V, O>, table: Arc<Vec<u32>>, n_parts: usize) -> Self {
         let n = graph.n_vertices();
         let convert: Arc<Vec<V>> = Arc::new((0..n).map(V::from_usize).collect());
-        let mut parts = Vec::with_capacity(n_parts);
-        for gpu in 0..n_parts {
-            let mut coo = Coo::<V>::new(n);
-            let weighted = graph.is_weighted();
-            if weighted {
-                coo.weights = Some(Vec::new());
-            }
-            let mut border_seen: Vec<HashMap<V, ()>> =
-                (0..n_parts).map(|_| HashMap::new()).collect();
-            let mut n_local = 0usize;
-            for v in 0..n {
-                if table[v] as usize != gpu {
-                    continue;
-                }
-                n_local += 1;
-                let vid = V::from_usize(v);
-                for e in graph.edge_range(vid) {
-                    let d = graph.col_indices()[e];
-                    coo.edges.push((vid, d));
-                    if let Some(w) = &mut coo.weights {
-                        w.push(graph.edge_weight(e));
-                    }
-                    let od = table[d.idx()] as usize;
-                    if od != gpu {
-                        border_seen[od].insert(d, ());
-                    }
-                }
-            }
-            let border_out = border_seen.iter().map(|s| s.len()).collect();
-            parts.push(SubGraph {
-                gpu,
-                n_parts,
-                duplication: Duplication::All,
-                csr: Csr::from_coo(&coo),
-                csc: None,
-                n_local,
-                local_to_global: None,
-                owner_of: OwnerMap::Global(Arc::clone(&table)),
-                owner_local: None,
-                global_to_local: None,
-                border_out,
-            });
+        // Per-part sizes in one pass, so every array below is allocated once.
+        let mut n_local = vec![0usize; n_parts];
+        let mut n_edges = vec![0usize; n_parts];
+        for v in 0..n {
+            n_local[table[v] as usize] += 1;
+            n_edges[table[v] as usize] += graph.degree(V::from_usize(v));
         }
+        let parts = per_part((0..n_parts).map(|gpu| {
+            let (table, n_local, n_edges) = (&table, n_local[gpu], n_edges[gpu]);
+            move || Self::dup_all_part(graph, table, gpu, n_parts, n_local, n_edges)
+        }));
         DistGraph {
             n_global: n,
             n_global_edges: graph.n_edges(),
@@ -272,98 +270,79 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         }
     }
 
+    /// One duplicate-all host graph: the parent's rows owned by `gpu`, copied
+    /// by slice into the full vertex space (every other row stays empty).
+    fn dup_all_part(
+        graph: &Csr<V, O>,
+        table: &Arc<Vec<u32>>,
+        gpu: usize,
+        n_parts: usize,
+        n_local: usize,
+        n_edges: usize,
+    ) -> SubGraph<V, O> {
+        let n = graph.n_vertices();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut cols = Vec::with_capacity(n_edges);
+        let mut weights = graph.weights().map(|_| Vec::with_capacity(n_edges));
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        let mut border_out = vec![0usize; n_parts];
+        for v in 0..n {
+            offsets.push(O::from_usize(cols.len()));
+            if table[v] as usize != gpu {
+                continue;
+            }
+            let range = graph.edge_range(V::from_usize(v));
+            let row = &graph.col_indices()[range.clone()];
+            cols.extend_from_slice(row);
+            if let (Some(out), Some(w)) = (&mut weights, graph.weights()) {
+                out.extend_from_slice(&w[range]);
+            }
+            for &d in row {
+                let od = table[d.idx()] as usize;
+                if od != gpu && first_sight(&mut seen, d.idx()) {
+                    border_out[od] += 1;
+                }
+            }
+        }
+        offsets.push(O::from_usize(cols.len()));
+        SubGraph {
+            gpu,
+            n_parts,
+            duplication: Duplication::All,
+            csr: Csr::from_parts(offsets, cols, weights),
+            csc: None,
+            n_local,
+            local_to_global: None,
+            owner_of: OwnerMap::Global(Arc::clone(table)),
+            owner_local: None,
+            border_out,
+        }
+    }
+
     fn build_one_hop(graph: &Csr<V, O>, table: Arc<Vec<u32>>, n_parts: usize) -> Self {
         let n = graph.n_vertices();
         // Owner-local ids: rank of each vertex among its GPU's owned set,
         // in global-id order ("renumbered with continuous IDs").
         let mut convert = vec![V::zero(); n];
-        let mut counts = vec![0usize; n_parts];
+        let mut start = vec![0usize; n_parts + 1];
         for v in 0..n {
-            let p = table[v] as usize;
-            convert[v] = V::from_usize(counts[p]);
-            counts[p] += 1;
+            let count = &mut start[table[v] as usize + 1];
+            convert[v] = V::from_usize(*count);
+            *count += 1;
+        }
+        for p in 0..n_parts {
+            start[p + 1] += start[p];
+        }
+        // One bucket pass: every part's owned vertices, in global-id order.
+        let mut owned = vec![V::zero(); n];
+        for v in 0..n {
+            owned[start[table[v] as usize] + convert[v].idx()] = V::from_usize(v);
         }
         let convert = Arc::new(convert);
-
-        let mut parts = Vec::with_capacity(n_parts);
-        for gpu in 0..n_parts {
-            // Collect owned vertices (in global order) and discover proxies.
-            let owned: Vec<usize> = (0..n).filter(|&v| table[v] as usize == gpu).collect();
-            let n_local = owned.len();
-            let mut proxy_of_global: HashMap<V, V> = HashMap::new();
-            let mut proxies: Vec<V> = Vec::new();
-            for &v in &owned {
-                for &d in graph.neighbors(V::from_usize(v)) {
-                    if table[d.idx()] as usize != gpu && !proxy_of_global.contains_key(&d) {
-                        proxy_of_global.insert(d, V::zero()); // placeholder
-                        proxies.push(d);
-                    }
-                }
-            }
-            proxies.sort_unstable();
-            for (i, &g) in proxies.iter().enumerate() {
-                proxy_of_global.insert(g, V::from_usize(n_local + i));
-            }
-
-            let n_vi = n_local + proxies.len();
-            let mut local_to_global: Vec<V> = Vec::with_capacity(n_vi);
-            local_to_global.extend(owned.iter().map(|&v| V::from_usize(v)));
-            local_to_global.extend(proxies.iter().copied());
-
-            let mut owner_of: Vec<u32> = Vec::with_capacity(n_vi);
-            owner_of.extend(std::iter::repeat_n(gpu as u32, n_local));
-            owner_of.extend(proxies.iter().map(|g| table[g.idx()]));
-
-            let mut owner_local: Vec<V> = Vec::with_capacity(n_vi);
-            owner_local.extend((0..n_local).map(V::from_usize));
-            owner_local.extend(proxies.iter().map(|g| convert[g.idx()]));
-
-            // Remap edges into the local space.
-            let mut coo = Coo::<V>::new(n_vi);
-            if graph.is_weighted() {
-                coo.weights = Some(Vec::new());
-            }
-            let mut border_seen: Vec<HashMap<V, ()>> =
-                (0..n_parts).map(|_| HashMap::new()).collect();
-            for (li, &v) in owned.iter().enumerate() {
-                let vid = V::from_usize(v);
-                for e in graph.edge_range(vid) {
-                    let d = graph.col_indices()[e];
-                    let dl = if table[d.idx()] as usize == gpu {
-                        convert[d.idx()]
-                    } else {
-                        let od = table[d.idx()] as usize;
-                        border_seen[od].insert(d, ());
-                        proxy_of_global[&d]
-                    };
-                    coo.edges.push((V::from_usize(li), dl));
-                    if let Some(w) = &mut coo.weights {
-                        w.push(graph.edge_weight(e));
-                    }
-                }
-            }
-
-            // global → local for broadcast receive: owned + proxies.
-            let mut global_to_local: HashMap<V, V> = proxy_of_global;
-            for (li, &v) in owned.iter().enumerate() {
-                global_to_local.insert(V::from_usize(v), V::from_usize(li));
-            }
-
-            let border_out = border_seen.iter().map(|s| s.len()).collect();
-            parts.push(SubGraph {
-                gpu,
-                n_parts,
-                duplication: Duplication::OneHop,
-                csr: Csr::from_coo(&coo),
-                csc: None,
-                n_local,
-                local_to_global: Some(local_to_global),
-                owner_of: OwnerMap::Local(owner_of, std::marker::PhantomData),
-                owner_local: Some(owner_local),
-                global_to_local: Some(global_to_local),
-                border_out,
-            });
-        }
+        let parts = per_part((0..n_parts).map(|gpu| {
+            let (table, convert, owned) = (&table, &convert, &owned[start[gpu]..start[gpu + 1]]);
+            move || Self::one_hop_part(graph, table, convert, gpu, n_parts, owned)
+        }));
         DistGraph {
             n_global: n,
             n_global_edges: graph.n_edges(),
@@ -372,6 +351,85 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             partition_table: table,
             convert,
             parts,
+        }
+    }
+
+    /// One duplicate-1-hop host graph over `owned` (ascending global ids):
+    /// proxies for the distinct remote destinations, in global-id order after
+    /// the owned vertices, and the owned rows remapped into that local space.
+    fn one_hop_part(
+        graph: &Csr<V, O>,
+        table: &[u32],
+        convert: &[V],
+        gpu: usize,
+        n_parts: usize,
+        owned: &[V],
+    ) -> SubGraph<V, O> {
+        let n = graph.n_vertices();
+        let n_local = owned.len();
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        let mut proxies: Vec<V> = Vec::new();
+        let mut n_edges = 0usize;
+        for &v in owned {
+            n_edges += graph.degree(v);
+            for &d in graph.neighbors(v) {
+                if table[d.idx()] as usize != gpu && first_sight(&mut seen, d.idx()) {
+                    proxies.push(d);
+                }
+            }
+        }
+        proxies.sort_unstable();
+
+        // Global → local for everything this part's edges can name; entries
+        // of vertices that are neither owned nor proxied are never read.
+        let mut local_of = vec![V::zero(); n];
+        let mut border_out = vec![0usize; n_parts];
+        for &v in owned {
+            local_of[v.idx()] = convert[v.idx()];
+        }
+        for (i, &g) in proxies.iter().enumerate() {
+            local_of[g.idx()] = V::from_usize(n_local + i);
+            border_out[table[g.idx()] as usize] += 1;
+        }
+
+        let n_vi = n_local + proxies.len();
+        let mut offsets = Vec::with_capacity(n_vi + 1);
+        let mut cols = Vec::with_capacity(n_edges);
+        let mut weights = graph.weights().map(|_| Vec::with_capacity(n_edges));
+        for &v in owned {
+            offsets.push(O::from_usize(cols.len()));
+            let range = graph.edge_range(v);
+            cols.extend(graph.col_indices()[range.clone()].iter().map(|d| local_of[d.idx()]));
+            if let (Some(out), Some(w)) = (&mut weights, graph.weights()) {
+                out.extend_from_slice(&w[range]);
+            }
+        }
+        // proxies carry no out-edges
+        offsets.resize(n_vi + 1, O::from_usize(cols.len()));
+
+        let mut local_to_global = Vec::with_capacity(n_vi);
+        local_to_global.extend_from_slice(owned);
+        local_to_global.extend_from_slice(&proxies);
+
+        let mut owner_of: Vec<u32> = Vec::with_capacity(n_vi);
+        owner_of.extend(std::iter::repeat_n(gpu as u32, n_local));
+        owner_of.extend(proxies.iter().map(|g| table[g.idx()]));
+
+        let mut owner_local: Vec<V> = Vec::with_capacity(n_vi);
+        owner_local.extend((0..n_local).map(V::from_usize));
+        owner_local.extend(proxies.iter().map(|g| convert[g.idx()]));
+
+        SubGraph {
+            gpu,
+            n_parts,
+            duplication: Duplication::OneHop,
+            csr: Csr::from_parts(offsets, cols, weights),
+            csc: None,
+            n_local,
+            local_to_global: Some(local_to_global),
+            owner_of: OwnerMap::Local(owner_of, std::marker::PhantomData),
+            owner_local: Some(owner_local),
+            border_out,
         }
     }
 
@@ -385,16 +443,14 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     /// Build the reverse adjacency on every part — required before running
     /// pull-mode (direction-optimizing) primitives.
     pub fn build_cscs(&mut self) {
-        for p in &mut self.parts {
-            p.build_csc();
-        }
+        per_part(self.parts.iter_mut().map(|p| || p.build_csc()));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_graph::GraphBuilder;
+    use mgpu_graph::{Coo, GraphBuilder};
 
     /// 6-cycle partitioned in halves: 0,1,2 on GPU0; 3,4,5 on GPU1.
     fn cycle6() -> (Csr<u32, u64>, Vec<u32>) {

@@ -8,11 +8,13 @@
 //! stream over the same input distribution (fixed trial count, deterministic
 //! per seed — failures reproduce exactly).
 
+use std::collections::BTreeSet;
+
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use mgpu_graph_analytics::core::{EnactConfig, Runner};
-use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
+use mgpu_graph_analytics::graph::{BuildOptions, Coo, Csr, GraphBuilder, Id};
 use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
 };
@@ -98,13 +100,182 @@ fn one_hop_conversion_tables_are_consistent() {
     }
 }
 
+/// CSR from `(src, dst, weight)` triples by a stable sort on the source:
+/// shares no code with the shipped counting sorts.
+fn csr_of_triples<V: Id>(n: usize, mut t: Vec<(V, V, u32)>, weighted: bool) -> Csr<V, u64> {
+    t.sort_by_key(|&(s, _, _)| s);
+    let mut offsets = vec![0u64; n + 1];
+    for &(s, _, _) in &t {
+        offsets[s.idx() + 1] += 1;
+    }
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
+    }
+    let weights = weighted.then(|| t.iter().map(|&(_, _, w)| w).collect());
+    Csr::from_parts(offsets, t.iter().map(|&(_, d, _)| d).collect(), weights)
+}
+
+/// Every edge of `g` as a `(src, dst, weight)` triple, in row order.
+fn triples_of<V: Id, O: Id>(g: &Csr<V, O>) -> Vec<(V, V, u32)> {
+    (0..g.n_vertices())
+        .map(V::from_usize)
+        .flat_map(|v| g.neighbors_weighted(v).map(move |(d, w)| (v, d, w)))
+        .collect()
+}
+
+/// The preprocessing pipeline as one comparison sort over a materialised
+/// triple list — what `GraphBuilder` used to be, kept as its oracle.
+fn reference_build<V: Id>(coo: &Coo<V>, o: BuildOptions) -> Csr<V, u64> {
+    let mut t: Vec<(V, V, u32)> = coo.iter_weighted().collect();
+    if o.symmetrize {
+        let rev: Vec<_> = t.iter().map(|&(s, d, w)| (d, s, w)).collect();
+        t.extend(rev);
+    }
+    if o.remove_self_loops {
+        t.retain(|&(s, d, _)| s != d);
+    }
+    if o.dedup || o.sort_rows {
+        t.sort_by_key(|&(s, d, _)| (s, d));
+    }
+    if o.dedup {
+        t.dedup_by_key(|&mut (s, d, _)| (s, d));
+    }
+    csr_of_triples(coo.n_vertices, t, coo.weights.is_some())
+}
+
+/// Arbitrary edge list: empty, or dense enough in a small id range that
+/// duplicates, self-loops and isolated vertices all occur.
+fn arb_coo<V: Id>(rng: &mut ChaCha8Rng) -> Coo<V> {
+    let n = rng.gen_range(1usize..30);
+    let m = if rng.gen_bool(0.1) { 0 } else { rng.gen_range(0usize..150) };
+    let hi = rng.gen_range(1usize..n + 1);
+    let mut id = || V::from_usize(rng.gen_range(0usize..hi));
+    let edges: Vec<(V, V)> = (0..m).map(|_| (id(), id())).collect();
+    let weights = rng.gen_bool(0.5).then(|| (0..m).map(|_| rng.gen_range(0u32..65)).collect());
+    Coo::from_edges(n, edges, weights)
+}
+
+fn builder_equals_reference<V: Id>(seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    for _ in 0..CASES {
+        let coo = arb_coo::<V>(&mut rng);
+        for bits in 0..16u8 {
+            let options = BuildOptions {
+                symmetrize: bits & 1 != 0,
+                remove_self_loops: bits & 2 != 0,
+                dedup: bits & 4 != 0,
+                sort_rows: bits & 8 != 0,
+            };
+            let expected = reference_build(&coo, options);
+            assert_eq!(GraphBuilder::build::<V, u64>(&coo, options), expected, "{options:?}");
+            let auto = GraphBuilder::build_auto(&coo, options);
+            let narrow = auto.narrow().expect("a few hundred edges fit u32 offsets");
+            assert_eq!(triples_of(narrow), triples_of(&expected), "{options:?}");
+        }
+    }
+}
+
 #[test]
-fn csr_transpose_is_involutive() {
+fn builder_equals_the_sort_based_reference_under_every_option() {
+    builder_equals_reference::<u32>(0xB01);
+    builder_equals_reference::<u16>(0xB02);
+}
+
+#[test]
+fn csr_transpose_equals_naive_and_is_involutive() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA14);
     for _ in 0..CASES {
-        let (n, edges, weights) = arb_graph(&mut rng);
-        let g = build(n, &edges, &weights);
-        assert_eq!(g.transpose().transpose(), g);
+        let coo = arb_coo::<u32>(&mut rng);
+        // raw rows are unsorted and hold parallel edges; canonical rows do not
+        for options in [BuildOptions::raw(), BuildOptions::default()] {
+            let g: Csr<u32, u64> = GraphBuilder::build(&coo, options);
+            let reversed = triples_of(&g).into_iter().map(|(s, d, w)| (d, s, w)).collect();
+            let t = g.transpose();
+            assert_eq!(t, csr_of_triples(g.n_vertices(), reversed, g.is_weighted()));
+            if options == BuildOptions::default() {
+                assert_eq!(t.transpose(), g);
+            }
+        }
+    }
+}
+
+/// What one part of a partitioned graph must look like, derived per part by
+/// filtering the whole graph.
+struct NaivePart {
+    csr: Csr<u32, u64>,
+    n_local: usize,
+    border_out: Vec<usize>,
+    /// Local id → global id.
+    to_global: Vec<u32>,
+}
+
+fn naive_part(
+    g: &Csr<u32, u64>,
+    owner: &[u32],
+    n_parts: usize,
+    gpu: u32,
+    dup: Duplication,
+) -> NaivePart {
+    let n = g.n_vertices() as u32;
+    let owned: Vec<u32> = (0..n).filter(|&v| owner[v as usize] == gpu).collect();
+    let edges: Vec<(u32, u32, u32)> =
+        triples_of(g).into_iter().filter(|&(s, _, _)| owner[s as usize] == gpu).collect();
+    let remote: BTreeSet<u32> =
+        edges.iter().map(|&(_, d, _)| d).filter(|&d| owner[d as usize] != gpu).collect();
+    let mut border_out = vec![0usize; n_parts];
+    for &d in &remote {
+        border_out[owner[d as usize] as usize] += 1;
+    }
+    let to_global: Vec<u32> = match dup {
+        Duplication::All => (0..n).collect(),
+        Duplication::OneHop => owned.iter().chain(&remote).copied().collect(),
+    };
+    let local = |gl: u32| to_global.iter().position(|&x| x == gl).unwrap() as u32;
+    let edges = edges.into_iter().map(|(s, d, w)| (local(s), local(d), w)).collect();
+    NaivePart {
+        csr: csr_of_triples(to_global.len(), edges, g.is_weighted()),
+        n_local: owned.len(),
+        border_out,
+        to_global,
+    }
+}
+
+#[test]
+fn dist_graph_equals_the_naive_per_part_reference() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB03);
+    for case in 0..CASES {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&arb_coo(&mut rng));
+        let n = g.n_vertices();
+        let n_parts = 1 + case % 8;
+        let owner: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n_parts as u32)).collect();
+        // rank of every vertex among its owner's vertices, in global order
+        let rank = |v: u32| owner[..v as usize].iter().filter(|&&o| o == owner[v as usize]).count();
+        for dup in [Duplication::All, Duplication::OneHop] {
+            let dist = DistGraph::build(&g, owner.clone(), n_parts, dup);
+            assert_eq!(dist.parts.len(), n_parts);
+            for (gpu, part) in dist.parts.iter().enumerate() {
+                let want = naive_part(&g, &owner, n_parts, gpu as u32, dup);
+                assert_eq!(part.csr, want.csr, "{dup:?} part {gpu}/{n_parts}");
+                assert_eq!(part.n_local, want.n_local);
+                assert_eq!(part.border_out, want.border_out);
+                for (l, &gl) in want.to_global.iter().enumerate() {
+                    let l = l as u32;
+                    assert_eq!(part.to_global(l), gl);
+                    assert_eq!(part.owner(l), owner[gl as usize]);
+                    let owner_local = if dup == Duplication::All { gl } else { rank(gl) as u32 };
+                    assert_eq!(part.to_owner_local(l), owner_local);
+                    assert_eq!(part.is_owned(l), owner[gl as usize] as usize == gpu);
+                }
+                for gl in 0..n as u32 {
+                    let local = want.to_global.iter().position(|&x| x == gl).map(|l| l as u32);
+                    assert_eq!(part.from_global(gl), local, "{dup:?} part {gpu}: global {gl}");
+                }
+            }
+            for v in 0..n as u32 {
+                let local = if dup == Duplication::All { v } else { rank(v) as u32 };
+                assert_eq!(dist.locate(v), (owner[v as usize] as usize, local));
+            }
+        }
     }
 }
 
