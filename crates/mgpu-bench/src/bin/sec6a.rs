@@ -20,8 +20,7 @@ fn run(g: &Csr<u32, u64>, n: usize, do_a: f64, do_b: f64) -> f64 {
     let mut dist = DistGraph::build(g, owner, n, Duplication::All);
     dist.build_cscs();
     let system = SimSystem::homogeneous(n, HardwareProfile::k40());
-    let dobfs =
-        Dobfs { direction: DirectionConfig { do_a, do_b, enabled: true }, ..Dobfs::default() };
+    let dobfs = Dobfs { direction: DirectionConfig { do_a, do_b, enabled: true } };
     let mut runner = Runner::new(system, &dist, dobfs, EnactConfig::default()).unwrap();
     runner.enact(Some(pick_source(g))).unwrap().sim_time_us
 }

@@ -94,7 +94,9 @@
 //! per-query reports and result words are bit-equal to one-at-a-time runs
 //! at any `--workers` and `--lanes` value.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use mgpu_bench::runners::{
     run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode, Primitive,
@@ -127,6 +129,31 @@ fn usage() -> ExitCode {
          \x20         [--mem-cap BYTES] [--comm-topology direct|butterfly] [--json]"
     );
     ExitCode::FAILURE
+}
+
+/// Parse a numeric flag value. The type states the range: `NonZeroUsize`
+/// refuses zero, the unsigned types refuse a sign, every type refuses
+/// overflow. The message names the range by asking the type itself.
+fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| {
+        let want = if "0.5".parse::<T>().is_ok() {
+            "a number"
+        } else if "0".parse::<T>().is_ok() {
+            "an integer >= 0"
+        } else {
+            "an integer >= 1"
+        };
+        format!("bad {flag} {value}: want {want}")
+    })
+}
+
+/// [`number`], exiting 2 with its one-line message the way a missing value
+/// does.
+fn number_or_exit<T: FromStr>(flag: &str, value: String) -> T {
+    number(flag, &value).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn main() -> ExitCode {
@@ -286,7 +313,7 @@ fn run(args: &[String]) -> ExitCode {
             "--primitive" => a.primitive = Some(value("--primitive")),
             "--dataset" => a.dataset = Some(value("--dataset")),
             "--mtx" => a.mtx = Some(value("--mtx")),
-            "--gpus" => a.gpus = value("--gpus").parse().expect("--gpus N"),
+            "--gpus" => a.gpus = number_or_exit::<NonZeroUsize>(flag, value(flag)).get(),
             "--partitioner" => a.partitioner = value("--partitioner"),
             // `--profile <k40|k80|p100>` selects hardware (historic form);
             // bare `--profile` enables the BSP cost attribution output.
@@ -294,19 +321,17 @@ fn run(args: &[String]) -> ExitCode {
                 Some("k40" | "k80" | "p100") => a.profile = it.next().cloned().unwrap_or_default(),
                 _ => a.bsp_profile = true,
             },
-            "--shift" => a.shift = value("--shift").parse().expect("--shift N"),
-            "--seed" => a.seed = value("--seed").parse().expect("--seed S"),
+            "--shift" => a.shift = number_or_exit(flag, value(flag)),
+            "--seed" => a.seed = number_or_exit(flag, value(flag)),
             "--src" => a.src = value("--src"),
             "--sources" => a.sources = Some(value("--sources")),
             "--json" => a.json = true,
             "--comm" => a.comm = Some(value("--comm")),
             "--fault-plan" => a.fault_plan = Some(value("--fault-plan")),
             "--recovery" => a.recovery = true,
-            "--mem-cap" => a.mem_cap = Some(value("--mem-cap").parse().expect("--mem-cap BYTES")),
+            "--mem-cap" => a.mem_cap = Some(number_or_exit(flag, value(flag))),
             "--alloc-scheme" => a.alloc_scheme = Some(value("--alloc-scheme")),
-            "--sizing-factor" => {
-                a.sizing_factor = value("--sizing-factor").parse().expect("--sizing-factor F")
-            }
+            "--sizing-factor" => a.sizing_factor = number_or_exit(flag, value(flag)),
             "--comm-topology" => a.comm_topology = Some(value("--comm-topology")),
             "--wire-encoding" => a.wire_encoding = Some(value("--wire-encoding")),
             "--suppression" => a.suppression = true,
@@ -684,17 +709,15 @@ fn serve(args: &[String]) -> ExitCode {
             "--dataset" => a.dataset = Some(value("--dataset")),
             "--mtx" => a.mtx = Some(value("--mtx")),
             "--queries" => a.queries = Some(value("--queries")),
-            "--gpus" => a.gpus = value("--gpus").parse().expect("--gpus N"),
+            "--gpus" => a.gpus = number_or_exit::<NonZeroUsize>(flag, value(flag)).get(),
             "--partitioner" => a.partitioner = value("--partitioner"),
             "--profile" => a.profile = value("--profile"),
-            "--shift" => a.shift = value("--shift").parse().expect("--shift N"),
-            "--seed" => a.seed = value("--seed").parse().expect("--seed S"),
-            "--sched-seed" => {
-                a.sched_seed = Some(value("--sched-seed").parse().expect("--sched-seed S"))
-            }
-            "--lanes" => a.lanes = value("--lanes").parse().expect("--lanes N"),
-            "--workers" => a.workers = value("--workers").parse().expect("--workers N"),
-            "--mem-cap" => a.mem_cap = Some(value("--mem-cap").parse().expect("--mem-cap BYTES")),
+            "--shift" => a.shift = number_or_exit(flag, value(flag)),
+            "--seed" => a.seed = number_or_exit(flag, value(flag)),
+            "--sched-seed" => a.sched_seed = Some(number_or_exit(flag, value(flag))),
+            "--lanes" => a.lanes = number_or_exit(flag, value(flag)),
+            "--workers" => a.workers = number_or_exit(flag, value(flag)),
+            "--mem-cap" => a.mem_cap = Some(number_or_exit(flag, value(flag))),
             "--comm-topology" => a.comm_topology = Some(value("--comm-topology")),
             "--json" => a.json = true,
             other => {
@@ -878,5 +901,37 @@ fn serve(args: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn number_accepts_in_range_values() {
+        assert_eq!(number::<NonZeroUsize>("--gpus", "4").map(NonZeroUsize::get), Ok(4));
+        assert_eq!(number::<usize>("--lanes", "0"), Ok(0));
+        assert_eq!(number::<f64>("--sizing-factor", "1.5"), Ok(1.5));
+    }
+
+    #[test]
+    fn number_rejects_bad_values_with_one_line() {
+        let gpus = |v| number::<NonZeroUsize>("--gpus", v).unwrap_err();
+        assert_eq!(gpus("abc"), "bad --gpus abc: want an integer >= 1");
+        assert_eq!(gpus("0"), "bad --gpus 0: want an integer >= 1");
+        assert_eq!(gpus("-3"), "bad --gpus -3: want an integer >= 1");
+        assert_eq!(
+            number::<u64>("--mem-cap", "-1").unwrap_err(),
+            "bad --mem-cap -1: want an integer >= 0"
+        );
+        assert_eq!(
+            number::<u32>("--shift", "4294967296").unwrap_err(),
+            "bad --shift 4294967296: want an integer >= 0"
+        );
+        assert_eq!(
+            number::<f64>("--sizing-factor", "x").unwrap_err(),
+            "bad --sizing-factor x: want a number"
+        );
     }
 }

@@ -233,12 +233,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         &self.system
     }
 
-    /// Dissolve the runner, returning the system (per-GPU state and buffer
-    /// reservations are dropped — device memory is released).
-    pub fn into_system(self) -> SimSystem {
-        self.system
-    }
-
     /// Run one traversal from `src` (a *global* vertex id; `None` for
     /// primitives without a source, e.g. PR and CC). Device clocks and
     /// counters are reset so each enact reports an independent measurement.

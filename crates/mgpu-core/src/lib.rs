@@ -36,7 +36,6 @@ pub mod comm;
 pub mod direction;
 pub mod enactor;
 pub mod executor;
-pub mod frontier;
 pub mod governor;
 pub mod ops;
 pub mod problem;
@@ -54,7 +53,6 @@ pub use direction::{Direction, DirectionConfig, DirectionState};
 pub use async_enactor::AsyncRunner;
 pub use enactor::{EnactConfig, Runner};
 pub use executor::{Executor, ExecutorKind};
-pub use frontier::{Frontier, FrontierMode};
 pub use governor::{Downgrade, GovernorLog, PressurePolicy};
 pub use problem::{MgpuProblem, Wire};
 pub use report::{CommReduction, DeviceMemStats, EnactReport};

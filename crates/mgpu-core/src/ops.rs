@@ -7,6 +7,31 @@
 //! input vertices for filter, elements for compute. A launch with an empty
 //! frontier still pays the launch overhead — the §V-B effect.
 //!
+//! ## Which operator a primitive calls
+//!
+//! There is one family, over `&[V]` frontiers:
+//!
+//! * push, unfused — [`advance`] then [`filter`]: the allocation scheme is
+//!   not fused (§VI-B), so the intermediate frontier is materialized and
+//!   governed.
+//! * push, fused — [`advance_filter_fused`] when `bufs.scheme().fused()` and
+//!   the functor is pure or claims through atomics.
+//! * push, fused, stateful — [`advance_filter_fused_seq`] when the functor
+//!   carries `FnMut` state that must see edges in frontier order (BC's σ
+//!   sums, delta-stepping buckets).
+//! * scatter-add — [`advance_accumulate`] when contributions are summed per
+//!   destination (PageRank).
+//! * per-element — [`compute`] for work that is neither edge- nor
+//!   frontier-shaped.
+//! * lane bitfields — [`consume_bits`], the frontier ingest of a batched
+//!   (multi-source) traversal.
+//! * pull — [`advance_pull`] on the DOBFS backward superstep right after the
+//!   unvisited scan, [`retain_pull`] on every later one (it shrinks the
+//!   unvisited set in place and pulls in the same pass).
+//!
+//! [`advance_with_mode`] is [`advance`] with the §VII-C work-mapping
+//! ablation exposed; nothing but that experiment calls it.
+//!
 //! ## Parallel execution, invariant metering
 //!
 //! The hot operators ([`advance`], [`filter`], [`advance_filter_fused`],
@@ -20,17 +45,15 @@
 //! frontier, every charge, and every BSP counter are bit-identical at any
 //! thread count. Functors must therefore be `Fn + Sync`; frontier-claiming
 //! state goes through atomics with order-independent outcomes (CAS claims,
-//! `fetch_min` — see `vgpu::par::as_atomic_u32`). Operators whose callers
-//! need sequential `FnMut` state keep the `*_seq` variants, which charge
-//! identically.
+//! `fetch_min` — see `vgpu::par::as_atomic_u32`). The pull operators and
+//! [`advance_filter_fused_seq`] stay sequential because their result or
+//! their charge depends on visit order; they charge by the same rules.
 
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::SubGraph;
 use vgpu::{par, Arena, Device, KernelFault, KernelKind, Result, VgpuError, COMPUTE_STREAM};
 
 use crate::alloc::FrontierBufs;
-use crate::frontier::Frontier;
-pub use crate::frontier::FrontierMode;
 
 /// Legacy edge-work per parallel chunk. Still the floor for
 /// [`advance_accumulate`], whose chunk plan is part of its result (dense f32
@@ -152,17 +175,17 @@ fn record_chunk(dev: &mut Device, passes: usize) {
 
 /// Consult the injector's pressure-machinery sites and arm the device's
 /// one-shot launch fault for the upcoming advance launch. `chunk_pass`
-/// advances the chunked-pass counter (fires a transient `Fail`); `lease`
+/// advances the chunked-pass counter (fires a transient `Fail`); every call
 /// advances the arena-lease counter (fires a `TransientOom`). Arena leases
 /// are taken *inside* the parallel kernel body, thread-nondeterministically,
 /// so lease faults are modeled at launch granularity — the deterministic
 /// site the in-place retry machinery can replay. When both sites fire on
 /// the same launch the pass fault wins.
-fn arm_pressure_faults(dev: &mut Device, chunk_pass: bool, lease: bool) {
+fn arm_pressure_faults(dev: &mut Device, chunk_pass: bool) {
     let gpu = dev.id();
     let mut armed: Option<KernelFault> = None;
     if let Some(inj) = dev.fault_injector() {
-        if lease && inj.on_lease(gpu) {
+        if inj.on_lease(gpu) {
             armed = Some(KernelFault::TransientOom);
         }
         if chunk_pass && inj.on_chunk_pass(gpu) {
@@ -219,7 +242,7 @@ where
     let mut max_emit = 0usize;
     for &(lo, hi) in &passes {
         let slice = &input[lo..hi];
-        arm_pressure_faults(dev, true, true);
+        arm_pressure_faults(dev, true);
         let part = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
             let chunks = plan_chunks(sub, slice, chunk_target::<V>());
             let emitted = advance_chunks(threads, sub, slice, &chunks, &bufs.arena, f);
@@ -288,7 +311,7 @@ pub fn advance_with_mode<V: Id, O: Id>(
     };
     let granted = bufs.prepare_intermediate_budget(dev, need)?;
     let (out, resident) = if granted >= need {
-        arm_pressure_faults(dev, false, true);
+        arm_pressure_faults(dev, false);
         let out = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
             (advance_chunks(threads, sub, input, &chunks, &bufs.arena, &f), charged_items)
         })?;
@@ -309,8 +332,7 @@ pub fn advance_with_mode<V: Id, O: Id>(
 /// scheme-managed buffer and a separate [`filter`] pass follows.
 ///
 /// Executes across [`Device::kernel_threads`] workers; `f` must be pure or
-/// use order-independent atomics (see the module docs). Sequential callers
-/// with mutable closure state use [`advance_seq`].
+/// use order-independent atomics (see the module docs).
 pub fn advance<V: Id, O: Id>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
@@ -321,78 +343,13 @@ pub fn advance<V: Id, O: Id>(
     advance_with_mode(dev, sub, bufs, input, AdvanceMode::LoadBalanced, f)
 }
 
-/// Sequential [`advance`] for functors that carry mutable state (`FnMut`).
-/// Charges exactly what [`advance`] charges.
-pub fn advance_seq<V: Id, O: Id>(
-    dev: &mut Device,
-    sub: &SubGraph<V, O>,
-    bufs: &mut FrontierBufs<V>,
-    input: &[V],
-    mut f: impl FnMut(V, usize, V) -> Option<V>,
-) -> Result<Vec<V>> {
-    let need = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-        (sub.csr.frontier_out_degree(input), input.len() as u64)
-    })?;
-    let granted = bufs.prepare_intermediate_budget(dev, need)?;
-    let (out, resident) = if granted >= need {
-        let out = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-            let mut out = Vec::new();
-            for &v in input {
-                for e in sub.csr.edge_range(v) {
-                    let d = sub.csr.col_indices()[e];
-                    if let Some(emit) = f(v, e, d) {
-                        out.push(emit);
-                    }
-                }
-            }
-            (out, need as u64)
-        })?;
-        let resident = out.len();
-        (out, resident)
-    } else {
-        // memory pressure: chunked multi-pass, sequential body per pass
-        let passes = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-            (plan_passes(sub, input, granted), input.len() as u64)
-        })?;
-        let passes = passes.ok_or_else(|| chunk_infeasible::<V>(dev, granted))?;
-        bufs.gov.chunked_advances += 1;
-        bufs.gov.chunk_passes += passes.len() as u64;
-        record_chunk(dev, passes.len());
-        let mut out = Vec::new();
-        let mut max_emit = 0usize;
-        for &(lo, hi) in &passes {
-            let slice = &input[lo..hi];
-            arm_pressure_faults(dev, true, false);
-            let part = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-                let mut part = Vec::new();
-                let mut edges = 0u64;
-                for &v in slice {
-                    for e in sub.csr.edge_range(v) {
-                        edges += 1;
-                        let d = sub.csr.col_indices()[e];
-                        if let Some(emit) = f(v, e, d) {
-                            part.push(emit);
-                        }
-                    }
-                }
-                (part, edges)
-            })?;
-            max_emit = max_emit.max(part.len());
-            out.extend(part);
-        }
-        (out, max_emit)
-    };
-    bufs.record_intermediate(dev, resident)?;
-    Ok(out)
-}
-
 /// **Filter**: select the subset of `input` satisfying `pred`. Output size
 /// is at most the input size (and for vertex frontiers capped by `|V_i|`,
 /// which is why fixed preallocation sizes frontiers at `|V_i|`, §VI-B).
 ///
 /// Executes across [`Device::kernel_threads`] workers over fixed-size input
 /// ranges; order within the output matches input order. `pred` must be pure
-/// or claim through atomics; sequential callers use [`filter_seq`].
+/// or claim through atomics.
 pub fn filter<V: Id>(
     dev: &mut Device,
     input: &[V],
@@ -411,19 +368,6 @@ pub fn filter<V: Id>(
         for p in parts {
             out.extend(p);
         }
-        (out, input.len() as u64)
-    })
-}
-
-/// Sequential [`filter`] for stateful predicates (`FnMut`). Charges exactly
-/// what [`filter`] charges.
-pub fn filter_seq<V: Id>(
-    dev: &mut Device,
-    input: &[V],
-    mut pred: impl FnMut(V) -> bool,
-) -> Result<Vec<V>> {
-    dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
-        let out: Vec<V> = input.iter().copied().filter(|&v| pred(v)).collect();
         (out, input.len() as u64)
     })
 }
@@ -642,218 +586,21 @@ pub fn advance_pull<V: Id, O: Id>(
     Ok((found, scanned))
 }
 
-// ---------------------------------------------------------------------------
-// Frontier-typed operators
-//
-// Each of these charges *exactly* what its slice-typed counterpart charges:
-// every item count is derived from the frontier's length or its out-degree
-// sum, both of which are representation-independent, and iteration order is
-// ascending in both representations (see `crate::frontier`). The dense
-// bodies plan word-granular cache-blocked chunks, which the determinism
-// contract of `vgpu::par` makes simulation-invisible.
-// ---------------------------------------------------------------------------
-
-/// Visit the set bits of `words[lo..hi]` as ascending vertex ids. A
-/// saturated word (ubiquitous while the DOBFS unvisited set is near-full)
-/// decodes word-at-a-time: a plain counted loop with no loop-carried
-/// bit-clear dependency, instead of 64 `trailing_zeros` probes.
-fn for_word_bits<V: Id>(words: &[u64], lo: usize, hi: usize, mut f: impl FnMut(V)) {
-    for (w, &word) in words.iter().enumerate().take(hi).skip(lo) {
-        let base = w * 64;
-        if word == u64::MAX {
-            for b in 0..64 {
-                f(V::from_usize(base + b));
-            }
-        } else {
-            let mut bits = word;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                f(V::from_usize(base + b));
-                bits &= bits - 1;
-            }
-        }
-    }
-}
-
-/// Cache-blocked chunk plan over bitmap words: the degree-prefix walk of
-/// [`plan_chunks`] at word granularity. Workload-only, thread-invariant.
-fn plan_dense_chunks<V: Id, O: Id>(
-    sub: &SubGraph<V, O>,
-    words: &[u64],
-    target: usize,
-) -> Vec<(usize, usize)> {
-    par::plan_weighted_chunks(words.len(), target, |w| {
-        let mut acc = 0usize;
-        for_word_bits::<V>(words, w, w + 1, |v| acc += sub.csr.degree(v) + 1);
-        acc
-    })
-}
-
-/// Build a [`Frontier`] from a full vertex-space scan — one Bulk launch
-/// charging `universe` items, exactly like the scan it replaces (the DOBFS
-/// backward-switch "collect the unvisited" step).
-pub fn frontier_scan<V: Id>(
-    dev: &mut Device,
-    universe: usize,
-    mode: FrontierMode,
-    pred: impl Fn(usize) -> bool,
-) -> Result<Frontier<V>> {
-    dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-        (Frontier::from_fn(universe, mode, pred), universe as u64)
-    })
-}
-
-/// Shrink a frontier in place — one Filter launch charging the pre-shrink
-/// length, exactly like filtering the equivalent sorted id vector.
-pub fn frontier_retain<V: Id>(
-    dev: &mut Device,
-    frontier: &mut Frontier<V>,
-    pred: impl Fn(V) -> bool,
-) -> Result<()> {
-    let before = frontier.len() as u64;
-    dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
-        frontier.retain(pred);
-        ((), before)
-    })
-}
-
-/// [`advance`] over a [`Frontier`] input. The sparse representation
-/// delegates to the slice advance outright; the dense representation runs
-/// the same body over word-granular cache-blocked chunks. Charges, emission
-/// order, and the memory-pressure path are bit-identical to
-/// `advance(dev, sub, bufs, &input.to_vec(), f)`.
-pub fn advance_frontier<V: Id, O: Id>(
-    dev: &mut Device,
-    sub: &SubGraph<V, O>,
-    bufs: &mut FrontierBufs<V>,
-    input: &Frontier<V>,
-    f: impl Fn(V, usize, V) -> Option<V> + Sync,
-) -> Result<Vec<V>> {
-    if let Some(ids) = input.ids() {
-        return advance(dev, sub, bufs, ids, f);
-    }
-    let words = input.words().expect("frontier is sparse or dense");
-    let threads = dev.kernel_threads();
-    // the load-balancing scan, charged on the frontier length as always
-    let (need, chunks) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-        let mut need = 0usize;
-        input.for_each(|v| need += sub.csr.degree(v));
-        let chunks = plan_dense_chunks(sub, words, chunk_target::<V>());
-        ((need, chunks), input.len() as u64)
-    })?;
-    let granted = bufs.prepare_intermediate_budget(dev, need)?;
-    if granted >= need {
-        let out = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-            let parts = par::run_chunks(threads, chunks.len(), |c| {
-                let (lo, hi) = chunks[c];
-                let mut out = bufs.arena.lease();
-                for_word_bits::<V>(words, lo, hi, |v| {
-                    for e in sub.csr.edge_range(v) {
-                        let d = sub.csr.col_indices()[e];
-                        if let Some(emit) = f(v, e, d) {
-                            out.push(emit);
-                        }
-                    }
-                });
-                out
-            });
-            (concat_reclaim(&bufs.arena, parts), need as u64)
-        })?;
-        let resident = out.len();
-        bufs.record_intermediate(dev, resident)?;
-        Ok(out)
-    } else {
-        // memory pressure: materialize the ascending ids (host-side, not
-        // metered — same as the legacy materialization) and run the standard
-        // chunked multi-pass, which plans and charges identically
-        let ids = input.to_vec();
-        let (out, resident) =
-            advance_multi_pass(dev, sub, bufs, &ids, granted, AdvanceMode::LoadBalanced, 0, &f)?;
-        bufs.record_intermediate(dev, resident)?;
-        Ok(out)
-    }
-}
-
-/// [`advance_filter_fused`] over a [`Frontier`] input — one fused kernel
-/// charging the edges actually visited, bit-identical to the slice variant
-/// on `input.to_vec()`.
-pub fn advance_filter_fused_frontier<V: Id, O: Id>(
-    dev: &mut Device,
-    sub: &SubGraph<V, O>,
-    bufs: &FrontierBufs<V>,
-    input: &Frontier<V>,
-    f: impl Fn(V, usize, V) -> Option<V> + Sync,
-) -> Result<Vec<V>> {
-    if let Some(ids) = input.ids() {
-        return advance_filter_fused(dev, sub, bufs, ids, f);
-    }
-    let words = input.words().expect("frontier is sparse or dense");
-    let threads = dev.kernel_threads();
-    dev.kernel(COMPUTE_STREAM, KernelKind::FusedAdvanceFilter, || {
-        let chunks = plan_dense_chunks(sub, words, chunk_target::<V>());
-        let parts = par::run_chunks(threads, chunks.len(), |c| {
-            let (lo, hi) = chunks[c];
-            let mut out = bufs.arena.lease();
-            let mut edges = 0u64;
-            for_word_bits::<V>(words, lo, hi, |v| {
-                for e in sub.csr.edge_range(v) {
-                    edges += 1;
-                    let d = sub.csr.col_indices()[e];
-                    if let Some(emit) = f(v, e, d) {
-                        out.push(emit);
-                    }
-                }
-            });
-            (out, edges)
-        });
-        let edges: u64 = parts.iter().map(|(_, e)| e).sum();
-        let mut out = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
-        for (p, _) in parts {
-            out.extend_from_slice(&p);
-            bufs.arena.reclaim(p);
-        }
-        (out, edges)
-    })
-}
-
-/// [`advance_pull`] over a [`Frontier`] unvisited set — iterates ascending
-/// in both representations, so the edge-skipping scan count (and therefore
-/// the charge) is bit-identical to the slice variant on `unvisited.to_vec()`.
-pub fn advance_pull_frontier<V: Id, O: Id>(
+/// **Shrink + pull** in one pass (§VI-A, later backward supersteps): drop
+/// from the ascending `unvisited` set every vertex failing `keep`, and for
+/// each survivor scan incoming edges exactly as [`advance_pull`] does. The
+/// set is compacted in place, so a draining backward pass allocates nothing.
+///
+/// Valid whenever `keep` and `find_parent` read the same immutable state
+/// (the DOBFS label snapshot): then the single pass equals [`filter`]
+/// followed by [`advance_pull`], and it launches the same two kernels with
+/// the same charges — a Filter on the pre-shrink length, then an Advance on
+/// the scanned-edge count — so clocks, counters and traces are bit-identical
+/// to the unfused pair.
+pub fn retain_pull<V: Id, O: Id>(
     dev: &mut Device,
     csc: &Csr<V, O>,
-    unvisited: &Frontier<V>,
-    mut find_parent: impl FnMut(V, V) -> bool,
-) -> Result<(Vec<V>, u64)> {
-    let (found, scanned) = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-        let mut found = Vec::new();
-        let mut scanned = 0u64;
-        unvisited.for_each(|v| {
-            for &p in csc.neighbors(v) {
-                scanned += 1;
-                if find_parent(v, p) {
-                    found.push(v);
-                    break; // edge skipping: remaining parents are not visited
-                }
-            }
-        });
-        ((found, scanned), scanned)
-    })?;
-    Ok((found, scanned))
-}
-
-/// Fused [`frontier_retain`] + [`advance_pull_frontier`]: one decode pass
-/// over the unvisited set serves both the shrink and the pull, valid
-/// whenever both read the same immutable label state (as the DOBFS backward
-/// superstep does). Launches the same two kernels with the same charges as
-/// the unfused pair — a Filter on the pre-shrink length, then an Advance on
-/// the scanned-edge count — so simulated clocks, counters, and traces are
-/// bit-identical; only the host wall clock improves (the second launch
-/// reuses the results the first already computed).
-pub fn retain_pull_frontier<V: Id, O: Id>(
-    dev: &mut Device,
-    csc: &Csr<V, O>,
-    unvisited: &mut Frontier<V>,
+    unvisited: &mut Vec<V>,
     keep: impl Fn(V) -> bool,
     mut find_parent: impl FnMut(V, V) -> bool,
 ) -> Result<(Vec<V>, u64)> {
@@ -861,7 +608,10 @@ pub fn retain_pull_frontier<V: Id, O: Id>(
     let (found, scanned) = dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
         let mut found = Vec::new();
         let mut scanned = 0u64;
-        unvisited.retain_visit(&keep, |v| {
+        unvisited.retain(|&v| {
+            if !keep(v) {
+                return false;
+            }
             for &p in csc.neighbors(v) {
                 scanned += 1;
                 if find_parent(v, p) {
@@ -869,6 +619,7 @@ pub fn retain_pull_frontier<V: Id, O: Id>(
                     break; // edge skipping, as in the unfused pull
                 }
             }
+            true
         });
         ((found, scanned), before)
     })?;
@@ -917,13 +668,13 @@ mod tests {
         let (mut dev, dg) = single_part();
         let sub = &dg.parts[0];
         let mut bufs = FrontierBufs::new(&mut dev, AllocScheme::Max, 4, 8).unwrap();
-        let mut seen = [false; 4];
-        seen[0] = true;
-        let a = advance_seq(&mut dev, sub, &mut bufs, &[0], |_, _, d| Some(d)).unwrap();
-        let f = filter_seq(&mut dev, &a, |v| {
-            let fresh = !seen[v as usize];
-            seen[v as usize] = true;
-            fresh
+        use std::sync::atomic::Ordering::Relaxed;
+        let mut seen = [0u32; 4];
+        seen[0] = 1;
+        let seen = par::as_atomic_u32(&mut seen);
+        let a = advance(&mut dev, sub, &mut bufs, &[0], |_, _, d| Some(d)).unwrap();
+        let f = filter(&mut dev, &a, |v| {
+            seen[v as usize].compare_exchange(0, 1, Relaxed, Relaxed).is_ok()
         })
         .unwrap();
 
@@ -1135,20 +886,22 @@ mod parallel_tests {
         let sub = &dg.parts[0];
         let frontier: Vec<u32> = (0..sub.csr.n_vertices() as u32).collect();
         let mut dev_p = Device::new(0, HardwareProfile::k40());
+        dev_p.set_kernel_threads(4);
         let mut dev_s = Device::new(0, HardwareProfile::k40());
+        dev_s.set_kernel_threads(1);
         let n = sub.csr.n_vertices();
         let mut bufs_p =
             FrontierBufs::new(&mut dev_p, AllocScheme::Max, n, sub.csr.n_edges()).unwrap();
         let mut bufs_s =
             FrontierBufs::new(&mut dev_s, AllocScheme::Max, n, sub.csr.n_edges()).unwrap();
         let p = advance(&mut dev_p, sub, &mut bufs_p, &frontier, |_, _, d| Some(d)).unwrap();
-        let s = advance_seq(&mut dev_s, sub, &mut bufs_s, &frontier, |_, _, d| Some(d)).unwrap();
+        let s = advance(&mut dev_s, sub, &mut bufs_s, &frontier, |_, _, d| Some(d)).unwrap();
         assert_eq!(p, s);
         assert_eq!(dev_p.now().to_bits(), dev_s.now().to_bits());
         assert_eq!(dev_p.counters, dev_s.counters);
 
         let fp = filter(&mut dev_p, &frontier, |v| v % 2 == 0).unwrap();
-        let fs = filter_seq(&mut dev_s, &frontier, |v| v % 2 == 0).unwrap();
+        let fs = filter(&mut dev_s, &frontier, |v| v % 2 == 0).unwrap();
         assert_eq!(fp, fs);
         assert_eq!(dev_p.now().to_bits(), dev_s.now().to_bits());
 
@@ -1297,84 +1050,48 @@ mod advance_mode_tests {
     }
 
     #[test]
-    fn frontier_ops_charge_identically_to_slice_ops() {
-        use crate::frontier::{Frontier, FrontierMode};
-        let dg = skewed();
-        let sub = &dg.parts[0];
-        let ids: Vec<u32> = (0..8192u32).filter(|v| v % 3 != 0).collect();
-        let slice_run = || {
-            let mut dev = Device::new(0, HardwareProfile::k40());
-            let mut bufs = FrontierBufs::new(&mut dev, AllocScheme::Max, 8192, 16384).unwrap();
-            let a = advance(&mut dev, sub, &mut bufs, &ids, |_, _, d| Some(d)).unwrap();
-            let g =
-                advance_filter_fused(&mut dev, sub, &bufs, &ids, |s, _, d| (d > s).then_some(d))
-                    .unwrap();
-            (a, g, dev.now(), dev.counters)
-        };
-        let (a0, g0, t0, c0) = slice_run();
-        for mode in [FrontierMode::Sparse, FrontierMode::Dense, FrontierMode::Auto] {
-            let fr = Frontier::from_sorted(ids.clone(), 8192, mode);
-            let mut dev = Device::new(0, HardwareProfile::k40());
-            let mut bufs = FrontierBufs::new(&mut dev, AllocScheme::Max, 8192, 16384).unwrap();
-            let a = advance_frontier(&mut dev, sub, &mut bufs, &fr, |_, _, d| Some(d)).unwrap();
-            let g = advance_filter_fused_frontier(&mut dev, sub, &bufs, &fr, |s, _, d| {
-                (d > s).then_some(d)
-            })
-            .unwrap();
-            assert_eq!(a, a0, "{mode:?} advance emissions");
-            assert_eq!(g, g0, "{mode:?} fused emissions");
-            assert_eq!(dev.now().to_bits(), t0.to_bits(), "{mode:?} sim clock");
-            assert_eq!(dev.counters, c0, "{mode:?} counters");
-        }
-    }
-
-    #[test]
-    fn frontier_pull_matches_slice_pull() {
-        use crate::frontier::{Frontier, FrontierMode};
+    fn retain_pull_equals_filter_then_advance_pull() {
         let mut dg = skewed();
         dg.parts[0].build_csc();
-        let sub = &dg.parts[0];
-        let csc = sub.csc.as_ref().unwrap();
-        let visited: Vec<bool> = (0..8192).map(|v| v % 5 == 0).collect();
-        let unvisited: Vec<u32> = (0..8192u32).filter(|&v| !visited[v as usize]).collect();
+        let csc = dg.parts[0].csc.as_ref().unwrap();
+        // one label snapshot read by both closures, as in the DOBFS backward
+        // superstep: 1 = discovered last superstep, 0 = earlier, 9 = unvisited
+        let label = |v: u32| match (v.is_multiple_of(5), v.is_multiple_of(7)) {
+            (true, _) => 1,
+            (false, true) => 0,
+            (false, false) => 9,
+        };
+        let input: Vec<u32> = (0..8192u32).filter(|v| v % 3 != 0).collect();
+        let keep = |v: u32| label(v) == 9;
+        let find_parent = |_: u32, p: u32| label(p) == 1;
+
         let mut dev0 = Device::new(0, HardwareProfile::k40());
-        let (f0, s0) =
-            advance_pull(&mut dev0, csc, &unvisited, |_, p| visited[p as usize]).unwrap();
-        for mode in [FrontierMode::Sparse, FrontierMode::Dense, FrontierMode::Auto] {
-            let fr = Frontier::from_sorted(unvisited.clone(), 8192, mode);
-            let mut dev = Device::new(0, HardwareProfile::k40());
-            let (f, s) =
-                advance_pull_frontier(&mut dev, csc, &fr, |_, p| visited[p as usize]).unwrap();
-            assert_eq!(f, f0, "{mode:?} found");
-            assert_eq!(s, s0, "{mode:?} scanned");
-            assert_eq!(dev.now().to_bits(), dev0.now().to_bits(), "{mode:?} sim clock");
-            assert_eq!(dev.counters, dev0.counters, "{mode:?} counters");
-        }
+        let kept0 = filter(&mut dev0, &input, keep).unwrap();
+        let (found0, scanned0) = advance_pull(&mut dev0, csc, &kept0, find_parent).unwrap();
+        assert!(!found0.is_empty() && found0.len() < kept0.len(), "fixture exercises both arms");
+
+        let mut dev = Device::new(0, HardwareProfile::k40());
+        let mut set = input.clone();
+        let (found, scanned) = retain_pull(&mut dev, csc, &mut set, keep, find_parent).unwrap();
+        assert_eq!((found, scanned), (found0, scanned0));
+        assert_eq!(set, kept0, "the keep-filtered input, still ascending");
+        assert_eq!(dev.now().to_bits(), dev0.now().to_bits(), "sim clock");
+        assert_eq!(dev.counters, dev0.counters, "counters");
     }
 
     #[test]
-    fn frontier_scan_and_retain_charge_like_bulk_and_filter() {
-        use crate::frontier::{Frontier, FrontierMode};
-        const N: usize = 10_000;
-        let keep = |v: usize| !v.is_multiple_of(7);
-        let shrink = |v: u32| v.is_multiple_of(2);
-        // reference: the legacy scan-into-vec + filter on another device
-        let mut dev0 = Device::new(0, HardwareProfile::k40());
-        let ids0: Vec<u32> = dev0
-            .kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-                ((0..N as u32).filter(|&v| keep(v as usize)).collect(), N as u64)
-            })
-            .unwrap();
-        let kept0 = filter_seq(&mut dev0, &ids0, &shrink).unwrap();
-        for mode in [FrontierMode::Sparse, FrontierMode::Dense, FrontierMode::Auto] {
-            let mut dev = Device::new(0, HardwareProfile::k40());
-            let mut fr: Frontier<u32> = frontier_scan(&mut dev, N, mode, keep).unwrap();
-            assert_eq!(fr.to_vec(), ids0, "{mode:?} scan result");
-            frontier_retain(&mut dev, &mut fr, shrink).unwrap();
-            assert_eq!(fr.to_vec(), kept0, "{mode:?} retain result");
-            assert_eq!(dev.now().to_bits(), dev0.now().to_bits(), "{mode:?} sim clock");
-            assert_eq!(dev.counters, dev0.counters, "{mode:?} counters");
-        }
+    fn retain_pull_on_an_empty_set_still_pays_two_launches() {
+        let mut dg = skewed();
+        dg.parts[0].build_csc();
+        let csc = dg.parts[0].csc.as_ref().unwrap();
+        let mut dev = Device::new(0, HardwareProfile::k40());
+        let mut set: Vec<u32> = Vec::new();
+        let (found, scanned) = retain_pull(&mut dev, csc, &mut set, |_| true, |_, _| true).unwrap();
+        assert!(found.is_empty() && set.is_empty());
+        assert_eq!(scanned, 0);
+        assert_eq!(dev.counters.kernel_launches, 2);
+        assert_eq!(dev.counters.w_items, 0);
+        assert!(dev.now() > 0.0, "launch overheads accrue even with no work");
     }
 
     #[test]

@@ -199,11 +199,6 @@ pub struct BspRow {
 }
 
 impl BspRow {
-    /// The attributed simulated time of the row (all buckets).
-    pub fn total_us(&self) -> f64 {
-        self.w_us + self.c_us + self.h_us + self.sync_us + self.wait_us + self.other_us
-    }
-
     /// Fold one span into the row. `last_send` threads the most recent send
     /// attempt's (bytes, items) so a transfer-retry span can roll back the
     /// failed attempt's success tallies (the counters only credit the

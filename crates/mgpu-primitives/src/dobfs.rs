@@ -27,7 +27,6 @@
 use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::direction::{Direction, DirectionConfig, DirectionState};
-use mgpu_core::frontier::{Frontier, FrontierMode};
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
@@ -44,11 +43,6 @@ pub struct Dobfs {
     /// Switch thresholds (`do_a`, `do_b`); the defaults are the paper's
     /// social-graph values 0.01 / 0.1.
     pub direction: DirectionConfig,
-    /// Unvisited-set representation for the backward pass. `Auto` (the
-    /// default) holds the near-full set as a bitmap and falls back to the
-    /// sorted vec as it drains; all modes are charge- and result-identical
-    /// (the frontier iterates ascending either way).
-    pub frontier: FrontierMode,
 }
 
 /// Per-GPU DOBFS state.
@@ -58,9 +52,9 @@ pub struct DobfsState<V: Id> {
     pub labels: DeviceArray<u32>,
     /// Direction machinery.
     pub dir: DirectionState,
-    /// Unvisited-vertex frontier for pull mode (rebuilt on the one
-    /// forward→backward switch, then shrunk incrementally).
-    unvisited: Frontier<V>,
+    /// Unvisited vertices for pull mode, ascending (built by the one
+    /// forward→backward switch scan, then shrunk in place).
+    unvisited: Vec<V>,
     /// Number of visited vertices in the local space (`|P|`).
     visited: usize,
     /// True once `unvisited` has been materialized.
@@ -103,7 +97,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
         Ok(DobfsState {
             labels: dev.alloc(sub.n_vertices())?,
             dir: DirectionState::new(self.direction),
-            unvisited: Frontier::empty(sub.n_vertices(), self.frontier),
+            unvisited: Vec::new(),
             visited: 0,
             unvisited_built: false,
             pull_edges_scanned: 0,
@@ -124,7 +118,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
             ((), n as u64)
         })?;
         state.dir = DirectionState::new(self.direction);
-        state.unvisited = Frontier::empty(state.labels.len(), self.frontier);
+        state.unvisited.clear();
         state.unvisited_built = false;
         state.visited = 0;
         state.pull_edges_scanned = 0;
@@ -180,27 +174,37 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
             }
             Direction::Backward => {
                 let csc = sub.csc.as_ref().expect("checked at init");
+                let labels = &state.labels;
                 let (newly, scanned) = if !state.unvisited_built {
                     // The one full vertex scan the switch is charged for.
-                    let labels = &state.labels;
-                    state.unvisited =
-                        ops::frontier_scan(dev, n_vi, self.frontier, |v| labels[v] == INF)?;
+                    // Branch-free compaction: every id is written and the
+                    // cursor moves only past the unvisited ones — a `filter`
+                    // mispredicts on the scattered visited set and made this
+                    // scan 3x slower on the power-law graphs.
+                    let unvisited = &mut state.unvisited;
+                    dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+                        unvisited.resize(n_vi, V::from_usize(0));
+                        let mut len = 0;
+                        for (v, &label) in labels.as_slice().iter().enumerate() {
+                            unvisited[len] = V::from_usize(v);
+                            len += usize::from(label == INF);
+                        }
+                        unvisited.truncate(len);
+                        ((), n_vi as u64)
+                    })?;
                     state.unvisited_built = true;
-                    ops::advance_pull_frontier(dev, csc, &state.unvisited, |_, p| {
+                    ops::advance_pull(dev, csc, &state.unvisited, |_, p| {
                         labels[p.idx()] == cur_label
                     })?
                 } else {
-                    // Fused shrink + pull: one decode pass drops the
-                    // vertices discovered since the last superstep and
-                    // scans parents for the rest — both read the same
-                    // label snapshot, so results and charges match the
-                    // unfused retain-then-pull exactly.
-                    let labels = &state.labels;
-                    ops::retain_pull_frontier(
+                    // Drop the vertices discovered since the last superstep
+                    // and scan parents for the rest in one pass: both
+                    // closures read the same label snapshot.
+                    ops::retain_pull(
                         dev,
                         csc,
                         &mut state.unvisited,
-                        |v: V| labels[v.idx()] == INF,
+                        |v| labels[v.idx()] == INF,
                         |_, p| labels[p.idx()] == cur_label,
                     )?
                 };
@@ -286,13 +290,8 @@ mod tests {
         let mut dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
         dist.build_cscs();
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-        let mut runner = Runner::new(
-            system,
-            &dist,
-            Dobfs { direction: cfg, ..Dobfs::default() },
-            EnactConfig::default(),
-        )
-        .unwrap();
+        let mut runner =
+            Runner::new(system, &dist, Dobfs { direction: cfg }, EnactConfig::default()).unwrap();
         let report = runner.enact(Some(src)).unwrap();
         let switched: Vec<bool> =
             (0..n_gpus).map(|g| runner.state(g).dir.switched_to_backward).collect();

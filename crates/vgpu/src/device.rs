@@ -197,18 +197,6 @@ impl Device {
         &self.pool
     }
 
-    /// Add a stream; returns its id.
-    pub fn create_stream(&mut self) -> StreamId {
-        let t = self.now();
-        self.streams.push(Stream::new(t));
-        StreamId(self.streams.len() - 1)
-    }
-
-    /// Number of streams.
-    pub fn n_streams(&self) -> usize {
-        self.streams.len()
-    }
-
     fn stream_mut(&mut self, s: StreamId) -> Result<&mut Stream> {
         let have = self.streams.len();
         self.streams.get_mut(s.0).ok_or(VgpuError::BadStream { stream: s.0, have })

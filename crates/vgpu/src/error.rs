@@ -63,14 +63,6 @@ pub enum VgpuError {
     Aborted,
 }
 
-impl VgpuError {
-    /// Is this a permanent device loss (as opposed to a transient fault a
-    /// bounded retry may clear)?
-    pub fn is_device_loss(&self) -> bool {
-        matches!(self, VgpuError::DeviceLost { .. })
-    }
-}
-
 impl fmt::Display for VgpuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

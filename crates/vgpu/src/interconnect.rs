@@ -59,15 +59,6 @@ impl Interconnect {
         }
     }
 
-    /// PCIe 3 fabric with *no* peer access anywhere (all transfers staged
-    /// through host memory).
-    pub fn pcie3_no_peer(n: usize) -> Self {
-        let mut ic = Self::pcie3(n, 1);
-        // group size 1 puts every device in its own group already
-        ic.group = (0..n).collect();
-        ic
-    }
-
     /// An inter-node cluster fabric (InfiniBand-class): lower bandwidth and
     /// much higher latency than intra-node PCIe. Used by the cluster-style
     /// baselines of Table III to reflect the paper's note that "inter-GPU

@@ -496,17 +496,15 @@ fn arbitrary_traced_runs_are_well_formed() {
 }
 
 // ---------------------------------------------------------------------------
-// Frontier-representation equivalence (DESIGN.md §12)
+// DOBFS backward pass: correct and thread-count-invisible (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
-/// The unvisited-set representation is a wall-clock concern only: DOBFS
-/// under `Sparse`, `Dense` and `Auto` frontiers must produce the same
-/// labels, `same_simulation` reports, and byte-identical traces, at every
-/// GPU count and kernel thread count. Charge identity is what makes the
-/// bitmap backend safe to ship — any divergence here is a cost-model leak.
+/// DOBFS — the one primitive whose backward pass shrinks a vertex set in
+/// place (`ops::retain_pull`) — must label arbitrary graphs like
+/// `reference::bfs`, and its `same_simulation` report and JSONL trace must
+/// be byte-identical across kernel thread counts, at every GPU count.
 #[test]
-fn frontier_representations_are_simulation_invisible() {
-    use mgpu_graph_analytics::core::FrontierMode;
+fn dobfs_matches_reference_and_is_thread_count_invisible() {
     use mgpu_graph_analytics::primitives::{dobfs::gather_labels as dobfs_labels, Dobfs};
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xF40);
@@ -521,39 +519,27 @@ fn frontier_representations_are_simulation_invisible() {
                 DistGraph::partition(&g, &RandomPartitioner { seed: 7 }, n_gpus, Duplication::All);
             dist.build_cscs();
 
-            // (report, trace-jsonl, labels) per (mode, threads) run.
-            let mut runs = Vec::new();
-            for mode in [FrontierMode::Sparse, FrontierMode::Dense, FrontierMode::Auto] {
-                for threads in [1usize, 4] {
-                    let cfg = EnactConfig {
-                        tracing: true,
-                        kernel_threads: Some(threads),
-                        ..EnactConfig::default()
-                    };
-                    let prim = Dobfs { frontier: mode, ..Dobfs::default() };
-                    let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-                    let mut runner = Runner::new(sys, &dist, prim, cfg).unwrap();
-                    let report = runner.enact(Some(src)).unwrap();
-                    let labels = dobfs_labels(&runner, &dist);
-                    assert_eq!(
-                        labels, expect,
-                        "case {case}: {mode:?} x{n_gpus} t{threads} wrong labels"
-                    );
-                    let jsonl = report.trace.as_ref().unwrap().to_jsonl();
-                    runs.push((format!("{mode:?} t{threads}"), report, jsonl));
-                }
-            }
-            let (ref name0, ref rep0, ref trace0) = runs[0];
-            for (name, rep, trace) in &runs[1..] {
-                assert!(
-                    rep0.same_simulation(rep),
-                    "case {case} x{n_gpus}: {name} diverges from {name0} in sim report"
-                );
-                assert_eq!(
-                    trace0, trace,
-                    "case {case} x{n_gpus}: {name} trace not byte-identical to {name0}"
-                );
-            }
+            let run = |threads: usize| {
+                let cfg = EnactConfig {
+                    tracing: true,
+                    kernel_threads: Some(threads),
+                    ..EnactConfig::default()
+                };
+                let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+                let mut runner = Runner::new(sys, &dist, Dobfs::default(), cfg).unwrap();
+                let report = runner.enact(Some(src)).unwrap();
+                let labels = dobfs_labels(&runner, &dist);
+                assert_eq!(labels, expect, "case {case}: x{n_gpus} t{threads} wrong labels");
+                let jsonl = report.trace.as_ref().unwrap().to_jsonl();
+                (report, jsonl)
+            };
+            let (rep1, trace1) = run(1);
+            let (rep4, trace4) = run(4);
+            assert!(
+                rep1.same_simulation(&rep4),
+                "case {case} x{n_gpus}: 4 threads diverge from 1 in sim report"
+            );
+            assert_eq!(trace1, trace4, "case {case} x{n_gpus}: traces not byte-identical");
         }
     }
 }
