@@ -114,7 +114,6 @@ fn bench_combine(c: &mut Criterion) {
 fn bench_encodings(c: &mut Criterion) {
     let mut group = c.benchmark_group("comm/encodings");
     let encodings = [
-        ("legacy", WireEncoding::Legacy),
         ("list", WireEncoding::List),
         ("bitmap", WireEncoding::Bitmap),
         ("delta", WireEncoding::DeltaVarint),
@@ -156,11 +155,7 @@ fn bench_suppression(c: &mut Criterion) {
         let mut scratch = SplitScratch::default();
         // every vertex appears twice: second appearance never improves
         let frontier: Vec<u32> = (0..size as u32).chain(0..size as u32).collect();
-        let policy = PackagePolicy {
-            encoding: WireEncoding::Auto,
-            monotone: true,
-            ..PackagePolicy::legacy()
-        };
+        let policy = PackagePolicy { monotone: true, ..PackagePolicy::default() };
         group.bench_function(BenchmarkId::new("off", size), |b| {
             b.iter(|| {
                 split_and_package_with(

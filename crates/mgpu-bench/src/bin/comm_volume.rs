@@ -1,10 +1,12 @@
-//! Comm-volume study — what the wire-reduction stack buys per primitive.
+//! Comm-volume study — what the wire buys per primitive.
 //!
 //! Runs DOBFS, SSSP, delta-stepping SSSP and CC at six GPUs on two analog
-//! datasets, comparing the default configuration against monotone send
-//! suppression + `Auto` wire encoding + the butterfly broadcast collective.
-//! Reports simulated milliseconds, total H bytes on the wire, the fraction
-//! of sends the suppression cache dropped, and the butterfly stage count.
+//! datasets under three arms: `list` (the paper's wire — forced list
+//! encoding, nothing suppressed), `default` (`Auto` encoding + monotone
+//! send suppression) and `reduced` (the default over the butterfly
+//! broadcast collective). Reports simulated milliseconds, total H bytes on
+//! the wire, the fraction of sends the suppression cache dropped, and the
+//! butterfly stage count.
 //!
 //! With `--json-out FILE` the same rows are written as JSON (the CI
 //! comm-reduction job archives `BENCH_comm.json`).
@@ -24,13 +26,15 @@ use vgpu::HardwareProfile;
 
 const GPUS: usize = 6;
 
-fn enabled_config() -> EnactConfig {
-    EnactConfig {
-        suppression: true,
-        wire_encoding: WireEncoding::Auto,
-        comm_topology: CommTopology::Butterfly,
-        ..EnactConfig::default()
-    }
+/// The three arms, the paper's wire first: every reduction below is
+/// measured against it.
+fn arms() -> [(&'static str, EnactConfig); 3] {
+    let default = EnactConfig::default();
+    [
+        ("list", EnactConfig { wire_encoding: WireEncoding::List, suppression: false, ..default }),
+        ("default", default),
+        ("reduced", EnactConfig { comm_topology: CommTopology::Butterfly, ..default }),
+    ]
 }
 
 struct Row {
@@ -89,7 +93,9 @@ fn run_ms_bfs(
 
 fn main() {
     let args = BenchArgs::parse();
-    println!("Comm-volume study — default vs suppression+auto-encoding+butterfly at {GPUS} GPUs\n");
+    println!(
+        "Comm-volume study — paper list wire vs default vs default+butterfly at {GPUS} GPUs\n"
+    );
 
     let datasets = ["rmat_2Mv_128Me", "soc-orkut"];
     let prims = [Primitive::Dobfs, Primitive::Sssp, Primitive::Cc];
@@ -103,22 +109,20 @@ fn main() {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
 
         for prim in prims {
-            for (cname, cfg) in [("default", EnactConfig::default()), ("reduced", enabled_config())]
-            {
+            for (cname, cfg) in arms() {
                 let sys =
                     mgpu_bench::runners::scaled_system(GPUS, HardwareProfile::k40(), args.shift);
                 let out = run_primitive(prim, &g, sys, &part, cfg).expect("run");
                 rows.push(row(name, prim.name(), cname, &out.report));
             }
         }
-        for (cname, cfg) in [("default", EnactConfig::default()), ("reduced", enabled_config())] {
+        for (cname, cfg) in arms() {
             let report = run_sssp_delta(&g, args.seed, args.shift, cfg);
             rows.push(row(name, "SSSP(Δ)", cname, &report));
         }
         // The multi-source pair: same partition, same 64 spread sources —
         // "repeated" pays 64 sequential enacts of 4-byte labels, "batched"
-        // pays one bitfield sweep of 8-byte lane masks. The pair prints in
-        // the byte-reduction summary like every (default, reduced) pair.
+        // pays one bitfield sweep of 8-byte lane masks.
         for (cname, mode) in
             [("repeated", MultiSourceMode::Repeated), ("batched", MultiSourceMode::Batched)]
         {
@@ -151,14 +155,17 @@ fn main() {
     }
     t.print();
 
-    println!("\nByte reduction (default / reduced):");
-    for pair in rows.chunks(2) {
-        if let [base, opt] = pair {
+    println!("\nByte reduction (first arm / each later arm):");
+    for group in rows.chunk_by(|a, b| a.dataset == b.dataset && a.primitive == b.primitive) {
+        let base = &group[0];
+        for r in &group[1..] {
             println!(
-                "  {:>16} {:>8}: {:.2}x",
+                "  {:>16} {:>10} {:>8}/{:<8}: {:.2}x",
                 base.dataset,
                 base.primitive,
-                base.h_bytes as f64 / opt.h_bytes.max(1) as f64
+                base.config,
+                r.config,
+                base.h_bytes as f64 / r.h_bytes.max(1) as f64
             );
         }
     }

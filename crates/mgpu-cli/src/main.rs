@@ -15,9 +15,8 @@
 //!   --gpus N            virtual GPU count              [default 4]
 //!   --partitioner {random|biased|metis|chunked}        [default random]
 //!   --profile {k40|k80|p100}                           [default k40]
-//!   --shift N           dataset scale-down exponent    [default 8]
+//!   --shift N           dataset scale-down exponent, 0..=63 [default 8]
 //!   --seed S            generator/partitioner seed     [default 42]
-//!   --src V             source vertex ("auto" = highest degree) [auto]
 //!   --sources N|id,..   batched multi-source traversal (bfs and bc only):
 //!                       a bare count N spreads N sources evenly over the
 //!                       vertex space, a comma list names them; all sources
@@ -40,12 +39,11 @@
 //!   --alloc-scheme {just-enough|fixed|max|prealloc-fusion}
 //!                       override the primitive's frontier allocation scheme
 //!   --sizing-factor F   preallocation sizing factor for fixed /
-//!                       prealloc-fusion schemes                   [default 1.0]
+//!                       prealloc-fusion schemes, in (0, 2^32]     [default 1.0]
 //!   --comm-topology {direct|butterfly}  broadcast collective shape
 //!                       (butterfly = log2(n)-stage dissemination) [default direct]
-//!   --wire-encoding {legacy|auto|list|bitmap|delta}  package wire format;
-//!                       auto picks the smallest per package       [default legacy]
-//!   --suppression       drop sends a monotone combiner would reject anyway
+//!   --wire-encoding {auto|list|bitmap|delta}  package wire format; auto
+//!                       picks the smallest per package            [default auto]
 //!   --trace-out PATH    record a structured trace and write it to PATH
 //!                       (`.jsonl` → compact JSONL, anything else → Chrome
 //!                       trace_event JSON for chrome://tracing / Perfetto)
@@ -55,7 +53,8 @@
 //! ```
 //!
 //! Both tracing flags verify the trace↔report reconciliation invariant and
-//! exit non-zero on any mismatch.
+//! exit non-zero on any mismatch. `run` starts from the highest-degree
+//! vertex; `serve --queries bfs:N` names a source.
 //!
 //! `serve` runs a multi-tenant query mix against one shared residency
 //! through the deterministic [`mgpu_core::service`] scheduler:
@@ -75,7 +74,7 @@
 //!   --gpus N            virtual GPU count              [default 4]
 //!   --partitioner {random|biased|metis|chunked}        [default random]
 //!   --profile {k40|k80|p100}                           [default k40]
-//!   --shift N           dataset scale-down exponent    [default 8]
+//!   --shift N           dataset scale-down exponent, 0..=63 [default 8]
 //!   --seed S            generator/partitioner seed     [default 42]
 //!   --sched-seed S      dispatch-permutation seed      [default --seed]
 //!   --lanes N           concurrent queries per wave (0 = unbounded)
@@ -102,7 +101,7 @@ use mgpu_bench::runners::{
     run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode, Primitive,
 };
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
-use mgpu_bench::{pick_source, run_multi_source, run_primitive};
+use mgpu_bench::{run_multi_source, run_primitive};
 use mgpu_core::{AllocScheme, EnactConfig, PressurePolicy, RecoveryPolicy, Service, ServicePolicy};
 use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
@@ -118,10 +117,10 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  mgpu datasets\n  mgpu run --primitive <bfs|dobfs|sssp|bc|cc|pr> \
          (--dataset <name> | --mtx <path>) [--gpus N] [--partitioner random|biased|metis|chunked]\n\
-         \x20         [--profile k40|k80|p100] [--shift N] [--seed S] [--src V|auto] [--sources N|id,id,...] [--json]\n\
+         \x20         [--profile k40|k80|p100] [--shift N] [--seed S] [--sources N|id,id,...] [--json]\n\
          \x20         [--comm selective|broadcast] [--fault-plan <spec|random:SEED:COUNT:HORIZON>] [--recovery]\n\
          \x20         [--mem-cap BYTES] [--alloc-scheme just-enough|fixed|max|prealloc-fusion] [--sizing-factor F]\n\
-         \x20         [--comm-topology direct|butterfly] [--wire-encoding legacy|auto|list|bitmap|delta] [--suppression]\n\
+         \x20         [--comm-topology direct|butterfly] [--wire-encoding auto|list|bitmap|delta]\n\
          \x20         [--trace-out PATH.jsonl|PATH.json] [--profile]\n\
          \x20 mgpu serve --queries \"bfs:0,sssp:5@resilient,cc\" (--dataset <name> | --mtx <path>)\n\
          \x20         [--gpus N] [--partitioner random|biased|metis|chunked] [--profile k40|k80|p100]\n\
@@ -131,25 +130,68 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// A flag value whose type states its range; `WANT` is that range in words.
+trait FlagValue: FromStr {
+    const WANT: &'static str;
+}
+
+impl FlagValue for NonZeroUsize {
+    const WANT: &'static str = "an integer >= 1";
+}
+
+impl FlagValue for usize {
+    const WANT: &'static str = "an integer >= 0";
+}
+
+impl FlagValue for u64 {
+    const WANT: &'static str = "an integer >= 0";
+}
+
+/// `--shift`: the dataset scale-down exponent, below the 64-bit shift width.
+#[derive(Debug, PartialEq)]
+struct Shift(u32);
+
+impl FromStr for Shift {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Self, ()> {
+        s.parse().ok().filter(|&x: &u32| x < 64).map(Shift).ok_or(())
+    }
+}
+
+impl FlagValue for Shift {
+    const WANT: &'static str = "an integer in 0..=63";
+}
+
+/// `--sizing-factor`: a frontier holds at most `|E_i| <= |V_i|^2` ids, so a
+/// multiplier on `|V_i|` past the 32-bit id space cannot be meant.
+#[derive(Debug, PartialEq)]
+struct SizingFactor(f64);
+
+impl FromStr for SizingFactor {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Self, ()> {
+        s.parse()
+            .ok()
+            .filter(|&x: &f64| x > 0.0 && x <= 4_294_967_296.0)
+            .map(SizingFactor)
+            .ok_or(())
+    }
+}
+
+impl FlagValue for SizingFactor {
+    const WANT: &'static str = "a number in (0, 2^32]";
+}
+
 /// Parse a numeric flag value. The type states the range: `NonZeroUsize`
 /// refuses zero, the unsigned types refuse a sign, every type refuses
-/// overflow. The message names the range by asking the type itself.
-fn number<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| {
-        let want = if "0.5".parse::<T>().is_ok() {
-            "a number"
-        } else if "0".parse::<T>().is_ok() {
-            "an integer >= 0"
-        } else {
-            "an integer >= 1"
-        };
-        format!("bad {flag} {value}: want {want}")
-    })
+/// overflow.
+fn number<T: FlagValue>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag} {value}: want {}", T::WANT))
 }
 
 /// [`number`], exiting 2 with its one-line message the way a missing value
 /// does.
-fn number_or_exit<T: FromStr>(flag: &str, value: String) -> T {
+fn number_or_exit<T: FlagValue>(flag: &str, value: String) -> T {
     number(flag, &value).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
@@ -274,7 +316,6 @@ struct RunArgs {
     profile: String,
     shift: u32,
     seed: u64,
-    src: String,
     sources: Option<String>,
     json: bool,
     comm: Option<String>,
@@ -285,7 +326,6 @@ struct RunArgs {
     sizing_factor: f64,
     comm_topology: Option<String>,
     wire_encoding: Option<String>,
-    suppression: bool,
     trace_out: Option<String>,
     bsp_profile: bool,
 }
@@ -297,7 +337,6 @@ fn run(args: &[String]) -> ExitCode {
         profile: "k40".into(),
         shift: 8,
         seed: 42,
-        src: "auto".into(),
         sizing_factor: 1.0,
         ..Default::default()
     };
@@ -321,9 +360,8 @@ fn run(args: &[String]) -> ExitCode {
                 Some("k40" | "k80" | "p100") => a.profile = it.next().cloned().unwrap_or_default(),
                 _ => a.bsp_profile = true,
             },
-            "--shift" => a.shift = number_or_exit(flag, value(flag)),
+            "--shift" => a.shift = number_or_exit::<Shift>(flag, value(flag)).0,
             "--seed" => a.seed = number_or_exit(flag, value(flag)),
-            "--src" => a.src = value("--src"),
             "--sources" => a.sources = Some(value("--sources")),
             "--json" => a.json = true,
             "--comm" => a.comm = Some(value("--comm")),
@@ -331,14 +369,15 @@ fn run(args: &[String]) -> ExitCode {
             "--recovery" => a.recovery = true,
             "--mem-cap" => a.mem_cap = Some(number_or_exit(flag, value(flag))),
             "--alloc-scheme" => a.alloc_scheme = Some(value("--alloc-scheme")),
-            "--sizing-factor" => a.sizing_factor = number_or_exit(flag, value(flag)),
+            "--sizing-factor" => {
+                a.sizing_factor = number_or_exit::<SizingFactor>(flag, value(flag)).0
+            }
             "--comm-topology" => a.comm_topology = Some(value("--comm-topology")),
             "--wire-encoding" => a.wire_encoding = Some(value("--wire-encoding")),
-            "--suppression" => a.suppression = true,
             "--trace-out" => a.trace_out = Some(value("--trace-out")),
             other => {
                 eprintln!("unknown flag {other}");
-                return usage();
+                return ExitCode::from(2);
             }
         }
     }
@@ -419,14 +458,13 @@ fn run(args: &[String]) -> ExitCode {
         }
     };
     let wire_encoding = match a.wire_encoding.as_deref() {
-        None | Some("legacy") => mgpu_core::WireEncoding::Legacy,
-        Some("auto") => mgpu_core::WireEncoding::Auto,
+        None | Some("auto") => mgpu_core::WireEncoding::Auto,
         Some("list") => mgpu_core::WireEncoding::List,
         Some("bitmap") => mgpu_core::WireEncoding::Bitmap,
         Some("delta") => mgpu_core::WireEncoding::DeltaVarint,
         Some(other) => {
-            eprintln!("unknown wire encoding {other}");
-            return ExitCode::FAILURE;
+            eprintln!("bad --wire-encoding {other}: want auto|list|bitmap|delta");
+            return ExitCode::from(2);
         }
     };
     let config = EnactConfig {
@@ -434,7 +472,6 @@ fn run(args: &[String]) -> ExitCode {
         comm,
         comm_topology,
         wire_encoding,
-        suppression: a.suppression,
         tracing: a.trace_out.is_some() || a.bsp_profile,
         recovery: if a.recovery { RecoveryPolicy::resilient() } else { RecoveryPolicy::default() },
         pressure: if a.mem_cap.is_some() {
@@ -561,15 +598,6 @@ fn run(args: &[String]) -> ExitCode {
         if a.bsp_profile {
             print!("{}", profile.format_table());
         }
-    }
-
-    // `--src` is accepted for interface completeness; the dispatcher picks
-    // the highest-degree source, which `auto` names explicitly.
-    if a.src != "auto" {
-        eprintln!(
-            "note: run_primitive picks the highest-degree source (vertex {}); --src is advisory",
-            pick_source::<u32, u64>(&graph)
-        );
     }
 
     if a.json {
@@ -712,7 +740,7 @@ fn serve(args: &[String]) -> ExitCode {
             "--gpus" => a.gpus = number_or_exit::<NonZeroUsize>(flag, value(flag)).get(),
             "--partitioner" => a.partitioner = value("--partitioner"),
             "--profile" => a.profile = value("--profile"),
-            "--shift" => a.shift = number_or_exit(flag, value(flag)),
+            "--shift" => a.shift = number_or_exit::<Shift>(flag, value(flag)).0,
             "--seed" => a.seed = number_or_exit(flag, value(flag)),
             "--sched-seed" => a.sched_seed = Some(number_or_exit(flag, value(flag))),
             "--lanes" => a.lanes = number_or_exit(flag, value(flag)),
@@ -722,7 +750,7 @@ fn serve(args: &[String]) -> ExitCode {
             "--json" => a.json = true,
             other => {
                 eprintln!("unknown flag {other}");
-                return usage();
+                return ExitCode::from(2);
             }
         }
     }
@@ -912,7 +940,8 @@ mod tests {
     fn number_accepts_in_range_values() {
         assert_eq!(number::<NonZeroUsize>("--gpus", "4").map(NonZeroUsize::get), Ok(4));
         assert_eq!(number::<usize>("--lanes", "0"), Ok(0));
-        assert_eq!(number::<f64>("--sizing-factor", "1.5"), Ok(1.5));
+        assert_eq!(number::<SizingFactor>("--sizing-factor", "1.5"), Ok(SizingFactor(1.5)));
+        assert_eq!(number::<Shift>("--shift", "63"), Ok(Shift(63)));
     }
 
     #[test]
@@ -925,13 +954,17 @@ mod tests {
             number::<u64>("--mem-cap", "-1").unwrap_err(),
             "bad --mem-cap -1: want an integer >= 0"
         );
-        assert_eq!(
-            number::<u32>("--shift", "4294967296").unwrap_err(),
-            "bad --shift 4294967296: want an integer >= 0"
-        );
-        assert_eq!(
-            number::<f64>("--sizing-factor", "x").unwrap_err(),
-            "bad --sizing-factor x: want a number"
-        );
+        for v in ["64", "4294967296", "-1"] {
+            assert_eq!(
+                number::<Shift>("--shift", v).unwrap_err(),
+                format!("bad --shift {v}: want an integer in 0..=63")
+            );
+        }
+        for v in ["x", "inf", "nan", "-1", "0", "1e30"] {
+            assert_eq!(
+                number::<SizingFactor>("--sizing-factor", v).unwrap_err(),
+                format!("bad --sizing-factor {v}: want a number in (0, 2^32]")
+            );
+        }
     }
 }

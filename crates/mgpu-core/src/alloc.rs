@@ -61,6 +61,9 @@ impl AllocScheme {
         }
     }
 
+    /// Elements every buffer is preallocated to. The float-to-int cast
+    /// saturates (a NaN or negative factor preallocates nothing, an infinite
+    /// one asks for `usize::MAX`), and the pool refuses what it cannot hold.
     fn prealloc_elems(&self, n_vertices: usize, n_edges: usize) -> usize {
         match *self {
             AllocScheme::JustEnough => 0,
@@ -111,24 +114,16 @@ impl<V: Id> FrontierBufs<V> {
         n_vertices: usize,
         n_edges: usize,
     ) -> Result<Self> {
-        let pre = scheme.prealloc_elems(n_vertices, n_edges);
         // Under Max, *every* frontier buffer is worst-case sized — "allocate
         // memory that is large enough to handle any case, e.g. a size |E|
         // array for advance" — which is exactly what makes the scheme
         // memory-hungry in Fig. 3. The fixed schemes size vertex frontiers
         // by the sizing factor (capped estimates from previous runs).
-        let frontier_pre = match scheme {
-            AllocScheme::JustEnough => 0,
-            AllocScheme::Max => n_edges,
-            AllocScheme::Fixed { sizing_factor }
-            | AllocScheme::PreallocFusion { sizing_factor } => {
-                (n_vertices as f64 * sizing_factor).ceil() as usize
-            }
-        };
-        let input = dev.alloc_with_capacity::<V>(frontier_pre.max(1))?;
-        let output = dev.alloc_with_capacity::<V>(frontier_pre.max(1))?;
+        let pre = scheme.prealloc_elems(n_vertices, n_edges).max(1);
+        let input = dev.alloc_with_capacity::<V>(pre)?;
+        let output = dev.alloc_with_capacity::<V>(pre)?;
         let intermediate =
-            if scheme.fused() { None } else { Some(dev.alloc_with_capacity::<V>(pre.max(1))?) };
+            if scheme.fused() { None } else { Some(dev.alloc_with_capacity::<V>(pre)?) };
         Ok(FrontierBufs {
             scheme,
             input,
@@ -474,6 +469,24 @@ mod tests {
         assert_eq!(bufs.input.as_slice(), &frontier[..]);
         assert!(bufs.governor().spilled_bytes > 0);
         assert_eq!(bufs.governor().reclaim_retries, 1);
+    }
+
+    #[test]
+    fn an_absurd_sizing_factor_is_a_typed_oom_or_no_preallocation() {
+        for sizing_factor in [f64::INFINITY, 1e30, 1e12] {
+            for scheme in [
+                AllocScheme::Fixed { sizing_factor },
+                AllocScheme::PreallocFusion { sizing_factor },
+            ] {
+                let err = FrontierBufs::<u32>::new(&mut dev(), scheme, 100, 5000).unwrap_err();
+                assert!(matches!(err, VgpuError::OutOfMemory { .. }), "{scheme:?}: {err}");
+            }
+        }
+        for sizing_factor in [f64::NAN, -1.0] {
+            let scheme = AllocScheme::Fixed { sizing_factor };
+            let bufs = FrontierBufs::<u32>::new(&mut dev(), scheme, 100, 5000).unwrap();
+            assert_eq!(bufs.input.capacity(), 1, "{scheme:?} preallocates nothing");
+        }
     }
 
     #[test]

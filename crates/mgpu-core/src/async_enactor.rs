@@ -31,15 +31,14 @@ use mgpu_partition::{DistGraph, SubGraph};
 use parking_lot::Mutex;
 use vgpu::memory::Reservation;
 use vgpu::sync::harvest_device_thread;
-use vgpu::{
-    Device, Interconnect, KernelKind, Mailbox, Result, SimSystem, VgpuError, COMM_STREAM,
-    COMPUTE_STREAM,
-};
+use vgpu::{Device, Interconnect, Mailbox, Result, SimSystem, VgpuError, COMM_STREAM, COMPUTE_STREAM};
 
 use crate::alloc::FrontierBufs;
-use crate::comm::{split_and_package_with, Package, PackagePolicy, SuppressState, WireEncoding};
+use crate::comm::{
+    split_and_package_with, CommStrategy, Package, PackagePolicy, SuppressState, WireEncoding,
+};
 use crate::enactor::EnactConfig;
-use crate::executor::{assemble_report, post_package, Executor, ExecutorKind};
+use crate::executor::{assemble_report, post_package, receive_package, Executor, ExecutorKind};
 use crate::problem::MgpuProblem;
 use crate::report::{CommReduction, EnactReport};
 use crate::resilience::{guard, RecoveryCounters, RecoveryLog, RecoveryPolicy};
@@ -74,7 +73,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> AsyncRunner<'g, V, O, P> {
         Self::with_config(system, dist, problem, &EnactConfig::default())
     }
 
-    /// [`AsyncRunner::new`] with explicit wire-volume knobs. The async path
+    /// [`AsyncRunner::new`] with an explicit configuration. The async path
     /// honours `wire_encoding`, `suppression`, `recovery` and `pressure`
     /// from the config; `comm_topology` does not apply (there are no
     /// supersteps to stage a collective over) and is ignored.
@@ -352,37 +351,17 @@ fn run_async_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
             // The message leaves flight whether or not the combine succeeds —
             // otherwise a failing device would wedge termination detection.
             let combined = guard(gpu, || {
-                dev.stream_wait(COMM_STREAM, delivery.arrival)?;
-                let src = delivery.src;
-                let pkg = delivery.payload;
-                dev.counters.h_bytes_recv += pkg.wire_bytes();
-                if dev.timeline.is_enabled() {
-                    let at = dev.stream_time(COMM_STREAM);
-                    dev.timeline.record(vgpu::TraceEvent {
-                        device: dev.id(),
-                        stream: COMM_STREAM.0,
-                        kind: vgpu::TraceKind::Recv,
-                        name: "recv",
-                        start_us: at,
-                        items: pkg.len() as u64,
-                        bytes: pkg.wire_bytes(),
-                        peer: src as i64,
-                        ..vgpu::TraceEvent::default()
-                    });
-                }
-                let state = &mut per.state;
-                let pending_ref = &mut pending;
-                dev.kernel(COMM_STREAM, KernelKind::Combine, || {
-                    // selective wire ids are owner-local: combine directly
-                    let (vs, ms) = pkg.decode();
-                    for (i, &wire) in vs.iter().enumerate() {
-                        if problem.combine(state, wire, &ms[i]) {
-                            pending_ref.push(wire);
-                        }
-                    }
-                    ((), pkg.len() as u64)
-                })?;
-                Ok(())
+                // selective wire ids are owner-local: combine directly
+                receive_package(
+                    problem,
+                    dev,
+                    sub,
+                    &mut per.state,
+                    CommStrategy::Selective,
+                    None,
+                    delivery,
+                    &mut pending,
+                )
             });
             in_flight.fetch_sub(1, SeqCst);
             if let Err(e) = combined {
@@ -463,7 +442,7 @@ fn run_async_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EnactConfig;
+    use crate::problem::testing::MinLabel;
     use mgpu_partition::{Duplication, RandomPartitioner};
     use vgpu::HardwareProfile;
 
@@ -477,50 +456,6 @@ mod tests {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(4, vec![(0, 1)], None));
         let dist = DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::All);
         let system = SimSystem::homogeneous(3, HardwareProfile::k40());
-        let _ = AsyncRunner::new(system, &dist, DummyNever);
-        let _ = EnactConfig::default();
-    }
-
-    /// Minimal problem used only to exercise the constructor assertion.
-    struct DummyNever;
-    impl MgpuProblem<u32, u64> for DummyNever {
-        type State = ();
-        type Msg = ();
-        fn name(&self) -> &'static str {
-            "dummy"
-        }
-        fn duplication(&self) -> Duplication {
-            Duplication::All
-        }
-        fn comm(&self) -> crate::CommStrategy {
-            crate::CommStrategy::Selective
-        }
-        fn init(&self, _: &mut Device, _: &SubGraph<u32, u64>) -> Result<()> {
-            Ok(())
-        }
-        fn reset(
-            &self,
-            _: &mut Device,
-            _: &SubGraph<u32, u64>,
-            _: &mut (),
-            _: Option<u32>,
-        ) -> Result<Vec<u32>> {
-            Ok(vec![])
-        }
-        fn iteration(
-            &self,
-            _: &mut Device,
-            _: &SubGraph<u32, u64>,
-            _: &mut (),
-            _: &mut FrontierBufs<u32>,
-            _: &[u32],
-            _: usize,
-        ) -> Result<Vec<u32>> {
-            Ok(vec![])
-        }
-        fn package(&self, _: &(), _: u32) {}
-        fn combine(&self, _: &mut (), _: u32, _: &()) -> bool {
-            false
-        }
+        let _ = AsyncRunner::new(system, &dist, MinLabel);
     }
 }

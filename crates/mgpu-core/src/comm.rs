@@ -14,27 +14,29 @@
 //! of the paper's cost model — and are metered as [`KernelKind::Split`]
 //! launches.
 //!
-//! # Wire volume reduction (DESIGN.md §10)
+//! # The wire (DESIGN.md §10)
 //!
-//! Three opt-in mechanisms shrink the `H` term without changing results:
+//! A package *is* its encoded bytes, and `wire_bytes` is their length — the
+//! `H` term is a measurement, never an estimate. Three mechanisms keep it
+//! small without changing results:
 //!
-//! * **Real encodings** ([`PackageEncoding`]): packages can be materialized
-//!   as actual wire bytes — a plain list, a dense bitmap over the broadcast
-//!   space, or delta-varint over sorted ids — with `wire_bytes` equal to the
-//!   true encoded size. Selected per package by [`WireEncoding`] policy
-//!   (smallest wins under `Auto`). The default [`WireEncoding::Legacy`]
-//!   keeps the historical *accounting-only* behaviour bit-identical.
+//! * **Encodings** ([`PackageEncoding`]): a plain list, a dense bitmap over
+//!   the broadcast space, or delta-varint over sorted ids. [`WireEncoding`]
+//!   selects per package; the default `Auto` takes the smallest. Forced
+//!   `List` with suppression off is the paper's `(id, label)` wire, kept as
+//!   the ablation arm the reductions are measured against.
 //! * **Monotone send suppression** ([`SuppressState`]): for primitives whose
 //!   combiner is monotone (min-combine), a per-vertex floor of everything
 //!   already pushed to (or observed from) the wire proves that a repeated
 //!   message with a key `≥ floor` would be rejected by every receiver's
-//!   combiner — so it can be dropped before it is packaged.
-//! * **Canonical packages**: under a non-legacy encoding, monotone packages
-//!   are sorted by vertex id and deduplicated (keeping the minimum key),
-//!   which both enables the sorted encodings and removes intra-package
-//!   duplicates a monotone combiner would reject anyway.
+//!   combiner — so it is dropped before it is packaged.
+//! * **Canonical packages**: monotone packages are sorted by vertex id and
+//!   deduplicated (keeping the minimum key), which both enables the sorted
+//!   encodings and removes intra-package duplicates a monotone combiner
+//!   would reject anyway.
 
 use std::borrow::Cow;
+use std::marker::PhantomData;
 
 use mgpu_graph::Id;
 use mgpu_partition::SubGraph;
@@ -72,14 +74,8 @@ pub enum CommTopology {
 /// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireEncoding {
-    /// Historical behaviour: packages stay in-memory parallel arrays and
-    /// `wire_bytes` is an *accounting estimate* (list, or the bitmap bound
-    /// for uniform broadcast payloads). Bit-identical to pre-encoding
-    /// builds; the default.
+    /// Pick the smallest of the three encodings per package; the default.
     #[default]
-    Legacy,
-    /// Materialize real bytes, picking the smallest of the three encodings
-    /// per package.
     Auto,
     /// Force the list encoding (ids + payloads verbatim).
     List,
@@ -96,8 +92,7 @@ pub enum WireEncoding {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PackageEncoding {
     /// `[tag][count × (id, payload)]` — the count is implied by the
-    /// package length. Or, under [`WireEncoding::Legacy`], the
-    /// un-materialized list accounting.
+    /// package length.
     List,
     /// `[tag][payload][⌈space/8⌉ bitmap]` — one shared payload, membership
     /// by bit, the bit array running to the end of the package. Requires a
@@ -157,81 +152,23 @@ fn read_id<V: Id>(buf: &[u8]) -> V {
 // --- packages -------------------------------------------------------------
 
 /// A packaged remote sub-frontier: vertices plus their programmer-specified
-/// associated data.
-///
-/// Depending on the [`WireEncoding`] in force the package either keeps the
-/// parallel arrays in memory with an accounting-only `wire_bytes` (legacy),
-/// or holds the actual encoded bytes; [`Package::decode`] yields the
-/// `(vertices, msgs)` view either way.
+/// associated data, held as the bytes that cross the link.
+/// [`Package::decode`] yields the `(vertices, msgs)` view back.
 #[derive(Debug, Clone)]
 pub struct Package<V, M> {
-    body: Body<V, M>,
+    bytes: Vec<u8>,
     len: usize,
-    /// Wire size in bytes, fixed at packaging time. For legacy packages
-    /// this is the historical estimate (selective: `len × (id + payload)`;
-    /// broadcast with a *uniform* payload: the cheaper of that and the
-    /// dense-bitmap bound `⌈|V|/8⌉ + payload`). For encoded packages it is
-    /// the exact byte length of the encoding.
-    wire_bytes: u64,
     encoding: PackageEncoding,
-}
-
-#[derive(Debug, Clone)]
-enum Body<V, M> {
-    Plain { vertices: Vec<V>, msgs: Vec<M> },
-    Encoded(Vec<u8>),
+    wire: PhantomData<fn() -> (V, M)>,
 }
 
 impl<V: Id, M: Wire> Package<V, M> {
-    /// A list-encoded package (legacy accounting; nothing materialized).
-    pub fn list(vertices: Vec<V>, msgs: Vec<M>) -> Self {
-        let wire_bytes = (vertices.len() * (V::BYTES + M::BYTES)) as u64;
-        let len = vertices.len();
-        Package {
-            body: Body::Plain { vertices, msgs },
-            len,
-            wire_bytes,
-            encoding: PackageEncoding::List,
-        }
-    }
-
-    /// A package with the cheaper of list and bitmap *accounting*, given
-    /// the broadcast vertex-space size (legacy behaviour; nothing
-    /// materialized). Scans the payload for uniformity.
-    pub fn best_encoding(vertices: Vec<V>, msgs: Vec<M>, space: usize) -> Self {
-        Self::best_encoding_hinted(vertices, msgs, space, None)
-    }
-
-    /// [`Package::best_encoding`] with an optional uniformity hint from the
-    /// caller, skipping the O(n) payload scan when the primitive already
-    /// knows every message of the superstep carries the same label.
-    pub fn best_encoding_hinted(
-        vertices: Vec<V>,
-        msgs: Vec<M>,
-        space: usize,
-        uniform_hint: Option<bool>,
-    ) -> Self {
-        let list = (vertices.len() * (V::BYTES + M::BYTES)) as u64;
-        let uniform = uniform_hint.unwrap_or_else(|| msgs.windows(2).all(|w| w[0] == w[1]));
-        debug_assert!(
-            uniform_hint != Some(true) || msgs.windows(2).all(|w| w[0] == w[1]),
-            "uniform_broadcast_msgs hint must be truthful"
-        );
-        let bitmap = (space as u64).div_ceil(8) + M::BYTES as u64;
-        let (wire_bytes, encoding) = if uniform && bitmap < list {
-            (bitmap, PackageEncoding::Bitmap)
-        } else {
-            (list, PackageEncoding::List)
-        };
-        let len = vertices.len();
-        Package { body: Body::Plain { vertices, msgs }, len, wire_bytes, encoding }
-    }
-
-    /// Build a package under an encoding policy. `Legacy` keeps the
-    /// historical accounting paths; every other choice materializes real
-    /// bytes (`Auto` picks the smallest eligible encoding; a forced
-    /// encoding that is ineligible falls back to the real list). `space` is
-    /// the broadcast vertex-space size when known (enables the bitmap).
+    /// Build a package under an encoding policy: `Auto` picks the smallest
+    /// eligible encoding; a forced encoding that is ineligible falls back to
+    /// the list. `space` is the broadcast vertex-space size when known
+    /// (enables the bitmap); `uniform_hint` lets a primitive that already
+    /// knows every message of the superstep carries the same label skip the
+    /// O(n) payload scan.
     pub fn encode(
         vertices: Vec<V>,
         msgs: Vec<M>,
@@ -240,22 +177,6 @@ impl<V: Id, M: Wire> Package<V, M> {
         uniform_hint: Option<bool>,
     ) -> Self {
         debug_assert_eq!(vertices.len(), msgs.len());
-        match choice {
-            WireEncoding::Legacy => match space {
-                Some(s) => Self::best_encoding_hinted(vertices, msgs, s, uniform_hint),
-                None => Self::list(vertices, msgs),
-            },
-            _ => Self::encode_real(vertices, msgs, choice, space, uniform_hint),
-        }
-    }
-
-    fn encode_real(
-        vertices: Vec<V>,
-        msgs: Vec<M>,
-        choice: WireEncoding,
-        space: Option<usize>,
-        uniform_hint: Option<bool>,
-    ) -> Self {
         let len = vertices.len();
         let ascending = vertices.windows(2).all(|w| w[0].idx() < w[1].idx());
         let uniform = uniform_hint.unwrap_or_else(|| msgs.windows(2).all(|w| w[0] == w[1]));
@@ -351,34 +272,26 @@ impl<V: Id, M: Wire> Package<V, M> {
                 }
             }
         }
-        let wire_bytes = out.len() as u64;
-        Package { body: Body::Encoded(out), len, wire_bytes, encoding: enc }
+        Package { bytes: out, len, encoding: enc, wire: PhantomData }
     }
 
-    /// The `(vertices, msgs)` view of the package — borrowed for legacy
-    /// (in-memory) packages, decoded from the wire bytes for encoded ones.
-    /// Decoding is exact: encoded packages round-trip bit-identically.
+    /// The `(vertices, msgs)` view of the package, decoded from the wire
+    /// bytes. Decoding is exact: packages round-trip bit-identically. Both
+    /// halves are always owned; the `Cow` is the signature callers outside
+    /// the workspace are compiled against.
     pub fn decode(&self) -> (Cow<'_, [V]>, Cow<'_, [M]>) {
-        match &self.body {
-            Body::Plain { vertices, msgs } => (Cow::Borrowed(vertices), Cow::Borrowed(msgs)),
-            Body::Encoded(bytes) => {
-                let (vs, ms) = decode_bytes::<V, M>(bytes);
-                (Cow::Owned(vs), Cow::Owned(ms))
-            }
-        }
+        let (vs, ms) = decode_bytes::<V, M>(&self.bytes);
+        (Cow::Owned(vs), Cow::Owned(ms))
     }
 
-    /// The raw encoded bytes, when the package was materialized.
-    pub fn encoded_bytes(&self) -> Option<&[u8]> {
-        match &self.body {
-            Body::Plain { .. } => None,
-            Body::Encoded(b) => Some(b),
-        }
+    /// The encoded bytes.
+    pub fn encoded_bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
-    /// Size on the wire in bytes.
+    /// Size on the wire in bytes: the exact length of the encoding.
     pub fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
+        self.bytes.len() as u64
     }
 
     /// The encoding this package carries.
@@ -566,8 +479,9 @@ impl SuppressState {
 
 /// How the packaging functions should treat a primitive's packages: the
 /// wire encoding in force, whether the combiner is monotone (enables
-/// canonicalization), and the optional payload-uniformity hint.
-#[derive(Debug, Clone, Copy)]
+/// canonicalization), and the optional payload-uniformity hint. The default
+/// is `Auto`, non-monotone, no hint.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PackagePolicy {
     /// Encoding policy (from `EnactConfig::wire_encoding`).
     pub encoding: WireEncoding,
@@ -579,24 +493,6 @@ pub struct PackagePolicy {
     /// `MgpuProblem::monotone_order()` — which lattice the combiner
     /// improves under (decides suppression floors and duplicate handling).
     pub order: MonotoneOrder,
-}
-
-impl PackagePolicy {
-    /// The historical behaviour: legacy accounting, no canonicalization.
-    pub fn legacy() -> Self {
-        PackagePolicy {
-            encoding: WireEncoding::Legacy,
-            monotone: false,
-            uniform_hint: None,
-            order: MonotoneOrder::MinKey,
-        }
-    }
-}
-
-impl Default for PackagePolicy {
-    fn default() -> Self {
-        Self::legacy()
-    }
 }
 
 /// Sort `(vertex, msg)` pairs by (vertex id, key) and keep only the lowest
@@ -693,18 +589,17 @@ pub fn split_and_package<V: Id, O: Id, M: Wire>(
         frontier,
         scratch,
         packager,
-        PackagePolicy::legacy(),
+        PackagePolicy::default(),
         None,
         |_| 0,
         |a, _| a.clone(),
     )
 }
 
-/// [`split_and_package`] with the wire-volume reduction layer: an encoding
-/// policy, an optional suppression cache (keyed by the *sender-local* id and
-/// the primitive's suppression key), the key extractor, and the duplicate
-/// merge used by or-bits canonicalization (ignored under min-key). The
-/// default policy with no cache is byte-for-byte the historical split.
+/// [`split_and_package`] under an explicit policy: the encoding, an optional
+/// suppression cache (keyed by the *sender-local* id and the primitive's
+/// suppression key), the key extractor, and the duplicate merge used by
+/// or-bits canonicalization (ignored under min-key).
 #[allow(clippy::too_many_arguments)]
 pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
     dev: &mut Device,
@@ -753,12 +648,11 @@ pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
                 parts[peer].1.push(m);
             }
         }
-        let canonical = policy.monotone && policy.encoding != WireEncoding::Legacy;
         let pkgs: Vec<Option<Package<V, M>>> = parts
             .into_iter()
             .map(|(vs, ms)| {
                 (!vs.is_empty()).then(|| {
-                    let (vs, ms) = if canonical {
+                    let (vs, ms) = if policy.monotone {
                         canonicalize_ordered(vs, ms, policy.order, &key, &merge)
                     } else {
                         (vs, ms)
@@ -791,18 +685,46 @@ pub fn broadcast_package<V: Id, O: Id, M: Wire>(
         sub,
         frontier,
         packager,
-        PackagePolicy::legacy(),
+        PackagePolicy::default(),
         None,
         |_| 0,
         |a, _| a.clone(),
     )
 }
 
-/// [`broadcast_package`] with the wire-volume reduction layer. Suppression
-/// floors are keyed by the sender-local id; the enactor additionally folds
-/// *received* broadcast keys into the cache via [`SuppressState::observe`].
+/// [`broadcast_package`] under an explicit policy. Suppression floors are
+/// keyed by the sender-local id; the enactor additionally folds *received*
+/// broadcast keys into the cache via [`SuppressState::observe`].
 #[allow(clippy::too_many_arguments)]
 pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
+    dev: &mut Device,
+    sub: &SubGraph<V, O>,
+    frontier: &[V],
+    packager: impl FnMut(V) -> M,
+    policy: PackagePolicy,
+    suppress: Option<&mut SuppressState>,
+    key: impl Fn(&M) -> u64,
+    merge: impl Fn(&M, &M) -> M,
+) -> Result<Package<V, M>> {
+    let (vertices, msgs) =
+        broadcast_block(dev, sub, frontier, packager, policy, suppress, key, merge)?;
+    // broadcast ids live in the global space; the bitmap alternative spans
+    // that space
+    Ok(Package::encode(
+        vertices,
+        msgs,
+        policy.encoding,
+        Some(sub.n_vertices()),
+        policy.uniform_hint,
+    ))
+}
+
+/// The unencoded half of [`broadcast_package_with`]: the admitted frontier
+/// as `(global id, message)` arrays, canonical when the policy is monotone.
+/// One Split kernel over the frontier. The butterfly keeps this block to
+/// merge with the windows it receives before anything is encoded.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn broadcast_block<V: Id, O: Id, M: Wire>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
     frontier: &[V],
@@ -811,7 +733,7 @@ pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
     mut suppress: Option<&mut SuppressState>,
     key: impl Fn(&M) -> u64,
     merge: impl Fn(&M, &M) -> M,
-) -> Result<Package<V, M>> {
+) -> Result<(Vec<V>, Vec<M>)> {
     dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
         let per_vertex = (V::BYTES + M::BYTES) as u64;
         let mut vertices: Vec<V> = Vec::with_capacity(frontier.len());
@@ -826,21 +748,12 @@ pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
             vertices.push(sub.to_global(v));
             msgs.push(m);
         }
-        let (vertices, msgs) = if policy.monotone && policy.encoding != WireEncoding::Legacy {
+        let block = if policy.monotone {
             canonicalize_ordered(vertices, msgs, policy.order, &key, &merge)
         } else {
             (vertices, msgs)
         };
-        // broadcast ids live in the global space; the bitmap alternative
-        // spans that space
-        let pkg = Package::encode(
-            vertices,
-            msgs,
-            policy.encoding,
-            Some(sub.n_vertices()),
-            policy.uniform_hint,
-        );
-        (pkg, frontier.len() as u64)
+        (block, frontier.len() as u64)
     })
 }
 
@@ -872,7 +785,9 @@ mod tests {
         let (vs, ms) = p1.decode();
         assert_eq!(vs.as_ref(), &[3, 5], "dup-all wire ids are global ids");
         assert_eq!(ms.as_ref(), &[30, 50]);
-        assert_eq!(p1.wire_bytes(), 2 * 8);
+        // ascending ids, distinct payloads: tag + count + two 1-byte gaps + 2 × 4
+        assert_eq!(p1.encoding(), PackageEncoding::DeltaVarint);
+        assert_eq!(p1.wire_bytes(), 1 + 1 + 2 + 2 * 4);
         assert_eq!(dev.counters.c_items, 4, "split is communication computation");
     }
 
@@ -901,12 +816,10 @@ mod tests {
         // the caller's own frontier *is* the local part — nothing is copied
         let (vs, _) = pkg.decode();
         assert_eq!(vs.as_ref(), &[2, 5], "local 4 is global 5");
-        assert_eq!(
-            pkg.wire_bytes(),
-            1,
-            "unit messages are uniform: the 6-vertex bitmap (1 byte) beats the 8-byte list"
-        );
-        assert_eq!(pkg.encoding(), PackageEncoding::Bitmap);
+        // global id 5 lies outside the 5-vertex local space a 1-hop subgraph
+        // offers the bitmap, so Auto takes delta-varint: tag + count + 2 gaps
+        assert_eq!(pkg.encoding(), PackageEncoding::DeltaVarint);
+        assert_eq!(pkg.wire_bytes(), 4);
     }
 
     #[test]
@@ -940,7 +853,7 @@ mod tests {
         let mut dev = Device::new(0, HardwareProfile::k40());
         let mut scratch = SplitScratch::default();
         let mut supp = SuppressState::new(dg.parts[0].n_vertices());
-        let policy = PackagePolicy { monotone: true, ..PackagePolicy::legacy() };
+        let policy = PackagePolicy { monotone: true, ..PackagePolicy::default() };
         // first send of {3, 5} establishes the floor
         let (_, pkgs) = split_and_package_with(
             &mut dev,
@@ -993,7 +906,7 @@ mod tests {
         let dg = cycle6(Duplication::All);
         let mut dev = Device::new(0, HardwareProfile::k40());
         let mut supp = SuppressState::new(dg.parts[0].n_vertices());
-        let policy = PackagePolicy { monotone: true, ..PackagePolicy::legacy() };
+        let policy = PackagePolicy { monotone: true, ..PackagePolicy::default() };
         // a peer broadcast delivered key 5 for vertex 2 to everyone
         supp.observe(2, 5);
         let pkg = broadcast_package_with(
@@ -1045,39 +958,6 @@ mod encoding_tests {
     use super::*;
 
     #[test]
-    fn uniform_broadcast_payload_uses_bitmap_when_dense() {
-        // 1000 vertices of a 4096-vertex space, all carrying label 7:
-        // list = 1000×8 = 8000 B; bitmap = 4096/8 + 4 = 516 B
-        let vs: Vec<u32> = (0..1000).collect();
-        let ms = vec![7u32; 1000];
-        let pkg = Package::best_encoding(vs, ms, 4096);
-        assert_eq!(pkg.wire_bytes(), 516);
-        assert_eq!(pkg.encoding(), PackageEncoding::Bitmap);
-    }
-
-    #[test]
-    fn sparse_uniform_broadcast_keeps_list_encoding() {
-        // 3 vertices of a huge space: list wins
-        let pkg = Package::best_encoding(vec![1u32, 2, 3], vec![7u32; 3], 1 << 20);
-        assert_eq!(pkg.wire_bytes(), 3 * 8);
-        assert_eq!(pkg.encoding(), PackageEncoding::List);
-    }
-
-    #[test]
-    fn non_uniform_payload_cannot_use_bitmap() {
-        let vs: Vec<u32> = (0..1000).collect();
-        let ms: Vec<u32> = (0..1000).collect(); // distinct values
-        let pkg = Package::best_encoding(vs, ms, 4096);
-        assert_eq!(pkg.wire_bytes(), 1000 * 8);
-    }
-
-    #[test]
-    fn empty_uniform_package_is_free_under_list_encoding() {
-        let pkg = Package::<u32, u32>::best_encoding(vec![], vec![], 4096);
-        assert_eq!(pkg.wire_bytes(), 0);
-    }
-
-    #[test]
     fn varints_round_trip_across_widths() {
         for x in [0u64, 1, 127, 128, 300, 16383, 16384, u32::MAX as u64, u64::MAX] {
             let mut out = Vec::new();
@@ -1096,7 +976,7 @@ mod encoding_tests {
         assert_eq!(pkg.len(), vs.len());
         assert_eq!(
             pkg.wire_bytes(),
-            pkg.encoded_bytes().expect("materialized").len() as u64,
+            pkg.encoded_bytes().len() as u64,
             "wire_bytes is the true encoded size"
         );
     }

@@ -40,10 +40,10 @@ use vgpu::{
 
 use crate::alloc::{AllocScheme, FrontierBufs};
 use crate::comm::{
-    broadcast_package_with, canonicalize_ordered, split_and_package_with, CommStrategy,
-    CommTopology, Package, PackagePolicy, SuppressState, WireEncoding,
+    broadcast_block, broadcast_package_with, canonicalize_ordered, split_and_package_with,
+    CommStrategy, CommTopology, Package, PackagePolicy, SuppressState, WireEncoding,
 };
-use crate::executor::{assemble_report, post_package, Executor, ExecutorKind};
+use crate::executor::{assemble_report, post_package, receive_package, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog, PressurePolicy};
 use crate::problem::{MgpuProblem, Wire};
 use crate::report::{CommReduction, EnactReport, SuperstepTrace};
@@ -51,8 +51,9 @@ use crate::resilience::{
     guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
 };
 
-/// Per-enact configuration overrides.
-#[derive(Debug, Clone, Copy, Default)]
+/// Per-enact configuration overrides. The default wire is the measured-best
+/// one: `Auto` encoding with monotone suppression over the direct topology.
+#[derive(Debug, Clone, Copy)]
 pub struct EnactConfig {
     /// Override the primitive's allocation scheme (Fig. 3 sweeps this).
     pub alloc_scheme: Option<AllocScheme>,
@@ -72,17 +73,19 @@ pub struct EnactConfig {
     /// fully off: no admission estimate, no downgrades, no spill/chunking —
     /// every OOM propagates exactly as before.
     pub pressure: PressurePolicy,
-    /// Broadcast routing topology. The default `Direct` is the historical
+    /// Broadcast routing topology. The default `Direct` is the paper's
     /// n×(n−1) fan-out; `Butterfly` stages broadcast supersteps of monotone
-    /// primitives through a ⌈log₂ n⌉-stage dissemination exchange.
+    /// primitives through a ⌈log₂ n⌉-stage dissemination exchange, trading
+    /// `H·g` for `S·l`.
     pub comm_topology: CommTopology,
-    /// Wire-encoding policy for packages. The default `Legacy` keeps the
-    /// historical accounting-only behaviour bit-identical; other values
-    /// materialize real encoded bytes and charge their true size.
+    /// Wire-encoding policy for packages; every package is charged the
+    /// length of its encoded bytes. The default `Auto` picks the smallest
+    /// encoding per package.
     pub wire_encoding: WireEncoding,
-    /// Enable monotone send suppression (only effective when the primitive
+    /// Monotone send suppression (only effective when the primitive
     /// declares `monotone()`): provably dominated messages are dropped
-    /// before packaging. Off by default.
+    /// before packaging. On by default; forced `List` with this off is the
+    /// paper's `(id, label)` wire, the arm reductions are measured against.
     pub suppression: bool,
     /// Record a structured [`crate::trace::Trace`] of the run (every kernel,
     /// send/receive, barrier, retry, spill, collective stage and checkpoint
@@ -90,6 +93,23 @@ pub struct EnactConfig {
     /// when off: no allocation and no clock perturbation — `same_simulation`
     /// holds between traced and untraced runs.
     pub tracing: bool,
+}
+
+impl Default for EnactConfig {
+    fn default() -> Self {
+        EnactConfig {
+            alloc_scheme: None,
+            comm: None,
+            max_iterations: None,
+            kernel_threads: None,
+            recovery: RecoveryPolicy::default(),
+            pressure: PressurePolicy::default(),
+            comm_topology: CommTopology::Direct,
+            wire_encoding: WireEncoding::Auto,
+            suppression: true,
+            tracing: false,
+        }
+    }
 }
 
 /// The wire-volume knobs a device thread needs, extracted from the config.
@@ -507,7 +527,7 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
     let mut failed = false;
     let mut my_error: Option<VgpuError> = None;
 
-    // ---- wire-volume reduction setup (all inert under the defaults) ----
+    // ---- wire policy ----
     let monotone = problem.monotone();
     let order = problem.monotone_order();
     let pkg_policy = PackagePolicy {
@@ -628,7 +648,8 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
             // ---- combine received sub-frontiers (Fig. 1's bottom half) ----
             if !failed {
                 match guard(gpu, || {
-                    combine_received(problem, dev, per, sub, mailbox, comm_k, local_part, &mut supp)
+                    let arrived = mailbox.drain(gpu);
+                    combine_received(problem, dev, per, sub, comm_k, arrived, local_part, &mut supp)
                 }) {
                     Ok(v) => v,
                     Err(e) => {
@@ -803,25 +824,6 @@ fn restore_checkpoint<V: Id, O: Id, P: MgpuProblem<V, O>>(
         .collect())
 }
 
-/// Record a package arrival as an instant span on the communication stream
-/// (no clock effect — the arrival wait has already been applied).
-fn record_recv(dev: &mut Device, src: usize, wire_bytes: u64, items: u64) {
-    if dev.timeline.is_enabled() {
-        let at = dev.stream_time(COMM_STREAM);
-        dev.timeline.record(TraceEvent {
-            device: dev.id(),
-            stream: COMM_STREAM.0,
-            kind: TraceKind::Recv,
-            name: "recv",
-            start_us: at,
-            items,
-            bytes: wire_bytes,
-            peer: src as i64,
-            ..TraceEvent::default()
-        });
-    }
-}
-
 #[allow(clippy::too_many_arguments)]
 fn compute_and_send<V: Id, O: Id, P: MgpuProblem<V, O>>(
     problem: &P,
@@ -911,60 +913,62 @@ fn compute_and_send<V: Id, O: Id, P: MgpuProblem<V, O>>(
     Ok((local, output_len))
 }
 
+/// Combine `deliveries` into `next` in order, then commit the merged
+/// frontier.
 #[allow(clippy::too_many_arguments)]
 fn combine_received<V: Id, O: Id, P: MgpuProblem<V, O>>(
     problem: &P,
     dev: &mut Device,
     per: &mut PerGpu<V, P::State>,
     sub: &SubGraph<V, O>,
-    mailbox: &Mailbox<Arc<Package<V, P::Msg>>>,
     comm: CommStrategy,
-    local_part: Vec<V>,
+    deliveries: Stash<V, P::Msg>,
+    mut next: Vec<V>,
     supp: &mut Option<SuppressState>,
 ) -> Result<Vec<V>> {
-    let gpu = dev.id();
-    let mut next = local_part;
-    for delivery in mailbox.drain(gpu) {
-        dev.stream_wait(COMM_STREAM, delivery.arrival)?;
-        let src = delivery.src;
-        let pkg = delivery.payload;
-        dev.counters.h_bytes_recv += pkg.wire_bytes();
-        record_recv(dev, src, pkg.wire_bytes(), pkg.len() as u64);
-        let state = &mut per.state;
-        // accepted vertices append straight onto the merged frontier — the
-        // per-package `added` temporary is gone
-        let next_ref = &mut next;
-        let supp_ref = &mut *supp;
-        dev.kernel(COMM_STREAM, KernelKind::Combine, || {
-            let (vs, ms) = pkg.decode();
-            for (i, &wire) in vs.iter().enumerate() {
-                let v = match comm {
-                    CommStrategy::Selective => Some(wire),
-                    CommStrategy::Broadcast => sub.from_global(wire),
-                };
-                if let Some(v) = v {
-                    // everything arriving on a broadcast was delivered to
-                    // every peer — fold it into the suppression floor
-                    if comm == CommStrategy::Broadcast {
-                        if let Some(s) = supp_ref.as_mut() {
-                            s.observe(v.idx(), problem.suppression_key(&ms[i]));
-                        }
-                    }
-                    if problem.combine(state, v, &ms[i]) {
-                        next_ref.push(v);
-                    }
-                }
-            }
-            ((), pkg.len() as u64)
-        })?;
+    for delivery in deliveries {
+        receive_package(
+            problem,
+            dev,
+            sub,
+            &mut per.state,
+            comm,
+            supp.as_mut(),
+            delivery,
+            &mut next,
+        )?;
     }
-    // Make the merged frontier resident under the allocation scheme and let
-    // the next iteration's compute wait for combine completion.
-    per.bufs.commit_output(dev, &next)?;
-    let done = dev.record_event(COMM_STREAM);
-    dev.stream_wait(COMPUTE_STREAM, done)?;
+    commit_frontier(dev, per, &next)?;
     Ok(next)
 }
+
+/// Make the merged frontier resident under the allocation scheme and let
+/// the next iteration's compute wait for combine completion.
+fn commit_frontier<V: Id, S>(dev: &mut Device, per: &mut PerGpu<V, S>, next: &[V]) -> Result<()> {
+    per.bufs.commit_output(dev, next)?;
+    let done = dev.record_event(COMM_STREAM);
+    dev.stream_wait(COMPUTE_STREAM, done)
+}
+
+/// Mark a butterfly stage (or its fallback) on the compute stream.
+fn record_stage(dev: &mut Device, name: &'static str, items: u64, peer: i64) {
+    if dev.timeline.is_enabled() {
+        let at = dev.stream_time(COMPUTE_STREAM);
+        dev.timeline.record(TraceEvent {
+            device: dev.id(),
+            stream: COMPUTE_STREAM.0,
+            kind: TraceKind::Stage,
+            name,
+            start_us: at,
+            items,
+            peer,
+            ..TraceEvent::default()
+        });
+    }
+}
+
+/// Delivered packages a device has drained but not yet combined.
+type Stash<V, M> = Vec<Delivery<Arc<Package<V, M>>>>;
 
 /// One butterfly (dissemination) superstep for a broadcast-comm monotone
 /// primitive: compute, then ⌈log₂ n⌉ exchange stages, each sending the
@@ -984,9 +988,6 @@ fn combine_received<V: Id, O: Id, P: MgpuProblem<V, O>>(
 /// exactly), which is precisely the window the receiver is missing —
 /// redundant blocks from the final-stage round-up are rejected by the
 /// monotone combiner.
-/// Undelivered stage packages a device is holding between butterfly stages.
-type Stash<V, M> = Vec<Delivery<Arc<Package<V, M>>>>;
-
 #[allow(clippy::too_many_arguments)]
 fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
     problem: &P,
@@ -1015,30 +1016,16 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
         match guard(gpu, || {
             let output = problem.iteration(dev, sub, &mut per.state, &mut per.bufs, input, iter)?;
             let state = &per.state;
-            let supp_ref = &mut *supp;
-            let own = dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
-                let per_vertex = (V::BYTES + <P::Msg as Wire>::BYTES) as u64;
-                let mut vs: Vec<V> = Vec::with_capacity(output.len());
-                let mut ms: Vec<P::Msg> = Vec::with_capacity(output.len());
-                for &v in &output {
-                    let m = problem.package(state, v);
-                    if let Some(s) = supp_ref.as_mut() {
-                        if !s.admit(v.idx(), problem.suppression_key(&m), per_vertex) {
-                            continue;
-                        }
-                    }
-                    vs.push(sub.to_global(v));
-                    ms.push(m);
-                }
-                let canon = canonicalize_ordered(
-                    vs,
-                    ms,
-                    pkg_policy.order,
-                    &|m| problem.suppression_key(m),
-                    &|a, b| problem.merge_msgs(a, b),
-                );
-                (canon, output.len() as u64)
-            })?;
+            let own = broadcast_block(
+                dev,
+                sub,
+                &output,
+                |v| problem.package(state, v),
+                pkg_policy,
+                supp.as_mut(),
+                |m| problem.suppression_key(m),
+                |a, b| problem.merge_msgs(a, b),
+            )?;
             Ok((output, own))
         }) {
             Ok((output, own)) => {
@@ -1108,19 +1095,7 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
                     (pkg, total as u64)
                 })?;
                 stats.collective_stages += 1;
-                if dev.timeline.is_enabled() {
-                    let at = dev.stream_time(COMPUTE_STREAM);
-                    dev.timeline.record(TraceEvent {
-                        device: dev.id(),
-                        stream: COMPUTE_STREAM.0,
-                        kind: TraceKind::Stage,
-                        name: "butterfly-stage",
-                        start_us: at,
-                        items: merged.len() as u64,
-                        peer: dst as i64,
-                        ..TraceEvent::default()
-                    });
-                }
+                record_stage(dev, "butterfly-stage", merged.len() as u64, dst as i64);
                 // Empty stage packages are elided: the stage barrier below
                 // guarantees every posted send is drained by its receiver,
                 // so a missing delivery deterministically means an empty
@@ -1184,27 +1159,16 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
         let (rvs, rms) = match got {
             Some(delivery) if !*failed => {
                 match guard(gpu, || {
-                    dev.stream_wait(COMM_STREAM, delivery.arrival)?;
-                    let pkg = delivery.payload;
-                    dev.counters.h_bytes_recv += pkg.wire_bytes();
-                    record_recv(dev, src, pkg.wire_bytes(), pkg.len() as u64);
-                    let state = &mut per.state;
-                    let next_ref = &mut next;
-                    let supp_ref = &mut *supp;
-                    let decoded = dev.kernel(COMM_STREAM, KernelKind::Combine, || {
-                        let (vs, ms) = pkg.decode();
-                        for (i, &wire) in vs.iter().enumerate() {
-                            if let Some(v) = sub.from_global(wire) {
-                                if let Some(s) = supp_ref.as_mut() {
-                                    s.observe(v.idx(), problem.suppression_key(&ms[i]));
-                                }
-                                if problem.combine(state, v, &ms[i]) {
-                                    next_ref.push(v);
-                                }
-                            }
-                        }
-                        ((vs.into_owned(), ms.into_owned()), pkg.len() as u64)
-                    })?;
+                    let decoded = receive_package(
+                        problem,
+                        dev,
+                        sub,
+                        &mut per.state,
+                        CommStrategy::Broadcast,
+                        supp.as_mut(),
+                        delivery,
+                        &mut next,
+                    )?;
                     // the next stage's merge (compute stream) forwards what
                     // this combine decoded
                     let done = dev.record_event(COMM_STREAM);
@@ -1230,11 +1194,7 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
     if *failed {
         return Vec::new();
     }
-    if let Err(e) = guard(gpu, || {
-        per.bufs.commit_output(dev, &next)?;
-        let done = dev.record_event(COMM_STREAM);
-        dev.stream_wait(COMPUTE_STREAM, done)
-    }) {
+    if let Err(e) = guard(gpu, || commit_frontier(dev, per, &next)) {
         my_error.get_or_insert(e);
         *failed = true;
         return Vec::new();
@@ -1269,7 +1229,7 @@ fn butterfly_fallback<V: Id, O: Id, P: MgpuProblem<V, O>>(
     stats: &mut CommReduction,
     own: &(usize, Vec<V>, Vec<P::Msg>),
     mut stash: Stash<V, P::Msg>,
-    mut next: Vec<V>,
+    next: Vec<V>,
     failed: &mut bool,
     my_error: &mut Option<VgpuError>,
 ) -> Vec<V> {
@@ -1290,18 +1250,7 @@ fn butterfly_fallback<V: Id, O: Id, P: MgpuProblem<V, O>>(
                 );
                 (pkg, items)
             })?;
-            if dev.timeline.is_enabled() {
-                let at = dev.stream_time(COMPUTE_STREAM);
-                dev.timeline.record(TraceEvent {
-                    device: dev.id(),
-                    stream: COMPUTE_STREAM.0,
-                    kind: TraceKind::Stage,
-                    name: "butterfly-fallback",
-                    start_us: at,
-                    items: pkg.len() as u64,
-                    ..TraceEvent::default()
-                });
-            }
+            record_stage(dev, "butterfly-fallback", pkg.len() as u64, -1);
             // empty own blocks are elided exactly as empty stage windows are
             if pkg.is_empty() {
                 return Ok(());
@@ -1335,47 +1284,14 @@ fn butterfly_fallback<V: Id, O: Id, P: MgpuProblem<V, O>>(
         return Vec::new();
     }
     stash.sort_by_key(|d| d.src);
-    for delivery in stash {
-        if let Err(e) = guard(gpu, || {
-            dev.stream_wait(COMM_STREAM, delivery.arrival)?;
-            let src = delivery.src;
-            let pkg = delivery.payload;
-            dev.counters.h_bytes_recv += pkg.wire_bytes();
-            record_recv(dev, src, pkg.wire_bytes(), pkg.len() as u64);
-            let state = &mut per.state;
-            let next_ref = &mut next;
-            let supp_ref = &mut *supp;
-            dev.kernel(COMM_STREAM, KernelKind::Combine, || {
-                let (vs, ms) = pkg.decode();
-                for (i, &wire) in vs.iter().enumerate() {
-                    if let Some(v) = sub.from_global(wire) {
-                        if let Some(s) = supp_ref.as_mut() {
-                            s.observe(v.idx(), problem.suppression_key(&ms[i]));
-                        }
-                        if problem.combine(state, v, &ms[i]) {
-                            next_ref.push(v);
-                        }
-                    }
-                }
-                ((), pkg.len() as u64)
-            })?;
-            Ok(())
-        }) {
+    match guard(gpu, || {
+        combine_received(problem, dev, per, sub, CommStrategy::Broadcast, stash, next, supp)
+    }) {
+        Ok(next) => next,
+        Err(e) => {
             my_error.get_or_insert(e);
             *failed = true;
-            return Vec::new();
+            Vec::new()
         }
     }
-
-    // ---- commit the merged frontier, as the stage path does ----
-    if let Err(e) = guard(gpu, || {
-        per.bufs.commit_output(dev, &next)?;
-        let done = dev.record_event(COMM_STREAM);
-        dev.stream_wait(COMPUTE_STREAM, done)
-    }) {
-        my_error.get_or_insert(e);
-        *failed = true;
-        return Vec::new();
-    }
-    next
 }

@@ -329,3 +329,64 @@ mod tests {
         assert_round_trip((1u32, (2u32, 9.0f64)));
     }
 }
+
+/// A problem small enough to drive the executors by hand in unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Min-label problem: one label per local vertex, strict-min combine.
+    pub(crate) struct MinLabel;
+    impl MgpuProblem<u32, u64> for MinLabel {
+        type State = Vec<u32>;
+        type Msg = u32;
+        fn name(&self) -> &'static str {
+            "min-label"
+        }
+        fn duplication(&self) -> Duplication {
+            Duplication::OneHop
+        }
+        fn comm(&self) -> CommStrategy {
+            CommStrategy::Selective
+        }
+        fn init(&self, _: &mut Device, sub: &SubGraph<u32, u64>) -> Result<Vec<u32>> {
+            Ok(vec![u32::MAX; sub.n_vertices()])
+        }
+        fn reset(
+            &self,
+            _: &mut Device,
+            _: &SubGraph<u32, u64>,
+            _: &mut Vec<u32>,
+            _: Option<u32>,
+        ) -> Result<Vec<u32>> {
+            Ok(vec![])
+        }
+        fn iteration(
+            &self,
+            _: &mut Device,
+            _: &SubGraph<u32, u64>,
+            _: &mut Vec<u32>,
+            _: &mut FrontierBufs<u32>,
+            _: &[u32],
+            _: usize,
+        ) -> Result<Vec<u32>> {
+            Ok(vec![])
+        }
+        fn package(&self, state: &Vec<u32>, v: u32) -> u32 {
+            state[v as usize]
+        }
+        fn combine(&self, state: &mut Vec<u32>, v: u32, msg: &u32) -> bool {
+            let better = *msg < state[v as usize];
+            if better {
+                state[v as usize] = *msg;
+            }
+            better
+        }
+        fn monotone(&self) -> bool {
+            true
+        }
+        fn suppression_key(&self, msg: &u32) -> u64 {
+            u64::from(*msg)
+        }
+    }
+}

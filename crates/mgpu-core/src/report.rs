@@ -17,16 +17,12 @@ pub struct SuperstepTrace {
     pub sent: u64,
     /// Vertices accepted by combiners into the next input frontier.
     pub combined: u64,
-    /// Vertices dropped by monotone send suppression before packaging
-    /// (zero under the default configuration).
+    /// Vertices dropped by monotone send suppression before packaging.
     pub suppressed: u64,
 }
 
-/// Wire-volume reduction accounting, summed over devices: what the
-/// suppression cache, the real encodings, and the butterfly collective did
-/// during the enact. All zeros under the default configuration except the
-/// encoding histogram, which also classifies legacy accounting (list vs
-/// bitmap bound) so the default wire mix is visible.
+/// Wire accounting, summed over devices: what the suppression cache, the
+/// encodings, and the butterfly collective did during the enact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommReduction {
     /// Vertices dropped before packaging because their key could not
@@ -34,9 +30,9 @@ pub struct CommReduction {
     pub suppressed_vertices: u64,
     /// Wire bytes those vertices would have cost under list accounting.
     pub suppressed_bytes: u64,
-    /// Packages that went out list-encoded (or list-accounted).
+    /// Packages that went out list-encoded.
     pub enc_list: u64,
-    /// Packages that went out bitmap-encoded (or bitmap-accounted).
+    /// Packages that went out bitmap-encoded.
     pub enc_bitmap: u64,
     /// Packages that went out delta-varint-encoded.
     pub enc_delta: u64,

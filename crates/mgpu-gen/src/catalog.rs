@@ -182,7 +182,8 @@ impl Dataset {
     }
 
     /// Generate the raw (directed) analog edge list, scaled down by
-    /// `2^shift` vertices.
+    /// `2^shift` vertices. Every `shift` is valid: past the width of the
+    /// vertex count the analog bottoms out at its smallest graph.
     pub fn generate(&self, shift: u32, seed: u64) -> Coo<u32> {
         match self.kind {
             Kind::Rmat { scale, edge_factor, merrill } => {
@@ -191,15 +192,15 @@ impl Dataset {
                 rmat(s, edge_factor, p, seed)
             }
             Kind::Soc { vertices, m } => {
-                let v = (vertices >> shift).max(16);
+                let v = vertices.checked_shr(shift).unwrap_or(0).max(16);
                 preferential_attachment(v, m, seed)
             }
             Kind::Web { vertices, m } => {
-                let v = (vertices >> shift).max(16);
+                let v = vertices.checked_shr(shift).unwrap_or(0).max(16);
                 web_crawl(v, m, seed)
             }
             Kind::Road { side } => {
-                let s = (side >> (shift / 2)).max(4);
+                let s = side.checked_shr(shift / 2).unwrap_or(0).max(4);
                 grid2d(s, s, 0.95, seed)
             }
         }
@@ -245,6 +246,18 @@ mod tests {
         let coo = ds.generate(8, 1);
         assert_eq!(coo.n_vertices, 1 << 12);
         assert_eq!(coo.n_edges(), 512 << 12);
+    }
+
+    #[test]
+    fn a_shift_past_the_word_width_yields_the_smallest_graph() {
+        for ds in TABLE2.iter().chain(COMPARISON) {
+            let smallest = ds.generate(63, 1);
+            for shift in [64, 130, u32::MAX] {
+                let coo = ds.generate(shift, 1);
+                assert_eq!(coo.n_vertices, smallest.n_vertices, "{} at shift {shift}", ds.name);
+                assert_eq!(coo.edges, smallest.edges, "{} at shift {shift}", ds.name);
+            }
+        }
     }
 
     #[test]

@@ -276,7 +276,17 @@ mod tests {
     #[test]
     fn counters_match_table1_orders() {
         let g = ladder();
-        let (_, report) = run_bfs(&g, 2, false, 0);
+        let dist =
+            DistGraph::build(&g, (0..16).map(|v| (v % 2) as u32).collect(), 2, Duplication::All);
+        let system = SimSystem::homogeneous(2, HardwareProfile::k40());
+        // the paper's wire: forced list, nothing suppressed
+        let config = EnactConfig {
+            wire_encoding: mgpu_core::WireEncoding::List,
+            suppression: false,
+            ..Default::default()
+        };
+        let mut runner = Runner::new(system, &dist, Bfs::default(), config).unwrap();
+        let report = runner.enact(Some(0u32)).unwrap();
         let t = &report.totals;
         // W ∈ O(|E_i|) summed over GPUs ≈ |E| (every edge expanded once,
         // plus load-balancing scan items)
@@ -284,8 +294,8 @@ mod tests {
         assert!(t.w_items as usize <= 4 * g.n_edges() + 16 * report.iterations);
         // H counted in vertices is bounded by border size × iterations
         assert!(t.h_vertices > 0);
-        // wire bytes = vertices × (id + label)
-        assert_eq!(t.h_bytes_sent, t.h_vertices * 8);
+        // wire bytes = one tag per package + vertices × (id + label)
+        assert_eq!(t.h_bytes_sent, t.h_messages + t.h_vertices * 8);
     }
 
     #[test]

@@ -157,10 +157,19 @@ mod tests {
     use vgpu::{HardwareProfile, SimSystem};
 
     fn run(g: &Csr<u32, u64>, n: usize, src: u32) -> (Vec<(u32, u32)>, mgpu_core::EnactReport) {
+        run_with(g, n, src, EnactConfig::default())
+    }
+
+    fn run_with(
+        g: &Csr<u32, u64>,
+        n: usize,
+        src: u32,
+        config: EnactConfig,
+    ) -> (Vec<(u32, u32)>, mgpu_core::EnactReport) {
         let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n) as u32).collect();
         let dist = DistGraph::build(g, owner, n, Duplication::All);
         let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
-        let mut runner = Runner::new(sys, &dist, BfsPred, EnactConfig::default()).unwrap();
+        let mut runner = Runner::new(sys, &dist, BfsPred, config).unwrap();
         let report = runner.enact(Some(src)).unwrap();
         (gather_tree(&runner, &dist), report)
     }
@@ -188,9 +197,16 @@ mod tests {
     #[test]
     fn predecessor_wire_format_doubles_vertex_payload() {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(120, 600, 78));
-        let (_, with_pred) = run(&g, 3, 0);
-        // plain BFS: 8 bytes/vertex (id + label); with preds: 12
-        assert_eq!(with_pred.totals.h_bytes_sent, with_pred.totals.h_vertices * 12);
+        let paper_wire = EnactConfig {
+            wire_encoding: mgpu_core::WireEncoding::List,
+            suppression: false,
+            ..EnactConfig::default()
+        };
+        let (_, with_pred) = run_with(&g, 3, 0, paper_wire);
+        // list encoding, plain BFS: 8 bytes/vertex (id + label); with preds:
+        // 12, plus one tag byte per package
+        let t = &with_pred.totals;
+        assert_eq!(t.h_bytes_sent, t.h_messages + t.h_vertices * 12);
     }
 
     #[test]

@@ -441,7 +441,7 @@ mod tests {
             sources.iter().map(|&s| crate::reference::bfs(&g, s as u32)).collect();
         for n_gpus in [2usize, 4, 8] {
             for topo in [CommTopology::Direct, CommTopology::Butterfly] {
-                for enc in [WireEncoding::Legacy, WireEncoding::Auto, WireEncoding::Bitmap] {
+                for enc in [WireEncoding::Auto, WireEncoding::Bitmap] {
                     let mut reports: Vec<EnactReport> = Vec::new();
                     for threads in [1usize, 4] {
                         let config = EnactConfig {
@@ -569,10 +569,16 @@ mod tests {
     #[test]
     fn wire_bytes_price_the_eight_byte_payload() {
         let g = ladder();
-        let (_, report) = run_ms_bfs(&g, 2, vec![0, 15], EnactConfig::default());
+        let paper_wire = EnactConfig {
+            wire_encoding: mgpu_core::WireEncoding::List,
+            suppression: false,
+            ..EnactConfig::default()
+        };
+        let (_, report) = run_ms_bfs(&g, 2, vec![0, 15], paper_wire);
         let t = &report.totals;
         assert!(t.h_vertices > 0, "cut edges force communication");
-        // legacy accounting: id (4) + bitfield payload (8) per vertex
-        assert_eq!(t.h_bytes_sent, t.h_vertices * 12);
+        // list encoding: id (4) + bitfield payload (8) per vertex, one tag
+        // byte per package
+        assert_eq!(t.h_bytes_sent, t.h_messages + t.h_vertices * 12);
     }
 }

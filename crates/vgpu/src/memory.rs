@@ -60,7 +60,8 @@ impl MemoryPool {
         // CAS loop so concurrent allocations cannot jointly exceed capacity.
         let mut cur = inner.live.load(Relaxed);
         loop {
-            let new = cur + bytes;
+            // saturating: a request no pool can hold is refused, not wrapped
+            let new = cur.saturating_add(bytes);
             if new > inner.capacity {
                 return Err(VgpuError::OutOfMemory {
                     device: inner.device,
@@ -132,8 +133,7 @@ impl MemoryPool {
 
     /// Allocate a zero-initialized array of `len` elements.
     pub fn alloc<T: Default + Clone>(&self, len: usize) -> Result<DeviceArray<T>> {
-        let bytes = (len * std::mem::size_of::<T>()) as u64;
-        self.reserve(bytes)?;
+        self.reserve(bytes_of::<T>(len))?;
         self.inner.allocs.fetch_add(1, Relaxed);
         Ok(DeviceArray { data: vec![T::default(); len], cap: len, pool: self.clone() })
     }
@@ -152,6 +152,13 @@ impl MemoryPool {
         a.data.extend_from_slice(src);
         Ok(a)
     }
+}
+
+/// `len` elements of `T` in bytes, saturating — so an absurd element count
+/// fails [`MemoryPool::reserve`] with a typed out-of-memory error before any
+/// host allocation is attempted.
+fn bytes_of<T>(len: usize) -> u64 {
+    (len as u64).saturating_mul(std::mem::size_of::<T>() as u64)
 }
 
 /// An accounting-only reservation: charges the pool for `bytes` without
@@ -232,8 +239,7 @@ impl<T: Default + Clone> DeviceArray<T> {
             return Ok(0);
         }
         let elem = std::mem::size_of::<T>();
-        let extra = ((need - self.cap) * elem) as u64;
-        self.pool.reserve(extra)?;
+        self.pool.reserve(bytes_of::<T>(need - self.cap))?;
         self.pool.inner.reallocs.fetch_add(1, Relaxed);
         let copied = (self.data.len() * elem) as u64;
         self.pool.inner.realloc_copied.fetch_add(copied, Relaxed);
@@ -333,6 +339,18 @@ impl<T> std::ops::IndexMut<usize> for DeviceArray<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn element_counts_whose_byte_size_overflows_are_refused_typed() {
+        let pool = MemoryPool::new(0, 1 << 20);
+        for len in [usize::MAX, usize::MAX / 4 + 2] {
+            assert!(matches!(pool.alloc::<u32>(len), Err(VgpuError::OutOfMemory { .. })));
+        }
+        let mut a = pool.alloc::<u32>(10).unwrap();
+        assert!(matches!(a.ensure_capacity(usize::MAX), Err(VgpuError::OutOfMemory { .. })));
+        assert_eq!(a.capacity(), 10, "a refused growth leaves the array as it was");
+        assert_eq!(pool.live(), 40);
+    }
 
     #[test]
     fn alloc_and_drop_balance() {

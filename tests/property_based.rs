@@ -330,6 +330,13 @@ fn mgpu_cc_equals_union_find_on_arbitrary_graphs() {
 
 #[test]
 fn bsp_counters_are_conserved() {
+    use mgpu_graph_analytics::core::WireEncoding;
+    // the paper's wire: forced list, nothing suppressed
+    let paper_wire = EnactConfig {
+        wire_encoding: WireEncoding::List,
+        suppression: false,
+        ..EnactConfig::default()
+    };
     let mut rng = ChaCha8Rng::seed_from_u64(0xA18);
     for _ in 0..CASES {
         let (n, edges, weights) = arb_graph(&mut rng);
@@ -337,33 +344,35 @@ fn bsp_counters_are_conserved() {
         let seed = rng.gen_range(0u64..1000);
         let g = build(n, &edges, &weights);
         let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
-        let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-        let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
-        let report = runner.enact(Some(0u32)).unwrap();
-        // what is sent is received
-        assert_eq!(report.totals.h_bytes_sent, report.totals.h_bytes_recv);
-        // wire format: every transmitted vertex costs id + label
-        assert_eq!(report.totals.h_bytes_sent, report.totals.h_vertices * 8);
-        // simulated time is monotone and includes the sync overhead
-        assert!(report.sim_time_us >= report.iterations as f64);
+        for cfg in [EnactConfig::default(), paper_wire] {
+            let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+            let mut runner = Runner::new(sys, &dist, Bfs::default(), cfg).unwrap();
+            let report = runner.enact(Some(0u32)).unwrap();
+            // what is sent is received
+            assert_eq!(report.totals.h_bytes_sent, report.totals.h_bytes_recv);
+            // simulated time is monotone and includes the sync overhead
+            assert!(report.sim_time_us >= report.iterations as f64);
+            if cfg.wire_encoding == WireEncoding::List {
+                // wire format: one tag byte per package, id + label per vertex
+                assert_eq!(
+                    report.totals.h_bytes_sent,
+                    report.totals.h_messages + report.totals.h_vertices * 8
+                );
+            }
+        }
     }
 }
 
 /// Every wire encoding round-trips every id distribution — empty packages,
-/// a single vertex, duplicates, unsorted ids, uniform and distinct payloads,
-/// and multi-field tuple payloads. Forced encodings that are ineligible for
-/// a distribution (bitmap without uniformity, delta without sorted ids) must
-/// fall back rather than corrupt.
+/// a single vertex, the last id of the space, duplicates, unsorted ids,
+/// uniform and distinct payloads, and multi-field tuple payloads. Forced
+/// encodings that are ineligible for a distribution (bitmap without
+/// uniformity, delta without sorted ids) must fall back rather than corrupt.
 #[test]
 fn every_package_encoding_round_trips_arbitrary_distributions() {
     use mgpu_graph_analytics::core::{Package, WireEncoding};
-    const ENCODINGS: [WireEncoding; 5] = [
-        WireEncoding::Legacy,
-        WireEncoding::Auto,
-        WireEncoding::List,
-        WireEncoding::Bitmap,
-        WireEncoding::DeltaVarint,
-    ];
+    const ENCODINGS: [WireEncoding; 4] =
+        [WireEncoding::Auto, WireEncoding::List, WireEncoding::Bitmap, WireEncoding::DeltaVarint];
     let mut rng = ChaCha8Rng::seed_from_u64(0xA19);
     for case in 0..CASES * 4 {
         let space = rng.gen_range(1usize..400);
@@ -373,6 +382,12 @@ fn every_package_encoding_round_trips_arbitrary_distributions() {
             _ => rng.gen_range(0..=space.min(64)),
         };
         let mut ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..space as u32)).collect();
+        if case % 2 == 1 {
+            // the last id of the space: the bitmap's final bit
+            if let Some(first) = ids.first_mut() {
+                *first = space as u32 - 1;
+            }
+        }
         match case % 3 {
             0 => {
                 // sorted + deduplicated (the canonical monotone shape)
@@ -401,7 +416,8 @@ fn every_package_encoding_round_trips_arbitrary_distributions() {
                 assert_eq!(vs.as_ref(), &ids[..], "{enc:?} ids, case {case}, space {space_arg:?}");
                 assert_eq!(ms.as_ref(), &labels[..], "{enc:?} msgs, case {case}");
                 assert_eq!(p.len(), n, "{enc:?} len, case {case}");
-                assert!(p.wire_bytes() > 0 || n == 0, "{enc:?} must charge bytes, case {case}");
+                assert_eq!(p.wire_bytes(), p.encoded_bytes().len() as u64, "{enc:?}, case {case}");
+                assert!(p.wire_bytes() > 0, "{enc:?}: even an empty package is a tag, case {case}");
 
                 let p = Package::encode(ids.clone(), pairs.clone(), enc, space_arg, None);
                 let (vs, ms) = p.decode();

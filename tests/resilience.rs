@@ -226,6 +226,41 @@ fn checkpoints_bound_the_recomputation_after_a_late_loss() {
 }
 
 #[test]
+fn the_default_wire_recovers_from_a_lost_device_to_the_reference() {
+    // Suppression is on by default: floors a device built before the loss
+    // must not survive into the restarted attempt, or a resumed sender would
+    // hold back keys its re-homed peers never received.
+    let g = weighted_graph();
+    let config = EnactConfig { recovery: RecoveryPolicy::resilient(), ..EnactConfig::default() };
+    assert!(config.suppression, "the default config is the one under test");
+    let bfs_expect = reference::bfs(&g, 0u32);
+    let sssp_expect = reference::sssp(&g, 0u32);
+    let run_sssp = |n: usize, spec: &str| {
+        ResilientRunner::homogeneous(&g, Sssp, n, HardwareProfile::k40(), config)
+            .with_fault_plan(FaultPlan::parse(spec).unwrap())
+            .enact_with(Some(0u32), gather_dists)
+            .unwrap()
+    };
+    for n in [2usize, 4] {
+        let (report, labels) =
+            ResilientRunner::homogeneous(&g, Bfs::default(), n, HardwareProfile::k40(), config)
+                .with_fault_plan(FaultPlan::parse("lose:0@5").unwrap())
+                .enact_with(Some(0u32), gather_labels)
+                .unwrap();
+        assert_eq!(labels, bfs_expect, "BFS, {n} GPUs");
+        assert_eq!(report.recovery.lost_devices, vec![0], "BFS, {n} GPUs");
+
+        // an early loss restarts from scratch, a late one from a checkpoint
+        let (report, dists) = run_sssp(n, "lose:0@5");
+        assert_eq!(dists, sssp_expect, "SSSP, {n} GPUs, early loss");
+        assert_eq!(report.recovery.lost_devices, vec![0], "SSSP, {n} GPUs, early loss");
+        let (report, dists) = run_sssp(n, "lose:0@30");
+        assert_eq!(dists, sssp_expect, "SSSP, {n} GPUs, late loss");
+        assert!(report.recovery.resumed_at.is_some(), "SSSP, {n} GPUs: resumes a checkpoint");
+    }
+}
+
+#[test]
 fn straggling_devices_are_detected_and_evicted_on_timeout() {
     let g = graph();
     let expect = reference::bfs(&g, 0u32);
