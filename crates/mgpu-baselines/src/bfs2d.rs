@@ -179,6 +179,7 @@ impl Bfs2d {
             iterations,
             sim_time_us: system.makespan_us(),
             wall_time_us: t0.elapsed().as_secs_f64() * 1e6,
+            host_sync: Default::default(),
             totals: system.total_counters(),
             per_device: system.devices.iter().map(|d| d.counters).collect(),
             peak_memory_per_device: system.peak_memory_per_device(),

@@ -265,6 +265,28 @@ fn load_graph(
     Ok((graph, BuildWall { input_edges: coo.n_edges(), us }))
 }
 
+/// The one host-wall line of `--profile`: were the device threads waiting at
+/// the rendezvous, or working?
+fn host_sync_line(r: &mgpu_core::EnactReport) -> String {
+    let ms = |ns: u64| ns as f64 / 1e6;
+    let t = r.host_sync.total();
+    let per_device: Vec<String> = r
+        .host_sync
+        .per_device
+        .iter()
+        .enumerate()
+        .map(|(d, s)| format!("dev{d} {:.1}", ms(s.wait_wall_ns)))
+        .collect();
+    format!(
+        "host sync: {} rendezvous, {} parked, device threads waited {:.1} ms in all over {:.1} ms wall ({})",
+        t.rendezvous,
+        t.parked,
+        ms(t.wait_wall_ns),
+        r.wall_time_us / 1e3,
+        per_device.join(" / ")
+    )
+}
+
 /// The one ingest line of the human output: where the host time before the
 /// bind went, and how fast the builder took the input in.
 fn print_ingest(built: &BuildWall, ingest: &IngestWall) {
@@ -597,6 +619,7 @@ fn run(args: &[String]) -> ExitCode {
         }
         if a.bsp_profile {
             print!("{}", profile.format_table());
+            println!("{}", host_sync_line(&outcome.report));
         }
     }
 

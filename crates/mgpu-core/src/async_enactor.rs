@@ -40,7 +40,7 @@ use crate::comm::{
 use crate::enactor::EnactConfig;
 use crate::executor::{assemble_report, post_package, receive_package, Executor, ExecutorKind};
 use crate::problem::MgpuProblem;
-use crate::report::{CommReduction, EnactReport};
+use crate::report::{CommReduction, EnactReport, HostSync};
 use crate::resilience::{guard, RecoveryCounters, RecoveryLog, RecoveryPolicy};
 
 /// An asynchronous runner for label-correcting primitives.
@@ -232,7 +232,8 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> AsyncRunner<'g, V, O, P> {
             n,
             max_rounds,
             wall_time_us,
-            Vec::new(), // async mode has no superstep structure
+            HostSync::default(), // no rendezvous: termination is detected, not voted
+            Vec::new(),          // async mode has no superstep structure
             recovery,
             governor,
             comm_acc,

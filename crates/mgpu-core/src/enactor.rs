@@ -24,7 +24,11 @@
 //! deadlocks; its failure travels through the superstep reduction
 //! (`Contribution::aborting` → `GlobalReduce::abort_count`), so every device
 //! makes the identical exit decision at the identical superstep and the
-//! enact call returns the deterministic root-cause error.
+//! enact call returns the deterministic root-cause error. A thread that
+//! cannot keep attending — it unwinds outside `resilience::guard`, or it
+//! lost the strategy that fixes the superstep's rendezvous schedule —
+//! poisons the `SyncPoint` instead, which releases its peers with
+//! `abort_count ≥ 1` at whatever rendezvous they are in.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -46,7 +50,7 @@ use crate::comm::{
 use crate::executor::{assemble_report, post_package, receive_package, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog, PressurePolicy};
 use crate::problem::{MgpuProblem, Wire};
-use crate::report::{CommReduction, EnactReport, SuperstepTrace};
+use crate::report::{CommReduction, EnactReport, HostSync, SuperstepTrace};
 use crate::resilience::{
     guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
 };
@@ -441,6 +445,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             n,
             iters,
             wall_time_us,
+            HostSync { per_device: sync.host_stats() },
             history,
             log.clone(),
             governor,
@@ -524,6 +529,9 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
 ) -> Result<(usize, Vec<SuperstepTrace>, CommReduction)> {
     let n = sync.n();
     let gpu = dev.id();
+    // Whatever unwinds past this frame (anything outside `guard`) would
+    // leave the peers waiting for an arrival that never comes.
+    let _release_peers = PoisonOnUnwind(sync);
     let mut failed = false;
     let mut my_error: Option<VgpuError> = None;
 
@@ -580,7 +588,19 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
         let supp_before = supp.as_ref().map_or(0, |s| s.suppressed_vertices);
         // Strategy for this superstep: identical on every GPU because state
         // phases evolve from the shared reduction.
-        let comm_k = comm.unwrap_or_else(|| problem.comm_now(&per.state));
+        let comm_k = match comm {
+            Some(c) => c,
+            None => match guard(gpu, || Ok(problem.comm_now(&per.state))) {
+                Ok(c) => c,
+                // Without the strategy this device does not know how many
+                // rendezvous the superstep has (one, or a butterfly's
+                // stages), so it cannot keep attending them.
+                Err(e) => {
+                    sync.poison();
+                    return Err(e);
+                }
+            },
+        };
         // The butterfly engages only for broadcast supersteps of monotone
         // primitives — a uniform decision (comm_k and the knobs are
         // identical everywhere), so per-superstep barrier counts stay
@@ -643,7 +663,7 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
             };
 
             // ---- rendezvous: every peer's pushes are posted ----
-            sync.barrier(dev.now(), false);
+            sync.rendezvous(gpu);
 
             // ---- combine received sub-frontiers (Fig. 1's bottom half) ----
             if !failed {
@@ -700,7 +720,7 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
             }
         };
         let my_time = dev.now();
-        let reduce = sync.superstep(my_time, locally_done, contribution);
+        let reduce = sync.superstep(gpu, my_time, locally_done, contribution);
         dev.end_superstep(n, reduce.max_time_us);
         iter += 1;
         if !failed {
@@ -750,6 +770,17 @@ fn run_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
             };
         }
         input = next_input;
+    }
+}
+
+/// Poisons the sync point when its device thread unwinds.
+struct PoisonOnUnwind<'a>(&'a SyncPoint);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poison();
+        }
     }
 }
 
@@ -1122,6 +1153,7 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
         // every device, so the decision to degrade this superstep to direct
         // broadcast is uniform and costs no extra barrier. ----
         let reduce = sync.superstep(
+            gpu,
             dev.now(),
             false,
             Contribution { u64_add: stage_fault as u64, ..Contribution::default() },
@@ -1274,7 +1306,7 @@ fn butterfly_fallback<V: Id, O: Id, P: MgpuProblem<V, O>>(
 
     // ---- one extra rendezvous: every surviving peer's direct push (and
     // any package from the interrupted stage) is posted ----
-    sync.barrier(dev.now(), false);
+    sync.rendezvous(gpu);
 
     // ---- drain & combine; a stable sort by sender keeps combine order
     // independent of thread scheduling (stash entries from one sender were

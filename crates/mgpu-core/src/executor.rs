@@ -37,7 +37,7 @@ use vgpu::{
 use crate::comm::{CommStrategy, Package, SuppressState};
 use crate::governor::GovernorLog;
 use crate::problem::{MgpuProblem, Wire};
-use crate::report::{CommReduction, DeviceMemStats, EnactReport, SuperstepTrace};
+use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync, SuperstepTrace};
 use crate::resilience::{RecoveryCounters, RecoveryLog, RecoveryPolicy};
 
 /// Which enactment engine an [`Executor`] drives.
@@ -242,6 +242,7 @@ pub(crate) fn assemble_report(
     n_devices: usize,
     iterations: usize,
     wall_time_us: f64,
+    host_sync: HostSync,
     history: Vec<SuperstepTrace>,
     recovery: RecoveryLog,
     governor: GovernorLog,
@@ -254,6 +255,7 @@ pub(crate) fn assemble_report(
         iterations,
         sim_time_us: system.makespan_us(),
         wall_time_us,
+        host_sync,
         totals: system.total_counters(),
         per_device: system.devices.iter().map(|d| d.counters).collect(),
         peak_memory_per_device: system.peak_memory_per_device(),

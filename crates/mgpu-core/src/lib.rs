@@ -55,7 +55,7 @@ pub use enactor::{EnactConfig, Runner};
 pub use executor::{Executor, ExecutorKind};
 pub use governor::{Downgrade, GovernorLog, PressurePolicy};
 pub use problem::{MgpuProblem, Wire};
-pub use report::{CommReduction, DeviceMemStats, EnactReport};
+pub use report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
 pub use resilience::{CheckpointSink, GlobalCheckpoint, RecoveryLog, RecoveryPolicy, ResilientRunner};
 pub use service::{
     AdmissionRecord, BuildExecutor, QueryOutcome, QuerySpec, SchedulePlan, Service, ServicePolicy,

@@ -1,6 +1,6 @@
 //! Traversal reports: the measurements every experiment consumes.
 
-use vgpu::{BspCounters, MemoryPool};
+use vgpu::{BspCounters, HostSyncStats, MemoryPool};
 
 use crate::governor::GovernorLog;
 use crate::resilience::RecoveryLog;
@@ -89,6 +89,38 @@ impl DeviceMemStats {
     }
 }
 
+/// What the device threads' rendezvous waits cost on the host wall clock,
+/// per device — says whether a slow run was sleeping at the barrier or
+/// working. Wall-only, like `wall_time_us`: never part of the simulation.
+/// Empty for engines without a `SyncPoint` (the async enactor, the
+/// baselines).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HostSync {
+    /// One entry per device id.
+    pub per_device: Vec<HostSyncStats>,
+}
+
+impl HostSync {
+    /// The sum over devices.
+    pub fn total(&self) -> HostSyncStats {
+        let mut t = HostSyncStats::default();
+        for d in &self.per_device {
+            t += *d;
+        }
+        t
+    }
+
+    /// Fold a subsequent enact's waits into this one, device by device.
+    pub fn absorb(&mut self, other: &HostSync) {
+        if self.per_device.len() < other.per_device.len() {
+            self.per_device.resize(other.per_device.len(), HostSyncStats::default());
+        }
+        for (mine, theirs) in self.per_device.iter_mut().zip(&other.per_device) {
+            *mine += *theirs;
+        }
+    }
+}
+
 /// The outcome of one enacted traversal.
 #[derive(Debug, Clone)]
 pub struct EnactReport {
@@ -104,6 +136,9 @@ pub struct EnactReport {
     /// Host wall-clock of the enact call in microseconds (real execution on
     /// CPU threads; useful for sanity checks, not for paper comparisons).
     pub wall_time_us: f64,
+    /// Host wall time the device threads spent waiting at rendezvous.
+    /// Excluded from [`Self::same_simulation`], as `wall_time_us` is.
+    pub host_sync: HostSync,
     /// Aggregated BSP counters over all devices.
     pub totals: BspCounters,
     /// Per-device counters.
@@ -172,6 +207,7 @@ impl EnactReport {
         self.iterations += other.iterations;
         self.sim_time_us += other.sim_time_us;
         self.wall_time_us += other.wall_time_us;
+        self.host_sync.absorb(&other.host_sync);
         // BspCounters::merge takes the max of supersteps (its callers merge
         // concurrent devices); sequential enacts add theirs end to end.
         let steps = self.totals.supersteps + other.totals.supersteps;
@@ -225,6 +261,7 @@ impl EnactReport {
     /// ASCII identifier, so no escaping is needed.
     pub fn to_json(&self) -> String {
         let c = &self.totals;
+        let sync = self.host_sync.total();
         format!(
             concat!(
                 "{{\"primitive\":\"{}\",\"n_devices\":{},\"iterations\":{},",
@@ -243,7 +280,9 @@ impl EnactReport {
                 "\"spill_events\":{},\"spilled_bytes\":{},\"reclaim_retries\":{},",
                 "\"suppressed_vertices\":{},\"suppressed_bytes\":{},",
                 "\"enc_list\":{},\"enc_bitmap\":{},\"enc_delta\":{},",
-                "\"collective_stages\":{}}}"
+                "\"collective_stages\":{},",
+                "\"host_sync\":{{\"rendezvous\":{},\"parked\":{},\"wait_wall_ns\":{},",
+                "\"wait_wall_ns_per_device\":{:?}}}}}"
             ),
             self.primitive,
             self.n_devices,
@@ -285,6 +324,10 @@ impl EnactReport {
             self.comm.enc_bitmap,
             self.comm.enc_delta,
             self.comm.collective_stages,
+            sync.rendezvous,
+            sync.parked,
+            sync.wait_wall_ns,
+            self.host_sync.per_device.iter().map(|d| d.wait_wall_ns).collect::<Vec<_>>(),
         )
     }
 }
@@ -300,6 +343,7 @@ mod tests {
             iterations: 3,
             sim_time_us: us,
             wall_time_us: 1.0,
+            host_sync: HostSync::default(),
             totals: BspCounters::default(),
             per_device: vec![],
             peak_memory_per_device: 0,
@@ -348,6 +392,39 @@ mod tests {
         assert_eq!(a.totals.h_vertices, 14);
         assert!((a.sim_time_us - 150.0).abs() < 1e-12);
         assert_eq!(a.peak_memory_per_device, 80, "peaks take the max");
+    }
+
+    #[test]
+    fn host_sync_is_wall_only_and_absorbs_per_device() {
+        let waits = |ns| HostSync {
+            per_device: vec![
+                HostSyncStats { rendezvous: 4, parked: 1, wait_wall_ns: ns },
+                HostSyncStats { rendezvous: 4, parked: 0, wait_wall_ns: 2 * ns },
+            ],
+        };
+        let mut a = report(100.0);
+        let mut b = report(100.0);
+        b.host_sync = waits(500);
+        assert!(a.same_simulation(&b), "host waits are not part of the simulation");
+        a.absorb(&b);
+        a.absorb(&b);
+        assert_eq!(
+            a.host_sync,
+            HostSync {
+                per_device: waits(1000)
+                    .per_device
+                    .iter()
+                    .map(|d| HostSyncStats { rendezvous: 8, parked: 2 * d.parked, ..*d })
+                    .collect()
+            }
+        );
+        assert_eq!(
+            a.host_sync.total(),
+            HostSyncStats { rendezvous: 16, parked: 2, wait_wall_ns: 3000 }
+        );
+        let j = a.to_json();
+        assert!(j.contains("\"host_sync\":{\"rendezvous\":16,\"parked\":2,\"wait_wall_ns\":3000,"));
+        assert!(j.ends_with("\"wait_wall_ns_per_device\":[1000, 2000]}}"));
     }
 
     #[test]

@@ -50,6 +50,6 @@ pub use interconnect::{Interconnect, LinkClass};
 pub use memory::{DeviceArray, MemoryPool};
 pub use profile::HardwareProfile;
 pub use stream::{Event, Stream, StreamId};
-pub use sync::{harvest_device_thread, Contribution, GlobalReduce, Mailbox, SyncPoint};
+pub use sync::{harvest_device_thread, Contribution, GlobalReduce, HostSyncStats, Mailbox, SyncPoint};
 pub use timeline::{SpanMeta, Timeline, TraceEvent, TraceKind};
 pub use system::SimSystem;

@@ -2,12 +2,23 @@
 //! reproducibility of the simulated clock, partitioner-independence of
 //! results, and clean failure propagation from device threads.
 
-use mgpu_graph_analytics::core::{AllocScheme, EnactConfig, RecoveryPolicy, Runner};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use mgpu_graph_analytics::core::{
+    AllocScheme, CommStrategy, CommTopology, EnactConfig, FrontierBufs, MgpuProblem,
+    RecoveryPolicy, Runner,
+};
 use mgpu_graph_analytics::gen::preferential_attachment;
-use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{bfs::gather_labels, Bfs};
-use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem, VgpuError};
+use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::primitives::{
+    bfs::{gather_labels, BfsState},
+    Bfs,
+};
+use mgpu_graph_analytics::vgpu::sync::GlobalReduce;
+use mgpu_graph_analytics::vgpu::{
+    Device, FaultPlan, HardwareProfile, Result as VgpuResult, SimSystem, VgpuError,
+};
 
 fn graph() -> Csr<u32, u64> {
     GraphBuilder::undirected(&preferential_attachment(500, 8, 31))
@@ -150,4 +161,148 @@ fn overhead_scaled_profiles_accepted_end_to_end() {
         mgpu_graph_analytics::primitives::reference::bfs(&g, 0u32)
     );
     assert!(r.sim_time_us > 0.0);
+}
+
+// --- a device thread that stops attending rendezvous fails typed -----------
+//
+// Problem code the enactor runs *between* kernels can take a device thread
+// out of the superstep loop: its peers are then waiting for an arrival that
+// never comes. Both ways out are covered — `comm_now` (caught by `guard`,
+// but the device no longer knows the superstep's rendezvous schedule) and a
+// panic nothing catches (`globally_done`), which unwinds the thread.
+
+/// Where [`FaultyBfs`] panics.
+enum Trip {
+    /// In `comm_now`, on device 1, before superstep 3.
+    CommNow,
+    /// In `globally_done` after superstep 3, on whichever one device gets
+    /// there first.
+    GloballyDoneOnce(AtomicBool),
+}
+
+/// BFS over broadcast communication (so the butterfly can carry it) with a
+/// panic planted in problem code that runs outside every kernel.
+struct FaultyBfs(Trip);
+
+struct FaultyState {
+    bfs: BfsState,
+    device: usize,
+    superstep: usize,
+}
+
+const BFS: Bfs = Bfs { one_hop: false };
+
+impl MgpuProblem<u32, u64> for FaultyBfs {
+    type State = FaultyState;
+    type Msg = u32;
+
+    fn name(&self) -> &'static str {
+        "faulty-bfs"
+    }
+    fn duplication(&self) -> Duplication {
+        Duplication::All
+    }
+    fn comm(&self) -> CommStrategy {
+        CommStrategy::Broadcast
+    }
+    fn comm_now(&self, state: &FaultyState) -> CommStrategy {
+        if matches!(self.0, Trip::CommNow) && state.device == 1 && state.superstep == 3 {
+            panic!("planted: comm_now on device 1 before superstep 3");
+        }
+        CommStrategy::Broadcast
+    }
+    fn init(&self, dev: &mut Device, sub: &SubGraph<u32, u64>) -> VgpuResult<FaultyState> {
+        Ok(FaultyState { bfs: BFS.init(dev, sub)?, device: dev.id(), superstep: 0 })
+    }
+    fn reset(
+        &self,
+        dev: &mut Device,
+        sub: &SubGraph<u32, u64>,
+        state: &mut FaultyState,
+        src: Option<u32>,
+    ) -> VgpuResult<Vec<u32>> {
+        state.superstep = 0;
+        BFS.reset(dev, sub, &mut state.bfs, src)
+    }
+    fn iteration(
+        &self,
+        dev: &mut Device,
+        sub: &SubGraph<u32, u64>,
+        state: &mut FaultyState,
+        bufs: &mut FrontierBufs<u32>,
+        input: &[u32],
+        iter: usize,
+    ) -> VgpuResult<Vec<u32>> {
+        BFS.iteration(dev, sub, &mut state.bfs, bufs, input, iter)
+    }
+    fn package(&self, state: &FaultyState, v: u32) -> u32 {
+        MgpuProblem::<u32, u64>::package(&BFS, &state.bfs, v)
+    }
+    fn combine(&self, state: &mut FaultyState, v: u32, msg: &u32) -> bool {
+        MgpuProblem::<u32, u64>::combine(&BFS, &mut state.bfs, v, msg)
+    }
+    fn monotone(&self) -> bool {
+        true
+    }
+    fn suppression_key(&self, msg: &u32) -> u64 {
+        u64::from(*msg)
+    }
+    fn after_superstep(&self, state: &mut FaultyState, _: &GlobalReduce, iter: usize) {
+        state.superstep = iter;
+    }
+    fn globally_done(&self, _: &GlobalReduce, iter: usize) -> bool {
+        if let Trip::GloballyDoneOnce(armed) = &self.0 {
+            if iter == 3 && armed.swap(false, Ordering::SeqCst) {
+                panic!("planted: globally_done after superstep 3, one device only");
+            }
+        }
+        false
+    }
+}
+
+/// Enact [`FaultyBfs`] on a 64-ring (32 supersteps fault-free) and return
+/// the error, failing if the enact has not returned within 30 s.
+fn enact_faulty(trip: Trip, n_gpus: usize, topology: CommTopology) -> VgpuError {
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let ring: Vec<(u32, u32)> = (0..64).map(|i| (i, (i + 1) % 64)).collect();
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(64, ring, None));
+        let owner: Vec<u32> = (0..64).map(|v| (v % n_gpus) as u32).collect();
+        let dist = DistGraph::build(&g, owner, n_gpus, Duplication::All);
+        let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+        let config = EnactConfig { comm_topology: topology, ..Default::default() };
+        let mut runner = Runner::new(sys, &dist, FaultyBfs(trip), config).unwrap();
+        let _ = done.send(runner.enact(Some(0u32)).map(|r| r.iterations));
+    });
+    match finished.recv_timeout(std::time::Duration::from_secs(30)) {
+        Ok(Err(e)) => e,
+        Ok(Ok(supersteps)) => panic!("the planted panic never fired ({supersteps} supersteps)"),
+        Err(_) => panic!("enact still blocked after 30 s: peers are waiting at a rendezvous"),
+    }
+}
+
+#[test]
+fn a_panicking_comm_now_is_a_lost_device_not_a_hang() {
+    for topology in [CommTopology::Direct, CommTopology::Butterfly] {
+        for n_gpus in [2, 4] {
+            assert_eq!(
+                enact_faulty(Trip::CommNow, n_gpus, topology),
+                VgpuError::DeviceLost { device: 1 },
+                "{n_gpus} vGPUs over {topology:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_device_thread_that_unwinds_releases_its_peers() {
+    for topology in [CommTopology::Direct, CommTopology::Butterfly] {
+        for n_gpus in [2, 4] {
+            let trip = Trip::GloballyDoneOnce(AtomicBool::new(true));
+            match enact_faulty(trip, n_gpus, topology) {
+                VgpuError::DeviceLost { device } => assert!(device < n_gpus),
+                e => panic!("{n_gpus} vGPUs over {topology:?}: expected a lost device, got {e}"),
+            }
+        }
+    }
 }

@@ -19,8 +19,9 @@ use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::gnm;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
+use mgpu_graph_analytics::core::MgpuProblem;
 use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bfs, Pagerank, Sssp,
+    bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank, Sssp, SsspDelta,
 };
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -144,4 +145,56 @@ fn thread_count_zero_and_eight_also_agree() {
         let other = run_bfs(&g, 4, None, t);
         assert_identical(&base, &other, &format!("BFS 4 GPUs threads {t}"));
     }
+}
+
+// --- the superstep reduction is folded in device-id order -------------------
+//
+// `GlobalReduce::f64_sum` is a float sum over devices. It used to be added in
+// arrival order, so at 3 or more devices its low bits — and with them a
+// threshold-terminated PageRank's superstep count — depended on thread
+// scheduling. These primitives read the reduction (`f64_sum`: PageRank;
+// `f64_max` / `u64_sum`: delta-stepping SSSP and BC), so 25 enacts of each
+// must agree to the bit.
+
+fn assert_repeats_exactly<P: MgpuProblem<u32, u64> + Clone>(
+    name: &str,
+    g: &Csr<u32, u64>,
+    problem: P,
+    src: Option<u32>,
+) {
+    for n in [3usize, 4] {
+        let dist = dist_for(g, n);
+        let run = || {
+            let system = SimSystem::homogeneous(n, HardwareProfile::k40());
+            let mut runner =
+                Runner::new(system, &dist, problem.clone(), EnactConfig::default()).unwrap();
+            let report = runner.enact(src).unwrap();
+            (report.iterations, report.sim_time_us.to_bits(), runner.harvest())
+        };
+        let first = run();
+        for repeat in 1..25 {
+            assert_eq!(run(), first, "{name} on {n} vGPUs, repeat {repeat}");
+        }
+    }
+}
+
+#[test]
+fn threshold_terminated_pagerank_repeats_exactly_on_three_and_four_devices() {
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(180, 1000, 31));
+    let pr = Pagerank { damping: 0.85, threshold: 1e-4, max_iters: 200 };
+    // the threshold, not the cap, must be what ends the run
+    let dist = dist_for(&g, 3);
+    let system = SimSystem::homogeneous(3, HardwareProfile::k40());
+    let report = Runner::new(system, &dist, pr, EnactConfig::default()).unwrap().enact(None);
+    assert!(report.unwrap().iterations < 200);
+    assert_repeats_exactly("PR", &g, pr, None);
+}
+
+#[test]
+fn delta_stepping_sssp_and_bc_repeat_exactly_on_three_and_four_devices() {
+    let mut coo = gnm(200, 1100, 23);
+    add_paper_weights(&mut coo, 7);
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+    assert_repeats_exactly("SSSP-delta", &g, SsspDelta::default(), Some(0));
+    assert_repeats_exactly("BC", &g, Bc, Some(0));
 }
