@@ -7,219 +7,24 @@
 //! exactly across machines, so the sim gates run tight (default 0.5%);
 //! wall-clock gates use wide tolerances and speedup floors instead.
 //!
-//! The workspace deliberately vendors no JSON library, so this module
-//! carries a small recursive-descent parser for the subset the binaries
-//! emit (objects, arrays, strings, numbers, booleans, null).
+//! Documents are [`mgpu_core::Json`] values on both sides: the binary
+//! compares the rows it built with the baseline the one reader parsed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::process::ExitCode;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any number (parsed as f64 — the binaries emit nothing wider).
-    Num(f64),
-    /// A string (escape sequences decoded).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
+use mgpu_core::Json;
 
-impl Json {
-    /// Parse a complete JSON document; trailing whitespace is allowed,
-    /// trailing garbage is an error.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
-        }
-        Ok(v)
-    }
+use crate::args::BenchArgs;
 
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is one.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Render a value as a row-key fragment (numbers print integrally when
-    /// they are integral, so `4` and `4.0` key identically).
-    fn key_fragment(&self) -> String {
-        match self {
-            Json::Str(s) => s.clone(),
-            Json::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => format!("{}", *n as i64),
-            Json::Num(n) => format!("{n}"),
-            Json::Bool(b) => format!("{b}"),
-            Json::Null => "null".into(),
-            _ => "?".into(),
-        }
-    }
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut fields = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(fields));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
-                    Json::Str(s) => s,
-                    other => return Err(format!("object key must be a string, got {other:?}")),
-                };
-                skip_ws(b, pos);
-                if b.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let val = parse_value(b, pos)?;
-                fields.push((key, val));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => {
-            *pos += 1;
-            let mut s = String::new();
-            loop {
-                match b.get(*pos) {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        *pos += 1;
-                        return Ok(Json::Str(s));
-                    }
-                    Some(b'\\') => {
-                        *pos += 1;
-                        match b.get(*pos) {
-                            Some(b'"') => s.push('"'),
-                            Some(b'\\') => s.push('\\'),
-                            Some(b'/') => s.push('/'),
-                            Some(b'n') => s.push('\n'),
-                            Some(b't') => s.push('\t'),
-                            Some(b'r') => s.push('\r'),
-                            Some(c) => return Err(format!("unsupported escape \\{}", *c as char)),
-                            None => return Err("unterminated escape".into()),
-                        }
-                        *pos += 1;
-                    }
-                    Some(&c) => {
-                        // multi-byte UTF-8 passes through byte by byte; the
-                        // input came from a &str so it is valid
-                        let start = *pos;
-                        let len = utf8_len(c);
-                        *pos += len;
-                        s.push_str(std::str::from_utf8(&b[start..start + len]).unwrap());
-                    }
-                }
-            }
-        }
-        Some(b't') => literal(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => literal(b, pos, "false", Json::Bool(false)),
-        Some(b'n') => literal(b, pos, "null", Json::Null),
-        Some(_) => {
-            let start = *pos;
-            while *pos < b.len()
-                && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&b[start..*pos]).unwrap();
-            text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number '{text}'"))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
-fn literal(b: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("expected '{word}' at byte {pos}"))
+/// A row-key fragment: strings bare, numbers as JSON prints them (so `4` and
+/// `4.0` key identically).
+fn key_fragment(v: &Json) -> String {
+    match v {
+        Json::Str(s) => s.clone(),
+        Json::Arr(_) | Json::Obj(_) => "?".into(),
+        scalar => scalar.to_string(),
     }
 }
 
@@ -270,7 +75,7 @@ fn keyed_rows<'a>(
             }
             let frag = row
                 .get(f)
-                .map(|v| v.key_fragment())
+                .map(key_fragment)
                 .ok_or_else(|| format!("row is missing key field \"{f}\""))?;
             key.push_str(&frag);
         }
@@ -376,17 +181,16 @@ pub fn compare_speedups(
 }
 
 /// Run a comparison and report: prints a pass line or every offending
-/// delta, and returns the process exit code (0 pass, 1 fail). The caller
-/// hands this straight to `std::process::exit`.
-pub fn gate_report(label: &str, result: Result<Vec<Delta>, String>) -> i32 {
+/// delta, and returns the process exit code (pass, or 1).
+pub fn gate_report(label: &str, result: Result<Vec<Delta>, String>) -> ExitCode {
     match result {
         Err(e) => {
             eprintln!("{label}: baseline comparison failed: {e}");
-            1
+            ExitCode::FAILURE
         }
         Ok(deltas) if deltas.is_empty() => {
             println!("{label}: within tolerance of committed baseline");
-            0
+            ExitCode::SUCCESS
         }
         Ok(deltas) => {
             let mut msg =
@@ -395,9 +199,34 @@ pub fn gate_report(label: &str, result: Result<Vec<Delta>, String>) -> i32 {
                 let _ = writeln!(msg, "  {d}");
             }
             eprint!("{msg}");
-            1
+            ExitCode::FAILURE
         }
     }
+}
+
+/// The tail every gate binary ends with: write `doc` to `--json-out`, then
+/// under `--baseline` read the committed document, hand both to `compare`
+/// with the tolerance in force, and report.
+pub fn finish_gate(
+    label: &str,
+    args: &BenchArgs,
+    doc: &Json,
+    default_tolerance: f64,
+    compare: impl FnOnce(&Json, &Json, f64) -> Result<Vec<Delta>, String>,
+) -> ExitCode {
+    if let Some(path) = &args.json_out {
+        if let Err(e) = std::fs::write(path, format!("{doc}\n")) {
+            eprintln!("{label}: cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+        println!("\nwrote {path}");
+    }
+    let Some(path) = &args.baseline else { return ExitCode::SUCCESS };
+    let baseline = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {path}: {e}"))
+        .and_then(|text| Json::parse(&text).map_err(|e| format!("{path}: {e}")));
+    let tolerance = args.tolerance.unwrap_or(default_tolerance);
+    gate_report(label, baseline.and_then(|base| compare(doc, &base, tolerance)))
 }
 
 #[cfg(test)]
@@ -408,23 +237,6 @@ mod tests {
         {"dataset":"rmat","primitive":"BFS","config":"default","sim_ms":10.5,"h_bytes":1000},
         {"dataset":"rmat","primitive":"BFS","config":"reduced","sim_ms":8.25,"h_bytes":400}
     ]}"#;
-
-    #[test]
-    fn parses_the_bench_json_shape() {
-        let doc = Json::parse(DOC).unwrap();
-        assert_eq!(doc.get("gpus").unwrap().as_f64(), Some(6.0));
-        let rows = doc.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1].get("config").unwrap().as_str(), Some("reduced"));
-        assert_eq!(rows[1].get("h_bytes").unwrap().as_f64(), Some(400.0));
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(Json::parse("{\"a\":1} x").is_err());
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,").is_err());
-    }
 
     #[test]
     fn identical_documents_pass() {

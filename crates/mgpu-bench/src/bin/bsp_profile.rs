@@ -10,10 +10,10 @@
 //! With `--json-out FILE` the rows are written as JSON (the CI trace job
 //! archives `BENCH_profile.json`).
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use mgpu_bench::{pick_source, run_primitive, BenchArgs, Primitive, Table};
-use mgpu_core::{CommTopology, EnactConfig, Profile};
+use mgpu_core::{CommTopology, EnactConfig, Json, Profile};
 use mgpu_graph::Csr;
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
@@ -35,7 +35,7 @@ struct Row {
     events: usize,
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = BenchArgs::parse();
     println!("BSP cost attribution — traced runs, exact reconciliation enforced\n");
 
@@ -47,12 +47,12 @@ fn main() {
     let part = RandomPartitioner { seed: args.seed };
 
     let prims = [Primitive::Bfs, Primitive::Sssp, Primitive::Cc];
-    let topologies = [(CommTopology::Direct, "direct"), (CommTopology::Butterfly, "butterfly")];
     let mut rows: Vec<Row> = Vec::new();
 
     for prim in prims {
         for gpus in [2usize, 4, 8] {
-            for (topology, tname) in topologies {
+            for &topology in CommTopology::ALL {
+                let tname = topology.label();
                 let cfg =
                     EnactConfig { tracing: true, comm_topology: topology, ..Default::default() };
                 let sys =
@@ -62,7 +62,7 @@ fn main() {
                 let profile = Profile::from_trace(trace);
                 if let Err(e) = profile.reconcile(&out.report) {
                     eprintln!("reconciliation FAILED for {} x{gpus} {tname}: {e}", prim.name());
-                    std::process::exit(1);
+                    return ExitCode::FAILURE;
                 }
                 let t = &profile.total;
                 rows.push(Row {
@@ -113,55 +113,40 @@ fn main() {
     t.print();
     println!("\nall {} configurations reconciled exactly", rows.len());
 
-    let mut j = String::from("{\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        write!(
-            j,
-            "{{\"primitive\":\"{}\",\"gpus\":{},\"topology\":\"{}\",\
-             \"supersteps\":{},\"sim_ms\":{:.4},\"w_ms\":{:.4},\"c_ms\":{:.4},\
-             \"h_ms\":{:.4},\"sync_ms\":{:.4},\"wait_ms\":{:.4},\"events\":{}}}",
-            r.primitive,
-            r.gpus,
-            r.topology,
-            r.supersteps,
-            r.sim_ms,
-            r.w_ms,
-            r.c_ms,
-            r.h_ms,
-            r.sync_ms,
-            r.wait_ms,
-            r.events
-        )
-        .unwrap();
-    }
-    j.push_str("],\"reconciled\":true}\n");
-
-    if let Some(path) = &args.json_out {
-        std::fs::write(path, &j).expect("write --json-out file");
-        println!("wrote {path}");
-    }
+    let ms = |x| Json::rounded(x, 4);
+    let doc = Json::obj([
+        (
+            "rows",
+            Json::arr(rows.iter().map(|r| {
+                Json::obj([
+                    ("primitive", r.primitive.into()),
+                    ("gpus", r.gpus.into()),
+                    ("topology", r.topology.into()),
+                    ("supersteps", r.supersteps.into()),
+                    ("sim_ms", ms(r.sim_ms)),
+                    ("w_ms", ms(r.w_ms)),
+                    ("c_ms", ms(r.c_ms)),
+                    ("h_ms", ms(r.h_ms)),
+                    ("sync_ms", ms(r.sync_ms)),
+                    ("wait_ms", ms(r.wait_ms)),
+                    ("events", r.events.into()),
+                ])
+            })),
+        ),
+        ("reconciled", true.into()),
+    ]);
 
     // The regression gate: every bucket of the W/C/H/S attribution (and the
     // superstep/event counts) must match the committed baseline exactly up
     // to a tight tolerance — these are deterministic simulated costs, so
     // drift in either direction means the substrate changed behavior.
-    if let Some(path) = &args.baseline {
-        let tol = args.tolerance.unwrap_or(0.005);
-        let text = std::fs::read_to_string(path).expect("read --baseline file");
-        let result = mgpu_bench::Json::parse(&text).and_then(|base| {
-            let cur = mgpu_bench::Json::parse(&j)?;
-            mgpu_bench::compare_rows(
-                &cur,
-                &base,
-                &["primitive", "gpus", "topology"],
-                &["supersteps", "sim_ms", "w_ms", "c_ms", "h_ms", "sync_ms", "wait_ms", "events"],
-                tol,
-            )
-        });
-        let code = mgpu_bench::gate_report("bsp_profile", result);
-        std::process::exit(code);
-    }
+    mgpu_bench::finish_gate("bsp_profile", &args, &doc, 0.005, |cur, base, tol| {
+        mgpu_bench::compare_rows(
+            cur,
+            base,
+            &["primitive", "gpus", "topology"],
+            &["supersteps", "sim_ms", "w_ms", "c_ms", "h_ms", "sync_ms", "wait_ms", "events"],
+            tol,
+        )
+    })
 }

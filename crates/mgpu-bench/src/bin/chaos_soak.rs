@@ -20,8 +20,10 @@
 
 use std::process::ExitCode;
 
+use mgpu_bench::args::{parse_or_exit, Flag};
+use mgpu_bench::Primitive;
 use mgpu_core::{
-    AsyncRunner, CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, ResilientRunner,
+    AsyncRunner, CommTopology, EnactConfig, Json, PressurePolicy, RecoveryPolicy, ResilientRunner,
 };
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
@@ -46,23 +48,6 @@ enum Exec {
     Async,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Prim {
-    Bfs,
-    Sssp,
-    Cc,
-}
-
-impl Prim {
-    fn name(self) -> &'static str {
-        match self {
-            Prim::Bfs => "bfs",
-            Prim::Sssp => "sssp",
-            Prim::Cc => "cc",
-        }
-    }
-}
-
 /// One soak scenario: everything but the fault plan under test (the shrink
 /// loop replays the same scenario with candidate plans).
 #[derive(Debug, Clone)]
@@ -70,7 +55,8 @@ struct Scenario {
     id: usize,
     gpus: usize,
     exec: Exec,
-    prim: Prim,
+    /// BFS (sync only), SSSP or CC.
+    prim: Primitive,
     topology: CommTopology,
     /// Cap device memory at 3/4 of the clean run's peak and enable the
     /// pressure governor (sync only).
@@ -87,12 +73,9 @@ impl Scenario {
                 Exec::Sync => "sync",
                 Exec::Async => "async",
             },
-            self.prim.name(),
+            self.prim.label(),
             self.gpus,
-            match self.topology {
-                CommTopology::Butterfly => "butterfly",
-                _ => "direct",
-            },
+            self.topology.label(),
             self.capped,
             self.graph_seed,
         )
@@ -103,7 +86,7 @@ impl Scenario {
 fn graph_for(s: &Scenario) -> Csr<u32, u64> {
     let nv = 300 + (s.graph_seed % 3) as usize * 300; // 300 / 600 / 900
     match s.prim {
-        Prim::Sssp => {
+        Primitive::Sssp => {
             let mut coo = gnm(nv, nv * 5, s.graph_seed);
             add_paper_weights(&mut coo, s.graph_seed + 1);
             GraphBuilder::undirected(&coo)
@@ -127,7 +110,7 @@ fn plan_for(s: &Scenario, rng: &mut u64) -> FaultPlan {
             // engages: broadcast-comm primitives (CC here). Elsewhere a
             // 4-deep consecutive burst on one link is correctly fatal —
             // there is no collective to degrade.
-            if s.prim == Prim::Cc
+            if s.prim == Primitive::Cc
                 && s.topology == CommTopology::Butterfly
                 && splitmix(rng).is_multiple_of(3)
             {
@@ -156,8 +139,9 @@ fn bank(seed: u64, n: usize) -> Vec<(Scenario, FaultPlan)> {
             let exec = if splitmix(&mut rng).is_multiple_of(3) { Exec::Async } else { Exec::Sync };
             let prim = match exec {
                 // async needs label-correcting primitives
-                Exec::Async => [Prim::Sssp, Prim::Cc][(splitmix(&mut rng) % 2) as usize],
-                Exec::Sync => [Prim::Bfs, Prim::Sssp, Prim::Cc][(splitmix(&mut rng) % 3) as usize],
+                Exec::Async => [Primitive::Sssp, Primitive::Cc][(splitmix(&mut rng) % 2) as usize],
+                Exec::Sync => [Primitive::Bfs, Primitive::Sssp, Primitive::Cc]
+                    [(splitmix(&mut rng) % 3) as usize],
             };
             let topology = if exec == Exec::Sync && splitmix(&mut rng).is_multiple_of(2) {
                 CommTopology::Butterfly
@@ -205,9 +189,10 @@ fn run_sync(
         }};
     }
     match s.prim {
-        Prim::Bfs => drive!(Bfs::default(), gather_labels),
-        Prim::Sssp => drive!(Sssp, gather_dists),
-        Prim::Cc => drive!(Cc, gather_components),
+        Primitive::Bfs => drive!(Bfs::default(), gather_labels),
+        Primitive::Sssp => drive!(Sssp, gather_dists),
+        Primitive::Cc => drive!(Cc, gather_components),
+        other => Err(format!("no soak scenario generates {}", other.name())),
     }
 }
 
@@ -225,7 +210,7 @@ fn run_async(
         system.attach_fault_plan(p);
     }
     match s.prim {
-        Prim::Sssp => {
+        Primitive::Sssp => {
             let mut runner = AsyncRunner::with_config(system, &dist, Sssp, &config)
                 .map_err(|e| format!("{e:?}"))?;
             runner.enact(Some(0u32)).map_err(|e| format!("{e:?}"))?;
@@ -236,7 +221,7 @@ fn run_async(
                 })
                 .collect())
         }
-        Prim::Cc => {
+        Primitive::Cc => {
             let mut runner = AsyncRunner::with_config(system, &dist, Cc, &config)
                 .map_err(|e| format!("{e:?}"))?;
             runner.enact(None).map_err(|e| format!("{e:?}"))?;
@@ -247,7 +232,7 @@ fn run_async(
                 })
                 .collect())
         }
-        Prim::Bfs => Err("bfs is not label-correcting; no async scenario generates it".into()),
+        other => Err(format!("no async soak scenario generates {}", other.name())),
     }
 }
 
@@ -364,36 +349,22 @@ struct Args {
     json_out: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut a = Args { scenarios: 240, seed: 42, json_out: None };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} needs a value"));
-        match flag.as_str() {
-            "--scenarios" => {
-                a.scenarios =
-                    value("--scenarios")?.parse().map_err(|e| format!("--scenarios: {e}"))?
-            }
-            "--seed" => a.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--fast" => a.scenarios = a.scenarios.min(60),
-            "--json-out" => a.json_out = Some(value("--json-out")?),
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(a)
-}
+const FLAGS: &[Flag<Args>] = &[
+    Flag::new("--scenarios", "N", "size of the scenario bank [default 240]", |o, a| {
+        a.parse().map(|n| o.scenarios = n)
+    }),
+    Flag::new("--seed", "S", "bank seed [default 42]", |o, a| a.parse().map(|s| o.seed = s)),
+    Flag::new("--fast", "", "cap the sweep so far at 60 scenarios (the PR-CI subset)", |o, _| {
+        o.scenarios = o.scenarios.min(60);
+        Ok(())
+    }),
+    Flag::new("--json-out", "FILE", "write the failures as JSON", |o, a| {
+        a.text().map(|p| o.json_out = Some(p))
+    }),
+];
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("chaos_soak: {e}");
-            eprintln!("usage: chaos_soak [--scenarios N] [--seed S] [--fast] [--json-out FILE]");
-            return ExitCode::FAILURE;
-        }
-    };
+    let args = parse_or_exit(FLAGS, Args { scenarios: 240, seed: 42, json_out: None });
     println!("chaos soak: {} scenarios, bank seed {}", args.scenarios, args.seed);
     let mut failures: Vec<(Scenario, FaultPlan, FaultPlan, String)> = Vec::new();
     let mut passed = 0usize;
@@ -414,26 +385,21 @@ fn main() -> ExitCode {
     }
     println!("\n{passed}/{} scenarios passed", passed + failures.len());
     if let Some(path) = &args.json_out {
-        let rows: Vec<String> = failures
-            .iter()
-            .map(|(s, plan, min, reason)| {
-                format!(
-                    "{{\"scenario\":\"{}\",\"plan\":\"{}\",\"minimized\":\"{}\",\"reason\":\"{}\"}}",
-                    s.label().trim(),
-                    plan,
-                    min,
-                    reason.replace('"', "'"),
-                )
-            })
-            .collect();
-        let json = format!(
-            "{{\"seed\":{},\"scenarios\":{},\"passed\":{},\"failures\":[{}]}}\n",
-            args.seed,
-            passed + failures.len(),
-            passed,
-            rows.join(",")
-        );
-        if let Err(e) = std::fs::write(path, json) {
+        let rows = failures.iter().map(|(s, plan, min, reason)| {
+            Json::obj([
+                ("scenario", s.label().trim().into()),
+                ("plan", plan.to_string().into()),
+                ("minimized", min.to_string().into()),
+                ("reason", reason.as_str().into()),
+            ])
+        });
+        let json = Json::obj([
+            ("seed", args.seed.into()),
+            ("scenarios", (passed + failures.len()).into()),
+            ("passed", passed.into()),
+            ("failures", Json::arr(rows)),
+        ]);
+        if let Err(e) = std::fs::write(path, format!("{json}\n")) {
             eprintln!("chaos_soak: writing {path}: {e}");
             return ExitCode::FAILURE;
         }

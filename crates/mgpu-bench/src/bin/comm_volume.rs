@@ -11,12 +11,12 @@
 //! With `--json-out FILE` the same rows are written as JSON (the CI
 //! comm-reduction job archives `BENCH_comm.json`).
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use mgpu_bench::{
     pick_source, run_multi_source, run_primitive, BenchArgs, MultiSourceMode, Primitive, Table,
 };
-use mgpu_core::{CommTopology, EnactConfig, EnactReport, Runner, WireEncoding};
+use mgpu_core::{CommTopology, EnactConfig, EnactReport, Json, Runner, WireEncoding};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
 use mgpu_graph::{Csr, GraphBuilder};
@@ -91,7 +91,7 @@ fn run_ms_bfs(
     run_multi_source(Primitive::Bfs, g, sys, &part, cfg, &sources, mode).expect("run").report
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = BenchArgs::parse();
     println!(
         "Comm-volume study — paper list wire vs default vs default+butterfly at {GPUS} GPUs\n"
@@ -170,52 +170,36 @@ fn main() {
         }
     }
 
-    let mut j = String::from("{\"gpus\":6,\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        write!(
-            j,
-            "{{\"dataset\":\"{}\",\"primitive\":\"{}\",\"config\":\"{}\",\
-             \"sim_ms\":{:.3},\"supersteps\":{},\"h_bytes\":{},\"suppressed_pct\":{:.2},\
-             \"collective_stages\":{}}}",
-            r.dataset,
-            r.primitive,
-            r.config,
-            r.sim_ms,
-            r.supersteps,
-            r.h_bytes,
-            r.suppressed_pct,
-            r.collective_stages
-        )
-        .unwrap();
-    }
-    j.push_str("]}\n");
-
-    if let Some(path) = &args.json_out {
-        std::fs::write(path, &j).expect("write --json-out file");
-        println!("\nwrote {path}");
-    }
+    let doc = Json::obj([
+        ("gpus", GPUS.into()),
+        (
+            "rows",
+            Json::arr(rows.iter().map(|r| {
+                Json::obj([
+                    ("dataset", r.dataset.into()),
+                    ("primitive", r.primitive.as_str().into()),
+                    ("config", r.config.into()),
+                    ("sim_ms", Json::rounded(r.sim_ms, 3)),
+                    ("supersteps", r.supersteps.into()),
+                    ("h_bytes", r.h_bytes.into()),
+                    ("suppressed_pct", Json::rounded(r.suppressed_pct, 2)),
+                    ("collective_stages", r.collective_stages.into()),
+                ])
+            })),
+        ),
+    ]);
 
     // The regression gate: simulated costs are pure f64 arithmetic and
     // reproduce exactly across machines, so the tolerance is tight — any
     // drift means the cost model's behavior changed and the committed
     // baseline must be refreshed on purpose.
-    if let Some(path) = &args.baseline {
-        let tol = args.tolerance.unwrap_or(0.005);
-        let text = std::fs::read_to_string(path).expect("read --baseline file");
-        let result = mgpu_bench::Json::parse(&text).and_then(|base| {
-            let cur = mgpu_bench::Json::parse(&j)?;
-            mgpu_bench::compare_rows(
-                &cur,
-                &base,
-                &["dataset", "primitive", "config"],
-                &["sim_ms", "supersteps", "h_bytes", "suppressed_pct", "collective_stages"],
-                tol,
-            )
-        });
-        let code = mgpu_bench::gate_report("comm_volume", result);
-        std::process::exit(code);
-    }
+    mgpu_bench::finish_gate("comm_volume", &args, &doc, 0.005, |cur, base, tol| {
+        mgpu_bench::compare_rows(
+            cur,
+            base,
+            &["dataset", "primitive", "config"],
+            &["sim_ms", "supersteps", "h_bytes", "suppressed_pct", "collective_stages"],
+            tol,
+        )
+    })
 }

@@ -27,11 +27,11 @@
 //! both makespans and speedups are gated (simulated clocks are
 //! deterministic, so the tolerance is essentially zero).
 
-use std::fmt::Write as _;
+use std::process::ExitCode;
 
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{BenchArgs, Table};
-use mgpu_core::{EnactConfig, PressurePolicy, Service, ServicePolicy, ServiceReport};
+use mgpu_core::{EnactConfig, Json, PressurePolicy, Service, ServicePolicy, ServiceReport};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
 use mgpu_graph::{Csr, GraphBuilder};
@@ -71,7 +71,7 @@ fn assert_bit_equal(serial: &ServiceReport, conc: &ServiceReport, label: &str) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args = BenchArgs::parse();
     let ds = Dataset::by_name("hollywood-2009").expect("catalog");
     let mut coo = ds.generate(args.shift, args.seed);
@@ -166,37 +166,26 @@ fn main() {
         specs.len()
     );
 
-    let mut j = String::from("{\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            j.push(',');
-        }
-        write!(
-            j,
-            "{{\"bench\":\"{}\",\"base_ms\":{:.3},\"opt_ms\":{:.3},\"speedup\":{:.3}}}",
-            r.bench, r.base_ms, r.opt_ms, r.speedup
-        )
-        .unwrap();
-    }
-    j.push_str("]}\n");
-
-    if let Some(path) = &args.json_out {
-        std::fs::write(path, &j).expect("write --json-out file");
-        println!("\nwrote {path}");
-    }
+    let ms = |x| Json::rounded(x, 3);
+    let doc = Json::obj([(
+        "rows",
+        Json::arr(rows.iter().map(|r| {
+            Json::obj([
+                ("bench", r.bench.into()),
+                ("base_ms", ms(r.base_ms)),
+                ("opt_ms", ms(r.opt_ms)),
+                ("speedup", ms(r.speedup)),
+            ])
+        })),
+    )]);
 
     // Simulated makespans are deterministic: any drift at all is a
     // behavioural change, so the default tolerance is near-zero and the
     // speedup floor is 1.0 — concurrency must never lose to serial.
-    if let Some(path) = &args.baseline {
-        let tol = args.tolerance.unwrap_or(1e-6);
-        let text = std::fs::read_to_string(path).expect("read --baseline file");
-        let result = mgpu_bench::Json::parse(&text).and_then(|base| {
-            let cur = mgpu_bench::Json::parse(&j)?;
-            mgpu_bench::compare_rows(&cur, &base, &["bench"], &["base_ms", "opt_ms"], tol)?;
-            mgpu_bench::compare_speedups(&cur, &base, &["bench"], "speedup", tol, 1.0)
-        });
-        let code = mgpu_bench::gate_report("service_bench", result);
-        std::process::exit(code);
-    }
+    mgpu_bench::finish_gate("service_bench", &args, &doc, 1e-6, |cur, base, tol| {
+        let mut deltas =
+            mgpu_bench::compare_rows(cur, base, &["bench"], &["base_ms", "opt_ms"], tol)?;
+        deltas.extend(mgpu_bench::compare_speedups(cur, base, &["bench"], "speedup", tol, 1.0)?);
+        Ok(deltas)
+    })
 }

@@ -30,9 +30,9 @@ pub mod runners;
 pub mod service;
 
 pub use args::BenchArgs;
-pub use baseline::{compare_rows, compare_speedups, gate_report, Json};
+pub use baseline::{compare_rows, compare_speedups, finish_gate, gate_report};
 pub use fmt::{geomean, Table};
 pub use runners::{
     pick_source, run_multi_source, run_on_k, run_primitive, MultiSourceMode, Primitive, RunOutcome,
 };
-pub use service::{build_query_specs, parse_query_list, residency_bytes, ExecMode, QueryDesc};
+pub use service::{build_query_specs, parse_query_list, residency_bytes, QueryDesc};

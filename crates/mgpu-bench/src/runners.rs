@@ -40,6 +40,18 @@ impl Primitive {
         }
     }
 
+    /// The name `--primitive` and `--queries` spell this primitive with.
+    pub fn label(self) -> &'static str {
+        match self {
+            Primitive::Bfs => "bfs",
+            Primitive::Dobfs => "dobfs",
+            Primitive::Sssp => "sssp",
+            Primitive::Bc => "bc",
+            Primitive::Cc => "cc",
+            Primitive::Pr => "pr",
+        }
+    }
+
     /// All six, in the paper's Fig. 4 order.
     pub fn all() -> [Primitive; 6] {
         [
@@ -62,6 +74,38 @@ impl Primitive {
         Duplication::All
     }
 }
+
+/// The inverse of [`Primitive::label`].
+impl std::str::FromStr for Primitive {
+    type Err = ();
+    fn from_str(s: &str) -> std::result::Result<Self, ()> {
+        Primitive::all().into_iter().find(|p| p.label() == s).ok_or(())
+    }
+}
+
+/// Bind `$p` to the problem value `$prim` names (`$one_hop` picks BFS's
+/// duplication) and evaluate `$body` with it: the one primitive → problem
+/// map, and the one statement of PageRank's parameters (20 fixed iterations,
+/// for comparability).
+macro_rules! with_problem {
+    ($prim:expr, $one_hop:expr, |$p:ident| $body:expr) => {{
+        macro_rules! arm {
+            ($problem:expr) => {{
+                let $p = $problem;
+                $body
+            }};
+        }
+        match $prim {
+            Primitive::Bfs => arm!(Bfs { one_hop: $one_hop }),
+            Primitive::Dobfs => arm!(Dobfs::default()),
+            Primitive::Sssp => arm!(Sssp),
+            Primitive::Bc => arm!(Bc),
+            Primitive::Cc => arm!(Cc),
+            Primitive::Pr => arm!(Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 }),
+        }
+    }};
+}
+pub(crate) use with_problem;
 
 /// Host wall of the ingest stages a run pays between the CSR and the bind
 /// (the CSR build itself is timed by whoever holds the edge list).
@@ -133,23 +177,13 @@ fn dispatch<O: Id>(
     notes: &[Downgrade],
     one_hop: bool,
 ) -> Result<EnactReport> {
-    macro_rules! go {
-        ($p:expr) => {{
-            let mut r = Runner::new(system, dist, $p, config)?;
-            for d in notes {
-                r.note_downgrade(d.clone());
-            }
-            r.enact(src)
-        }};
-    }
-    match prim {
-        Primitive::Bfs => go!(Bfs { one_hop }),
-        Primitive::Dobfs => go!(Dobfs::default()),
-        Primitive::Sssp => go!(Sssp),
-        Primitive::Bc => go!(Bc),
-        Primitive::Cc => go!(Cc),
-        Primitive::Pr => go!(Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 }),
-    }
+    with_problem!(prim, one_hop, |p| {
+        let mut r = Runner::new(system, dist, p, config)?;
+        for d in notes {
+            r.note_downgrade(d.clone());
+        }
+        r.enact(src)
+    })
 }
 
 /// Does `prim`'s own communication preference allow dropping a broadcast
@@ -262,24 +296,15 @@ pub fn run_primitive_resilient(
     let mut ingest = IngestWall::default();
     let owner = timed(&mut ingest.partition_us, || partitioner.assign(g, n));
     let src = prim.needs_source().then(|| pick_source(g));
-    macro_rules! resilient {
-        ($problem:expr) => {
-            ResilientRunner::homogeneous(g, $problem, n, profile, config)
-                .with_owner(owner)
-                .with_fault_plan(plan)
-        };
-    }
-    let report = match prim {
-        Primitive::Bfs => resilient!(Bfs::default()).enact(src)?,
-        Primitive::Dobfs => resilient!(Dobfs::default()).with_csc().enact(src)?,
-        Primitive::Sssp => resilient!(Sssp).enact(src)?,
-        Primitive::Bc => resilient!(Bc).enact(src)?,
-        Primitive::Cc => resilient!(Cc).enact(src)?,
-        Primitive::Pr => {
-            let pr = Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 };
-            resilient!(pr).enact(None)?
+    let report = with_problem!(prim, false, |p| {
+        let mut r = ResilientRunner::homogeneous(g, p, n, profile, config)
+            .with_owner(owner)
+            .with_fault_plan(plan);
+        if prim == Primitive::Dobfs {
+            r = r.with_csc();
         }
-    };
+        r.enact(src)?
+    });
     Ok(RunOutcome { report, edges: g.n_edges(), ingest })
 }
 
@@ -387,12 +412,18 @@ pub fn run_on_k<O: Id>(
     run_primitive(prim, g, SimSystem::homogeneous(n, profile), partitioner, EnactConfig::default())
 }
 
+/// The divisor a dataset shrunk by `2^shift` takes off every fixed overhead:
+/// `2^shift`, the exponent saturating at 40.
+pub fn overhead_scale(shift: u32) -> f64 {
+    (1u64 << shift.min(40)) as f64
+}
+
 /// Build an `n`-device system whose fixed overheads are shrunk by
 /// `2^shift`, matching a dataset that was shrunk by `2^shift` — the
 /// dimensional scaling that preserves the paper's work-to-overhead ratios
 /// (see `HardwareProfile::with_overhead_scale`).
 pub fn scaled_system(n: usize, profile: vgpu::HardwareProfile, shift: u32) -> SimSystem {
-    let s = (1u64 << shift.min(40)) as f64;
+    let s = overhead_scale(shift);
     let profile = profile.with_overhead_scale(s);
     let ic = vgpu::Interconnect::pcie3(n, 4).with_latency_scale(s);
     SimSystem::new(vec![profile; n], ic).expect("sizes match")
@@ -416,10 +447,7 @@ pub fn primitive_comm_label(prim: Primitive) -> &'static str {
     match prim {
         Primitive::Bfs => {
             let p = Bfs::default();
-            match <Bfs as MgpuProblem<u32, u64>>::comm(&p) {
-                mgpu_core::CommStrategy::Selective => "selective",
-                mgpu_core::CommStrategy::Broadcast => "broadcast",
-            }
+            <Bfs as MgpuProblem<u32, u64>>::comm(&p).label()
         }
         Primitive::Dobfs | Primitive::Cc => "broadcast",
         Primitive::Bc => "selective fwd / broadcast bwd",

@@ -17,38 +17,16 @@
 
 use mgpu_core::governor::estimate_footprint;
 use mgpu_core::problem::Wire;
-use mgpu_core::{AsyncRunner, EnactConfig, Executor, MgpuProblem, QuerySpec, ResilientRunner, Runner};
+use mgpu_core::{
+    AsyncRunner, EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner,
+    Runner,
+};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
 use vgpu::{FaultPlan, HardwareProfile};
 
-use crate::runners::{pick_source, scaled_system, Primitive};
-
-/// Which executor engine a query runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Deterministic BSP supersteps ([`Runner`]).
-    Bsp,
-    /// Asynchronous label-correcting relaxation ([`AsyncRunner`]) —
-    /// label-correcting primitives only (bfs/sssp/cc), and excluded from
-    /// bit-equality assertions (async simulated time is
-    /// scheduling-dependent).
-    Async,
-    /// Checkpoint/re-home/failover driver ([`ResilientRunner`]).
-    Resilient,
-}
-
-impl ExecMode {
-    /// Short label, as written in `--queries` specs.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecMode::Bsp => "bsp",
-            ExecMode::Async => "async",
-            ExecMode::Resilient => "resilient",
-        }
-    }
-}
+use crate::runners::{overhead_scale, pick_source, scaled_system, with_problem, Primitive};
 
 /// One query descriptor, as parsed from a `--queries` spec entry.
 #[derive(Debug, Clone)]
@@ -58,8 +36,10 @@ pub struct QueryDesc {
     /// Global source vertex; `None` picks the highest-degree vertex for
     /// primitives that need one.
     pub source: Option<usize>,
-    /// Executor engine.
-    pub mode: ExecMode,
+    /// Executor engine. `Async` takes label-correcting primitives only
+    /// (bfs/sssp/cc) and is excluded from bit-equality assertions (async
+    /// simulated time is scheduling-dependent).
+    pub mode: ExecutorKind,
     /// Per-query fault plan (injected into the query's own simulated
     /// system; co-scheduled queries are unaffected).
     pub plan: Option<FaultPlan>,
@@ -68,7 +48,7 @@ pub struct QueryDesc {
 impl QueryDesc {
     /// A plain BSP query.
     pub fn bsp(prim: Primitive, source: Option<usize>) -> Self {
-        QueryDesc { prim, source, mode: ExecMode::Bsp, plan: None }
+        QueryDesc { prim, source, mode: ExecutorKind::Bsp, plan: None }
     }
 }
 
@@ -82,33 +62,20 @@ pub fn parse_query_list(spec: &str) -> Result<Vec<QueryDesc>, String> {
 
 fn parse_query(entry: &str) -> Result<QueryDesc, String> {
     let entry = entry.trim();
-    let (body, mode) = match entry.split_once('@') {
-        Some((b, m)) => (b, m),
-        None => (entry, "bsp"),
-    };
-    let mode = match mode {
-        "bsp" => ExecMode::Bsp,
-        "async" => ExecMode::Async,
-        "resilient" => ExecMode::Resilient,
-        other => return Err(format!("unknown exec mode '{other}' in '{entry}'")),
-    };
-    let (prim_s, source) = match body.split_once(':') {
+    let (body, mode) = entry.split_once('@').unwrap_or((entry, ExecutorKind::Bsp.label()));
+    let mode: ExecutorKind =
+        mode.parse().map_err(|()| format!("unknown exec mode '{mode}' in '{entry}'"))?;
+    let (prim, source) = match body.split_once(':') {
         Some((p, v)) => {
             let src: usize = v.parse().map_err(|_| format!("bad source '{v}' in '{entry}'"))?;
             (p, Some(src))
         }
         None => (body, None),
     };
-    let prim = match prim_s {
-        "bfs" => Primitive::Bfs,
-        "dobfs" => Primitive::Dobfs,
-        "sssp" => Primitive::Sssp,
-        "bc" => Primitive::Bc,
-        "cc" => Primitive::Cc,
-        "pr" => Primitive::Pr,
-        other => return Err(format!("unknown primitive '{other}' in '{entry}'")),
-    };
-    if mode == ExecMode::Async && !matches!(prim, Primitive::Bfs | Primitive::Sssp | Primitive::Cc)
+    let prim: Primitive =
+        prim.parse().map_err(|()| format!("unknown primitive '{prim}' in '{entry}'"))?;
+    if mode == ExecutorKind::Async
+        && !matches!(prim, Primitive::Bfs | Primitive::Sssp | Primitive::Cc)
     {
         return Err(format!(
             "'{entry}': async mode requires a label-correcting primitive (bfs/sssp/cc)"
@@ -192,59 +159,46 @@ pub fn build_query_specs<'g, O: Id>(
         };
         let plan = desc.plan.clone();
         let mode = desc.mode;
-        let needs_csc = prim == Primitive::Dobfs;
         let profile = profile.clone();
         let owner: Vec<u32> = owner.to_vec();
-        macro_rules! spec {
-            ($problem:expr) => {{
-                let problem = $problem;
-                let fp = dynamic_footprint(&problem, dist, &config);
-                specs.push(QuerySpec::new(name, source, fp, move || match mode {
-                    ExecMode::Bsp => {
-                        let mut system = scaled_system(n, profile.clone(), shift);
-                        if let Some(p) = &plan {
-                            system.attach_fault_plan(p);
-                        }
-                        let runner = Runner::new(system, dist, problem, config)?;
-                        Ok(Box::new(runner) as Box<dyn Executor<u32> + Send + 'g>)
+        with_problem!(prim, false, |problem| {
+            let fp = dynamic_footprint(&problem, dist, &config);
+            specs.push(QuerySpec::new(name, source, fp, move || {
+                let faulty_system = || {
+                    let mut s = scaled_system(n, profile.clone(), shift);
+                    if let Some(p) = &plan {
+                        s.attach_fault_plan(p);
                     }
-                    ExecMode::Async => {
-                        let mut system = scaled_system(n, profile.clone(), shift);
-                        if let Some(p) = &plan {
-                            system.attach_fault_plan(p);
-                        }
-                        let runner = AsyncRunner::with_config(system, dist, problem, &config)?;
-                        Ok(Box::new(runner) as Box<dyn Executor<u32> + Send + 'g>)
+                    s
+                };
+                Ok(match mode {
+                    ExecutorKind::Bsp => {
+                        Box::new(Runner::new(faulty_system(), dist, problem, config)?)
+                            as Box<dyn Executor<u32> + Send + 'g>
                     }
-                    ExecMode::Resilient => {
-                        let s = (1u64 << shift.min(40)) as f64;
+                    ExecutorKind::Async => {
+                        Box::new(AsyncRunner::with_config(faulty_system(), dist, problem, &config)?)
+                    }
+                    ExecutorKind::Resilient => {
                         let mut runner = ResilientRunner::homogeneous(
                             graph,
                             problem,
                             n,
-                            profile.clone().with_overhead_scale(s),
+                            profile.clone().with_overhead_scale(overhead_scale(shift)),
                             config,
                         )
                         .with_owner(owner.clone());
-                        if needs_csc {
+                        if prim == Primitive::Dobfs {
                             runner = runner.with_csc();
                         }
                         if let Some(p) = &plan {
                             runner = runner.with_fault_plan(p.clone());
                         }
-                        Ok(Box::new(runner) as Box<dyn Executor<u32> + Send + 'g>)
+                        Box::new(runner)
                     }
-                }));
-            }};
-        }
-        match prim {
-            Primitive::Bfs => spec!(Bfs::default()),
-            Primitive::Dobfs => spec!(Dobfs::default()),
-            Primitive::Sssp => spec!(Sssp),
-            Primitive::Bc => spec!(Bc),
-            Primitive::Cc => spec!(Cc),
-            Primitive::Pr => spec!(Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 }),
-        }
+                })
+            }));
+        });
     }
     Ok(specs)
 }
@@ -259,8 +213,8 @@ mod tests {
         assert_eq!(qs.len(), 5);
         assert_eq!(qs[0].prim, Primitive::Bfs);
         assert_eq!(qs[0].source, Some(0));
-        assert_eq!(qs[0].mode, ExecMode::Bsp);
-        assert_eq!(qs[1].mode, ExecMode::Resilient);
+        assert_eq!(qs[0].mode, ExecutorKind::Bsp);
+        assert_eq!(qs[1].mode, ExecutorKind::Resilient);
         assert_eq!(qs[2].prim, Primitive::Cc);
         assert_eq!(qs[2].source, None);
         assert_eq!(qs[4].source, Some(2));

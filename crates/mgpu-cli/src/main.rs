@@ -5,202 +5,257 @@
 //! mgpu run --primitive bfs --dataset soc-orkut --gpus 4
 //! mgpu run --primitive sssp --mtx graph.mtx --gpus 2 --partitioner metis
 //! mgpu run --primitive pr --dataset uk-2002 --gpus 6 --json
-//! ```
-//!
-//! Flags for `run`:
-//!
-//! ```text
-//!   --primitive {bfs|dobfs|sssp|bc|cc|pr}   (required)
-//!   --dataset <name> | --mtx <path>          (one required)
-//!   --gpus N            virtual GPU count              [default 4]
-//!   --partitioner {random|biased|metis|chunked}        [default random]
-//!   --profile {k40|k80|p100}                           [default k40]
-//!   --shift N           dataset scale-down exponent, 0..=63 [default 8]
-//!   --seed S            generator/partitioner seed     [default 42]
-//!   --sources N|id,..   batched multi-source traversal (bfs and bc only):
-//!                       a bare count N spreads N sources evenly over the
-//!                       vertex space, a comma list names them; all sources
-//!                       ride one enact, one u64 bitfield lane each (max 64)
-//!   --json              emit the report as JSON instead of text
-//!   --comm {selective|broadcast}  override the primitive's communication
-//!                       strategy
-//!   --fault-plan SPEC   deterministic fault injection; SPEC is either a
-//!                       comma-separated event list (`kfail:D@N`, `oom:D@N`,
-//!                       `slow:D@N:US`, `lose:D@N`, `tfail:S>D@N`,
-//!                       `ttimeout:S>D@N`, `spill:D@N`, `pass:D@N`,
-//!                       `lease:D@N`), the shorthand `random:SEED:COUNT:HORIZON`
-//!                       (transient-only), or `randomp:SEED:COUNT:HORIZON`
-//!                       (transients plus pressure-path sites)
-//!   --recovery          enact through the resilient runner: bounded retry,
-//!                       superstep checkpoints, degrade on device loss
-//!   --mem-cap BYTES     cap each device's memory pool at BYTES and enable
-//!                       the memory-pressure governor (admission downgrades,
-//!                       host spill, chunked multi-pass advance)
-//!   --alloc-scheme {just-enough|fixed|max|prealloc-fusion}
-//!                       override the primitive's frontier allocation scheme
-//!   --sizing-factor F   preallocation sizing factor for fixed /
-//!                       prealloc-fusion schemes, in (0, 2^32]     [default 1.0]
-//!   --comm-topology {direct|butterfly}  broadcast collective shape
-//!                       (butterfly = log2(n)-stage dissemination) [default direct]
-//!   --wire-encoding {auto|list|bitmap|delta}  package wire format; auto
-//!                       picks the smallest per package            [default auto]
-//!   --trace-out PATH    record a structured trace and write it to PATH
-//!                       (`.jsonl` → compact JSONL, anything else → Chrome
-//!                       trace_event JSON for chrome://tracing / Perfetto)
-//!   --profile           (no value) record a trace, print the per-superstep
-//!                       BSP cost attribution table (W, H·g, S·l, waits) and
-//!                       verify it reconciles exactly with the report
-//! ```
-//!
-//! Both tracing flags verify the trace↔report reconciliation invariant and
-//! exit non-zero on any mismatch. `run` starts from the highest-degree
-//! vertex; `serve --queries bfs:N` names a source.
-//!
-//! `serve` runs a multi-tenant query mix against one shared residency
-//! through the deterministic [`mgpu_core::service`] scheduler:
-//!
-//! ```text
 //! mgpu serve --dataset soc-orkut --queries "bfs:0,sssp:5@resilient,cc,pr" --gpus 4
 //! ```
 //!
-//! Flags for `serve`:
-//!
-//! ```text
-//!   --queries LIST      comma list of `prim[:source][@mode]` entries;
-//!                       prim ∈ {bfs|dobfs|sssp|bc|cc|pr}, mode ∈
-//!                       {bsp|async|resilient} (default bsp; async is
-//!                       bfs/sssp/cc only)              (required)
-//!   --dataset <name> | --mtx <path>                    (one required)
-//!   --gpus N            virtual GPU count              [default 4]
-//!   --partitioner {random|biased|metis|chunked}        [default random]
-//!   --profile {k40|k80|p100}                           [default k40]
-//!   --shift N           dataset scale-down exponent, 0..=63 [default 8]
-//!   --seed S            generator/partitioner seed     [default 42]
-//!   --sched-seed S      dispatch-permutation seed      [default --seed]
-//!   --lanes N           concurrent queries per wave (0 = unbounded)
-//!                                                      [default 4]
-//!   --workers N         host threads per wave (wall-clock only; results
-//!                       and reports are identical at every value)
-//!                                                      [default 1]
-//!   --mem-cap BYTES     per-device capacity: the admission ledger queues
-//!                       queries past the soft watermark and rejects with
-//!                       a typed OOM only those that cannot fit alone
-//!   --comm-topology {direct|butterfly}                 [default direct]
-//!   --json              emit the service report as JSON
-//! ```
-//!
-//! The scheduler is deterministic given `(--sched-seed, submission order)`:
-//! per-query reports and result words are bit-equal to one-at-a-time runs
-//! at any `--workers` and `--lanes` value.
+//! The flags are the rows of [`SHARED`], [`RUN`] and [`SERVE`] below; `mgpu`
+//! with no subcommand prints the usage generated from them. Both tracing
+//! flags of `run` verify the trace↔report reconciliation invariant and exit
+//! non-zero on any mismatch. `run` starts from the highest-degree vertex;
+//! `serve --queries bfs:N` names a source. `serve` runs its query mix against
+//! one shared residency through the deterministic [`mgpu_core::service`]
+//! scheduler: given `(--sched-seed, submission order)`, per-query reports and
+//! result words are bit-equal to one-at-a-time runs at any `--workers` and
+//! `--lanes` value.
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
-use std::str::FromStr;
 
+use mgpu_bench::args::{parse_flags, usage_lines, Flag, FlagValue, Hardware, Shift, SizingFactor};
 use mgpu_bench::runners::{
-    run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode, Primitive,
+    overhead_scale, run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode,
+    Primitive,
 };
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{run_multi_source, run_primitive};
-use mgpu_core::{AllocScheme, EnactConfig, PressurePolicy, RecoveryPolicy, Service, ServicePolicy};
+use mgpu_core::{
+    AllocScheme, CommStrategy, CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, Service,
+    ServicePolicy, WireEncoding,
+};
 use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
 use mgpu_graph::{read_mtx, Csr, GraphBuilder};
-use mgpu_partition::{
-    BiasedRandomPartitioner, ChunkedPartitioner, DistGraph, Duplication, MultilevelPartitioner,
-    Partitioner, RandomPartitioner,
-};
+use mgpu_partition::{DistGraph, Duplication, Partitioner, PartitionerKind};
 use vgpu::{FaultPlan, HardwareProfile};
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  mgpu datasets\n  mgpu run --primitive <bfs|dobfs|sssp|bc|cc|pr> \
-         (--dataset <name> | --mtx <path>) [--gpus N] [--partitioner random|biased|metis|chunked]\n\
-         \x20         [--profile k40|k80|p100] [--shift N] [--seed S] [--sources N|id,id,...] [--json]\n\
-         \x20         [--comm selective|broadcast] [--fault-plan <spec|random:SEED:COUNT:HORIZON>] [--recovery]\n\
-         \x20         [--mem-cap BYTES] [--alloc-scheme just-enough|fixed|max|prealloc-fusion] [--sizing-factor F]\n\
-         \x20         [--comm-topology direct|butterfly] [--wire-encoding auto|list|bitmap|delta]\n\
-         \x20         [--trace-out PATH.jsonl|PATH.json] [--profile]\n\
-         \x20 mgpu serve --queries \"bfs:0,sssp:5@resilient,cc\" (--dataset <name> | --mtx <path>)\n\
-         \x20         [--gpus N] [--partitioner random|biased|metis|chunked] [--profile k40|k80|p100]\n\
-         \x20         [--shift N] [--seed S] [--sched-seed S] [--lanes N] [--workers N]\n\
-         \x20         [--mem-cap BYTES] [--comm-topology direct|butterfly] [--json]"
-    );
-    ExitCode::FAILURE
+/// Every flag of `run` and `serve`, resolved: the flag tables below write
+/// into this one struct and both subcommands read it.
+#[derive(Debug, Clone, PartialEq)]
+struct Cli {
+    // ---- both subcommands ----
+    dataset: Option<Dataset>,
+    mtx: Option<String>,
+    gpus: usize,
+    partitioner: PartitionerKind,
+    /// The `--profile` name and its profile, capacity capped by `--mem-cap`.
+    hardware: Hardware,
+    shift: u32,
+    seed: u64,
+    mem_cap: Option<u64>,
+    comm_topology: CommTopology,
+    json: bool,
+    // ---- run ----
+    primitive: Option<Primitive>,
+    sources: Option<String>,
+    comm: Option<CommStrategy>,
+    fault_plan: Option<String>,
+    recovery: bool,
+    alloc_scheme: Option<AllocScheme>,
+    sizing_factor: f64,
+    wire_encoding: WireEncoding,
+    trace_out: Option<String>,
+    bsp_profile: bool,
+    // ---- serve ----
+    queries: Option<String>,
+    sched_seed: Option<u64>,
+    lanes: usize,
+    workers: usize,
 }
 
-/// A flag value whose type states its range; `WANT` is that range in words.
-trait FlagValue: FromStr {
-    const WANT: &'static str;
-}
-
-impl FlagValue for NonZeroUsize {
-    const WANT: &'static str = "an integer >= 1";
-}
-
-impl FlagValue for usize {
-    const WANT: &'static str = "an integer >= 0";
-}
-
-impl FlagValue for u64 {
-    const WANT: &'static str = "an integer >= 0";
-}
-
-/// `--shift`: the dataset scale-down exponent, below the 64-bit shift width.
-#[derive(Debug, PartialEq)]
-struct Shift(u32);
-
-impl FromStr for Shift {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        s.parse().ok().filter(|&x: &u32| x < 64).map(Shift).ok_or(())
+impl Default for Cli {
+    fn default() -> Self {
+        Cli {
+            dataset: None,
+            mtx: None,
+            gpus: 4,
+            partitioner: PartitionerKind::Random,
+            hardware: Hardware { name: "k40".into(), profile: HardwareProfile::k40() },
+            shift: 8,
+            seed: 42,
+            mem_cap: None,
+            comm_topology: CommTopology::Direct,
+            json: false,
+            primitive: None,
+            sources: None,
+            comm: None,
+            fault_plan: None,
+            recovery: false,
+            alloc_scheme: None,
+            sizing_factor: 1.0,
+            wire_encoding: WireEncoding::Auto,
+            trace_out: None,
+            bsp_profile: false,
+            queries: None,
+            sched_seed: None,
+            lanes: 4,
+            workers: 1,
+        }
     }
 }
 
-impl FlagValue for Shift {
-    const WANT: &'static str = "an integer in 0..=63";
+/// The flags `run` and `serve` share.
+const SHARED: &[Flag<Cli>] = &[
+    Flag::new("--dataset", "NAME", "a Table II analog (`mgpu datasets`); or give --mtx", |o, a| {
+        a.parse().map(|ds| o.dataset = Some(ds))
+    }),
+    Flag::new("--mtx", "PATH", "a Matrix Market file; or give --dataset", |o, a| {
+        a.text().map(|path| o.mtx = Some(path))
+    }),
+    Flag::new("--gpus", "N", "virtual GPU count [default 4]", |o, a| {
+        a.parse::<NonZeroUsize>().map(|n| o.gpus = n.get())
+    }),
+    Flag::new(
+        "--partitioner",
+        PartitionerKind::WANT,
+        "vertex placement [default random]",
+        |o, a| a.parse().map(|kind| o.partitioner = kind),
+    ),
+    Flag::new(
+        "--profile",
+        Hardware::WANT,
+        "hardware of every virtual GPU [default k40]",
+        |o, a| a.parse().map(|hw| o.hardware = hw),
+    ),
+    Flag::new("--shift", "N", "dataset scale-down exponent, 0..=63 [default 8]", |o, a| {
+        a.parse::<Shift>().map(|s| o.shift = s.0)
+    }),
+    Flag::new("--seed", "S", "generator/partitioner seed [default 42]", |o, a| {
+        a.parse().map(|seed| o.seed = seed)
+    }),
+    Flag::new("--mem-cap", "BYTES", "per-device pool cap; arms the pressure governor", |o, a| {
+        a.parse().map(|cap| o.mem_cap = Some(cap))
+    }),
+    Flag::new("--comm-topology", CommTopology::WANT, "broadcast shape [default direct]", |o, a| {
+        a.parse().map(|t| o.comm_topology = t)
+    }),
+    Flag::new("--json", "", "emit the report as JSON instead of text", |o, _| {
+        o.json = true;
+        Ok(())
+    }),
+];
+
+/// The flags of `run` alone.
+const RUN: &[Flag<Cli>] = &[
+    Flag::new("--primitive", Primitive::WANT, "(required)", |o, a| {
+        a.parse().map(|p| o.primitive = Some(p))
+    }),
+    Flag::new("--sources", "N|id,id,...", "batched multi-source bfs/bc, at most 64", |o, a| {
+        a.text().map(|s| o.sources = Some(s))
+    }),
+    Flag::new("--comm", CommStrategy::WANT, "override the primitive's strategy", |o, a| {
+        a.parse().map(|c| o.comm = Some(c))
+    }),
+    Flag::new(
+        "--fault-plan",
+        "SPEC",
+        "fault events (kfail:D@N,lose:D@N,…), random:SEED:COUNT:HORIZON or randomp:…",
+        |o, a| a.text().map(|s| o.fault_plan = Some(s)),
+    ),
+    Flag::new("--recovery", "", "enact through the resilient runner", |o, _| {
+        o.recovery = true;
+        Ok(())
+    }),
+    Flag::new("--alloc-scheme", AllocScheme::WANT, "override the primitive's scheme", |o, a| {
+        a.parse().map(|s| o.alloc_scheme = Some(s))
+    }),
+    Flag::new(
+        "--sizing-factor",
+        "F",
+        "fixed / prealloc-fusion multiplier [default 1.0]",
+        |o, a| a.parse::<SizingFactor>().map(|f| o.sizing_factor = f.0),
+    ),
+    Flag::new("--wire-encoding", WireEncoding::WANT, "package format [default auto]", |o, a| {
+        a.parse().map(|w| o.wire_encoding = w)
+    }),
+    Flag::new("--trace-out", "PATH", "write the trace: .jsonl, else Chrome JSON", |o, a| {
+        a.text().map(|p| o.trace_out = Some(p))
+    }),
+    // The parser's one special case: under `run`, `--profile` followed by
+    // anything but a hardware name is this switch (it shadows the shared row).
+    Flag::new("--profile", "", "(no value) print the reconciled BSP attribution table", |o, a| {
+        match a.optional() {
+            Some(hw) => o.hardware = hw,
+            None => o.bsp_profile = true,
+        }
+        Ok(())
+    }),
+];
+
+/// The flags of `serve` alone.
+const SERVE: &[Flag<Cli>] = &[
+    Flag::new("--queries", "LIST", "prim[:source][@bsp|async|resilient],… (required)", |o, a| {
+        a.text().map(|q| o.queries = Some(q))
+    }),
+    Flag::new("--sched-seed", "S", "dispatch-permutation seed [default --seed]", |o, a| {
+        a.parse().map(|s| o.sched_seed = Some(s))
+    }),
+    Flag::new("--lanes", "N", "queries per wave, 0 = unbounded [default 4]", |o, a| {
+        a.parse().map(|n| o.lanes = n)
+    }),
+    Flag::new("--workers", "N", "host threads per wave, wall-clock only [default 1]", |o, a| {
+        a.parse().map(|n| o.workers = n)
+    }),
+];
+
+fn usage() -> String {
+    format!(
+        "usage:\n  mgpu datasets\n  mgpu run --primitive P (--dataset NAME | --mtx PATH) [flags]\n  \
+         mgpu serve --queries LIST (--dataset NAME | --mtx PATH) [flags]\n\n\
+         run and serve:\n{}\nrun:\n{}\nserve:\n{}",
+        usage_lines(SHARED),
+        usage_lines(RUN),
+        usage_lines(SERVE)
+    )
 }
 
-/// `--sizing-factor`: a frontier holds at most `|E_i| <= |V_i|^2` ids, so a
-/// multiplier on `|V_i|` past the 32-bit id space cannot be meant.
-#[derive(Debug, PartialEq)]
-struct SizingFactor(f64);
+impl Cli {
+    /// Parse the arguments of a subcommand against its own rows and the
+    /// shared ones, then settle what depends on more than one flag.
+    fn parse(own: &'static [Flag<Cli>], args: &[String]) -> Result<Cli, String> {
+        let mut cli = parse_flags(&[own, SHARED], args, Cli::default())?;
+        if let Some(cap) = cli.mem_cap {
+            cli.hardware.profile = cli.hardware.profile.with_capacity(cap);
+        }
+        cli.alloc_scheme = cli.alloc_scheme.map(|s| s.with_sizing_factor(cli.sizing_factor));
+        Ok(cli)
+    }
 
-impl FromStr for SizingFactor {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        s.parse()
-            .ok()
-            .filter(|&x: &f64| x > 0.0 && x <= 4_294_967_296.0)
-            .map(SizingFactor)
-            .ok_or(())
+    /// `--mem-cap` arms the pressure governor.
+    fn pressure(&self) -> PressurePolicy {
+        if self.mem_cap.is_some() {
+            PressurePolicy::governed()
+        } else {
+            PressurePolicy::default()
+        }
     }
 }
 
-impl FlagValue for SizingFactor {
-    const WANT: &'static str = "a number in (0, 2^32]";
+/// How an invocation fails: the exit code — 2 for a command line that cannot
+/// be run, 1 for a run that failed — and the line for stderr.
+type Failure = (u8, String);
+
+fn bad_command_line(line: String) -> Failure {
+    (2, line)
 }
 
-/// Parse a numeric flag value. The type states the range: `NonZeroUsize`
-/// refuses zero, the unsigned types refuse a sign, every type refuses
-/// overflow.
-fn number<T: FlagValue>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("bad {flag} {value}: want {}", T::WANT))
-}
-
-/// [`number`], exiting 2 with its one-line message the way a missing value
-/// does.
-fn number_or_exit<T: FlagValue>(flag: &str, value: String) -> T {
-    number(flag, &value).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    })
+fn failed(line: String) -> Failure {
+    (1, line)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let outcome = match args.first().map(String::as_str) {
         Some("datasets") => {
             println!("{:<20} {:<6} {:>12} {:>12}", "name", "group", "paper |V|", "paper |E|");
             for ds in TABLE2.iter().chain(COMPARISON) {
@@ -212,12 +267,19 @@ fn main() -> ExitCode {
                     ds.paper_edges / 1e6
                 );
             }
-            ExitCode::SUCCESS
+            return ExitCode::SUCCESS;
         }
-        Some("run") => run(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        _ => usage(),
-    }
+        Some("run") => Cli::parse(RUN, &args[1..]).map_err(bad_command_line).and_then(run),
+        Some("serve") => Cli::parse(SERVE, &args[1..]).map_err(bad_command_line).and_then(serve),
+        _ => {
+            eprint!("{}", usage());
+            return ExitCode::FAILURE;
+        }
+    };
+    outcome.unwrap_or_else(|(code, line)| {
+        eprintln!("{line}");
+        ExitCode::from(code)
+    })
 }
 
 /// What the CSR build cost on the host.
@@ -230,35 +292,19 @@ struct BuildWall {
 
 /// Generate `--dataset` or parse `--mtx`, attach the paper's weights when a
 /// primitive needs them, and build the undirected CSR under a stopwatch.
-fn load_graph(
-    dataset: &Option<String>,
-    mtx: &Option<String>,
-    shift: u32,
-    seed: u64,
-    wants_weights: bool,
-) -> Result<(Csr<u32, u64>, BuildWall), ExitCode> {
-    let mut coo = match (dataset, mtx) {
-        (Some(name), None) => {
-            let Some(ds) = Dataset::by_name(name) else {
-                eprintln!("unknown dataset {name}; try `mgpu datasets`");
-                return Err(ExitCode::FAILURE);
-            };
-            ds.generate(shift, seed)
-        }
+fn load_graph(cli: &Cli, wants_weights: bool) -> Result<(Csr<u32, u64>, BuildWall), Failure> {
+    let mut coo = match (&cli.dataset, &cli.mtx) {
+        (Some(ds), None) => ds.generate(cli.shift, cli.seed),
         (None, Some(path)) => {
-            let file = std::fs::File::open(path).map_err(|e| {
-                eprintln!("cannot open {path}: {e}");
-                ExitCode::FAILURE
-            })?;
-            read_mtx::<u32, _>(std::io::BufReader::new(file)).map_err(|e| {
-                eprintln!("cannot parse {path}: {e}");
-                ExitCode::FAILURE
-            })?
+            let file = std::fs::File::open(path)
+                .map_err(|e| failed(format!("cannot open {path}: {e}")))?;
+            read_mtx::<u32, _>(std::io::BufReader::new(file))
+                .map_err(|e| failed(format!("cannot parse {path}: {e}")))?
         }
-        _ => return Err(usage()),
+        _ => return Err(bad_command_line(format!("give one of --dataset and --mtx\n{}", usage()))),
     };
     if wants_weights && coo.weights.is_none() {
-        add_paper_weights(&mut coo, seed ^ 0x77);
+        add_paper_weights(&mut coo, cli.seed ^ 0x77);
     }
     let mut us = 0.0;
     let graph = timed(&mut us, || GraphBuilder::undirected(&coo));
@@ -328,302 +374,114 @@ fn parse_fault_plan(spec: &str, n_devices: usize) -> Result<FaultPlan, String> {
     }
 }
 
-#[derive(Default)]
-struct RunArgs {
-    primitive: Option<String>,
-    dataset: Option<String>,
-    mtx: Option<String>,
-    gpus: usize,
-    partitioner: String,
-    profile: String,
-    shift: u32,
-    seed: u64,
-    sources: Option<String>,
-    json: bool,
-    comm: Option<String>,
-    fault_plan: Option<String>,
-    recovery: bool,
-    mem_cap: Option<u64>,
-    alloc_scheme: Option<String>,
-    sizing_factor: f64,
-    comm_topology: Option<String>,
-    wire_encoding: Option<String>,
-    trace_out: Option<String>,
-    bsp_profile: bool,
+/// `--sources`: a bare count spreads that many sources evenly (clamped to the
+/// 64 bitfield lanes and the vertex count); a comma list names them.
+fn parse_sources(spec: &str, n_vertices: usize) -> Result<Vec<usize>, Failure> {
+    let lanes = mgpu_primitives::ms_bfs::LANES;
+    let parsed = if spec.contains(',') {
+        spec.split(',').map(|s| s.trim().parse::<usize>()).collect::<Result<Vec<_>, _>>().ok()
+    } else {
+        spec.parse::<usize>()
+            .ok()
+            .filter(|&k| k > 0)
+            .map(|k| mgpu_primitives::MsBfs::spread_sources(k, n_vertices))
+    };
+    parsed
+        .filter(|v| !v.is_empty() && v.len() <= lanes && v.iter().all(|&s| s < n_vertices))
+        .ok_or_else(|| {
+            bad_command_line(format!(
+                "bad --sources {spec}: want a count >= 1 or a comma list of at most {lanes} \
+                 in-range vertex ids"
+            ))
+        })
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let mut a = RunArgs {
-        gpus: 4,
-        partitioner: "random".into(),
-        profile: "k40".into(),
-        shift: 8,
-        seed: 42,
-        sizing_factor: 1.0,
-        ..Default::default()
-    };
-    let mut it = args.iter().peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--primitive" => a.primitive = Some(value("--primitive")),
-            "--dataset" => a.dataset = Some(value("--dataset")),
-            "--mtx" => a.mtx = Some(value("--mtx")),
-            "--gpus" => a.gpus = number_or_exit::<NonZeroUsize>(flag, value(flag)).get(),
-            "--partitioner" => a.partitioner = value("--partitioner"),
-            // `--profile <k40|k80|p100>` selects hardware (historic form);
-            // bare `--profile` enables the BSP cost attribution output.
-            "--profile" => match it.peek().map(|s| s.as_str()) {
-                Some("k40" | "k80" | "p100") => a.profile = it.next().cloned().unwrap_or_default(),
-                _ => a.bsp_profile = true,
-            },
-            "--shift" => a.shift = number_or_exit::<Shift>(flag, value(flag)).0,
-            "--seed" => a.seed = number_or_exit(flag, value(flag)),
-            "--sources" => a.sources = Some(value("--sources")),
-            "--json" => a.json = true,
-            "--comm" => a.comm = Some(value("--comm")),
-            "--fault-plan" => a.fault_plan = Some(value("--fault-plan")),
-            "--recovery" => a.recovery = true,
-            "--mem-cap" => a.mem_cap = Some(number_or_exit(flag, value(flag))),
-            "--alloc-scheme" => a.alloc_scheme = Some(value("--alloc-scheme")),
-            "--sizing-factor" => {
-                a.sizing_factor = number_or_exit::<SizingFactor>(flag, value(flag)).0
-            }
-            "--comm-topology" => a.comm_topology = Some(value("--comm-topology")),
-            "--wire-encoding" => a.wire_encoding = Some(value("--wire-encoding")),
-            "--trace-out" => a.trace_out = Some(value("--trace-out")),
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let prim = match a.primitive.as_deref() {
-        Some("bfs") => Primitive::Bfs,
-        Some("dobfs") => Primitive::Dobfs,
-        Some("sssp") => Primitive::Sssp,
-        Some("bc") => Primitive::Bc,
-        Some("cc") => Primitive::Cc,
-        Some("pr") => Primitive::Pr,
-        _ => return usage(),
-    };
-
-    // --- graph ---
-    let wants_weights = prim == Primitive::Sssp;
-    let (graph, built) = match load_graph(&a.dataset, &a.mtx, a.shift, a.seed, wants_weights) {
-        Ok(loaded) => loaded,
-        Err(code) => return code,
-    };
-
-    // --- hardware ---
-    let profile = match a.profile.as_str() {
-        "k40" => HardwareProfile::k40(),
-        "k80" => HardwareProfile::k80_gpu(),
-        "p100" => HardwareProfile::p100(),
-        other => {
-            eprintln!("unknown profile {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // --mem-cap shrinks every device's pool and arms the pressure governor
-    let profile = match a.mem_cap {
-        Some(cap) => profile.with_capacity(cap),
-        None => profile,
-    };
-    let mut system = scaled_system(a.gpus, profile.clone(), a.shift);
+/// `mgpu run` — one primitive, one enact.
+fn run(cli: Cli) -> Result<ExitCode, Failure> {
+    let prim = cli
+        .primitive
+        .ok_or_else(|| bad_command_line(format!("run needs --primitive\n{}", usage())))?;
 
     // --- fault injection / recovery ---
-    let plan = match a.fault_plan.as_deref() {
-        Some(spec) => match parse_fault_plan(spec, a.gpus) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                eprintln!("bad --fault-plan: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
-    let comm = match a.comm.as_deref() {
-        None => None,
-        Some("selective") => Some(mgpu_core::CommStrategy::Selective),
-        Some("broadcast") => Some(mgpu_core::CommStrategy::Broadcast),
-        Some(other) => {
-            eprintln!("unknown comm strategy {other}");
-            return ExitCode::FAILURE;
+    let plan = cli
+        .fault_plan
+        .as_deref()
+        .map(|spec| {
+            parse_fault_plan(spec, cli.gpus).map_err(|e| {
+                bad_command_line(format!(
+                    "bad --fault-plan {spec}: want an event list or \
+                     random[p]:SEED:COUNT:HORIZON ({e})"
+                ))
+            })
+        })
+        .transpose()?;
+    if cli.sources.is_some() {
+        if !matches!(prim, Primitive::Bfs | Primitive::Bc) {
+            return Err(failed("--sources needs a source-parallel primitive (bfs or bc)".into()));
         }
-    };
-    let alloc_scheme = match a.alloc_scheme.as_deref() {
-        None => None,
-        Some("just-enough") => Some(AllocScheme::JustEnough),
-        Some("fixed") => Some(AllocScheme::Fixed { sizing_factor: a.sizing_factor }),
-        Some("max") => Some(AllocScheme::Max),
-        Some("prealloc-fusion") => {
-            Some(AllocScheme::PreallocFusion { sizing_factor: a.sizing_factor })
+        if cli.recovery {
+            return Err(failed("--sources does not combine with --recovery".into()));
         }
-        Some(other) => {
-            eprintln!("unknown alloc scheme {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let comm_topology = match a.comm_topology.as_deref() {
-        None | Some("direct") => mgpu_core::CommTopology::Direct,
-        Some("butterfly") => mgpu_core::CommTopology::Butterfly,
-        Some(other) => {
-            eprintln!("unknown comm topology {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let wire_encoding = match a.wire_encoding.as_deref() {
-        None | Some("auto") => mgpu_core::WireEncoding::Auto,
-        Some("list") => mgpu_core::WireEncoding::List,
-        Some("bitmap") => mgpu_core::WireEncoding::Bitmap,
-        Some("delta") => mgpu_core::WireEncoding::DeltaVarint,
-        Some(other) => {
-            eprintln!("bad --wire-encoding {other}: want auto|list|bitmap|delta");
-            return ExitCode::from(2);
-        }
-    };
+    }
     let config = EnactConfig {
-        alloc_scheme,
-        comm,
-        comm_topology,
-        wire_encoding,
-        tracing: a.trace_out.is_some() || a.bsp_profile,
-        recovery: if a.recovery { RecoveryPolicy::resilient() } else { RecoveryPolicy::default() },
-        pressure: if a.mem_cap.is_some() {
-            PressurePolicy::governed()
+        alloc_scheme: cli.alloc_scheme,
+        comm: cli.comm,
+        comm_topology: cli.comm_topology,
+        wire_encoding: cli.wire_encoding,
+        tracing: cli.trace_out.is_some() || cli.bsp_profile,
+        recovery: if cli.recovery {
+            RecoveryPolicy::resilient()
         } else {
-            PressurePolicy::default()
+            RecoveryPolicy::default()
         },
+        pressure: cli.pressure(),
         ..Default::default()
     };
-    if let (Some(p), false) = (&plan, a.recovery) {
+
+    let (graph, built) = load_graph(&cli, prim == Primitive::Sssp)?;
+    // --- multi-source batch (--sources) ---
+    let sources =
+        cli.sources.as_deref().map(|spec| parse_sources(spec, graph.n_vertices())).transpose()?;
+
+    let mut system = scaled_system(cli.gpus, cli.hardware.profile.clone(), cli.shift);
+    if let (Some(p), false) = (&plan, cli.recovery) {
         // No recovery requested: inject into the plain BSP enactor and let
         // the run succeed (transients absorbed by retry=0 → fail) or fail.
         system.attach_fault_plan(p);
     }
 
-    // --- multi-source batch (--sources) ---
-    let sources: Option<Vec<usize>> = match a.sources.as_deref() {
-        None => None,
-        Some(spec) => {
-            if !matches!(prim, Primitive::Bfs | Primitive::Bc) {
-                eprintln!("--sources needs a source-parallel primitive (bfs or bc)");
-                return ExitCode::FAILURE;
-            }
-            if a.recovery {
-                eprintln!("--sources does not combine with --recovery");
-                return ExitCode::FAILURE;
-            }
-            let parsed = if spec.contains(',') {
-                spec.split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .ok()
-            } else {
-                // A bare count spreads that many sources evenly (clamped to
-                // the 64 bitfield lanes and the vertex count).
-                spec.parse::<usize>()
-                    .ok()
-                    .filter(|&k| k > 0)
-                    .map(|k| mgpu_primitives::MsBfs::spread_sources(k, graph.n_vertices()))
-            };
-            match parsed {
-                Some(v)
-                    if !v.is_empty()
-                        && v.len() <= mgpu_primitives::ms_bfs::LANES
-                        && v.iter().all(|&s| s < graph.n_vertices()) =>
-                {
-                    Some(v)
-                }
-                _ => {
-                    eprintln!(
-                        "bad --sources {spec}: want a count >= 1 or a comma list of at most {} \
-                         in-range vertex ids",
-                        mgpu_primitives::ms_bfs::LANES
-                    );
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    };
-
-    // --- partition + run (partitioners are statically dispatched) ---
-    macro_rules! dispatch {
-        ($partitioner:expr) => {
-            if let Some(srcs) = &sources {
-                run_multi_source(
-                    prim,
-                    &graph,
-                    system,
-                    $partitioner,
-                    config,
-                    srcs,
-                    MultiSourceMode::Batched,
-                )
-            } else if let (Some(p), true) = (&plan, a.recovery) {
-                let s = (1u64 << a.shift.min(40)) as f64;
-                run_primitive_resilient(
-                    prim,
-                    &graph,
-                    a.gpus,
-                    profile.clone().with_overhead_scale(s),
-                    $partitioner,
-                    config,
-                    p.clone(),
-                )
-            } else {
-                run_primitive(prim, &graph, system, $partitioner, config)
-            }
-        };
+    // --- partition + run ---
+    let partitioner = cli.partitioner.seeded(cli.seed);
+    let outcome = if let Some(srcs) = &sources {
+        let mode = MultiSourceMode::Batched;
+        run_multi_source(prim, &graph, system, &partitioner, config, srcs, mode)
+    } else if let (Some(p), true) = (&plan, cli.recovery) {
+        let profile = cli.hardware.profile.clone().with_overhead_scale(overhead_scale(cli.shift));
+        run_primitive_resilient(prim, &graph, cli.gpus, profile, &partitioner, config, p.clone())
+    } else {
+        run_primitive(prim, &graph, system, &partitioner, config)
     }
-    let outcome = match a.partitioner.as_str() {
-        "random" => dispatch!(&RandomPartitioner { seed: a.seed }),
-        "biased" => dispatch!(&BiasedRandomPartitioner { seed: a.seed, slack: 0.05 }),
-        "metis" => dispatch!(&MultilevelPartitioner { seed: a.seed, ..Default::default() }),
-        "chunked" => dispatch!(&ChunkedPartitioner),
-        other => {
-            eprintln!("unknown partitioner {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    .map_err(|e| failed(format!("run failed: {e}")))?;
 
     // --- trace export + BSP cost attribution ---
     if let Some(trace) = &outcome.report.trace {
         let profile = mgpu_core::Profile::from_trace(trace);
-        if let Err(e) = profile.reconcile(&outcome.report) {
-            eprintln!("trace reconciliation failed: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Some(path) = &a.trace_out {
+        profile
+            .reconcile(&outcome.report)
+            .map_err(|e| failed(format!("trace reconciliation failed: {e}")))?;
+        if let Some(path) = &cli.trace_out {
             let body =
                 if path.ends_with(".jsonl") { trace.to_jsonl() } else { trace.to_chrome_json() };
-            if let Err(e) = std::fs::write(path, body) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            std::fs::write(path, body).map_err(|e| failed(format!("cannot write {path}: {e}")))?;
             eprintln!("trace written to {path} ({} events)", trace.n_events());
         }
-        if a.bsp_profile {
+        if cli.bsp_profile {
             print!("{}", profile.format_table());
             println!("{}", host_sync_line(&outcome.report));
         }
     }
 
-    if a.json {
+    if cli.json {
         println!("{}", outcome.report.to_json());
     } else {
         let r = &outcome.report;
@@ -632,8 +490,8 @@ fn run(args: &[String]) -> ExitCode {
             println!("sources        {} (one u64 bitfield lane each, one enact)", srcs.len());
         }
         println!("graph          |V|={} |E|={}", graph.n_vertices(), graph.n_edges());
-        println!("devices        {} × {}", a.gpus, a.profile);
-        println!("partitioner    {}", a.partitioner);
+        println!("devices        {} × {}", cli.gpus, cli.hardware.name);
+        println!("partitioner    {}", cli.partitioner.label());
         print_ingest(&built, &outcome.ingest);
         println!("supersteps     {}", r.iterations);
         println!("simulated      {:.3} ms", r.sim_time_us / 1e3);
@@ -714,182 +572,72 @@ fn run(args: &[String]) -> ExitCode {
             }
         }
     }
-    ExitCode::SUCCESS
-}
-
-#[derive(Default)]
-struct ServeArgs {
-    dataset: Option<String>,
-    mtx: Option<String>,
-    queries: Option<String>,
-    gpus: usize,
-    partitioner: String,
-    profile: String,
-    shift: u32,
-    seed: u64,
-    sched_seed: Option<u64>,
-    lanes: usize,
-    workers: usize,
-    mem_cap: Option<u64>,
-    comm_topology: Option<String>,
-    json: bool,
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `mgpu serve` — admit a `--queries` mix through the deterministic
 /// multi-tenant scheduler over one shared partitioned residency.
-fn serve(args: &[String]) -> ExitCode {
-    let mut a = ServeArgs {
-        gpus: 4,
-        partitioner: "random".into(),
-        profile: "k40".into(),
-        shift: 8,
-        seed: 42,
-        lanes: 4,
-        workers: 1,
-        ..Default::default()
-    };
-    let mut it = args.iter().peekable();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next().map(|s| s.to_string()).unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--dataset" => a.dataset = Some(value("--dataset")),
-            "--mtx" => a.mtx = Some(value("--mtx")),
-            "--queries" => a.queries = Some(value("--queries")),
-            "--gpus" => a.gpus = number_or_exit::<NonZeroUsize>(flag, value(flag)).get(),
-            "--partitioner" => a.partitioner = value("--partitioner"),
-            "--profile" => a.profile = value("--profile"),
-            "--shift" => a.shift = number_or_exit::<Shift>(flag, value(flag)).0,
-            "--seed" => a.seed = number_or_exit(flag, value(flag)),
-            "--sched-seed" => a.sched_seed = Some(number_or_exit(flag, value(flag))),
-            "--lanes" => a.lanes = number_or_exit(flag, value(flag)),
-            "--workers" => a.workers = number_or_exit(flag, value(flag)),
-            "--mem-cap" => a.mem_cap = Some(number_or_exit(flag, value(flag))),
-            "--comm-topology" => a.comm_topology = Some(value("--comm-topology")),
-            "--json" => a.json = true,
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let Some(spec) = &a.queries else {
-        eprintln!("serve needs --queries");
-        return usage();
-    };
-    let descs = match parse_query_list(spec) {
-        Ok(d) if !d.is_empty() => d,
-        Ok(_) => {
-            eprintln!("--queries is empty");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("bad --queries: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn serve(cli: Cli) -> Result<ExitCode, Failure> {
+    let spec = cli
+        .queries
+        .as_ref()
+        .ok_or_else(|| bad_command_line(format!("serve needs --queries\n{}", usage())))?;
+    let descs = parse_query_list(spec)
+        .and_then(|d| if d.is_empty() { Err("the list is empty".into()) } else { Ok(d) })
+        .map_err(|e| bad_command_line(format!("bad --queries {spec}: {e}")))?;
     let wants_weights = descs.iter().any(|d| d.prim == Primitive::Sssp);
     let wants_csc = descs.iter().any(|d| d.prim == Primitive::Dobfs);
 
     // --- graph (weights whenever the mix contains SSSP) ---
-    let (graph, built) = match load_graph(&a.dataset, &a.mtx, a.shift, a.seed, wants_weights) {
-        Ok(loaded) => loaded,
-        Err(code) => return code,
-    };
+    let (graph, built) = load_graph(&cli, wants_weights)?;
 
-    let profile = match a.profile.as_str() {
-        "k40" => HardwareProfile::k40(),
-        "k80" => HardwareProfile::k80_gpu(),
-        "p100" => HardwareProfile::p100(),
-        other => {
-            eprintln!("unknown profile {other}");
-            return ExitCode::FAILURE;
-        }
-    };
     // --mem-cap shrinks the per-query device pools too: admitted queries
     // that outgrow their estimate hit the runtime pressure machinery
     // (spill, chunking) rather than silently exceeding the cap.
-    let profile = match a.mem_cap {
-        Some(cap) => profile.with_capacity(cap),
-        None => profile,
-    };
-    let comm_topology = match a.comm_topology.as_deref() {
-        None | Some("direct") => mgpu_core::CommTopology::Direct,
-        Some("butterfly") => mgpu_core::CommTopology::Butterfly,
-        Some(other) => {
-            eprintln!("unknown comm topology {other}");
-            return ExitCode::FAILURE;
-        }
-    };
     let config = EnactConfig {
-        comm_topology,
-        pressure: if a.mem_cap.is_some() {
-            PressurePolicy::governed()
-        } else {
-            PressurePolicy::default()
-        },
+        comm_topology: cli.comm_topology,
+        pressure: cli.pressure(),
         ..Default::default()
     };
 
     // --- one shared residency for every query ---
+    let gpus = cli.gpus;
     let mut ingest = IngestWall::default();
-    let owner = timed(&mut ingest.partition_us, || match a.partitioner.as_str() {
-        "random" => Some(RandomPartitioner { seed: a.seed }.assign(&graph, a.gpus)),
-        "biased" => {
-            Some(BiasedRandomPartitioner { seed: a.seed, slack: 0.05 }.assign(&graph, a.gpus))
-        }
-        "metis" => Some(
-            MultilevelPartitioner { seed: a.seed, ..Default::default() }.assign(&graph, a.gpus),
-        ),
-        "chunked" => Some(ChunkedPartitioner.assign(&graph, a.gpus)),
-        _ => None,
-    });
-    let Some(owner) = owner else {
-        eprintln!("unknown partitioner {}", a.partitioner);
-        return ExitCode::FAILURE;
-    };
+    let owner =
+        timed(&mut ingest.partition_us, || cli.partitioner.seeded(cli.seed).assign(&graph, gpus));
     // The resilient queries re-partition from the same table.
     let mut dist = timed(&mut ingest.partition_us, || {
-        DistGraph::build(&graph, owner.clone(), a.gpus, Duplication::All)
+        DistGraph::build(&graph, owner.clone(), gpus, Duplication::All)
     });
     if wants_csc {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
 
-    let specs = match build_query_specs(&graph, &dist, &owner, profile, a.shift, config, &descs) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("bad query mix: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let profile = cli.hardware.profile.clone();
+    let specs = build_query_specs(&graph, &dist, &owner, profile, cli.shift, config, &descs)
+        .map_err(|e| failed(format!("bad query mix: {e}")))?;
 
     let policy = ServicePolicy {
-        seed: a.sched_seed.unwrap_or(a.seed),
-        workers: a.workers,
-        lanes: a.lanes,
-        mem_cap: a.mem_cap,
+        seed: cli.sched_seed.unwrap_or(cli.seed),
+        workers: cli.workers,
+        lanes: cli.lanes,
+        mem_cap: cli.mem_cap,
         residency_bytes: residency_bytes(&dist),
         pressure: PressurePolicy::governed(),
     };
     let report = Service::new(policy).run(&specs);
 
-    if a.json {
+    if cli.json {
         println!("{}", report.to_json());
     } else {
         println!(
             "serving {} queries on {} GPUs over {} (|V|={} |E|={}, shift {})",
             specs.len(),
-            a.gpus,
-            a.dataset.as_deref().unwrap_or("mtx"),
+            gpus,
+            cli.dataset.map_or("mtx", |ds| ds.name),
             graph.n_vertices(),
             graph.n_edges(),
-            a.shift
+            cli.shift
         );
         print_ingest(&built, &ingest);
         println!();
@@ -948,46 +696,221 @@ fn serve(args: &[String]) -> ExitCode {
         );
     }
 
-    if report.all_ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(if report.all_ok() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn number_accepts_in_range_values() {
-        assert_eq!(number::<NonZeroUsize>("--gpus", "4").map(NonZeroUsize::get), Ok(4));
-        assert_eq!(number::<usize>("--lanes", "0"), Ok(0));
-        assert_eq!(number::<SizingFactor>("--sizing-factor", "1.5"), Ok(SizingFactor(1.5)));
-        assert_eq!(number::<Shift>("--shift", "63"), Ok(Shift(63)));
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(str::to_string).collect()
+    }
+
+    fn parse(own: &'static [Flag<Cli>], line: &str) -> Result<Cli, String> {
+        Cli::parse(own, &argv(line))
     }
 
     #[test]
-    fn number_rejects_bad_values_with_one_line() {
-        let gpus = |v| number::<NonZeroUsize>("--gpus", v).unwrap_err();
-        assert_eq!(gpus("abc"), "bad --gpus abc: want an integer >= 1");
-        assert_eq!(gpus("0"), "bad --gpus 0: want an integer >= 1");
-        assert_eq!(gpus("-3"), "bad --gpus -3: want an integer >= 1");
+    fn no_flags_is_the_documented_defaults() {
+        let cli = parse(RUN, "").unwrap();
+        assert_eq!(cli, Cli::default());
+        assert_eq!((cli.gpus, cli.shift, cli.seed), (4, 8, 42));
+        assert_eq!((cli.lanes, cli.workers, cli.sizing_factor), (4, 1, 1.0));
+        assert_eq!(cli.hardware.profile, HardwareProfile::k40());
+    }
+
+    #[test]
+    fn every_run_flag_parses_to_its_resolved_value() {
+        let cli = parse(
+            RUN,
+            "--primitive dobfs --dataset soc-orkut --gpus 6 --partitioner metis --profile p100 \
+             --shift 10 --seed 7 --sources 0,5,11 --json --comm broadcast \
+             --fault-plan lose:2@5,kfail:0@3 --recovery --mem-cap 3600000 \
+             --alloc-scheme fixed --sizing-factor 2.5 --comm-topology butterfly \
+             --wire-encoding delta --trace-out t.jsonl --profile",
+        )
+        .unwrap();
+        let expected = Cli {
+            dataset: Dataset::by_name("soc-orkut"),
+            gpus: 6,
+            hardware: Hardware {
+                name: "p100".into(),
+                profile: HardwareProfile::p100().with_capacity(3_600_000),
+            },
+            shift: 10,
+            partitioner: PartitionerKind::Metis,
+            seed: 7,
+            mem_cap: Some(3_600_000),
+            comm_topology: CommTopology::Butterfly,
+            json: true,
+            primitive: Some(Primitive::Dobfs),
+            sources: Some("0,5,11".into()),
+            comm: Some(CommStrategy::Broadcast),
+            fault_plan: Some("lose:2@5,kfail:0@3".into()),
+            recovery: true,
+            alloc_scheme: Some(AllocScheme::Fixed { sizing_factor: 2.5 }),
+            sizing_factor: 2.5,
+            wire_encoding: WireEncoding::DeltaVarint,
+            trace_out: Some("t.jsonl".into()),
+            bsp_profile: true,
+            ..Cli::default()
+        };
+        assert_eq!(cli, expected);
+        assert_eq!(cli.pressure(), PressurePolicy::governed());
+    }
+
+    #[test]
+    fn every_serve_flag_parses_to_its_resolved_value() {
+        let cli = parse(
+            SERVE,
+            "--queries bfs:0,cc --mtx g.mtx --gpus 2 --partitioner chunked --profile k80 \
+             --shift 6 --seed 9 --sched-seed 3 --lanes 0 --workers 4 --mem-cap 6291456 \
+             --comm-topology butterfly --json",
+        )
+        .unwrap();
+        let expected = Cli {
+            mtx: Some("g.mtx".into()),
+            gpus: 2,
+            hardware: Hardware {
+                name: "k80".into(),
+                profile: HardwareProfile::k80_gpu().with_capacity(6_291_456),
+            },
+            shift: 6,
+            partitioner: PartitionerKind::Chunked,
+            seed: 9,
+            mem_cap: Some(6_291_456),
+            comm_topology: CommTopology::Butterfly,
+            json: true,
+            queries: Some("bfs:0,cc".into()),
+            sched_seed: Some(3),
+            lanes: 0,
+            workers: 4,
+            ..Cli::default()
+        };
+        assert_eq!(cli, expected);
+    }
+
+    #[test]
+    fn bare_profile_is_the_bsp_table_and_a_named_one_is_hardware() {
+        let bare = parse(RUN, "--profile --json").unwrap();
+        assert!(bare.bsp_profile && bare.json);
+        assert_eq!(bare.hardware.name, "k40");
+        let named = parse(RUN, "--profile k80 --profile").unwrap();
+        assert!(named.bsp_profile);
+        assert_eq!(named.hardware.profile, HardwareProfile::k80_gpu());
+        // `serve` has no bare form
+        assert_eq!(parse(SERVE, "--profile").unwrap_err(), "--profile needs a value");
         assert_eq!(
-            number::<u64>("--mem-cap", "-1").unwrap_err(),
-            "bad --mem-cap -1: want an integer >= 0"
+            parse(SERVE, "--profile k41").unwrap_err(),
+            "bad --profile k41: want k40|k80|p100"
         );
+    }
+
+    #[test]
+    fn each_subcommand_refuses_the_other_ones_flags() {
+        assert_eq!(parse(RUN, "--queries bfs").unwrap_err(), "unknown flag --queries");
+        assert_eq!(parse(SERVE, "--primitive bfs").unwrap_err(), "unknown flag --primitive");
+        assert_eq!(parse(RUN, "--src 3").unwrap_err(), "unknown flag --src");
+        assert_eq!(parse(RUN, "--suppression on").unwrap_err(), "unknown flag --suppression");
+    }
+
+    /// The bad-value lines `.claude/skills/verify/SKILL.md` quotes.
+    #[test]
+    fn bad_values_are_one_line_each() {
+        fn bad(line: &str) -> String {
+            parse(RUN, line).unwrap_err()
+        }
+        assert_eq!(bad("--gpus abc"), "bad --gpus abc: want an integer >= 1");
+        assert_eq!(bad("--gpus 0"), "bad --gpus 0: want an integer >= 1");
+        assert_eq!(bad("--gpus -3"), "bad --gpus -3: want an integer >= 1");
+        assert_eq!(bad("--mem-cap -1"), "bad --mem-cap -1: want an integer >= 0");
         for v in ["64", "4294967296", "-1"] {
             assert_eq!(
-                number::<Shift>("--shift", v).unwrap_err(),
+                bad(&format!("--shift {v}")),
                 format!("bad --shift {v}: want an integer in 0..=63")
             );
+            let line = format!("--shift {v}");
+            assert_eq!(parse(SERVE, &line).unwrap_err(), bad(&line), "one parser, one line");
         }
         for v in ["x", "inf", "nan", "-1", "0", "1e30"] {
             assert_eq!(
-                number::<SizingFactor>("--sizing-factor", v).unwrap_err(),
+                bad(&format!("--sizing-factor {v}")),
                 format!("bad --sizing-factor {v}: want a number in (0, 2^32]")
             );
+        }
+        assert_eq!(
+            bad("--wire-encoding legacy"),
+            "bad --wire-encoding legacy: want auto|list|bitmap|delta"
+        );
+        assert_eq!(bad("--primitive zork"), "bad --primitive zork: want bc|bfs|cc|dobfs|pr|sssp");
+        assert_eq!(
+            bad("--partitioner kway"),
+            "bad --partitioner kway: want random|biased|metis|chunked"
+        );
+        assert_eq!(bad("--comm unicast"), "bad --comm unicast: want selective|broadcast");
+        assert_eq!(bad("--comm-topology ring"), "bad --comm-topology ring: want direct|butterfly");
+        assert_eq!(
+            bad("--alloc-scheme huge"),
+            "bad --alloc-scheme huge: want just-enough|fixed|max|prealloc-fusion"
+        );
+        assert_eq!(
+            bad("--dataset nope"),
+            "bad --dataset nope: want a name listed by mgpu datasets"
+        );
+        assert_eq!(bad("--gpus"), "--gpus needs a value");
+        assert_eq!(parse(SERVE, "--lanes -1").unwrap_err(), "bad --lanes -1: want an integer >= 0");
+    }
+
+    #[test]
+    fn every_name_parses_back_to_its_value() {
+        use mgpu_core::ExecutorKind;
+        fn round_trips<T: std::str::FromStr + PartialEq + std::fmt::Debug + Copy>(
+            all: &[T],
+            label: impl Fn(&T) -> &'static str,
+        ) {
+            for v in all {
+                assert_eq!(label(v).parse::<T>().ok(), Some(*v), "{}", label(v));
+            }
+        }
+        round_trips(&Primitive::all(), |p| p.label());
+        round_trips(ExecutorKind::ALL, ExecutorKind::label);
+        round_trips(CommStrategy::ALL, CommStrategy::label);
+        round_trips(CommTopology::ALL, CommTopology::label);
+        round_trips(WireEncoding::ALL, WireEncoding::label);
+        round_trips(PartitionerKind::ALL, PartitionerKind::label);
+        let schemes = [
+            AllocScheme::JustEnough,
+            AllocScheme::Fixed { sizing_factor: 1.0 },
+            AllocScheme::Max,
+            AllocScheme::PreallocFusion { sizing_factor: 1.0 },
+        ];
+        round_trips(&schemes, AllocScheme::label);
+        assert_eq!("prealloc-fusion".parse(), Ok(schemes[3]), "the flag's spelling");
+    }
+
+    #[test]
+    fn fault_plan_shorthands_expand_per_device_count() {
+        assert_eq!(parse_fault_plan("random:7:6:40", 4).unwrap(), FaultPlan::random(7, 4, 6, 40));
+        assert_eq!(
+            parse_fault_plan("randomp:7:6:40", 2).unwrap(),
+            FaultPlan::random_with_pressure(7, 2, 6, 40)
+        );
+        assert!(parse_fault_plan("random:7:6", 4).is_err());
+        assert!(parse_fault_plan("lose:2@5,kfail:0@3", 4).is_ok());
+    }
+
+    #[test]
+    fn the_readme_names_every_flag() {
+        let readme = include_str!("../../../README.md");
+        let usage = usage();
+        for flag in SHARED.iter().chain(RUN).chain(SERVE) {
+            // the whole flag, not a prefix of a longer one (`--comm` / `--comm-topology`)
+            let named = readme.match_indices(flag.name).any(|(at, name)| {
+                !readme[at + name.len()..].starts_with(|c: char| c.is_ascii_lowercase() || c == '-')
+            });
+            assert!(named, "README.md does not mention {}", flag.name);
+            assert!(usage.contains(&format!("  {}", flag.name)), "{}", flag.name);
         }
     }
 }

@@ -61,6 +61,16 @@ impl AllocScheme {
         }
     }
 
+    /// The scheme with its preallocation multiplier replaced (a no-op for
+    /// the two schemes that have none).
+    pub fn with_sizing_factor(self, sizing_factor: f64) -> Self {
+        match self {
+            AllocScheme::Fixed { .. } => AllocScheme::Fixed { sizing_factor },
+            AllocScheme::PreallocFusion { .. } => AllocScheme::PreallocFusion { sizing_factor },
+            other => other,
+        }
+    }
+
     /// Elements every buffer is preallocated to. The float-to-int cast
     /// saturates (a NaN or negative factor preallocates nothing, an infinite
     /// one asks for `usize::MAX`), and the pool refuses what it cannot hold.
@@ -72,6 +82,23 @@ impl AllocScheme {
                 (n_vertices as f64 * sizing_factor).ceil() as usize
             }
             AllocScheme::Max => n_edges,
+        }
+    }
+}
+
+/// The inverse of [`AllocScheme::label`], at sizing factor 1. The flag
+/// spelling `prealloc-fusion` is accepted beside the report's.
+impl std::str::FromStr for AllocScheme {
+    type Err = ();
+    fn from_str(s: &str) -> std::result::Result<Self, ()> {
+        match s {
+            "just-enough" => Ok(AllocScheme::JustEnough),
+            "fixed" => Ok(AllocScheme::Fixed { sizing_factor: 1.0 }),
+            "max" => Ok(AllocScheme::Max),
+            "prealloc-fusion" | "prealloc+fusion" => {
+                Ok(AllocScheme::PreallocFusion { sizing_factor: 1.0 })
+            }
+            _ => Err(()),
         }
     }
 }

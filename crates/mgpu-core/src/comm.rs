@@ -53,6 +53,8 @@ pub enum CommStrategy {
     Selective,
 }
 
+named!(CommStrategy { Selective => "selective", Broadcast => "broadcast" });
+
 /// How broadcast traffic is routed between the devices (`EnactConfig`
 /// knob). Orthogonal to [`CommStrategy`]: the topology decides *who talks
 /// to whom*, the strategy decides *what is on the wire*.
@@ -70,6 +72,8 @@ pub enum CommTopology {
     Butterfly,
 }
 
+named!(CommTopology { Direct => "direct", Butterfly => "butterfly" });
+
 /// Wire-encoding policy (`EnactConfig` knob): how packages are turned into
 /// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,6 +90,8 @@ pub enum WireEncoding {
     /// list.
     DeltaVarint,
 }
+
+named!(WireEncoding { Auto => "auto", List => "list", Bitmap => "bitmap", DeltaVarint => "delta" });
 
 /// The concrete encoding a package ended up with (reported in the
 /// `EnactReport` encoding histogram).
@@ -710,13 +716,7 @@ pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
         broadcast_block(dev, sub, frontier, packager, policy, suppress, key, merge)?;
     // broadcast ids live in the global space; the bitmap alternative spans
     // that space
-    Ok(Package::encode(
-        vertices,
-        msgs,
-        policy.encoding,
-        Some(sub.n_vertices()),
-        policy.uniform_hint,
-    ))
+    Ok(Package::encode(vertices, msgs, policy.encoding, Some(sub.n_global), policy.uniform_hint))
 }
 
 /// The unencoded half of [`broadcast_package_with`]: the admitted frontier
@@ -816,10 +816,11 @@ mod tests {
         // the caller's own frontier *is* the local part — nothing is copied
         let (vs, _) = pkg.decode();
         assert_eq!(vs.as_ref(), &[2, 5], "local 4 is global 5");
-        // global id 5 lies outside the 5-vertex local space a 1-hop subgraph
-        // offers the bitmap, so Auto takes delta-varint: tag + count + 2 gaps
-        assert_eq!(pkg.encoding(), PackageEncoding::DeltaVarint);
-        assert_eq!(pkg.wire_bytes(), 4);
+        // global id 5 lies outside the part's 5-vertex local space but inside
+        // the 6-vertex global one the bitmap spans, so Auto takes the bitmap:
+        // tag + one byte of bits (delta-varint would cost tag + count + 2 gaps)
+        assert_eq!(pkg.encoding(), PackageEncoding::Bitmap);
+        assert_eq!(pkg.wire_bytes(), 2);
     }
 
     #[test]

@@ -1120,7 +1120,7 @@ fn butterfly_superstep<V: Id, O: Id, P: MgpuProblem<V, O>>(
                         vs,
                         ms,
                         pkg_policy.encoding,
-                        Some(sub.n_vertices()),
+                        Some(sub.n_global),
                         pkg_policy.uniform_hint,
                     );
                     (pkg, total as u64)
@@ -1277,7 +1277,7 @@ fn butterfly_fallback<V: Id, O: Id, P: MgpuProblem<V, O>>(
                     own.1.clone(),
                     own.2.clone(),
                     pkg_policy.encoding,
-                    Some(sub.n_vertices()),
+                    Some(sub.n_global),
                     pkg_policy.uniform_hint,
                 );
                 (pkg, items)

@@ -56,16 +56,9 @@ pub enum ExecutorKind {
     Resilient,
 }
 
-impl ExecutorKind {
-    /// Short label for reports and traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ExecutorKind::Bsp => "bsp",
-            ExecutorKind::Async => "async",
-            ExecutorKind::Resilient => "resilient",
-        }
-    }
+named!(ExecutorKind { Bsp => "bsp", Async => "async", Resilient => "resilient" });
 
+impl ExecutorKind {
     /// Is this engine's *simulated time* a deterministic function of
     /// (graph, config, fault plan) — i.e. may a scheduler assert
     /// [`EnactReport::same_simulation`] against a serial re-run? Async

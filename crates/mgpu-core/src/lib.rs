@@ -30,6 +30,32 @@
 //! * fused advance+filter operators ([`ops::advance_filter_fused`]) that
 //!   skip the intermediate frontier entirely (§VI-C).
 
+/// The one name ↔ value map of a fieldless enum: `ALL`, `label()`, and the
+/// `FromStr` that inverts it.
+macro_rules! named {
+    ($t:ident { $($variant:ident => $name:literal),+ $(,)? }) => {
+        impl $t {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$t] = &[$($t::$variant),+];
+
+            /// The name flags, query specs and reports use for this value.
+            pub fn label(&self) -> &'static str {
+                match self {
+                    $($t::$variant => $name),+
+                }
+            }
+        }
+
+        /// The inverse of `label()`.
+        impl std::str::FromStr for $t {
+            type Err = ();
+            fn from_str(s: &str) -> std::result::Result<Self, ()> {
+                Self::ALL.iter().copied().find(|v| v.label() == s).ok_or(())
+            }
+        }
+    };
+}
+
 pub mod alloc;
 pub mod async_enactor;
 pub mod comm;
@@ -37,6 +63,7 @@ pub mod direction;
 pub mod enactor;
 pub mod executor;
 pub mod governor;
+pub mod json;
 pub mod ops;
 pub mod problem;
 pub mod report;
@@ -54,6 +81,7 @@ pub use async_enactor::AsyncRunner;
 pub use enactor::{EnactConfig, Runner};
 pub use executor::{Executor, ExecutorKind};
 pub use governor::{Downgrade, GovernorLog, PressurePolicy};
+pub use json::{Json, JsonError, JsonWriter};
 pub use problem::{MgpuProblem, Wire};
 pub use report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
 pub use resilience::{CheckpointSink, GlobalCheckpoint, RecoveryLog, RecoveryPolicy, ResilientRunner};

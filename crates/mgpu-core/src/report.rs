@@ -3,6 +3,7 @@
 use vgpu::{BspCounters, HostSyncStats, MemoryPool};
 
 use crate::governor::GovernorLog;
+use crate::json::Json;
 use crate::resilience::RecoveryLog;
 
 /// Aggregated per-superstep statistics (summed over devices) — the frontier
@@ -256,79 +257,66 @@ impl EnactReport {
     }
 
     /// Serialize the report as a JSON object (flat, self-describing) for
-    /// external plotting/analysis pipelines. Hand-rolled to keep the
-    /// dependency set small; every field is either numeric or a quoted
-    /// ASCII identifier, so no escaping is needed.
+    /// external plotting/analysis pipelines.
     pub fn to_json(&self) -> String {
         let c = &self.totals;
+        let (rec, gov, comm) = (&self.recovery, &self.governor, &self.comm);
         let sync = self.host_sync.total();
-        format!(
-            concat!(
-                "{{\"primitive\":\"{}\",\"n_devices\":{},\"iterations\":{},",
-                "\"sim_time_us\":{},\"wall_time_us\":{},",
-                "\"w_items\":{},\"c_items\":{},\"h_vertices\":{},",
-                "\"h_bytes_sent\":{},\"h_bytes_recv\":{},\"h_messages\":{},",
-                "\"kernel_launches\":{},\"w_time_us\":{},\"c_time_us\":{},",
-                "\"h_time_us\":{},\"sync_time_us\":{},",
-                "\"peak_memory_per_device\":{},\"total_peak_memory\":{},",
-                "\"pool_reallocs\":{},",
-                "\"kernel_retries\":{},\"transfer_retries\":{},",
-                "\"faults_injected\":{},\"checkpoints_taken\":{},",
-                "\"stragglers_detected\":{},\"butterfly_fallbacks\":{},\"failovers\":{},",
-                "\"lost_devices\":{},\"lost_time_us\":{},",
-                "\"downgrades\":{},\"chunked_advances\":{},\"chunk_passes\":{},",
-                "\"spill_events\":{},\"spilled_bytes\":{},\"reclaim_retries\":{},",
-                "\"suppressed_vertices\":{},\"suppressed_bytes\":{},",
-                "\"enc_list\":{},\"enc_bitmap\":{},\"enc_delta\":{},",
-                "\"collective_stages\":{},",
-                "\"host_sync\":{{\"rendezvous\":{},\"parked\":{},\"wait_wall_ns\":{},",
-                "\"wait_wall_ns_per_device\":{:?}}}}}"
+        Json::obj([
+            ("primitive", self.primitive.into()),
+            ("n_devices", self.n_devices.into()),
+            ("iterations", self.iterations.into()),
+            ("sim_time_us", self.sim_time_us.into()),
+            ("wall_time_us", self.wall_time_us.into()),
+            ("w_items", c.w_items.into()),
+            ("c_items", c.c_items.into()),
+            ("h_vertices", c.h_vertices.into()),
+            ("h_bytes_sent", c.h_bytes_sent.into()),
+            ("h_bytes_recv", c.h_bytes_recv.into()),
+            ("h_messages", c.h_messages.into()),
+            ("kernel_launches", c.kernel_launches.into()),
+            ("w_time_us", c.w_time_us.into()),
+            ("c_time_us", c.c_time_us.into()),
+            ("h_time_us", c.h_time_us.into()),
+            ("sync_time_us", c.sync_time_us.into()),
+            ("peak_memory_per_device", self.peak_memory_per_device.into()),
+            ("total_peak_memory", self.total_peak_memory.into()),
+            ("pool_reallocs", self.pool_reallocs.into()),
+            ("kernel_retries", rec.kernel_retries.into()),
+            ("transfer_retries", rec.transfer_retries.into()),
+            ("faults_injected", rec.faults_injected.into()),
+            ("checkpoints_taken", rec.checkpoints_taken.into()),
+            ("stragglers_detected", rec.stragglers_detected.into()),
+            ("butterfly_fallbacks", rec.butterfly_fallbacks.into()),
+            ("failovers", rec.failovers.into()),
+            ("lost_devices", rec.lost_devices.len().into()),
+            ("lost_time_us", rec.lost_time_us.into()),
+            ("downgrades", gov.downgrades.len().into()),
+            ("chunked_advances", gov.chunked_advances.into()),
+            ("chunk_passes", gov.chunk_passes.into()),
+            ("spill_events", gov.spill_events.into()),
+            ("spilled_bytes", gov.spilled_bytes.into()),
+            ("reclaim_retries", gov.reclaim_retries.into()),
+            ("suppressed_vertices", comm.suppressed_vertices.into()),
+            ("suppressed_bytes", comm.suppressed_bytes.into()),
+            ("enc_list", comm.enc_list.into()),
+            ("enc_bitmap", comm.enc_bitmap.into()),
+            ("enc_delta", comm.enc_delta.into()),
+            ("collective_stages", comm.collective_stages.into()),
+            (
+                "host_sync",
+                Json::obj([
+                    ("rendezvous", sync.rendezvous.into()),
+                    ("parked", sync.parked.into()),
+                    ("wait_wall_ns", sync.wait_wall_ns.into()),
+                    (
+                        "wait_wall_ns_per_device",
+                        Json::arr(self.host_sync.per_device.iter().map(|d| d.wait_wall_ns)),
+                    ),
+                ]),
             ),
-            self.primitive,
-            self.n_devices,
-            self.iterations,
-            self.sim_time_us,
-            self.wall_time_us,
-            c.w_items,
-            c.c_items,
-            c.h_vertices,
-            c.h_bytes_sent,
-            c.h_bytes_recv,
-            c.h_messages,
-            c.kernel_launches,
-            c.w_time_us,
-            c.c_time_us,
-            c.h_time_us,
-            c.sync_time_us,
-            self.peak_memory_per_device,
-            self.total_peak_memory,
-            self.pool_reallocs,
-            self.recovery.kernel_retries,
-            self.recovery.transfer_retries,
-            self.recovery.faults_injected,
-            self.recovery.checkpoints_taken,
-            self.recovery.stragglers_detected,
-            self.recovery.butterfly_fallbacks,
-            self.recovery.failovers,
-            self.recovery.lost_devices.len(),
-            self.recovery.lost_time_us,
-            self.governor.downgrades.len(),
-            self.governor.chunked_advances,
-            self.governor.chunk_passes,
-            self.governor.spill_events,
-            self.governor.spilled_bytes,
-            self.governor.reclaim_retries,
-            self.comm.suppressed_vertices,
-            self.comm.suppressed_bytes,
-            self.comm.enc_list,
-            self.comm.enc_bitmap,
-            self.comm.enc_delta,
-            self.comm.collective_stages,
-            sync.rendezvous,
-            sync.parked,
-            sync.wait_wall_ns,
-            self.host_sync.per_device.iter().map(|d| d.wait_wall_ns).collect::<Vec<_>>(),
-        )
+        ])
+        .to_string()
     }
 }
 
@@ -424,24 +412,27 @@ mod tests {
         );
         let j = a.to_json();
         assert!(j.contains("\"host_sync\":{\"rendezvous\":16,\"parked\":2,\"wait_wall_ns\":3000,"));
-        assert!(j.ends_with("\"wait_wall_ns_per_device\":[1000, 2000]}}"));
+        assert!(j.ends_with("\"wait_wall_ns_per_device\":[1000,2000]}}"));
     }
 
     #[test]
     fn json_is_well_formed_and_complete() {
-        let j = report(123.5).to_json();
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert!(j.contains("\"primitive\":\"test\""));
-        assert!(j.contains("\"sim_time_us\":123.5"));
-        assert!(j.contains("\"iterations\":3"));
-        assert!(j.contains("\"downgrades\":0"));
-        assert!(j.contains("\"butterfly_fallbacks\":0"));
-        assert!(j.contains("\"spilled_bytes\":0"));
-        assert!(j.contains("\"suppressed_vertices\":0"));
-        assert!(j.contains("\"enc_delta\":0"));
-        assert!(j.contains("\"collective_stages\":0"));
-        // balanced braces and quotes
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('"').count() % 2, 0);
+        let j = Json::parse(&report(123.5).to_json()).expect("the report is one JSON document");
+        assert_eq!(j.get("primitive"), Some(&"test".into()));
+        assert_eq!(j.get("sim_time_us"), Some(&123.5.into()));
+        assert_eq!(j.get("iterations"), Some(&3u64.into()));
+        for counter in [
+            "downgrades",
+            "butterfly_fallbacks",
+            "spilled_bytes",
+            "suppressed_vertices",
+            "enc_delta",
+            "collective_stages",
+        ] {
+            assert_eq!(j.get(counter), Some(&0u64.into()), "{counter}");
+        }
+        let Json::Obj(fields) = &j else { panic!("the report is an object") };
+        assert_eq!(fields.len(), 41, "40 flat fields + host_sync");
+        assert_eq!(fields[40].0, "host_sync");
     }
 }

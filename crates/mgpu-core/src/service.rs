@@ -47,6 +47,7 @@ use vgpu::{Result, VgpuError};
 
 use crate::executor::Executor;
 use crate::governor::PressurePolicy;
+use crate::json::Json;
 use crate::report::EnactReport;
 
 /// A factory producing a fresh executor for one query. `Fn` (not
@@ -194,48 +195,43 @@ impl ServiceReport {
 
     /// Flat JSON object (the CLI `serve --json` output).
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{");
-        s.push_str(&format!("\"waves\":{},", self.waves));
-        s.push_str(&format!("\"serial_sim_us\":{:.3},", self.serial_sim_us));
-        s.push_str(&format!("\"concurrent_sim_us\":{:.3},", self.concurrent_sim_us));
-        s.push_str(&format!("\"throughput_x\":{:.4},", self.throughput_x()));
-        s.push_str(&format!("\"wall_time_us\":{:.1},", self.wall_time_us));
-        s.push_str("\"queries\":[");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            match &o.result {
-                Ok(r) => s.push_str(&format!(
-                    "{{\"query\":{},\"name\":\"{}\",\"wave\":{},\"ok\":true,\
-                     \"sim_time_us\":{:.3},\"iterations\":{}}}",
-                    o.query, o.name, o.wave, r.sim_time_us, r.iterations
-                )),
-                Err(e) => s.push_str(&format!(
-                    "{{\"query\":{},\"name\":\"{}\",\"ok\":false,\"error\":\"{e}\"}}",
-                    o.query, o.name
-                )),
-            }
-        }
-        s.push_str("],\"admission\":[");
-        for (i, a) in self.admission.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"query\":{},\"name\":\"{}\",\"wave\":{},\"queued\":{},\"rejected\":{},\
-                 \"estimated_bytes\":{},\"budget_bytes\":{}}}",
-                a.query,
-                a.name,
-                a.wave.map_or(-1i64, |w| w as i64),
-                a.queued,
-                a.rejected,
-                a.estimated_bytes,
-                a.budget_bytes
-            ));
-        }
-        s.push_str("]}");
-        s
+        let queries = self.outcomes.iter().map(|o| match &o.result {
+            Ok(r) => Json::obj([
+                ("query", o.query.into()),
+                ("name", o.name.as_str().into()),
+                ("wave", o.wave.into()),
+                ("ok", true.into()),
+                ("sim_time_us", Json::rounded(r.sim_time_us, 3)),
+                ("iterations", r.iterations.into()),
+            ]),
+            Err(e) => Json::obj([
+                ("query", o.query.into()),
+                ("name", o.name.as_str().into()),
+                ("ok", false.into()),
+                ("error", e.to_string().into()),
+            ]),
+        });
+        let admission = self.admission.iter().map(|a| {
+            Json::obj([
+                ("query", a.query.into()),
+                ("name", a.name.as_str().into()),
+                ("wave", a.wave.map_or(Json::I64(-1), Json::from)),
+                ("queued", a.queued.into()),
+                ("rejected", a.rejected.into()),
+                ("estimated_bytes", a.estimated_bytes.into()),
+                ("budget_bytes", a.budget_bytes.into()),
+            ])
+        });
+        Json::obj([
+            ("waves", self.waves.into()),
+            ("serial_sim_us", Json::rounded(self.serial_sim_us, 3)),
+            ("concurrent_sim_us", Json::rounded(self.concurrent_sim_us, 3)),
+            ("throughput_x", Json::rounded(self.throughput_x(), 4)),
+            ("wall_time_us", Json::rounded(self.wall_time_us, 1)),
+            ("queries", Json::Arr(queries.collect())),
+            ("admission", Json::Arr(admission.collect())),
+        ])
+        .to_string()
     }
 }
 

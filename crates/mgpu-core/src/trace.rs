@@ -28,13 +28,8 @@
 
 use vgpu::{SimSystem, TraceEvent, TraceKind};
 
+use crate::json::{Json, JsonWriter};
 use crate::report::EnactReport;
-
-/// Format an `f64` for the exporters: `Display` prints the shortest string
-/// that round-trips, so equal bit patterns serialize to equal bytes.
-fn fmt_f64(x: f64) -> String {
-    format!("{x}")
-}
 
 /// The structured event record of one enacted traversal: every device's
 /// typed spans in program (simulated-clock) order.
@@ -69,30 +64,24 @@ impl Trace {
     /// id order, events in program order. This is the golden format — equal
     /// simulations produce byte-equal output.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for events in &self.per_device {
-            for e in events {
-                out.push_str(&format!(
-                    concat!(
-                        "{{\"device\":{},\"stream\":{},\"superstep\":{},",
-                        "\"kind\":\"{}\",\"name\":\"{}\",\"start_us\":{},\"dur_us\":{},",
-                        "\"items\":{},\"bytes\":{},\"h_us\":{},\"peer\":{}}}\n"
-                    ),
-                    e.device,
-                    e.stream,
-                    e.superstep,
-                    e.kind.as_str(),
-                    e.name,
-                    fmt_f64(e.start_us),
-                    fmt_f64(e.dur_us),
-                    e.items,
-                    e.bytes,
-                    fmt_f64(e.h_us),
-                    e.peer,
-                ));
-            }
+        let mut w = JsonWriter::default();
+        for e in self.per_device.iter().flatten() {
+            w.obj(|w| {
+                w.key("device").value(e.device);
+                w.key("stream").value(e.stream);
+                w.key("superstep").value(e.superstep);
+                w.key("kind").str(e.kind.as_str());
+                w.key("name").str(e.name);
+                w.key("start_us").value(e.start_us);
+                w.key("dur_us").value(e.dur_us);
+                w.key("items").value(e.items);
+                w.key("bytes").value(e.bytes);
+                w.key("h_us").value(e.h_us);
+                w.key("peer").value(e.peer);
+            });
+            w.newline();
         }
-        out
+        w.finish()
     }
 
     /// Serialize as Chrome trace-event JSON (load in `chrome://tracing` or
@@ -100,49 +89,38 @@ impl Trace {
     /// kind as the category and the metadata in `args`, plus process-name
     /// metadata so devices label as `GPU <id>`.
     pub fn to_chrome_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |s: String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&s);
-        };
-        for (id, events) in self.per_device.iter().enumerate() {
-            push(
-                format!(
-                    "{{\"ph\":\"M\",\"pid\":{id},\"name\":\"process_name\",\
-                     \"args\":{{\"name\":\"GPU {id}\"}}}}"
-                ),
-                &mut first,
-            );
-            for e in events {
-                push(
-                    format!(
-                        concat!(
-                            "{{\"pid\":{},\"tid\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},",
-                            "\"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"superstep\":{},",
-                            "\"items\":{},\"bytes\":{},\"h_us\":{},\"peer\":{}}}}}"
-                        ),
-                        e.device,
-                        e.stream,
-                        fmt_f64(e.start_us),
-                        fmt_f64(e.dur_us),
-                        e.name,
-                        e.kind.as_str(),
-                        e.superstep,
-                        e.items,
-                        e.bytes,
-                        fmt_f64(e.h_us),
-                        e.peer,
-                    ),
-                    &mut first,
-                );
-            }
-        }
-        out.push_str("]}");
-        out
+        let mut w = JsonWriter::default();
+        w.obj(|w| {
+            w.key("traceEvents").arr(|w| {
+                for (id, events) in self.per_device.iter().enumerate() {
+                    w.obj(|w| {
+                        w.key("ph").str("M");
+                        w.key("pid").value(id);
+                        w.key("name").str("process_name");
+                        w.key("args").obj(|w| w.key("name").str(&format!("GPU {id}")));
+                    });
+                    for e in events {
+                        w.obj(|w| {
+                            w.key("pid").value(e.device);
+                            w.key("tid").value(e.stream);
+                            w.key("ph").str("X");
+                            w.key("ts").value(e.start_us);
+                            w.key("dur").value(e.dur_us);
+                            w.key("name").str(e.name);
+                            w.key("cat").str(e.kind.as_str());
+                            w.key("args").obj(|w| {
+                                w.key("superstep").value(e.superstep);
+                                w.key("items").value(e.items);
+                                w.key("bytes").value(e.bytes);
+                                w.key("h_us").value(e.h_us);
+                                w.key("peer").value(e.peer);
+                            });
+                        });
+                    }
+                }
+            });
+        });
+        w.finish()
     }
 }
 
@@ -398,52 +376,41 @@ impl Profile {
     }
 
     /// Serialize the attribution tables as one JSON object (per-device and
-    /// per-superstep rows plus totals and makespan) — the payload of
-    /// `BENCH_profile.json` and the CLI's `--profile` output file.
+    /// per-superstep rows plus totals and makespan).
     pub fn to_json(&self) -> String {
-        fn row_json(r: &BspRow) -> String {
-            format!(
-                concat!(
-                    "{{\"w_us\":{},\"c_us\":{},\"h_us\":{},\"sync_us\":{},",
-                    "\"wait_us\":{},\"other_us\":{},\"kernels\":{},\"syncs\":{},",
-                    "\"sends\":{},\"recvs\":{},\"retries\":{},\"downgrades\":{},",
-                    "\"stages\":{},\"spills\":{},\"chunks\":{},\"checkpoints\":{},",
-                    "\"lanes\":{},\"bytes_sent\":{},\"bytes_recv\":{},\"vertices_sent\":{},",
-                    "\"messages\":{},\"spilled_bytes\":{}}}"
-                ),
-                fmt_f64(r.w_us),
-                fmt_f64(r.c_us),
-                fmt_f64(r.h_us),
-                fmt_f64(r.sync_us),
-                fmt_f64(r.wait_us),
-                fmt_f64(r.other_us),
-                r.kernels,
-                r.syncs,
-                r.sends,
-                r.recvs,
-                r.retries,
-                r.downgrades,
-                r.stages,
-                r.spills,
-                r.chunks,
-                r.checkpoints,
-                r.lanes,
-                r.bytes_sent,
-                r.bytes_recv,
-                r.vertices_sent,
-                r.messages,
-                r.spilled_bytes,
-            )
+        fn row(r: &BspRow) -> Json {
+            Json::obj([
+                ("w_us", r.w_us.into()),
+                ("c_us", r.c_us.into()),
+                ("h_us", r.h_us.into()),
+                ("sync_us", r.sync_us.into()),
+                ("wait_us", r.wait_us.into()),
+                ("other_us", r.other_us.into()),
+                ("kernels", r.kernels.into()),
+                ("syncs", r.syncs.into()),
+                ("sends", r.sends.into()),
+                ("recvs", r.recvs.into()),
+                ("retries", r.retries.into()),
+                ("downgrades", r.downgrades.into()),
+                ("stages", r.stages.into()),
+                ("spills", r.spills.into()),
+                ("chunks", r.chunks.into()),
+                ("checkpoints", r.checkpoints.into()),
+                ("lanes", r.lanes.into()),
+                ("bytes_sent", r.bytes_sent.into()),
+                ("bytes_recv", r.bytes_recv.into()),
+                ("vertices_sent", r.vertices_sent.into()),
+                ("messages", r.messages.into()),
+                ("spilled_bytes", r.spilled_bytes.into()),
+            ])
         }
-        let devs: Vec<String> = self.per_device.iter().map(row_json).collect();
-        let steps: Vec<String> = self.per_superstep.iter().map(row_json).collect();
-        format!(
-            "{{\"makespan_us\":{},\"total\":{},\"per_device\":[{}],\"per_superstep\":[{}]}}",
-            fmt_f64(self.makespan_us),
-            row_json(&self.total),
-            devs.join(","),
-            steps.join(","),
-        )
+        Json::obj([
+            ("makespan_us", self.makespan_us.into()),
+            ("total", row(&self.total)),
+            ("per_device", Json::Arr(self.per_device.iter().map(row).collect())),
+            ("per_superstep", Json::Arr(self.per_superstep.iter().map(row).collect())),
+        ])
+        .to_string()
     }
 
     /// Render the per-superstep table plus totals as aligned text (the CLI's
@@ -568,20 +535,21 @@ mod tests {
     #[test]
     fn exporters_are_well_formed() {
         let t = two_device_trace();
-        let jsonl = t.to_jsonl();
-        assert_eq!(jsonl.lines().count(), t.n_events());
-        assert!(jsonl.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-        assert!(jsonl.contains("\"kind\":\"send\""));
-        let chrome = t.to_chrome_json();
-        assert!(chrome.starts_with("{\"traceEvents\":["));
-        assert!(chrome.ends_with("]}"));
-        assert!(chrome.contains("\"name\":\"GPU 0\""));
-        assert_eq!(chrome.matches("\"ph\":\"X\"").count(), t.n_events());
-        assert_eq!(chrome.matches('{').count(), chrome.matches('}').count());
+        let lines: Vec<Json> =
+            t.to_jsonl().lines().map(|l| Json::parse(l).expect("one object per line")).collect();
+        assert_eq!(lines.len(), t.n_events());
+        assert_eq!(lines[1].get("kind"), Some(&"send".into()));
+        assert_eq!(lines[1].get("peer"), Some(&1u64.into()));
+        assert_eq!(lines[0].get("peer"), Some(&(-1i64).into()));
+        let chrome = Json::parse(&t.to_chrome_json()).expect("one JSON document");
+        let spans = chrome.get("traceEvents").and_then(Json::as_array).expect("traceEvents");
+        assert_eq!(spans[0].get("args").and_then(|a| a.get("name")), Some(&"GPU 0".into()));
+        let complete = spans.iter().filter(|s| s.get("ph") == Some(&"X".into())).count();
+        assert_eq!(complete, t.n_events());
         let p = Profile::from_trace(&t);
-        let j = p.to_json();
-        assert!(j.contains("\"makespan_us\":6"));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
+        let j = Json::parse(&p.to_json()).expect("one JSON document");
+        assert_eq!(j.get("makespan_us"), Some(&6u64.into()));
+        assert_eq!(j.get("per_device").and_then(Json::as_array).map(<[Json]>::len), Some(2));
         assert!(p.format_table().contains("makespan"));
     }
 

@@ -4,14 +4,13 @@
 //! Each edge is placed by `scale` recursive quadrant choices with the
 //! probabilities {A, B, C, D}; like GTgraph, the quadrant probabilities are
 //! perturbed by ±10% noise at every level and renormalized, which prevents
-//! degenerate striping. Generation is embarrassingly parallel across edges
-//! (rayon), with one counter-derived ChaCha stream per chunk so results are
-//! independent of thread count.
+//! degenerate striping. Generation is embarrassingly parallel across edges:
+//! scoped threads fill disjoint runs of 2^14-edge chunks, one counter-derived
+//! ChaCha stream per chunk, so results are independent of thread count.
 
 use mgpu_graph::Coo;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// R-MAT quadrant probabilities.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -59,21 +58,36 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Co
     let n = 1usize << scale;
     let m = edge_factor * n;
 
-    const CHUNK: usize = 1 << 14;
+    let mut edges = vec![(0u32, 0u32); m];
     let n_chunks = m.div_ceil(CHUNK);
-    let edges: Vec<(u32, u32)> = (0..n_chunks)
-        .into_par_iter()
-        .flat_map_iter(|chunk| {
-            let mut rng = ChaCha8Rng::seed_from_u64(
-                seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(chunk as u64 + 1)),
-            );
-            let lo = chunk * CHUNK;
-            let hi = (lo + CHUNK).min(m);
-            (lo..hi).map(move |_| one_edge(scale, &params, &mut rng)).collect::<Vec<_>>()
-        })
-        .collect();
+    let hw = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = hw.min(8).min(n_chunks).max(1);
+    // each worker owns a contiguous run of whole chunks
+    let run = n_chunks.div_ceil(workers).max(1) * CHUNK;
+    std::thread::scope(|s| {
+        for (w, slice) in edges.chunks_mut(run).enumerate() {
+            s.spawn(move || {
+                for (c, chunk) in slice.chunks_mut(CHUNK).enumerate() {
+                    fill_chunk(chunk, w * (run / CHUNK) + c, scale, &params, seed);
+                }
+            });
+        }
+    });
 
     Coo::from_edges(n, edges, None)
+}
+
+/// Edges per RNG stream.
+const CHUNK: usize = 1 << 14;
+
+/// Fill chunk number `chunk` from its own stream, seeded from `(seed, chunk)`
+/// alone.
+fn fill_chunk(out: &mut [(u32, u32)], chunk: usize, scale: u32, p: &RmatParams, seed: u64) {
+    let mut rng =
+        ChaCha8Rng::seed_from_u64(seed ^ (0x9e37_79b9_7f4a_7c15u64.wrapping_mul(chunk as u64 + 1)));
+    for e in out {
+        *e = one_edge(scale, p, &mut rng);
+    }
 }
 
 fn one_edge(scale: u32, p: &RmatParams, rng: &mut ChaCha8Rng) -> (u32, u32) {
@@ -121,6 +135,15 @@ mod tests {
         assert_eq!(a.edges, b.edges);
         let c = rmat(8, 4, RmatParams::paper(), 8);
         assert_ne!(a.edges, c.edges);
+        // four chunks, however many threads filled them: the same streams
+        // folded on this one
+        let par = rmat(12, 16, RmatParams::paper(), 7);
+        assert_eq!(par.n_edges(), 4 * CHUNK);
+        let mut seq = vec![(0, 0); par.n_edges()];
+        for (c, chunk) in seq.chunks_mut(CHUNK).enumerate() {
+            fill_chunk(chunk, c, 12, &RmatParams::paper(), 7);
+        }
+        assert_eq!(par.edges, seq);
     }
 
     #[test]

@@ -45,6 +45,9 @@ pub struct SubGraph<V: Id, O: Id> {
     pub n_parts: usize,
     /// Duplication strategy this subgraph was built with.
     pub duplication: Duplication,
+    /// Global vertex count: the id space broadcast wire ids live in (equal
+    /// to [`SubGraph::n_vertices`] under duplicate-all only).
+    pub n_global: usize,
     /// Local adjacency over `V_i` (owned vertices carry their out-edges;
     /// proxies have out-degree zero).
     pub csr: Csr<V, O>,
@@ -309,6 +312,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             gpu,
             n_parts,
             duplication: Duplication::All,
+            n_global: n,
             csr: Csr::from_parts(offsets, cols, weights),
             csc: None,
             n_local,
@@ -423,6 +427,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             gpu,
             n_parts,
             duplication: Duplication::OneHop,
+            n_global: n,
             csr: Csr::from_parts(offsets, cols, weights),
             csc: None,
             n_local,

@@ -35,4 +35,7 @@ pub mod partitioner;
 pub use dist::{DistGraph, Duplication, SubGraph};
 pub use metrics::PartitionQuality;
 pub use multilevel::MultilevelPartitioner;
-pub use partitioner::{BiasedRandomPartitioner, ChunkedPartitioner, Partitioner, RandomPartitioner};
+pub use partitioner::{
+    BiasedRandomPartitioner, ChunkedPartitioner, NamedPartitioner, Partitioner, PartitionerKind,
+    RandomPartitioner,
+};

@@ -4,6 +4,8 @@ use mgpu_graph::{Csr, Id};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::multilevel::MultilevelPartitioner;
+
 /// A 1D edge-cut partitioner: assigns every vertex (and implicitly its
 /// outgoing edges) to one of `n_parts` GPUs.
 ///
@@ -217,6 +219,83 @@ impl Partitioner for ChunkedPartitioner {
     }
 }
 
+/// The partitioners a `--partitioner` flag can name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartitionerKind {
+    /// [`RandomPartitioner`].
+    Random,
+    /// [`BiasedRandomPartitioner`] at its default slack.
+    Biased,
+    /// [`MultilevelPartitioner`] at its default coarsening and refinement.
+    Metis,
+    /// [`ChunkedPartitioner`].
+    Chunked,
+}
+
+impl PartitionerKind {
+    /// Every kind, in the order usage lists them.
+    pub const ALL: &'static [PartitionerKind] = &[
+        PartitionerKind::Random,
+        PartitionerKind::Biased,
+        PartitionerKind::Metis,
+        PartitionerKind::Chunked,
+    ];
+
+    /// The flag value that names this kind.
+    pub fn label(&self) -> &'static str {
+        match self {
+            PartitionerKind::Random => "random",
+            PartitionerKind::Biased => "biased",
+            PartitionerKind::Metis => "metis",
+            PartitionerKind::Chunked => "chunked",
+        }
+    }
+
+    /// This kind of partitioner under `seed` (which [`ChunkedPartitioner`]
+    /// has no use for).
+    pub fn seeded(self, seed: u64) -> NamedPartitioner {
+        NamedPartitioner { kind: self, seed }
+    }
+}
+
+/// The inverse of [`PartitionerKind::label`].
+impl std::str::FromStr for PartitionerKind {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Self, ()> {
+        Self::ALL.iter().copied().find(|k| k.label() == s).ok_or(())
+    }
+}
+
+/// A partitioner chosen by name at run time: [`Partitioner`] by delegation,
+/// so a driver instantiates its generic run path once instead of per kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NamedPartitioner {
+    /// Which partitioner to delegate to.
+    pub kind: PartitionerKind,
+    /// Its RNG seed.
+    pub seed: u64,
+}
+
+impl Partitioner for NamedPartitioner {
+    fn assign<V: Id, O: Id>(&self, graph: &Csr<V, O>, n_parts: usize) -> Vec<u32> {
+        let seed = self.seed;
+        match self.kind {
+            PartitionerKind::Random => RandomPartitioner { seed }.assign(graph, n_parts),
+            PartitionerKind::Biased => {
+                BiasedRandomPartitioner { seed, ..Default::default() }.assign(graph, n_parts)
+            }
+            PartitionerKind::Metis => {
+                MultilevelPartitioner { seed, ..Default::default() }.assign(graph, n_parts)
+            }
+            PartitionerKind::Chunked => ChunkedPartitioner.assign(graph, n_parts),
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        self.kind.label()
+    }
+}
+
 #[cfg(test)]
 mod chunked_tests {
     use super::*;
@@ -240,6 +319,25 @@ mod chunked_tests {
         let qr = PartitionQuality::measure(&g, &RandomPartitioner { seed: 1 }.assign(&g, 4), 4);
         assert!(qc.edge_cut < qr.edge_cut / 5, "chunked {} vs random {}", qc.edge_cut, qr.edge_cut);
         assert_eq!(qc.edge_cut, 6, "a path cut at 3 boundaries, both directions");
+    }
+
+    #[test]
+    fn a_named_partitioner_is_the_one_its_name_says() {
+        let edges: Vec<(u32, u32)> = (0..99).map(|i| (i, (i * 7 + 1) % 100)).collect();
+        let g: mgpu_graph::Csr<u32, u64> =
+            GraphBuilder::undirected(&Coo::from_edges(100, edges, None));
+        let seed = 7;
+        let direct = [
+            RandomPartitioner { seed }.assign(&g, 4),
+            BiasedRandomPartitioner { seed, ..Default::default() }.assign(&g, 4),
+            MultilevelPartitioner { seed, ..Default::default() }.assign(&g, 4),
+            ChunkedPartitioner.assign(&g, 4),
+        ];
+        for (&kind, direct) in PartitionerKind::ALL.iter().zip(direct) {
+            assert_eq!(kind.label().parse(), Ok(kind));
+            assert_eq!(kind.seeded(seed).assign(&g, 4), direct, "{}", kind.label());
+        }
+        assert_eq!("kway".parse::<PartitionerKind>(), Err(()));
     }
 
     #[test]

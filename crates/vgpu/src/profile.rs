@@ -91,6 +91,16 @@ impl HardwareProfile {
         }
     }
 
+    /// The GPU profiles a `--profile` flag can name, by that name.
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "k40" => Some(Self::k40()),
+            "k80" => Some(Self::k80_gpu()),
+            "p100" => Some(Self::p100()),
+            _ => None,
+        }
+    }
+
     /// 10-core Intel Xeon E5-2690 v2 host processor, used by the hybrid
     /// (Totem-like) baseline as a "device". Throughputs reflect a good
     /// multi-threaded CPU graph framework: ~0.3 GTEPS traversal.

@@ -3,12 +3,12 @@
 //! When enabled on a [`crate::Device`], every kernel launch, explicit charge,
 //! package send/receive, barrier wait, superstep sync, retry, collective
 //! stage, host spill, chunked pass and checkpoint is recorded as a typed
-//! [`TraceEvent`] span on its stream's timeline. The trace exports to the
-//! Chrome trace-event JSON format (`chrome://tracing`, Perfetto), which is
-//! how one would inspect computation/communication overlap on a real
-//! multi-GPU run — here it visualizes the simulated schedule instead: the
-//! compute stream of each device, its communication stream, and the gaps
-//! where it waits at BSP barriers.
+//! [`TraceEvent`] span on its stream's timeline. `mgpu_core::Trace` snapshots
+//! the timelines and exports them (JSONL, or the Chrome trace-event JSON one
+//! would inspect computation/communication overlap with on a real multi-GPU
+//! run — here it visualizes the simulated schedule instead: the compute
+//! stream of each device, its communication stream, and the gaps where it
+//! waits at BSP barriers).
 //!
 //! Because every span is keyed to the *simulated* clock (which is bit-exact
 //! across kernel-thread counts and host scheduling), a trace of the same run
@@ -230,38 +230,6 @@ impl Timeline {
         self.events.clear();
         self.superstep = 0;
     }
-
-    /// Serialize spans from one or more timelines into Chrome trace-event
-    /// JSON (load in `chrome://tracing` or Perfetto).
-    pub fn chrome_trace<'a>(timelines: impl IntoIterator<Item = &'a Timeline>) -> String {
-        let mut out = String::from("{\"traceEvents\":[");
-        let mut first = true;
-        for tl in timelines {
-            for e in &tl.events {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "{{\"pid\":{},\"tid\":{},\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\
-                     \"name\":\"{}\",\"cat\":\"{}\",\"args\":{{\"superstep\":{},\"items\":{},\
-                     \"bytes\":{},\"peer\":{}}}}}",
-                    e.device,
-                    e.stream,
-                    e.start_us,
-                    e.dur_us,
-                    e.name,
-                    e.kind.as_str(),
-                    e.superstep,
-                    e.items,
-                    e.bytes,
-                    e.peer
-                ));
-            }
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -314,28 +282,5 @@ mod tests {
         assert_eq!(stamps, [0, 1, 1, 7]);
         tl.clear();
         assert_eq!(tl.superstep(), 0, "clear rewinds the cursor");
-    }
-
-    #[test]
-    fn chrome_trace_is_well_formed() {
-        let mut a = Timeline::default();
-        a.enable();
-        a.record(ev(0.0, 1.5));
-        let mut b = Timeline::default();
-        b.enable();
-        b.record(TraceEvent { device: 1, ..ev(3.0, 0.5) });
-        let json = Timeline::chrome_trace([&a, &b]);
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"pid\":1"));
-        assert!(json.contains("\"name\":\"advance\""));
-        assert!(json.contains("\"cat\":\"kernel\""));
-        assert_eq!(json.matches("\"ph\":\"X\"").count(), 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-    }
-
-    #[test]
-    fn empty_trace_is_valid_json() {
-        assert_eq!(Timeline::chrome_trace([]), "{\"traceEvents\":[]}");
     }
 }

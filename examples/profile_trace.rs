@@ -1,7 +1,6 @@
 //! Profile a multi-GPU BFS and export a Chrome trace.
 //!
-//! Enables the per-device timeline profiler, runs BFS over 4 virtual GPUs,
-//! and writes `target/bfs_trace.json` — load it in `chrome://tracing` or
+//! Turns structured tracing on, runs BFS over 4 virtual GPUs, and writes `target/bfs_trace.json` — load it in `chrome://tracing` or
 //! https://ui.perfetto.dev to see each device's compute stream, its
 //! communication stream, and the computation/communication overlap the
 //! framework gets from its cudaStreamWaitEvent-style scheduling.
@@ -15,24 +14,20 @@ use mgpu_graph_analytics::gen::{rmat, RmatParams};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
 use mgpu_graph_analytics::primitives::Bfs;
-use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem, Timeline};
+use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
 fn main() {
     let graph: Csr<u32, u64> = GraphBuilder::undirected(&rmat(14, 16, RmatParams::paper(), 11));
     let dist = DistGraph::partition(&graph, &RandomPartitioner::default(), 4, Duplication::All);
 
-    let mut system = SimSystem::homogeneous(4, HardwareProfile::k40());
-    for dev in &mut system.devices {
-        dev.timeline.enable();
-    }
-
-    let mut runner =
-        Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).expect("init");
+    let system = SimSystem::homogeneous(4, HardwareProfile::k40());
+    let config = EnactConfig { tracing: true, ..EnactConfig::default() };
+    let mut runner = Runner::new(system, &dist, Bfs::default(), config).expect("init");
     let report = runner.enact(Some(0)).expect("bfs");
 
-    let timelines: Vec<&Timeline> = runner.system().devices.iter().map(|d| &d.timeline).collect();
-    let total_spans: usize = timelines.iter().map(|t| t.events().len()).sum();
-    let json = Timeline::chrome_trace(timelines);
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let total_spans = trace.n_events();
+    let json = trace.to_chrome_json();
     let path = "target/bfs_trace.json";
     std::fs::write(path, &json).expect("write trace");
 
@@ -47,9 +42,8 @@ fn main() {
 
     // A taste of the schedule without leaving the terminal: per-kernel-kind
     // occupancy on device 0.
-    let dev0 = &runner.system().devices[0].timeline;
     let mut by_name: std::collections::BTreeMap<&str, (usize, f64)> = Default::default();
-    for e in dev0.events() {
+    for e in &trace.per_device[0] {
         let entry = by_name.entry(e.name).or_default();
         entry.0 += 1;
         entry.1 += e.dur_us;

@@ -280,8 +280,8 @@ fn post_failover_transfer_faults_land_on_the_remapped_links() {
 
 mod service_faults {
     use super::*;
-    use mgpu_bench::service::{build_query_specs, parse_query_list, ExecMode};
-    use mgpu_core::{PressurePolicy, Service, ServicePolicy};
+    use mgpu_bench::service::{build_query_specs, parse_query_list};
+    use mgpu_core::{ExecutorKind, PressurePolicy, Service, ServicePolicy};
     use mgpu_graph_analytics::partition::Partitioner;
 
     const GPUS: usize = 4;
@@ -311,7 +311,7 @@ mod service_faults {
         descs[1].plan = Some(FaultPlan::parse("lose:1@2").unwrap());
         descs[3].plan = Some(FaultPlan::parse("lose:0@1").unwrap());
         descs[4].plan = Some(FaultPlan::parse("tfail:0>1@1").unwrap());
-        assert_eq!(descs[1].mode, ExecMode::Resilient);
+        assert_eq!(descs[1].mode, ExecutorKind::Resilient);
 
         let config = resilient_config();
         let faulted =

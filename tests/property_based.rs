@@ -613,3 +613,92 @@ fn fault_plan_display_parse_round_trips() {
     assert_eq!(FaultPlan::new().to_string(), "");
     assert!(FaultPlan::parse("").expect("empty spec is valid").is_empty());
 }
+
+// ---------------------------------------------------------------------------
+// The JSON reader never panics; the writer and the reader are inverses
+// ---------------------------------------------------------------------------
+
+/// A value of bounded depth over every variant, with the scalars that are
+/// hard to carry: the 64-bit extremes, `-0.0`, quotes, backslashes, control
+/// characters and non-ASCII text.
+fn arb_json(rng: &mut ChaCha8Rng, depth: usize) -> mgpu_graph_analytics::core::Json {
+    use mgpu_graph_analytics::core::Json;
+    const TEXT: [&str; 8] =
+        ["", "plain", "q\"uote", "back\\slash", "\n\r\t", "\u{0}\u{1f}", "Δ☃😀", "/"];
+    let text = |rng: &mut ChaCha8Rng| {
+        (0..rng.gen_range(0usize..4)).map(|_| TEXT[rng.gen_range(0usize..TEXT.len())]).collect()
+    };
+    match rng.gen_range(0u32..if depth == 0 { 6 } else { 8 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen()),
+        2 => Json::U64([0, 1, u64::MAX, rng.gen()][rng.gen_range(0usize..4)]),
+        3 => Json::I64([-1, i64::MIN, i64::MAX, rng.gen::<u64>() as i64][rng.gen_range(0usize..4)]),
+        4 => {
+            let x = [-0.0, 0.1, 1e300, -2.5e-7, 100.0, f64::from_bits(rng.gen())];
+            Json::F64(
+                Some(x[rng.gen_range(0usize..x.len())]).filter(|x| x.is_finite()).unwrap_or(0.5),
+            )
+        }
+        5 => Json::Str(text(rng)),
+        6 => Json::Arr((0..rng.gen_range(0usize..4)).map(|_| arb_json(rng, depth - 1)).collect()),
+        _ => Json::Obj(
+            (0..rng.gen_range(0usize..4))
+                .map(|_| (text(rng).into(), arb_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// `Json::parse` returns — `Ok` or a typed `JsonError` — on arbitrary bytes,
+/// on truncations and single-byte mutations of real documents, and on
+/// nesting far past its cap; and `parse(v.to_string()) == v` for generated
+/// values.
+#[test]
+fn json_reader_never_panics_and_inverts_the_writer() {
+    use mgpu_graph_analytics::core::json::{Json, TOO_DEEP};
+
+    let mut rng = ChaCha8Rng::seed_from_u64(0x1500);
+    // real documents: a traced run's report, JSONL line, Chrome export and
+    // profile, beside generated values
+    let g = build(40, &[(0, 1), (1, 2), (2, 3), (3, 0), (5, 6)], &[1; 5]);
+    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 1 }, 2, Duplication::All);
+    let cfg = EnactConfig { tracing: true, ..Default::default() };
+    let system = SimSystem::homogeneous(2, HardwareProfile::k40());
+    let report = Runner::new(system, &dist, Sssp, cfg).unwrap().enact(Some(0)).unwrap();
+    let trace = report.trace.as_ref().expect("tracing was on");
+    let mut documents = vec![
+        report.to_json(),
+        trace.to_jsonl().lines().next().expect("at least one span").to_string(),
+        trace.to_chrome_json(),
+        mgpu_graph_analytics::core::Profile::from_trace(trace).to_json(),
+    ];
+    for doc in &documents {
+        Json::parse(doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+    }
+
+    for case in 0..500 {
+        let v = arb_json(&mut rng, 3);
+        let text = v.to_string();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&v), "case {case}: {text}");
+        if case % 50 == 0 {
+            documents.push(text);
+        }
+        let doc = &documents[case % documents.len()];
+        let mut bytes = doc.clone().into_bytes();
+        match case % 3 {
+            0 => bytes.truncate(rng.gen_range(0usize..bytes.len() + 1)),
+            1 if !bytes.is_empty() => {
+                let at = rng.gen_range(0usize..bytes.len());
+                bytes[at] = rng.gen::<u32>() as u8;
+            }
+            _ => bytes = (0..rng.gen_range(0usize..64)).map(|_| rng.gen::<u32>() as u8).collect(),
+        }
+        // whatever comes back, it came back
+        let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    for open in ["[", "{\"k\":", "[{\"k\":"] {
+        let deep = open.repeat(1_000_000);
+        assert_eq!(Json::parse(&deep).unwrap_err().want, TOO_DEEP, "{open}");
+    }
+}

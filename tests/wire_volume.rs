@@ -9,14 +9,15 @@
 //! and delta-stepping SSSP sends measurably fewer vertices.
 
 use mgpu_graph_analytics::core::{
-    CommTopology, EnactConfig, EnactReport, PressurePolicy, RecoveryPolicy, Runner, WireEncoding,
+    CommStrategy, CommTopology, EnactConfig, EnactReport, PressurePolicy, RecoveryPolicy, Runner,
+    WireEncoding,
 };
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
-use mgpu_graph_analytics::gen::{gnm, Dataset};
+use mgpu_graph_analytics::gen::{gnm, grid2d, Dataset};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
+use mgpu_graph_analytics::partition::{ChunkedPartitioner, DistGraph, Duplication, RandomPartitioner};
 use mgpu_graph_analytics::primitives::{
-    cc, dobfs, reference, sssp, sssp_delta, Cc, Dobfs, Sssp, SsspDelta,
+    bfs, cc, dobfs, reference, sssp, sssp_delta, Bfs, Cc, Dobfs, Sssp, SsspDelta,
 };
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -259,6 +260,44 @@ fn dobfs_broadcast_bytes_drop_at_least_2x_at_six_gpus() {
     );
     assert!(opt.comm.collective_stages > 0);
     assert!(opt.comm.enc_bitmap + opt.comm.enc_delta > 0, "Auto must pick compressed encodings");
+}
+
+/// Broadcast wire ids are global under either duplication, so the bitmap
+/// spans the global vertex count. Offered a duplicate-1-hop part's *local*
+/// count instead, it engaged only when the largest id happened to fit and
+/// fell back to the list otherwise.
+#[test]
+fn one_hop_broadcast_offers_the_bitmap_the_global_id_space() {
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&grid2d(32, 8, 1.0, 1));
+    let run = |dup, wire_encoding| {
+        let dist = DistGraph::partition(&g, &ChunkedPartitioner, 4, dup);
+        let one_hop = dup == Duplication::OneHop;
+        assert!(dist.parts.iter().all(|p| p.n_global == 256 && (p.n_vertices() < 256) == one_hop));
+        let cfg = EnactConfig {
+            comm: Some(CommStrategy::Broadcast),
+            wire_encoding,
+            ..EnactConfig::default()
+        };
+        let mut runner = Runner::new(sys(4), &dist, Bfs { one_hop }, cfg).unwrap();
+        let report = runner.enact(Some(0)).unwrap();
+        assert_eq!(bfs::gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+        report
+    };
+    let bitmap = run(Duplication::OneHop, WireEncoding::Bitmap);
+    let list = run(Duplication::OneHop, WireEncoding::List);
+    assert!(bitmap.comm.enc_bitmap > 0 && bitmap.comm.enc_list == 0, "{:?}", bitmap.comm);
+    assert!(
+        bitmap.totals.h_bytes_sent < list.totals.h_bytes_sent,
+        "{} vs {} bytes",
+        bitmap.totals.h_bytes_sent,
+        list.totals.h_bytes_sent
+    );
+    // the same ids in the same space: the wire cannot tell the duplications apart
+    for encoding in [WireEncoding::Bitmap, WireEncoding::Auto] {
+        let (hop, all) = (run(Duplication::OneHop, encoding), run(Duplication::All, encoding));
+        assert_eq!(hop.comm, all.comm, "{encoding:?}");
+        assert_eq!(hop.totals.h_bytes_sent, all.totals.h_bytes_sent, "{encoding:?}");
+    }
 }
 
 #[test]
