@@ -42,11 +42,6 @@ impl Bfs2d {
         Bfs2d { rows: r, cols: n / r }
     }
 
-    /// Total GPUs in the grid.
-    pub fn n_gpus(&self) -> usize {
-        self.rows * self.cols
-    }
-
     /// Run BFS from `src` on `system` (which must have `rows × cols`
     /// devices). Returns the report and the labels in global order.
     pub fn run<V: Id, O: Id>(

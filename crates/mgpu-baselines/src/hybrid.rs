@@ -10,15 +10,21 @@
 
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::Partitioner;
-use vgpu::{HardwareProfile, Interconnect, SimSystem};
+use vgpu::{HardwareProfile, Interconnect, Result, SimSystem};
 
 /// Build a hybrid system: device 0 is the host CPU (Xeon profile), devices
-/// `1..=n_gpus` are GPUs, all on the PCIe fabric.
-pub fn hybrid_system(n_gpus: usize, gpu_profile: HardwareProfile) -> SimSystem {
-    let mut profiles = vec![HardwareProfile::xeon_e5()];
-    profiles.extend(std::iter::repeat_n(gpu_profile, n_gpus));
-    SimSystem::new(profiles, Interconnect::pcie3(n_gpus + 1, n_gpus + 1))
-        .expect("sizes match by construction")
+/// `1..=n_gpus` are GPUs, all on the PCIe fabric. Fixed overheads of every
+/// device and of the fabric are shrunk by `overhead_scale` (1.0 = the real
+/// hardware), matching a dataset shrunk by the same factor.
+pub fn hybrid_system(
+    n_gpus: usize,
+    gpu_profile: HardwareProfile,
+    overhead_scale: f64,
+) -> Result<SimSystem> {
+    let mut profiles = vec![HardwareProfile::xeon_e5().with_overhead_scale(overhead_scale)];
+    profiles.extend(std::iter::repeat_n(gpu_profile.with_overhead_scale(overhead_scale), n_gpus));
+    let fabric = Interconnect::pcie3(n_gpus + 1, n_gpus + 1).with_latency_scale(overhead_scale);
+    SimSystem::new(profiles, fabric)
 }
 
 /// Degree-based placement: following Totem's best-performing configuration,
@@ -73,7 +79,7 @@ mod tests {
 
     #[test]
     fn hybrid_system_has_cpu_and_gpus() {
-        let sys = hybrid_system(2, HardwareProfile::k40());
+        let sys = hybrid_system(2, HardwareProfile::k40(), 1.0).unwrap();
         assert_eq!(sys.n_devices(), 3);
         assert_eq!(sys.devices[0].profile().name, "Xeon E5-2690 v2");
         assert_eq!(sys.devices[1].profile().name, "Tesla K40");
@@ -96,7 +102,7 @@ mod tests {
         let g: mgpu_graph::Csr<u32, u64> =
             GraphBuilder::undirected(&preferential_attachment(300, 6, 2));
         let dist = DistGraph::partition(&g, &DegreePartitioner::default(), 3, Duplication::All);
-        let system = hybrid_system(2, HardwareProfile::k40());
+        let system = hybrid_system(2, HardwareProfile::k40(), 1.0).unwrap();
         let mut runner =
             Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         runner.enact(Some(0u32)).unwrap();
@@ -115,11 +121,7 @@ mod tests {
         // dominate (the graphs here are ~2^8 below paper scale)
         let scale = 256.0;
         let dist_h = DistGraph::partition(&g, &DegreePartitioner::default(), 3, Duplication::All);
-        let mut profiles = vec![HardwareProfile::xeon_e5().with_overhead_scale(scale)];
-        profiles.extend(vec![HardwareProfile::k40().with_overhead_scale(scale); 2]);
-        let sys_h =
-            SimSystem::new(profiles, vgpu::Interconnect::pcie3(3, 3).with_latency_scale(scale))
-                .unwrap();
+        let sys_h = hybrid_system(2, HardwareProfile::k40(), scale).unwrap();
         let mut run_h =
             Runner::new(sys_h, &dist_h, Bfs::default(), EnactConfig::default()).unwrap();
         let hybrid = run_h.enact(Some(0u32)).unwrap();

@@ -25,10 +25,8 @@ pub mod bfs2d;
 pub mod hardwired;
 pub mod hybrid;
 pub mod oocgas;
-pub mod taskparallel;
 
 pub use bfs2d::Bfs2d;
 pub use hardwired::HardwiredDobfs;
 pub use hybrid::{hybrid_system, DegreePartitioner};
 pub use oocgas::{OocBfs, OocCc, OocEngine, OocPagerank, OocProgram, OocSssp};
-pub use taskparallel::TaskParallelBc;

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, ResilientRunner, Runner};
-use mgpu_graph::{Csr, CsrAuto, Id};
+use mgpu_graph::{Csr, Id};
 use mgpu_partition::{DistGraph, Duplication, Partitioner};
 use mgpu_primitives::{Bc, BcBatch, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};
 use mgpu_core::problem::MgpuProblem;
@@ -384,23 +384,6 @@ fn absorb_enacts<V: Id, O: Id, P: MgpuProblem<V, O>>(
     Ok(agg.expect("at least one source"))
 }
 
-/// Run at the offset width [`mgpu_graph::GraphBuilder::build_auto`] chose:
-/// the narrow (u32) layout when the graph fits — `Runner::new` credits its
-/// halved index bandwidth in the cost model (paper Table V) — or the u64
-/// fallback otherwise.
-pub fn run_primitive_auto(
-    prim: Primitive,
-    g: &CsrAuto<u32>,
-    system: SimSystem,
-    partitioner: &impl Partitioner,
-    config: EnactConfig,
-) -> Result<RunOutcome> {
-    match g {
-        CsrAuto::Narrow(g) => run_primitive(prim, g, system, partitioner, config),
-        CsrAuto::Wide(g) => run_primitive(prim, g, system, partitioner, config),
-    }
-}
-
 /// Convenience: run on `n` homogeneous devices of `profile`.
 pub fn run_on_k<O: Id>(
     prim: Primitive,
@@ -429,32 +412,6 @@ pub fn scaled_system(n: usize, profile: vgpu::HardwareProfile, shift: u32) -> Si
     SimSystem::new(vec![profile; n], ic).expect("sizes match")
 }
 
-/// Run on `n` overhead-scaled devices (the standard figure configuration).
-pub fn run_scaled<O: Id>(
-    prim: Primitive,
-    g: &Csr<u32, O>,
-    n: usize,
-    profile: vgpu::HardwareProfile,
-    partitioner: &impl Partitioner,
-    shift: u32,
-) -> Result<RunOutcome> {
-    run_primitive(prim, g, scaled_system(n, profile, shift), partitioner, EnactConfig::default())
-}
-
-/// Expose each primitive's requested duplication/communication description
-/// for the Table I printout.
-pub fn primitive_comm_label(prim: Primitive) -> &'static str {
-    match prim {
-        Primitive::Bfs => {
-            let p = Bfs::default();
-            <Bfs as MgpuProblem<u32, u64>>::comm(&p).label()
-        }
-        Primitive::Dobfs | Primitive::Cc => "broadcast",
-        Primitive::Bc => "selective fwd / broadcast bwd",
-        _ => "selective",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +419,7 @@ mod tests {
     use mgpu_core::{AllocScheme, PressurePolicy};
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
-    use mgpu_graph::GraphBuilder;
+    use mgpu_graph::{CsrAuto, GraphBuilder};
     use mgpu_partition::{ChunkedPartitioner, RandomPartitioner};
     use vgpu::HardwareProfile;
 
@@ -596,14 +553,8 @@ mod tests {
         let auto = GraphBuilder::undirected_auto(&coo);
         assert_eq!(auto.label(), "u32", "a 200-vertex graph fits narrow offsets");
         let part = RandomPartitioner::default();
-        let narrow = run_primitive_auto(
-            Primitive::Bfs,
-            &auto,
-            SimSystem::homogeneous(2, HardwareProfile::k40()),
-            &part,
-            EnactConfig::default(),
-        )
-        .unwrap();
+        let CsrAuto::Narrow(narrow) = &auto else { panic!("narrow offsets expected") };
+        let narrow = run_on_k(Primitive::Bfs, narrow, 2, HardwareProfile::k40(), &part).unwrap();
         let wide: Csr<u32, u64> = GraphBuilder::undirected(&coo);
         let wide = run_on_k(Primitive::Bfs, &wide, 2, HardwareProfile::k40(), &part).unwrap();
         assert_eq!(narrow.report.iterations, wide.report.iterations);
