@@ -21,27 +21,25 @@
 //! * simulated time is scheduling-dependent (asynchrony is inherently
 //!   non-deterministic), unlike the BSP enactor's exactly reproducible
 //!   clocks. Results still converge to the same fixpoint.
+//!
+//! [`AsyncRunner`] is the same [`Bound`] state the BSP `Runner` holds — one
+//! bind, one harvest, one enact scaffold ([`crate::executor`]) — plus the
+//! relaxation loop below, a method of the same per-device context.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Instant;
 
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, SubGraph};
-use parking_lot::Mutex;
-use vgpu::memory::Reservation;
-use vgpu::sync::harvest_device_thread;
-use vgpu::{Device, Interconnect, Mailbox, Result, SimSystem, VgpuError, COMM_STREAM, COMPUTE_STREAM};
+use mgpu_partition::DistGraph;
+use vgpu::{Result, SimSystem, VgpuError, COMM_STREAM, COMPUTE_STREAM};
 
-use crate::alloc::FrontierBufs;
-use crate::comm::{
-    split_and_package_with, CommStrategy, Package, PackagePolicy, SuppressState, WireEncoding,
-};
+use crate::alloc::AllocScheme;
+use crate::comm::CommStrategy;
 use crate::enactor::EnactConfig;
-use crate::executor::{assemble_report, post_package, receive_package, Executor, ExecutorKind};
+use crate::executor::{Bound, DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::problem::MgpuProblem;
-use crate::report::{CommReduction, EnactReport, HostSync};
-use crate::resilience::{guard, RecoveryCounters, RecoveryLog, RecoveryPolicy};
+use crate::report::{EnactReport, HostSync};
+use crate::resilience::RecoveryPolicy;
 
 /// An asynchronous runner for label-correcting primitives.
 ///
@@ -51,215 +49,76 @@ use crate::resilience::{guard, RecoveryCounters, RecoveryLog, RecoveryPolicy};
 /// and communication must be selective. SSSP and CC satisfy this;
 /// [`crate::enactor::Runner`] remains the home of BSP-only primitives.
 pub struct AsyncRunner<'g, V: Id, O: Id, P: MgpuProblem<V, O>> {
-    system: SimSystem,
-    dist: &'g DistGraph<V, O>,
-    problem: P,
-    per_gpu: Vec<AsyncPerGpu<V, P::State>>,
-    encoding: WireEncoding,
-    suppression: bool,
-    tracing: bool,
-    recovery: RecoveryPolicy,
+    bound: Bound<'g, V, O, P>,
 }
 
-struct AsyncPerGpu<V: Id, S> {
-    state: S,
-    bufs: FrontierBufs<V>,
-    _topology: Reservation,
+/// Distributed termination detection, shared by the device threads of one
+/// enact: the run is over when nobody is busy and nothing is in flight.
+struct Termination {
+    in_flight: AtomicI64,
+    busy: AtomicUsize,
+    /// Raised by a device that failed; every device leaves at its next round.
+    abort: AtomicBool,
 }
 
 impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> AsyncRunner<'g, V, O, P> {
-    /// Bind `problem` to `dist` on `system` (see [`crate::Runner::new`]).
+    /// Bind `problem` to `dist` on `system` under the default configuration
+    /// (see [`crate::Runner::new`]).
     pub fn new(system: SimSystem, dist: &'g DistGraph<V, O>, problem: P) -> Result<Self> {
         Self::with_config(system, dist, problem, &EnactConfig::default())
     }
 
-    /// [`AsyncRunner::new`] with an explicit configuration. The async path
-    /// honours `wire_encoding`, `suppression`, `recovery` and `pressure`
-    /// from the config; `comm_topology` does not apply (there are no
-    /// supersteps to stage a collective over) and is ignored.
+    /// [`AsyncRunner::new`] with an explicit configuration. The bind is
+    /// [`crate::Runner::new`]'s: every field that acts there (`alloc_scheme`,
+    /// `kernel_threads`, `pressure` with its admission walk) acts here, and a
+    /// device-count mismatch is the same [`VgpuError::BadDevice`]. The
+    /// relaxation loop honours `wire_encoding`, `suppression`, `tracing` and
+    /// the retry half of `recovery`; it has no supersteps, so `comm`,
+    /// `comm_topology`, `max_iterations` and checkpoints do not apply.
     pub fn with_config(
-        mut system: SimSystem,
+        system: SimSystem,
         dist: &'g DistGraph<V, O>,
         problem: P,
         config: &EnactConfig,
     ) -> Result<Self> {
-        assert_eq!(system.n_devices(), dist.n_parts);
-        let scheme = problem.alloc_scheme();
-        let host_link = system.interconnect.host_link();
-        let mut per_gpu = Vec::with_capacity(dist.n_parts);
-        for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
-            let topology = dev.pool().reserve_external(sub.topology_bytes())?;
-            let cost = dev.profile().local_copy_us(sub.topology_bytes());
-            dev.charge(COMPUTE_STREAM, cost, 0.0)?;
-            let state = problem.init(dev, sub)?;
-            let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
-                .with_pressure(config.pressure, host_link);
-            per_gpu.push(AsyncPerGpu { state, bufs, _topology: topology });
-        }
-        Ok(AsyncRunner {
-            system,
-            dist,
-            problem,
-            per_gpu,
-            encoding: config.wire_encoding,
-            suppression: config.suppression,
-            tracing: config.tracing,
-            recovery: config.recovery,
-        })
+        Ok(AsyncRunner { bound: Bound::new(system, dist, problem, *config)? })
     }
 
-    /// Run one traversal asynchronously from `src` (global id).
+    /// Run one traversal asynchronously from `src` (global id). The trace of
+    /// an async run has no supersteps: every span stays stamped 0 and no
+    /// sync spans are recorded (the profiler skips its makespan
+    /// reconstruction accordingly).
     pub fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
-        self.system.reset_clocks();
-        if self.tracing {
-            // Async mode has no supersteps: every span stays stamped 0 and
-            // no sync spans are recorded (the profiler skips its makespan
-            // reconstruction accordingly).
-            for dev in &mut self.system.devices {
-                dev.timeline.enable();
-                dev.timeline.clear();
-            }
-        }
-        // Fresh mid-run governor decisions per enact (mirrors the BSP path).
-        for per in &mut self.per_gpu {
-            per.bufs.reset_governor();
-        }
-        let n = self.dist.n_parts;
-        let located = src.map(|g| self.dist.locate(g));
-        let mailbox: Mailbox<Arc<Package<V, P::Msg>>> =
-            Mailbox::with_faults(n, self.system.fault_injector());
-        // Distributed termination: messages in flight + busy device count.
-        let in_flight = AtomicI64::new(0);
-        let busy = AtomicUsize::new(n);
-        let abort = AtomicBool::new(false);
-        let first_error: Mutex<Option<VgpuError>> = Mutex::new(None);
-        let policy = self.recovery;
-        let rec = RecoveryCounters::default();
-        let fired_before = self.system.fault_injector().map_or(0, |inj| inj.fired());
-        let problem = &self.problem;
-        let interconnect = std::sync::Arc::clone(&self.system.interconnect);
-        let monotone = problem.monotone();
-        let pkg_policy = PackagePolicy {
-            encoding: self.encoding,
-            monotone,
-            uniform_hint: problem.uniform_broadcast_msgs(),
-            order: problem.monotone_order(),
+        let term = Termination {
+            in_flight: AtomicI64::new(0),
+            busy: AtomicUsize::new(self.bound.dist.n_parts),
+            abort: AtomicBool::new(false),
         };
-        let suppression = self.suppression && monotone && n > 1;
+        let launched = self.bound.launch(src, 0, |run, src_local| run.relax(src_local, &term));
+        // no rendezvous: termination is detected, not voted
+        let host_sync = HostSync::default();
+        Ok(self.bound.report(launched.outcome?, launched.wall_time_us, host_sync, launched.log))
+    }
 
-        let t0 = Instant::now();
-        let rounds: Vec<Result<(usize, CommReduction)>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for ((dev, per), sub) in self
-                .system
-                .devices
-                .iter_mut()
-                .zip(self.per_gpu.iter_mut())
-                .zip(self.dist.parts.iter())
-            {
-                let src_local = match located {
-                    Some((gpu, local)) if gpu == dev.id() => Some(local),
-                    _ => None,
-                };
-                dev.set_retry_policy(policy.max_retries, policy.retry_backoff_us);
-                let mailbox = &mailbox;
-                let in_flight = &in_flight;
-                let busy = &busy;
-                let abort = &abort;
-                let first_error = &first_error;
-                let policy = &policy;
-                let rec = &rec;
-                let interconnect = std::sync::Arc::clone(&interconnect);
-                handles.push(scope.spawn(move || {
-                    run_async_gpu(
-                        problem,
-                        dev,
-                        per,
-                        sub,
-                        &interconnect,
-                        mailbox,
-                        in_flight,
-                        busy,
-                        abort,
-                        first_error,
-                        src_local,
-                        pkg_policy,
-                        suppression,
-                        policy,
-                        rec,
-                    )
-                }));
-            }
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(gpu, h)| harvest_device_thread(h.join(), gpu))
-                .collect()
-        });
-        let wall_time_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        let fired_after = self.system.fault_injector().map_or(0, |inj| inj.fired());
-        let kernel_retries: u64 = self.system.devices.iter().map(|d| d.kernel_retries()).sum();
-        let transfer_retries = rec.transfer_retries.load(SeqCst);
-        let recovery = RecoveryLog {
-            kernel_retries,
-            transfer_retries,
-            faults_injected: fired_after - fired_before,
-            backoff_us: (kernel_retries + transfer_retries) as f64 * policy.retry_backoff_us,
-            ..RecoveryLog::default()
-        };
-
-        if abort.load(SeqCst) {
-            return Err(first_error.lock().take().unwrap_or(VgpuError::Aborted));
-        }
-        let mut max_rounds = 0usize;
-        let mut comm_acc = CommReduction::default();
-        for r in rounds {
-            let (rounds_done, comm_stats) = r?;
-            max_rounds = max_rounds.max(rounds_done);
-            comm_acc.merge(&comm_stats);
-        }
-        let governor = {
-            let mut gov = crate::governor::GovernorLog::default();
-            for per in &self.per_gpu {
-                gov.absorb(per.bufs.governor());
-            }
-            gov
-        };
-        Ok(assemble_report(
-            &self.system,
-            self.problem.name(),
-            n,
-            max_rounds,
-            wall_time_us,
-            HostSync::default(), // no rendezvous: termination is detected, not voted
-            Vec::new(),          // async mode has no superstep structure
-            recovery,
-            governor,
-            comm_acc,
-            self.tracing,
-        ))
+    /// The allocation scheme in force.
+    pub fn scheme(&self) -> AllocScheme {
+        self.bound.scheme()
     }
 
     /// Access a device's primitive state after an enact.
     pub fn state(&self, gpu: usize) -> &P::State {
-        &self.per_gpu[gpu].state
+        self.bound.state(gpu)
     }
 
     /// The underlying system.
     pub fn system(&self) -> &SimSystem {
-        &self.system
+        &self.bound.system
     }
 
     /// Read the primitive's per-vertex result words in global vertex order
     /// (see [`MgpuProblem::result_word`]).
     pub fn harvest(&self) -> Vec<u64> {
-        (0..self.dist.n_global)
-            .map(|g| {
-                let (gpu, local) = self.dist.locate(V::from_usize(g));
-                self.problem.result_word(&self.per_gpu[gpu].state, local)
-            })
-            .collect()
+        self.bound.harvest()
     }
 }
 
@@ -269,15 +128,15 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Executor<V> for AsyncRunner<'g, V, 
     }
 
     fn primitive(&self) -> &'static str {
-        self.problem.name()
+        self.bound.problem.name()
     }
 
     fn n_devices(&self) -> usize {
-        self.dist.n_parts
+        self.bound.dist.n_parts
     }
 
     fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
+        self.bound.config.recovery
     }
 
     fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
@@ -289,174 +148,172 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Executor<V> for AsyncRunner<'g, V, 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_async_gpu<V: Id, O: Id, P: MgpuProblem<V, O>>(
-    problem: &P,
-    dev: &mut Device,
-    per: &mut AsyncPerGpu<V, P::State>,
-    sub: &SubGraph<V, O>,
-    interconnect: &Interconnect,
-    mailbox: &Mailbox<Arc<Package<V, P::Msg>>>,
-    in_flight: &AtomicI64,
-    busy: &AtomicUsize,
-    abort: &AtomicBool,
-    first_error: &Mutex<Option<VgpuError>>,
-    src_local: Option<V>,
-    pkg_policy: PackagePolicy,
-    suppression: bool,
-    policy: &RecoveryPolicy,
-    rec: &RecoveryCounters,
-) -> Result<(usize, CommReduction)> {
-    let gpu = dev.id();
-    let fail = |e: VgpuError| {
-        first_error.lock().get_or_insert(e);
-        abort.store(true, SeqCst);
-    };
-    // Suppression is sound here for the same reason it is in the BSP path:
-    // remote state only ever improves (async requires a monotone combiner),
-    // so a key at or above the floor would be rejected by every receiver.
-    let mut supp: Option<SuppressState> =
-        suppression.then(|| SuppressState::with_order(sub.n_vertices(), pkg_policy.order));
-    let mut stats = CommReduction::default();
+impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
+    /// The per-device relaxation loop: drain and combine whatever has
+    /// arrived, relax the pending frontier, push updates, until `term` says
+    /// the whole system is quiet. A device that fails raises `term.abort` and
+    /// leaves with its own error; its peers leave with `Aborted`.
+    ///
+    /// Suppression is sound here for the same reason it is in the BSP path:
+    /// remote state only ever improves (async requires a monotone combiner),
+    /// so a key at or above the floor would be rejected by every receiver.
+    fn relax(mut self, src_local: Option<V>, term: &Termination) -> Result<DeviceOutcome> {
+        let gpu = self.gpu();
+        let reset =
+            self.attempt(|run| run.problem.reset(run.dev, run.sub, &mut run.per.state, src_local));
+        let mut pending: Vec<V> = reset.unwrap_or_default();
+        let mut rounds = 0usize;
+        let mut idle = false;
+        if pending.is_empty() {
+            term.busy.fetch_sub(1, SeqCst);
+            idle = true;
+        }
 
-    let mut pending: Vec<V> =
-        match guard(gpu, || problem.reset(dev, sub, &mut per.state, src_local)) {
-            Ok(f) => f,
-            Err(e) => {
-                fail(e);
-                Vec::new()
+        loop {
+            if self.error.is_some() {
+                term.abort.store(true, SeqCst);
             }
-        };
-    let mut rounds = 0usize;
-    let mut idle = false;
-    if pending.is_empty() {
-        busy.fetch_sub(1, SeqCst);
-        idle = true;
+            if term.abort.load(SeqCst) {
+                if !idle {
+                    term.busy.fetch_sub(1, SeqCst);
+                }
+                return Err(self.error.take().unwrap_or(VgpuError::Aborted));
+            }
+
+            // --- drain & combine whatever has arrived ---
+            let deliveries = self.mailbox.drain(gpu);
+            if !deliveries.is_empty() && idle {
+                term.busy.fetch_add(1, SeqCst);
+                idle = false;
+            }
+            for delivery in deliveries {
+                // selective wire ids are owner-local: combine directly
+                self.attempt(|run| run.receive(CommStrategy::Selective, delivery, &mut pending));
+                // The message leaves flight whether or not the combine
+                // succeeds — otherwise a failing device would wedge
+                // termination detection.
+                term.in_flight.fetch_sub(1, SeqCst);
+            }
+            // combine output feeds the next relaxation
+            if !pending.is_empty() {
+                self.attempt(|run| {
+                    let ev = run.dev.record_event(COMM_STREAM);
+                    run.dev.stream_wait(COMPUTE_STREAM, ev)
+                });
+            }
+
+            if pending.is_empty() {
+                if !idle {
+                    term.busy.fetch_sub(1, SeqCst);
+                    idle = true;
+                }
+                // termination: nobody busy, nothing in flight, inbox empty
+                if self.error.is_none()
+                    && term.busy.load(SeqCst) == 0
+                    && term.in_flight.load(SeqCst) == 0
+                    && self.mailbox.is_empty(gpu)
+                {
+                    return Ok(self.finish(rounds, Vec::new())); // no superstep structure
+                }
+                std::thread::yield_now();
+                continue;
+            }
+
+            // --- relax the pending frontier ---
+            let input = std::mem::take(&mut pending);
+            pending = self.attempt(|run| run.relax_round(&input, rounds, term)).unwrap_or_default();
+            rounds += 1;
+            if rounds > 10_000_000 {
+                self.error.get_or_insert(VgpuError::Aborted); // runaway safety net
+            }
+        }
     }
 
-    loop {
-        if abort.load(SeqCst) {
-            if !idle {
-                busy.fetch_sub(1, SeqCst);
-            }
-            return Err(first_error.lock().clone().unwrap_or(VgpuError::Aborted));
+    /// One relaxation: iterate on `input`, split the output, push the remote
+    /// parts, return the local part.
+    fn relax_round(&mut self, input: &[V], round: usize, term: &Termination) -> Result<Vec<V>> {
+        let output = self.iterate(input, round)?;
+        let (local, pkgs) = self.split(&output)?;
+        if pkgs.iter().any(Option::is_some) {
+            let ready = self.dev.record_event(COMPUTE_STREAM);
+            self.dev.stream_wait(COMM_STREAM, ready)?;
         }
-
-        // --- drain & combine whatever has arrived ---
-        let deliveries = mailbox.drain(gpu);
-        if !deliveries.is_empty() && idle {
-            busy.fetch_add(1, SeqCst);
-            idle = false;
+        for (peer, pkg) in pkgs.into_iter().enumerate() {
+            let Some(pkg) = pkg else { continue };
+            self.stats.count_package(pkg.encoding());
+            self.post(peer, Arc::new(pkg))?;
+            // Count the message in flight only once it is actually
+            // posted; a faulted send must not wedge termination.
+            term.in_flight.fetch_add(1, SeqCst);
         }
-        for delivery in deliveries {
-            // The message leaves flight whether or not the combine succeeds —
-            // otherwise a failing device would wedge termination detection.
-            let combined = guard(gpu, || {
-                // selective wire ids are owner-local: combine directly
-                receive_package(
-                    problem,
-                    dev,
-                    sub,
-                    &mut per.state,
-                    CommStrategy::Selective,
-                    None,
-                    delivery,
-                    &mut pending,
-                )
-            });
-            in_flight.fetch_sub(1, SeqCst);
-            if let Err(e) = combined {
-                fail(e);
-            }
-        }
-        // combine output feeds the next relaxation
-        if !pending.is_empty() {
-            let ev = dev.record_event(COMM_STREAM);
-            if let Err(e) = dev.stream_wait(COMPUTE_STREAM, ev) {
-                fail(e);
-            }
-        }
-
-        if pending.is_empty() {
-            if !idle {
-                busy.fetch_sub(1, SeqCst);
-                idle = true;
-            }
-            // termination: nobody busy, nothing in flight, inbox empty
-            if busy.load(SeqCst) == 0 && in_flight.load(SeqCst) == 0 && mailbox.is_empty(gpu) {
-                if let Some(s) = supp.as_ref() {
-                    stats.suppressed_vertices = s.suppressed_vertices;
-                    stats.suppressed_bytes = s.suppressed_bytes;
-                }
-                return Ok((rounds, stats));
-            }
-            std::thread::yield_now();
-            continue;
-        }
-
-        // --- relax the pending frontier ---
-        let input = std::mem::take(&mut pending);
-        let supp_ref = &mut supp;
-        let stats_ref = &mut stats;
-        let outcome = guard(gpu, || -> Result<Vec<V>> {
-            let output =
-                problem.iteration(dev, sub, &mut per.state, &mut per.bufs, &input, rounds)?;
-            let state = &per.state;
-            let (local, pkgs) = split_and_package_with(
-                dev,
-                sub,
-                &output,
-                &mut per.bufs.split,
-                |v| problem.package(state, v),
-                pkg_policy,
-                supp_ref.as_mut(),
-                |m| problem.suppression_key(m),
-                |a, b| problem.merge_msgs(a, b),
-            )?;
-            if pkgs.iter().any(Option::is_some) {
-                let ready = dev.record_event(COMPUTE_STREAM);
-                dev.stream_wait(COMM_STREAM, ready)?;
-            }
-            for (peer, pkg) in pkgs.into_iter().enumerate() {
-                let Some(pkg) = pkg else { continue };
-                stats_ref.count_package(pkg.encoding());
-                // The shared BSP `post_package` body: transient-retry loop
-                // where every attempt occupies the link and counts toward H.
-                post_package(dev, interconnect, mailbox, peer, Arc::new(pkg), policy, rec)?;
-                // Count the message in flight only once it is actually
-                // posted; a faulted send must not wedge termination.
-                in_flight.fetch_add(1, SeqCst);
-            }
-            Ok(local)
-        });
-        match outcome {
-            Ok(local) => pending = local,
-            Err(e) => fail(e),
-        }
-        rounds += 1;
-        if rounds > 10_000_000 {
-            fail(VgpuError::Aborted); // runaway safety net
-        }
+        Ok(local)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::governor::PressurePolicy;
     use crate::problem::testing::MinLabel;
+    use crate::Runner;
+    use mgpu_graph::{Coo, Csr, GraphBuilder};
     use mgpu_partition::{Duplication, RandomPartitioner};
     use vgpu::HardwareProfile;
 
     // The async enactor is validated end-to-end in the primitives/bench
     // crates (it needs a label-correcting primitive); here we only check
-    // construction-time invariants.
+    // what binding promises.
+
+    /// 64 vertices, each joined to its next eight: enough edges that `Max`
+    /// preallocates several times what `Fixed` does.
+    fn ring_of_eights() -> Csr<u32, u64> {
+        let edges = (0..64u32).flat_map(|v| (1..=8).map(move |d| (v, (v + d) % 64))).collect();
+        GraphBuilder::undirected(&Coo::from_edges(64, edges, None))
+    }
+
     #[test]
-    #[should_panic(expected = "assertion")]
-    fn mismatched_device_count_is_rejected() {
-        use mgpu_graph::{Coo, Csr, GraphBuilder};
-        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(4, vec![(0, 1)], None));
-        let dist = DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::All);
-        let system = SimSystem::homogeneous(3, HardwareProfile::k40());
-        let _ = AsyncRunner::new(system, &dist, MinLabel);
+    fn mismatched_device_count_is_a_typed_error_from_both_engines() {
+        let dist = DistGraph::partition(
+            &ring_of_eights(),
+            &RandomPartitioner::default(),
+            2,
+            Duplication::All,
+        );
+        let three = || SimSystem::homogeneous(3, HardwareProfile::k40());
+        let want = VgpuError::BadDevice { device: 2, have: 3 };
+        assert_eq!(AsyncRunner::new(three(), &dist, MinLabel).err(), Some(want.clone()));
+        let bsp = Runner::new(three(), &dist, MinLabel, EnactConfig::default());
+        assert_eq!(bsp.err(), Some(want));
+    }
+
+    /// One bind under both engines: the same config on the same system gives
+    /// the same scheme, the same admission log and the same id-width factor.
+    #[test]
+    fn async_and_bsp_bind_alike() {
+        let dist = DistGraph::partition(
+            &ring_of_eights(),
+            &RandomPartitioner::default(),
+            2,
+            Duplication::All,
+        );
+        // tight enough that admission has to walk `Max` down the chain
+        let system = || SimSystem::homogeneous(2, HardwareProfile::k40().with_capacity(9_000));
+        let config = EnactConfig {
+            alloc_scheme: Some(AllocScheme::Max),
+            kernel_threads: Some(3),
+            pressure: PressurePolicy::governed(),
+            ..EnactConfig::default()
+        };
+        let bsp = Runner::new(system(), &dist, MinLabel, config).unwrap();
+        let asy = AsyncRunner::with_config(system(), &dist, MinLabel, &config).unwrap();
+        assert_ne!(bsp.scheme(), AllocScheme::Max, "the cap must make admission act");
+        assert_eq!(asy.scheme(), bsp.scheme());
+        assert_eq!(asy.bound.admission, bsp.bound.admission);
+        assert!(!asy.bound.admission.downgrades.is_empty());
+        for (a, b) in asy.system().devices.iter().zip(&bsp.system().devices) {
+            assert_eq!(a.width_factor(), 1.2, "u32 ids over u64 offsets (Table V)");
+            assert_eq!(a.width_factor(), b.width_factor());
+            assert_eq!((a.kernel_threads(), b.kernel_threads()), (3, 3));
+        }
     }
 }

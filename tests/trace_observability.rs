@@ -12,14 +12,15 @@
 //! untraced runs).
 
 use mgpu_graph_analytics::core::{
-    AsyncRunner, CommStrategy, CommTopology, EnactConfig, EnactReport, Profile, Runner,
+    AsyncRunner, CommStrategy, CommTopology, EnactConfig, EnactReport, Profile, RecoveryPolicy,
+    Runner,
 };
 use mgpu_graph_analytics::gen::gnm;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::primitives::{Bfs, Cc, Sssp};
-use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
+use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
 const GPU_COUNTS: [usize; 3] = [2, 4, 8];
 const COMMS: [Option<CommStrategy>; 2] = [None, Some(CommStrategy::Broadcast)];
@@ -196,6 +197,31 @@ fn exporters_emit_well_formed_output_for_a_real_run() {
     for dev in 0..4 {
         assert!(chrome.contains(&format!("\"name\":\"GPU {dev}\"")), "missing GPU {dev}");
     }
+}
+
+#[test]
+fn an_exhausted_retry_butterfly_fallback_still_reconciles() {
+    // Four consecutive faults on one stage link outlast the 1 + 3 attempts
+    // the policy allows, so the stage gives up and the superstep degrades
+    // to a direct broadcast — and the run goes on. The attempt that gave up
+    // occupied the link but delivered nothing; the trace has to say so or
+    // its bytes-sent fold overshoots the counters.
+    let g = graph(29);
+    let dist = dist_for(&g, 4);
+    let mut system = SimSystem::homogeneous(4, HardwareProfile::k40());
+    let burst = "tfail:0>1@0, tfail:0>1@1, tfail:0>1@2, tfail:0>1@3";
+    system.attach_fault_plan(&FaultPlan::parse(burst).unwrap());
+    let cfg = EnactConfig {
+        recovery: RecoveryPolicy::resilient(),
+        ..config(None, CommTopology::Butterfly, 1, true)
+    };
+    let mut runner = Runner::new(system, &dist, Cc, cfg).unwrap();
+    let report = runner.enact(None).unwrap();
+    assert_eq!(report.recovery.butterfly_fallbacks, 1);
+    assert_eq!(report.recovery.transfer_retries, 3, "the stage burned its budget first");
+    let profile = Profile::from_trace(report.trace.as_ref().unwrap());
+    profile.reconcile(&report).unwrap();
+    assert_eq!(profile.total.retries, 3, "giving up is not a fourth retry");
 }
 
 // --- async mode ---------------------------------------------------------
