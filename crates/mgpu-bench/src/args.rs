@@ -1,5 +1,5 @@
 //! The one flag parser: a declarative table of [`Flag`] rows and a cursor
-//! over `argv`, shared by `mgpu run`, `mgpu serve` and every bench binary.
+//! over `argv`, shared by `mgpu run`, `mgpu serve`, `repro` and `chaos_soak`.
 //!
 //! A row names its flag, the placeholder and help its usage line prints, and
 //! the setter that stores it. Values parse through [`FlagValue`], whose type
@@ -49,7 +49,6 @@ flag_values!(
     u64 => "an integer >= 0",
     Shift => "an integer in 0..=63",
     SizingFactor => "a number in (0, 2^32]",
-    Tolerance => "a finite fraction >= 0 (e.g. 0.005)",
     Primitive => "bc|bfs|cc|dobfs|pr|sssp",
     PartitionerKind => "random|biased|metis|chunked",
     CommStrategy => "selective|broadcast",
@@ -106,18 +105,6 @@ impl FromStr for SizingFactor {
             .filter(|&x: &f64| x > 0.0 && x <= 4_294_967_296.0)
             .map(SizingFactor)
             .ok_or(())
-    }
-}
-
-/// `--tolerance`: a relative drift a gate accepts. NaN would pass every
-/// comparison, so it is refused here.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance(pub f64);
-
-impl FromStr for Tolerance {
-    type Err = ();
-    fn from_str(s: &str) -> Result<Self, ()> {
-        s.parse().ok().filter(|&x: &f64| x.is_finite() && x >= 0.0).map(Tolerance).ok_or(())
     }
 }
 
@@ -198,52 +185,6 @@ pub fn usage_lines<O>(table: &[Flag<O>]) -> String {
         .collect()
 }
 
-/// Common experiment knobs.
-#[derive(Debug, Clone)]
-pub struct BenchArgs {
-    /// Scale-down shift: datasets shrink by `2^shift` vertices relative to
-    /// the paper (0 = paper scale).
-    pub shift: u32,
-    /// Generator seed.
-    pub seed: u64,
-    /// Optional machine-readable output path (`--json-out FILE`); binaries
-    /// that support it write their results as JSON alongside the table.
-    pub json_out: Option<String>,
-    /// Optional committed baseline to compare against (`--baseline FILE`);
-    /// the binary exits non-zero when a metric regresses past tolerance.
-    pub baseline: Option<String>,
-    /// Gate tolerance override (`--tolerance F`, a relative fraction);
-    /// each binary picks its own default when unset.
-    pub tolerance: Option<f64>,
-}
-
-impl Default for BenchArgs {
-    fn default() -> Self {
-        BenchArgs { shift: 8, seed: 42, json_out: None, baseline: None, tolerance: None }
-    }
-}
-
-const BENCH_FLAGS: &[Flag<BenchArgs>] = &[
-    Flag::new("--shift", "N", "dataset scale-down exponent, 0..=63 [default 8]", |o, a| {
-        a.parse::<Shift>().map(|s| o.shift = s.0)
-    }),
-    Flag::new("--seed", "S", "generator/partitioner seed [default 42]", |o, a| {
-        a.parse().map(|s| o.seed = s)
-    }),
-    Flag::new("--json-out", "FILE", "also write the rows as JSON", |o, a| {
-        a.text().map(|p| o.json_out = Some(p))
-    }),
-    Flag::new(
-        "--baseline",
-        "FILE",
-        "gate against a committed baseline (exit 1 past tolerance)",
-        |o, a| a.text().map(|p| o.baseline = Some(p)),
-    ),
-    Flag::new("--tolerance", "F", "relative gate tolerance [default per binary]", |o, a| {
-        a.parse::<Tolerance>().map(|t| o.tolerance = Some(t.0))
-    }),
-];
-
 /// `main`-level error mapping for a bench binary: print the one line and the
 /// generated usage, exit 2.
 pub fn parse_or_exit<O>(table: &[Flag<O>], defaults: O) -> O {
@@ -256,57 +197,38 @@ pub fn parse_or_exit<O>(table: &[Flag<O>], defaults: O) -> O {
     })
 }
 
-impl BenchArgs {
-    /// Parse `std::env::args`; a bad flag is one line on stderr and exit 2.
-    pub fn parse() -> Self {
-        parse_or_exit(BENCH_FLAGS, BenchArgs::default())
-    }
-
-    /// Parse from an explicit argument list.
-    pub fn parse_from(args: &[String]) -> Result<Self, String> {
-        parse_flags(&[BENCH_FLAGS], args, BenchArgs::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<BenchArgs, String> {
-        BenchArgs::parse_from(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    /// The two flags every experiment binary takes, over `(shift, seed)`.
+    const TABLE: &[Flag<(u32, u64)>] = &[
+        Flag::new("--shift", "N", "dataset scale-down exponent, 0..=63 [default 8]", |o, a| {
+            a.parse::<Shift>().map(|s| o.0 = s.0)
+        }),
+        Flag::new("--seed", "S", "generator/partitioner seed [default 42]", |o, a| {
+            a.parse().map(|s| o.1 = s)
+        }),
+    ];
+
+    fn parse(args: &[&str]) -> Result<(u32, u64), String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_flags(&[TABLE], &args, (8, 42))
     }
 
     #[test]
     fn defaults() {
-        let a = parse(&[]).unwrap();
-        assert_eq!(a.shift, 8);
-        assert_eq!(a.seed, 42);
-        assert!(a.json_out.is_none());
+        assert_eq!(parse(&[]).unwrap(), (8, 42));
     }
 
     #[test]
     fn parses_flags() {
-        let a = parse(&["--shift", "5", "--seed", "7"]).unwrap();
-        assert_eq!(a.shift, 5);
-        assert_eq!(a.seed, 7);
-    }
-
-    #[test]
-    fn parses_json_out() {
-        let a = parse(&["--json-out", "BENCH_comm.json"]).unwrap();
-        assert_eq!(a.json_out.as_deref(), Some("BENCH_comm.json"));
+        assert_eq!(parse(&["--shift", "5", "--seed", "7"]).unwrap(), (5, 7));
     }
 
     #[test]
     fn rejects_unknown() {
         assert_eq!(parse(&["--bogus"]).unwrap_err(), "unknown flag --bogus");
-    }
-
-    #[test]
-    fn parses_baseline_and_tolerance() {
-        let a = parse(&["--baseline", "BENCH_comm.json", "--tolerance", "0.01"]).unwrap();
-        assert_eq!(a.baseline.as_deref(), Some("BENCH_comm.json"));
-        assert_eq!(a.tolerance, Some(0.01));
     }
 
     #[test]
@@ -316,11 +238,7 @@ mod tests {
             "bad --shift 64: want an integer in 0..=63"
         );
         assert_eq!(parse(&["--seed", "-1"]).unwrap_err(), "bad --seed -1: want an integer >= 0");
-        assert_eq!(
-            parse(&["--tolerance", "nan"]).unwrap_err(),
-            "bad --tolerance nan: want a finite fraction >= 0 (e.g. 0.005)"
-        );
-        assert_eq!(parse(&["--json-out"]).unwrap_err(), "--json-out needs a value");
+        assert_eq!(parse(&["--seed"]).unwrap_err(), "--seed needs a value");
     }
 
     #[test]
@@ -339,8 +257,8 @@ mod tests {
 
     #[test]
     fn usage_lists_every_row() {
-        let usage = usage_lines(BENCH_FLAGS);
-        assert_eq!(usage.lines().count(), 2 * BENCH_FLAGS.len());
+        let usage = usage_lines(TABLE);
+        assert_eq!(usage.lines().count(), 2 * TABLE.len());
         assert!(usage.starts_with("  --shift N\n        dataset scale-down"), "{usage}");
     }
 }

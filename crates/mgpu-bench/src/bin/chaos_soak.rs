@@ -1,9 +1,11 @@
 //! Seeded chaos soak: the differential oracle for the unified recovery
 //! layer. Sweeps random fault plans × memory caps × {direct, butterfly} ×
 //! {sync, async} × 2/4/8 GPUs and asserts that every faulty run's *results*
-//! are bit-equal to the fault-free run under the identical configuration —
-//! and that `same_simulation` holds whenever recovery stayed inert (sync
-//! only: async simulated time is scheduling-dependent by design).
+//! are bit-equal to the fault-free run under the identical configuration,
+//! that the fault-free results are what `primitives::reference` computes
+//! (the oracle that catches a bug both arms share), and that
+//! `same_simulation` holds whenever recovery stayed inert (sync only: async
+//! simulated time is scheduling-dependent by design).
 //!
 //! A failing scenario is **shrunk**: events are greedily removed from the
 //! fault plan while the failure persists, so the report names a minimal
@@ -11,13 +13,13 @@
 //! spec is `Display`, the exact inverse of `FaultPlan::parse`).
 //!
 //! ```text
-//! chaos_soak [--scenarios N] [--seed S] [--fast] [--json-out FILE]
+//! chaos_soak [--scenarios N] [--seed S] [--json-out FILE]
 //! ```
 //!
-//! `--fast` caps the sweep at 60 scenarios (the PR-CI subset); the default
-//! 240 is the full pinned bank. Exit code is non-zero if any scenario
-//! fails.
+//! The default 240 scenarios are the full pinned bank (about half a second).
+//! Exit code is non-zero if any scenario fails.
 
+use std::collections::HashMap;
 use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_or_exit, Flag};
@@ -29,7 +31,9 @@ use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
 use mgpu_graph::{Csr, GraphBuilder};
 use mgpu_partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_primitives::{bfs::gather_labels, cc::gather_components, sssp::gather_dists, Bfs, Cc, Sssp};
+use mgpu_primitives::{
+    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
+};
 use vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
 /// splitmix64 — the same generator the fault plans use, so the scenario
@@ -236,13 +240,38 @@ fn run_async(
     }
 }
 
+/// `primitives::reference` results from vertex 0, as the words the runs
+/// gather, built once per distinct graph — [`graph_for`] is a function of the
+/// primitive and the graph seed.
+#[derive(Default)]
+struct References(HashMap<(&'static str, u64), Vec<u64>>);
+
+impl References {
+    fn of(&mut self, s: &Scenario, g: &Csr<u32, u64>) -> &[u64] {
+        self.0.entry((s.prim.label(), s.graph_seed)).or_insert_with(|| match s.prim {
+            Primitive::Bfs => reference::bfs(g, 0u32).into_iter().map(u64::from).collect(),
+            Primitive::Sssp => reference::sssp(g, 0u32).into_iter().map(u64::from).collect(),
+            _ => reference::cc(g).into_iter().map(|c| c as u64).collect(),
+        })
+    }
+}
+
 /// Execute one scenario under `plan` and return `Err(reason)` on any oracle
 /// violation. Pure in (scenario, plan), so the shrink loop can replay it.
-fn soak(s: &Scenario, plan: &FaultPlan) -> Result<(), String> {
+fn soak(s: &Scenario, plan: &FaultPlan, refs: &mut References) -> Result<(), String> {
     let g = graph_for(s);
+    let expect = refs.of(s, &g);
+    let against_reference = |clean: &[u64]| {
+        if clean == expect {
+            Ok(())
+        } else {
+            Err("the fault-free run diverges from primitives::reference".to_string())
+        }
+    };
     match s.exec {
         Exec::Async => {
             let clean = run_async(s, &g, config_for(s, false), None)?;
+            against_reference(&clean)?;
             let faulty = run_async(s, &g, config_for(s, false), Some(plan))
                 .map_err(|e| format!("faulty run failed: {e}"))?;
             if clean != faulty {
@@ -258,6 +287,7 @@ fn soak(s: &Scenario, plan: &FaultPlan) -> Result<(), String> {
             // Fault-free oracle, uncapped.
             let (clean, clean_rep) =
                 run_sync(s, &g, HardwareProfile::k40(), config_for(s, false), None)?;
+            against_reference(&clean)?;
             // Pick the scenario's real profile/config: a tight cap derived
             // from the clean run's peak. If even the fault-free capped run
             // is infeasible (typed OOM at admission), fall back to uncapped
@@ -306,7 +336,7 @@ fn soak(s: &Scenario, plan: &FaultPlan) -> Result<(), String> {
 /// Greedy delta-debug: repeatedly drop single events while the failure
 /// persists. Works on the `Display` spec so the minimized plan is exactly
 /// what `--fault-plan` replays.
-fn shrink(s: &Scenario, plan: &FaultPlan) -> FaultPlan {
+fn shrink(s: &Scenario, plan: &FaultPlan, refs: &mut References) -> FaultPlan {
     let mut events: Vec<String> = plan.to_string().split(',').map(str::to_string).collect();
     loop {
         let mut reduced = false;
@@ -325,7 +355,7 @@ fn shrink(s: &Scenario, plan: &FaultPlan) -> FaultPlan {
                     }
                 }
             };
-            if soak(s, &cand_plan).is_err() {
+            if soak(s, &cand_plan, refs).is_err() {
                 events = cand;
                 reduced = true;
             } else {
@@ -354,10 +384,6 @@ const FLAGS: &[Flag<Args>] = &[
         a.parse().map(|n| o.scenarios = n)
     }),
     Flag::new("--seed", "S", "bank seed [default 42]", |o, a| a.parse().map(|s| o.seed = s)),
-    Flag::new("--fast", "", "cap the sweep so far at 60 scenarios (the PR-CI subset)", |o, _| {
-        o.scenarios = o.scenarios.min(60);
-        Ok(())
-    }),
     Flag::new("--json-out", "FILE", "write the failures as JSON", |o, a| {
         a.text().map(|p| o.json_out = Some(p))
     }),
@@ -368,14 +394,15 @@ fn main() -> ExitCode {
     println!("chaos soak: {} scenarios, bank seed {}", args.scenarios, args.seed);
     let mut failures: Vec<(Scenario, FaultPlan, FaultPlan, String)> = Vec::new();
     let mut passed = 0usize;
+    let mut refs = References::default();
     for (s, plan) in bank(args.seed, args.scenarios) {
-        match soak(&s, &plan) {
+        match soak(&s, &plan, &mut refs) {
             Ok(()) => {
                 passed += 1;
                 println!("  ok   {}  plan [{}]", s.label(), plan);
             }
             Err(reason) => {
-                let min = shrink(&s, &plan);
+                let min = shrink(&s, &plan, &mut refs);
                 println!("  FAIL {}  plan [{}]", s.label(), plan);
                 println!("       reason: {reason}");
                 println!("       minimized: --fault-plan '{min}'");

@@ -1,9 +1,11 @@
-//! The reproduction as a test: one registry of sixteen experiments, each a
+//! The reproduction as a test: one registry of nineteen experiments, each a
 //! plain function returning the tables the paper reports **and** the paper's
-//! claims about them as checked predicates.
+//! claims about them as checked predicates. The last three before
+//! `async_study` are this repo's own studies (wire volume, BSP attribution,
+//! query service); recording them here is the only gate on their numbers.
 //!
-//! There is no descriptor grid behind the registry: the sixteen tables have
-//! sixteen shapes (a do_a × do_b matrix per GPU count, three scaling modes ×
+//! There is no descriptor grid behind the registry: the nineteen tables have
+//! nineteen shapes (a do_a × do_b matrix per GPU count, three scaling modes ×
 //! two profiles, a reference-system ledger), so an experiment is a function
 //! and [`Ctx`] carries only what several of them share. Checks always run —
 //! there is no flag that turns them off — and a failed check, like an `Err`
@@ -18,10 +20,12 @@
 
 mod figures;
 mod sections;
+mod studies;
 mod tables;
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use mgpu_gen::weights::add_paper_weights;
@@ -94,8 +98,8 @@ const fn det(
     Experiment { name, title, deterministic: true, run }
 }
 
-/// The sixteen experiments, in the paper's order.
-pub const EXPERIMENTS: [Experiment; 16] = [
+/// The nineteen experiments: the paper's in its order, then this repo's.
+pub const EXPERIMENTS: [Experiment; 19] = [
     det("table1", "Table I — measured W/C/H/S counters vs analytic orders", tables::table1),
     det("table2", "Table II — dataset inventory of the scaled analogs", tables::table2),
     det("fig2", "Fig. 2 — partitioner impact, 3 primitives × 3 datasets", figures::fig2),
@@ -115,6 +119,17 @@ pub const EXPERIMENTS: [Experiment; 16] = [
         sections::ablation,
     ),
     det("scaleout", "§VIII — scale-out vs scale-up at 8 GPUs", sections::scaleout),
+    det(
+        "comm_volume",
+        "Wire volume — list wire vs default vs default + butterfly; MS-BFS(64)",
+        studies::comm_volume,
+    ),
+    det(
+        "bsp_profile",
+        "BSP attribution — traced W/C/H/S·l per primitive, reconciled",
+        studies::bsp_profile,
+    ),
+    det("service", "Query service — concurrent waves vs serial dispatch", studies::service),
     Experiment {
         name: "async_study",
         title: "BSP vs asynchronous execution (the Groute comparison)",
@@ -300,8 +315,8 @@ const FLAGS: &[Flag<ReproArgs>] = &[
 
 /// The whole `repro` command line: `<name>… | all | --list`, then flags.
 /// `Err` is a command line that cannot be run (exit 2); `Ok` is the exit
-/// code of the run (1 if any check failed or any experiment returned an
-/// error).
+/// code of the run: 1 if any check failed, any experiment returned an error
+/// or `--out-dir` could not be written (one line on stderr naming the path).
 pub fn run(args: &[String]) -> std::result::Result<u8, String> {
     let n_names = args.iter().position(|a| a.starts_with("--")).unwrap_or(args.len());
     let (names, flags) = args.split_at(n_names);
@@ -311,14 +326,32 @@ pub fn run(args: &[String]) -> std::result::Result<u8, String> {
         ReproArgs { ctx: Ctx { shift: 8, seed: 42 }, out_dir: None, list: false },
     )?;
     let picked = select(names)?;
+    if !opts.list && picked.is_empty() {
+        return Err("no experiment named".into());
+    }
+    match execute(&opts, &picked, &mut io::stdout().lock()) {
+        Ok(code) => Ok(code),
+        // the reader left (`repro --list | head -3`): nothing more to say
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => Ok(0),
+        Err(e) => {
+            eprintln!("{e}");
+            Ok(1)
+        }
+    }
+}
+
+/// Run `picked` (or list the registry), everything printed going to `out`.
+fn execute(opts: &ReproArgs, picked: &[&Experiment], out: &mut impl io::Write) -> io::Result<u8> {
     if opts.list {
         for e in &EXPERIMENTS {
-            println!("{:<12} {}", e.name, e.title);
+            writeln!(out, "{:<12} {}", e.name, e.title)?;
         }
         return Ok(0);
     }
-    if picked.is_empty() {
-        return Err("no experiment named".into());
+    let at =
+        |path: &Path, e: io::Error| io::Error::new(e.kind(), format!("{}: {e}", path.display()));
+    if let Some(dir) = &opts.out_dir {
+        std::fs::create_dir_all(dir).map_err(|e| at(dir, e))?;
     }
     let mut results = Vec::new();
     for exp in picked {
@@ -327,11 +360,11 @@ pub fn run(args: &[String]) -> std::result::Result<u8, String> {
         match opts.out_dir.as_ref().filter(|_| exp.deterministic) {
             Some(dir) => {
                 let path = dir.join(format!("{}.txt", exp.name));
-                std::fs::write(&path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+                std::fs::write(&path, text).map_err(|e| at(&path, e))?;
                 let verdict = if passed(&result) { "ok" } else { "FAILED" };
-                println!("{:<12} {verdict}  -> {}", exp.name, path.display());
+                writeln!(out, "{:<12} {verdict}  -> {}", exp.name, path.display())?;
             }
-            None => println!("{text}"),
+            None => writeln!(out, "{text}")?,
         }
         results.push(result);
     }

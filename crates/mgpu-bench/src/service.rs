@@ -1,5 +1,5 @@
 //! Bridge from [`Primitive`] descriptors to [`mgpu_core::service`] query
-//! specs: the piece the `service_bench` bin, the CLI `serve` subcommand,
+//! specs: the piece `repro service`, the CLI `serve` subcommand,
 //! and the concurrency test-suite all share.
 //!
 //! The shared residency is one immutable [`DistGraph`] (plus the raw CSR

@@ -1,9 +1,10 @@
 //! The one JSON module: every document this workspace writes (`EnactReport`,
-//! traces, profiles, the service report, the `BENCH_*` rows, the chaos
-//! report) goes through [`JsonWriter`] — as a [`Json`] value printed by its
-//! `Display`, or event by event for the two trace exporters — and every
-//! document it reads (`--baseline`) comes back through [`Json::parse`]. The
-//! workspace vendors no JSON library.
+//! traces, profiles, the service report, the chaos report) goes through
+//! [`JsonWriter`] — as a [`Json`] value printed by its `Display`, or event by
+//! event for the two trace exporters. Nothing outside the tests reads a
+//! document back: [`Json::parse`] is the oracle the writer's tests and the
+//! round-trip / never-panics properties read through. The workspace vendors
+//! no JSON library.
 //!
 //! Integers stay integers: a `TraceEvent::bytes` lane mask uses all 64 bits,
 //! which an `f64`-only number type would round. Floats print with `{}` — the

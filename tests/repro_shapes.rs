@@ -1,5 +1,5 @@
 //! The reproduction is a test: registry invariants of `mgpu_bench::repro`,
-//! its exit-code rule, and the five sub-second experiments run end to end
+//! its exit-code rule, and the seven sub-second experiments run end to end
 //! against the committed `results/`.
 
 use std::collections::HashSet;
@@ -19,9 +19,9 @@ fn argv(line: &str) -> Vec<String> {
 }
 
 #[test]
-fn the_registry_is_sixteen_documented_experiments_recorded_iff_deterministic() {
+fn every_registered_experiment_is_documented_and_recorded_iff_deterministic() {
     let names: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
-    assert_eq!(names.len(), 16, "names are unique");
+    assert_eq!(names.len(), 19, "names are unique");
     let readme = include_str!("../README.md");
     let design = include_str!("../DESIGN.md");
     let index = design
@@ -62,7 +62,8 @@ fn exit_codes_one_for_a_failed_check_or_an_error_two_for_a_bad_command_line() {
     assert_eq!(
         repro::run(&argv("table1 fig7 --shift 8")).unwrap_err(),
         "bad experiment fig7: want one of table1|table2|fig2|fig3|fig4|fig5|fig6|table3|table4|\
-         table5|sec5a|sec5b|sec6a|ablation|scaleout|async_study|all"
+         table5|sec5a|sec5b|sec6a|ablation|scaleout|comm_volume|bsp_profile|service|async_study|\
+         all"
     );
     assert_eq!(repro::run(&argv("table1 --check")).unwrap_err(), "unknown flag --check");
     assert_eq!(
@@ -70,12 +71,27 @@ fn exit_codes_one_for_a_failed_check_or_an_error_two_for_a_bad_command_line() {
         "bad --shift 64: want an integer in 0..=63"
     );
     assert_eq!(repro::run(&argv("--seed 7")).unwrap_err(), "no experiment named");
-    assert_eq!(repro::select(&argv("all sec5b")).unwrap().len(), 17);
+    assert_eq!(repro::select(&argv("all sec5b")).unwrap().len(), 20);
+}
+
+#[test]
+fn out_dir_is_created_before_anything_runs_and_a_failed_write_is_exit_one() {
+    let tmp = Path::new(env!("CARGO_TARGET_TMPDIR")).join("repro_shapes_out_dir");
+    let _ = std::fs::remove_dir_all(&tmp);
+    let fresh = tmp.join("not").join("there").join("yet");
+    assert_eq!(repro::run(&argv(&format!("sec5b --out-dir {}", fresh.display()))), Ok(0));
+    assert_eq!(
+        std::fs::read_to_string(fresh.join("sec5b.txt")).unwrap(),
+        std::fs::read_to_string(results("sec5b")).unwrap()
+    );
+    // a directory that cannot exist: the run failed (1), the command line was fine (not 2)
+    let under_a_file = fresh.join("sec5b.txt").join("sub");
+    assert_eq!(repro::run(&argv(&format!("sec5b --out-dir {}", under_a_file.display()))), Ok(1));
 }
 
 #[test]
 fn the_sub_second_experiments_pass_every_check_and_equal_the_committed_results() {
-    for name in ["table1", "sec5b", "sec6a", "ablation", "scaleout"] {
+    for name in ["table1", "sec5b", "sec6a", "ablation", "scaleout", "bsp_profile", "service"] {
         let exp = EXPERIMENTS.iter().find(|e| e.name == name).unwrap();
         let result = (exp.run)(&RECORDED);
         let text = repro::render(exp, &RECORDED, &result);
