@@ -280,11 +280,19 @@ pub(super) fn ablation(ctx: &Ctx) -> Result<Outcome> {
     add_paper_weights(&mut coo, ctx.seed + 1);
     let road: Csr<u32, u64> = GraphBuilder::undirected(&coo);
     let dist = DistGraph::partition(&road, &part, 2, Duplication::All);
-    let r_bf = Runner::new(ctx.k40s(2), &dist, Sssp, EnactConfig::default())?.enact(Some(0u32))?;
-    let r_ds = Runner::new(ctx.k40s(2), &dist, SsspDelta { delta: 16 }, EnactConfig::default())?
-        .enact(Some(0u32))?;
+    // one bucket holding every distance is the Bellman-Ford frontier
+    let fixed = |delta| -> Result<EnactReport> {
+        Runner::new(ctx.k40s(2), &dist, SsspDelta { delta }, EnactConfig::default())?
+            .enact(Some(0u32))
+    };
+    let (r_bf, r_ds) = (fixed(u32::MAX)?, fixed(16)?);
+    let r_nf = Runner::new(ctx.k40s(2), &dist, Sssp, EnactConfig::default())?.enact(Some(0u32))?;
     let mut t = Table::new(&["algorithm", "supersteps", "W items", "sim time (ms)"]);
-    for (label, r) in [("Bellman-Ford frontier", &r_bf), ("delta-stepping (Δ=16)", &r_ds)] {
+    for (label, r) in [
+        ("Bellman-Ford frontier (Δ=∞)", &r_bf),
+        ("delta-stepping (Δ=16)", &r_ds),
+        ("near/far, adaptive width (Sssp)", &r_nf),
+    ] {
         t.row(&[
             label.into(),
             format!("{}", r.iterations),
@@ -299,6 +307,17 @@ pub(super) fn ablation(ctx: &Ctx) -> Result<Outcome> {
         format!(
             "W {} vs {}, S {} vs {}",
             r_ds.totals.w_items, r_bf.totals.w_items, r_ds.iterations, r_bf.iterations
+        ),
+    );
+    // what it loses to Δ=∞ is the ramp: the window starts one unit wide
+    out.check(
+        "Sssp's adaptive near window finds the faster fixed bucket width unaided: within 5% of it",
+        r_nf.sim_time_us <= 1.05 * r_bf.sim_time_us.min(r_ds.sim_time_us),
+        format!(
+            "{:.3} ms vs {:.3} (Δ=∞) / {:.3} (Δ=16)",
+            r_nf.sim_time_us / 1e3,
+            r_bf.sim_time_us / 1e3,
+            r_ds.sim_time_us / 1e3
         ),
     );
     Ok(out)

@@ -12,6 +12,12 @@
 //! | [`cc::Cc`] | duplicate-all | broadcast | log(D/2)·O(\|E_i\|) | S·O(2\|V_i\|) |
 //! | [`pr::Pagerank`] | duplicate-all | selective | S·O(\|E_i\|) | S·O(\|B_i\|) |
 //!
+//! SSSP's `b` is the re-relaxation factor: [`sssp::Sssp`] relaxes the near
+//! part of its pending frontier and parks the far rest in the frontier it
+//! returns, which holds `b` at 1.3–1.4 on the power-law analogs;
+//! [`sssp_delta::SsspDelta`] is the fixed-width, globally bucketed variant
+//! the ablation compares it with.
+//!
 //! [`reference`] holds sequential CPU implementations of every primitive;
 //! the test suites validate multi-GPU results against them exactly.
 

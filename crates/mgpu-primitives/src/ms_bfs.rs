@@ -43,7 +43,6 @@ use mgpu_partition::{DistGraph, Duplication, SubGraph};
 use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
-use crate::bfs::gather;
 use crate::INF;
 
 /// Hard lane cap: one bit per source in a machine word.
@@ -315,9 +314,17 @@ pub fn gather_lane_depths<V: Id, O: Id>(
     dist: &DistGraph<V, O>,
     lanes: usize,
 ) -> Vec<Vec<u32>> {
-    (0..lanes)
-        .map(|lane| gather(dist, |gpu, local| runner.state(gpu).depth[local.idx() * lanes + lane]))
-        .collect()
+    // one `locate` per vertex, then its contiguous lane row: the per-lane
+    // `gather` resolved every vertex `lanes` times and read with a row stride
+    let mut out: Vec<Vec<u32>> = (0..lanes).map(|_| Vec::with_capacity(dist.n_global)).collect();
+    for g in 0..dist.n_global {
+        let (gpu, local) = dist.locate(V::from_usize(g));
+        let row = &runner.state(gpu).depth.as_slice()[local.idx() * lanes..][..lanes];
+        for (lane, &d) in out.iter_mut().zip(row) {
+            lane.push(d);
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -6,15 +6,18 @@
 //! that is bucketed prioritization. This primitive implements
 //! delta-stepping *inside* the paper's BSP framework: tentative distances
 //! are bucketed by `⌊dist/Δ⌋`; each superstep relaxes the globally smallest
-//! non-empty bucket. Against the frontier Bellman–Ford of [`crate::Sssp`],
-//! it trades more supersteps for far fewer re-relaxations (a smaller `b`
-//! factor) — a win when the weight spread would otherwise make vertices
-//! churn, and the subject of the `sssp_delta` ablation bench.
+//! non-empty bucket. A small Δ trades more supersteps for far fewer
+//! re-relaxations (a smaller `b` factor) than one bucket holding every
+//! distance (`delta: u32::MAX`, the frontier Bellman–Ford); both are fixed
+//! arms of `repro ablation` §4, where [`crate::Sssp`]'s adaptive near
+//! window is the third.
 //!
 //! Global bucket coordination rides the framework's superstep reduction:
 //! each GPU contributes `-(its minimum non-empty bucket)` to the `f64_max`
 //! reduction, so every GPU learns the global minimum bucket and processes
 //! the same priority level in the same superstep.
+
+use std::collections::BTreeMap;
 
 use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
@@ -48,30 +51,26 @@ impl Default for SsspDelta {
 pub struct SsspDeltaState<V: Id> {
     /// Tentative distances (`INF` = unreached).
     pub dists: DeviceArray<u32>,
-    /// Pending vertices per bucket (local ids; a vertex may appear in a
-    /// stale bucket — filtered against `dists` when processed).
-    buckets: Vec<Vec<V>>,
+    /// Pending vertices by bucket id `⌊dist/Δ⌋` (local ids; a vertex may
+    /// appear in a stale bucket — filtered against `dists` when processed).
+    /// Only live buckets have an entry, so memory is bounded by the pending
+    /// set, not by the largest distance over Δ.
+    buckets: BTreeMap<u32, Vec<V>>,
     /// The bucket this superstep will process (set from the reduction).
-    current: usize,
+    current: u32,
     /// Work counter: relaxations performed (the `b`-factor numerator).
     pub relaxations: u64,
 }
 
 impl<V: Id> SsspDeltaState<V> {
-    fn bucket_of(&self, dist: u32, delta: u32) -> usize {
-        (dist / delta.max(1)) as usize
-    }
-
     fn push(&mut self, v: V, dist: u32, delta: u32) {
-        let b = self.bucket_of(dist, delta);
-        if b >= self.buckets.len() {
-            self.buckets.resize_with(b + 1, Vec::new);
-        }
-        self.buckets[b].push(v);
+        self.buckets.entry(dist / delta.max(1)).or_default().push(v);
     }
 
-    fn min_nonempty(&self) -> Option<usize> {
-        self.buckets.iter().position(|b| !b.is_empty())
+    /// The least live bucket (an entry is removed when it is taken, and only
+    /// `push` creates one, so no entry is empty).
+    fn min_nonempty(&self) -> Option<u32> {
+        self.buckets.keys().next().copied()
     }
 }
 
@@ -98,7 +97,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for SsspDelta {
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
         Ok(SsspDeltaState {
             dists: dev.alloc(sub.n_vertices())?,
-            buckets: Vec::new(),
+            buckets: BTreeMap::new(),
             current: 0,
             relaxations: 0,
         })
@@ -142,17 +141,14 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for SsspDelta {
         // Take the current bucket; keep only vertices that still belong to
         // it (a vertex relaxed to a smaller distance was re-bucketed).
         let cur = state.current;
-        let frontier: Vec<V> = if cur < state.buckets.len() {
+        let frontier: Vec<V> = if let Some(raw) = state.buckets.remove(&cur) {
             let delta = self.delta;
-            let raw = std::mem::take(&mut state.buckets[cur]);
             let dists = &state.dists;
             let count = raw.len() as u64;
             dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
                 let f: Vec<V> = raw
                     .into_iter()
-                    .filter(|&v| {
-                        dists[v.idx()] != INF && (dists[v.idx()] / delta.max(1)) as usize == cur
-                    })
+                    .filter(|&v| dists[v.idx()] != INF && dists[v.idx()] / delta.max(1) == cur)
                     .collect();
                 (f, count)
             })?
@@ -229,7 +225,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for SsspDelta {
 
     fn after_superstep(&self, state: &mut Self::State, reduce: &GlobalReduce, _iter: usize) {
         if reduce.f64_max.is_finite() {
-            state.current = (-reduce.f64_max) as usize;
+            state.current = (-reduce.f64_max) as u32;
         }
     }
 
@@ -280,16 +276,32 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zero_and_max_weights_are_safe() {
-        let coo = mgpu_graph::Coo::from_edges(
+    /// 0 —0— 1 —(2³¹−1)— 2 —5— 3
+    fn huge_middle_weight() -> Csr<u32, u64> {
+        let weights = Some(vec![0, u32::MAX / 2, 5]);
+        GraphBuilder::undirected(&mgpu_graph::Coo::from_edges(
             4,
             vec![(0, 1), (1, 2), (2, 3)],
-            Some(vec![0, u32::MAX / 2, 5]),
-        );
-        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+            weights,
+        ))
+    }
+
+    #[test]
+    fn zero_and_max_weights_are_safe() {
+        let g = huge_middle_weight();
         let (d, _) = run(&g, 2, 32, 0);
         assert_eq!(d, crate::reference::sssp(&g, 0u32));
+    }
+
+    /// Δ = 1 puts the far end in bucket 2³¹ − 1: storage keyed by live bucket
+    /// ids holds a handful of entries there, a dense bucket array two billion.
+    #[test]
+    fn bucket_storage_is_bounded_by_the_pending_set_not_the_largest_distance() {
+        let g = huge_middle_weight();
+        let t0 = std::time::Instant::now();
+        let (d, _) = run(&g, 2, 1, 0);
+        assert_eq!(d, crate::reference::sssp(&g, 0u32));
+        assert!(t0.elapsed().as_secs() < 2, "took {:?}", t0.elapsed());
     }
 
     #[test]

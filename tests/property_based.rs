@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mgpu_graph_analytics::core::{EnactConfig, Runner};
+use mgpu_graph_analytics::core::{AsyncRunner, EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
 use mgpu_graph_analytics::graph::{BuildOptions, Coo, Csr, GraphBuilder, Id};
 use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
@@ -21,7 +21,7 @@ use mgpu_graph_analytics::partition::{
 use mgpu_graph_analytics::primitives::{
     bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
 };
-use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
+use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
 const CASES: usize = 48;
 
@@ -310,6 +310,62 @@ fn mgpu_sssp_equals_dijkstra_on_arbitrary_graphs() {
         runner.enact(Some(0u32)).unwrap();
         assert_eq!(gather_dists(&runner, &dist), reference::sssp(&g, 0u32));
     }
+}
+
+/// The inputs a distance-ordered relaxation can trip on: zero weights (a
+/// relaxed vertex lands back inside the near window), one edge of at least
+/// 2³⁰ (the window arithmetic next to `u32::MAX`), isolated vertices
+/// (never pending), and a source drawn from all of them.
+fn arb_sssp_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
+    let n = rng.gen_range(8usize..60);
+    let connected = rng.gen_range(4..n) as u32; // ids past this are isolated
+    let m = rng.gen_range(1usize..160);
+    let edges: Vec<(u32, u32)> =
+        (0..m).map(|_| (rng.gen_range(0..connected), rng.gen_range(0..connected))).collect();
+    let mut weights: Vec<u32> = (0..m)
+        .map(|_| if rng.gen_range(0u32..4) == 0 { 0 } else { rng.gen_range(0u32..65) })
+        .collect();
+    weights[rng.gen_range(0..m)] = rng.gen_range(1u32 << 30..1 << 31);
+    (build(n, &edges, &weights), rng.gen_range(0..n as u32))
+}
+
+#[test]
+fn sssp_equals_dijkstra_under_every_executor() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA24);
+    // Overheads shrunk 1024x: the near window stays narrow, so there are
+    // parked vertices to carry across supersteps, rounds and the checkpoint.
+    let profile = || HardwareProfile::k40().with_overhead_scale(1024.0);
+    let mut resumed = 0;
+    for case in 0..CASES {
+        let (g, src) = arb_sssp_graph(&mut rng);
+        let n_gpus = rng.gen_range(1usize..7);
+        let seed = rng.gen_range(0u64..1000);
+        let expect: Vec<u64> = reference::sssp(&g, src).into_iter().map(u64::from).collect();
+        let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        let sys = || SimSystem::homogeneous(n_gpus, profile());
+
+        let mut bsp = Runner::new(sys(), &dist, Sssp, EnactConfig::default()).unwrap();
+        bsp.enact(Some(src)).unwrap();
+        assert_eq!(bsp.harvest(), expect, "case {case}: Runner, {n_gpus} vGPUs");
+
+        let mut asy = AsyncRunner::new(sys(), &dist, Sssp).unwrap();
+        asy.enact(Some(src)).unwrap();
+        assert_eq!(asy.harvest(), expect, "case {case}: AsyncRunner, {n_gpus} vGPUs");
+
+        // lose the last device a few supersteps in; with a checkpoint at
+        // every boundary the survivors resume from one whenever the
+        // traversal is still running by then
+        let n = n_gpus.max(2);
+        let recovery = RecoveryPolicy { checkpoint_interval: 1, ..RecoveryPolicy::resilient() };
+        let config = EnactConfig { recovery, ..EnactConfig::default() };
+        let (report, words) = ResilientRunner::homogeneous(&g, Sssp, n, profile(), config)
+            .with_fault_plan(FaultPlan::new().device_loss(n - 1, 14))
+            .enact_with(Some(src), |runner, _| runner.harvest())
+            .unwrap();
+        assert_eq!(words, expect, "case {case}: ResilientRunner, {n} vGPUs");
+        resumed += usize::from(report.recovery.resumed_at.is_some());
+    }
+    assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
 }
 
 #[test]
