@@ -229,12 +229,7 @@ fn run_async(
             let mut runner = AsyncRunner::with_config(system, &dist, Cc, &config)
                 .map_err(|e| format!("{e:?}"))?;
             runner.enact(None).map_err(|e| format!("{e:?}"))?;
-            Ok((0..g.n_vertices())
-                .map(|v| {
-                    let (gpu, local) = dist.locate(v as u32);
-                    runner.state(gpu).comp[local as usize] as u64
-                })
-                .collect())
+            Ok(runner.harvest())
         }
         other => Err(format!("no async soak scenario generates {}", other.name())),
     }

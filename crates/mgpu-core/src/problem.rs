@@ -174,8 +174,10 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// [`Self::suppression_key`]? The contract: `combine` accepts a message
     /// only when its key is strictly below the key currently recorded for
     /// that vertex, and a rejected message leaves state unchanged. Label
-    /// traversals (BFS/DOBFS: depth; SSSP: distance; CC: component id)
-    /// satisfy this; additive combiners (PR rank, BC sigma) do not.
+    /// traversals (BFS/DOBFS: depth; SSSP: distance; CC: the label a vertex
+    /// last published — an accepted one also links its union-find set to the
+    /// sender's, which only lowers labels) satisfy this; additive combiners
+    /// (PR rank, BC sigma) do not.
     ///
     /// Declaring `true` enables monotone send suppression (under
     /// `EnactConfig::suppression`), package canonicalization, and the

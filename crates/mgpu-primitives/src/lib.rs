@@ -9,14 +9,15 @@
 //! | [`dobfs::Dobfs`] | duplicate-all | broadcast | O(a·\|E_i\|) | O((n−1)·\|V\|) |
 //! | [`sssp::Sssp`] | duplicate-all | selective | O(b·\|E_i\|) | O(2b·\|B_i\|) |
 //! | [`bc::Bc`] | duplicate-all | selective fwd / broadcast bwd | O(2\|E_i\|) | O(5\|B_i\| + 2(n−1)\|L_i\|) |
-//! | [`cc::Cc`] | duplicate-all | broadcast | log(D/2)·O(\|E_i\|) | S·O(2\|V_i\|) |
+//! | [`cc::Cc`] | duplicate-all | broadcast | O(\|E_i\|) + S·O(\|V_i\|) | S·O(2\|V_i\|) |
 //! | [`pr::Pagerank`] | duplicate-all | selective | S·O(\|E_i\|) | S·O(\|B_i\|) |
 //!
 //! SSSP's `b` is the re-relaxation factor: [`sssp::Sssp`] relaxes the near
 //! part of its pending frontier and parks the far rest in the frontier it
 //! returns, which holds `b` at 1.3–1.4 on the power-law analogs;
 //! [`sssp_delta::SsspDelta`] is the fixed-width, globally bucketed variant
-//! the ablation compares it with.
+//! the ablation compares it with. [`cc::Cc`] reads each local edge once (a
+//! union-find pass) where the paper's Soman hooking pays `log(D/2)` passes.
 //!
 //! [`reference`] holds sequential CPU implementations of every primitive;
 //! the test suites validate multi-GPU results against them exactly.

@@ -49,7 +49,7 @@ pub fn sssp<V: Id, O: Id>(g: &Csr<V, O>, src: V) -> Vec<u32> {
 
 /// Connected components by union-find over undirected edges; returns the
 /// smallest member vertex id of each vertex's component (matching the
-/// min-label convention of the hooking algorithm).
+/// min-label convention of the multi-GPU `Cc`).
 pub fn cc<V: Id, O: Id>(g: &Csr<V, O>) -> Vec<usize> {
     let n = g.n_vertices();
     let mut parent: Vec<usize> = (0..n).collect();

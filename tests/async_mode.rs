@@ -64,12 +64,7 @@ fn async_cc_reaches_the_union_find_fixpoint() {
     let sys = SimSystem::homogeneous(3, HardwareProfile::k40());
     let mut runner = AsyncRunner::new(sys, &dist, Cc).unwrap();
     runner.enact(None).unwrap();
-    let comp: Vec<usize> = (0..g.n_vertices())
-        .map(|v| {
-            let (gpu, local) = dist.locate(v as u32);
-            runner.state(gpu).comp[local as usize] as usize
-        })
-        .collect();
+    let comp: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
     assert_eq!(comp, expect);
 }
 

@@ -384,6 +384,67 @@ fn mgpu_cc_equals_union_find_on_arbitrary_graphs() {
     }
 }
 
+/// The inputs a union-find CC can trip on: isolated vertices (sets that
+/// never join anything), many small components (many roots and labels per
+/// superstep), and one path longer than any run's superstep count, its
+/// vertices shuffled over the id space so labels cross devices repeatedly.
+fn arb_cc_graph(rng: &mut ChaCha8Rng) -> Csr<u32, u64> {
+    let n = rng.gen_range(32usize..80);
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    let path = rng.gen_range(12..n / 2);
+    let mut edges: Vec<(u32, u32)> = ids[..path].windows(2).map(|w| (w[0], w[1])).collect();
+    let mut rest = &ids[path..];
+    while !rest.is_empty() {
+        // a component of 1–4 vertices; a size-1 one is an isolated vertex
+        let (comp, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(4)));
+        for _ in 1..comp.len() + rng.gen_range(0..2) {
+            edges.push((comp[rng.gen_range(0..comp.len())], comp[rng.gen_range(0..comp.len())]));
+        }
+        rest = tail;
+    }
+    GraphBuilder::undirected(&Coo::from_edges(n, edges, None))
+}
+
+#[test]
+fn cc_equals_reference_under_every_executor() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA25);
+    let mut resumed = 0;
+    for case in 0..CASES {
+        let g = arb_cc_graph(&mut rng);
+        let n_gpus = rng.gen_range(1usize..7);
+        let seed = rng.gen_range(0u64..1000);
+        let expect: Vec<u64> = reference::cc(&g).into_iter().map(|c| c as u64).collect();
+        let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        let sys = || SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+
+        let mut bsp = Runner::new(sys(), &dist, Cc, EnactConfig::default()).unwrap();
+        bsp.enact(None).unwrap();
+        assert_eq!(bsp.harvest(), expect, "case {case}: Runner, {n_gpus} vGPUs");
+
+        let mut asy = AsyncRunner::new(sys(), &dist, Cc).unwrap();
+        asy.enact(None).unwrap();
+        assert_eq!(asy.harvest(), expect, "case {case}: AsyncRunner, {n_gpus} vGPUs");
+
+        // lose the last device late, after a checkpoint at every boundary:
+        // the survivors resume, re-home its vertices and scan their new
+        // edges once
+        let n = n_gpus.max(2);
+        let recovery = RecoveryPolicy { checkpoint_interval: 1, ..RecoveryPolicy::resilient() };
+        let config = EnactConfig { recovery, ..EnactConfig::default() };
+        let (report, words) =
+            ResilientRunner::homogeneous(&g, Cc, n, HardwareProfile::k40(), config)
+                .with_fault_plan(FaultPlan::new().device_loss(n - 1, 12))
+                .enact_with(None, |runner, _| runner.harvest())
+                .unwrap();
+        assert_eq!(words, expect, "case {case}: ResilientRunner, {n} vGPUs");
+        resumed += usize::from(report.recovery.resumed_at.is_some());
+    }
+    assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
+}
+
 #[test]
 fn bsp_counters_are_conserved() {
     use mgpu_graph_analytics::core::WireEncoding;
