@@ -23,7 +23,7 @@ pub enum Primitive {
     Bc,
     /// Connected components.
     Cc,
-    /// PageRank (fixed 20 iterations for comparability).
+    /// PageRank (at most [`PR_ITERS`] iterations).
     Pr,
 }
 
@@ -83,10 +83,13 @@ impl std::str::FromStr for Primitive {
     }
 }
 
+/// PageRank's iteration cap everywhere a `Primitive::Pr` runs, for
+/// comparability. The run may end earlier, once no rank changes.
+pub const PR_ITERS: usize = 20;
+
 /// Bind `$p` to the problem value `$prim` names (`$one_hop` picks BFS's
 /// duplication) and evaluate `$body` with it: the one primitive → problem
-/// map, and the one statement of PageRank's parameters (20 fixed iterations,
-/// for comparability).
+/// map, and the one statement of PageRank's parameters.
 macro_rules! with_problem {
     ($prim:expr, $one_hop:expr, |$p:ident| $body:expr) => {{
         macro_rules! arm {
@@ -101,7 +104,13 @@ macro_rules! with_problem {
             Primitive::Sssp => arm!(Sssp),
             Primitive::Bc => arm!(Bc),
             Primitive::Cc => arm!(Cc),
-            Primitive::Pr => arm!(Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 }),
+            Primitive::Pr => {
+                arm!(Pagerank {
+                    damping: 0.85,
+                    threshold: 0.0,
+                    max_iters: $crate::runners::PR_ITERS
+                })
+            }
         }
     }};
 }

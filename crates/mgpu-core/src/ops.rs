@@ -19,8 +19,9 @@
 //! * push, fused, stateful — [`advance_filter_fused_seq`] when the functor
 //!   carries `FnMut` state that must see edges in frontier order (BC's σ
 //!   sums, delta-stepping buckets).
-//! * scatter-add — [`advance_accumulate`] when contributions are summed per
-//!   destination (PageRank).
+//! * draining scatter-add — [`advance_accumulate`] when each source pushes
+//!   its accumulated value along its out-edges and the shares are summed per
+//!   destination (PageRank's delta push).
 //! * per-element — [`compute`] for work that is neither edge- nor
 //!   frontier-shaped.
 //! * lane bitfields — [`consume_bits`], the frontier ingest of a batched
@@ -483,15 +484,21 @@ pub fn advance_filter_fused_seq<V: Id, O: Id>(
     })
 }
 
-/// **Advance-accumulate**: visit every out-edge of the frontier and add the
-/// source's contribution into a dense per-destination accumulator (the
-/// PageRank inner loop). Floating-point addition is not associative, so a
-/// naive parallel scatter would drift across schedules; instead each chunk
-/// scatters into its own dense partial buffer (the per-block partial idiom)
-/// and the partials are merged into `accum` in chunk order — making the
-/// result bit-identical at every thread count, including one, because the
-/// partial path *is* the algorithm. `scratch` is caller-owned so repeated
-/// iterations reuse one allocation.
+/// **Advance-accumulate** (draining): move each source's accumulated value
+/// out along its out-edges — the push step of a delta iteration (PageRank).
+/// For every `v` in `input` with out-edges, `share(v, accum[v])` is added
+/// into `accum[d]` for each edge `v → d`, and `accum[v]` is zeroed. Every
+/// source is read before any is zeroed, and zeroed before the shares land,
+/// so an edge between two sources carries the pre-drain value into the
+/// drained slot. `input` must not repeat a vertex.
+///
+/// Floating-point addition is not associative, so a naive parallel scatter
+/// would drift across schedules; instead each chunk scatters into its own
+/// dense partial buffer (the per-block partial idiom) and the partials are
+/// merged into `accum` in chunk order — making the result bit-identical at
+/// every thread count, including one, because the partial path *is* the
+/// algorithm. `scratch` is caller-owned so repeated iterations reuse one
+/// allocation.
 pub fn advance_accumulate<V: Id, O: Id>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
@@ -499,7 +506,7 @@ pub fn advance_accumulate<V: Id, O: Id>(
     input: &[V],
     accum: &mut [f32],
     scratch: &mut Vec<f32>,
-    contrib: impl Fn(V) -> f32 + Sync,
+    share: impl Fn(V, f32) -> f32 + Sync,
 ) -> Result<()> {
     let threads = dev.kernel_threads();
     // Load-balancing scan; the chunk target also caps the number of dense
@@ -520,6 +527,7 @@ pub fn advance_accumulate<V: Id, O: Id>(
         if n > 0 && !chunks.is_empty() {
             scratch.resize(chunks.len() * n, 0.0);
             let mut slots: Vec<&mut [f32]> = scratch.chunks_mut(n).collect();
+            let src: &[f32] = accum;
             par::for_each_slot_mut(threads, &mut slots, |c, slot| {
                 slot.fill(0.0);
                 let (lo, hi) = chunks[c];
@@ -531,12 +539,17 @@ pub fn advance_accumulate<V: Id, O: Id>(
                     if edges.is_empty() {
                         continue;
                     }
-                    let cv = contrib(v);
+                    let cv = share(v, src[v.idx()]);
                     for e in edges {
                         slot[sub.csr.col_indices()[e].idx()] += cv;
                     }
                 }
             });
+            for &v in input {
+                if sub.csr.degree(v) > 0 {
+                    accum[v.idx()] = 0.0;
+                }
+            }
             for slot in slots.iter() {
                 for (a, &p) in accum.iter_mut().zip(slot.iter()) {
                     *a += p;
@@ -848,14 +861,16 @@ mod parallel_tests {
         let dg = big_part();
         let sub = &dg.parts[0];
         let n = sub.csr.n_vertices();
-        let frontier: Vec<u32> = (0..n as u32).collect();
-        let ranks: Vec<f32> = (0..n).map(|i| 1.0 / (i + 1) as f32).collect();
+        // every third vertex drains: sources and plain destinations both
+        // occur, and most edges join the two
+        let frontier: Vec<u32> = (0..n as u32).step_by(3).collect();
+        let start: Vec<f32> = (0..n).map(|i| 1.0 / (i + 1) as f32).collect();
         let run = |threads| {
             let mut dev = Device::new(0, HardwareProfile::k40());
             dev.set_kernel_threads(threads);
             let mut bufs =
                 FrontierBufs::new(&mut dev, AllocScheme::Max, n, sub.csr.n_edges()).unwrap();
-            let mut accum = vec![0.0f32; n];
+            let mut accum = start.clone();
             let mut scratch = Vec::new();
             advance_accumulate(
                 &mut dev,
@@ -864,12 +879,29 @@ mod parallel_tests {
                 &frontier,
                 &mut accum,
                 &mut scratch,
-                |s| ranks[s as usize] / sub.csr.degree(s).max(1) as f32,
+                |s, a| 0.85 * a / sub.csr.degree(s) as f32,
             )
             .unwrap();
             (accum, dev.now(), dev.counters)
         };
         let (a1, t1, c1) = run(1);
+        // the drain against a sequential f64 push from the pre-drain values
+        let mut expect: Vec<f64> = start.iter().map(|&x| x as f64).collect();
+        for &v in &frontier {
+            expect[v as usize] = 0.0;
+        }
+        for &v in &frontier {
+            let share = 0.85 * start[v as usize] as f64 / sub.csr.degree(v) as f64;
+            for &d in sub.csr.neighbors(v) {
+                expect[d as usize] += share;
+            }
+        }
+        for (i, (&got, &want)) in a1.iter().zip(&expect).enumerate() {
+            assert!((got as f64 - want).abs() <= 1e-5 * want.abs(), "vertex {i}: {got} vs {want}");
+        }
+        let mass = |xs: &[f32]| xs.iter().map(|&x| x as f64).sum::<f64>();
+        let moved: f64 = frontier.iter().map(|&v| start[v as usize] as f64).sum();
+        assert!((mass(&a1) - (mass(&start) - 0.15 * moved)).abs() < 1e-3, "only 1 - d is lost");
         for threads in [2, 4] {
             let (an, tn, cn) = run(threads);
             let bits1: Vec<u32> = a1.iter().map(|x| x.to_bits()).collect();

@@ -10,7 +10,7 @@
 //! | [`sssp::Sssp`] | duplicate-all | selective | O(b·\|E_i\|) | O(2b·\|B_i\|) |
 //! | [`bc::Bc`] | duplicate-all | selective fwd / broadcast bwd | O(2\|E_i\|) | O(5\|B_i\| + 2(n−1)\|L_i\|) |
 //! | [`cc::Cc`] | duplicate-all | broadcast | O(\|E_i\|) + S·O(\|V_i\|) | S·O(2\|V_i\|) |
-//! | [`pr::Pagerank`] | duplicate-all | selective | S·O(\|E_i\|) | S·O(\|B_i\|) |
+//! | [`pr::Pagerank`] | duplicate-all | selective | Σ_S O(\|E_active\|) + S·O(\|L_i\|) | Σ_S O(\|B_changed\|) |
 //!
 //! SSSP's `b` is the re-relaxation factor: [`sssp::Sssp`] relaxes the near
 //! part of its pending frontier and parks the far rest in the frontier it
@@ -18,6 +18,10 @@
 //! [`sssp_delta::SsspDelta`] is the fixed-width, globally bucketed variant
 //! the ablation compares it with. [`cc::Cc`] reads each local edge once (a
 //! union-find pass) where the paper's Soman hooking pays `log(D/2)` passes.
+//! [`pr::Pagerank`] pushes rank *changes*: a superstep advances only the
+//! vertices whose change their f32 rank can still resolve and sends only the
+//! border proxies that received mass, where the paper's PR advances all
+//! `|E_i|` and ships all `|B_i|` every iteration.
 //!
 //! [`reference`] holds sequential CPU implementations of every primitive;
 //! the test suites validate multi-GPU results against them exactly.
@@ -25,7 +29,6 @@
 pub mod bc;
 pub mod bc_batch;
 pub mod bfs;
-pub mod bfs_pred;
 pub mod cc;
 pub mod dobfs;
 pub mod ms_bfs;
@@ -40,7 +43,6 @@ pub use bfs::Bfs;
 pub use cc::Cc;
 pub use dobfs::Dobfs;
 pub use ms_bfs::MsBfs;
-pub use bfs_pred::BfsPred;
 pub use pr::Pagerank;
 pub use sssp::Sssp;
 pub use sssp_delta::SsspDelta;

@@ -10,8 +10,8 @@
 //! 1 and 4 kernel threads, across GPU counts and both communication
 //! strategies.
 //!
-//! PageRank additionally exercises the f32 accumulation operator, whose
-//! chunk-ordered partial merge keeps non-associative float addition
+//! PageRank additionally exercises the draining f32 accumulation operator,
+//! whose chunk-ordered partial merge keeps non-associative float addition
 //! schedule-independent — ranks are compared as raw bits, not approximately.
 
 use mgpu_graph_analytics::core::{CommStrategy, EnactConfig, EnactReport, Runner};
@@ -87,8 +87,8 @@ fn run_pr(
     comm: Option<CommStrategy>,
     threads: usize,
 ) -> (Vec<u32>, EnactReport) {
-    // threshold 0.0 → always runs to the iteration cap, so the (barrier-
-    // arrival-ordered) f64 residual reduction never gates control flow.
+    // threshold 0.0 → the f64 residual reduction never gates control flow:
+    // the run ends at the iteration cap or once no device spreads a change.
     let pr = Pagerank { damping: 0.85, threshold: 0.0, max_iters: 12 };
     let dist = dist_for(g, n_gpus);
     let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
