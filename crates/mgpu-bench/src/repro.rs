@@ -115,7 +115,7 @@ pub const EXPERIMENTS: [Experiment; 19] = [
     det("sec6a", "§VI-A — do_a/do_b threshold sweep across GPU counts", sections::sec6a),
     det(
         "ablation",
-        "Ablation — fusion, load balancing, comm strategy, Δ-stepping",
+        "Ablation — fusion, load balancing, comm strategy, SSSP vs BFS",
         sections::ablation,
     ),
     det("scaleout", "§VIII — scale-out vs scale-up at 8 GPUs", sections::scaleout),

@@ -3,16 +3,16 @@
 //! (`bsp_profile`) and what the query service overlaps (`service`).
 
 use mgpu_core::{
-    CommTopology, EnactConfig, EnactReport, PressurePolicy, Profile, Runner, Service,
-    ServicePolicy, ServiceReport, WireEncoding,
+    CommTopology, EnactConfig, EnactReport, PressurePolicy, Profile, Service, ServicePolicy,
+    ServiceReport, WireEncoding,
 };
 use mgpu_partition::{DistGraph, Duplication, Partitioner};
-use mgpu_primitives::{MsBfs, SsspDelta};
+use mgpu_primitives::MsBfs;
 use vgpu::{HardwareProfile, Result};
 
 use super::{dataset, span, Ctx, Outcome};
 use crate::fmt::Table;
-use crate::runners::{pick_source, run_multi_source, run_primitive, MultiSourceMode, Primitive};
+use crate::runners::{run_multi_source, run_primitive, MultiSourceMode, Primitive};
 use crate::service::{build_query_specs, parse_query_list, residency_bytes};
 
 /// One primitive on one dataset under each arm of [`comm_volume`].
@@ -40,19 +40,13 @@ impl WireGroup {
     }
 }
 
-/// Percent of would-be sends the suppression cache dropped.
-fn suppressed_pct(r: &EnactReport) -> f64 {
-    let (sent, dropped) = (r.totals.h_vertices, r.comm.suppressed_vertices);
-    100.0 * dropped as f64 / (sent + dropped).max(1) as f64
-}
-
-/// Comm-volume study — DOBFS, SSSP, CC and delta-stepping SSSP at six GPUs on
-/// two analogs under three arms, the paper's wire first: `list` (forced
-/// `(id, label)` list encoding, nothing suppressed), `default` (`Auto`
-/// encoding + monotone send suppression) and `reduced` (the default over the
-/// butterfly broadcast collective). Then 64 BFS sources as 64 enacts on one
-/// runner (4-byte labels) against one batched bitfield enact (8-byte lane
-/// masks), both on the same partition.
+/// Comm-volume study — DOBFS, SSSP and CC at six GPUs on two analogs under
+/// three arms, the paper's wire first: `list` (forced `(id, label)` list
+/// encoding, nothing suppressed), `default` (`Auto` encoding + monotone send
+/// suppression) and `reduced` (the default over the butterfly broadcast
+/// collective). Then 64 BFS sources as 64 enacts on one runner (4-byte
+/// labels) against one batched bitfield enact (8-byte lane masks), both on
+/// the same partition.
 pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
     const GPUS: usize = 6;
     let default = EnactConfig::default();
@@ -75,14 +69,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
             };
             group(prim.name(), arms.iter().map(run).collect())?;
         }
-        // Delta-stepping is not a `Primitive` (it shares SSSP's results); it
-        // is the one primitive whose sender-side suppression fires.
-        let dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
-        let run = |&(arm, cfg)| {
-            let mut runner = Runner::new(ctx.k40s(GPUS), &dist, SsspDelta::default(), cfg)?;
-            Ok((arm, runner.enact(Some(pick_source(&g)))?))
-        };
-        group("SSSP(Δ)", arms.iter().map(run).collect())?;
         let sources = MsBfs::spread_sources(64, g.n_vertices());
         let run = |(arm, mode)| {
             let sys = ctx.k40s(GPUS);
@@ -102,7 +88,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
         "supersteps",
         "H bytes",
         "vs first arm",
-        "suppressed %",
         "stages",
     ]);
     for group in &groups {
@@ -115,7 +100,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
                 format!("{}", r.iterations),
                 format!("{}", r.totals.h_bytes_sent),
                 if i == 0 { "-".into() } else { format!("{:.2}x", group.cut(0, i)) },
-                format!("{:.1}", suppressed_pct(r)),
                 format!("{}", r.comm.collective_stages),
             ]);
         }
@@ -123,7 +107,7 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
 
     let of = |prims: &'static [&str]| groups.iter().filter(move |g| prims.contains(&g.primitive));
     let broadcast = || of(&["DOBFS", "CC"]);
-    let selective = || of(&["SSSP", "SSSP(Δ)"]);
+    let selective = || of(&["SSSP"]);
     let mut out = Outcome::default();
     out.table(
         format!(
@@ -136,12 +120,9 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
         (span(broadcast().map(|g| g.cut(0, 1))), span(selective().map(|g| g.cut(0, 1))));
     out.check(
         "against the paper's (id, label) list the default wire moves >= 30x fewer H bytes for \
-         the broadcast primitives (DOBFS, CC) and >= 1.5x fewer for SSSP and SSSP(Δ)",
+         the broadcast primitives (DOBFS, CC) and >= 1.5x fewer for SSSP",
         wide.0 >= 30.0 && narrow.0 >= 1.5,
-        format!(
-            "DOBFS/CC {:.1}-{:.1}x, SSSP/SSSP(Δ) {:.2}-{:.2}x",
-            wide.0, wide.1, narrow.0, narrow.1
-        ),
+        format!("DOBFS/CC {:.1}-{:.1}x, SSSP {:.2}-{:.2}x", wide.0, wide.1, narrow.0, narrow.1),
     );
     let further = span(broadcast().map(|g| g.cut(1, 2)));
     let stages = span(broadcast().map(|g| g.stages(2) as f64));
@@ -151,21 +132,17 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
         format!("{:.2}-{:.2}x in {}-{} stages", further.0, further.1, stages.0, stages.1),
     );
     out.check(
-        "selective primitives never enter the collective: SSSP and SSSP(Δ) move the same bytes \
-         over the butterfly, in 0 stages",
+        "selective primitives never enter the collective: SSSP moves the same bytes over the \
+         butterfly, in 0 stages",
         selective().all(|g| g.cut(1, 2) == 1.0 && g.stages(2) == 0),
-        "default vs reduced, 4 rows".into(),
+        "default vs reduced, 2 rows".into(),
     );
-    let delta =
-        span(of(&["SSSP(Δ)"]).flat_map(|g| g.arms[1..].iter().map(|(_, r)| suppressed_pct(r))));
-    let elsewhere: u64 = (groups.iter().filter(|g| g.primitive != "SSSP(Δ)"))
-        .flat_map(|g| g.arms.iter().map(|(_, r)| r.comm.suppressed_vertices))
-        .sum();
+    let arms = || groups.iter().flat_map(|g| &g.arms);
+    let suppressed: u64 = arms().map(|(_, r)| r.comm.suppressed_vertices).sum();
     out.check(
-        "monotone suppression drops sends on SSSP(Δ) only (its resends of an unimproved \
-         distance)",
-        delta.0 > 0.0 && elsewhere == 0,
-        format!("SSSP(Δ) {:.1}-{:.1}%; {elsewhere} vertices on every other row", delta.0, delta.1),
+        "monotone suppression drops 0 vertices on every row",
+        suppressed == 0,
+        format!("{suppressed} vertices over {} rows", arms().count()),
     );
     let batch: Vec<&WireGroup> = of(&["MS-BFS(64)"]).collect();
     out.check(

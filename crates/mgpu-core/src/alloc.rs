@@ -21,7 +21,7 @@ use vgpu::interconnect::Link;
 use vgpu::{Device, DeviceArray, Result, VgpuError, COMPUTE_STREAM};
 
 use crate::comm::SplitScratch;
-use crate::governor::{GovernorLog, PressurePolicy};
+use crate::governor::{self, GovernorLog, PressurePolicy};
 
 /// Frontier-buffer allocation scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -234,7 +234,7 @@ impl<V: Id> FrontierBufs<V> {
                 // reserve so the output frontier can still be committed.
                 let buf = self.intermediate.as_mut().expect("checked above");
                 let free_elems = dev.pool().free_bytes() as usize / std::mem::size_of::<V>();
-                let granted = (buf.capacity() + free_elems / 2).max(self.pressure.min_chunk);
+                let granted = (buf.capacity() + free_elems / 2).max(governor::MIN_CHUNK);
                 dev.ensure_capacity(buf, granted)?;
                 Ok(granted)
             }

@@ -74,7 +74,8 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> AsyncRunner<'g, V, O, P> {
     /// device-count mismatch is the same [`VgpuError::BadDevice`]. The
     /// relaxation loop honours `wire_encoding`, `suppression`, `tracing` and
     /// the retry half of `recovery`; it has no supersteps, so `comm`,
-    /// `comm_topology`, `max_iterations` and checkpoints do not apply.
+    /// `comm_topology`, the primitive's iteration cap and checkpoints do not
+    /// apply.
     pub fn with_config(
         system: SimSystem,
         dist: &'g DistGraph<V, O>,

@@ -71,8 +71,6 @@ pub struct EnactConfig {
     pub alloc_scheme: Option<AllocScheme>,
     /// Override the primitive's communication strategy.
     pub comm: Option<CommStrategy>,
-    /// Override the primitive's iteration cap.
-    pub max_iterations: Option<usize>,
     /// Host threads for kernel bodies on every device (default: the
     /// `MGPU_KERNEL_THREADS` env var, else available parallelism). Purely a
     /// wall-clock knob — simulated time and BSP counters are identical at
@@ -112,7 +110,6 @@ impl Default for EnactConfig {
         EnactConfig {
             alloc_scheme: None,
             comm: None,
-            max_iterations: None,
             kernel_threads: None,
             recovery: RecoveryPolicy::default(),
             pressure: PressurePolicy::default(),
@@ -278,7 +275,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let _release_peers = PoisonOnUnwind(sync);
         let config = self.config;
         let policy = config.recovery;
-        let max_iterations = config.max_iterations.unwrap_or_else(|| self.problem.max_iterations());
+        let max_iterations = self.problem.max_iterations();
         let butterfly =
             config.comm_topology == CommTopology::Butterfly && self.pkg_policy.monotone && n > 1;
 

@@ -186,7 +186,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Bound<'g, V, O, P> {
             let mut scheme = base_scheme;
             if pressure.enabled {
                 let capacity = dev.pool().capacity();
-                let budget = (capacity as f64 * pressure.soft_watermark) as u64;
+                let budget = governor::soft_budget(capacity);
                 let estimate = |scheme| {
                     governor::estimate_footprint(
                         scheme,

@@ -41,34 +41,35 @@
 use crate::alloc::AllocScheme;
 use crate::comm::CommStrategy;
 
-/// Governor policy knobs. The default is fully off: no estimate is computed,
-/// no downgrade applied, every OOM propagates exactly as before — existing
-/// runs stay bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Fraction of pool capacity the admission estimate may occupy before the
+/// downgrade chain is walked (the *soft* watermark; the *hard* watermark is
+/// the capacity itself).
+const SOFT_WATERMARK: f64 = 0.85;
+
+/// Smallest per-pass element budget a chunked multi-pass advance will
+/// accept; below it (a single vertex's adjacency cannot fit) the OOM is
+/// hard-infeasible and propagates typed.
+pub(crate) const MIN_CHUNK: usize = 1;
+
+/// The admission budget of a pool of `capacity` bytes: its soft watermark.
+pub(crate) fn soft_budget(capacity: u64) -> u64 {
+    (capacity as f64 * SOFT_WATERMARK) as u64
+}
+
+/// Governor policy. The default is fully off: no estimate is computed, no
+/// downgrade applied, every OOM propagates exactly as before — existing runs
+/// stay bit-identical.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PressurePolicy {
     /// Master switch.
     pub enabled: bool,
-    /// Fraction of pool capacity the admission estimate may occupy before
-    /// the downgrade chain is walked (the *soft* watermark; the *hard*
-    /// watermark is the capacity itself).
-    pub soft_watermark: f64,
-    /// Smallest per-pass element budget a chunked multi-pass advance will
-    /// accept; below it (a single vertex's adjacency cannot fit) the OOM is
-    /// hard-infeasible and propagates typed.
-    pub min_chunk: usize,
-}
-
-impl Default for PressurePolicy {
-    fn default() -> Self {
-        PressurePolicy { enabled: false, soft_watermark: 0.85, min_chunk: 1 }
-    }
 }
 
 impl PressurePolicy {
     /// The standard governed preset: admission at an 85% soft watermark,
     /// spill + chunked multi-pass enabled.
     pub fn governed() -> Self {
-        PressurePolicy { enabled: true, ..PressurePolicy::default() }
+        PressurePolicy { enabled: true }
     }
 }
 
@@ -145,9 +146,12 @@ pub struct FootprintEstimate {
 }
 
 impl FootprintEstimate {
-    /// Total estimated bytes.
+    /// Total estimated bytes (saturating at `u64::MAX`).
     pub fn total(&self) -> u64 {
-        self.topology + self.state + self.frontier + self.comm
+        self.topology
+            .saturating_add(self.state)
+            .saturating_add(self.frontier)
+            .saturating_add(self.comm)
     }
 }
 
@@ -158,6 +162,9 @@ impl FootprintEstimate {
 /// package under broadcast, half under selective (the owned-border fraction
 /// is unknown before partitioning stats are in; the estimate only has to
 /// rank schemes consistently, and it is a pure function of its arguments).
+/// Sizes are computed in `u64` and saturate: a sizing factor whose buffers
+/// no pool could hold estimates `u64::MAX`, which the downgrade chain walks
+/// past like any other oversized scheme.
 #[allow(clippy::too_many_arguments)]
 pub fn estimate_footprint(
     scheme: AllocScheme,
@@ -170,11 +177,13 @@ pub fn estimate_footprint(
     vertex_bytes: usize,
     msg_bytes: usize,
 ) -> FootprintEstimate {
+    let (n_vertices, vertex_bytes) = (n_vertices as u64, vertex_bytes as u64);
     let frontier_pre = match scheme {
         AllocScheme::JustEnough => 0,
-        AllocScheme::Max => n_edges,
+        AllocScheme::Max => n_edges as u64,
+        // `as` saturates: an infinite or huge product becomes u64::MAX
         AllocScheme::Fixed { sizing_factor } | AllocScheme::PreallocFusion { sizing_factor } => {
-            (n_vertices as f64 * sizing_factor).ceil() as usize
+            (n_vertices as f64 * sizing_factor).ceil() as u64
         }
     };
     let n_bufs = if scheme.fused() { 2 } else { 3 };
@@ -188,9 +197,9 @@ pub fn estimate_footprint(
     };
     FootprintEstimate {
         topology: topology_bytes,
-        state: (n_vertices * state_bytes_per_vertex) as u64,
-        frontier: (n_bufs * frontier_pre.max(1) * vertex_bytes) as u64,
-        comm: (comm_elems * (vertex_bytes + msg_bytes)) as u64,
+        state: n_vertices.saturating_mul(state_bytes_per_vertex as u64),
+        frontier: frontier_pre.max(1).saturating_mul(vertex_bytes).saturating_mul(n_bufs),
+        comm: comm_elems.saturating_mul(vertex_bytes + msg_bytes as u64),
     }
 }
 
@@ -244,6 +253,14 @@ mod tests {
         let mx = est(AllocScheme::Max);
         let pf = est(AllocScheme::PreallocFusion { sizing_factor: 3.0 });
         assert!(je < fx && fx < mx && pf < fx);
+    }
+
+    #[test]
+    fn oversized_estimates_saturate() {
+        let huge = AllocScheme::Fixed { sizing_factor: 1e30 };
+        let est = estimate_footprint(huge, CommStrategy::Broadcast, 4, 1000, 0, 4096, 4, 8, 8);
+        assert_eq!(est.frontier, u64::MAX);
+        assert_eq!(est.total(), u64::MAX);
     }
 
     #[test]

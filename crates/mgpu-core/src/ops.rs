@@ -18,7 +18,7 @@
 //!   the functor is pure or claims through atomics.
 //! * push, fused, stateful — [`advance_filter_fused_seq`] when the functor
 //!   carries `FnMut` state that must see edges in frontier order (BC's σ
-//!   sums, delta-stepping buckets).
+//!   sums).
 //! * draining scatter-add — [`advance_accumulate`] when each source pushes
 //!   its accumulated value along its out-edges and the shares are summed per
 //!   destination (PageRank's delta push).

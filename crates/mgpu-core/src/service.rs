@@ -46,7 +46,7 @@ use rand_chacha::ChaCha8Rng;
 use vgpu::{Result, VgpuError};
 
 use crate::executor::Executor;
-use crate::governor::PressurePolicy;
+use crate::governor::{self, PressurePolicy};
 use crate::json::Json;
 use crate::report::EnactReport;
 
@@ -281,11 +281,7 @@ impl Service {
         let lanes = if self.policy.lanes == 0 { usize::MAX } else { self.policy.lanes };
         let capped = self.policy.pressure.enabled && self.policy.mem_cap.is_some();
         let cap = self.policy.mem_cap.unwrap_or(u64::MAX);
-        let budget = if capped {
-            (cap as f64 * self.policy.pressure.soft_watermark) as u64
-        } else {
-            u64::MAX
-        };
+        let budget = if capped { governor::soft_budget(cap) } else { u64::MAX };
         let residency = self.policy.residency_bytes;
 
         let mut waves: Vec<Vec<usize>> = Vec::new();

@@ -14,9 +14,9 @@
 //!
 //! SSSP's `b` is the re-relaxation factor: [`sssp::Sssp`] relaxes the near
 //! part of its pending frontier and parks the far rest in the frontier it
-//! returns, which holds `b` at 1.3–1.4 on the power-law analogs;
-//! [`sssp_delta::SsspDelta`] is the fixed-width, globally bucketed variant
-//! the ablation compares it with. [`cc::Cc`] reads each local edge once (a
+//! returns, which holds `b` at 1.3–1.4 on the power-law analogs; on a road
+//! lattice it stays within a few supersteps of BFS's hop order (the
+//! ablation's §4). [`cc::Cc`] reads each local edge once (a
 //! union-find pass) where the paper's Soman hooking pays `log(D/2)` passes.
 //! [`pr::Pagerank`] pushes rank *changes*: a superstep advances only the
 //! vertices whose change their f32 rank can still resolve and sends only the
@@ -35,7 +35,6 @@ pub mod ms_bfs;
 pub mod pr;
 pub mod reference;
 pub mod sssp;
-pub mod sssp_delta;
 
 pub use bc::Bc;
 pub use bc_batch::BcBatch;
@@ -45,7 +44,6 @@ pub use dobfs::Dobfs;
 pub use ms_bfs::MsBfs;
 pub use pr::Pagerank;
 pub use sssp::Sssp;
-pub use sssp_delta::SsspDelta;
 
 /// Unreached/unvisited marker for label and distance arrays.
 pub const INF: u32 = u32::MAX;

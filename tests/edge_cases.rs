@@ -143,19 +143,6 @@ fn alloc_scheme_override_changes_memory_but_not_answer() {
 }
 
 #[test]
-fn max_iterations_override_truncates_cleanly() {
-    let g: Csr<u32, u64> = GraphBuilder::undirected(&chain(64));
-    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 3 }, 2, Duplication::All);
-    let sys = SimSystem::homogeneous(2, HardwareProfile::k40());
-    let config = EnactConfig { max_iterations: Some(5), ..Default::default() };
-    let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
-    let r = runner.enact(Some(0u32)).unwrap();
-    assert_eq!(r.iterations, 5);
-    let labels = gather_labels(&runner, &dist);
-    assert!(labels.iter().filter(|&&l| l != INF).count() <= 6, "at most depth 5 reached");
-}
-
-#[test]
 fn superstep_history_tracks_the_frontier_wave() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(400, 8, 12));
     let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 2 }, 3, Duplication::All);

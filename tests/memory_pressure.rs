@@ -235,6 +235,38 @@ fn disabled_policy_under_a_loose_cap_changes_nothing() {
     );
 }
 
+/// A sizing factor no pool could hold saturates the admission estimate
+/// instead of overflowing it: the governed bind walks down to just-enough
+/// and answers exactly, and the same bind ungoverned is the typed OOM.
+#[test]
+fn an_absurd_sizing_factor_is_downgraded_not_overflowed() {
+    let g = graph();
+    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 3 }, 4, Duplication::All);
+    let bind = |pressure| {
+        let config = EnactConfig {
+            alloc_scheme: Some(AllocScheme::Fixed { sizing_factor: 1e30 }),
+            pressure,
+            ..Default::default()
+        };
+        Runner::new(
+            SimSystem::homogeneous(4, HardwareProfile::k40()),
+            &dist,
+            Bfs::default(),
+            config,
+        )
+    };
+    let mut runner = bind(PressurePolicy::governed()).unwrap();
+    assert_eq!(runner.scheme(), AllocScheme::JustEnough);
+    let report = runner.enact(Some(0)).unwrap();
+    assert_eq!(report.governor.downgrades.len(), 4, "one downgrade per device");
+    for d in &report.governor.downgrades {
+        assert_eq!((d.from, d.to), ("fixed", "just-enough"));
+        assert_eq!(d.estimated_bytes, u64::MAX);
+    }
+    assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+    assert!(matches!(bind(PressurePolicy::default()), Err(VgpuError::OutOfMemory { .. })));
+}
+
 #[test]
 fn traced_pressure_run_charges_spills_and_chunks_in_the_trace() {
     use mgpu_graph_analytics::core::Profile;

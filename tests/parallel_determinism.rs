@@ -21,7 +21,7 @@ use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::core::MgpuProblem;
 use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank, Sssp, SsspDelta,
+    bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank, Sssp,
 };
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -180,8 +180,9 @@ fn thread_count_zero_and_eight_also_agree() {
 // arrival order, so at 3 or more devices its low bits — and with them a
 // threshold-terminated PageRank's superstep count — depended on thread
 // scheduling. These primitives read the reduction (`f64_sum`: PageRank;
-// `f64_max` / `u64_sum`: delta-stepping SSSP and BC), so 25 enacts of each
-// must agree to the bit.
+// `f64_max` / `u64_sum`: BC) or adapt every superstep (SSSP's near/far
+// split, a two-bucket delta-stepping whose width follows the work), so 25
+// enacts of each must agree to the bit.
 
 fn assert_repeats_exactly<P: MgpuProblem<u32, u64> + Clone>(
     name: &str,
@@ -222,6 +223,6 @@ fn delta_stepping_sssp_and_bc_repeat_exactly_on_three_and_four_devices() {
     let mut coo = gnm(200, 1100, 23);
     add_paper_weights(&mut coo, 7);
     let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
-    assert_repeats_exactly("SSSP-delta", &g, SsspDelta::default(), Some(0));
+    assert_repeats_exactly("SSSP", &g, Sssp, Some(0));
     assert_repeats_exactly("BC", &g, Bc, Some(0));
 }

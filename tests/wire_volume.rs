@@ -5,8 +5,7 @@
 //! configuration produces bit-identical labels, distances and components.
 //! The default is `Auto` encoding with suppression; the paper's wire (forced
 //! list, nothing suppressed) is the arm the headline reductions are measured
-//! against: DOBFS broadcast bytes drop ≥2× at six GPUs on an rmat analog,
-//! and delta-stepping SSSP sends measurably fewer vertices.
+//! against: DOBFS broadcast bytes drop ≥2× at six GPUs on an rmat analog.
 
 use mgpu_graph_analytics::core::{
     CommStrategy, CommTopology, EnactConfig, EnactReport, PressurePolicy, RecoveryPolicy, Runner,
@@ -16,9 +15,7 @@ use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, grid2d, Dataset};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{ChunkedPartitioner, DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{
-    bfs, cc, dobfs, reference, sssp, sssp_delta, Bfs, Cc, Dobfs, Sssp, SsspDelta,
-};
+use mgpu_graph_analytics::primitives::{bfs, cc, dobfs, reference, sssp, Bfs, Cc, Dobfs, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
 /// The paper's `(id, label)` wire: forced list encoding, nothing suppressed.
@@ -135,16 +132,6 @@ fn sssp_variants_are_bit_identical_in_every_configuration() {
                     expect,
                     "Sssp {name}, {n} GPUs, {threads} threads"
                 );
-
-                let mut runner =
-                    Runner::new(sys(n), &dist, SsspDelta::default(), with_threads(&cfg, threads))
-                        .unwrap();
-                runner.enact(Some(0)).unwrap();
-                assert_eq!(
-                    sssp_delta::gather_dists(&runner, &dist),
-                    expect,
-                    "SsspDelta {name}, {n} GPUs, {threads} threads"
-                );
             }
         }
     }
@@ -186,7 +173,6 @@ fn default_config_is_auto_encoding_with_suppression() {
     let explicit = EnactConfig {
         alloc_scheme: None,
         comm: None,
-        max_iterations: None,
         kernel_threads: None,
         recovery: RecoveryPolicy::default(),
         pressure: PressurePolicy::default(),
@@ -298,40 +284,4 @@ fn one_hop_broadcast_offers_the_bitmap_the_global_id_space() {
         assert_eq!(hop.comm, all.comm, "{encoding:?}");
         assert_eq!(hop.totals.h_bytes_sent, all.totals.h_bytes_sent, "{encoding:?}");
     }
-}
-
-#[test]
-fn sssp_delta_resends_are_dropped_before_the_wire() {
-    // Delta-stepping re-expands boundary buckets, emitting the same vertex
-    // with the same final distance again — what the sender-side floor cache
-    // catches. Canonical packages drop the same duplicates even under the
-    // paper's list wire, so the default never sends more vertices than it,
-    // and its encoded bytes are strictly fewer.
-    let mut coo = gnm(2000, 16000, 91);
-    add_paper_weights(&mut coo, 92);
-    let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
-    let dist = dist_for(&g, 4, false);
-
-    let run = |cfg: EnactConfig| -> (Vec<u32>, EnactReport) {
-        let mut runner = Runner::new(sys(4), &dist, SsspDelta::default(), cfg).unwrap();
-        let report = runner.enact(Some(0)).unwrap();
-        (sssp_delta::gather_dists(&runner, &dist), report)
-    };
-
-    let (dists_base, base) = run(paper_wire());
-    let (dists_supp, supp) = run(EnactConfig::default());
-
-    assert_eq!(dists_base, dists_supp, "suppression must not change distances");
-    assert_eq!(dists_base, reference::sssp(&g, 0u32));
-    assert!(
-        supp.comm.suppressed_vertices > 0,
-        "delta-stepping re-expansions should trip the suppression cache"
-    );
-    assert!(supp.totals.h_vertices <= base.totals.h_vertices);
-    assert!(
-        supp.totals.h_bytes_sent < base.totals.h_bytes_sent,
-        "the default wire should cost fewer bytes: {} vs {}",
-        supp.totals.h_bytes_sent,
-        base.totals.h_bytes_sent
-    );
 }
