@@ -247,7 +247,7 @@ pub(super) fn service(ctx: &Ctx) -> Result<Outcome> {
     let g = ctx.weighted(&dataset("hollywood-2009"), 0xabc);
     let part = ctx.random();
     let mut dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
-    dist.build_cscs(); // the mix includes DOBFS
+    dist.build_cscs(); // the mix includes DOBFS and BC
     let owner = part.assign(&g, GPUS);
     let specs = parse_query_list(MIX)
         .and_then(|descs| {

@@ -73,6 +73,12 @@ impl Primitive {
     pub fn duplication(self) -> Duplication {
         Duplication::All
     }
+
+    /// Does this primitive read the reverse adjacency (its pull sides), so
+    /// that its partition must carry `DistGraph::build_cscs`?
+    pub fn needs_csc(self) -> bool {
+        matches!(self, Primitive::Dobfs | Primitive::Bc)
+    }
 }
 
 /// The inverse of [`Primitive::label`].
@@ -250,7 +256,7 @@ pub fn run_primitive<O: Id>(
         };
         let mut dist =
             timed(&mut ingest.partition_us, || DistGraph::partition(g, partitioner, n, dup));
-        if prim == Primitive::Dobfs {
+        if prim.needs_csc() {
             timed(&mut ingest.csc_us, || dist.build_cscs());
         }
         let one_hop = dup == Duplication::OneHop;
@@ -309,7 +315,7 @@ pub fn run_primitive_resilient(
         let mut r = ResilientRunner::homogeneous(g, p, n, profile, config)
             .with_owner(owner)
             .with_fault_plan(plan);
-        if prim == Primitive::Dobfs {
+        if prim.needs_csc() {
             r = r.with_csc();
         }
         r.enact(src)?
@@ -352,9 +358,13 @@ pub fn run_multi_source<O: Id>(
     );
     let n = system.n_devices();
     let mut ingest = IngestWall::default();
-    let dist = timed(&mut ingest.partition_us, || {
+    let mut dist = timed(&mut ingest.partition_us, || {
         DistGraph::partition(g, partitioner, n, prim.duplication())
     });
+    // the batch pushes both sweeps; the repeated single-source BC pulls
+    if mode == MultiSourceMode::Repeated && prim.needs_csc() {
+        timed(&mut ingest.csc_us, || dist.build_cscs());
+    }
     let report = match (mode, prim) {
         (MultiSourceMode::Repeated, Primitive::Bfs) => {
             let mut runner = Runner::new(system, &dist, Bfs::default(), config)?;

@@ -188,7 +188,7 @@ pub fn build_query_specs<'g, O: Id>(
                             config,
                         )
                         .with_owner(owner.clone());
-                        if prim == Primitive::Dobfs {
+                        if prim.needs_csc() {
                             runner = runner.with_csc();
                         }
                         if let Some(p) = &plan {

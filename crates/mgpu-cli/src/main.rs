@@ -586,7 +586,7 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
         .and_then(|d| if d.is_empty() { Err("the list is empty".into()) } else { Ok(d) })
         .map_err(|e| bad_command_line(format!("bad --queries {spec}: {e}")))?;
     let wants_weights = descs.iter().any(|d| d.prim == Primitive::Sssp);
-    let wants_csc = descs.iter().any(|d| d.prim == Primitive::Dobfs);
+    let wants_csc = descs.iter().any(|d| d.prim.needs_csc());
 
     // --- graph (weights whenever the mix contains SSSP) ---
     let (graph, built) = load_graph(&cli, wants_weights)?;

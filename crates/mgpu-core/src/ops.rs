@@ -29,6 +29,8 @@
 //! * pull — [`advance_pull`] on the DOBFS backward superstep right after the
 //!   unvisited scan, [`retain_pull`] on every later one (it shrinks the
 //!   unvisited set in place and pulls in the same pass).
+//! * pull, every parent — [`advance_pull_all`] when a vertex needs all of its
+//!   parents, not the first one (BC's σ and δ sums read from the other side).
 //!
 //! [`advance_with_mode`] is [`advance`] with the §VII-C work-mapping
 //! ablation exposed; nothing but that experiment calls it.
@@ -599,6 +601,37 @@ pub fn advance_pull<V: Id, O: Id>(
     Ok((found, scanned))
 }
 
+/// **Full-row pull**: [`advance_pull`] without edge skipping. Every incoming
+/// edge (CSC) of every vertex in `input` is read, and a vertex is emitted if
+/// `visit(v, p)` held for at least one of its parents. This is the pull side
+/// of a sweep that sums over *all* parents (BC's σ in the forward sweep, its
+/// δ scattered from the children in the backward sweep). Charged as one
+/// Advance over the edges read. Sequential, like
+/// [`advance_filter_fused_seq`]: `visit` carries f32 sums that must see the
+/// rows in input order.
+pub fn advance_pull_all<V: Id, O: Id>(
+    dev: &mut Device,
+    csc: &Csr<V, O>,
+    input: &[V],
+    mut visit: impl FnMut(V, V) -> bool,
+) -> Result<Vec<V>> {
+    dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
+        let mut found = Vec::new();
+        let mut edges = 0u64;
+        for &v in input {
+            let mut hit = false;
+            for &p in csc.neighbors(v) {
+                edges += 1;
+                hit |= visit(v, p);
+            }
+            if hit {
+                found.push(v);
+            }
+        }
+        (found, edges)
+    })
+}
+
 /// **Shrink + pull** in one pass (§VI-A, later backward supersteps): drop
 /// from the ascending `unvisited` set every vertex failing `keep`, and for
 /// each survivor scan incoming edges exactly as [`advance_pull`] does. The
@@ -735,6 +768,25 @@ mod tests {
         // vertex 1's parents: 0 (hit, 1 scan); vertex 2's: 0,1,3 order by
         // csc — first is 0 (hit, 1 scan); vertex 3's: 2 (miss, 1 scan)
         assert_eq!(scanned, 3);
+    }
+
+    #[test]
+    fn full_row_pull_reads_every_parent() {
+        let (mut dev, mut dg) = single_part();
+        dg.parts[0].build_csc();
+        let csc = dg.parts[0].csc.as_ref().unwrap();
+        let visited = [true, false, false, false];
+        let mut hits = Vec::new();
+        let w0 = dev.counters.w_items;
+        let found = advance_pull_all(&mut dev, csc, &[1, 2, 3], |v, p| {
+            hits.push((v, p));
+            visited[p as usize]
+        })
+        .unwrap();
+        assert_eq!(found, vec![1, 2], "vertex 3 has no visited parent");
+        // no edge skipping: vertex 2 reads all three parents after the hit
+        assert_eq!(hits, vec![(1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]);
+        assert_eq!(dev.counters.w_items - w0, 6);
     }
 
     #[test]

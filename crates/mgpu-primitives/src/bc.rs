@@ -14,6 +14,40 @@
 //!   each depth's `δ` values are broadcast so remote parents can read the
 //!   successors they need (the rest of the `2(n−1)|L_i|` term).
 //!
+//! ## Each level reads the cheaper side of its edges
+//!
+//! Both sweeps relate two adjacent levels, and either level can drive the
+//! step: the parents push along their out-edges (CSR), or the other level
+//! reads its in-edges (the CSC, which BC therefore requires, as DOBFS
+//! does). A device picks, per superstep, the side that reads less — exact
+//! counts of local edges, no threshold:
+//!
+//! * **Forward.** *Push* advances the owned frontier's out-edges. *Pull*
+//!   has every locally unlabelled vertex sum σ over its whole in-row from
+//!   parents at the current depth (no early exit: σ needs every parent).
+//!   Its candidate list is built by the first pull superstep's |V| scan and
+//!   shrunk by each later one, so the pull side's count is that scan plus
+//!   the in-edges of the vertices still unlabelled here (a running total);
+//!   a thin last level never pays |V| to save a few edges. Both
+//!   sides emit the same `(vertex, depth, σ-partial)` set, so labels,
+//!   messages and `H` do not depend on the choice, and σ — an integer sum —
+//!   is bit-identical below 2²⁴.
+//! * **Backward.** *Gather* scans the owned depth-`d` out-edges for
+//!   successors at `d + 1`, as Brandes does. *Scatter* has every vertex at
+//!   `d + 1` walk its in-row and add `σ_v/σ_w·(1+δ_w)` into each local
+//!   parent `v` at depth `d`. After σ-synchronization every device holds
+//!   authoritative labels and σ, and each `δ_w` arrived with the previous
+//!   level's broadcast, so the first backward superstep buckets every
+//!   vertex by depth in one |V| pass, which also yields both sides' exact
+//!   edge counts per level. Children are walked in ascending id order, the
+//!   order of a sorted CSR row, so on sorted graphs the scattered `δ` sums
+//!   are bit-identical to the gathered ones.
+//!
+//! The sweep skips what nobody reads: the deepest level has no successors
+//! (its δ is 0), so the backward sweep starts one level above it, and the
+//! δ of depth 1 is not broadcast (its only parent is the source, which
+//! accumulates nothing). The run ends with the last backward level.
+//!
 //! Phase transitions are driven by the shared superstep reduction
 //! ([`MgpuProblem::after_superstep`]), so every GPU switches phase — and
 //! therefore communication strategy — in the same superstep.
@@ -23,9 +57,9 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
-use mgpu_graph::Id;
+use mgpu_graph::{Csr, Id};
 use mgpu_partition::{DistGraph, Duplication, SubGraph};
-use vgpu::sync::{Contribution, GlobalReduce};
+use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -58,30 +92,103 @@ pub struct BcState<V: Id> {
     pub delta: DeviceArray<f32>,
     /// Accumulated centrality for owned vertices.
     pub bc: DeviceArray<f32>,
-    /// Owned vertices discovered at each depth (the backward sweep's
-    /// frontiers).
-    depth_frontiers: Vec<Vec<V>>,
     /// Current phase.
     pub phase: BcPhase,
+    /// Forward supersteps this device pulled (read the unvisited side).
+    pub pull_levels: u32,
+    /// Backward levels this device scattered from the children.
+    pub scatter_levels: u32,
+    /// Local in-edges of the vertices still unlabelled here: what a pull
+    /// superstep reads.
+    unvisited_in: u64,
+    /// Vertices `combine` labelled since the last forward superstep, whose
+    /// in-edges leave `unvisited_in` at the next one.
+    arrived: Vec<V>,
+    /// The pull side's candidates, ascending: built by the first pull
+    /// superstep's |V| scan, shrunk in place by each later one.
+    unvisited: Option<Vec<V>>,
+    /// The backward sweep's levels, built by its first superstep.
+    levels: Option<Levels<V>>,
     /// Depth being processed by the backward sweep.
     cur_depth: usize,
-    /// Deepest label assigned locally (contributed to the reduction so the
-    /// backward sweep starts from the *global* max depth).
+    /// The global deepest level, known once the forward sweep ends.
     max_depth: usize,
-    /// The source's local id if hosted here (its δ is not accumulated).
-    src: Option<V>,
 }
 
-impl<V: Id> BcState<V> {
-    fn note_discovery(&mut self, v: V, depth: u32, owned: bool) {
-        let d = depth as usize;
-        if d >= self.depth_frontiers.len() {
-            self.depth_frontiers.resize_with(d + 1, Vec::new);
+/// The finished forward sweep bucketed by depth, ids ascending within a
+/// depth, with the local edges each side of a level reads.
+#[derive(Debug)]
+struct Levels<V> {
+    /// Every labelled vertex: depth `d` is `all[start[d]..start[d + 1]]`.
+    all: Vec<V>,
+    start: Vec<usize>,
+    /// The owned ones, bucketed the same way.
+    owned: Vec<V>,
+    owned_start: Vec<usize>,
+    /// Out-edges of depth `d` (proxies have none): what gathering at the
+    /// parents of depth `d` reads.
+    out_edges: Vec<u64>,
+    /// In-edges of depth `d`: what scattering from the children at `d`
+    /// reads.
+    in_edges: Vec<u64>,
+}
+
+impl<V: Id> Levels<V> {
+    /// One counting sort over the authoritative labels (all ≤ `max_depth`).
+    fn build<O: Id>(
+        sub: &SubGraph<V, O>,
+        csc: &Csr<V, O>,
+        labels: &[u32],
+        max_depth: usize,
+    ) -> Self {
+        let mut count = vec![0usize; max_depth + 1];
+        let mut owned_count = vec![0usize; max_depth + 1];
+        let mut out_edges = vec![0u64; max_depth + 1];
+        let mut in_edges = vec![0u64; max_depth + 1];
+        let labelled = || {
+            labels
+                .iter()
+                .enumerate()
+                .filter(|&(_, &l)| l != INF)
+                .map(|(v, &l)| (V::from_usize(v), l as usize))
+        };
+        for (v, d) in labelled() {
+            count[d] += 1;
+            in_edges[d] += csc.degree(v) as u64;
+            if sub.is_owned(v) {
+                owned_count[d] += 1;
+                out_edges[d] += sub.csr.degree(v) as u64;
+            }
         }
-        if owned {
-            self.depth_frontiers[d].push(v);
+        let starts = |counts: &[usize]| -> Vec<usize> {
+            std::iter::once(0)
+                .chain(counts.iter().scan(0, |acc, &c| {
+                    *acc += c;
+                    Some(*acc)
+                }))
+                .collect()
+        };
+        let (start, owned_start) = (starts(&count), starts(&owned_count));
+        let mut all = vec![V::from_usize(0); start[max_depth + 1]];
+        let mut owned = vec![V::from_usize(0); owned_start[max_depth + 1]];
+        let (mut at, mut owned_at) = (start.clone(), owned_start.clone());
+        for (v, d) in labelled() {
+            all[at[d]] = v;
+            at[d] += 1;
+            if sub.is_owned(v) {
+                owned[owned_at[d]] = v;
+                owned_at[d] += 1;
+            }
         }
-        self.max_depth = self.max_depth.max(d);
+        Levels { all, start, owned, owned_start, out_edges, in_edges }
+    }
+
+    fn all_at(&self, d: usize) -> &[V] {
+        &self.all[self.start[d]..self.start[d + 1]]
+    }
+
+    fn owned_at(&self, d: usize) -> &[V] {
+        &self.owned[self.owned_start[d]..self.owned_start[d + 1]]
     }
 }
 
@@ -123,24 +230,32 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             Duplication::All,
             "this primitive's local ids must equal global ids (duplicate-all)"
         );
+        assert!(
+            sub.csc.is_some(),
+            "BC needs the reverse adjacency: call DistGraph::build_cscs() before Runner::new"
+        );
         let n = sub.n_vertices();
         Ok(BcState {
             labels: dev.alloc(n)?,
             sigma: dev.alloc(n)?,
             delta: dev.alloc(n)?,
             bc: dev.alloc(n)?,
-            depth_frontiers: Vec::new(),
             phase: BcPhase::Forward,
+            pull_levels: 0,
+            scatter_levels: 0,
+            unvisited_in: 0,
+            arrived: Vec::new(),
+            unvisited: None,
+            levels: None,
             cur_depth: 0,
             max_depth: 0,
-            src: None,
         })
     }
 
     fn reset(
         &self,
         dev: &mut Device,
-        _sub: &SubGraph<V, O>,
+        sub: &SubGraph<V, O>,
         state: &mut Self::State,
         src: Option<V>,
     ) -> Result<Vec<V>> {
@@ -155,16 +270,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
                 ((), 4 * n as u64)
             })?;
         }
-        state.depth_frontiers = vec![Vec::new()];
         state.phase = BcPhase::Forward;
+        state.pull_levels = 0;
+        state.scatter_levels = 0;
+        let csc = sub.csc.as_ref().expect("checked at init");
+        state.unvisited_in = (csc.n_edges() - src.map_or(0, |s| csc.degree(s))) as u64;
+        state.arrived.clear();
+        state.unvisited = None;
+        state.levels = None;
         state.cur_depth = 0;
         state.max_depth = 0;
-        state.src = src;
         Ok(match src {
             Some(s) => {
                 state.labels[s.idx()] = 0;
                 state.sigma[s.idx()] = 1.0;
-                state.depth_frontiers[0].push(s);
                 vec![s]
             }
             None => Vec::new(),
@@ -180,29 +299,78 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
         input: &[V],
         iter: usize,
     ) -> Result<Vec<V>> {
+        let csc = sub.csc.as_ref().expect("checked at init");
         match state.phase {
             BcPhase::Forward => {
-                let next = iter as u32 + 1;
-                // Fused advance: discover + accumulate σ along tree edges.
-                let BcState { labels, sigma, .. } = state;
-                // Sequential on purpose: σ accumulation is += over f32 in
-                // edge order — parallel chunking would reorder the sums.
-                let discovered = ops::advance_filter_fused_seq(dev, sub, input, |s, _, d| {
-                    if labels[d.idx()] == INF {
-                        labels[d.idx()] = next;
-                        sigma[d.idx()] += sigma[s.idx()];
-                        Some(d)
-                    } else if labels[d.idx()] == next {
-                        sigma[d.idx()] += sigma[s.idx()];
-                        None
-                    } else {
-                        None
-                    }
-                })?;
-                for &v in &discovered {
-                    let owned = sub.is_owned(v);
-                    state.note_discovery(v, next, owned);
-                }
+                let cur = iter as u32;
+                let next = cur + 1;
+                // The decision. Push reads the input's out-rows. Pull scans
+                // its candidates (all |V| the first time) and reads the
+                // in-rows of every vertex still unlabelled here; the ones
+                // `combine` labelled last superstep leave that total now.
+                let arrived = std::mem::take(&mut state.arrived);
+                let (push_edges, arrived_in) =
+                    dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+                        let push = sub.csr.frontier_out_degree(input) as u64;
+                        let arrived_in: usize = arrived.iter().map(|&v| csc.degree(v)).sum();
+                        ((push, arrived_in as u64), (input.len() + arrived.len()) as u64)
+                    })?;
+                state.unvisited_in -= arrived_in;
+                let scan = state.unvisited.as_ref().map_or(sub.n_vertices(), Vec::len) as u64;
+                let pull = state.unvisited_in + scan < push_edges;
+                state.pull_levels += u32::from(pull);
+                let BcState { labels, sigma, unvisited, unvisited_in, .. } = state;
+                // Both sides are sequential on purpose: σ accumulation is +=
+                // over f32, and parallel chunking would reorder the sums.
+                // Each labels a vertex at its first parent and takes its
+                // in-edges out of `unvisited_in` there, inside the charged
+                // advance.
+                let discovered = if pull {
+                    let candidates = match unvisited {
+                        Some(list) => {
+                            let before = list.len() as u64;
+                            dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
+                                list.retain(|v| labels[v.idx()] == INF);
+                                ((), before)
+                            })?;
+                            list
+                        }
+                        None => {
+                            let n = labels.len();
+                            let list = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+                                let list = (0..n).filter(|&v| labels[v] == INF);
+                                (list.map(V::from_usize).collect(), n as u64)
+                            })?;
+                            unvisited.insert(list)
+                        }
+                    };
+                    ops::advance_pull_all(dev, csc, candidates.as_slice(), |v, p| {
+                        let hit = labels[p.idx()] == cur;
+                        if hit {
+                            if labels[v.idx()] == INF {
+                                labels[v.idx()] = next;
+                                *unvisited_in -= csc.degree(v) as u64;
+                            }
+                            sigma[v.idx()] += sigma[p.idx()];
+                        }
+                        hit
+                    })?
+                } else {
+                    // Fused advance: discover + accumulate σ along tree edges.
+                    ops::advance_filter_fused_seq(dev, sub, input, |s, _, d| {
+                        if labels[d.idx()] == INF {
+                            labels[d.idx()] = next;
+                            *unvisited_in -= csc.degree(d) as u64;
+                            sigma[d.idx()] += sigma[s.idx()];
+                            Some(d)
+                        } else if labels[d.idx()] == next {
+                            sigma[d.idx()] += sigma[s.idx()];
+                            None
+                        } else {
+                            None
+                        }
+                    })?
+                };
                 Ok(discovered)
             }
             BcPhase::SyncSigma => {
@@ -215,34 +383,50 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             }
             BcPhase::Backward => {
                 let d = state.cur_depth;
-                let frontier: Vec<V> = state.depth_frontiers.get(d).cloned().unwrap_or_default();
-                let next_depth = d as u32 + 1;
-                {
-                    let BcState { labels, sigma, delta, .. } = state;
+                if state.levels.is_none() {
+                    let (labels, depth) = (state.labels.as_slice(), state.max_depth);
+                    let levels = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+                        (Levels::build(sub, csc, labels, depth), labels.len() as u64)
+                    })?;
+                    state.levels = Some(levels);
+                }
+                let BcState { labels, sigma, delta, bc, levels, scatter_levels, .. } = state;
+                let levels = levels.as_ref().expect("built above");
+                let (parent, child) = (d as u32, d as u32 + 1);
+                if levels.in_edges[d + 1] < levels.out_edges[d] {
+                    *scatter_levels += 1;
+                    // Children in ascending id order: each parent receives
+                    // its terms in the order of its sorted CSR row.
+                    ops::advance_pull_all(dev, csc, levels.all_at(d + 1), |w, v| {
+                        if labels[v.idx()] == parent {
+                            delta[v.idx()] +=
+                                sigma[v.idx()] / sigma[w.idx()] * (1.0 + delta[w.idx()]);
+                        }
+                        false
+                    })?;
+                } else {
                     // advance over the frontier's out-edges: accumulate δ
                     // from successors one depth deeper.
-                    ops::advance_filter_fused_seq(dev, sub, &frontier, |s, _, w| {
-                        if labels[w.idx()] == next_depth && sigma[w.idx()] > 0.0 {
+                    ops::advance_filter_fused_seq(dev, sub, levels.owned_at(d), |s, _, w| {
+                        if labels[w.idx()] == child && sigma[w.idx()] > 0.0 {
                             delta[s.idx()] +=
                                 sigma[s.idx()] / sigma[w.idx()] * (1.0 + delta[w.idx()]);
                         }
                         None::<V>
                     })?;
                 }
-                // accumulate centrality (the source contributes nothing)
-                let src = state.src;
-                let BcState { delta, bc, .. } = state;
+                // accumulate centrality (depth ≥ 1: the source never does)
+                let frontier = levels.owned_at(d);
                 let count = frontier.len() as u64;
                 dev.kernel(COMPUTE_STREAM, KernelKind::Compute, || {
-                    for &v in &frontier {
-                        if Some(v) != src {
-                            bc[v.idx()] += delta[v.idx()];
-                        }
+                    for &v in frontier {
+                        bc[v.idx()] += delta[v.idx()];
                     }
                     ((), count)
                 })?;
-                // Broadcast this depth's δ so remote parents can read it.
-                Ok(frontier)
+                // Broadcast this depth's δ so remote parents can read it —
+                // except depth 1's, whose only parent is the source.
+                Ok(if d > 1 { frontier.to_vec() } else { Vec::new() })
             }
             BcPhase::Done => Ok(Vec::new()),
         }
@@ -260,9 +444,11 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             BcPhase::Forward => {
                 let (label, sig) = *msg;
                 if label < state.labels[v.idx()] {
+                    if state.labels[v.idx()] == INF {
+                        state.arrived.push(v);
+                    }
                     state.labels[v.idx()] = label;
                     state.sigma[v.idx()] = sig;
-                    state.note_discovery(v, label, true); // selective ⇒ owned
                     true
                 } else if label == state.labels[v.idx()] {
                     state.sigma[v.idx()] += sig;
@@ -287,34 +473,36 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
         }
     }
 
+    /// True after the superstep whose output nobody reads: σ-sync when no
+    /// level has a parent to accumulate, else the depth-1 backward level.
     fn locally_done(&self, state: &Self::State, _next_input: &[V]) -> bool {
-        state.phase == BcPhase::Done
-    }
-
-    fn contribution(&self, state: &Self::State, next_input: &[V]) -> Contribution {
-        Contribution {
-            u64_add: next_input.len() as u64,
-            f64_max: state.max_depth as f64,
-            ..Contribution::default()
+        match state.phase {
+            BcPhase::Forward => false,
+            BcPhase::SyncSigma => state.max_depth < 2,
+            BcPhase::Backward => state.cur_depth <= 1,
+            BcPhase::Done => true,
         }
     }
 
-    fn after_superstep(&self, state: &mut Self::State, reduce: &GlobalReduce, _iter: usize) {
+    fn after_superstep(&self, state: &mut Self::State, reduce: &GlobalReduce, iter: usize) {
         match state.phase {
             BcPhase::Forward => {
                 if reduce.u64_sum == 0 {
-                    // BFS exhausted everywhere; the global deepest level is
-                    // the reduction's max.
+                    // Superstep `iter - 1` found nothing at depth `iter`
+                    // anywhere: the deepest level is `iter - 1`.
                     state.phase = BcPhase::SyncSigma;
-                    state.cur_depth = reduce.f64_max.max(0.0) as usize;
+                    state.max_depth = iter - 1;
                 }
             }
             BcPhase::SyncSigma => {
-                state.phase = if state.cur_depth == 0 {
-                    BcPhase::Done // single-vertex traversal
+                // The deepest level has no successors, so its δ is 0 by
+                // definition: start one level above it.
+                if state.max_depth >= 2 {
+                    state.phase = BcPhase::Backward;
+                    state.cur_depth = state.max_depth - 1;
                 } else {
-                    BcPhase::Backward
-                };
+                    state.phase = BcPhase::Done;
+                }
             }
             BcPhase::Backward => {
                 if state.cur_depth <= 1 {
@@ -342,18 +530,47 @@ pub fn gather_bc<V: Id, O: Id>(runner: &Runner<'_, V, O, Bc>, dist: &DistGraph<V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::EnactConfig;
-    use mgpu_gen::gnm;
+    use crate::Bfs;
+    use mgpu_core::{EnactConfig, EnactReport};
+    use mgpu_gen::{gnm, grid2d, Dataset};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
     use vgpu::{HardwareProfile, SimSystem};
 
-    fn run_bc(g: &Csr<u32, u64>, n_gpus: usize, src: u32) -> Vec<f32> {
+    fn dist_of(g: &Csr<u32, u64>, n_gpus: usize) -> DistGraph<u32, u64> {
         let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
-        let dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
+        let mut dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
+        dist.build_cscs();
+        dist
+    }
+
+    fn run_bc(g: &Csr<u32, u64>, n_gpus: usize, src: u32) -> Vec<f32> {
+        let dist = dist_of(g, n_gpus);
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, Bc, EnactConfig::default()).unwrap();
         runner.enact(Some(src)).unwrap();
         gather_bc(&runner, &dist)
+    }
+
+    /// A traced run of `problem`: its report and the edges its advances read
+    /// (push and pull alike).
+    fn traced<P: MgpuProblem<u32, u64>>(
+        dist: &DistGraph<u32, u64>,
+        problem: P,
+        src: u32,
+    ) -> (EnactReport, u64, Runner<'_, u32, u64, P>) {
+        let system = SimSystem::homogeneous(dist.n_parts, HardwareProfile::k40());
+        let config = EnactConfig { tracing: true, ..EnactConfig::default() };
+        let mut runner = Runner::new(system, dist, problem, config).unwrap();
+        let report = runner.enact(Some(src)).unwrap();
+        let trace = report.trace.as_ref().expect("tracing was on");
+        let advanced = trace
+            .per_device
+            .iter()
+            .flatten()
+            .filter(|e| e.name == "advance" || e.name == "advance+filter")
+            .map(|e| e.items)
+            .sum();
+        (report, advanced, runner)
     }
 
     fn assert_close(ours: &[f32], reference: &[f64], tol: f64) {
@@ -400,10 +617,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "BC needs the reverse adjacency")]
+    fn a_partition_without_the_csc_is_refused() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(20, 40, 1));
+        let dist = DistGraph::build(&g, vec![0; 20], 1, Duplication::All);
+        let system = SimSystem::homogeneous(1, HardwareProfile::k40());
+        let _ = Runner::new(system, &dist, Bc, EnactConfig::default());
+    }
+
+    #[test]
     fn multi_source_accumulation_via_repeated_enacts() {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(40, 160, 5));
-        let owner: Vec<u32> = (0..40).map(|v| (v % 2) as u32).collect();
-        let dist = DistGraph::build(&g, owner, 2, Duplication::All);
+        let dist = dist_of(&g, 2);
         let system = SimSystem::homogeneous(2, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, Bc, EnactConfig::default()).unwrap();
         let mut total = vec![0.0f64; 40];
@@ -422,5 +647,49 @@ mod tests {
         for (i, (&a, &b)) in total.iter().zip(&expect).enumerate() {
             assert!((a - b).abs() <= 1e-3 * (1.0 + b.abs()), "vertex {i}: {a} vs {b}");
         }
+    }
+
+    /// On a low-diameter power-law graph the two sweeps together read fewer
+    /// edges than one BFS from the same source: the deep forward levels
+    /// pull, the backward level above the big one scatters, and the dead
+    /// deepest level is never swept.
+    #[test]
+    fn two_sided_sweeps_read_fewer_edges_than_bfs_on_a_power_law_graph() {
+        let coo = Dataset::by_name("soc-orkut").unwrap().generate(10, 42);
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        let hub = (0..g.n_vertices() as u32).max_by_key(|&v| g.degree(v)).unwrap();
+        let dist = dist_of(&g, 2);
+        let (_, bfs_items, _) = traced(&dist, Bfs::default(), hub);
+        let (_, bc_items, runner) = traced(&dist, Bc, hub);
+        assert!(bc_items < bfs_items, "BC read {bc_items} edges, BFS {bfs_items}");
+        let pulled: u32 = (0..2).map(|gpu| runner.state(gpu).pull_levels).sum();
+        let scattered: u32 = (0..2).map(|gpu| runner.state(gpu).scatter_levels).sum();
+        assert!(pulled > 0, "no forward level pulled");
+        assert!(scattered > 0, "no backward level scattered");
+        assert_close(&gather_bc(&runner, &dist), &crate::reference::bc(&g, hub), 1e-3);
+    }
+
+    /// On a lattice every level is thin next to |V|, so no forward level
+    /// pulls; from a corner the levels grow to the anti-diagonal and then
+    /// shrink, and the backward sweep scatters exactly on the shrinking
+    /// half, where the children are fewer than their parents. The dead
+    /// deepest level is skipped and the run ends with depth 1.
+    #[test]
+    fn a_lattice_never_pulls_and_sweeps_back_from_one_above_the_deepest_level() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&grid2d(64, 64, 1.0, 1));
+        let dist = dist_of(&g, 2);
+        let labels = crate::reference::bfs(&g, 0u32);
+        let depth = *labels.iter().max().unwrap() as usize;
+        let mut width = vec![0usize; depth + 1];
+        labels.iter().for_each(|&l| width[l as usize] += 1);
+        let shrinking = (1..depth).filter(|&d| width[d + 1] < width[d]).count() as u32;
+        let (bfs, _, _) = traced(&dist, Bfs::default(), 0);
+        let (bc, _, runner) = traced(&dist, Bc, 0);
+        for gpu in 0..2 {
+            assert_eq!(runner.state(gpu).pull_levels, 0, "gpu {gpu}");
+            assert_eq!(runner.state(gpu).scatter_levels, shrinking, "gpu {gpu}");
+        }
+        assert_eq!(bc.iterations, bfs.iterations + 1 + (depth - 1));
+        assert_close(&gather_bc(&runner, &dist), &crate::reference::bc(&g, 0u32), 1e-3);
     }
 }

@@ -18,13 +18,15 @@
 //! * **σ-sync** — one broadcast superstep of authoritative per-lane
 //!   `(depth, σ)` for owned vertices, so every proxy is correct before the
 //!   backward sweep (exactly `Bc`'s `SyncSigma`, widened to the batch).
-//! * **Backward** — descending depth `d` from the global max over all
-//!   lanes; each owned vertex at depth `d` *in some lane* accumulates that
-//!   lane's δ over its out-edges in CSR order, then δ is broadcast. Per
-//!   lane this touches the same vertices, the same edges, in the same
+//! * **Backward** — descending depth `d` from one level above the deepest
+//!   over all lanes (no lane has a successor below it, so its δ is 0 and
+//!   is neither swept nor broadcast); each owned vertex at depth `d` *in
+//!   some lane* accumulates that lane's δ over its out-edges in CSR order,
+//!   then δ is broadcast. Per lane this adds the same terms, in the same
 //!   order, against bit-equal `(depth, σ, δ)` operands as a single-source
-//!   `Bc` backward sweep — so per-lane δ, and therefore the lane-ordered
-//!   `bc` sums, are bit-equal to the repeated-enact reference.
+//!   `Bc` backward sweep (whose scatter side walks children in the order of
+//!   a sorted CSR row) — so per-lane δ, and therefore the lane-ordered `bc`
+//!   sums, are bit-equal to the repeated-enact reference.
 //!
 //! σ adds are not idempotent, so unlike MS-BFS the batch's forward
 //! messages must not be suppressed or merged: the problem reports
@@ -40,7 +42,7 @@ use mgpu_core::problem::{MgpuProblem, Wire};
 use mgpu_core::Runner;
 use mgpu_graph::Id;
 use mgpu_partition::{DistGraph, Duplication, SubGraph};
-use vgpu::sync::{Contribution, GlobalReduce};
+use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::ms_bfs::LANES;
@@ -166,21 +168,19 @@ pub struct BcBatchState<V: Id> {
     /// Forward: the superstep cursor for combine-side depth stamping.
     /// Backward: the depth being processed.
     cur_depth: u32,
-    /// Deepest depth assigned locally, over all lanes.
-    max_depth: usize,
 }
 
 impl<V: Id> BcBatchState<V> {
-    fn note_discovery(&mut self, v: V, depth: u32, owned: bool) {
+    /// Bucket owned `v` at `depth` (once, however many lanes claim it).
+    fn note_discovery(&mut self, v: V, depth: u32) {
         let d = depth as usize;
-        if owned && self.bucketed[v.idx()] != depth {
+        if self.bucketed[v.idx()] != depth {
             self.bucketed[v.idx()] = depth;
             if d >= self.depth_frontiers.len() {
                 self.depth_frontiers.resize_with(d + 1, Vec::new);
             }
             self.depth_frontiers[d].push(v);
         }
-        self.max_depth = self.max_depth.max(d);
     }
 
     /// Lanes in which `v` sits at exactly depth `d`.
@@ -247,7 +247,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
             bucketed: vec![INF; n],
             phase: BcBatchPhase::Forward,
             cur_depth: 0,
-            max_depth: 0,
         })
     }
 
@@ -277,7 +276,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
         state.bucketed.fill(INF);
         state.phase = BcBatchPhase::Forward;
         state.cur_depth = 0;
-        state.max_depth = 0;
         let mut frontier: Vec<V> = Vec::new();
         for (lane, &s) in self.sources.iter().enumerate() {
             let Some(local) = sub.from_global(V::from_usize(s)) else { continue };
@@ -290,7 +288,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
             state.visit[local.idx()] |= 1 << lane;
             state.depth[local.idx() * lanes + lane] = 0;
             state.sigma[local.idx() * lanes + lane] = 1.0;
-            state.note_discovery(local, 0, true);
+            state.note_discovery(local, 0);
         }
         Ok(frontier)
     }
@@ -357,10 +355,11 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
                         first.then_some(d)
                     })?
                 };
-                for &v in &out {
-                    state.note_discovery(v, next, sub.is_owned(v));
+                let (owned, sent): (Vec<V>, Vec<V>) = out.iter().partition(|&&v| sub.is_owned(v));
+                for v in owned {
+                    state.note_discovery(v, next);
                 }
-                state.sent = out.iter().copied().filter(|&v| !sub.is_owned(v)).collect();
+                state.sent = sent;
                 Ok(out)
             }
             BcBatchPhase::SyncSigma => {
@@ -482,7 +481,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
                     return false;
                 }
                 state.visit[v.idx()] |= fresh;
-                state.note_discovery(v, d, true); // selective ⇒ owned
+                state.note_discovery(v, d); // selective ⇒ owned
                 true
             }
             BcBatchPhase::SyncSigma => {
@@ -514,20 +513,14 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
         state.phase == BcBatchPhase::Done
     }
 
-    fn contribution(&self, state: &Self::State, next_input: &[V]) -> Contribution {
-        Contribution {
-            u64_add: next_input.len() as u64,
-            f64_max: state.max_depth as f64,
-            ..Contribution::default()
-        }
-    }
-
     fn after_superstep(&self, state: &mut Self::State, reduce: &GlobalReduce, iter: usize) {
         match state.phase {
             BcBatchPhase::Forward => {
                 if reduce.u64_sum == 0 {
+                    // Superstep `iter - 1` found no lane's depth `iter`: the
+                    // deepest level over all lanes is `iter - 1`.
                     state.phase = BcBatchPhase::SyncSigma;
-                    state.cur_depth = reduce.f64_max.max(0.0) as u32;
+                    state.cur_depth = iter as u32 - 1;
                 } else {
                     // `iter` is already the next superstep's index: bits
                     // combined during it sit at depth `iter + 1`, so the
@@ -536,11 +529,14 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
                 }
             }
             BcBatchPhase::SyncSigma => {
-                state.phase = if state.cur_depth == 0 {
-                    BcBatchPhase::Finalize // every lane is a single vertex
+                // No lane has a successor below the deepest level, so its δ
+                // is 0 in every lane: start one level above it.
+                if state.cur_depth >= 2 {
+                    state.phase = BcBatchPhase::Backward;
+                    state.cur_depth -= 1;
                 } else {
-                    BcBatchPhase::Backward
-                };
+                    state.phase = BcBatchPhase::Finalize;
+                }
             }
             BcBatchPhase::Backward => {
                 if state.cur_depth <= 1 {
@@ -590,7 +586,8 @@ mod tests {
         sources: &[usize],
     ) -> (Vec<f32>, Vec<EnactReport>) {
         let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
-        let dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
+        let mut dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
+        dist.build_cscs();
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, Bc, EnactConfig::default()).unwrap();
         let mut total = vec![0.0f32; g.n_vertices()];
@@ -662,6 +659,27 @@ mod tests {
             batch_report.iterations,
             repeated_supersteps
         );
+    }
+
+    /// The deepest level over all lanes is never swept: with D that depth,
+    /// the run is D + 1 forward supersteps, the σ-sync, D − 1 backward
+    /// levels (each one δ broadcast), Finalize and the closing superstep —
+    /// and the scores stay bit-equal to repeated single-source enacts.
+    #[test]
+    fn backward_sweep_starts_one_level_above_the_deepest() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(40, 160, 5));
+        let sources = vec![0usize, 5, 11, 17];
+        let depth = sources
+            .iter()
+            .flat_map(|&s| crate::reference::bfs(&g, s as u32))
+            .filter(|&l| l != INF)
+            .max()
+            .unwrap() as usize;
+        let (batch, report) = run_batch(&g, 2, sources.clone());
+        assert_eq!(report.iterations, (depth + 1) + 1 + (depth - 1) + 2);
+        let broadcasts = report.history[depth + 2..].iter().filter(|t| t.sent > 0).count();
+        assert_eq!(broadcasts, depth - 1, "one δ broadcast per swept level");
+        assert_bit_equal(&batch, &repeated_enacts(&g, 2, &sources).0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! | [`bfs::Bfs`] | duplicate-all | selective | O(\|E_i\|) | O(\|B_i\|) |
 //! | [`dobfs::Dobfs`] | duplicate-all | broadcast | O(a·\|E_i\|) | O((n−1)·\|V\|) |
 //! | [`sssp::Sssp`] | duplicate-all | selective | O(b·\|E_i\|) | O(2b·\|B_i\|) |
-//! | [`bc::Bc`] | duplicate-all | selective fwd / broadcast bwd | O(2\|E_i\|) | O(5\|B_i\| + 2(n−1)\|L_i\|) |
+//! | [`bc::Bc`] | duplicate-all | selective fwd / broadcast bwd | O(2a·\|E_i\|) | O(5\|B_i\| + 2(n−1)\|L_i\|) |
 //! | [`cc::Cc`] | duplicate-all | broadcast | O(\|E_i\|) + S·O(\|V_i\|) | S·O(2\|V_i\|) |
 //! | [`pr::Pagerank`] | duplicate-all | selective | Σ_S O(\|E_active\|) + S·O(\|L_i\|) | Σ_S O(\|B_changed\|) |
 //!
@@ -18,6 +18,9 @@
 //! lattice it stays within a few supersteps of BFS's hop order (the
 //! ablation's §4). [`cc::Cc`] reads each local edge once (a
 //! union-find pass) where the paper's Soman hooking pays `log(D/2)` passes.
+//! [`bc::Bc`] reads each level from the cheaper side of its edges (push or
+//! pull forward, gather or scatter backward; `a` is the share of the two
+//! sweeps' `2|E_i|` read), so like DOBFS it needs the reverse adjacency.
 //! [`pr::Pagerank`] pushes rank *changes*: a superstep advances only the
 //! vertices whose change their f32 rank can still resolve and sends only the
 //! border proxies that received mass, where the paper's PR advances all

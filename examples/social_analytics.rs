@@ -30,7 +30,8 @@ fn main() {
 
     // One partition, reused by every primitive (all three use
     // duplicate-all, so the host graphs are shared).
-    let dist = DistGraph::partition(&graph, &RandomPartitioner::default(), 4, Duplication::All);
+    let mut dist = DistGraph::partition(&graph, &RandomPartitioner::default(), 4, Duplication::All);
+    dist.build_cscs(); // BC's pull sides read the reverse adjacency
 
     // --- PageRank: who is influential by link structure? ---
     let pr = Pagerank { damping: 0.85, threshold: 1e-6, max_iters: 50 };

@@ -125,7 +125,8 @@ fn bc_matches_brandes_under_every_partitioner() {
     let expect = reference::bc(&g, 2u32);
     for n in [2usize, 3] {
         for (name, owner) in partitions(&g, n) {
-            let dist = DistGraph::build(&g, owner, n, Duplication::All);
+            let mut dist = DistGraph::build(&g, owner, n, Duplication::All);
+            dist.build_cscs();
             let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
             let mut runner = Runner::new(sys, &dist, Bc, EnactConfig::default()).unwrap();
             runner.enact(Some(2u32)).unwrap();

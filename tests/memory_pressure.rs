@@ -356,7 +356,8 @@ mod service_admission {
     ) -> R {
         let g = weighted_graph();
         let part = RandomPartitioner { seed: 3 };
-        let dist = DistGraph::partition(&g, &part, 2, Duplication::All);
+        let mut dist = DistGraph::partition(&g, &part, 2, Duplication::All);
+        dist.build_cscs(); // the mix includes BC
         let owner = part.assign(&g, 2);
         let descs = parse_query_list(MIX).unwrap();
         let specs = build_query_specs(

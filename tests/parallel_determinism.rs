@@ -5,7 +5,7 @@
 //! `kernel_threads` host threads, but every metered quantity — kernel item
 //! counts, wire bytes, combine items, and therefore `sim_time_us` and every
 //! BSP counter — is a pure function of the workload, never of the thread
-//! schedule. These tests pin that contract end-to-end: BFS, SSSP and
+//! schedule. These tests pin that contract end-to-end: BFS, SSSP, BC and
 //! PageRank produce bit-identical results, simulated clocks and counters at
 //! 1 and 4 kernel threads, across GPU counts and both communication
 //! strategies.
@@ -21,7 +21,8 @@ use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::core::MgpuProblem;
 use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank, Sssp,
+    bc::gather_bc, bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank,
+    Sssp,
 };
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -32,9 +33,13 @@ fn config(comm: Option<CommStrategy>, threads: usize) -> EnactConfig {
     EnactConfig { comm, kernel_threads: Some(threads), ..Default::default() }
 }
 
+/// Round-robin, duplicate-all, with the reverse adjacency BC's pull sides
+/// read (the others ignore it).
 fn dist_for(g: &Csr<u32, u64>, n_gpus: usize) -> DistGraph<u32, u64> {
     let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
-    DistGraph::build(g, owner, n_gpus, Duplication::All)
+    let mut dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
+    dist.build_cscs();
+    dist
 }
 
 /// Assert two runs are indistinguishable to the simulation: same answer
@@ -98,6 +103,20 @@ fn run_pr(
     (bits, report)
 }
 
+fn run_bc(
+    g: &Csr<u32, u64>,
+    n_gpus: usize,
+    comm: Option<CommStrategy>,
+    threads: usize,
+) -> (Vec<u32>, EnactReport) {
+    let dist = dist_for(g, n_gpus);
+    let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+    let mut runner = Runner::new(system, &dist, Bc, config(comm, threads)).unwrap();
+    let report = runner.enact(Some(0u32)).unwrap();
+    let bits = gather_bc(&runner, &dist).into_iter().map(f32::to_bits).collect();
+    (bits, report)
+}
+
 #[test]
 fn bfs_is_bit_identical_across_kernel_thread_counts() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(200, 1200, 17));
@@ -150,6 +169,22 @@ fn sssp_with_a_parked_far_part_is_bit_identical_across_kernel_thread_counts() {
     }
 }
 
+/// On a power-law graph BC's sweeps read both sides (push and pull forward,
+/// gather and scatter backward); every side is sequential, so scores and
+/// charges are identical at 1 and 4 kernel threads.
+#[test]
+fn bc_is_bit_identical_across_kernel_thread_counts() {
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(3000, 8, 5));
+    for n in [1usize, 2, 4] {
+        for comm in COMMS {
+            let seq = run_bc(&g, n, comm, 1);
+            let par = run_bc(&g, n, comm, 4);
+            assert_identical(&seq, &par, &format!("BC {n} GPUs comm {comm:?}"));
+            assert!(seq.1.same_simulation(&par.1), "BC {n} GPUs comm {comm:?}");
+        }
+    }
+}
+
 #[test]
 fn pagerank_f32_ranks_are_bit_identical_across_kernel_thread_counts() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(180, 1000, 31));
@@ -180,7 +215,7 @@ fn thread_count_zero_and_eight_also_agree() {
 // arrival order, so at 3 or more devices its low bits — and with them a
 // threshold-terminated PageRank's superstep count — depended on thread
 // scheduling. These primitives read the reduction (`f64_sum`: PageRank;
-// `f64_max` / `u64_sum`: BC) or adapt every superstep (SSSP's near/far
+// `u64_sum`: BC) or adapt every superstep (SSSP's near/far
 // split, a two-bucket delta-stepping whose width follows the work), so 25
 // enacts of each must agree to the bit.
 

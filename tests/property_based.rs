@@ -19,7 +19,8 @@ use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
 };
 use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
+    bc::gather_bc, bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bc,
+    Bfs, Cc, Sssp,
 };
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
@@ -443,6 +444,64 @@ fn cc_equals_reference_under_every_executor() {
         resumed += usize::from(report.recovery.resumed_at.is_some());
     }
     assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
+}
+
+/// The inputs BC's two-sided sweeps can trip on: one dense component around
+/// a hub (its wide levels make the pull and scatter sides win), and the rest
+/// of the ids in components of 1–4 vertices, isolated ones among them, that
+/// stay unlabelled in every pull candidate list.
+fn arb_bc_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
+    let n = rng.gen_range(40usize..120);
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        ids.swap(i, rng.gen_range(0..=i));
+    }
+    let (core, mut rest) = ids.split_at(rng.gen_range(n / 3..=2 * n / 3));
+    let hub = core[0];
+    let mut edges: Vec<(u32, u32)> =
+        core[1..].iter().filter(|_| rng.gen_bool(0.5)).map(|&v| (hub, v)).collect();
+    for _ in 0..3 * core.len() {
+        edges.push((core[rng.gen_range(0..core.len())], core[rng.gen_range(0..core.len())]));
+    }
+    while !rest.is_empty() {
+        let (comp, tail) = rest.split_at(rng.gen_range(1..=rest.len().min(4)));
+        for _ in 1..comp.len() {
+            edges.push((comp[rng.gen_range(0..comp.len())], comp[rng.gen_range(0..comp.len())]));
+        }
+        rest = tail;
+    }
+    // mostly the hub; sometimes anywhere, an isolated vertex included
+    let src = if rng.gen_bool(0.75) { hub } else { rng.gen_range(0..n as u32) };
+    (GraphBuilder::undirected(&Coo::from_edges(n, edges, None)), src)
+}
+
+#[test]
+fn bc_equals_brandes_on_either_side() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA26);
+    let (mut pulled, mut scattered) = (0, 0);
+    for case in 0..CASES {
+        let (g, src) = arb_bc_graph(&mut rng);
+        let n_gpus = rng.gen_range(1usize..7);
+        let seed = rng.gen_range(0u64..1000);
+        let mut dist =
+            DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        dist.build_cscs();
+        let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+        let mut runner = Runner::new(sys, &dist, Bc, EnactConfig::default()).unwrap();
+        runner.enact(Some(src)).unwrap();
+        let expect = reference::bc(&g, src);
+        for (v, (&a, &b)) in gather_bc(&runner, &dist).iter().zip(&expect).enumerate() {
+            assert!(
+                (a as f64 - b).abs() <= 1e-3 * (1.0 + b.abs()),
+                "case {case}, {n_gpus} vGPUs, source {src}, vertex {v}: {a} vs {b}"
+            );
+        }
+        for gpu in 0..n_gpus {
+            pulled += runner.state(gpu).pull_levels;
+            scattered += runner.state(gpu).scatter_levels;
+        }
+    }
+    assert!(pulled > 0 && scattered > 0, "{pulled} pulled and {scattered} scattered levels");
 }
 
 #[test]

@@ -95,7 +95,8 @@ fn concurrent_mixed_queries_are_bit_equal_to_solo_runs_across_the_matrix() {
     let part = RandomPartitioner { seed: 3 };
     for gpus in [2usize, 4, 8] {
         for topology in [CommTopology::Direct, CommTopology::Butterfly] {
-            let dist = DistGraph::partition(&g, &part, gpus, Duplication::All);
+            let mut dist = DistGraph::partition(&g, &part, gpus, Duplication::All);
+            dist.build_cscs(); // the mix includes BC
             let owner = part.assign(&g, gpus);
             let config = EnactConfig { comm_topology: topology, ..Default::default() };
             let descs = parse_query_list(MIX).unwrap();
@@ -117,7 +118,8 @@ fn concurrent_mixed_queries_are_bit_equal_to_solo_runs_across_the_matrix() {
 fn schedule_and_aggregates_are_invariant_across_worker_threads() {
     let g = weighted_graph();
     let part = RandomPartitioner { seed: 3 };
-    let dist = DistGraph::partition(&g, &part, 4, Duplication::All);
+    let mut dist = DistGraph::partition(&g, &part, 4, Duplication::All);
+    dist.build_cscs(); // the mix includes BC
     let owner = part.assign(&g, 4);
     let descs = parse_query_list(MIX).unwrap();
     let specs = build_query_specs(
@@ -150,7 +152,8 @@ fn schedule_and_aggregates_are_invariant_across_worker_threads() {
 fn scheduler_seeds_repack_waves_but_never_change_results() {
     let g = weighted_graph();
     let part = RandomPartitioner { seed: 3 };
-    let dist = DistGraph::partition(&g, &part, 2, Duplication::All);
+    let mut dist = DistGraph::partition(&g, &part, 2, Duplication::All);
+    dist.build_cscs(); // the mix includes BC
     let owner = part.assign(&g, 2);
     let descs = parse_query_list(MIX).unwrap();
     let specs = build_query_specs(
