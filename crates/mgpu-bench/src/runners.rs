@@ -74,8 +74,10 @@ impl Primitive {
         Duplication::All
     }
 
-    /// Does this primitive read the reverse adjacency (its pull sides), so
-    /// that its partition must carry `DistGraph::build_cscs`?
+    /// Does this primitive's single-source body read the reverse adjacency
+    /// (its pull sides), so that its partition must carry
+    /// `DistGraph::build_cscs`? The batched bodies decide in
+    /// [`run_multi_source`]: `MsBfs` pulls, `BcBatch` does not.
     pub fn needs_csc(self) -> bool {
         matches!(self, Primitive::Dobfs | Primitive::Bc)
     }
@@ -361,8 +363,14 @@ pub fn run_multi_source<O: Id>(
     let mut dist = timed(&mut ingest.partition_us, || {
         DistGraph::partition(g, partitioner, n, prim.duplication())
     });
-    // the batch pushes both sweeps; the repeated single-source BC pulls
-    if mode == MultiSourceMode::Repeated && prim.needs_csc() {
+    // Batched BFS and the repeated single-source BC pull. Repeated BFS only
+    // pushes, and so does the BC batch: its σ needs every parent, so a pull
+    // there could never stop a row early.
+    let pulls = match mode {
+        MultiSourceMode::Repeated => prim.needs_csc(),
+        MultiSourceMode::Batched => prim == Primitive::Bfs,
+    };
+    if pulls {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
     let report = match (mode, prim) {

@@ -31,6 +31,8 @@
 //!   unvisited set in place and pulls in the same pass).
 //! * pull, every parent — [`advance_pull_all`] when a vertex needs all of its
 //!   parents, not the first one (BC's σ and δ sums read from the other side).
+//! * pull candidates — [`pull_candidates`], the shrinking list of vertices a
+//!   pull superstep reads the in-rows of (BC's forward sweep, MS-BFS).
 //!
 //! [`advance_with_mode`] is [`advance`] with the §VII-C work-mapping
 //! ablation exposed; nothing but that experiment calls it.
@@ -630,6 +632,35 @@ pub fn advance_pull_all<V: Id, O: Id>(
         }
         (found, edges)
     })
+}
+
+/// **Pull candidates**: the ascending list of vertices whose in-rows a pull
+/// superstep reads. The first pull of a traversal builds it with one scan
+/// of the `n` local ids (a Bulk launch over `n`); each later pull shrinks
+/// it in place (a Filter launch over its length before). `keep` may only
+/// ever turn false for a vertex: a dropped vertex is never reconsidered.
+pub fn pull_candidates<'a, V: Id>(
+    dev: &mut Device,
+    list: &'a mut Option<Vec<V>>,
+    n: usize,
+    keep: impl Fn(V) -> bool,
+) -> Result<&'a [V]> {
+    match list {
+        Some(list) => {
+            let before = list.len() as u64;
+            dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
+                list.retain(|&v| keep(v));
+                ((), before)
+            })?;
+        }
+        None => {
+            let built = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+                ((0..n).map(V::from_usize).filter(|&v| keep(v)).collect(), n as u64)
+            })?;
+            *list = Some(built);
+        }
+    }
+    Ok(list.as_deref().unwrap_or_default())
 }
 
 /// **Shrink + pull** in one pass (§VI-A, later backward supersteps): drop

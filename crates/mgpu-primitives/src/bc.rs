@@ -326,25 +326,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
                 // in-edges out of `unvisited_in` there, inside the charged
                 // advance.
                 let discovered = if pull {
-                    let candidates = match unvisited {
-                        Some(list) => {
-                            let before = list.len() as u64;
-                            dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
-                                list.retain(|v| labels[v.idx()] == INF);
-                                ((), before)
-                            })?;
-                            list
-                        }
-                        None => {
-                            let n = labels.len();
-                            let list = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-                                let list = (0..n).filter(|&v| labels[v] == INF);
-                                (list.map(V::from_usize).collect(), n as u64)
-                            })?;
-                            unvisited.insert(list)
-                        }
-                    };
-                    ops::advance_pull_all(dev, csc, candidates.as_slice(), |v, p| {
+                    let candidates = ops::pull_candidates(dev, unvisited, labels.len(), |v| {
+                        labels[v.idx()] == INF
+                    })?;
+                    ops::advance_pull_all(dev, csc, candidates, |v, p| {
                         let hit = labels[p.idx()] == cur;
                         if hit {
                             if labels[v.idx()] == INF {

@@ -26,6 +26,11 @@
 //! border proxies that received mass, where the paper's PR advances all
 //! `|E_i|` and ships all `|B_i|` every iteration.
 //!
+//! Beyond Table I, [`ms_bfs::MsBfs`] runs up to 64 BFS sources in one enact
+//! (a `u64` lane word per vertex) and, like BC, reads each level from the
+//! cheaper side: a pull row stops once its vertex holds every lane.
+//! [`bc_batch::BcBatch`] runs Brandes over the same lanes, push only.
+//!
 //! [`reference`] holds sequential CPU implementations of every primitive;
 //! the test suites validate multi-GPU results against them exactly.
 

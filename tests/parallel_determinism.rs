@@ -5,10 +5,10 @@
 //! `kernel_threads` host threads, but every metered quantity — kernel item
 //! counts, wire bytes, combine items, and therefore `sim_time_us` and every
 //! BSP counter — is a pure function of the workload, never of the thread
-//! schedule. These tests pin that contract end-to-end: BFS, SSSP, BC and
-//! PageRank produce bit-identical results, simulated clocks and counters at
-//! 1 and 4 kernel threads, across GPU counts and both communication
-//! strategies.
+//! schedule. These tests pin that contract end-to-end: BFS, SSSP, BC,
+//! MS-BFS and PageRank produce bit-identical results, simulated clocks and
+//! counters at 1 and 4 kernel threads, across GPU counts and both
+//! communication strategies.
 //!
 //! PageRank additionally exercises the draining f32 accumulation operator,
 //! whose chunk-ordered partial merge keeps non-associative float addition
@@ -21,8 +21,8 @@ use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::core::MgpuProblem;
 use mgpu_graph_analytics::primitives::{
-    bc::gather_bc, bfs::gather_labels, pr::gather_ranks, sssp::gather_dists, Bc, Bfs, Pagerank,
-    Sssp,
+    bc::gather_bc, bfs::gather_labels, ms_bfs::gather_lane_depths, pr::gather_ranks,
+    sssp::gather_dists, Bc, Bfs, MsBfs, Pagerank, Sssp,
 };
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -33,8 +33,8 @@ fn config(comm: Option<CommStrategy>, threads: usize) -> EnactConfig {
     EnactConfig { comm, kernel_threads: Some(threads), ..Default::default() }
 }
 
-/// Round-robin, duplicate-all, with the reverse adjacency BC's pull sides
-/// read (the others ignore it).
+/// Round-robin, duplicate-all, with the reverse adjacency the pull sides of
+/// BC and MS-BFS read (the others ignore it).
 fn dist_for(g: &Csr<u32, u64>, n_gpus: usize) -> DistGraph<u32, u64> {
     let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
     let mut dist = DistGraph::build(g, owner, n_gpus, Duplication::All);
@@ -182,6 +182,30 @@ fn bc_is_bit_identical_across_kernel_thread_counts() {
             assert_identical(&seq, &par, &format!("BC {n} GPUs comm {comm:?}"));
             assert!(seq.1.same_simulation(&par.1), "BC {n} GPUs comm {comm:?}");
         }
+    }
+}
+
+/// A 64-lane batch on the 20 000-vertex power-law graph pulls its late
+/// levels; the pull is sequential and the push claims through `fetch_or`, so
+/// lane depths and every charge are identical at 1 and 4 kernel threads.
+#[test]
+fn msbfs_is_the_same_simulation_across_kernel_thread_counts() {
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(20_000, 16, 29));
+    let sources = MsBfs::spread_sources(64, g.n_vertices());
+    for n in [1usize, 2, 4] {
+        let dist = dist_for(&g, n);
+        let run = |threads| {
+            let system = SimSystem::homogeneous(n, HardwareProfile::k40());
+            let prim = MsBfs::new(sources.clone());
+            let mut runner = Runner::new(system, &dist, prim, config(None, threads)).unwrap();
+            let report = runner.enact(None).unwrap();
+            let pulls: u32 = (0..n).map(|gpu| runner.state(gpu).pull_levels).sum();
+            (gather_lane_depths(&runner, &dist, 64), report, pulls)
+        };
+        let (seq, par) = (run(1), run(4));
+        assert!(seq.2 > 0, "{n} GPUs: no device pulled");
+        assert_eq!(seq.0, par.0, "{n} GPUs: lane depths differ across thread counts");
+        assert!(seq.1.same_simulation(&par.1), "MS-BFS {n} GPUs");
     }
 }
 

@@ -19,8 +19,8 @@ use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
 };
 use mgpu_graph_analytics::primitives::{
-    bc::gather_bc, bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bc,
-    Bfs, Cc, Sssp,
+    bc::gather_bc, bfs::gather_labels, cc::gather_components, ms_bfs::gather_lane_depths,
+    reference, sssp::gather_dists, Bc, Bfs, Cc, MsBfs, Sssp,
 };
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
@@ -446,11 +446,13 @@ fn cc_equals_reference_under_every_executor() {
     assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
 }
 
-/// The inputs BC's two-sided sweeps can trip on: one dense component around
+/// The inputs a two-sided traversal can trip on: one dense component around
 /// a hub (its wide levels make the pull and scatter sides win), and the rest
 /// of the ids in components of 1–4 vertices, isolated ones among them, that
-/// stay unlabelled in every pull candidate list.
-fn arb_bc_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
+/// stay unreached in every pull candidate list. The dense component has
+/// `density` random edges per vertex besides the hub's. Returns the vertex
+/// count, the edges and the dense component's ids, hub first.
+fn arb_core_graph(rng: &mut ChaCha8Rng, density: usize) -> (usize, Vec<(u32, u32)>, Vec<u32>) {
     let n = rng.gen_range(40usize..120);
     let mut ids: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -460,7 +462,7 @@ fn arb_bc_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
     let hub = core[0];
     let mut edges: Vec<(u32, u32)> =
         core[1..].iter().filter(|_| rng.gen_bool(0.5)).map(|&v| (hub, v)).collect();
-    for _ in 0..3 * core.len() {
+    for _ in 0..density * core.len() {
         edges.push((core[rng.gen_range(0..core.len())], core[rng.gen_range(0..core.len())]));
     }
     while !rest.is_empty() {
@@ -470,8 +472,13 @@ fn arb_bc_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
         }
         rest = tail;
     }
+    (n, edges, core.to_vec())
+}
+
+fn arb_bc_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
+    let (n, edges, core) = arb_core_graph(rng, 3);
     // mostly the hub; sometimes anywhere, an isolated vertex included
-    let src = if rng.gen_bool(0.75) { hub } else { rng.gen_range(0..n as u32) };
+    let src = if rng.gen_bool(0.75) { core[0] } else { rng.gen_range(0..n as u32) };
     (GraphBuilder::undirected(&Coo::from_edges(n, edges, None)), src)
 }
 
@@ -502,6 +509,64 @@ fn bc_equals_brandes_on_either_side() {
         }
     }
     assert!(pulled > 0 && scattered > 0, "{pulled} pulled and {scattered} scattered levels");
+}
+
+/// Every lane of a batch equals an independent BFS, whichever side each
+/// device read each level from. One lane makes its source full at `reset`,
+/// 64 is the full-mask edge case. A batch with a lane sourced outside the
+/// dense component never fills a vertex, so its rows never stop early. A
+/// row that stopped too soon shows only where one vertex misses lanes that
+/// two local in-neighbours carry, so this property runs four times the
+/// usual cases.
+#[test]
+fn msbfs_equals_reference_on_either_side() {
+    use mgpu_graph_analytics::core::{CommStrategy, CommTopology};
+    const RUNS: usize = 4 * CASES;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA29);
+    let mut pulled = 0;
+    for case in 0..RUNS {
+        let (n, edges, core) = arb_core_graph(&mut rng, 8);
+        // one id more, isolated for sure
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(n + 1, edges, None));
+        let lanes = [1, 7, 64][case % 3];
+        // mostly inside the dense component; sometimes anywhere
+        let anywhere = rng.gen_bool(0.25);
+        let sources: Vec<usize> = (0..lanes)
+            .map(|_| {
+                if anywhere {
+                    rng.gen_range(0..=n)
+                } else {
+                    core[rng.gen_range(0..core.len())] as usize
+                }
+            })
+            .collect();
+        let butterfly = case == 0;
+        let n_gpus = if butterfly { 4 } else { rng.gen_range(1usize..7) };
+        let seed = rng.gen_range(0u64..1000);
+        let mut dist =
+            DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        dist.build_cscs();
+        let config = if butterfly {
+            EnactConfig {
+                comm: Some(CommStrategy::Broadcast),
+                comm_topology: CommTopology::Butterfly,
+                ..EnactConfig::default()
+            }
+        } else {
+            EnactConfig::default()
+        };
+        let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+        let mut runner = Runner::new(sys, &dist, MsBfs::new(sources.clone()), config).unwrap();
+        let report = runner.enact(None).unwrap();
+        assert_eq!(report.comm.collective_stages > 0, butterfly, "case {case}");
+        for (lane, depths) in gather_lane_depths(&runner, &dist, lanes).iter().enumerate() {
+            let s = sources[lane];
+            let expect = reference::bfs(&g, s as u32);
+            assert_eq!(depths, &expect, "case {case}, {n_gpus} vGPUs, lane {lane} (source {s})");
+        }
+        pulled += usize::from((0..n_gpus).any(|gpu| runner.state(gpu).pull_levels > 0));
+    }
+    assert!(pulled >= RUNS / 4, "only {pulled} of {RUNS} cases pulled");
 }
 
 #[test]
