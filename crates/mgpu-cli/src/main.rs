@@ -476,7 +476,10 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
             eprintln!("trace written to {path} ({} events)", trace.n_events());
         }
         if cli.bsp_profile {
+            let wall = outcome.report.wall_time_us;
+            profile.check_wall(wall).map_err(|e| failed(format!("host-wall table: {e}")))?;
             print!("{}", profile.format_table());
+            print!("{}", profile.format_wall_table(wall));
             println!("{}", host_sync_line(&outcome.report));
         }
     }

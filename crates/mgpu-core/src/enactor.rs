@@ -48,8 +48,8 @@ use mgpu_graph::Id;
 use mgpu_partition::DistGraph;
 use vgpu::sync::{Contribution, Delivery};
 use vgpu::{
-    KernelKind, Result, SimSystem, SyncPoint, TraceEvent, TraceKind, VgpuError, COMM_STREAM,
-    COMPUTE_STREAM,
+    HostLayer, KernelKind, Result, SimSystem, SyncPoint, TraceEvent, TraceKind, VgpuError,
+    COMM_STREAM, COMPUTE_STREAM,
 };
 
 use crate::alloc::AllocScheme;
@@ -352,7 +352,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 })
                 .unwrap_or((true, Contribution { aborting: true, ..Contribution::default() }));
             let my_time = self.dev.now();
-            let reduce = sync.superstep(gpu, my_time, locally_done, contribution);
+            let reduce = self.wait(|| sync.superstep(gpu, my_time, locally_done, contribution));
             self.dev.end_superstep(n, reduce.max_time_us);
             iter += 1;
             self.attempt(|run| {
@@ -410,7 +410,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let gpu = self.gpu();
         let local =
             self.attempt(|run| run.compute_and_send(input, iter, comm, trace)).unwrap_or_default();
-        sync.rendezvous(gpu);
+        self.wait(|| sync.rendezvous(gpu));
         // drained whether or not this device still works: inboxes stay clean
         // for the peers
         let arrived = self.mailbox.drain(gpu);
@@ -435,7 +435,8 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let (local, sends): (Vec<V>, Sends<V, P::Msg>) = if n == 1 {
             (output, Vec::new())
         } else {
-            match comm {
+            let wall_start = self.dev.timeline.wall_now();
+            let split = match comm {
                 CommStrategy::Selective => {
                     let (local, pkgs) = self.split(&output)?;
                     let sends = pkgs
@@ -472,7 +473,10 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                     };
                     (output, sends)
                 }
-            }
+            };
+            // the split kernel's span carries the whole split + package + encode
+            self.dev.timeline.stamp_last(HostLayer::Split, wall_start);
+            split
         };
 
         // Push packages on the communication stream, which waits for the
@@ -616,7 +620,8 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 u64_add: stage_fault.unwrap_or(false) as u64,
                 ..Contribution::default()
             };
-            let reduce = sync.superstep(gpu, self.dev.now(), false, vote);
+            let now = self.dev.now();
+            let reduce = self.wait(|| sync.superstep(gpu, now, false, vote));
             if reduce.u64_sum > 0 {
                 if gpu == 0 {
                     self.rec.note_butterfly_fallback();
@@ -736,7 +741,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
 
         // ---- one extra rendezvous: every surviving peer's direct push (and
         // any package from the interrupted stage) is posted ----
-        sync.rendezvous(gpu);
+        self.wait(|| sync.rendezvous(gpu));
 
         // ---- drain & combine; a stable sort by sender keeps combine order
         // independent of thread scheduling (stash entries from one sender were

@@ -35,8 +35,8 @@ use mgpu_partition::{DistGraph, SubGraph};
 use vgpu::memory::Reservation;
 use vgpu::sync::Delivery;
 use vgpu::{
-    harvest_device_thread, Device, Event, Interconnect, KernelKind, Mailbox, Result, SimSystem,
-    SpanMeta, TraceEvent, TraceKind, VgpuError, COMM_STREAM, COMPUTE_STREAM,
+    harvest_device_thread, Device, Event, HostLayer, Interconnect, KernelKind, Mailbox, Result,
+    SimSystem, SpanMeta, TraceEvent, TraceKind, VgpuError, COMM_STREAM, COMPUTE_STREAM,
 };
 
 use crate::alloc::{AllocScheme, FrontierBufs};
@@ -576,10 +576,13 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             // and counts toward H — the trace mirrors that with one Send span
             // per attempt, a failed one immediately followed by the Retry span
             // that takes its bytes back out of the success tallies
+            let wall_start = self.dev.timeline.wall_now();
             let sent_at = self.dev.charge_as(COMM_STREAM, occupancy, 0.0, send_meta)?;
             self.dev.counters.h_time_us += occupancy;
             let arrived_at = sent_at + self.interconnect.latency_us(gpu, dst);
-            match self.mailbox.send(gpu, dst, Event::at(arrived_at), Arc::clone(&pkg)) {
+            let posted = self.mailbox.send(gpu, dst, Event::at(arrived_at), Arc::clone(&pkg));
+            self.dev.timeline.stamp_last(HostLayer::Mailbox, wall_start);
+            match posted {
                 Ok(()) => break,
                 Err(e) if attempts < policy.max_retries && policy.is_transient(&e) => {
                     attempts += 1;
@@ -621,6 +624,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         next: &mut Vec<V>,
     ) -> Result<(Vec<V>, Vec<P::Msg>)> {
         let dev = &mut *self.dev;
+        let wall_start = dev.timeline.wall_now();
         dev.stream_wait(COMM_STREAM, delivery.arrival)?;
         let pkg = delivery.payload;
         dev.counters.h_bytes_recv += pkg.wire_bytes();
@@ -641,7 +645,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         }
         let (problem, sub, state) = (self.problem, self.sub, &mut self.per.state);
         let mut supp = self.supp.as_mut();
-        dev.kernel(COMM_STREAM, KernelKind::Combine, || {
+        let block = dev.kernel(COMM_STREAM, KernelKind::Combine, || {
             let (vs, ms) = pkg.decode();
             for (&wire, m) in vs.iter().zip(ms.iter()) {
                 let v = match comm {
@@ -659,7 +663,19 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 }
             }
             ((vs.into_owned(), ms.into_owned()), pkg.len() as u64)
-        })
+        })?;
+        // the combine span carries the whole receive
+        dev.timeline.stamp_last(HostLayer::Combine, wall_start);
+        Ok(block)
+    }
+
+    /// Run one rendezvous with the peer device threads, adding the host wall
+    /// it waited to the superstep's stamp (traced runs only).
+    pub(crate) fn wait<T>(&mut self, rendezvous: impl FnOnce() -> T) -> T {
+        let wall_start = self.dev.timeline.wall_now();
+        let out = rendezvous();
+        self.dev.timeline.waited(wall_start);
+        out
     }
 }
 
@@ -818,6 +834,10 @@ mod tests {
                 items: 4,
                 ..TraceEvent::default()
             };
+            let walls: Vec<_> = events.iter().map(|e| e.wall.map(|w| w.layer)).collect();
+            assert_eq!(walls, [None, Some(HostLayer::Combine)], "{comm:?}: the receive's wall");
+            let events: Vec<_> =
+                events.into_iter().map(|e| TraceEvent { wall: None, ..e }).collect();
             assert_eq!(events, [recv, combine], "{comm:?}");
             // only a broadcast folds what arrived into the suppression floors
             assert_eq!(admitted, admits_key_6, "{comm:?}");

@@ -89,4 +89,4 @@ pub use service::{
     AdmissionRecord, BuildExecutor, QueryOutcome, QuerySpec, SchedulePlan, Service, ServicePolicy,
     ServiceReport,
 };
-pub use trace::{BspRow, Profile, Trace};
+pub use trace::{BspRow, Profile, Trace, WallRow};

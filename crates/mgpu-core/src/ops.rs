@@ -390,7 +390,9 @@ pub fn filter<V: Id>(
 ///   `visit` is cleared so the advance's 0→nonzero transition test can
 ///   detect first emission. Duplicate frontier entries are harmless: the
 ///   first occurrence takes the bits, later ones see zero and leave the
-///   snapshot untouched.
+///   snapshot untouched. `take(v, bits)` sees each vertex's taken bits
+///   once, in the same sweep (a primitive that records per-lane arrival
+///   does it there, once per vertex rather than once per claiming edge).
 ///
 /// Returns the union of all propagated bits — the superstep's active-lane
 /// mask (free to compute inside the same sweep; the tracing layer records
@@ -403,6 +405,7 @@ pub fn consume_bits<V: Id>(
     input: &[V],
     visit: &mut [u64],
     prop: &mut [u64],
+    mut take: impl FnMut(V, u64),
 ) -> Result<(u64, Vec<V>)> {
     dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
         for &v in flushed {
@@ -416,6 +419,7 @@ pub fn consume_bits<V: Id>(
                 prop[v.idx()] = bits;
                 active |= bits;
                 act.push(v);
+                take(v, bits);
             }
         }
         ((active, act), (flushed.len() + input.len()) as u64)

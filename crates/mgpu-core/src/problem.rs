@@ -336,8 +336,10 @@ mod tests {
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use vgpu::{KernelKind, COMPUTE_STREAM};
 
-    /// Min-label problem: one label per local vertex, strict-min combine.
+    /// Min-label problem: one hop label per local vertex from the source,
+    /// one advance kernel per superstep, strict-min combine.
     pub(crate) struct MinLabel;
     impl MgpuProblem<u32, u64> for MinLabel {
         type State = Vec<u32>;
@@ -358,21 +360,38 @@ pub(crate) mod testing {
             &self,
             _: &mut Device,
             _: &SubGraph<u32, u64>,
-            _: &mut Vec<u32>,
-            _: Option<u32>,
+            state: &mut Vec<u32>,
+            src: Option<u32>,
         ) -> Result<Vec<u32>> {
-            Ok(vec![])
+            state.fill(u32::MAX);
+            let frontier: Vec<u32> = src.into_iter().collect();
+            for &s in &frontier {
+                state[s as usize] = 0;
+            }
+            Ok(frontier)
         }
         fn iteration(
             &self,
-            _: &mut Device,
-            _: &SubGraph<u32, u64>,
-            _: &mut Vec<u32>,
+            dev: &mut Device,
+            sub: &SubGraph<u32, u64>,
+            state: &mut Vec<u32>,
             _: &mut FrontierBufs<u32>,
-            _: &[u32],
+            input: &[u32],
             _: usize,
         ) -> Result<Vec<u32>> {
-            Ok(vec![])
+            dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
+                let (mut out, mut edges) = (Vec::new(), 0u64);
+                for &u in input {
+                    for &d in sub.csr.neighbors(u) {
+                        edges += 1;
+                        if state[u as usize] + 1 < state[d as usize] {
+                            state[d as usize] = state[u as usize] + 1;
+                            out.push(d);
+                        }
+                    }
+                }
+                (out, edges)
+            })
         }
         fn package(&self, state: &Vec<u32>, v: u32) -> u32 {
             state[v as usize]

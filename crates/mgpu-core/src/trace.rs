@@ -25,8 +25,17 @@
 //! across kernel-thread counts and host scheduling; the serialized JSONL
 //! form is therefore byte-identical too, which the golden-trace suite in
 //! `tests/trace_observability.rs` pins.
+//!
+//! The same fold builds the **host-wall table**, the measured twin of the
+//! BSP one: the wall stamps traced spans carry ([`vgpu::WallSpan`]) summed
+//! per layer — kernel bodies, split + package + encode, mailbox, decode +
+//! combine, rendezvous wait — per device and per superstep, plus the kernel
+//! bodies by kernel name. Stamps are measurements of one run on one host:
+//! no exporter writes them, and [`Profile::reconcile`] and
+//! `EnactReport::same_simulation` never look at them.
+//! [`Profile::check_wall`] checks them against the enact's wall instead.
 
-use vgpu::{SimSystem, TraceEvent, TraceKind};
+use vgpu::{HostLayer, SimSystem, TraceEvent, TraceKind, WallSpan};
 
 use crate::json::{Json, JsonWriter};
 use crate::report::EnactReport;
@@ -238,6 +247,51 @@ impl BspRow {
     }
 }
 
+/// One row of the host-wall table: measured host µs per layer (see
+/// [`vgpu::HostLayer`]). Wall time is a measurement of this run on this
+/// host, not part of the simulation, so [`Profile::reconcile`] ignores it.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WallRow {
+    /// Primitive kernel bodies.
+    pub kernel_us: f64,
+    /// Frontier split, packaging and encoding.
+    pub split_us: f64,
+    /// Mailbox posts.
+    pub mailbox_us: f64,
+    /// Decode and combine of received packages.
+    pub combine_us: f64,
+    /// Rendezvous waits.
+    pub wait_us: f64,
+}
+
+impl WallRow {
+    fn absorb(&mut self, w: &WallSpan) {
+        let column = match w.layer {
+            HostLayer::Kernel => &mut self.kernel_us,
+            HostLayer::Split => &mut self.split_us,
+            HostLayer::Mailbox => &mut self.mailbox_us,
+            HostLayer::Combine => &mut self.combine_us,
+            HostLayer::Wait => &mut self.wait_us,
+        };
+        *column += w.dur_us;
+    }
+
+    /// The five columns in table order.
+    pub fn columns(&self) -> [f64; 5] {
+        [self.kernel_us, self.split_us, self.mailbox_us, self.combine_us, self.wait_us]
+    }
+
+    /// The wall the row accounts for.
+    pub fn total(&self) -> f64 {
+        self.columns().iter().sum()
+    }
+
+    fn line(&self, label: &str) -> String {
+        let cells: String = self.columns().iter().map(|us| format!(" {us:>12.1}")).collect();
+        format!("{label:>5}{cells} {:>12.1}\n", self.total())
+    }
+}
+
 /// The folded BSP attribution of one [`Trace`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
@@ -255,6 +309,13 @@ pub struct Profile {
     /// `start` equal to the barrier-aligned clock, so this reproduces the
     /// post-barrier clock bit-for-bit.
     pub makespan_us: f64,
+    /// Measured host wall per layer, per device.
+    pub wall_per_device: Vec<WallRow>,
+    /// Measured host wall per layer, per superstep (summed over devices).
+    pub wall_per_superstep: Vec<WallRow>,
+    /// Host wall of the kernel bodies by kernel name, summed over devices,
+    /// largest first.
+    pub wall_by_kernel: Vec<(&'static str, f64)>,
 }
 
 impl Profile {
@@ -262,9 +323,13 @@ impl Profile {
     pub fn from_trace(trace: &Trace) -> Profile {
         let mut per_device = Vec::with_capacity(trace.n_devices());
         let mut per_superstep: Vec<BspRow> = Vec::new();
+        let mut wall_per_device = Vec::with_capacity(trace.n_devices());
+        let mut wall_per_superstep: Vec<WallRow> = Vec::new();
+        let mut wall_by_kernel: Vec<(&'static str, f64)> = Vec::new();
         let mut makespan = 0.0f64;
         for events in &trace.per_device {
             let mut row = BspRow::default();
+            let mut wall_row = WallRow::default();
             let mut last_send = (0u64, 0u64);
             let mut last_step_send = (0u64, 0u64);
             for e in events {
@@ -272,14 +337,26 @@ impl Profile {
                 let step = e.superstep as usize;
                 if per_superstep.len() <= step {
                     per_superstep.resize(step + 1, BspRow::default());
+                    wall_per_superstep.resize(step + 1, WallRow::default());
                 }
                 per_superstep[step].absorb(e, &mut last_step_send);
                 if e.kind == TraceKind::Sync {
                     makespan = makespan.max(e.start_us + e.dur_us);
                 }
+                let Some(wall) = &e.wall else { continue };
+                wall_row.absorb(wall);
+                wall_per_superstep[step].absorb(wall);
+                if wall.layer == HostLayer::Kernel {
+                    match wall_by_kernel.iter_mut().find(|(name, _)| *name == e.name) {
+                        Some((_, us)) => *us += wall.dur_us,
+                        None => wall_by_kernel.push((e.name, wall.dur_us)),
+                    }
+                }
             }
             per_device.push(row);
+            wall_per_device.push(wall_row);
         }
+        wall_by_kernel.sort_by(|a, b| b.1.total_cmp(&a.1));
         let mut total = BspRow::default();
         for row in &per_device {
             total.w_us += row.w_us;
@@ -305,7 +382,79 @@ impl Profile {
             total.messages += row.messages;
             total.spilled_bytes += row.spilled_bytes;
         }
-        Profile { per_device, per_superstep, total, makespan_us: makespan }
+        Profile {
+            per_device,
+            per_superstep,
+            total,
+            makespan_us: makespan,
+            wall_per_device,
+            wall_per_superstep,
+            wall_by_kernel,
+        }
+    }
+
+    /// Check the host-wall table against the enact's measured wall: the
+    /// trace must carry stamps, and no device's columns may add up to more
+    /// than `enact_wall_us` (the stamped intervals are disjoint and all
+    /// inside the enact). Returns the share of the enact wall the table
+    /// accounts for on the least-covered device.
+    pub fn check_wall(&self, enact_wall_us: f64) -> std::result::Result<f64, String> {
+        if self.wall_per_device.iter().all(|r| r.total() == 0.0) {
+            return Err("the trace carries no host-wall stamps".into());
+        }
+        let mut covered = f64::INFINITY;
+        for (dev, row) in self.wall_per_device.iter().enumerate() {
+            if row.columns().iter().any(|&us| us < 0.0) {
+                return Err(format!("device {dev}: a negative host-wall column {row:?}"));
+            }
+            if row.total() > enact_wall_us {
+                return Err(format!(
+                    "device {dev}: host-wall columns add up to {:.1} us, more than the \
+                     {enact_wall_us:.1} us enact wall",
+                    row.total()
+                ));
+            }
+            covered = covered.min(row.total() / enact_wall_us);
+        }
+        Ok(covered)
+    }
+
+    /// Render the host-wall table: per superstep (summed over devices), per
+    /// device against the enact wall, and the kernel bodies by name.
+    pub fn format_wall_table(&self, enact_wall_us: f64) -> String {
+        let mut out = format!(
+            "host wall (us, summed over {} devices)\n{:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
+            self.wall_per_device.len(),
+            "step",
+            "kernel",
+            "split+pkg",
+            "mailbox",
+            "combine",
+            "wait",
+            "accounted"
+        );
+        for (i, r) in self.wall_per_superstep.iter().enumerate() {
+            out.push_str(&r.line(&i.to_string()));
+        }
+        for (dev, r) in self.wall_per_device.iter().enumerate() {
+            out.push_str(&r.line(&format!("gpu{dev}")));
+        }
+        let steps = self.n_supersteps().max(1) as f64;
+        for (dev, r) in self.wall_per_device.iter().enumerate() {
+            out.push_str(&format!(
+                "gpu {dev}: {:.1} of {:.1} us enact wall accounted ({:.1} %), {:.2} of {:.2} us \
+                 per superstep\n",
+                r.total(),
+                enact_wall_us,
+                100.0 * r.total() / enact_wall_us,
+                r.total() / steps,
+                enact_wall_us / steps
+            ));
+        }
+        let kernels: Vec<String> =
+            self.wall_by_kernel.iter().map(|(name, us)| format!("{name} {us:.1}")).collect();
+        out.push_str(&format!("kernel bodies by name (us): {}\n", kernels.join(", ")));
+        out
     }
 
     /// Verify the exact reconciliation invariant against `report` (see the
@@ -579,5 +728,113 @@ mod tests {
         assert_eq!(p.total, BspRow::default());
         assert_eq!(p.makespan_us, 0.0);
         assert_eq!(p.n_supersteps(), 0);
+        assert!(p.check_wall(1.0).is_err(), "no stamps, no host-wall table");
+    }
+
+    #[test]
+    fn wall_stamps_fold_by_layer_and_kernel_name() {
+        let wall = |layer, dur_us| Some(WallSpan { layer, start_us: 0.0, dur_us });
+        let events = vec![
+            TraceEvent { wall: wall(HostLayer::Kernel, 5.0), ..span(TraceKind::Kernel, 0.0, 1.0) },
+            TraceEvent {
+                name: "advance",
+                wall: wall(HostLayer::Kernel, 2.0),
+                ..span(TraceKind::Kernel, 1.0, 1.0)
+            },
+            TraceEvent {
+                wall: wall(HostLayer::Split, 1.0),
+                ..span(TraceKind::CommKernel, 2.0, 1.0)
+            },
+            TraceEvent { wall: wall(HostLayer::Mailbox, 0.5), ..span(TraceKind::Send, 3.0, 1.0) },
+            TraceEvent { wall: wall(HostLayer::Wait, 3.0), ..span(TraceKind::Sync, 4.0, 1.0) },
+            TraceEvent {
+                superstep: 1,
+                wall: wall(HostLayer::Combine, 0.25),
+                ..span(TraceKind::CommKernel, 5.0, 1.0)
+            },
+        ];
+        let p = Profile::from_trace(&Trace { per_device: vec![events] });
+        let want = WallRow {
+            kernel_us: 7.0,
+            split_us: 1.0,
+            mailbox_us: 0.5,
+            combine_us: 0.25,
+            wait_us: 3.0,
+        };
+        assert_eq!(p.wall_per_device, [want]);
+        assert_eq!(p.wall_per_superstep[1].combine_us, 0.25);
+        assert_eq!(p.wall_per_superstep[0].total(), 11.5);
+        assert_eq!(p.wall_by_kernel, [("kernel", 5.0), ("advance", 2.0)], "largest first");
+        assert_eq!(p.check_wall(23.5), Ok(0.5));
+        assert!(p.check_wall(10.0).is_err(), "columns past the enact wall");
+        assert!(p.format_wall_table(23.5).contains("kernel bodies by name (us): kernel 5.0"));
+    }
+
+    /// Hop labels from vertex 0 over a ring of 64 vertices each joined to its
+    /// next eight, on two devices: a real superstep loop with kernels, sends,
+    /// combines and rendezvous.
+    fn enact_min_label(tracing: bool) -> (EnactReport, bool) {
+        use crate::problem::testing::MinLabel;
+        use crate::{EnactConfig, Runner};
+        use mgpu_graph::{Coo, Csr, GraphBuilder};
+        use mgpu_partition::{DistGraph, Duplication, RandomPartitioner};
+        use vgpu::HardwareProfile;
+        let edges = (0..64u32).flat_map(|v| (1..=8).map(move |d| (v, (v + d) % 64))).collect();
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(64, edges, None));
+        let dist = DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::OneHop);
+        let config = EnactConfig { tracing, kernel_threads: Some(1), ..EnactConfig::default() };
+        let system = SimSystem::homogeneous(2, HardwareProfile::k40());
+        let mut runner = Runner::new(system, &dist, MinLabel, config).unwrap();
+        let report = runner.enact(Some(0)).unwrap();
+        assert!(report.totals.h_messages > 0 && report.iterations > 2, "a real exchange");
+        let untouched = runner
+            .system()
+            .devices
+            .iter()
+            .all(|d| d.timeline.events().is_empty() && d.timeline.wall_now().is_none());
+        (report, untouched)
+    }
+
+    #[test]
+    fn a_traced_enact_reconciles_and_its_wall_columns_fit_the_enact_wall() {
+        let (report, _) = enact_min_label(true);
+        let profile = Profile::from_trace(report.trace.as_ref().expect("traced"));
+        profile.reconcile(&report).expect("the wall stamps leave the reconcile as it was");
+        for (dev, row) in profile.wall_per_device.iter().enumerate() {
+            assert!(row.columns().iter().all(|&us| us >= 0.0), "device {dev}: {row:?}");
+            assert!(row.kernel_us > 0.0 && row.split_us > 0.0, "device {dev}: {row:?}");
+            assert!(row.total() <= report.wall_time_us, "device {dev}: {row:?}");
+        }
+        assert!(profile.check_wall(report.wall_time_us).is_ok());
+        assert_eq!(profile.wall_by_kernel.first().map(|k| k.0), Some("advance"));
+        // every rendezvous wait reaches the table through a sync span
+        let syncs = report.trace.as_ref().unwrap().per_device.iter().flatten();
+        assert!(syncs.filter(|e| e.kind == TraceKind::Sync).all(|e| e.wall.is_some()));
+    }
+
+    #[test]
+    fn same_simulation_and_the_golden_trace_ignore_wall_stamps() {
+        let (a, _) = enact_min_label(true);
+        let mut b = a.clone();
+        for e in b.trace.as_mut().unwrap().per_device.iter_mut().flatten() {
+            if let Some(w) = &mut e.wall {
+                w.dur_us += 1e3;
+            }
+        }
+        assert!(a.same_simulation(&b));
+        let (ta, tb) = (a.trace.as_ref().unwrap(), b.trace.as_ref().unwrap());
+        assert_ne!(ta, tb, "the stamps differ");
+        assert_eq!(ta.to_jsonl(), tb.to_jsonl());
+        assert_eq!(ta.to_chrome_json(), tb.to_chrome_json());
+        Profile::from_trace(tb).reconcile(&b).expect("stamps are not reconciled");
+        let (untraced, _) = enact_min_label(false);
+        assert!(a.same_simulation(&untraced), "stamping never touches the simulation");
+    }
+
+    #[test]
+    fn an_untraced_enact_records_no_trace_and_reads_no_wall() {
+        let (report, untouched) = enact_min_label(false);
+        assert!(report.trace.is_none());
+        assert!(untouched, "no device timeline recorded a span or started a wall epoch");
     }
 }

@@ -312,6 +312,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for BcBatch {
                     input,
                     state.visit.as_mut_slice(),
                     state.prop.as_mut_slice(),
+                    |_, _| {},
                 )?;
                 if dev.timeline.is_enabled() {
                     let at = dev.stream_time(COMPUTE_STREAM);

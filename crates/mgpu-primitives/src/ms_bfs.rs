@@ -9,7 +9,7 @@
 //! * **State:** per local vertex, `seen` (lanes whose traversal reached the
 //!   vertex), `visit` (lanes newly arrived and not yet propagated), `prop`
 //!   (the consume-pass snapshot the advance reads), and a vertex-major
-//!   `depth[v·lanes + lane]` table filled at first-set — the per-lane BFS
+//!   `depth[v·lanes + lane]` table over the owned rows — the per-lane BFS
 //!   depth is recovered from the superstep index, since every lane starts
 //!   at superstep 0 and a lane's bit first reaches a vertex exactly at its
 //!   BFS depth.
@@ -17,10 +17,17 @@
 //!   advance per superstep, read from whichever side of the local edges is
 //!   cheaper (below). The push side claims destination bits with
 //!   `fetch_or` (the `atomicOr` idiom): `new = prop[u] & !seen[d]`; the
-//!   thread that flips a bit writes that lane's depth, and the thread that
-//!   makes `visit[d]` transition 0→nonzero emits `d` — exactly one frontier
-//!   entry per discovered vertex per superstep. `W ∈ O(|E_i|)` *per batch*,
-//!   not per source.
+//!   thread that makes `visit[d]` transition 0→nonzero emits `d` — exactly
+//!   one frontier entry per discovered vertex per superstep. `W ∈ O(|E_i|)`
+//!   *per batch*, not per source.
+//! * **Depths:** stamped once per owned vertex per superstep, inside the
+//!   consume pass: every bit it takes from `visit` into `prop` arrived at
+//!   depth `iter` (claimed locally or received through `combine` in the
+//!   superstep before), and every vertex that gained bits is in the next
+//!   input (owned winners in the local part, combined vertices added to the
+//!   frontier). Neither the claim nor `combine` writes a depth, so the
+//!   scattered per-lane stores leave the edge loop; the charged items do
+//!   not change.
 //! * **Communication:** selective; the message is the vertex's new-bit
 //!   word (`Msg = u64`, 8 wire bytes, non-uniform payloads — the encodings
 //!   size them honestly via the per-vertex paths).
@@ -48,8 +55,8 @@
 //! in-neighbour is an owned vertex whose `prop` is exact, and no broadcast
 //! is needed. The `prop` word of a vertex not active this superstep is
 //! stale, but its bits reached every out-neighbour in the superstep that
-//! spread them, so they add nothing. Pull claims, stamps and emits exactly
-//! as push does, so the emitted `(vertex, word)` set — and with it every
+//! spread them, so they add nothing. Pull claims and emits exactly as push
+//! does, so the emitted `(vertex, word)` set — and with it every
 //! message, `H` and `S` — does not depend on the side; only `W` does.
 //!
 //! A device picks, per superstep, on exact counts and no threshold: pull
@@ -70,7 +77,6 @@ use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
 use mgpu_graph::Id;
 use mgpu_partition::{DistGraph, Duplication, SubGraph};
-use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -128,14 +134,11 @@ pub struct MsBfsState<V> {
     /// The consume-pass snapshot the advance reads.
     pub prop: DeviceArray<u64>,
     /// Vertex-major per-lane depths: `depth[v·lanes + lane]`, `INF` =
-    /// unreached.
+    /// unreached. Owned rows only; proxy rows are never written or read.
     pub depth: DeviceArray<u32>,
     /// Remote copies whose `visit` bits were packaged last superstep
     /// (flush list for the next consume pass).
     pub sent: Vec<V>,
-    /// Superstep cursor for combine-side depth stamping: bits arriving in
-    /// superstep `k` were discovered at depth `k + 1`.
-    pub cur_depth: u32,
     /// Supersteps this device pulled (read the in-edge side).
     pub pull_levels: u32,
     /// Local in-edges of the vertices not yet holding every lane: what a
@@ -196,7 +199,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             prop: dev.alloc(n)?,
             depth: dev.alloc(n * self.lanes())?,
             sent: Vec::new(),
-            cur_depth: 0,
             pull_levels: 0,
             incomplete_in: 0,
             arrived: Vec::new(),
@@ -219,17 +221,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
                 seen.as_mut_slice().fill(0);
                 visit.as_mut_slice().fill(0);
                 prop.as_mut_slice().fill(0);
-                depth.as_mut_slice().fill(INF);
+                for (v, row) in depth.as_mut_slice().chunks_exact_mut(lanes).enumerate() {
+                    if sub.is_owned(V::from_usize(v)) {
+                        row.fill(INF);
+                    }
+                }
                 ((), n as u64)
             })?;
         }
         state.sent.clear();
-        state.cur_depth = 0;
         state.pull_levels = 0;
         state.arrived.clear();
         state.candidates = None;
-        // Seed every owned source: depth 0 at its lane, bit pending in
-        // `visit` for the first consume pass. The enactor's single-source
+        // Seed every owned source: its lane bit pending in `visit`, which the
+        // first consume pass stamps at depth 0. The enactor's single-source
         // parameter is ignored — the batch carries its own sources.
         let mut frontier: Vec<V> = Vec::new();
         for (lane, &s) in self.sources.iter().enumerate() {
@@ -243,7 +248,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             let bit = 1u64 << lane;
             state.seen[local.idx()] |= bit;
             state.visit[local.idx()] |= bit;
-            state.depth[local.idx() * lanes + lane] = 0;
         }
         // a source of every lane (one lane, or one vertex sourcing them all)
         // starts full
@@ -268,13 +272,29 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     ) -> Result<Vec<V>> {
         use std::sync::atomic::Ordering::Relaxed;
         let lanes = self.lanes();
+        // Claims this superstep arrive at `iter + 1`, which must stay below
+        // INF; the bits the consume takes arrived at `iter`.
+        let arrived_at = depth_after(iter) - 1;
         let flushed = std::mem::take(&mut state.sent);
+        let depth = state.depth.as_mut_slice();
         let (active, act) = ops::consume_bits(
             dev,
             &flushed,
             input,
             state.visit.as_mut_slice(),
             state.prop.as_mut_slice(),
+            |v, bits| {
+                // every bit taken from `visit` arrived this superstep, by a
+                // local claim or through `combine`; only owned rows are read
+                if sub.is_owned(v) {
+                    let row = &mut depth[v.idx() * lanes..][..lanes];
+                    let mut w = bits;
+                    while w != 0 {
+                        row[w.trailing_zeros() as usize] = arrived_at;
+                        w &= w - 1;
+                    }
+                }
+            },
         )?;
         if dev.timeline.is_enabled() {
             let at = dev.stream_time(COMPUTE_STREAM);
@@ -289,7 +309,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
                 ..vgpu::TraceEvent::default()
             });
         }
-        let depth_next = depth_after(iter);
         let full = self.full();
         let csc = sub.csc.as_ref().expect("checked at init");
         // The decision. Push reads the active frontier's out-rows. Pull scans
@@ -319,19 +338,13 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             let prop = state.prop.as_slice();
             let seen = vgpu::par::as_atomic_u64(state.seen.as_mut_slice());
             let visit = vgpu::par::as_atomic_u64(state.visit.as_mut_slice());
-            let depth = vgpu::par::as_atomic_u32(state.depth.as_mut_slice());
             // Settle the bits `won` just claimed on `d`, whose word was
-            // `prev`: stamp their depths, take a vertex that now holds every
-            // lane out of `incomplete_in` (only the claim that fills the word
-            // sees `prev | won == full`), and emit `d` on its `visit` word's
-            // first 0→nonzero transition — once per superstep.
+            // `prev`: take a vertex that now holds every lane out of
+            // `incomplete_in` (only the claim that fills the word sees
+            // `prev | won == full`), and emit `d` on its `visit` word's first
+            // 0→nonzero transition — once per superstep. The next consume
+            // stamps the lane depths.
             let settle = |d: V, prev: u64, won: u64| -> Option<V> {
-                let mut w = won;
-                while w != 0 {
-                    let b = w.trailing_zeros() as usize;
-                    depth[d.idx() * lanes + b].store(depth_next, Relaxed);
-                    w &= w - 1;
-                }
                 if prev | won == full {
                     filled_in.fetch_add(csc.degree(d) as u64, Relaxed);
                 }
@@ -363,9 +376,9 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             } else {
                 // Batched expand: claim new lane bits on the destination with
                 // fetch_or. Which thread wins a bit is schedule-dependent,
-                // but every writer stores the same depth and the discovered
-                // bit set is a pure function of the frontier —
-                // set-deterministic, like the single-source CAS claim.
+                // but the discovered bit set is a pure function of the
+                // frontier — set-deterministic, like the single-source CAS
+                // claim.
                 let expand = |u: V, _e: usize, d: V| -> Option<V> {
                     let bits = prop[u.idx()];
                     if bits == 0 {
@@ -409,18 +422,11 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         if new == 0 {
             return false;
         }
-        let lanes = self.lanes();
-        let d = state.cur_depth + 1;
         state.seen[v.idx()] |= new;
         if had | new == self.full() {
             state.arrived.push(v);
         }
-        let mut w = new;
-        while w != 0 {
-            let b = w.trailing_zeros() as usize;
-            state.depth[v.idx() * lanes + b] = d;
-            w &= w - 1;
-        }
+        // pending for the next consume, which stamps the depths
         state.visit[v.idx()] |= new;
         true
     }
@@ -439,13 +445,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     }
     fn merge_msgs(&self, a: &u64, b: &u64) -> u64 {
         a | b
-    }
-
-    fn after_superstep(&self, state: &mut Self::State, _reduce: &GlobalReduce, iter: usize) {
-        // `iter` is already the index of the NEXT superstep: bits combined
-        // during it were claimed by its advance at depth `iter + 1`, which
-        // that advance checked against INF.
-        state.cur_depth = u32::try_from(iter).expect("a superstep index below INF");
     }
 }
 
@@ -544,8 +543,8 @@ mod tests {
             assert!(pulls.iter().all(|&p| p >= 1), "{name}: pull supersteps per device {pulls:?}");
             let read = advanced(&report) as f64 / g.n_edges() as f64;
             assert!(read < bound, "{name}: the advances read {read:.3} |E|, want < {bound}");
-            for lane in (0..LANES).step_by(9) {
-                let expect = crate::reference::bfs(&g, sources[lane] as u32);
+            for (lane, &s) in sources.iter().enumerate() {
+                let expect = crate::reference::bfs(&g, s as u32);
                 assert_eq!(depths[lane], expect, "{name}, lane {lane}");
             }
         }
@@ -594,6 +593,29 @@ mod tests {
                     "{n_gpus} GPUs, lane {lane} (source {s})"
                 );
             }
+        }
+    }
+
+    /// Depths are stamped when the consume takes a vertex's bits, whichever
+    /// way they came. On the ladder split by parity (even ids on device 0),
+    /// vertex 2 is owned by device 0; in superstep 0 its lane-0 bit is a
+    /// local claim from its rung partner 10 (also on device 0), and its
+    /// lane-1 and lane-2 bits arrive through `combine` from 1 and 3 on
+    /// device 1. Under broadcast the combined vertices also come back as
+    /// proxies, whose rows are never stamped.
+    #[test]
+    fn bits_from_a_local_claim_and_from_combine_stamp_alike() {
+        use mgpu_core::CommStrategy;
+        let g = ladder();
+        let sources = vec![10usize, 1, 3, 12, 7];
+        for comm in [None, Some(CommStrategy::Broadcast)] {
+            let config = EnactConfig { comm, ..EnactConfig::default() };
+            let (depths, _) = run_ms_bfs(&g, 2, sources.clone(), config);
+            for (lane, &s) in sources.iter().enumerate() {
+                let expect = crate::reference::bfs(&g, s as u32);
+                assert_eq!(depths[lane], expect, "{comm:?}, lane {lane} (source {s})");
+            }
+            assert_eq!([depths[0][2], depths[1][2], depths[2][2]], [1, 1, 1]);
         }
     }
 

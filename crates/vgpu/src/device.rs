@@ -8,7 +8,7 @@ use crate::fault::{FaultInjector, KernelFault};
 use crate::memory::{DeviceArray, MemoryPool};
 use crate::profile::HardwareProfile;
 use crate::stream::{Event, Stream, StreamId};
-use crate::timeline::{SpanMeta, TraceEvent, TraceKind};
+use crate::timeline::{HostLayer, SpanMeta, TraceEvent, TraceKind};
 
 /// The kind of kernel being launched; selects which calibrated throughput of
 /// the [`HardwareProfile`] meters the work.
@@ -38,6 +38,15 @@ impl KernelKind {
     /// (communication computation) in the BSP accounting?
     pub fn is_communication_computation(self) -> bool {
         matches!(self, KernelKind::Combine | KernelKind::Split)
+    }
+
+    /// The host-wall layer a launch's body is charged to.
+    pub fn host_layer(self) -> HostLayer {
+        match self {
+            KernelKind::Split => HostLayer::Split,
+            KernelKind::Combine => HostLayer::Combine,
+            _ => HostLayer::Kernel,
+        }
     }
 
     /// Trace label for the profiler.
@@ -291,7 +300,10 @@ impl Device {
             }
             break;
         }
+        // the body's host wall, read only when the timeline records
+        let wall_start = self.timeline.wall_now();
         let (result, items) = f();
+        let wall = self.timeline.wall_since(kind.host_layer(), wall_start);
         let per_us = match kind {
             KernelKind::Advance | KernelKind::FusedAdvanceFilter => {
                 self.profile.advance_edges_per_us
@@ -317,6 +329,7 @@ impl Device {
                 start_us: end - cost,
                 dur_us: cost,
                 items,
+                wall,
                 ..TraceEvent::default()
             });
         }
@@ -439,7 +452,9 @@ impl Device {
             // slowest peer); the sync span is the `S·l` charge. Recording
             // `start = aligned` keeps `start + dur` bit-equal to the
             // post-barrier clock, which the profiler's exact makespan
-            // reconciliation depends on.
+            // reconciliation depends on. The sync span carries the
+            // superstep's rendezvous waits.
+            let waited = self.timeline.take_waited();
             if global_time > local {
                 self.timeline.record(TraceEvent {
                     device: self.id,
@@ -459,6 +474,7 @@ impl Device {
                 start_us: aligned,
                 dur_us: l,
                 items: n_devices as u64,
+                wall: waited,
                 ..TraceEvent::default()
             });
             self.timeline.advance_superstep();

@@ -51,5 +51,5 @@ pub use memory::{DeviceArray, MemoryPool};
 pub use profile::HardwareProfile;
 pub use stream::{Event, Stream, StreamId};
 pub use sync::{harvest_device_thread, Contribution, GlobalReduce, HostSyncStats, Mailbox, SyncPoint};
-pub use timeline::{SpanMeta, Timeline, TraceEvent, TraceKind};
+pub use timeline::{HostLayer, SpanMeta, Timeline, TraceEvent, TraceKind, WallSpan};
 pub use system::SimSystem;

@@ -16,6 +16,14 @@
 //! golden-trace regression suite in `tests/trace_observability.rs` pins.
 //! Recording is off by default and free when off: no allocation, and the
 //! clock-charging paths never branch on more than the `enabled` flag.
+//!
+//! A recorded span may also carry a [`WallSpan`]: the *host* wall time the
+//! layer that produced it spent (a kernel body, a split, a mailbox post, a
+//! combine, the superstep's rendezvous waits). Wall stamps are measurements,
+//! not simulation: no exporter writes them, so the golden traces stay
+//! byte-identical, and a disabled timeline never reads the clock.
+
+use std::time::Instant;
 
 /// The typed category of a recorded span; selects which BSP bucket the
 /// profiler folds the span into (`W`, `C`, `H·g`, `S·l`, wait/skew, other).
@@ -83,6 +91,36 @@ impl TraceKind {
     }
 }
 
+/// The host layer a measured wall interval is charged to: the columns of
+/// the host-wall table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum HostLayer {
+    /// A primitive kernel body.
+    Kernel,
+    /// Frontier split, packaging and encoding.
+    Split,
+    /// Posting a package to a peer's mailbox.
+    Mailbox,
+    /// Decoding a received package and combining it into the state.
+    Combine,
+    /// Waiting at rendezvous with the peer device threads.
+    Wait,
+}
+
+/// Host wall time measured for one span: the layer that spent it, when it
+/// started (µs since the enact's epoch) and how long it took. A superstep
+/// may rendezvous more than once; its sync span carries the sum of those
+/// waits, starting at the first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WallSpan {
+    /// The layer the time is charged to.
+    pub layer: HostLayer,
+    /// Host µs since the timeline's epoch when the work started.
+    pub start_us: f64,
+    /// Host µs the work took.
+    pub dur_us: f64,
+}
+
 /// One recorded span.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
@@ -109,6 +147,8 @@ pub struct TraceEvent {
     pub h_us: f64,
     /// Peer device for transfers (`-1` when not applicable).
     pub peer: i64,
+    /// Host wall time the span's layer measured, if it is a stamped site.
+    pub wall: Option<WallSpan>,
 }
 
 impl Default for TraceEvent {
@@ -125,6 +165,7 @@ impl Default for TraceEvent {
             bytes: 0,
             h_us: 0.0,
             peer: -1,
+            wall: None,
         }
     }
 }
@@ -183,12 +224,56 @@ pub struct Timeline {
     enabled: bool,
     superstep: u32,
     events: Vec<TraceEvent>,
+    /// Origin of the wall stamps; `None` while disabled, so an untraced run
+    /// never reads the clock.
+    epoch: Option<Instant>,
+    /// Rendezvous waits since the last superstep-sync span, which takes them.
+    waited: Option<WallSpan>,
 }
 
 impl Timeline {
-    /// Begin recording.
+    /// Begin recording; wall stamps count from now.
     pub fn enable(&mut self) {
         self.enabled = true;
+        self.epoch = Some(Instant::now());
+    }
+
+    /// Host µs since the epoch, or `None` (and no clock read) while
+    /// disabled. Stamp sites take one at the start of their work.
+    pub fn wall_now(&self) -> Option<f64> {
+        self.epoch.map(|e| e.elapsed().as_secs_f64() * 1e6)
+    }
+
+    /// The wall from `start` (a [`Self::wall_now`]) to now, charged to
+    /// `layer`.
+    pub(crate) fn wall_since(&self, layer: HostLayer, start: Option<f64>) -> Option<WallSpan> {
+        let start_us = start?;
+        Some(WallSpan { layer, start_us, dur_us: self.wall_now()? - start_us })
+    }
+
+    /// Stamp the last recorded span with the wall from `start` to now: a
+    /// layer whose last span is its own kernel (a split, a combine) widens
+    /// that kernel's stamp to everything the layer did around it.
+    pub fn stamp_last(&mut self, layer: HostLayer, start: Option<f64>) {
+        let wall = self.wall_since(layer, start);
+        if let (Some(wall), Some(last)) = (wall, self.events.last_mut()) {
+            last.wall = Some(wall);
+        }
+    }
+
+    /// Add the wall from `start` to now to the waits the next
+    /// superstep-sync span carries.
+    pub fn waited(&mut self, start: Option<f64>) {
+        let Some(w) = self.wall_since(HostLayer::Wait, start) else { return };
+        match &mut self.waited {
+            Some(acc) => acc.dur_us += w.dur_us,
+            None => self.waited = Some(w),
+        }
+    }
+
+    /// The waits noted since the last call (for the superstep-sync span).
+    pub(crate) fn take_waited(&mut self) -> Option<WallSpan> {
+        self.waited.take()
     }
 
     /// Is recording active?
@@ -226,10 +311,15 @@ impl Timeline {
         self.superstep += 1;
     }
 
-    /// Drop all recorded spans and rewind the superstep cursor.
+    /// Drop all recorded spans, rewind the superstep cursor and restart the
+    /// wall epoch.
     pub fn clear(&mut self) {
         self.events.clear();
         self.superstep = 0;
+        self.waited = None;
+        if self.enabled {
+            self.epoch = Some(Instant::now());
+        }
     }
 }
 
@@ -283,5 +373,24 @@ mod tests {
         assert_eq!(stamps, [0, 1, 1, 7]);
         tl.clear();
         assert_eq!(tl.superstep(), 0, "clear rewinds the cursor");
+    }
+
+    #[test]
+    fn wall_stamps_only_while_enabled() {
+        let mut tl = Timeline::default();
+        assert_eq!(tl.wall_now(), None, "a disabled timeline reads no clock");
+        tl.waited(Some(0.0));
+        assert_eq!(tl.take_waited(), None);
+        tl.enable();
+        let start = tl.wall_now();
+        tl.record(ev(0.0, 1.0));
+        tl.stamp_last(HostLayer::Split, start);
+        let wall = tl.events()[0].wall.expect("stamped");
+        assert_eq!((wall.layer, wall.start_us), (HostLayer::Split, start.unwrap()));
+        assert!(wall.dur_us >= 0.0);
+        tl.waited(tl.wall_now());
+        tl.waited(tl.wall_now());
+        assert_eq!(tl.take_waited().map(|w| w.layer), Some(HostLayer::Wait), "waits add up");
+        assert_eq!(tl.take_waited(), None, "and are taken once");
     }
 }
