@@ -14,6 +14,14 @@
 //! switch must scan all vertices to build the unvisited frontier, it is
 //! allowed **once**. `do_a = 0.01`, `do_b = 0.1` work well for social
 //! graphs and are mostly independent of the GPU count.
+//!
+//! [`PullSide`] is the exact alternative for traversals that already pay
+//! for exact counts (BC's forward sweep, MS-BFS): no estimate and no
+//! threshold, but pull iff it reads fewer local edges than the push.
+
+use mgpu_graph::Id;
+use mgpu_partition::SubGraph;
+use vgpu::{Device, KernelKind, Result, COMPUTE_STREAM};
 
 /// Traversal direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,9 +112,72 @@ impl DirectionState {
     }
 }
 
+/// The exact push-or-pull rule of a traversal whose vertices close (BC: get
+/// a label; MS-BFS: hold every lane) and stay closed. A device pulls a
+/// level iff `open_in + scan < push_edges`: `push_edges` is the frontier's
+/// out-degree, `open_in` the local in-edges of the vertices still open
+/// (the most a pull reads), and `scan` the pull's candidate pass (|V_i| for
+/// the first build, the list's length after). A device never pulls more
+/// edges than it would push, and a thin level never pays |V_i| to save a
+/// few.
+///
+/// `open_in` is a running total. The caller subtracts the in-edges of each
+/// vertex its own advance closes, and lists in `arrived` each vertex
+/// `combine` closes; their in-edges leave `open_in` at the next
+/// [`Self::decide`].
+#[derive(Debug, Default)]
+pub struct PullSide<V> {
+    /// Local in-edges of the vertices still open here.
+    pub open_in: u64,
+    /// Vertices `combine` closed since the last decision.
+    pub arrived: Vec<V>,
+    /// The pull side's candidates, ascending: built by the first pull's
+    /// |V_i| scan, shrunk in place by each later one
+    /// ([`crate::ops::pull_candidates`]).
+    pub candidates: Option<Vec<V>>,
+    /// Supersteps this device pulled.
+    pub pull_levels: u32,
+}
+
+impl<V: Id> PullSide<V> {
+    /// Start a traversal with `open_in` local in-edges still open.
+    pub fn reset(&mut self, open_in: u64) {
+        self.open_in = open_in;
+        self.arrived.clear();
+        self.candidates = None;
+        self.pull_levels = 0;
+    }
+
+    /// Whether this superstep pulls. One Bulk launch over the frontier and
+    /// the arrived vertices reads the push side's edges and takes the
+    /// arrived in-edges out of `open_in`.
+    pub fn decide<O: Id>(
+        &mut self,
+        dev: &mut Device,
+        sub: &SubGraph<V, O>,
+        frontier: &[V],
+    ) -> Result<bool> {
+        let csc = sub.csc.as_ref().expect("a pull side needs the reverse adjacency");
+        let arrived = std::mem::take(&mut self.arrived);
+        let (push_edges, arrived_in) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+            let push = sub.csr.frontier_out_degree(frontier) as u64;
+            let arrived_in: usize = arrived.iter().map(|&v| csc.degree(v)).sum();
+            ((push, arrived_in as u64), (frontier.len() + arrived.len()) as u64)
+        })?;
+        self.open_in -= arrived_in;
+        let scan = self.candidates.as_ref().map_or(sub.n_vertices(), Vec::len) as u64;
+        let pull = self.open_in + scan < push_edges;
+        self.pull_levels += u32::from(pull);
+        Ok(pull)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::{DistGraph, Duplication};
+    use vgpu::HardwareProfile;
 
     #[test]
     fn starts_forward() {
@@ -206,5 +277,44 @@ mod tests {
                                                               // BV·do_b = 1000 exactly → stays backward.
         let d = s.decide(1_000, 10_000, 100_000, 100_000, 100_000);
         assert_eq!(d, Direction::Backward, "FV == BV·do_b must not switch");
+    }
+
+    /// A star: hub 0 with 8 leaves, undirected, on one device (|V| = 9,
+    /// 16 local in-edges).
+    fn star() -> DistGraph<u32, u64> {
+        let coo = Coo::from_edges(9, (1..9u32).map(|l| (0, l)).collect(), None);
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        let mut dg = DistGraph::build(&g, vec![0; 9], 1, Duplication::All);
+        dg.build_cscs();
+        dg
+    }
+
+    /// Before the first pull the scan counts |V_i|; in-edges of `arrived`
+    /// vertices leave `open_in` at the next decision, and a built candidate
+    /// list replaces the |V_i| scan with its length.
+    #[test]
+    fn pull_side_counts_the_scan_and_the_arrived_in_edges() {
+        let dg = star();
+        let sub = &dg.parts[0];
+        let mut dev = Device::new(0, HardwareProfile::k40());
+        let mut side = PullSide::default();
+        // the hub is a source, so only the leaves' 8 in-edges are open
+        side.reset(8);
+        // push reads the hub's 8 out-edges; pull would read 8 + a 9-id scan
+        assert!(!side.decide(&mut dev, sub, &[0]).unwrap());
+        assert_eq!(dev.counters.w_items, 1, "one Bulk item per frontier vertex");
+        // combine closed five leaves: 3 open in-edges + 9 < 8 pushed is still
+        // false, so the scan of |V_i| is what keeps the push
+        side.arrived.extend([1, 2, 3, 4, 5]);
+        assert!(!side.decide(&mut dev, sub, &[0]).unwrap());
+        assert_eq!(side.open_in, 3);
+        assert!(side.arrived.is_empty());
+        assert_eq!(dev.counters.w_items, 1 + 1 + 5, "frontier plus arrived");
+        // with a 3-vertex candidate list: 3 + 3 < 8 pulls
+        side.candidates = Some(vec![6, 7, 8]);
+        assert!(side.decide(&mut dev, sub, &[0]).unwrap());
+        assert_eq!(side.pull_levels, 1);
+        side.reset(16);
+        assert_eq!((side.open_in, side.pull_levels, side.candidates), (16, 0, None));
     }
 }

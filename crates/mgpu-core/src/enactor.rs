@@ -275,7 +275,6 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let _release_peers = PoisonOnUnwind(sync);
         let config = self.config;
         let policy = config.recovery;
-        let max_iterations = self.problem.max_iterations();
         let butterfly =
             config.comm_topology == CommTopology::Butterfly && self.pkg_policy.monotone && n > 1;
 
@@ -381,10 +380,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             if reduce.abort_count > 0 {
                 return Err(self.error.take().unwrap_or(VgpuError::Aborted));
             }
-            if reduce.done_count == n
-                || self.problem.globally_done(&reduce, iter)
-                || iter >= max_iterations
-            {
+            if reduce.done_count == n || self.problem.globally_done(&reduce, iter) {
                 // a failure after this superstep's reduce (in after_superstep)
                 // is not yet visible to peers — surface it here
                 return match self.error.take() {

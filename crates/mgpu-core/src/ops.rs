@@ -26,13 +26,11 @@
 //!   frontier-shaped.
 //! * lane bitfields — [`consume_bits`], the frontier ingest of a batched
 //!   (multi-source) traversal.
-//! * pull — [`advance_pull`] on the DOBFS backward superstep right after the
-//!   unvisited scan, [`retain_pull`] on every later one (it shrinks the
-//!   unvisited set in place and pulls in the same pass).
-//! * pull, every parent — [`advance_pull_all`] when a vertex needs all of its
-//!   parents, not the first one (BC's σ and δ sums read from the other side).
-//! * pull candidates — [`pull_candidates`], the shrinking list of vertices a
-//!   pull superstep reads the in-rows of (BC's forward sweep, MS-BFS).
+//! * pull — [`pull_candidates`] then [`pull`]: the shrinking list of
+//!   vertices whose in-rows a pull superstep reads, then one scan of those
+//!   rows in which each caller says where a row stops (DOBFS at the first
+//!   parent, BC at the row's end, MS-BFS once a vertex holds every lane).
+//!   BC's backward scatter pulls a depth level's rows with no candidate list.
 //!
 //! [`advance_with_mode`] is [`advance`] with the §VII-C work-mapping
 //! ablation exposed; nothing but that experiment calls it.
@@ -50,7 +48,7 @@
 //! frontier, every charge, and every BSP counter are bit-identical at any
 //! thread count. Functors must therefore be `Fn + Sync`; frontier-claiming
 //! state goes through atomics with order-independent outcomes (CAS claims,
-//! `fetch_min` — see `vgpu::par::as_atomic_u32`). The pull operators and
+//! `fetch_min` — see `vgpu::par::as_atomic_u32`). [`pull`] and
 //! [`advance_filter_fused_seq`] stay sequential because their result or
 //! their charge depends on visit order; they charge by the same rules.
 
@@ -577,64 +575,33 @@ pub fn compute<R>(dev: &mut Device, items: u64, f: impl FnOnce() -> R) -> Result
     dev.kernel(COMPUTE_STREAM, KernelKind::Compute, || (f(), items))
 }
 
-/// **Pull-mode advance** (§VI-A): parallelize across the *unvisited*
-/// vertices; for each, scan incoming edges (CSC) and stop at the first
-/// parent accepted by `find_parent` — the "edge skipping" that makes
-/// direction-optimizing BFS fast. Returns the newly discovered vertices and
-/// the number of edges actually scanned (the `a·|E_i|` of Table I).
-/// Sequential: the scanned-edge charge depends on visit order, which must
-/// stay deterministic.
-pub fn advance_pull<V: Id, O: Id>(
-    dev: &mut Device,
-    csc: &Csr<V, O>,
-    unvisited: &[V],
-    mut find_parent: impl FnMut(V, V) -> bool,
-) -> Result<(Vec<V>, u64)> {
-    let (found, scanned) = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-        let mut found = Vec::new();
-        let mut scanned = 0u64;
-        for &v in unvisited {
-            for &p in csc.neighbors(v) {
-                scanned += 1;
-                if find_parent(v, p) {
-                    found.push(v);
-                    break; // edge skipping: remaining parents are not visited
-                }
-            }
-        }
-        ((found, scanned), scanned)
-    })?;
-    Ok((found, scanned))
-}
-
-/// **Full-row pull**: [`advance_pull`] without edge skipping. Every incoming
-/// edge (CSC) of every vertex in `input` is read, and a vertex is emitted if
-/// `visit(v, p)` held for at least one of its parents. This is the pull side
-/// of a sweep that sums over *all* parents (BC's σ in the forward sweep, its
-/// δ scattered from the children in the backward sweep). Charged as one
-/// Advance over the edges read. Sequential, like
-/// [`advance_filter_fused_seq`]: `visit` carries f32 sums that must see the
-/// rows in input order.
-pub fn advance_pull_all<V: Id, O: Id>(
+/// **Pull** (§VI-A): for each vertex of `input`, read its incoming edges
+/// (CSC) in row order. `row(v, parents)` reads the prefix of the row it
+/// needs and returns how many parents it read and whether `v` is emitted:
+/// DOBFS stops at the first parent found (the "edge skipping" that makes
+/// direction-optimizing BFS fast), BC reads the whole row (σ and δ sum over
+/// every parent), MS-BFS stops once the vertex holds every lane. Returns
+/// the emitted vertices, in input order, and the edges read (the `a·|E_i|`
+/// of Table I), which is the one Advance launch's charge. Sequential: the
+/// charge depends on where each row stops, and stateful rows (BC's f32
+/// sums) must see the rows in input order.
+pub fn pull<V: Id, O: Id>(
     dev: &mut Device,
     csc: &Csr<V, O>,
     input: &[V],
-    mut visit: impl FnMut(V, V) -> bool,
-) -> Result<Vec<V>> {
+    mut row: impl FnMut(V, &[V]) -> (usize, bool),
+) -> Result<(Vec<V>, u64)> {
     dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
         let mut found = Vec::new();
-        let mut edges = 0u64;
+        let mut read = 0u64;
         for &v in input {
-            let mut hit = false;
-            for &p in csc.neighbors(v) {
-                edges += 1;
-                hit |= visit(v, p);
-            }
-            if hit {
+            let (n, emit) = row(v, csc.neighbors(v));
+            read += n as u64;
+            if emit {
                 found.push(v);
             }
         }
-        (found, edges)
+        ((found, read), read)
     })
 }
 
@@ -658,54 +625,24 @@ pub fn pull_candidates<'a, V: Id>(
             })?;
         }
         None => {
+            // Branch-free compaction: every id is written and the cursor
+            // moves only past the kept ones. A `filter` mispredicts on a
+            // scattered kept set, which made DOBFS's first build 3x slower
+            // on the power-law graphs.
             let built = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-                ((0..n).map(V::from_usize).filter(|&v| keep(v)).collect(), n as u64)
+                let mut built = vec![V::from_usize(0); n];
+                let mut len = 0;
+                for v in (0..n).map(V::from_usize) {
+                    built[len] = v;
+                    len += usize::from(keep(v));
+                }
+                built.truncate(len);
+                (built, n as u64)
             })?;
             *list = Some(built);
         }
     }
     Ok(list.as_deref().unwrap_or_default())
-}
-
-/// **Shrink + pull** in one pass (§VI-A, later backward supersteps): drop
-/// from the ascending `unvisited` set every vertex failing `keep`, and for
-/// each survivor scan incoming edges exactly as [`advance_pull`] does. The
-/// set is compacted in place, so a draining backward pass allocates nothing.
-///
-/// Valid whenever `keep` and `find_parent` read the same immutable state
-/// (the DOBFS label snapshot): then the single pass equals [`filter`]
-/// followed by [`advance_pull`], and it launches the same two kernels with
-/// the same charges — a Filter on the pre-shrink length, then an Advance on
-/// the scanned-edge count — so clocks, counters and traces are bit-identical
-/// to the unfused pair.
-pub fn retain_pull<V: Id, O: Id>(
-    dev: &mut Device,
-    csc: &Csr<V, O>,
-    unvisited: &mut Vec<V>,
-    keep: impl Fn(V) -> bool,
-    mut find_parent: impl FnMut(V, V) -> bool,
-) -> Result<(Vec<V>, u64)> {
-    let before = unvisited.len() as u64;
-    let (found, scanned) = dev.kernel(COMPUTE_STREAM, KernelKind::Filter, || {
-        let mut found = Vec::new();
-        let mut scanned = 0u64;
-        unvisited.retain(|&v| {
-            if !keep(v) {
-                return false;
-            }
-            for &p in csc.neighbors(v) {
-                scanned += 1;
-                if find_parent(v, p) {
-                    found.push(v);
-                    break; // edge skipping, as in the unfused pull
-                }
-            }
-            true
-        });
-        ((found, scanned), before)
-    })?;
-    dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || ((), scanned))?;
-    Ok((found, scanned))
 }
 
 #[cfg(test)]
@@ -789,39 +726,74 @@ mod tests {
         assert!(dev.now() > t0, "launch overheads accrue even with no work");
     }
 
+    /// The three stop rules over one CSC (in-rows 0: [1, 2], 1: [0, 2],
+    /// 2: [0, 1, 3], 3: [2]), each charged exactly the edges its rows read.
     #[test]
-    fn pull_advance_skips_edges_after_first_parent() {
-        let (mut dev, mut dg) = single_part();
-        dg.parts[0].build_csc();
-        let sub = &dg.parts[0];
-        let csc = sub.csc.as_ref().unwrap();
-        // visited = {0}; unvisited 1,2,3 look for a visited parent
-        let visited = [true, false, false, false];
-        let (found, scanned) =
-            advance_pull(&mut dev, csc, &[1, 2, 3], |_, p| visited[p as usize]).unwrap();
-        assert_eq!(found, vec![1, 2], "vertex 3 has no visited parent");
-        // vertex 1's parents: 0 (hit, 1 scan); vertex 2's: 0,1,3 order by
-        // csc — first is 0 (hit, 1 scan); vertex 3's: 2 (miss, 1 scan)
-        assert_eq!(scanned, 3);
-    }
-
-    #[test]
-    fn full_row_pull_reads_every_parent() {
+    fn pull_rows_stop_where_the_caller_says() {
         let (mut dev, mut dg) = single_part();
         dg.parts[0].build_csc();
         let csc = dg.parts[0].csc.as_ref().unwrap();
+        let input = [1, 2, 3];
+
+        // first parent (DOBFS): visited = {0}; 1 and 2 stop at parent 0, 3
+        // reads its whole row and finds none
         let visited = [true, false, false, false];
-        let mut hits = Vec::new();
-        let w0 = dev.counters.w_items;
-        let found = advance_pull_all(&mut dev, csc, &[1, 2, 3], |v, p| {
-            hits.push((v, p));
-            visited[p as usize]
+        let (found, read) = pull(&mut dev, csc, &input, |_, ps| {
+            let first = ps.iter().position(|&p| visited[p as usize]);
+            first.map_or((ps.len(), false), |i| (i + 1, true))
         })
         .unwrap();
-        assert_eq!(found, vec![1, 2], "vertex 3 has no visited parent");
-        // no edge skipping: vertex 2 reads all three parents after the hit
+        assert_eq!((found, read), (vec![1, 2], 3));
+
+        // whole row (BC): no edge skipping, 2 reads all three parents
+        let mut hits = Vec::new();
+        let (found, read) = pull(&mut dev, csc, &input, |v, ps| {
+            hits.extend(ps.iter().map(|&p| (v, p)));
+            (ps.len(), ps.iter().any(|&p| visited[p as usize]))
+        })
+        .unwrap();
+        assert_eq!((found, read), (vec![1, 2], 6));
         assert_eq!(hits, vec![(1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)]);
-        assert_eq!(dev.counters.w_items - w0, 6);
+
+        // every lane (MS-BFS): 2 already holds lane 0 and stops once parent
+        // 1 brings lane 1; 1 reads its row and still misses lane 1
+        let (prop, seen, full) = ([0b01u64, 0b10, 0b00, 0b11], [0u64, 0b00, 0b01, 0b00], 0b11);
+        let (found, read) = pull(&mut dev, csc, &input, |v, ps| {
+            let have = seen[v as usize];
+            let mut got = 0;
+            let read = ps
+                .iter()
+                .position(|&p| {
+                    got |= prop[p as usize];
+                    have | got == full
+                })
+                .map_or(ps.len(), |i| i + 1);
+            (read, got & !have != 0)
+        })
+        .unwrap();
+        assert_eq!((found, read), (vec![1, 2], 2 + 2 + 1));
+
+        assert_eq!(dev.counters.kernel_launches, 3, "one Advance launch each");
+        assert_eq!(dev.counters.w_items, 3 + 6 + 5, "each charged the edges it read");
+    }
+
+    /// The first call scans all `n` ids (Bulk), a later one the list it
+    /// shrinks (Filter); the list stays ascending and a dropped vertex never
+    /// returns, even when `keep` would take it back.
+    #[test]
+    fn pull_candidates_build_once_then_shrink() {
+        let (mut dev, _) = single_part();
+        dev.timeline.enable();
+        let mut list: Option<Vec<u32>> = None;
+        let built = pull_candidates(&mut dev, &mut list, 10, |v| v % 3 != 0).unwrap().to_vec();
+        assert_eq!(built, vec![1, 2, 4, 5, 7, 8]);
+        assert_eq!(dev.counters.w_items, 10);
+        let shrunk = pull_candidates(&mut dev, &mut list, 10, |v| v != 4).unwrap().to_vec();
+        assert_eq!(shrunk, vec![1, 2, 5, 7, 8], "vertices 0, 3, 6 and 9 stay dropped");
+        assert_eq!(dev.counters.w_items, 10 + 6, "a Filter over the length before");
+        let kernels: Vec<(&str, u64)> =
+            dev.timeline.events().iter().map(|e| (e.name, e.items)).collect();
+        assert_eq!(kernels, vec![("bulk", 10), ("filter", 6)]);
     }
 
     #[test]
@@ -1166,51 +1138,6 @@ mod advance_mode_tests {
         let (tm, t_tm) = run(AdvanceMode::ThreadMapped);
         assert_eq!(lb, tm, "identical emitted frontiers");
         assert!(t_tm > 2.0 * t_lb, "hub skew must penalize thread-mapped: {t_tm} vs {t_lb}");
-    }
-
-    #[test]
-    fn retain_pull_equals_filter_then_advance_pull() {
-        let mut dg = skewed();
-        dg.parts[0].build_csc();
-        let csc = dg.parts[0].csc.as_ref().unwrap();
-        // one label snapshot read by both closures, as in the DOBFS backward
-        // superstep: 1 = discovered last superstep, 0 = earlier, 9 = unvisited
-        let label = |v: u32| match (v.is_multiple_of(5), v.is_multiple_of(7)) {
-            (true, _) => 1,
-            (false, true) => 0,
-            (false, false) => 9,
-        };
-        let input: Vec<u32> = (0..8192u32).filter(|v| v % 3 != 0).collect();
-        let keep = |v: u32| label(v) == 9;
-        let find_parent = |_: u32, p: u32| label(p) == 1;
-
-        let mut dev0 = Device::new(0, HardwareProfile::k40());
-        let kept0 = filter(&mut dev0, &input, keep).unwrap();
-        let (found0, scanned0) = advance_pull(&mut dev0, csc, &kept0, find_parent).unwrap();
-        assert!(!found0.is_empty() && found0.len() < kept0.len(), "fixture exercises both arms");
-
-        let mut dev = Device::new(0, HardwareProfile::k40());
-        let mut set = input.clone();
-        let (found, scanned) = retain_pull(&mut dev, csc, &mut set, keep, find_parent).unwrap();
-        assert_eq!((found, scanned), (found0, scanned0));
-        assert_eq!(set, kept0, "the keep-filtered input, still ascending");
-        assert_eq!(dev.now().to_bits(), dev0.now().to_bits(), "sim clock");
-        assert_eq!(dev.counters, dev0.counters, "counters");
-    }
-
-    #[test]
-    fn retain_pull_on_an_empty_set_still_pays_two_launches() {
-        let mut dg = skewed();
-        dg.parts[0].build_csc();
-        let csc = dg.parts[0].csc.as_ref().unwrap();
-        let mut dev = Device::new(0, HardwareProfile::k40());
-        let mut set: Vec<u32> = Vec::new();
-        let (found, scanned) = retain_pull(&mut dev, csc, &mut set, |_| true, |_, _| true).unwrap();
-        assert!(found.is_empty() && set.is_empty());
-        assert_eq!(scanned, 0);
-        assert_eq!(dev.counters.kernel_launches, 2);
-        assert_eq!(dev.counters.w_items, 0);
-        assert!(dev.now() > 0.0, "launch overheads accrue even with no work");
     }
 
     #[test]

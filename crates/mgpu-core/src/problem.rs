@@ -254,15 +254,11 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     fn after_superstep(&self, _state: &mut Self::State, _reduce: &GlobalReduce, _iter: usize) {}
 
     /// Extra global stop condition evaluated by every GPU after each
-    /// superstep's reduction (e.g. PR's residual threshold). The built-in
-    /// rule — stop when every GPU is locally done — always applies too.
+    /// superstep's reduction (e.g. PR's residual threshold and its
+    /// `max_iters` cap). The built-in rule — stop when every GPU is locally
+    /// done — always applies too.
     fn globally_done(&self, _reduce: &GlobalReduce, _iter: usize) -> bool {
         false
-    }
-
-    /// Hard iteration cap (safety net; PR uses its configured max).
-    fn max_iterations(&self) -> usize {
-        usize::MAX
     }
 
     /// Does this primitive support superstep checkpointing — i.e. is its

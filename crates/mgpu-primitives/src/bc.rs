@@ -28,10 +28,11 @@
 //!   Its candidate list is built by the first pull superstep's |V| scan and
 //!   shrunk by each later one, so the pull side's count is that scan plus
 //!   the in-edges of the vertices still unlabelled here (a running total);
-//!   a thin last level never pays |V| to save a few edges. Both
-//!   sides emit the same `(vertex, depth, σ-partial)` set, so labels,
-//!   messages and `H` do not depend on the choice, and σ — an integer sum —
-//!   is bit-identical below 2²⁴.
+//!   a thin last level never pays |V| to save a few edges. The rule is
+//!   [`PullSide`], which MS-BFS shares. Both sides emit the same
+//!   `(vertex, depth, σ-partial)` set, so labels, messages and `H` do not
+//!   depend on the choice, and σ — an integer sum — is bit-identical below
+//!   2²⁴.
 //! * **Backward.** *Gather* scans the owned depth-`d` out-edges for
 //!   successors at `d + 1`, as Brandes does. *Scatter* has every vertex at
 //!   `d + 1` walk its in-row and add `σ_v/σ_w·(1+δ_w)` into each local
@@ -60,6 +61,7 @@
 
 use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
+use mgpu_core::direction::PullSide;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
@@ -100,19 +102,12 @@ pub struct BcState<V: Id> {
     pub bc: DeviceArray<f32>,
     /// Current phase.
     pub phase: BcPhase,
-    /// Forward supersteps this device pulled (read the unvisited side).
-    pub pull_levels: u32,
+    /// The forward sweep's push-or-pull rule; a vertex closes when it is
+    /// labelled, and `pull.pull_levels` counts the forward supersteps this
+    /// device pulled (read the unlabelled side).
+    pub pull: PullSide<V>,
     /// Backward levels this device scattered from the children.
     pub scatter_levels: u32,
-    /// Local in-edges of the vertices still unlabelled here: what a pull
-    /// superstep reads.
-    unvisited_in: u64,
-    /// Vertices `combine` labelled since the last forward superstep, whose
-    /// in-edges leave `unvisited_in` at the next one.
-    arrived: Vec<V>,
-    /// The pull side's candidates, ascending: built by the first pull
-    /// superstep's |V| scan, shrunk in place by each later one.
-    unvisited: Option<Vec<V>>,
     /// The backward sweep's levels, built by its first superstep.
     levels: Option<Levels<V>>,
     /// Depth being processed by the backward sweep.
@@ -247,11 +242,8 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             delta: dev.alloc(n)?,
             bc: dev.alloc(n)?,
             phase: BcPhase::Forward,
-            pull_levels: 0,
+            pull: PullSide::default(),
             scatter_levels: 0,
-            unvisited_in: 0,
-            arrived: Vec::new(),
-            unvisited: None,
             levels: None,
             cur_depth: 0,
             max_depth: 0,
@@ -277,12 +269,9 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             })?;
         }
         state.phase = BcPhase::Forward;
-        state.pull_levels = 0;
         state.scatter_levels = 0;
         let csc = sub.csc.as_ref().expect("checked at init");
-        state.unvisited_in = (csc.n_edges() - src.map_or(0, |s| csc.degree(s))) as u64;
-        state.arrived.clear();
-        state.unvisited = None;
+        state.pull.reset((csc.n_edges() - src.map_or(0, |s| csc.degree(s))) as u64);
         state.levels = None;
         state.cur_depth = 0;
         state.max_depth = 0;
@@ -310,48 +299,42 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
             BcPhase::Forward => {
                 let cur = iter as u32;
                 let next = cur + 1;
-                // The decision. Push reads the input's out-rows. Pull scans
-                // its candidates (all |V| the first time) and reads the
-                // in-rows of every vertex still unlabelled here; the ones
-                // `combine` labelled last superstep leave that total now.
-                let arrived = std::mem::take(&mut state.arrived);
-                let (push_edges, arrived_in) =
-                    dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-                        let push = sub.csr.frontier_out_degree(input) as u64;
-                        let arrived_in: usize = arrived.iter().map(|&v| csc.degree(v)).sum();
-                        ((push, arrived_in as u64), (input.len() + arrived.len()) as u64)
-                    })?;
-                state.unvisited_in -= arrived_in;
-                let scan = state.unvisited.as_ref().map_or(sub.n_vertices(), Vec::len) as u64;
-                let pull = state.unvisited_in + scan < push_edges;
-                state.pull_levels += u32::from(pull);
-                let BcState { labels, sigma, unvisited, unvisited_in, .. } = state;
+                // The decision: push reads the input's out-rows, pull scans
+                // its candidates and the in-rows of every vertex still
+                // unlabelled here.
+                let pull = state.pull.decide(dev, sub, input)?;
+                let BcState { labels, sigma, pull: side, .. } = state;
                 // Both sides are sequential on purpose: σ accumulation is +=
                 // over f32, and parallel chunking would reorder the sums.
-                // Each labels a vertex at its first parent and takes its
-                // in-edges out of `unvisited_in` there, inside the charged
-                // advance.
+                // Each labels the vertices it reaches and sums their
+                // in-edges, which leave `open_in` after the launch.
+                let mut closed_in = 0u64;
                 let discovered = if pull {
-                    let candidates = ops::pull_candidates(dev, unvisited, labels.len(), |v| {
-                        labels[v.idx()] == INF
-                    })?;
-                    ops::advance_pull_all(dev, csc, candidates, |v, p| {
-                        let hit = labels[p.idx()] == cur;
-                        if hit {
-                            if labels[v.idx()] == INF {
-                                labels[v.idx()] = next;
-                                *unvisited_in -= csc.degree(v) as u64;
+                    let candidates =
+                        ops::pull_candidates(dev, &mut side.candidates, labels.len(), |v| {
+                            labels[v.idx()] == INF
+                        })?;
+                    ops::pull(dev, csc, candidates, |v, parents| {
+                        let mut hit = false;
+                        for &p in parents {
+                            if labels[p.idx()] == cur {
+                                hit = true;
+                                sigma[v.idx()] += sigma[p.idx()];
                             }
-                            sigma[v.idx()] += sigma[p.idx()];
                         }
-                        hit
+                        if hit {
+                            labels[v.idx()] = next;
+                            closed_in += parents.len() as u64;
+                        }
+                        (parents.len(), hit)
                     })?
+                    .0
                 } else {
                     // Fused advance: discover + accumulate σ along tree edges.
                     ops::advance_filter_fused_seq(dev, sub, input, |s, _, d| {
                         if labels[d.idx()] == INF {
                             labels[d.idx()] = next;
-                            *unvisited_in -= csc.degree(d) as u64;
+                            closed_in += csc.degree(d) as u64;
                             sigma[d.idx()] += sigma[s.idx()];
                             Some(d)
                         } else if labels[d.idx()] == next {
@@ -362,6 +345,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
                         }
                     })?
                 };
+                side.open_in -= closed_in;
                 Ok(discovered)
             }
             BcPhase::SyncSigma => {
@@ -388,12 +372,14 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
                     *scatter_levels += 1;
                     // Children in ascending id order: each parent receives
                     // its terms in the order of its sorted CSR row.
-                    ops::advance_pull_all(dev, csc, levels.all_at(d + 1), |w, v| {
-                        if labels[v.idx()] == parent {
-                            delta[v.idx()] +=
-                                sigma[v.idx()] / sigma[w.idx()] * (1.0 + delta[w.idx()]);
+                    ops::pull(dev, csc, levels.all_at(d + 1), |w, parents| {
+                        for &v in parents {
+                            if labels[v.idx()] == parent {
+                                delta[v.idx()] +=
+                                    sigma[v.idx()] / sigma[w.idx()] * (1.0 + delta[w.idx()]);
+                            }
                         }
-                        false
+                        (parents.len(), false)
                     })?;
                 } else {
                     // advance over the frontier's out-edges: accumulate δ
@@ -436,7 +422,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
                 let (label, sig) = *msg;
                 if label < state.labels[v.idx()] {
                     if state.labels[v.idx()] == INF {
-                        state.arrived.push(v);
+                        state.pull.arrived.push(v);
                     }
                     state.labels[v.idx()] = label;
                     state.sigma[v.idx()] = sig;
@@ -686,7 +672,7 @@ pub(crate) mod tests {
         let (_, bfs_items, _) = traced(&dist, Bfs::default(), hub);
         let (_, bc_items, runner) = traced(&dist, Bc, hub);
         assert!(bc_items < bfs_items, "BC read {bc_items} edges, BFS {bfs_items}");
-        let pulled: u32 = (0..2).map(|gpu| runner.state(gpu).pull_levels).sum();
+        let pulled: u32 = (0..2).map(|gpu| runner.state(gpu).pull.pull_levels).sum();
         let scattered: u32 = (0..2).map(|gpu| runner.state(gpu).scatter_levels).sum();
         assert!(pulled > 0, "no forward level pulled");
         assert!(scattered > 0, "no backward level scattered");
@@ -710,7 +696,7 @@ pub(crate) mod tests {
         let (bfs, _, _) = traced(&dist, Bfs::default(), 0);
         let (bc, _, runner) = traced(&dist, Bc, 0);
         for gpu in 0..2 {
-            assert_eq!(runner.state(gpu).pull_levels, 0, "gpu {gpu}");
+            assert_eq!(runner.state(gpu).pull.pull_levels, 0, "gpu {gpu}");
             assert_eq!(runner.state(gpu).scatter_levels, shrinking, "gpu {gpu}");
         }
         assert_eq!(bc.iterations, bfs.iterations + 1 + (depth - 1));

@@ -54,11 +54,9 @@ pub struct DobfsState<V: Id> {
     pub dir: DirectionState,
     /// Unvisited vertices for pull mode, ascending (built by the one
     /// forward→backward switch scan, then shrunk in place).
-    unvisited: Vec<V>,
+    unvisited: Option<Vec<V>>,
     /// Number of visited vertices in the local space (`|P|`).
     visited: usize,
-    /// True once `unvisited` has been materialized.
-    unvisited_built: bool,
     /// Edges actually scanned by pull iterations (the `a·|E_i|` numerator,
     /// reported by the Table I experiment).
     pub pull_edges_scanned: u64,
@@ -97,9 +95,8 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
         Ok(DobfsState {
             labels: dev.alloc(sub.n_vertices())?,
             dir: DirectionState::new(self.direction),
-            unvisited: Vec::new(),
+            unvisited: None,
             visited: 0,
-            unvisited_built: false,
             pull_edges_scanned: 0,
         })
     }
@@ -118,8 +115,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
             ((), n as u64)
         })?;
         state.dir = DirectionState::new(self.direction);
-        state.unvisited.clear();
-        state.unvisited_built = false;
+        state.unvisited = None;
         state.visited = 0;
         state.pull_edges_scanned = 0;
         Ok(match src {
@@ -175,39 +171,16 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
             Direction::Backward => {
                 let csc = sub.csc.as_ref().expect("checked at init");
                 let labels = &state.labels;
-                let (newly, scanned) = if !state.unvisited_built {
-                    // The one full vertex scan the switch is charged for.
-                    // Branch-free compaction: every id is written and the
-                    // cursor moves only past the unvisited ones — a `filter`
-                    // mispredicts on the scattered visited set and made this
-                    // scan 3x slower on the power-law graphs.
-                    let unvisited = &mut state.unvisited;
-                    dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-                        unvisited.resize(n_vi, V::from_usize(0));
-                        let mut len = 0;
-                        for (v, &label) in labels.as_slice().iter().enumerate() {
-                            unvisited[len] = V::from_usize(v);
-                            len += usize::from(label == INF);
-                        }
-                        unvisited.truncate(len);
-                        ((), n_vi as u64)
-                    })?;
-                    state.unvisited_built = true;
-                    ops::advance_pull(dev, csc, &state.unvisited, |_, p| {
-                        labels[p.idx()] == cur_label
-                    })?
-                } else {
-                    // Drop the vertices discovered since the last superstep
-                    // and scan parents for the rest in one pass: both
-                    // closures read the same label snapshot.
-                    ops::retain_pull(
-                        dev,
-                        csc,
-                        &mut state.unvisited,
-                        |v| labels[v.idx()] == INF,
-                        |_, p| labels[p.idx()] == cur_label,
-                    )?
-                };
+                // The first pull pays the one full vertex scan the switch is
+                // charged for; each later one drops the vertices discovered
+                // since. Each row stops at its first parent.
+                let unvisited = ops::pull_candidates(dev, &mut state.unvisited, n_vi, |v| {
+                    labels[v.idx()] == INF
+                })?;
+                let (newly, scanned) = ops::pull(dev, csc, unvisited, |_, parents| {
+                    let first = parents.iter().position(|&p| labels[p.idx()] == cur_label);
+                    first.map_or((parents.len(), false), |i| (i + 1, true))
+                })?;
                 state.pull_edges_scanned += scanned;
                 let labels = &mut state.labels;
                 let count = newly.len() as u64;

@@ -59,19 +59,20 @@
 //! does, so the emitted `(vertex, word)` set — and with it every
 //! message, `H` and `S` — does not depend on the side; only `W` does.
 //!
-//! A device picks, per superstep, on exact counts and no threshold: pull
-//! iff `incomplete_in + scan < push_edges`. `push_edges` is the active
-//! frontier's out-degree; `incomplete_in` the local in-edges of vertices
-//! not yet holding every lane (a running total: either advance takes a
-//! vertex out as it fills, `combine` lists the ones it fills in `arrived`
-//! for the next decision); `scan` is |V| for the first pull's candidate
-//! build and the candidate list's length after. That sum bounds what a
-//! pull reads, so a device never pulls more edges than it would push.
+//! A device picks, per superstep, on exact counts and no threshold, by the
+//! rule BC's forward sweep uses too ([`PullSide`]): pull iff
+//! `open_in + scan < push_edges`, where a vertex closes once it holds every
+//! lane. `open_in` counts the in-edges of the vertices still missing a lane,
+//! which bounds what a pull reads (each row stops early once its vertex
+//! fills), so a device never pulls more edges than it would push. Either
+//! advance counts the in-edges of the vertices it fills; `combine` lists
+//! the ones it fills for the next decision.
 
 use std::sync::atomic::AtomicU64;
 
 use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::{CommStrategy, MonotoneOrder};
+use mgpu_core::direction::PullSide;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
@@ -133,23 +134,18 @@ pub struct MsBfsState<V> {
     pub visit: DeviceArray<u64>,
     /// The consume-pass snapshot the advance reads.
     pub prop: DeviceArray<u64>,
-    /// Vertex-major per-lane depths: `depth[v·lanes + lane]`, `INF` =
-    /// unreached. Owned rows only; proxy rows are never written or read.
+    /// Vertex-major per-lane depths: `depth[v·lanes + lane]`, valid where
+    /// the lane's `seen` bit is set (a clear bit reads as unreached, `INF`,
+    /// in [`gather_lane_depths`]). Owned rows only; proxy rows are never
+    /// written or read.
     pub depth: DeviceArray<u32>,
     /// Remote copies whose `visit` bits were packaged last superstep
     /// (flush list for the next consume pass).
     pub sent: Vec<V>,
-    /// Supersteps this device pulled (read the in-edge side).
-    pub pull_levels: u32,
-    /// Local in-edges of the vertices not yet holding every lane: what a
-    /// pull superstep reads at most.
-    incomplete_in: u64,
-    /// Vertices `combine` filled since the last superstep, whose in-edges
-    /// leave `incomplete_in` at the next one.
-    arrived: Vec<V>,
-    /// The pull side's candidates, ascending: built by the first pull
-    /// superstep's |V| scan, shrunk in place by each later one.
-    candidates: Option<Vec<V>>,
+    /// The push-or-pull rule; a vertex closes when it holds every lane,
+    /// and `pull.pull_levels` counts the supersteps this device pulled
+    /// (read the in-edge side).
+    pub pull: PullSide<V>,
 }
 
 /// The depth a bit claimed in superstep `iter` carries, `iter + 1`, which
@@ -199,10 +195,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             prop: dev.alloc(n)?,
             depth: dev.alloc(n * self.lanes())?,
             sent: Vec::new(),
-            pull_levels: 0,
-            incomplete_in: 0,
-            arrived: Vec::new(),
-            candidates: None,
+            pull: PullSide::default(),
         })
     }
 
@@ -213,26 +206,19 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         state: &mut Self::State,
         _src: Option<V>,
     ) -> Result<Vec<V>> {
-        let lanes = self.lanes();
         {
-            let MsBfsState { seen, visit, prop, depth, .. } = &mut *state;
+            // The depth rows keep the last batch's stamps: a lane's depth is
+            // read only where its `seen` bit is set, and then it is stamped.
+            let MsBfsState { seen, visit, prop, .. } = &mut *state;
             dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
                 let n = seen.len();
                 seen.as_mut_slice().fill(0);
                 visit.as_mut_slice().fill(0);
                 prop.as_mut_slice().fill(0);
-                for (v, row) in depth.as_mut_slice().chunks_exact_mut(lanes).enumerate() {
-                    if sub.is_owned(V::from_usize(v)) {
-                        row.fill(INF);
-                    }
-                }
                 ((), n as u64)
             })?;
         }
         state.sent.clear();
-        state.pull_levels = 0;
-        state.arrived.clear();
-        state.candidates = None;
         // Seed every owned source: its lane bit pending in `visit`, which the
         // first consume pass stamps at depth 0. The enactor's single-source
         // parameter is ignored — the batch carries its own sources.
@@ -257,7 +243,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             .filter(|v| state.seen[v.idx()] == self.full())
             .map(|&v| csc.degree(v))
             .sum();
-        state.incomplete_in = (csc.n_edges() - full_in) as u64;
+        state.pull.reset((csc.n_edges() - full_in) as u64);
         Ok(frontier)
     }
 
@@ -311,23 +297,13 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         }
         let full = self.full();
         let csc = sub.csc.as_ref().expect("checked at init");
-        // The decision. Push reads the active frontier's out-rows. Pull scans
-        // its candidates (all |V| the first time) and reads at most the
-        // in-rows of every vertex still missing a lane here; the ones
-        // `combine` filled last superstep leave that total now.
-        let arrived = std::mem::take(&mut state.arrived);
-        let (push_edges, arrived_in) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
-            let push = sub.csr.frontier_out_degree(&act) as u64;
-            let arrived_in: usize = arrived.iter().map(|&v| csc.degree(v)).sum();
-            ((push, arrived_in as u64), (act.len() + arrived.len()) as u64)
-        })?;
-        state.incomplete_in -= arrived_in;
-        let scan = state.candidates.as_ref().map_or(sub.n_vertices(), Vec::len) as u64;
-        let pull = state.incomplete_in + scan < push_edges;
+        // The decision: push reads the active frontier's out-rows, pull
+        // scans its candidates and at most the in-rows of every vertex still
+        // missing a lane here.
+        let pull = state.pull.decide(dev, sub, &act)?;
         let candidates = if pull {
-            state.pull_levels += 1;
             let seen = state.seen.as_slice();
-            ops::pull_candidates(dev, &mut state.candidates, seen.len(), |v| {
+            ops::pull_candidates(dev, &mut state.pull.candidates, seen.len(), |v| {
                 seen[v.idx()] != full && csc.degree(v) > 0
             })?
         } else {
@@ -339,8 +315,8 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             let seen = vgpu::par::as_atomic_u64(state.seen.as_mut_slice());
             let visit = vgpu::par::as_atomic_u64(state.visit.as_mut_slice());
             // Settle the bits `won` just claimed on `d`, whose word was
-            // `prev`: take a vertex that now holds every lane out of
-            // `incomplete_in` (only the claim that fills the word sees
+            // `prev`: count the in-edges of a vertex that now holds every
+            // lane (only the claim that fills the word sees
             // `prev | won == full`), and emit `d` on its `visit` word's first
             // 0→nonzero transition — once per superstep. The next consume
             // stamps the lane depths.
@@ -351,28 +327,25 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
                 (visit[d.idx()].fetch_or(won, Relaxed) == 0).then_some(d)
             };
             if pull {
-                // Sequential, like DOBFS's pull: the charge is the in-edges
-                // read, each row stopping once the vertex holds every lane.
-                dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-                    let (mut out, mut read) = (Vec::new(), 0u64);
-                    for &v in candidates {
-                        let have = seen[v.idx()].load(Relaxed);
-                        let mut found = 0u64;
-                        for &u in csc.neighbors(v) {
-                            read += 1;
+                // Each row stops once the vertex holds every lane.
+                ops::pull(dev, csc, candidates, |v, parents| {
+                    let have = seen[v.idx()].load(Relaxed);
+                    let mut found = 0u64;
+                    let read = parents
+                        .iter()
+                        .position(|&u| {
                             found |= prop[u.idx()];
-                            if have | found == full {
-                                break;
-                            }
-                        }
-                        let won = found & !have;
-                        if won != 0 {
-                            seen[v.idx()].fetch_or(won, Relaxed);
-                            out.extend(settle(v, have, won));
-                        }
+                            have | found == full
+                        })
+                        .map_or(parents.len(), |i| i + 1);
+                    let won = found & !have;
+                    if won == 0 {
+                        return (read, false);
                     }
-                    (out, read)
+                    seen[v.idx()].fetch_or(won, Relaxed);
+                    (read, settle(v, have, won).is_some())
                 })?
+                .0
             } else {
                 // Batched expand: claim new lane bits on the destination with
                 // fetch_or. Which thread wins a bit is schedule-dependent,
@@ -405,7 +378,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
                 }
             }
         };
-        state.incomplete_in -= filled_in.into_inner();
+        state.pull.open_in -= filled_in.into_inner();
         // Remote copies flush at the next consume: their pending bits are
         // leaving on the wire via `package` right after this returns.
         state.sent = out.iter().copied().filter(|&v| !sub.is_owned(v)).collect();
@@ -424,7 +397,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         }
         state.seen[v.idx()] |= new;
         if had | new == self.full() {
-            state.arrived.push(v);
+            state.pull.arrived.push(v);
         }
         // pending for the next consume, which stamps the depths
         state.visit[v.idx()] |= new;
@@ -460,9 +433,11 @@ pub fn gather_lane_depths<V: Id, O: Id>(
     let mut out: Vec<Vec<u32>> = (0..lanes).map(|_| Vec::with_capacity(dist.n_global)).collect();
     for g in 0..dist.n_global {
         let (gpu, local) = dist.locate(V::from_usize(g));
-        let row = &runner.state(gpu).depth.as_slice()[local.idx() * lanes..][..lanes];
-        for (lane, &d) in out.iter_mut().zip(row) {
-            lane.push(d);
+        let state = runner.state(gpu);
+        let seen = state.seen[local.idx()];
+        let row = &state.depth.as_slice()[local.idx() * lanes..][..lanes];
+        for (lane, (depths, &d)) in out.iter_mut().zip(row).enumerate() {
+            depths.push(if (seen >> lane) & 1 == 1 { d } else { INF });
         }
     }
     out
@@ -506,7 +481,7 @@ mod tests {
         let system = SimSystem::homogeneous(dist.n_parts, HardwareProfile::k40());
         let mut runner = Runner::new(system, dist, prim, config).unwrap();
         let report = runner.enact(None).unwrap();
-        let pulls = (0..dist.n_parts).map(|gpu| runner.state(gpu).pull_levels).collect();
+        let pulls = (0..dist.n_parts).map(|gpu| runner.state(gpu).pull.pull_levels).collect();
         (gather_lane_depths(&runner, dist, lanes), report, pulls)
     }
 

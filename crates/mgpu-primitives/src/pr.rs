@@ -263,13 +263,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
     }
 
     fn globally_done(&self, reduce: &GlobalReduce, iter: usize) -> bool {
-        // `iter` supersteps have run; the teleport is folded in superstep 1
-        iter >= 2 && (reduce.u64_sum == 0 || reduce.f64_sum < self.threshold)
-    }
-
-    fn max_iterations(&self) -> usize {
-        // superstep 0 spreads the start, 1..=max_iters apply (+ spread)
-        self.max_iters + 1
+        // `iter` supersteps have run; the teleport is folded in superstep 1.
+        // Superstep 0 spreads the start, 1..=max_iters apply (+ spread).
+        (iter >= 2 && (reduce.u64_sum == 0 || reduce.f64_sum < self.threshold))
+            || iter > self.max_iters
     }
 
     /// PR has no checkpoint encoding (cross-superstep scalar state); the

@@ -16,6 +16,7 @@ use mgpu_graph_analytics::core::{AllocScheme, CommStrategy, EnactConfig, Frontie
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::vgpu::sync::GlobalReduce;
 use mgpu_graph_analytics::vgpu::{Device, DeviceArray, HardwareProfile, Result, SimSystem};
 
 /// Multi-source, hop-bounded reachability.
@@ -103,8 +104,8 @@ impl MgpuProblem<u32, u64> for Reachability {
         }
     }
 
-    fn max_iterations(&self) -> usize {
-        self.max_hops
+    fn globally_done(&self, _reduce: &GlobalReduce, iter: usize) -> bool {
+        iter >= self.max_hops
     }
 }
 

@@ -199,7 +199,7 @@ fn msbfs_is_the_same_simulation_across_kernel_thread_counts() {
             let prim = MsBfs::new(sources.clone());
             let mut runner = Runner::new(system, &dist, prim, config(None, threads)).unwrap();
             let report = runner.enact(None).unwrap();
-            let pulls: u32 = (0..n).map(|gpu| runner.state(gpu).pull_levels).sum();
+            let pulls: u32 = (0..n).map(|gpu| runner.state(gpu).pull.pull_levels).sum();
             (gather_lane_depths(&runner, &dist, 64), report, pulls)
         };
         let (seq, par) = (run(1), run(4));

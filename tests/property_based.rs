@@ -504,7 +504,7 @@ fn bc_equals_brandes_on_either_side() {
             );
         }
         for gpu in 0..n_gpus {
-            pulled += runner.state(gpu).pull_levels;
+            pulled += runner.state(gpu).pull.pull_levels;
             scattered += runner.state(gpu).scatter_levels;
         }
     }
@@ -564,7 +564,7 @@ fn msbfs_equals_reference_on_either_side() {
             let expect = reference::bfs(&g, s as u32);
             assert_eq!(depths, &expect, "case {case}, {n_gpus} vGPUs, lane {lane} (source {s})");
         }
-        pulled += usize::from((0..n_gpus).any(|gpu| runner.state(gpu).pull_levels > 0));
+        pulled += usize::from((0..n_gpus).any(|gpu| runner.state(gpu).pull.pull_levels > 0));
     }
     assert!(pulled >= RUNS / 4, "only {pulled} of {RUNS} cases pulled");
 }
@@ -756,10 +756,11 @@ fn arbitrary_traced_runs_are_well_formed() {
 // DOBFS backward pass: correct and thread-count-invisible (DESIGN.md §12)
 // ---------------------------------------------------------------------------
 
-/// DOBFS — the one primitive whose backward pass shrinks a vertex set in
-/// place (`ops::retain_pull`) — must label arbitrary graphs like
-/// `reference::bfs`, and its `same_simulation` report and JSONL trace must
-/// be byte-identical across kernel thread counts, at every GPU count.
+/// DOBFS — whose backward pass shrinks its unvisited set in place
+/// (`ops::pull_candidates`) and stops each in-row at the first parent
+/// (`ops::pull`) — must label arbitrary graphs like `reference::bfs`, and
+/// its `same_simulation` report and JSONL trace must be byte-identical
+/// across kernel thread counts, at every GPU count.
 #[test]
 fn dobfs_matches_reference_and_is_thread_count_invisible() {
     use mgpu_graph_analytics::primitives::{dobfs::gather_labels as dobfs_labels, Dobfs};
