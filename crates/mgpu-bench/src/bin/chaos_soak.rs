@@ -1,11 +1,10 @@
 //! Seeded chaos soak: the differential oracle for the unified recovery
 //! layer. Sweeps random fault plans × memory caps × {direct, butterfly} ×
-//! {sync, async} × 2/4/8 GPUs and asserts that every faulty run's *results*
-//! are bit-equal to the fault-free run under the identical configuration,
-//! that the fault-free results are what `primitives::reference` computes
-//! (the oracle that catches a bug both arms share), and that
-//! `same_simulation` holds whenever recovery stayed inert (sync only: async
-//! simulated time is scheduling-dependent by design).
+//! {BFS, SSSP, CC} × 2/4/8 GPUs on the resilient executor and asserts that
+//! every faulty run's *results* are bit-equal to the fault-free run under
+//! the identical configuration, that the fault-free results are what
+//! `primitives::reference` computes (the oracle that catches a bug both arms
+//! share), and that `same_simulation` holds whenever recovery stayed inert.
 //!
 //! A failing scenario is **shrunk**: events are greedily removed from the
 //! fault plan while the failure persists, so the report names a minimal
@@ -24,17 +23,14 @@ use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_or_exit, Flag};
 use mgpu_bench::Primitive;
-use mgpu_core::{
-    AsyncRunner, CommTopology, EnactConfig, Json, PressurePolicy, RecoveryPolicy, ResilientRunner,
-};
+use mgpu_core::{CommTopology, EnactConfig, Json, PressurePolicy, RecoveryPolicy, ResilientRunner};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
 use mgpu_graph::{Csr, GraphBuilder};
-use mgpu_partition::{DistGraph, Duplication, RandomPartitioner};
 use mgpu_primitives::{
     bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
 };
-use vgpu::{FaultPlan, HardwareProfile, SimSystem};
+use vgpu::{FaultPlan, HardwareProfile};
 
 /// splitmix64 — the same generator the fault plans use, so the scenario
 /// bank is a pure function of the bank seed.
@@ -46,24 +42,17 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Exec {
-    Sync,
-    Async,
-}
-
 /// One soak scenario: everything but the fault plan under test (the shrink
 /// loop replays the same scenario with candidate plans).
 #[derive(Debug, Clone)]
 struct Scenario {
     id: usize,
     gpus: usize,
-    exec: Exec,
-    /// BFS (sync only), SSSP or CC.
+    /// BFS, SSSP or CC.
     prim: Primitive,
     topology: CommTopology,
     /// Cap device memory at 3/4 of the clean run's peak and enable the
-    /// pressure governor (sync only).
+    /// pressure governor.
     capped: bool,
     graph_seed: u64,
 }
@@ -71,12 +60,8 @@ struct Scenario {
 impl Scenario {
     fn label(&self) -> String {
         format!(
-            "#{:03} {:5} {:4} {}gpu {:9} capped={} gseed={}",
+            "#{:03} {:4} {}gpu {:9} capped={} gseed={}",
             self.id,
-            match self.exec {
-                Exec::Sync => "sync",
-                Exec::Async => "async",
-            },
             self.prim.label(),
             self.gpus,
             self.topology.label(),
@@ -107,30 +92,24 @@ fn plan_for(s: &Scenario, rng: &mut u64) -> FaultPlan {
     let seed = splitmix(rng);
     let count = 1 + (splitmix(rng) % 4) as usize;
     let horizon = 8 + splitmix(rng) % 40;
-    match s.exec {
-        Exec::Async => FaultPlan::random(seed, s.gpus, count, horizon),
-        Exec::Sync => {
-            // The burst only makes sense where the butterfly actually
-            // engages: broadcast-comm primitives (CC here). Elsewhere a
-            // 4-deep consecutive burst on one link is correctly fatal —
-            // there is no collective to degrade.
-            if s.prim == Primitive::Cc
-                && s.topology == CommTopology::Butterfly
-                && splitmix(rng).is_multiple_of(3)
-            {
-                // 4 consecutive faults on one link = max_retries(3) + 1:
-                // the stage send exhausts its in-place retries and the
-                // superstep must degrade to direct broadcast.
-                let b = splitmix(rng) % 3;
-                let spec =
-                    (0..4).map(|k| format!("tfail:0>1@{}", b + k)).collect::<Vec<_>>().join(",");
-                FaultPlan::parse(&spec).expect("burst spec is well-formed")
-            } else if s.capped {
-                FaultPlan::random_with_pressure(seed, s.gpus, count, horizon)
-            } else {
-                FaultPlan::random(seed, s.gpus, count, horizon)
-            }
-        }
+    // The burst only makes sense where the butterfly actually engages:
+    // broadcast-comm primitives (CC here). Elsewhere a 4-deep consecutive
+    // burst on one link is correctly fatal — there is no collective to
+    // degrade.
+    if s.prim == Primitive::Cc
+        && s.topology == CommTopology::Butterfly
+        && splitmix(rng).is_multiple_of(3)
+    {
+        // 4 consecutive faults on one link = max_retries(3) + 1: the stage
+        // send exhausts its in-place retries and the superstep must degrade
+        // to direct broadcast.
+        let b = splitmix(rng) % 3;
+        let spec = (0..4).map(|k| format!("tfail:0>1@{}", b + k)).collect::<Vec<_>>().join(",");
+        FaultPlan::parse(&spec).expect("burst spec is well-formed")
+    } else if s.capped {
+        FaultPlan::random_with_pressure(seed, s.gpus, count, horizon)
+    } else {
+        FaultPlan::random(seed, s.gpus, count, horizon)
     }
 }
 
@@ -140,21 +119,16 @@ fn bank(seed: u64, n: usize) -> Vec<(Scenario, FaultPlan)> {
     (0..n)
         .map(|id| {
             let gpus = [2usize, 4, 8][(splitmix(&mut rng) % 3) as usize];
-            let exec = if splitmix(&mut rng).is_multiple_of(3) { Exec::Async } else { Exec::Sync };
-            let prim = match exec {
-                // async needs label-correcting primitives
-                Exec::Async => [Primitive::Sssp, Primitive::Cc][(splitmix(&mut rng) % 2) as usize],
-                Exec::Sync => [Primitive::Bfs, Primitive::Sssp, Primitive::Cc]
-                    [(splitmix(&mut rng) % 3) as usize],
-            };
-            let topology = if exec == Exec::Sync && splitmix(&mut rng).is_multiple_of(2) {
+            let prim =
+                [Primitive::Bfs, Primitive::Sssp, Primitive::Cc][(splitmix(&mut rng) % 3) as usize];
+            let topology = if splitmix(&mut rng).is_multiple_of(2) {
                 CommTopology::Butterfly
             } else {
                 CommTopology::Direct
             };
-            let capped = exec == Exec::Sync && splitmix(&mut rng).is_multiple_of(3);
+            let capped = splitmix(&mut rng).is_multiple_of(3);
             let graph_seed = splitmix(&mut rng) % 1000;
-            let s = Scenario { id, gpus, exec, prim, topology, capped, graph_seed };
+            let s = Scenario { id, gpus, prim, topology, capped, graph_seed };
             let plan = plan_for(&s, &mut rng);
             (s, plan)
         })
@@ -170,10 +144,10 @@ fn config_for(s: &Scenario, capped: bool) -> EnactConfig {
     }
 }
 
-/// Run the sync executor under `profile`/`config` with an optional fault
-/// plan; returns the gathered global-order result (canonicalized to u64)
-/// plus the report.
-fn run_sync(
+/// Run the resilient executor under `profile`/`config` with an optional
+/// fault plan; returns the gathered global-order result (canonicalized to
+/// u64) plus the report.
+fn run(
     s: &Scenario,
     g: &Csr<u32, u64>,
     profile: HardwareProfile,
@@ -197,41 +171,6 @@ fn run_sync(
         Primitive::Sssp => drive!(Sssp, gather_dists),
         Primitive::Cc => drive!(Cc, gather_components),
         other => Err(format!("no soak scenario generates {}", other.name())),
-    }
-}
-
-/// Run the async executor; returns the gathered fixpoint (canonicalized to
-/// u64). No report comparison — async clocks are scheduling-dependent.
-fn run_async(
-    s: &Scenario,
-    g: &Csr<u32, u64>,
-    config: EnactConfig,
-    plan: Option<&FaultPlan>,
-) -> Result<Vec<u64>, String> {
-    let dist = DistGraph::partition(g, &RandomPartitioner { seed: 4 }, s.gpus, Duplication::All);
-    let mut system = SimSystem::homogeneous(s.gpus, HardwareProfile::k40());
-    if let Some(p) = plan {
-        system.attach_fault_plan(p);
-    }
-    match s.prim {
-        Primitive::Sssp => {
-            let mut runner = AsyncRunner::with_config(system, &dist, Sssp, &config)
-                .map_err(|e| format!("{e:?}"))?;
-            runner.enact(Some(0u32)).map_err(|e| format!("{e:?}"))?;
-            Ok((0..g.n_vertices())
-                .map(|v| {
-                    let (gpu, local) = dist.locate(v as u32);
-                    runner.state(gpu).dists[local as usize] as u64
-                })
-                .collect())
-        }
-        Primitive::Cc => {
-            let mut runner = AsyncRunner::with_config(system, &dist, Cc, &config)
-                .map_err(|e| format!("{e:?}"))?;
-            runner.enact(None).map_err(|e| format!("{e:?}"))?;
-            Ok(runner.harvest())
-        }
-        other => Err(format!("no async soak scenario generates {}", other.name())),
     }
 }
 
@@ -263,69 +202,45 @@ fn soak(s: &Scenario, plan: &FaultPlan, refs: &mut References) -> Result<(), Str
             Err("the fault-free run diverges from primitives::reference".to_string())
         }
     };
-    match s.exec {
-        Exec::Async => {
-            let clean = run_async(s, &g, config_for(s, false), None)?;
-            against_reference(&clean)?;
-            let faulty = run_async(s, &g, config_for(s, false), Some(plan))
-                .map_err(|e| format!("faulty run failed: {e}"))?;
-            if clean != faulty {
-                return Err(format!(
-                    "async results diverge ({} of {} vertices)",
-                    clean.iter().zip(&faulty).filter(|(a, b)| a != b).count(),
-                    clean.len()
-                ));
+    // Fault-free oracle, uncapped.
+    let (clean, clean_rep) = run(s, &g, HardwareProfile::k40(), config_for(s, false), None)?;
+    against_reference(&clean)?;
+    // Pick the scenario's real profile/config: a tight cap derived
+    // from the clean run's peak. If even the fault-free capped run
+    // is infeasible (typed OOM at admission), fall back to uncapped
+    // for this scenario — deterministically, from the clean run.
+    let peak = clean_rep.peak_memory_per_device;
+    let mut profile = HardwareProfile::k40();
+    let mut config = config_for(s, false);
+    let mut baseline = (clean.clone(), clean_rep);
+    if s.capped {
+        let capped_profile = HardwareProfile::k40().with_capacity(peak * 3 / 4);
+        let capped_config = config_for(s, true);
+        if let Ok(capped_base) = run(s, &g, capped_profile.clone(), capped_config, None) {
+            if capped_base.0 != clean {
+                return Err("capped fault-free run diverges from uncapped".into());
             }
-            Ok(())
-        }
-        Exec::Sync => {
-            // Fault-free oracle, uncapped.
-            let (clean, clean_rep) =
-                run_sync(s, &g, HardwareProfile::k40(), config_for(s, false), None)?;
-            against_reference(&clean)?;
-            // Pick the scenario's real profile/config: a tight cap derived
-            // from the clean run's peak. If even the fault-free capped run
-            // is infeasible (typed OOM at admission), fall back to uncapped
-            // for this scenario — deterministically, from the clean run.
-            let peak = clean_rep.peak_memory_per_device;
-            let mut profile = HardwareProfile::k40();
-            let mut config = config_for(s, false);
-            let mut baseline = (clean.clone(), clean_rep);
-            if s.capped {
-                let capped_profile = HardwareProfile::k40().with_capacity(peak * 3 / 4);
-                let capped_config = config_for(s, true);
-                if let Ok(capped_base) =
-                    run_sync(s, &g, capped_profile.clone(), capped_config, None)
-                {
-                    if capped_base.0 != clean {
-                        return Err("capped fault-free run diverges from uncapped".into());
-                    }
-                    profile = capped_profile;
-                    config = capped_config;
-                    baseline = capped_base;
-                }
-            }
-            let (faulty, faulty_rep) = run_sync(s, &g, profile, config, Some(plan))
-                .map_err(|e| format!("faulty run failed: {e}"))?;
-            if faulty != baseline.0 {
-                return Err(format!(
-                    "sync results diverge ({} of {} vertices)",
-                    baseline.0.iter().zip(&faulty).filter(|(a, b)| a != b).count(),
-                    faulty.len()
-                ));
-            }
-            // Inert recovery must be invisible: when nothing fired and no
-            // failover happened, the simulation is bit-identical.
-            let rec = &faulty_rep.recovery;
-            if rec.faults_injected == 0
-                && rec.failovers == 0
-                && !faulty_rep.same_simulation(&baseline.1)
-            {
-                return Err("recovery was inert but the simulation diverged".into());
-            }
-            Ok(())
+            profile = capped_profile;
+            config = capped_config;
+            baseline = capped_base;
         }
     }
+    let (faulty, faulty_rep) =
+        run(s, &g, profile, config, Some(plan)).map_err(|e| format!("faulty run failed: {e}"))?;
+    if faulty != baseline.0 {
+        return Err(format!(
+            "results diverge ({} of {} vertices)",
+            baseline.0.iter().zip(&faulty).filter(|(a, b)| a != b).count(),
+            faulty.len()
+        ));
+    }
+    // Inert recovery must be invisible: when nothing fired and no
+    // failover happened, the simulation is bit-identical.
+    let rec = &faulty_rep.recovery;
+    if rec.faults_injected == 0 && rec.failovers == 0 && !faulty_rep.same_simulation(&baseline.1) {
+        return Err("recovery was inert but the simulation diverged".into());
+    }
+    Ok(())
 }
 
 /// Greedy delta-debug: repeatedly drop single events while the failure

@@ -1,11 +1,11 @@
 //! # mgpu-bench — the experiment harness
 //!
 //! * [`repro`] — the paper's evaluation (§V–§VII) and this repo's three
-//!   studies beyond it as nineteen functions behind one `repro <name>… | all
+//!   studies beyond it as eighteen functions behind one `repro <name>… | all
 //!   | --list [--shift N] [--seed S] [--out-dir DIR]` binary. Each returns
 //!   its tables and the claims about them as checked predicates;
 //!   `results/<name>.txt` is what CI regenerates and diffs — the one gate on
-//!   simulated numbers. `repro --list` names the nineteen.
+//!   simulated numbers. `repro --list` names the eighteen.
 //! * `chaos_soak`, the seeded fault-injection soak.
 //! * [`args`], [`runners`], [`service`] — the flag parser, primitive
 //!   dispatch and query-list grammar shared with `mgpu-cli`.

@@ -1,11 +1,11 @@
-//! The reproduction as a test: one registry of nineteen experiments, each a
+//! The reproduction as a test: one registry of eighteen experiments, each a
 //! plain function returning the tables the paper reports **and** the paper's
-//! claims about them as checked predicates. The last three before
-//! `async_study` are this repo's own studies (wire volume, BSP attribution,
-//! query service); recording them here is the only gate on their numbers.
+//! claims about them as checked predicates. The last three are this repo's
+//! own studies (wire volume, BSP attribution, query service); recording them
+//! here is the only gate on their numbers.
 //!
-//! There is no descriptor grid behind the registry: the nineteen tables have
-//! nineteen shapes (a do_a × do_b matrix per GPU count, three scaling modes ×
+//! There is no descriptor grid behind the registry: the eighteen tables have
+//! eighteen shapes (a do_a × do_b matrix per GPU count, three scaling modes ×
 //! two profiles, a reference-system ledger), so an experiment is a function
 //! and [`Ctx`] carries only what several of them share. Checks always run —
 //! there is no flag that turns them off — and a failed check, like an `Err`
@@ -83,59 +83,51 @@ pub struct Experiment {
     pub name: &'static str,
     /// What it reproduces.
     pub title: &'static str,
-    /// Whether the output is a function of `(shift, seed)` alone. Only then
-    /// is it recorded under `--out-dir` and diffed by CI.
-    pub deterministic: bool,
-    /// Run it.
+    /// Run it. The output is a function of `(shift, seed)` alone, so it is
+    /// recorded under `--out-dir` and diffed by CI.
     pub run: fn(&Ctx) -> Result<Outcome>,
 }
 
-const fn det(
+const fn exp(
     name: &'static str,
     title: &'static str,
     run: fn(&Ctx) -> Result<Outcome>,
 ) -> Experiment {
-    Experiment { name, title, deterministic: true, run }
+    Experiment { name, title, run }
 }
 
-/// The nineteen experiments: the paper's in its order, then this repo's.
-pub const EXPERIMENTS: [Experiment; 19] = [
-    det("table1", "Table I — measured W/C/H/S counters vs analytic orders", tables::table1),
-    det("table2", "Table II — dataset inventory of the scaled analogs", tables::table2),
-    det("fig2", "Fig. 2 — partitioner impact, 3 primitives × 3 datasets", figures::fig2),
-    det("fig3", "Fig. 3 — memory use of the four allocation schemes", figures::fig3),
-    det("fig4", "Fig. 4 — speedup over 1 GPU for all six primitives", figures::fig4),
-    det("fig5", "Fig. 5 — strong/weak scaling of DOBFS, BFS, PR (K80 + P100)", figures::fig5),
-    det("fig6", "Fig. 6 — speedups split by graph type", figures::fig6),
-    det("table3", "Table III — vs in-core GPU BFS baselines", tables::table3),
-    det("table4", "Table IV — vs out-of-core / CPU systems", tables::table4),
-    det("table5", "Table V — large graphs and 64-bit id cost", tables::table5),
-    det("sec5a", "§V-A — runtime vs artificial H inflation and 10× latency", sections::sec5a),
-    det("sec5b", "§V-B — per-iteration overhead l on a chain", sections::sec5b),
-    det("sec6a", "§VI-A — do_a/do_b threshold sweep across GPU counts", sections::sec6a),
-    det(
+/// The eighteen experiments: the paper's in its order, then this repo's.
+pub const EXPERIMENTS: [Experiment; 18] = [
+    exp("table1", "Table I — measured W/C/H/S counters vs analytic orders", tables::table1),
+    exp("table2", "Table II — dataset inventory of the scaled analogs", tables::table2),
+    exp("fig2", "Fig. 2 — partitioner impact, 3 primitives × 3 datasets", figures::fig2),
+    exp("fig3", "Fig. 3 — memory use of the four allocation schemes", figures::fig3),
+    exp("fig4", "Fig. 4 — speedup over 1 GPU for all six primitives", figures::fig4),
+    exp("fig5", "Fig. 5 — strong/weak scaling of DOBFS, BFS, PR (K80 + P100)", figures::fig5),
+    exp("fig6", "Fig. 6 — speedups split by graph type", figures::fig6),
+    exp("table3", "Table III — vs in-core GPU BFS baselines", tables::table3),
+    exp("table4", "Table IV — vs out-of-core / CPU systems", tables::table4),
+    exp("table5", "Table V — large graphs and 64-bit id cost", tables::table5),
+    exp("sec5a", "§V-A — runtime vs artificial H inflation and 10× latency", sections::sec5a),
+    exp("sec5b", "§V-B — per-iteration overhead l on a chain", sections::sec5b),
+    exp("sec6a", "§VI-A — do_a/do_b threshold sweep across GPU counts", sections::sec6a),
+    exp(
         "ablation",
         "Ablation — fusion, load balancing, comm strategy, SSSP vs BFS",
         sections::ablation,
     ),
-    det("scaleout", "§VIII — scale-out vs scale-up at 8 GPUs", sections::scaleout),
-    det(
+    exp("scaleout", "§VIII — scale-out vs scale-up at 8 GPUs", sections::scaleout),
+    exp(
         "comm_volume",
         "Wire volume — list wire vs default vs default + butterfly; MS-BFS(64)",
         studies::comm_volume,
     ),
-    det(
+    exp(
         "bsp_profile",
         "BSP attribution — traced W/C/H/S·l per primitive, reconciled",
         studies::bsp_profile,
     ),
-    det("service", "Query service — concurrent waves vs serial dispatch", studies::service),
-    Experiment {
-        name: "async_study",
-        title: "BSP vs asynchronous execution (the Groute comparison)",
-        deterministic: false,
-        run: sections::async_study,
-    },
+    exp("service", "Query service — concurrent waves vs serial dispatch", studies::service),
 ];
 
 /// What every experiment is a function of, plus the helpers several share.
@@ -308,7 +300,7 @@ const FLAGS: &[Flag<ReproArgs>] = &[
     Flag::new(
         "--out-dir",
         "DIR",
-        "record each deterministic experiment as DIR/<name>.txt instead of printing it",
+        "record each experiment as DIR/<name>.txt instead of printing it",
         |o, a| a.text().map(|p| o.out_dir = Some(p.into())),
     ),
 ];
@@ -357,7 +349,7 @@ fn execute(opts: &ReproArgs, picked: &[&Experiment], out: &mut impl io::Write) -
     for exp in picked {
         let result = (exp.run)(&opts.ctx);
         let text = render(exp, &opts.ctx, &result);
-        match opts.out_dir.as_ref().filter(|_| exp.deterministic) {
+        match &opts.out_dir {
             Some(dir) => {
                 let path = dir.join(format!("{}.txt", exp.name));
                 std::fs::write(&path, text).map_err(|e| at(&path, e))?;

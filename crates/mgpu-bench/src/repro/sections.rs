@@ -1,20 +1,15 @@
-//! §V-A, §V-B, §VI-A and the three studies beyond the paper's figures
-//! (ablation, scale-out, BSP vs async).
-
-use std::collections::HashMap;
+//! §V-A, §V-B, §VI-A and the two studies beyond the paper's figures
+//! (ablation, scale-out).
 
 use mgpu_core::direction::DirectionConfig;
 use mgpu_core::ops::{self, AdvanceMode};
-use mgpu_core::problem::MgpuProblem;
-use mgpu_core::{
-    AllocScheme, AsyncRunner, CommStrategy, EnactConfig, EnactReport, FrontierBufs, Runner,
-};
+use mgpu_core::{AllocScheme, CommStrategy, EnactConfig, EnactReport, FrontierBufs, Runner};
 use mgpu_gen::smallworld::chain;
 use mgpu_gen::weights::add_paper_weights;
-use mgpu_gen::{grid2d, preferential_attachment};
+use mgpu_gen::grid2d;
 use mgpu_graph::{Csr, GraphBuilder};
 use mgpu_partition::{DistGraph, Duplication};
-use mgpu_primitives::{reference, Bfs, Cc, Dobfs, Sssp};
+use mgpu_primitives::{Bfs, Dobfs, Sssp};
 use vgpu::{Device, HardwareProfile, Interconnect, Result, SimSystem};
 
 use super::{ordered, round_robin, span, Ctx, Outcome};
@@ -364,121 +359,6 @@ pub(super) fn scaleout(ctx: &Ctx) -> Result<Outcome> {
         "DOBFS and PR are strictly faster on the single node (BFS ties at printed precision)",
         strictly_faster,
         "2 primitives x 2 arrangements".into(),
-    );
-    Ok(out)
-}
-
-/// Do two labelings induce the same partition of the vertices?
-fn same_partition(a: &[u64], b: &[usize]) -> bool {
-    let (mut fwd, mut back) = (HashMap::new(), HashMap::new());
-    a.len() == b.len()
-        && a.iter()
-            .zip(b)
-            .all(|(&x, &y)| *fwd.entry(x).or_insert(y) == y && *back.entry(y).or_insert(x) == x)
-}
-
-/// `problem` through both enactors: (BSP report, async report, do the
-/// harvested words of both equal `expect` under `same`?)
-fn both<P: MgpuProblem<u32, u64> + Copy>(
-    systems: [SimSystem; 2],
-    dist: &DistGraph<u32, u64>,
-    problem: P,
-    src: Option<u32>,
-    same: impl Fn(&[u64]) -> bool,
-) -> Result<(EnactReport, EnactReport, bool)> {
-    let [bsp_sys, async_sys] = systems;
-    let mut bsp = Runner::new(bsp_sys, dist, problem, EnactConfig::default())?;
-    let rb = bsp.enact(src)?;
-    let mut asy = AsyncRunner::new(async_sys, dist, problem)?;
-    let ra = asy.enact(src)?;
-    let agree = bsp.harvest() == asy.harvest() && same(&asy.harvest());
-    Ok((rb, ra, agree))
-}
-
-/// BSP vs asynchronous execution — SSSP and CC through both enactors on a
-/// road analog and a social analog, 2 and 4 GPUs. The asynchronous clocks
-/// depend on host thread scheduling, so the times are printed and never
-/// recorded; what is checked is that both schedules reach the fixpoint an
-/// oracle sharing no code with either (`primitives::reference`) computes.
-pub(super) fn async_study(ctx: &Ctx) -> Result<Outcome> {
-    // Mildly overhead-scaled systems (2^4): enough that the soc graph's
-    // compute dominates its barrier cost, while the deep road traversal
-    // stays barrier-bound — the regime split the Groute comparison is about.
-    let scaled = |n: usize| {
-        SimSystem::new(
-            vec![HardwareProfile::k40().with_overhead_scale(16.0); n],
-            Interconnect::pcie3(n, 4).with_latency_scale(16.0),
-        )
-    };
-    let side = 1usize << (9u32.saturating_sub(ctx.shift / 4).max(6));
-    let mut road_coo = grid2d(side, side, 1.0, ctx.seed);
-    add_paper_weights(&mut road_coo, ctx.seed + 1);
-    let road: Csr<u32, u64> = GraphBuilder::undirected(&road_coo);
-    // the soc analog is sized so its per-superstep work dominates the
-    // barrier cost (as at paper scale), while the road network stays
-    // barrier-bound — road graphs are sync-bound even at full scale
-    // (S ~ thousands of levels)
-    let mut soc_coo = preferential_attachment((side * side * 8).max(64), 8, ctx.seed);
-    add_paper_weights(&mut soc_coo, ctx.seed + 2);
-    let soc: Csr<u32, u64> = GraphBuilder::undirected(&soc_coo);
-
-    let mut t = Table::new(&[
-        "graph",
-        "algo",
-        "GPUs",
-        "BSP (ms)",
-        "BSP supersteps",
-        "async (ms)",
-        "async advantage",
-    ]);
-    let mut wrong = Vec::new();
-    let mut no_rendezvous = true;
-    for (gname, g) in [("road", &road), ("soc", &soc)] {
-        let dists: Vec<u64> = reference::sssp(g, 0u32).into_iter().map(u64::from).collect();
-        let comps = reference::cc(g);
-        for n in [2usize, 4] {
-            let dist = DistGraph::partition(g, &ctx.random(), n, Duplication::All);
-            let systems = || Ok([scaled(n)?, scaled(n)?]);
-            for (algo, (rb, ra, agree)) in [
-                ("SSSP", both(systems()?, &dist, Sssp, Some(0), |words| words == dists)?),
-                ("CC", both(systems()?, &dist, Cc, None, |words| same_partition(words, &comps))?),
-            ] {
-                if !agree {
-                    wrong.push(format!("{gname} {algo} {n} GPUs"));
-                }
-                no_rendezvous &= ra.host_sync.per_device.is_empty();
-                t.row(&[
-                    gname.into(),
-                    algo.into(),
-                    format!("{n}"),
-                    format!("{:.2}", rb.sim_time_us / 1e3),
-                    format!("{}", rb.iterations),
-                    format!("{:.2}", ra.sim_time_us / 1e3),
-                    format!("{:.2}x", rb.sim_time_us / ra.sim_time_us),
-                ]);
-            }
-        }
-    }
-
-    let mut out = Outcome::default();
-    out.table(
-        format!(
-            "BSP vs async (Groute-style) — road {side}x{side} grid vs soc analog, runtime in ms. \
-             The async\ncolumns depend on host thread scheduling: they differ run to run and are \
-             not recorded."
-        ),
-        t,
-    );
-    out.check(
-        "in every cell the async run, the BSP run and primitives::reference agree (SSSP \
-         distances exactly, CC as a partition)",
-        wrong.is_empty(),
-        if wrong.is_empty() { "8 cells".into() } else { format!("disagreeing: {wrong:?}") },
-    );
-    out.check(
-        "the async enactor never meets at a rendezvous: host_sync is empty",
-        no_rendezvous,
-        "8 async reports".into(),
     );
     Ok(out)
 }

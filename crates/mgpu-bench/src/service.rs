@@ -5,8 +5,8 @@
 //! The shared residency is one immutable [`DistGraph`] (plus the raw CSR
 //! and an ownership table for resilient queries). Each descriptor turns
 //! into a [`QuerySpec`] whose factory builds a fresh executor — BSP
-//! [`Runner`], [`AsyncRunner`], or [`ResilientRunner`] per its mode — on a
-//! fresh overhead-scaled simulated system borrowing that residency, so
+//! [`Runner`] or [`ResilientRunner`] per its mode — on a fresh
+//! overhead-scaled simulated system borrowing that residency, so
 //! every query's simulated clocks are deterministic and independent of
 //! co-scheduled queries.
 //!
@@ -17,10 +17,7 @@
 
 use mgpu_core::governor::estimate_footprint;
 use mgpu_core::problem::Wire;
-use mgpu_core::{
-    AsyncRunner, EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner,
-    Runner,
-};
+use mgpu_core::{EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
@@ -36,9 +33,7 @@ pub struct QueryDesc {
     /// Global source vertex; `None` picks the highest-degree vertex for
     /// primitives that need one.
     pub source: Option<usize>,
-    /// Executor engine. `Async` takes label-correcting primitives only
-    /// (bfs/sssp/cc) and is excluded from bit-equality assertions (async
-    /// simulated time is scheduling-dependent).
+    /// Executor: plain BSP or resilient.
     pub mode: ExecutorKind,
     /// Per-query fault plan (injected into the query's own simulated
     /// system; co-scheduled queries are unaffected).
@@ -54,8 +49,8 @@ impl QueryDesc {
 
 /// Parse a comma-separated query list: each entry is
 /// `prim[:source][@mode]`, e.g. `bfs:0,sssp:5@resilient,cc,pr@bsp`.
-/// Primitives are `bfs|dobfs|sssp|bc|cc|pr`; modes are
-/// `bsp|async|resilient` (default `bsp`).
+/// Primitives are `bfs|dobfs|sssp|bc|cc|pr`; modes are `bsp|resilient`
+/// (default `bsp`).
 pub fn parse_query_list(spec: &str) -> Result<Vec<QueryDesc>, String> {
     spec.split(',').filter(|s| !s.trim().is_empty()).map(parse_query).collect()
 }
@@ -63,8 +58,10 @@ pub fn parse_query_list(spec: &str) -> Result<Vec<QueryDesc>, String> {
 fn parse_query(entry: &str) -> Result<QueryDesc, String> {
     let entry = entry.trim();
     let (body, mode) = entry.split_once('@').unwrap_or((entry, ExecutorKind::Bsp.label()));
-    let mode: ExecutorKind =
-        mode.parse().map_err(|()| format!("unknown exec mode '{mode}' in '{entry}'"))?;
+    let mode: ExecutorKind = mode.parse().map_err(|()| {
+        let want: Vec<&str> = ExecutorKind::ALL.iter().map(|k| k.label()).collect();
+        format!("unknown exec mode '{mode}' in '{entry}': want {}", want.join("|"))
+    })?;
     let (prim, source) = match body.split_once(':') {
         Some((p, v)) => {
             let src: usize = v.parse().map_err(|_| format!("bad source '{v}' in '{entry}'"))?;
@@ -74,13 +71,6 @@ fn parse_query(entry: &str) -> Result<QueryDesc, String> {
     };
     let prim: Primitive =
         prim.parse().map_err(|()| format!("unknown primitive '{prim}' in '{entry}'"))?;
-    if mode == ExecutorKind::Async
-        && !matches!(prim, Primitive::Bfs | Primitive::Sssp | Primitive::Cc)
-    {
-        return Err(format!(
-            "'{entry}': async mode requires a label-correcting primitive (bfs/sssp/cc)"
-        ));
-    }
     Ok(QueryDesc { prim, source, mode, plan: None })
 }
 
@@ -176,9 +166,6 @@ pub fn build_query_specs<'g, O: Id>(
                         Box::new(Runner::new(faulty_system(), dist, problem, config)?)
                             as Box<dyn Executor<u32> + Send + 'g>
                     }
-                    ExecutorKind::Async => {
-                        Box::new(AsyncRunner::with_config(faulty_system(), dist, problem, &config)?)
-                    }
                     ExecutorKind::Resilient => {
                         let mut runner = ResilientRunner::homogeneous(
                             graph,
@@ -221,6 +208,9 @@ mod tests {
         assert!(parse_query_list("zork").is_err());
         assert!(parse_query_list("bfs@warp").is_err());
         assert!(parse_query_list("bfs:x").is_err());
-        assert!(parse_query_list("bc@async").is_err(), "bc is not label-correcting");
+        assert_eq!(
+            parse_query_list("sssp:0@async").unwrap_err(),
+            "unknown exec mode 'async' in 'sssp:0@async': want bsp|resilient"
+        );
     }
 }

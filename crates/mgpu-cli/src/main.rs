@@ -197,7 +197,7 @@ const RUN: &[Flag<Cli>] = &[
 
 /// The flags of `serve` alone.
 const SERVE: &[Flag<Cli>] = &[
-    Flag::new("--queries", "LIST", "prim[:source][@bsp|async|resilient],… (required)", |o, a| {
+    Flag::new("--queries", "LIST", "prim[:source][@bsp|resilient],… (required)", |o, a| {
         a.text().map(|q| o.queries = Some(q))
     }),
     Flag::new("--sched-seed", "S", "dispatch-permutation seed [default --seed]", |o, a| {
@@ -792,6 +792,14 @@ mod tests {
             assert_eq!(code, 1, "{traced}");
             assert!(line.ends_with("drop --profile/--trace-out"), "{traced}: {line}");
         }
+    }
+
+    #[test]
+    fn serve_refuses_an_async_query_naming_the_modes() {
+        let cli = parse(SERVE, "--queries sssp:0@async --dataset soc-orkut").unwrap();
+        let (code, line) = serve(cli).unwrap_err();
+        assert_eq!(code, 2, "{line}");
+        assert!(line.contains("want bsp|resilient"), "{line}");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The multi-GPU enactor: one dedicated CPU thread per device, BSP
 //! supersteps with framework-managed communication (§III-B, Fig. 1).
 //!
-//! [`Runner`] is a [`Bound`] problem plus the superstep loop below, written
-//! as methods of the per-device context [`DeviceRun`]
-//! ([`crate::executor`]). Per iteration, each device thread:
+//! [`Runner`] is the one engine: the bind ([`Runner::new`]), the enact
+//! scaffold ([`Runner::launch`]: clock reset, tracing, mailbox, one thread
+//! per device, recovery log, root-cause selection), the report assembly, and
+//! the superstep loop below, written as methods of the per-device context
+//! [`DeviceRun`] ([`crate::executor`]). Per iteration, each device thread:
 //!
 //! 1. runs the unmodified single-GPU `iteration` on its local input
 //!    frontier (compute stream);
@@ -42,26 +44,31 @@
 //! `SyncPoint` instead, which releases its peers with `abort_count ≥ 1` at
 //! whatever rendezvous they are in.
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
+use std::time::Instant;
 
 use mgpu_graph::Id;
 use mgpu_partition::DistGraph;
+use vgpu::memory::Reservation;
 use vgpu::sync::{Contribution, Delivery};
 use vgpu::{
-    HostLayer, KernelKind, Result, SimSystem, SyncPoint, TraceEvent, TraceKind, VgpuError,
-    COMM_STREAM, COMPUTE_STREAM,
+    harvest_device_thread, HostLayer, Interconnect, KernelKind, Mailbox, Result, SimSystem,
+    SyncPoint, TraceEvent, TraceKind, VgpuError, COMM_STREAM, COMPUTE_STREAM,
 };
 
-use crate::alloc::AllocScheme;
+use crate::alloc::{AllocScheme, FrontierBufs};
 use crate::comm::{
     broadcast_block, broadcast_package_with, canonicalize_ordered, CommStrategy, CommTopology,
-    Package, WireEncoding,
+    Package, PackagePolicy, SuppressState, WireEncoding,
 };
-use crate::executor::{Bound, DeviceOutcome, DeviceRun, Executor, ExecutorKind};
-use crate::governor::{Downgrade, PressurePolicy};
-use crate::problem::MgpuProblem;
-use crate::report::{EnactReport, HostSync, SuperstepTrace};
-use crate::resilience::{guard, CheckpointSink, GlobalCheckpoint, RecoveryLog, RecoveryPolicy};
+use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
+use crate::governor::{self, Downgrade, GovernorLog, PressurePolicy};
+use crate::problem::{MgpuProblem, Wire};
+use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync, SuperstepTrace};
+use crate::resilience::{
+    guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
+};
 
 /// Per-enact configuration overrides. The default wire is the measured-best
 /// one: `Auto` encoding with monotone suppression over the direct topology.
@@ -121,24 +128,130 @@ impl Default for EnactConfig {
     }
 }
 
+/// One device's share of a bound problem.
+pub(crate) struct PerGpu<V: Id, S> {
+    pub(crate) state: S,
+    pub(crate) bufs: FrontierBufs<V>,
+    /// Keeps the subgraph topology charged against the device pool for the
+    /// runner's lifetime.
+    _topology: Reservation,
+}
+
+/// What [`Runner::launch`] hands back to the enact that called it.
+pub(crate) struct Launched<T> {
+    /// Every device's result in device order, or the root-cause error.
+    pub(crate) outcome: Result<Vec<T>>,
+    /// The attempt's recovery events, without the checkpoint fields (the
+    /// caller owns the sink and the resume point).
+    pub(crate) log: RecoveryLog,
+    pub(crate) wall_time_us: f64,
+}
+
 /// A primitive bound to a partitioned graph on a system: initialize once,
 /// enact many times (the paper's `Init` / `Reset`+`Enact` split).
 pub struct Runner<'g, V: Id, O: Id, P: MgpuProblem<V, O>> {
-    pub(crate) bound: Bound<'g, V, O, P>,
+    system: SimSystem,
+    dist: &'g DistGraph<V, O>,
+    problem: P,
+    config: EnactConfig,
+    per_gpu: Vec<PerGpu<V, P::State>>,
+    /// Admission-control decisions taken at bind time (plus any downgrades a
+    /// driver recorded afterwards); folded into every enact's report.
+    admission: GovernorLog,
 }
 
 impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
-    /// Bind `problem` to `dist` on `system`: reserves each subgraph's
-    /// topology in device memory, initializes per-GPU state and allocates
-    /// the scheme-managed frontier buffers. A system with a device count
-    /// other than `dist.n_parts` is [`VgpuError::BadDevice`].
+    /// Bind `problem` to `dist` on `system` (the only bind): reserves each
+    /// subgraph's topology in device memory and charges its H2D copy, sets
+    /// the id-width factor and kernel threads, walks admission control,
+    /// initializes per-GPU state and allocates the scheme-managed frontier
+    /// buffers. A system with a device count other than `dist.n_parts` is
+    /// [`VgpuError::BadDevice`].
     pub fn new(
-        system: SimSystem,
+        mut system: SimSystem,
         dist: &'g DistGraph<V, O>,
         problem: P,
         config: EnactConfig,
     ) -> Result<Self> {
-        Ok(Runner { bound: Bound::new(system, dist, problem, config)? })
+        if system.n_devices() != dist.n_parts {
+            return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
+        }
+        let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
+        let pressure = config.pressure;
+        let comm = config.comm.unwrap_or_else(|| problem.comm());
+        let host_link = system.interconnect.host_link();
+        let mut admission = GovernorLog::default();
+        // Id-width bandwidth factor (Table V): baseline is 32-bit vertices
+        // with 32-bit offsets; wider ids read proportionally more per edge.
+        let width_factor = (V::BYTES as f64 + O::BYTES as f64 / 4.0) / 5.0;
+        let mut per_gpu = Vec::with_capacity(dist.n_parts);
+        for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
+            dev.set_width_factor(width_factor);
+            if let Some(t) = config.kernel_threads {
+                dev.set_kernel_threads(t);
+            }
+            // ---- admission control: walk the scheme down the downgrade
+            // chain until the pre-flight estimate fits under the soft
+            // watermark; a floor scheme past the hard watermark is refused
+            // with a typed OOM before anything is allocated.
+            let mut scheme = base_scheme;
+            if pressure.enabled {
+                let capacity = dev.pool().capacity();
+                let budget = governor::soft_budget(capacity);
+                let estimate = |scheme| {
+                    governor::estimate_footprint(
+                        scheme,
+                        comm,
+                        dist.n_parts,
+                        sub.n_vertices(),
+                        sub.n_edges(),
+                        sub.topology_bytes(),
+                        problem.state_bytes_per_vertex(),
+                        V::BYTES,
+                        <P::Msg as Wire>::BYTES,
+                    )
+                    .total()
+                };
+                let mut est = estimate(scheme);
+                while est > budget {
+                    match governor::downgrade_scheme(scheme) {
+                        Some(next) => {
+                            admission.downgrades.push(Downgrade {
+                                device: Some(dev.id()),
+                                kind: "alloc-scheme",
+                                from: scheme.label(),
+                                to: next.label(),
+                                estimated_bytes: est,
+                                budget_bytes: budget,
+                            });
+                            scheme = next;
+                            est = estimate(scheme);
+                        }
+                        None => {
+                            if est > capacity {
+                                return Err(VgpuError::OutOfMemory {
+                                    device: dev.id(),
+                                    requested: est,
+                                    live: dev.pool().live(),
+                                    capacity,
+                                });
+                            }
+                            break; // between watermarks at the floor: admit
+                        }
+                    }
+                }
+            }
+            let bytes = sub.topology_bytes();
+            let topology = dev.pool().reserve_external(bytes)?;
+            // charge the H2D copy of the graph at memory bandwidth
+            let cost = dev.profile().local_copy_us(bytes);
+            dev.charge(COMPUTE_STREAM, cost, 0.0)?;
+            let state = problem.init(dev, sub)?;
+            let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
+                .with_pressure(pressure, host_link);
+            per_gpu.push(PerGpu { state, bufs, _topology: topology });
+        }
+        Ok(Runner { system, dist, problem, config, per_gpu, admission })
     }
 
     /// Record a downgrade decision a higher layer took before (re)binding —
@@ -146,25 +259,25 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
     /// or dropped a broadcast override after an admission refusal. It shows
     /// up in every subsequent report's governor log.
     pub fn note_downgrade(&mut self, d: Downgrade) {
-        self.bound.admission.downgrades.push(d);
+        self.admission.downgrades.push(d);
     }
 
     /// The allocation scheme in force.
     pub fn scheme(&self) -> AllocScheme {
-        self.bound.scheme()
+        self.per_gpu[0].bufs.scheme()
     }
 
     /// Access the underlying system (for memory / counter inspection).
     pub fn system(&self) -> &SimSystem {
-        &self.bound.system
+        &self.system
     }
 
     /// Run one traversal from `src` (a *global* vertex id; `None` for
     /// primitives without a source, e.g. PR and CC). Device clocks and
     /// counters are reset so each enact reports an independent measurement.
     pub fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
-        let interval = self.bound.config.recovery.checkpoint_interval;
-        let sink = CheckpointSink::new(self.bound.dist.n_parts, interval);
+        let interval = self.config.recovery.checkpoint_interval;
+        let sink = CheckpointSink::new(self.dist.n_parts, interval);
         self.enact_resilient(src, None, &sink).0
     }
 
@@ -179,11 +292,10 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         resume: Option<&GlobalCheckpoint<V>>,
         sink: &CheckpointSink<V>,
     ) -> (Result<EnactReport>, RecoveryLog) {
-        let sync = SyncPoint::new(self.bound.dist.n_parts);
+        let sync = SyncPoint::new(self.dist.n_parts);
         // a resumed attempt stamps absolute superstep numbers on its trace
         let first = resume.map_or(0, |ck| ck.iter);
         let launched = self
-            .bound
             .launch(src, first, |run, src_local| run.supersteps(src_local, &sync, sink, resume));
         let log = RecoveryLog {
             checkpoints_taken: sink.taken(),
@@ -193,20 +305,222 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         let host_sync = HostSync { per_device: sync.host_stats() };
         let report = launched
             .outcome
-            .map(|done| self.bound.report(done, launched.wall_time_us, host_sync, log.clone()));
+            .map(|done| self.report(done, launched.wall_time_us, host_sync, log.clone()));
         (report, log)
     }
 
     /// Access a device's per-GPU primitive state (e.g. to read labels or
     /// ranks after an enact).
     pub fn state(&self, gpu: usize) -> &P::State {
-        self.bound.state(gpu)
+        &self.per_gpu[gpu].state
     }
 
-    /// Read the primitive's per-vertex result words in global vertex order
-    /// (see [`MgpuProblem::result_word`]).
+    /// The primitive's per-vertex result words in global vertex order (see
+    /// [`MgpuProblem::result_word`]).
     pub fn harvest(&self) -> Vec<u64> {
-        self.bound.harvest()
+        (0..self.dist.n_global)
+            .map(|g| {
+                let (gpu, local) = self.dist.locate(V::from_usize(g));
+                self.problem.result_word(&self.per_gpu[gpu].state, local)
+            })
+            .collect()
+    }
+
+    /// Run `device_loop` to completion on one dedicated thread per device,
+    /// each handed its [`DeviceRun`] and the source if it owns it. Device
+    /// clocks and counters are reset first so each enact reports an
+    /// independent measurement; `first_superstep` positions the trace cursor
+    /// (non-zero when an attempt resumes from a checkpoint).
+    pub(crate) fn launch<T: Send>(
+        &mut self,
+        src: Option<V>,
+        first_superstep: usize,
+        device_loop: impl Fn(DeviceRun<'_, V, O, P>, Option<V>) -> Result<T> + Sync,
+    ) -> Launched<T> {
+        self.system.reset_clocks();
+        if self.config.tracing {
+            // Fresh trace per enact. When tracing is off the timelines are
+            // left untouched — a caller may still drive them manually (see
+            // `examples/profile_trace.rs`).
+            for dev in &mut self.system.devices {
+                dev.timeline.enable();
+                dev.timeline.clear();
+                dev.timeline.set_superstep(first_superstep as u32);
+            }
+            // Downgrades were decided once at bind time, before any trace
+            // existed; replay them as instant markers at t=0 so every
+            // governor decision in the report is paired with a trace event.
+            for d in &self.admission.downgrades {
+                let id = d.device.unwrap_or(0).min(self.system.devices.len() - 1);
+                self.system.devices[id].timeline.record(TraceEvent {
+                    device: id,
+                    kind: TraceKind::Downgrade,
+                    name: d.kind,
+                    bytes: d.estimated_bytes,
+                    ..TraceEvent::default()
+                });
+            }
+        }
+        // Each enact reports its own mid-run degradation decisions (the
+        // admission log persists — it was decided once, at bind).
+        for per in &mut self.per_gpu {
+            per.bufs.reset_governor();
+        }
+        let n = self.dist.n_parts;
+        let located = src.map(|g| self.dist.locate(g));
+        // Packages travel as `Arc`s: a broadcast to n−1 peers posts n−1
+        // pointers to one package, not n−1 deep copies (the wire cost is
+        // still charged per peer — the copies that disappear are host-side).
+        let mailbox = Mailbox::with_faults(n, self.system.fault_injector());
+        let rec = RecoveryCounters::default();
+        let fired = |system: &SimSystem| system.fault_injector().map_or(0, |inj| inj.fired());
+        let fired_before = fired(&self.system);
+        let (problem, config) = (&self.problem, &self.config);
+        let policy = config.recovery;
+        let monotone = problem.monotone();
+        let pkg_policy = PackagePolicy {
+            encoding: config.wire_encoding,
+            monotone,
+            uniform_hint: problem.uniform_broadcast_msgs(),
+            order: problem.monotone_order(),
+        };
+        let interconnect: &Interconnect = &self.system.interconnect;
+
+        let t0 = Instant::now();
+        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
+            let devices = self.system.devices.iter_mut().zip(&mut self.per_gpu);
+            let handles: Vec<_> = devices
+                .zip(&self.dist.parts)
+                .map(|((dev, per), sub)| {
+                    let src_local =
+                        located.and_then(|(gpu, local)| (gpu == dev.id()).then_some(local));
+                    dev.set_retry_policy(policy.max_retries, policy.retry_backoff_us);
+                    let (mailbox, rec, device_loop) = (&mailbox, &rec, &device_loop);
+                    scope.spawn(move || {
+                        // Fresh suppression cache per enact: floors never
+                        // survive a traversal (a retried or resumed attempt
+                        // starts from scratch, so a send that was lost with
+                        // its device can never leave a stale floor behind).
+                        let supp = (config.suppression && monotone && n > 1)
+                            .then(|| SuppressState::with_order(sub.n_vertices(), pkg_policy.order));
+                        let stats = CommReduction::default();
+                        let run = DeviceRun {
+                            problem,
+                            dev,
+                            per,
+                            sub,
+                            interconnect,
+                            mailbox,
+                            config,
+                            rec,
+                            pkg_policy,
+                            supp,
+                            stats,
+                            error: None,
+                        };
+                        device_loop(run, src_local)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .enumerate()
+                .map(|(gpu, h)| harvest_device_thread(h.join(), gpu))
+                .collect()
+        });
+        let wall_time_us = t0.elapsed().as_secs_f64() * 1e6;
+
+        let kernel_retries: u64 = self.system.devices.iter().map(|d| d.kernel_retries()).sum();
+        let transfer_retries = rec.transfer_retries.load(Relaxed);
+        let log = RecoveryLog {
+            kernel_retries,
+            transfer_retries,
+            faults_injected: fired(&self.system) - fired_before,
+            stragglers_detected: rec.stragglers.load(Relaxed),
+            butterfly_fallbacks: rec.butterfly_fallbacks.load(Relaxed),
+            backoff_us: (kernel_retries + transfer_retries) as f64 * policy.retry_backoff_us,
+            ..RecoveryLog::default()
+        };
+
+        // Deterministic root-cause selection: the most severe error wins,
+        // lowest device id breaking ties (`Aborted` is only a peer echo).
+        let mut root: Option<(u8, VgpuError)> = None;
+        let mut done = Vec::with_capacity(n);
+        for r in outcomes {
+            match r {
+                Ok(t) => done.push(t),
+                Err(e) => {
+                    let severity = match e {
+                        VgpuError::DeviceLost { .. } => 3,
+                        VgpuError::Timeout { .. } => 2,
+                        VgpuError::Aborted => 0,
+                        _ => 1,
+                    };
+                    if root.as_ref().is_none_or(|(s, _)| severity > *s) {
+                        root = Some((severity, e));
+                    }
+                }
+            }
+        }
+        let outcome = match root {
+            Some((_, e)) => Err(e),
+            None => Ok(done),
+        };
+        Launched { outcome, log, wall_time_us }
+    }
+
+    /// Fold the device threads' outcomes and the finished system into an
+    /// [`EnactReport`]: iterations are the deepest device's, histories sum
+    /// per superstep, and every system-derived field (`sim_time_us`,
+    /// counters, memory statistics, trace) is read here and nowhere else.
+    fn report(
+        &self,
+        outcomes: Vec<DeviceOutcome>,
+        wall_time_us: f64,
+        host_sync: HostSync,
+        recovery: RecoveryLog,
+    ) -> EnactReport {
+        let mut iterations = 0usize;
+        let mut history: Vec<SuperstepTrace> = Vec::new();
+        let mut comm = CommReduction::default();
+        for (i, local_hist, comm_stats) in &outcomes {
+            iterations = iterations.max(*i);
+            comm.merge(comm_stats);
+            if history.len() < local_hist.len() {
+                history.resize(local_hist.len(), SuperstepTrace::default());
+            }
+            for (acc, t) in history.iter_mut().zip(local_hist) {
+                acc.input += t.input;
+                acc.output += t.output;
+                acc.sent += t.sent;
+                acc.combined += t.combined;
+                acc.suppressed += t.suppressed;
+            }
+        }
+        let mut governor = self.admission.clone();
+        for per in &self.per_gpu {
+            governor.absorb(per.bufs.governor());
+        }
+        let system = &self.system;
+        EnactReport {
+            primitive: self.problem.name(),
+            n_devices: self.dist.n_parts,
+            iterations,
+            sim_time_us: system.makespan_us(),
+            wall_time_us,
+            host_sync,
+            totals: system.total_counters(),
+            per_device: system.devices.iter().map(|d| d.counters).collect(),
+            peak_memory_per_device: system.peak_memory_per_device(),
+            total_peak_memory: system.total_peak_memory(),
+            pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
+            mem_per_device: system.devices.iter().map(|d| DeviceMemStats::of(d.pool())).collect(),
+            history,
+            recovery,
+            governor,
+            comm,
+            trace: self.config.tracing.then(|| crate::trace::Trace::collect(system)),
+        }
     }
 }
 
@@ -216,15 +530,15 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Executor<V> for Runner<'g, V, O, P>
     }
 
     fn primitive(&self) -> &'static str {
-        self.bound.problem.name()
+        self.problem.name()
     }
 
     fn n_devices(&self) -> usize {
-        self.bound.dist.n_parts
+        self.dist.n_parts
     }
 
     fn recovery_policy(&self) -> RecoveryPolicy {
-        self.bound.config.recovery
+        self.config.recovery
     }
 
     fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
@@ -812,5 +1126,53 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             .filter_map(|&g| sub.from_global(g))
             .filter(|&l| sub.is_owned(l))
             .collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::problem::testing::MinLabel;
+    use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::{Duplication, RandomPartitioner};
+    use vgpu::HardwareProfile;
+
+    /// 64 vertices, each joined to its next eight, on two parts: enough
+    /// edges that `Max` preallocates several times what `Fixed` does.
+    fn ring_of_eights() -> DistGraph<u32, u64> {
+        let edges = (0..64u32).flat_map(|v| (1..=8).map(move |d| (v, (v + d) % 64))).collect();
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(64, edges, None));
+        DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::All)
+    }
+
+    #[test]
+    fn mismatched_device_count_is_a_typed_error() {
+        let dist = ring_of_eights();
+        let three = SimSystem::homogeneous(3, HardwareProfile::k40());
+        let bind = Runner::new(three, &dist, MinLabel, EnactConfig::default());
+        assert_eq!(bind.err(), Some(VgpuError::BadDevice { device: 2, have: 3 }));
+    }
+
+    /// What the bind promises beyond the problem's own `init`: admission
+    /// walks the scheme down under a cap, and every device gets the id-width
+    /// factor and the configured kernel threads.
+    #[test]
+    fn bind_walks_admission_and_configures_every_device() {
+        let dist = ring_of_eights();
+        // tight enough that admission has to walk `Max` down the chain
+        let system = SimSystem::homogeneous(2, HardwareProfile::k40().with_capacity(9_000));
+        let config = EnactConfig {
+            alloc_scheme: Some(AllocScheme::Max),
+            kernel_threads: Some(3),
+            pressure: PressurePolicy::governed(),
+            ..EnactConfig::default()
+        };
+        let runner = Runner::new(system, &dist, MinLabel, config).unwrap();
+        assert_ne!(runner.scheme(), AllocScheme::Max, "the cap must make admission act");
+        assert!(!runner.admission.downgrades.is_empty());
+        for dev in &runner.system().devices {
+            assert_eq!(dev.width_factor(), 1.2, "u32 ids over u64 offsets (Table V)");
+            assert_eq!(dev.kernel_threads(), 3);
+        }
     }
 }

@@ -1,82 +1,52 @@
-//! What the enactment engines stand on: the interface drivers target, the
-//! one bind, and the per-device context the device loops are methods of.
+//! What the engine stands on: the interface drivers target and the
+//! per-device context the superstep loop is a method of.
 //!
-//! Three drivers run an [`crate::MgpuProblem`] on a partitioned graph: the
-//! BSP [`crate::enactor::Runner`], the asynchronous (Groute-style)
-//! [`crate::async_enactor::AsyncRunner`], and the self-healing
-//! [`crate::resilience::ResilientRunner`] wrapped around the first.
+//! Two drivers run an [`crate::MgpuProblem`] on a partitioned graph: the
+//! BSP [`crate::enactor::Runner`] and the self-healing
+//! [`crate::resilience::ResilientRunner`] wrapped around it.
 //!
-//! * [`Executor`] is the interface every engine implements: enact a
-//!   traversal, harvest the per-vertex result words in global vertex order,
-//!   and describe yourself (engine kind, primitive name, device count,
-//!   recovery policy). The scheduler targets `Box<dyn Executor<V>>` and
-//!   never learns which engine is underneath.
-//! * [`Bound`] is a problem bound to a partitioned graph on a system.
-//!   [`Bound::new`] is the only bind (topology reservation + H2D charge,
-//!   id-width factor, kernel threads, admission walk, `problem.init`,
-//!   scheme-managed buffers); [`Bound::launch`] is the only enact scaffold
-//!   (clock reset, tracing, mailbox, one thread per device, recovery log,
-//!   root-cause selection) and [`Bound::report`] the only report assembly.
-//!   `Runner` and `AsyncRunner` are each a `Bound` plus a device loop.
+//! * [`Executor`] is the interface both implement: enact a traversal,
+//!   harvest the per-vertex result words in global vertex order, and
+//!   describe yourself (engine kind, primitive name, device count, recovery
+//!   policy). The scheduler targets `Box<dyn Executor<V>>` and never learns
+//!   which driver is underneath.
 //! * [`DeviceRun`] is what one device thread owns for one enact, including
 //!   the device's failure state. [`DeviceRun::attempt`] is the failure
 //!   protocol; [`DeviceRun::post`] and [`DeviceRun::receive`] are the two
-//!   ends of the wire. The BSP supersteps (`enactor.rs`) and the async
-//!   relaxation loop (`async_enactor.rs`) are further methods of it, so
-//!   charge order, counter updates and trace spans cannot drift apart
-//!   between engines.
+//!   ends of the wire. The BSP supersteps (`enactor.rs`) are further methods
+//!   of it; [`crate::enactor::Runner::launch`] hands one to each device
+//!   thread.
 
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
-use std::time::Instant;
 
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, SubGraph};
-use vgpu::memory::Reservation;
+use mgpu_partition::SubGraph;
 use vgpu::sync::Delivery;
 use vgpu::{
-    harvest_device_thread, Device, Event, HostLayer, Interconnect, KernelKind, Mailbox, Result,
-    SimSystem, SpanMeta, TraceEvent, TraceKind, VgpuError, COMM_STREAM, COMPUTE_STREAM,
+    Device, Event, HostLayer, Interconnect, KernelKind, Mailbox, Result, SpanMeta, TraceEvent,
+    TraceKind, VgpuError, COMM_STREAM,
 };
 
-use crate::alloc::{AllocScheme, FrontierBufs};
 use crate::comm::{
     split_and_package_with, CommStrategy, Package, PackagePolicy, SplitOutput, SuppressState,
 };
-use crate::enactor::EnactConfig;
-use crate::governor::{self, Downgrade, GovernorLog};
-use crate::problem::{MgpuProblem, Wire};
-use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync, SuperstepTrace};
-use crate::resilience::{guard, RecoveryCounters, RecoveryLog, RecoveryPolicy};
+use crate::enactor::{EnactConfig, PerGpu};
+use crate::problem::MgpuProblem;
+use crate::report::{CommReduction, EnactReport, SuperstepTrace};
+use crate::resilience::{guard, RecoveryCounters, RecoveryPolicy};
 
-/// Which enactment engine an [`Executor`] drives.
+/// Which driver an [`Executor`] is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutorKind {
     /// Bulk-synchronous supersteps with deterministic simulated clocks
     /// ([`crate::enactor::Runner`]).
     Bsp,
-    /// Asynchronous label-correcting relaxation with distributed
-    /// termination detection ([`crate::async_enactor::AsyncRunner`]).
-    /// Results converge to the same fixpoint, but simulated time is
-    /// scheduling-dependent.
-    Async,
     /// BSP with checkpoint/re-home/failover recovery wrapped around it
     /// ([`crate::resilience::ResilientRunner`]).
     Resilient,
 }
 
-named!(ExecutorKind { Bsp => "bsp", Async => "async", Resilient => "resilient" });
-
-impl ExecutorKind {
-    /// Is this engine's *simulated time* a deterministic function of
-    /// (graph, config, fault plan) — i.e. may a scheduler assert
-    /// [`EnactReport::same_simulation`] against a serial re-run? Async
-    /// executors converge to the same result values but not the same
-    /// clocks.
-    pub fn deterministic_timing(&self) -> bool {
-        !matches!(self, ExecutorKind::Async)
-    }
-}
+named!(ExecutorKind { Bsp => "bsp", Resilient => "resilient" });
 
 /// One enactment engine bound to a problem and a partitioned graph: the
 /// single interface the [`crate::service`] scheduler (and any other driver)
@@ -84,10 +54,9 @@ impl ExecutorKind {
 ///
 /// The contract every implementation upholds:
 ///
-/// * `enact` runs one traversal to completion and reports it; engines with
-///   deterministic timing ([`ExecutorKind::deterministic_timing`]) produce
-///   reports that are a pure function of (graph, config, fault plan) —
-///   independent of host scheduling, worker threads, and wall clock.
+/// * `enact` runs one traversal to completion and reports it; the report is
+///   a pure function of (graph, config, fault plan) — independent of host
+///   scheduling, worker threads, and wall clock.
 /// * `harvest` returns one result word per *global* vertex, in global
 ///   vertex order, encoded per [`crate::MgpuProblem::result_word`]. Valid
 ///   after a successful `enact`.
@@ -115,356 +84,13 @@ pub trait Executor<V: Id> {
     fn harvest(&self) -> Vec<u64>;
 }
 
-/// One device's share of a bound problem.
-pub(crate) struct PerGpu<V: Id, S> {
-    pub(crate) state: S,
-    pub(crate) bufs: FrontierBufs<V>,
-    /// Keeps the subgraph topology charged against the device pool for the
-    /// runner's lifetime.
-    _topology: Reservation,
-}
-
-/// What one device thread returns from an enact: iterations (supersteps or
-/// relaxation rounds), its superstep history, and its wire statistics.
+/// What one device thread returns from an enact: its supersteps, its
+/// superstep history, and its wire statistics.
 pub(crate) type DeviceOutcome = (usize, Vec<SuperstepTrace>, CommReduction);
 
-/// What [`Bound::launch`] hands back to the engine.
-pub(crate) struct Launched<T> {
-    /// Every device's result in device order, or the root-cause error.
-    pub(crate) outcome: Result<Vec<T>>,
-    /// The recovery events every engine has; the BSP engine adds its
-    /// checkpoint fields.
-    pub(crate) log: RecoveryLog,
-    pub(crate) wall_time_us: f64,
-}
-
-/// A primitive bound to a partitioned graph on a system (the paper's `Init`):
-/// the state both engines share between enacts.
-pub(crate) struct Bound<'g, V: Id, O: Id, P: MgpuProblem<V, O>> {
-    pub(crate) system: SimSystem,
-    pub(crate) dist: &'g DistGraph<V, O>,
-    pub(crate) problem: P,
-    pub(crate) config: EnactConfig,
-    per_gpu: Vec<PerGpu<V, P::State>>,
-    /// Admission-control decisions taken at bind time (plus any downgrades a
-    /// driver recorded afterwards); folded into every enact's report.
-    pub(crate) admission: GovernorLog,
-}
-
-impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Bound<'g, V, O, P> {
-    /// Bind `problem` to `dist` on `system`: reserves each subgraph's
-    /// topology in device memory, initializes per-GPU state and allocates
-    /// the scheme-managed frontier buffers. A system whose device count is
-    /// not the partition count is [`VgpuError::BadDevice`].
-    pub(crate) fn new(
-        mut system: SimSystem,
-        dist: &'g DistGraph<V, O>,
-        problem: P,
-        config: EnactConfig,
-    ) -> Result<Self> {
-        if system.n_devices() != dist.n_parts {
-            return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
-        }
-        let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
-        let pressure = config.pressure;
-        let comm = config.comm.unwrap_or_else(|| problem.comm());
-        let host_link = system.interconnect.host_link();
-        let mut admission = GovernorLog::default();
-        // Id-width bandwidth factor (Table V): baseline is 32-bit vertices
-        // with 32-bit offsets; wider ids read proportionally more per edge.
-        let width_factor = (V::BYTES as f64 + O::BYTES as f64 / 4.0) / 5.0;
-        let mut per_gpu = Vec::with_capacity(dist.n_parts);
-        for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
-            dev.set_width_factor(width_factor);
-            if let Some(t) = config.kernel_threads {
-                dev.set_kernel_threads(t);
-            }
-            // ---- admission control: walk the scheme down the downgrade
-            // chain until the pre-flight estimate fits under the soft
-            // watermark; a floor scheme past the hard watermark is refused
-            // with a typed OOM before anything is allocated.
-            let mut scheme = base_scheme;
-            if pressure.enabled {
-                let capacity = dev.pool().capacity();
-                let budget = governor::soft_budget(capacity);
-                let estimate = |scheme| {
-                    governor::estimate_footprint(
-                        scheme,
-                        comm,
-                        dist.n_parts,
-                        sub.n_vertices(),
-                        sub.n_edges(),
-                        sub.topology_bytes(),
-                        problem.state_bytes_per_vertex(),
-                        V::BYTES,
-                        <P::Msg as Wire>::BYTES,
-                    )
-                    .total()
-                };
-                let mut est = estimate(scheme);
-                while est > budget {
-                    match governor::downgrade_scheme(scheme) {
-                        Some(next) => {
-                            admission.downgrades.push(Downgrade {
-                                device: Some(dev.id()),
-                                kind: "alloc-scheme",
-                                from: scheme.label(),
-                                to: next.label(),
-                                estimated_bytes: est,
-                                budget_bytes: budget,
-                            });
-                            scheme = next;
-                            est = estimate(scheme);
-                        }
-                        None => {
-                            if est > capacity {
-                                return Err(VgpuError::OutOfMemory {
-                                    device: dev.id(),
-                                    requested: est,
-                                    live: dev.pool().live(),
-                                    capacity,
-                                });
-                            }
-                            break; // between watermarks at the floor: admit
-                        }
-                    }
-                }
-            }
-            let bytes = sub.topology_bytes();
-            let topology = dev.pool().reserve_external(bytes)?;
-            // charge the H2D copy of the graph at memory bandwidth
-            let cost = dev.profile().local_copy_us(bytes);
-            dev.charge(COMPUTE_STREAM, cost, 0.0)?;
-            let state = problem.init(dev, sub)?;
-            let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
-                .with_pressure(pressure, host_link);
-            per_gpu.push(PerGpu { state, bufs, _topology: topology });
-        }
-        Ok(Bound { system, dist, problem, config, per_gpu, admission })
-    }
-
-    /// The allocation scheme in force.
-    pub(crate) fn scheme(&self) -> AllocScheme {
-        self.per_gpu[0].bufs.scheme()
-    }
-
-    /// A device's per-GPU primitive state.
-    pub(crate) fn state(&self, gpu: usize) -> &P::State {
-        &self.per_gpu[gpu].state
-    }
-
-    /// The primitive's per-vertex result words in global vertex order (see
-    /// [`MgpuProblem::result_word`]).
-    pub(crate) fn harvest(&self) -> Vec<u64> {
-        (0..self.dist.n_global)
-            .map(|g| {
-                let (gpu, local) = self.dist.locate(V::from_usize(g));
-                self.problem.result_word(&self.per_gpu[gpu].state, local)
-            })
-            .collect()
-    }
-
-    /// Run `device_loop` to completion on one dedicated thread per device,
-    /// each handed its [`DeviceRun`] and the source if it owns it. Device
-    /// clocks and counters are reset first so each enact reports an
-    /// independent measurement; `first_superstep` positions the trace cursor
-    /// (non-zero when an attempt resumes from a checkpoint).
-    pub(crate) fn launch<T: Send>(
-        &mut self,
-        src: Option<V>,
-        first_superstep: usize,
-        device_loop: impl Fn(DeviceRun<'_, V, O, P>, Option<V>) -> Result<T> + Sync,
-    ) -> Launched<T> {
-        self.system.reset_clocks();
-        if self.config.tracing {
-            // Fresh trace per enact. When tracing is off the timelines are
-            // left untouched — a caller may still drive them manually (see
-            // `examples/profile_trace.rs`).
-            for dev in &mut self.system.devices {
-                dev.timeline.enable();
-                dev.timeline.clear();
-                dev.timeline.set_superstep(first_superstep as u32);
-            }
-            // Downgrades were decided once at bind time, before any trace
-            // existed; replay them as instant markers at t=0 so every
-            // governor decision in the report is paired with a trace event.
-            for d in &self.admission.downgrades {
-                let id = d.device.unwrap_or(0).min(self.system.devices.len() - 1);
-                self.system.devices[id].timeline.record(TraceEvent {
-                    device: id,
-                    kind: TraceKind::Downgrade,
-                    name: d.kind,
-                    bytes: d.estimated_bytes,
-                    ..TraceEvent::default()
-                });
-            }
-        }
-        // Each enact reports its own mid-run degradation decisions (the
-        // admission log persists — it was decided once, at bind).
-        for per in &mut self.per_gpu {
-            per.bufs.reset_governor();
-        }
-        let n = self.dist.n_parts;
-        let located = src.map(|g| self.dist.locate(g));
-        // Packages travel as `Arc`s: a broadcast to n−1 peers posts n−1
-        // pointers to one package, not n−1 deep copies (the wire cost is
-        // still charged per peer — the copies that disappear are host-side).
-        let mailbox = Mailbox::with_faults(n, self.system.fault_injector());
-        let rec = RecoveryCounters::default();
-        let fired = |system: &SimSystem| system.fault_injector().map_or(0, |inj| inj.fired());
-        let fired_before = fired(&self.system);
-        let (problem, config) = (&self.problem, &self.config);
-        let policy = config.recovery;
-        let monotone = problem.monotone();
-        let pkg_policy = PackagePolicy {
-            encoding: config.wire_encoding,
-            monotone,
-            uniform_hint: problem.uniform_broadcast_msgs(),
-            order: problem.monotone_order(),
-        };
-        let interconnect: &Interconnect = &self.system.interconnect;
-
-        let t0 = Instant::now();
-        let outcomes: Vec<Result<T>> = std::thread::scope(|scope| {
-            let devices = self.system.devices.iter_mut().zip(&mut self.per_gpu);
-            let handles: Vec<_> = devices
-                .zip(&self.dist.parts)
-                .map(|((dev, per), sub)| {
-                    let src_local =
-                        located.and_then(|(gpu, local)| (gpu == dev.id()).then_some(local));
-                    dev.set_retry_policy(policy.max_retries, policy.retry_backoff_us);
-                    let (mailbox, rec, device_loop) = (&mailbox, &rec, &device_loop);
-                    scope.spawn(move || {
-                        // Fresh suppression cache per enact: floors never
-                        // survive a traversal (a retried or resumed attempt
-                        // starts from scratch, so a send that was lost with
-                        // its device can never leave a stale floor behind).
-                        let supp = (config.suppression && monotone && n > 1)
-                            .then(|| SuppressState::with_order(sub.n_vertices(), pkg_policy.order));
-                        let stats = CommReduction::default();
-                        let run = DeviceRun {
-                            problem,
-                            dev,
-                            per,
-                            sub,
-                            interconnect,
-                            mailbox,
-                            config,
-                            rec,
-                            pkg_policy,
-                            supp,
-                            stats,
-                            error: None,
-                        };
-                        device_loop(run, src_local)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(gpu, h)| harvest_device_thread(h.join(), gpu))
-                .collect()
-        });
-        let wall_time_us = t0.elapsed().as_secs_f64() * 1e6;
-
-        let kernel_retries: u64 = self.system.devices.iter().map(|d| d.kernel_retries()).sum();
-        let transfer_retries = rec.transfer_retries.load(Relaxed);
-        let log = RecoveryLog {
-            kernel_retries,
-            transfer_retries,
-            faults_injected: fired(&self.system) - fired_before,
-            stragglers_detected: rec.stragglers.load(Relaxed),
-            butterfly_fallbacks: rec.butterfly_fallbacks.load(Relaxed),
-            backoff_us: (kernel_retries + transfer_retries) as f64 * policy.retry_backoff_us,
-            ..RecoveryLog::default()
-        };
-
-        // Deterministic root-cause selection: the most severe error wins,
-        // lowest device id breaking ties (`Aborted` is only a peer echo).
-        let mut root: Option<(u8, VgpuError)> = None;
-        let mut done = Vec::with_capacity(n);
-        for r in outcomes {
-            match r {
-                Ok(t) => done.push(t),
-                Err(e) => {
-                    let severity = match e {
-                        VgpuError::DeviceLost { .. } => 3,
-                        VgpuError::Timeout { .. } => 2,
-                        VgpuError::Aborted => 0,
-                        _ => 1,
-                    };
-                    if root.as_ref().is_none_or(|(s, _)| severity > *s) {
-                        root = Some((severity, e));
-                    }
-                }
-            }
-        }
-        let outcome = match root {
-            Some((_, e)) => Err(e),
-            None => Ok(done),
-        };
-        Launched { outcome, log, wall_time_us }
-    }
-
-    /// Fold the device threads' outcomes and the finished system into an
-    /// [`EnactReport`]: iterations are the deepest device's, histories sum
-    /// per superstep, and every system-derived field (`sim_time_us`,
-    /// counters, memory statistics, trace) is read here and nowhere else.
-    pub(crate) fn report(
-        &self,
-        outcomes: Vec<DeviceOutcome>,
-        wall_time_us: f64,
-        host_sync: HostSync,
-        recovery: RecoveryLog,
-    ) -> EnactReport {
-        let mut iterations = 0usize;
-        let mut history: Vec<SuperstepTrace> = Vec::new();
-        let mut comm = CommReduction::default();
-        for (i, local_hist, comm_stats) in &outcomes {
-            iterations = iterations.max(*i);
-            comm.merge(comm_stats);
-            if history.len() < local_hist.len() {
-                history.resize(local_hist.len(), SuperstepTrace::default());
-            }
-            for (acc, t) in history.iter_mut().zip(local_hist) {
-                acc.input += t.input;
-                acc.output += t.output;
-                acc.sent += t.sent;
-                acc.combined += t.combined;
-                acc.suppressed += t.suppressed;
-            }
-        }
-        let mut governor = self.admission.clone();
-        for per in &self.per_gpu {
-            governor.absorb(per.bufs.governor());
-        }
-        let system = &self.system;
-        EnactReport {
-            primitive: self.problem.name(),
-            n_devices: self.dist.n_parts,
-            iterations,
-            sim_time_us: system.makespan_us(),
-            wall_time_us,
-            host_sync,
-            totals: system.total_counters(),
-            per_device: system.devices.iter().map(|d| d.counters).collect(),
-            peak_memory_per_device: system.peak_memory_per_device(),
-            total_peak_memory: system.total_peak_memory(),
-            pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
-            mem_per_device: system.devices.iter().map(|d| DeviceMemStats::of(d.pool())).collect(),
-            history,
-            recovery,
-            governor,
-            comm,
-            trace: self.config.tracing.then(|| crate::trace::Trace::collect(system)),
-        }
-    }
-}
-
 /// Everything one device thread owns for the duration of one enact. The
-/// engines' device loops are methods of this; it is also the one owner of
-/// the device's failure state.
+/// superstep loop is a method of this; it is also the one owner of the
+/// device's failure state.
 pub(crate) struct DeviceRun<'a, V: Id, O: Id, P: MgpuProblem<V, O>> {
     pub(crate) problem: &'a P,
     pub(crate) dev: &'a mut Device,
@@ -683,18 +309,18 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
 mod tests {
     use super::*;
     use crate::problem::testing::MinLabel;
+    use crate::Runner;
     use mgpu_graph::{Coo, Csr, GraphBuilder};
-    use mgpu_partition::Duplication;
-    use vgpu::{BspCounters, HardwareProfile};
+    use mgpu_partition::{DistGraph, Duplication};
+    use vgpu::{BspCounters, HardwareProfile, SimSystem};
 
     #[test]
-    fn kind_labels_and_timing() {
+    fn kind_labels() {
+        assert_eq!(ExecutorKind::ALL, [ExecutorKind::Bsp, ExecutorKind::Resilient]);
         assert_eq!(ExecutorKind::Bsp.label(), "bsp");
-        assert_eq!(ExecutorKind::Async.label(), "async");
         assert_eq!(ExecutorKind::Resilient.label(), "resilient");
-        assert!(ExecutorKind::Bsp.deterministic_timing());
-        assert!(ExecutorKind::Resilient.deterministic_timing());
-        assert!(!ExecutorKind::Async.deterministic_timing());
+        assert_eq!("resilient".parse(), Ok(ExecutorKind::Resilient));
+        assert!("async".parse::<ExecutorKind>().is_err(), "there is no asynchronous engine");
     }
 
     /// A 6-cycle over two 1-hop parts: part 1 holds globals [3, 4, 5 | 0, 2].
@@ -714,9 +340,9 @@ mod tests {
         f: impl Fn(&mut DeviceRun<'_, u32, u64, MinLabel>) -> T + Sync,
     ) -> T {
         let system = SimSystem::homogeneous(2, HardwareProfile::k40());
-        let mut bound = Bound::new(system, dg, MinLabel, config).unwrap();
+        let mut runner = Runner::new(system, dg, MinLabel, config).unwrap();
         let launched =
-            bound.launch(None, 0, |mut run, _| Ok((run.gpu() == 1).then(|| f(&mut run))));
+            runner.launch(None, 0, |mut run, _| Ok((run.gpu() == 1).then(|| f(&mut run))));
         launched.outcome.unwrap().pop().flatten().expect("device 1 is the last of two")
     }
 

@@ -57,7 +57,6 @@ macro_rules! named {
 }
 
 pub mod alloc;
-pub mod async_enactor;
 pub mod comm;
 pub mod direction;
 pub mod enactor;
@@ -77,7 +76,6 @@ pub use comm::{
     SplitScratch, SuppressState, WireEncoding,
 };
 pub use direction::{Direction, DirectionConfig, DirectionState};
-pub use async_enactor::AsyncRunner;
 pub use enactor::{EnactConfig, Runner};
 pub use executor::{Executor, ExecutorKind};
 pub use governor::{Downgrade, GovernorLog, PressurePolicy};

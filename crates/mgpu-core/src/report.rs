@@ -93,8 +93,7 @@ impl DeviceMemStats {
 /// What the device threads' rendezvous waits cost on the host wall clock,
 /// per device — says whether a slow run was sleeping at the barrier or
 /// working. Wall-only, like `wall_time_us`: never part of the simulation.
-/// Empty for engines without a `SyncPoint` (the async enactor, the
-/// baselines).
+/// Empty only for the baselines, which run without a `SyncPoint`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HostSync {
     /// One entry per device id.

@@ -19,7 +19,9 @@
 //!   sync spans = `supersteps`, send/recv bytes = `h_bytes_sent/recv`, …);
 //! * the makespan reconstructed from the final superstep-sync span equals
 //!   `EnactReport::sim_time_us` bitwise (plus recovery `lost_time_us` for
-//!   resilient reports, which fold failed attempts into the total).
+//!   resilient reports, which fold failed attempts into the total). Every
+//!   enact ends at least one superstep, so this check is never skipped: a
+//!   trace without sync spans fails it.
 //!
 //! Because all span times are *simulated* clocks, a trace is bit-identical
 //! across kernel-thread counts and host scheduling; the serialized JSONL
@@ -508,16 +510,14 @@ impl Profile {
         // into `sim_time_us`; the trace describes the surviving attempt, so
         // its makespan plus the recorded loss must reproduce the total. For
         // plain reports `lost_time_us` is 0.0 and the addition is exact.
-        // Async traces carry no sync spans (there are no supersteps), so the
-        // makespan cannot be reconstructed from the trace — skip the check.
-        if self.total.syncs > 0 {
-            let reconstructed = self.makespan_us + report.recovery.lost_time_us;
-            if reconstructed.to_bits() != report.sim_time_us.to_bits() {
-                return Err(format!(
-                    "makespan: trace={} (+lost {}) report sim_time_us={} (bitwise)",
-                    self.makespan_us, report.recovery.lost_time_us, report.sim_time_us
-                ));
-            }
+        // Every enact ends at least one superstep, so a trace without sync
+        // spans cannot reconstruct the makespan and fails here.
+        let reconstructed = self.makespan_us + report.recovery.lost_time_us;
+        if reconstructed.to_bits() != report.sim_time_us.to_bits() {
+            return Err(format!(
+                "makespan: trace={} (+lost {}) report sim_time_us={} (bitwise)",
+                self.makespan_us, report.recovery.lost_time_us, report.sim_time_us
+            ));
         }
         Ok(())
     }
@@ -829,6 +829,34 @@ mod tests {
         Profile::from_trace(tb).reconcile(&b).expect("stamps are not reconciled");
         let (untraced, _) = enact_min_label(false);
         assert!(a.same_simulation(&untraced), "stamping never touches the simulation");
+    }
+
+    #[test]
+    fn reconcile_always_checks_the_makespan() {
+        let (report, _) = enact_min_label(true);
+        let profile = Profile::from_trace(report.trace.as_ref().unwrap());
+        profile.reconcile(&report).expect("the report as enacted reconciles");
+
+        let off = f64::from_bits(report.sim_time_us.to_bits() + 1);
+        let off_by_one_ulp = EnactReport { sim_time_us: off, ..report.clone() };
+        let err = profile.reconcile(&off_by_one_ulp).unwrap_err();
+        assert!(err.starts_with("makespan:"), "{err}");
+
+        // Without its sync spans (and the counters they reconcile against)
+        // the trace agrees with the report on every bucket and tally, but it
+        // cannot reconstruct the makespan: that is a failure, not a skip.
+        let mut no_syncs = report.clone();
+        for events in &mut no_syncs.trace.as_mut().unwrap().per_device {
+            events.retain(|e| e.kind != TraceKind::Sync);
+        }
+        for c in no_syncs.per_device.iter_mut().chain([&mut no_syncs.totals]) {
+            c.sync_time_us = 0.0;
+            c.supersteps = 0;
+        }
+        let stripped = Profile::from_trace(no_syncs.trace.as_ref().unwrap());
+        assert_eq!(stripped.total.syncs, 0);
+        let err = stripped.reconcile(&no_syncs).unwrap_err();
+        assert!(err.starts_with("makespan:"), "{err}");
     }
 
     #[test]

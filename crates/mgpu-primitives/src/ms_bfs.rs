@@ -37,9 +37,8 @@
 //! * **Convergence:** all frontiers empty; `S` = depth of the *deepest*
 //!   single traversal, not the sum over sources.
 //!
-//! Depth recovery ties lane depths to the superstep counter, so MS-BFS
-//! requires the BSP enactors (the async enactor has no supersteps and
-//! cannot stamp arrival depths). A depth is a `u32` below [`INF`]
+//! Depth recovery ties lane depths to the superstep counter: a lane's
+//! depth is the superstep its bit arrived in. A depth is a `u32` below [`INF`]
 //! (`u32::MAX`, "unreached"), so a batch may run at most `u32::MAX − 1`
 //! supersteps; one more panics (a lost device, a typed error to the
 //! caller) rather than stamping a depth that reads as unreached.

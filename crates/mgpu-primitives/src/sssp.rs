@@ -8,8 +8,7 @@
 //! is owned, so the framework's split keeps it local: it costs a split item
 //! per superstep, never a wire byte, and the pending set stays entirely in
 //! the frontier the framework sees — which is why the default
-//! `locally_done`, the checkpoint frontier and `AsyncRunner`'s "iteration is
-//! a pure relaxation of its input" contract all hold with no hook
+//! `locally_done` and the checkpoint frontier both hold with no hook
 //! overridden.
 //!
 //! A vertex re-enters the frontier when a shorter path arrives later — the
@@ -47,13 +46,12 @@ const LAUNCHES_PER_SUPERSTEP: f64 = 4.0;
 pub struct SsspState<V: Id> {
     /// Tentative distances, `INF` = unreached. Indexed by local vertex id.
     pub dists: DeviceArray<u32>,
-    /// Visit stamps of superstep `round`: `2·round` = taken from the input
-    /// into the near set, `2·round + 1` = already in the output frontier
-    /// (parked far, or emitted by the advance).
+    /// Visit stamps of superstep `iter`: `2·iter` = taken from the input
+    /// into the near set, `2·iter + 1` = already in the output frontier
+    /// (parked far, or emitted by the advance). `INF`-filled at reset, and
+    /// only equality with the current superstep's two values is read, so a
+    /// run resumed from a checkpoint at any `iter` starts clean.
     stamp: DeviceArray<u32>,
-    /// Supersteps run since the last reset. The stamps count with this, not
-    /// with `iter`: the async engine's `iter` is not a superstep.
-    round: u32,
     /// Superstep-start distance of each near vertex (host scratch, written
     /// for the near set only). Relaxations *read* this and *write* `dists`
     /// through `fetch_min`, so concurrent chunks of the parallel advance see
@@ -105,7 +103,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
         Ok(SsspState {
             dists: dev.alloc(sub.n_vertices())?,
             stamp: dev.alloc(sub.n_vertices())?,
-            round: 0,
             snap: vec![INF; sub.n_vertices()],
             near: Vec::new(),
             far: Vec::new(),
@@ -128,7 +125,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
             let n = dists.len();
             ((), 2 * n as u64)
         })?;
-        state.round = 0;
         state.width = 1;
         Ok(match src {
             Some(s) => {
@@ -146,12 +142,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
         state: &mut Self::State,
         bufs: &mut FrontierBufs<V>,
         input: &[V],
-        _iter: usize,
+        iter: usize,
     ) -> Result<Vec<V>> {
         use std::sync::atomic::Ordering::Relaxed;
-        let SsspState { dists, stamp, round, snap, near, far, width, quantum } = state;
-        let (taken, parked) = (2 * *round, 2 * *round + 1);
-        *round += 1;
+        let SsspState { dists, stamp, snap, near, far, width, quantum } = state;
+        let taken = u32::try_from(2 * iter).expect("SSSP stamps count below 2^31 supersteps");
+        let parked = taken + 1;
 
         // Split the pending set: two passes over the input in one kernel.
         // The first drops duplicates (the local part of the last output and
@@ -246,8 +242,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
     }
 
     // Tentative distances are the recoverable state: the pending set is the
-    // checkpointed frontier, and stamps, round and width restart from a
-    // fresh reset.
+    // checkpointed frontier, and stamps and width restart from a fresh reset.
     fn supports_checkpoint(&self) -> bool {
         true
     }

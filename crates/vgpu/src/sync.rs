@@ -490,11 +490,6 @@ impl<T> Mailbox<T> {
         out.sort_by_key(|d| d.src);
         out
     }
-
-    /// True if `dst`'s inbox is empty.
-    pub fn is_empty(&self, dst: usize) -> bool {
-        self.inboxes[dst].lock().is_empty()
-    }
 }
 
 /// Convert a device thread's join outcome into a substrate result: a panic
@@ -684,7 +679,7 @@ mod tests {
         assert_eq!(got[0].src, 0);
         assert_eq!(got[1].src, 1);
         assert_eq!(got[1].arrival.time(), 5.0);
-        assert!(mb.is_empty(0));
+        assert!(mb.drain(0).is_empty(), "a drain empties the inbox");
     }
 
     #[test]

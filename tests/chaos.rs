@@ -4,9 +4,6 @@
 //! * Memory-pressure governing composes with transient kernel faults — one
 //!   run can downgrade *and* retry, and both logs say so, without touching
 //!   the results.
-//! * The async enactor recovers transient kernel and transfer faults to the
-//!   reference fixpoint, and turns a permanent device loss into a typed
-//!   error instead of a hang.
 //! * The butterfly collective degrades a superstep to a direct broadcast
 //!   when a mid-stage link burst exhausts in-place retries, visibly in both
 //!   the recovery log and the structured trace.
@@ -15,7 +12,7 @@
 //!   devices they were planned for.
 
 use mgpu_graph_analytics::core::{
-    AsyncRunner, CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, ResilientRunner, Runner,
+    CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, ResilientRunner, Runner,
 };
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
@@ -132,49 +129,6 @@ fn an_injected_spill_fault_surfaces_typed_from_an_unguarded_runner() {
         }
         Ok(_) => panic!("the capped run must spill and hit the planned spill fault"),
         Err(other) => panic!("expected TransferFailed from the spill fault, got {other}"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// async enactor recovery
-// ---------------------------------------------------------------------------
-
-#[test]
-fn async_enactor_recovers_transient_faults_to_the_reference_fixpoint() {
-    let g = weighted_graph();
-    let expect = reference::sssp(&g, 0u32);
-    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 4 }, 4, Duplication::All);
-    let mut sys = SimSystem::homogeneous(4, HardwareProfile::k40());
-    // Early per-device launch indices and the first send on 0→1 are all
-    // guaranteed to be reached regardless of async scheduling.
-    sys.attach_fault_plan(
-        &FaultPlan::new().kernel_fail(0, 2).transient_oom(1, 3).transfer_fail(0, 1, 0),
-    );
-    let mut runner = AsyncRunner::with_config(sys, &dist, Sssp, &resilient_config()).unwrap();
-    let report = runner.enact(Some(0u32)).unwrap();
-    let dists: Vec<u32> = (0..g.n_vertices())
-        .map(|v| {
-            let (gpu, local) = dist.locate(v as u32);
-            runner.state(gpu).dists[local as usize]
-        })
-        .collect();
-    assert_eq!(dists, expect, "async fixpoint after recovery must match the reference");
-    assert!(report.recovery.kernel_retries >= 2, "both kernel transients relaunched");
-    assert!(report.recovery.transfer_retries >= 1, "the faulted send was re-sent");
-    assert_eq!(report.recovery.faults_injected, 3);
-    assert!(report.recovery.backoff_us > 0.0, "async retries charge simulated backoff");
-}
-
-#[test]
-fn async_enactor_turns_device_loss_into_a_typed_error_not_a_hang() {
-    let g = graph();
-    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 4 }, 3, Duplication::All);
-    let mut sys = SimSystem::homogeneous(3, HardwareProfile::k40());
-    sys.attach_fault_plan(&FaultPlan::new().device_loss(1, 5));
-    let mut runner = AsyncRunner::with_config(sys, &dist, Cc, &resilient_config()).unwrap();
-    match runner.enact(None) {
-        Err(VgpuError::DeviceLost { device: 1 }) => {}
-        other => panic!("expected DeviceLost {{ device: 1 }}, got {other:?}"),
     }
 }
 

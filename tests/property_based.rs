@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mgpu_graph_analytics::core::{AsyncRunner, EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
+use mgpu_graph_analytics::core::{EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
 use mgpu_graph_analytics::graph::{BuildOptions, Coo, Csr, GraphBuilder, Id};
 use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
@@ -334,7 +334,7 @@ fn arb_sssp_graph(rng: &mut ChaCha8Rng) -> (Csr<u32, u64>, u32) {
 fn sssp_equals_dijkstra_under_every_executor() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA24);
     // Overheads shrunk 1024x: the near window stays narrow, so there are
-    // parked vertices to carry across supersteps, rounds and the checkpoint.
+    // parked vertices to carry across supersteps and the checkpoint.
     let profile = || HardwareProfile::k40().with_overhead_scale(1024.0);
     let mut resumed = 0;
     for case in 0..CASES {
@@ -343,15 +343,11 @@ fn sssp_equals_dijkstra_under_every_executor() {
         let seed = rng.gen_range(0u64..1000);
         let expect: Vec<u64> = reference::sssp(&g, src).into_iter().map(u64::from).collect();
         let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
-        let sys = || SimSystem::homogeneous(n_gpus, profile());
+        let sys = SimSystem::homogeneous(n_gpus, profile());
 
-        let mut bsp = Runner::new(sys(), &dist, Sssp, EnactConfig::default()).unwrap();
+        let mut bsp = Runner::new(sys, &dist, Sssp, EnactConfig::default()).unwrap();
         bsp.enact(Some(src)).unwrap();
         assert_eq!(bsp.harvest(), expect, "case {case}: Runner, {n_gpus} vGPUs");
-
-        let mut asy = AsyncRunner::new(sys(), &dist, Sssp).unwrap();
-        asy.enact(Some(src)).unwrap();
-        assert_eq!(asy.harvest(), expect, "case {case}: AsyncRunner, {n_gpus} vGPUs");
 
         // lose the last device a few supersteps in; with a checkpoint at
         // every boundary the survivors resume from one whenever the
@@ -419,15 +415,11 @@ fn cc_equals_reference_under_every_executor() {
         let seed = rng.gen_range(0u64..1000);
         let expect: Vec<u64> = reference::cc(&g).into_iter().map(|c| c as u64).collect();
         let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
-        let sys = || SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+        let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
 
-        let mut bsp = Runner::new(sys(), &dist, Cc, EnactConfig::default()).unwrap();
+        let mut bsp = Runner::new(sys, &dist, Cc, EnactConfig::default()).unwrap();
         bsp.enact(None).unwrap();
         assert_eq!(bsp.harvest(), expect, "case {case}: Runner, {n_gpus} vGPUs");
-
-        let mut asy = AsyncRunner::new(sys(), &dist, Cc).unwrap();
-        asy.enact(None).unwrap();
-        assert_eq!(asy.harvest(), expect, "case {case}: AsyncRunner, {n_gpus} vGPUs");
 
         // lose the last device late, after a checkpoint at every boundary:
         // the survivors resume, re-home its vertices and scan their new

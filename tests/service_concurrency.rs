@@ -29,7 +29,7 @@ use mgpu_graph_analytics::core::EnactConfig;
 
 /// The heterogeneous mix every configuration runs: two traversal sources,
 /// a weighted shortest path (plus a resilient-mode copy), centrality and
-/// components — seven queries, three engines' worth of executor impls.
+/// components — seven queries over both executors.
 const MIX: &str = "bfs:0,sssp:1,cc,bc:2,bfs:3,sssp:0,sssp:2@resilient";
 
 fn weighted_graph() -> Csr<u32, u64> {

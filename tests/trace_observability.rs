@@ -12,8 +12,7 @@
 //! untraced runs).
 
 use mgpu_graph_analytics::core::{
-    AsyncRunner, CommStrategy, CommTopology, EnactConfig, EnactReport, Profile, RecoveryPolicy,
-    Runner,
+    CommStrategy, CommTopology, EnactConfig, EnactReport, Profile, RecoveryPolicy, Runner,
 };
 use mgpu_graph_analytics::gen::gnm;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
@@ -222,29 +221,4 @@ fn an_exhausted_retry_butterfly_fallback_still_reconciles() {
     let profile = Profile::from_trace(report.trace.as_ref().unwrap());
     profile.reconcile(&report).unwrap();
     assert_eq!(profile.total.retries, 3, "giving up is not a fourth retry");
-}
-
-// --- async mode ---------------------------------------------------------
-
-#[test]
-fn async_traces_reconcile_per_device_sums() {
-    // The async schedule is nondeterministic, so traces are not golden —
-    // but every recorded span still reconciles with the counters of its
-    // own run (the makespan check is skipped: no sync spans exist).
-    let g = graph(71);
-    let dist = DistGraph::build(
-        &g,
-        (0..g.n_vertices()).map(|v| (v % 3) as u32).collect(),
-        3,
-        Duplication::All,
-    );
-    let sys = SimSystem::homogeneous(3, HardwareProfile::k40());
-    let cfg = EnactConfig { tracing: true, ..Default::default() };
-    let mut runner = AsyncRunner::with_config(sys, &dist, Sssp, &cfg).unwrap();
-    let report = runner.enact(Some(0u32)).unwrap();
-    let trace = report.trace.as_ref().unwrap();
-    assert!(trace.n_events() > 0);
-    let profile = Profile::from_trace(trace);
-    profile.reconcile(&report).unwrap();
-    assert_eq!(profile.total.syncs, 0, "async mode has no superstep syncs");
 }
