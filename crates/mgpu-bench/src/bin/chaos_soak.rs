@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_or_exit, Flag};
 use mgpu_bench::Primitive;
-use mgpu_core::{CommTopology, EnactConfig, Json, PressurePolicy, RecoveryPolicy, ResilientRunner};
+use mgpu_core::{CommTopology, EnactConfig, Json, RecoveryPolicy, ResilientRunner};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
 use mgpu_graph::{Csr, GraphBuilder};
@@ -51,8 +51,8 @@ struct Scenario {
     /// BFS, SSSP or CC.
     prim: Primitive,
     topology: CommTopology,
-    /// Cap device memory at 3/4 of the clean run's peak and enable the
-    /// pressure governor.
+    /// Cap device memory at 3/4 of the clean run's peak, so the pressure
+    /// governor has to act.
     capped: bool,
     graph_seed: u64,
 }
@@ -107,7 +107,7 @@ fn plan_for(s: &Scenario, rng: &mut u64) -> FaultPlan {
         let spec = (0..4).map(|k| format!("tfail:0>1@{}", b + k)).collect::<Vec<_>>().join(",");
         FaultPlan::parse(&spec).expect("burst spec is well-formed")
     } else if s.capped {
-        FaultPlan::random_with_pressure(seed, s.gpus, count, horizon)
+        FaultPlan::random_pressure_aware(seed, s.gpus, count, horizon)
     } else {
         FaultPlan::random(seed, s.gpus, count, horizon)
     }
@@ -133,15 +133,6 @@ fn bank(seed: u64, n: usize) -> Vec<(Scenario, FaultPlan)> {
             (s, plan)
         })
         .collect()
-}
-
-fn config_for(s: &Scenario, capped: bool) -> EnactConfig {
-    EnactConfig {
-        recovery: RecoveryPolicy::resilient(),
-        comm_topology: s.topology,
-        pressure: if capped { PressurePolicy::governed() } else { PressurePolicy::default() },
-        ..EnactConfig::default()
-    }
 }
 
 /// Run the resilient executor under `profile`/`config` with an optional
@@ -203,25 +194,27 @@ fn soak(s: &Scenario, plan: &FaultPlan, refs: &mut References) -> Result<(), Str
         }
     };
     // Fault-free oracle, uncapped.
-    let (clean, clean_rep) = run(s, &g, HardwareProfile::k40(), config_for(s, false), None)?;
+    let config = EnactConfig {
+        recovery: RecoveryPolicy::resilient(),
+        comm_topology: s.topology,
+        ..EnactConfig::default()
+    };
+    let (clean, clean_rep) = run(s, &g, HardwareProfile::k40(), config, None)?;
     against_reference(&clean)?;
-    // Pick the scenario's real profile/config: a tight cap derived
-    // from the clean run's peak. If even the fault-free capped run
-    // is infeasible (typed OOM at admission), fall back to uncapped
-    // for this scenario — deterministically, from the clean run.
+    // Pick the scenario's real profile: a tight cap derived from the clean
+    // run's peak. If even the fault-free capped run is infeasible (typed OOM
+    // at admission), fall back to uncapped for this scenario —
+    // deterministically, from the clean run.
     let peak = clean_rep.peak_memory_per_device;
     let mut profile = HardwareProfile::k40();
-    let mut config = config_for(s, false);
     let mut baseline = (clean.clone(), clean_rep);
     if s.capped {
         let capped_profile = HardwareProfile::k40().with_capacity(peak * 3 / 4);
-        let capped_config = config_for(s, true);
-        if let Ok(capped_base) = run(s, &g, capped_profile.clone(), capped_config, None) {
+        if let Ok(capped_base) = run(s, &g, capped_profile.clone(), config, None) {
             if capped_base.0 != clean {
                 return Err("capped fault-free run diverges from uncapped".into());
             }
             profile = capped_profile;
-            config = capped_config;
             baseline = capped_base;
         }
     }

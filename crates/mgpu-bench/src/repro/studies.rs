@@ -3,8 +3,8 @@
 //! (`bsp_profile`) and what the query service overlaps (`service`).
 
 use mgpu_core::{
-    CommTopology, EnactConfig, EnactReport, PressurePolicy, Profile, Service, ServicePolicy,
-    ServiceReport, WireEncoding,
+    CommTopology, EnactConfig, EnactReport, Profile, Service, ServicePolicy, ServiceReport,
+    WireEncoding,
 };
 use mgpu_partition::{DistGraph, Duplication, Partitioner};
 use mgpu_primitives::MsBfs;
@@ -266,7 +266,6 @@ pub(super) fn service(ctx: &Ctx) -> Result<Outcome> {
             lanes,
             mem_cap,
             residency_bytes: residency,
-            pressure: PressurePolicy::governed(),
         })
         .run(&specs)
     };

@@ -210,14 +210,13 @@ fn prefers_selective(prim: Primitive) -> bool {
 
 /// Partition `g` for `prim` and run it once on `system`.
 ///
-/// Under an enabled [`mgpu_core::PressurePolicy`] this layer owns the
-/// *global* links of the admission downgrade chain, which need a re-bind the
-/// enactor cannot do itself: an admission `OutOfMemory` first drops a
-/// `broadcast` comm override back to the primitive's preferred `selective`
-/// (wire formats permitting), then re-partitions `duplicate-all →
-/// duplicate-1-hop` (BFS supports both). Each step is recorded in the
-/// report's governor log; only when the chain is exhausted does the typed
-/// OOM reach the caller.
+/// This layer owns the *global* links of the governor's admission downgrade
+/// chain, which need a re-bind the enactor cannot do itself: an
+/// `OutOfMemory` first drops a `broadcast` comm override back to the
+/// primitive's preferred `selective` (wire formats permitting), then
+/// re-partitions `duplicate-all → duplicate-1-hop` (BFS supports both).
+/// Each step is recorded in the report's governor log; only when the chain
+/// is exhausted does the typed OOM reach the caller.
 pub fn run_primitive<O: Id>(
     prim: Primitive,
     g: &Csr<u32, O>,
@@ -227,15 +226,11 @@ pub fn run_primitive<O: Id>(
 ) -> Result<RunOutcome> {
     let n = system.n_devices();
     let src = prim.needs_source().then(|| pick_source(g));
-    // A governed retry consumes the system, so capture what a rebuild needs
+    // A downgrade retry consumes the system, so capture what a rebuild needs
     // up front (profiles, fabric, fault injector).
-    let rebuild = config.pressure.enabled.then(|| {
-        (
-            system.devices.iter().map(|d| d.profile().clone()).collect::<Vec<_>>(),
-            (*system.interconnect).clone(),
-            system.fault_injector(),
-        )
-    });
+    let profiles: Vec<_> = system.devices.iter().map(|d| d.profile().clone()).collect();
+    let fabric = (*system.interconnect).clone();
+    let injector = system.fault_injector();
     let mut system = Some(system);
     let mut cfg = config;
     let mut dup = prim.duplication();
@@ -245,9 +240,8 @@ pub fn run_primitive<O: Id>(
         let sys = match system.take() {
             Some(s) => s,
             None => {
-                let (profiles, ic, inj) = rebuild.as_ref().expect("governed retries only");
-                let mut s = SimSystem::new(profiles.clone(), ic.clone())?;
-                if let Some(inj) = inj {
+                let mut s = SimSystem::new(profiles.clone(), fabric.clone())?;
+                if let Some(inj) = &injector {
                     for d in &mut s.devices {
                         d.set_fault_injector(Some(Arc::clone(inj)));
                     }
@@ -264,9 +258,7 @@ pub fn run_primitive<O: Id>(
         match dispatch(prim, sys, &dist, cfg, src, &notes, one_hop) {
             Ok(report) => return Ok(RunOutcome { report, edges: g.n_edges(), ingest }),
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
-                if cfg.pressure.enabled
-                    && cfg.comm == Some(CommStrategy::Broadcast)
-                    && prefers_selective(prim) =>
+                if cfg.comm == Some(CommStrategy::Broadcast) && prefers_selective(prim) =>
             {
                 notes.push(Downgrade {
                     device: None,
@@ -279,7 +271,7 @@ pub fn run_primitive<O: Id>(
                 cfg.comm = None;
             }
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
-                if cfg.pressure.enabled && prim == Primitive::Bfs && dup == Duplication::All =>
+                if prim == Primitive::Bfs && dup == Duplication::All =>
             {
                 notes.push(Downgrade {
                     device: None,
@@ -433,7 +425,7 @@ pub fn scaled_system(n: usize, profile: vgpu::HardwareProfile, shift: u32) -> Si
 mod tests {
     use super::*;
     use mgpu_core::governor::estimate_footprint;
-    use mgpu_core::{AllocScheme, PressurePolicy};
+    use mgpu_core::AllocScheme;
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
     use mgpu_graph::{CsrAuto, GraphBuilder};
@@ -493,7 +485,7 @@ mod tests {
         // JustEnough floor, duplicate-1-hop is admitted.
         let cap = (hop_floor + all_floor) / 2;
         let system = SimSystem::homogeneous(n, HardwareProfile::k40().with_capacity(cap));
-        let config = EnactConfig { pressure: PressurePolicy::governed(), ..EnactConfig::default() };
+        let config = EnactConfig::default();
         let out = run_primitive(Primitive::Bfs, &g, system, &ChunkedPartitioner, config)
             .expect("the duplication downgrade must rescue the run");
         let gov = &out.report.governor;
@@ -535,11 +527,7 @@ mod tests {
         // the primitive's own selective preference is admitted.
         let cap = (sel_floor + bro_floor) / 2;
         let system = SimSystem::homogeneous(n, HardwareProfile::k40().with_capacity(cap));
-        let config = EnactConfig {
-            comm: Some(CommStrategy::Broadcast),
-            pressure: PressurePolicy::governed(),
-            ..EnactConfig::default()
-        };
+        let config = EnactConfig { comm: Some(CommStrategy::Broadcast), ..EnactConfig::default() };
         let out =
             run_primitive(Primitive::Bfs, &g, system, &RandomPartitioner { seed: 11 }, config)
                 .expect("dropping the comm override must rescue the run");

@@ -29,8 +29,8 @@ use mgpu_bench::runners::{
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{run_multi_source, run_primitive};
 use mgpu_core::{
-    AllocScheme, CommStrategy, CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, Service,
-    ServicePolicy, WireEncoding,
+    AllocScheme, CommStrategy, CommTopology, EnactConfig, RecoveryPolicy, Service, ServicePolicy,
+    WireEncoding,
 };
 use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
@@ -133,9 +133,12 @@ const SHARED: &[Flag<Cli>] = &[
     Flag::new("--seed", "S", "generator/partitioner seed [default 42]", |o, a| {
         a.parse().map(|seed| o.seed = seed)
     }),
-    Flag::new("--mem-cap", "BYTES", "per-device pool cap; arms the pressure governor", |o, a| {
-        a.parse().map(|cap| o.mem_cap = Some(cap))
-    }),
+    Flag::new(
+        "--mem-cap",
+        "BYTES",
+        "per-device pool cap (the governor downgrades to fit it)",
+        |o, a| a.parse().map(|cap| o.mem_cap = Some(cap)),
+    ),
     Flag::new("--comm-topology", CommTopology::WANT, "broadcast shape [default direct]", |o, a| {
         a.parse().map(|t| o.comm_topology = t)
     }),
@@ -232,15 +235,6 @@ impl Cli {
         }
         cli.alloc_scheme = cli.alloc_scheme.map(|s| s.with_sizing_factor(cli.sizing_factor));
         Ok(cli)
-    }
-
-    /// `--mem-cap` arms the pressure governor.
-    fn pressure(&self) -> PressurePolicy {
-        if self.mem_cap.is_some() {
-            PressurePolicy::governed()
-        } else {
-            PressurePolicy::default()
-        }
     }
 }
 
@@ -363,7 +357,7 @@ fn parse_fault_plan(spec: &str, n_devices: usize) -> Result<FaultPlan, String> {
         let count = count.parse::<usize>().map_err(|e| format!("count: {e}"))?;
         let horizon = horizon.parse::<u64>().map_err(|e| format!("horizon: {e}"))?;
         Ok(if pressure {
-            FaultPlan::random_with_pressure(seed, n_devices, count, horizon)
+            FaultPlan::random_pressure_aware(seed, n_devices, count, horizon)
         } else {
             FaultPlan::random(seed, n_devices, count, horizon)
         })
@@ -444,7 +438,6 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
         } else {
             RecoveryPolicy::default()
         },
-        pressure: cli.pressure(),
         ..Default::default()
     };
 
@@ -616,11 +609,7 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     // --mem-cap shrinks the per-query device pools too: admitted queries
     // that outgrow their estimate hit the runtime pressure machinery
     // (spill, chunking) rather than silently exceeding the cap.
-    let config = EnactConfig {
-        comm_topology: cli.comm_topology,
-        pressure: cli.pressure(),
-        ..Default::default()
-    };
+    let config = EnactConfig { comm_topology: cli.comm_topology, ..Default::default() };
 
     // --- one shared residency for every query ---
     let gpus = cli.gpus;
@@ -645,7 +634,6 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
         lanes: cli.lanes,
         mem_cap: cli.mem_cap,
         residency_bytes: residency_bytes(&dist),
-        pressure: PressurePolicy::governed(),
     };
     let report = Service::new(policy).run(&specs);
 
@@ -779,7 +767,6 @@ mod tests {
             ..Cli::default()
         };
         assert_eq!(cli, expected);
-        assert_eq!(cli.pressure(), PressurePolicy::governed());
     }
 
     /// BC `--sources` is one enact per source and no one trace covers them,
@@ -936,7 +923,7 @@ mod tests {
         assert_eq!(parse_fault_plan("random:7:6:40", 4).unwrap(), FaultPlan::random(7, 4, 6, 40));
         assert_eq!(
             parse_fault_plan("randomp:7:6:40", 2).unwrap(),
-            FaultPlan::random_with_pressure(7, 2, 6, 40)
+            FaultPlan::random_pressure_aware(7, 2, 6, 40)
         );
         assert!(parse_fault_plan("random:7:6", 4).is_err());
         assert!(parse_fault_plan("lose:2@5,kfail:0@3", 4).is_ok());

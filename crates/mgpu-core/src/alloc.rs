@@ -21,7 +21,7 @@ use vgpu::interconnect::Link;
 use vgpu::{Device, DeviceArray, Result, VgpuError, COMPUTE_STREAM};
 
 use crate::comm::SplitScratch;
-use crate::governor::{self, GovernorLog, PressurePolicy};
+use crate::governor::{self, GovernorLog};
 
 /// Frontier-buffer allocation scheme.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -117,10 +117,8 @@ pub struct FrontierBufs<V: Id> {
     /// Reusable scratch for the selective split's count pass — lives here so
     /// every per-iteration split reuses one histogram allocation.
     pub split: SplitScratch,
-    /// Memory-pressure policy (default: fully off — every OOM propagates).
-    pressure: PressurePolicy,
-    /// Host-staged link used to charge spills; `None` until the enactor
-    /// attaches the interconnect's host path.
+    /// Host-staged link spills go over; `None` until the enactor attaches
+    /// the interconnect's host path, and until then every OOM propagates.
     host_link: Option<Link>,
     /// Mid-run governor decisions (spills, reclaim retries, chunked passes).
     pub(crate) gov: GovernorLog,
@@ -157,17 +155,17 @@ impl<V: Id> FrontierBufs<V> {
             output,
             intermediate,
             split: SplitScratch::default(),
-            pressure: PressurePolicy::default(),
             host_link: None,
             gov: GovernorLog::default(),
             arena: vgpu::Arena::new(),
         })
     }
 
-    /// Attach a memory-pressure policy and the host-staged link spills are
-    /// charged over. With the default (off) policy this changes nothing.
-    pub fn with_pressure(mut self, policy: PressurePolicy, host_link: Link) -> Self {
-        self.pressure = policy;
+    /// Attach the host-staged link spills are charged over. From then on an
+    /// OOM on a grow spills cold capacity to host and, for the intermediate,
+    /// grants a chunk budget instead of failing; a run that fits never
+    /// spills, so the link changes nothing for it.
+    pub fn with_host_link(mut self, host_link: Link) -> Self {
         self.host_link = Some(host_link);
         self
     }
@@ -189,16 +187,11 @@ impl<V: Id> FrontierBufs<V> {
     }
 
     /// Make sure the intermediate buffer can hold `need` elements before an
-    /// unfused advance. Under just-enough this grows the buffer exactly to
-    /// `need` (charging the reallocation copy); under the preallocating
-    /// schemes it is the "backstop" reallocation that §VI-B keeps armed.
-    pub fn prepare_intermediate(&mut self, dev: &mut Device, need: usize) -> Result<()> {
-        self.prepare_intermediate_budget(dev, need).map(|_| ())
-    }
-
-    /// [`Self::prepare_intermediate`] under the memory-pressure governor:
-    /// returns the number of intermediate slots actually *granted*. Normally
-    /// `granted == need`. When the grow OOMs and the pressure policy is on,
+    /// unfused advance, and return the number of slots actually *granted*.
+    /// Under just-enough this grows the buffer exactly to `need` (charging
+    /// the reallocation copy); under the preallocating schemes it is the
+    /// "backstop" reallocation that §VI-B keeps armed. Normally
+    /// `granted == need`. When the grow OOMs and a host link is attached,
     /// cold frontier capacity is spilled to host and the grow retried; if
     /// `need` still does not fit, the grant drops to what the pool's free
     /// bytes allow and the caller runs the advance as a chunked multi-pass.
@@ -211,9 +204,7 @@ impl<V: Id> FrontierBufs<V> {
         let first = dev.ensure_capacity(self.intermediate.as_mut().expect("checked above"), need);
         match first {
             Ok(()) => Ok(need),
-            Err(e) if !(self.pressure.enabled && matches!(e, VgpuError::OutOfMemory { .. })) => {
-                Err(e)
-            }
+            Err(e) if !self.can_spill(&e) => Err(e),
             Err(_) => {
                 // Reclaim tier: the output buffer's contents are dead between
                 // commits and the input only needs its in-use length — spill
@@ -242,13 +233,13 @@ impl<V: Id> FrontierBufs<V> {
     }
 
     /// Store the post-filter output frontier, growing the output buffer per
-    /// the scheme, and swap it to become the next input. Under the pressure
-    /// policy an OOM on the grow spills the intermediate (dead between
+    /// the scheme, and swap it to become the next input. With a host link
+    /// attached, an OOM on the grow spills the intermediate (dead between
     /// advances) and the input's slack capacity before retrying; a second
     /// failure is hard-infeasible and propagates typed.
     pub fn commit_output(&mut self, dev: &mut Device, frontier: &[V]) -> Result<()> {
         if let Err(e) = dev.ensure_capacity(&mut self.output, frontier.len()) {
-            if !(self.pressure.enabled && matches!(e, VgpuError::OutOfMemory { .. })) {
+            if !self.can_spill(&e) {
                 return Err(e);
             }
             self.gov.reclaim_retries += 1;
@@ -287,6 +278,11 @@ impl<V: Id> FrontierBufs<V> {
         Ok(())
     }
 
+    /// Is `e` an OOM these buffers may answer by spilling to host?
+    fn can_spill(&self, e: &VgpuError) -> bool {
+        self.host_link.is_some() && matches!(e, VgpuError::OutOfMemory { .. })
+    }
+
     /// Charge a host spill of `freed` bytes over the staged link (D2H
     /// occupancy plus latency on the compute stream, occupancy counted as
     /// communication time) and record it in the governor log.
@@ -300,17 +296,15 @@ impl<V: Id> FrontierBufs<V> {
         // fails typed. There is no in-place retry — recovery is owned by
         // the resilience layer's attempt restart.
         let faulted = dev.fault_injector().is_some_and(|inj| inj.on_spill(dev.id()));
-        if let Some(link) = self.host_link {
-            let occupancy = freed as f64 / (link.bandwidth_gb_s * 1e3);
-            // one enqueue of occupancy+latency (splitting it would shift the
-            // clock); the span's `h_us` carries the occupancy portion that
-            // lands in the H counter
-            let meta = vgpu::SpanMeta::new(vgpu::TraceKind::Spill, "host-spill")
-                .bytes(freed)
-                .h_us(occupancy);
-            dev.charge_as(COMPUTE_STREAM, occupancy + link.latency_us, 0.0, meta)?;
-            dev.counters.h_time_us += occupancy;
-        }
+        let link = self.host_link.expect("only a buffer with a host link spills");
+        let occupancy = freed as f64 / (link.bandwidth_gb_s * 1e3);
+        // one enqueue of occupancy+latency (splitting it would shift the
+        // clock); the span's `h_us` carries the occupancy portion that lands
+        // in the H counter
+        let meta =
+            vgpu::SpanMeta::new(vgpu::TraceKind::Spill, "host-spill").bytes(freed).h_us(occupancy);
+        dev.charge_as(COMPUTE_STREAM, occupancy + link.latency_us, 0.0, meta)?;
+        dev.counters.h_time_us += occupancy;
         if faulted {
             return Err(VgpuError::TransferFailed { from: dev.id(), to: dev.id() });
         }
@@ -368,7 +362,7 @@ mod tests {
         let mut bufs =
             FrontierBufs::<u32>::new(&mut d, AllocScheme::JustEnough, 100, 5000).unwrap();
         let base = d.pool().live();
-        bufs.prepare_intermediate(&mut d, 640).unwrap();
+        assert_eq!(bufs.prepare_intermediate_budget(&mut d, 640).unwrap(), 640);
         assert_eq!(d.pool().live() - base, (640 - 1) * 4);
         assert!(d.pool().reallocs() >= 1);
     }
@@ -378,7 +372,7 @@ mod tests {
         let peak = |scheme| {
             let mut d = dev();
             let mut bufs = FrontierBufs::<u32>::new(&mut d, scheme, 1000, 50_000).unwrap();
-            bufs.prepare_intermediate(&mut d, 300).unwrap();
+            bufs.prepare_intermediate_budget(&mut d, 300).unwrap();
             bufs.commit_output(&mut d, &[1, 2, 3]).unwrap();
             d.pool().peak()
         };
@@ -406,7 +400,7 @@ mod tests {
         let mut d = dev();
         let mut bufs =
             FrontierBufs::<u32>::new(&mut d, AllocScheme::JustEnough, 100, 5000).unwrap();
-        // prepare_intermediate was never called: recording must grow the
+        // prepare_intermediate_budget was never called: recording must grow the
         // buffer (a counted backstop realloc), never truncate the frontier
         bufs.record_intermediate(&mut d, 640).unwrap();
         assert_eq!(bufs.intermediate.as_ref().unwrap().len(), 640);
@@ -452,10 +446,7 @@ mod tests {
         let mut d = Device::new(0, HardwareProfile::k40().with_capacity(4_000));
         let mut bufs = FrontierBufs::<u32>::new(&mut d, AllocScheme::JustEnough, 10, 100)
             .unwrap()
-            .with_pressure(
-                crate::governor::PressurePolicy::governed(),
-                Link { bandwidth_gb_s: 16.0, latency_us: 25.0 },
-            );
+            .with_host_link(Link { bandwidth_gb_s: 16.0, latency_us: 25.0 });
         // fatten the output buffer, then swap a tiny frontier in so the fat
         // capacity ends up cold on the output side
         let fat: Vec<u32> = (0..500).collect();
@@ -472,13 +463,13 @@ mod tests {
         assert_eq!(gov.spill_events, 1);
         assert_eq!(gov.spilled_bytes, 499 * 4);
         assert!(d.now() > t0, "the spill transfer was charged to the clock");
-        // without the pressure policy the same request is a plain OOM
+        // with nowhere to spill the same request is a plain OOM
         let mut d2 = Device::new(0, HardwareProfile::k40().with_capacity(4_000));
         let mut plain =
             FrontierBufs::<u32>::new(&mut d2, AllocScheme::JustEnough, 10, 100).unwrap();
         plain.commit_output(&mut d2, &fat).unwrap();
         plain.commit_output(&mut d2, &[1, 2]).unwrap();
-        assert!(plain.prepare_intermediate(&mut d2, 2000).is_err());
+        assert!(plain.prepare_intermediate_budget(&mut d2, 2000).is_err());
     }
 
     #[test]
@@ -486,11 +477,8 @@ mod tests {
         let mut d = Device::new(0, HardwareProfile::k40().with_capacity(4_000));
         let mut bufs = FrontierBufs::<u32>::new(&mut d, AllocScheme::JustEnough, 10, 100)
             .unwrap()
-            .with_pressure(
-                crate::governor::PressurePolicy::governed(),
-                Link { bandwidth_gb_s: 16.0, latency_us: 25.0 },
-            );
-        bufs.prepare_intermediate(&mut d, 800).unwrap(); // 3200 B resident
+            .with_host_link(Link { bandwidth_gb_s: 16.0, latency_us: 25.0 });
+        bufs.prepare_intermediate_budget(&mut d, 800).unwrap(); // 3200 B resident
         let frontier: Vec<u32> = (0..400).collect(); // needs 1600 B more
         bufs.commit_output(&mut d, &frontier).unwrap();
         assert_eq!(bufs.input.as_slice(), &frontier[..]);

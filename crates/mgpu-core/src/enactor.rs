@@ -63,7 +63,7 @@ use crate::comm::{
     Package, PackagePolicy, SuppressState, WireEncoding,
 };
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
-use crate::governor::{self, Downgrade, GovernorLog, PressurePolicy};
+use crate::governor::{self, Downgrade, GovernorLog};
 use crate::problem::{MgpuProblem, Wire};
 use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync, SuperstepTrace};
 use crate::resilience::{
@@ -86,10 +86,6 @@ pub struct EnactConfig {
     /// Recovery policy (retries, checkpoints, straggler timeout). The
     /// default is fully off and adds zero simulated-time overhead.
     pub recovery: RecoveryPolicy,
-    /// Memory-pressure governor policy ([`crate::governor`]). The default is
-    /// fully off: no admission estimate, no downgrades, no spill/chunking —
-    /// every OOM propagates exactly as before.
-    pub pressure: PressurePolicy,
     /// Broadcast routing topology. The default `Direct` is the paper's
     /// n×(n−1) fan-out; `Butterfly` stages broadcast supersteps of monotone
     /// primitives through a ⌈log₂ n⌉-stage dissemination exchange, trading
@@ -119,7 +115,6 @@ impl Default for EnactConfig {
             comm: None,
             kernel_threads: None,
             recovery: RecoveryPolicy::default(),
-            pressure: PressurePolicy::default(),
             comm_topology: CommTopology::Direct,
             wire_encoding: WireEncoding::Auto,
             suppression: true,
@@ -177,7 +172,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
         }
         let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
-        let pressure = config.pressure;
         let comm = config.comm.unwrap_or_else(|| problem.comm());
         let host_link = system.interconnect.host_link();
         let mut admission = GovernorLog::default();
@@ -195,49 +189,47 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             // watermark; a floor scheme past the hard watermark is refused
             // with a typed OOM before anything is allocated.
             let mut scheme = base_scheme;
-            if pressure.enabled {
-                let capacity = dev.pool().capacity();
-                let budget = governor::soft_budget(capacity);
-                let estimate = |scheme| {
-                    governor::estimate_footprint(
-                        scheme,
-                        comm,
-                        dist.n_parts,
-                        sub.n_vertices(),
-                        sub.n_edges(),
-                        sub.topology_bytes(),
-                        problem.state_bytes_per_vertex(),
-                        V::BYTES,
-                        <P::Msg as Wire>::BYTES,
-                    )
-                    .total()
-                };
-                let mut est = estimate(scheme);
-                while est > budget {
-                    match governor::downgrade_scheme(scheme) {
-                        Some(next) => {
-                            admission.downgrades.push(Downgrade {
-                                device: Some(dev.id()),
-                                kind: "alloc-scheme",
-                                from: scheme.label(),
-                                to: next.label(),
-                                estimated_bytes: est,
-                                budget_bytes: budget,
+            let capacity = dev.pool().capacity();
+            let budget = governor::soft_budget(capacity);
+            let estimate = |scheme| {
+                governor::estimate_footprint(
+                    scheme,
+                    comm,
+                    dist.n_parts,
+                    sub.n_vertices(),
+                    sub.n_edges(),
+                    sub.topology_bytes(),
+                    problem.state_bytes_per_vertex(),
+                    V::BYTES,
+                    <P::Msg as Wire>::BYTES,
+                )
+                .total()
+            };
+            let mut est = estimate(scheme);
+            while est > budget {
+                match governor::downgrade_scheme(scheme) {
+                    Some(next) => {
+                        admission.downgrades.push(Downgrade {
+                            device: Some(dev.id()),
+                            kind: "alloc-scheme",
+                            from: scheme.label(),
+                            to: next.label(),
+                            estimated_bytes: est,
+                            budget_bytes: budget,
+                        });
+                        scheme = next;
+                        est = estimate(scheme);
+                    }
+                    None => {
+                        if est > capacity {
+                            return Err(VgpuError::OutOfMemory {
+                                device: dev.id(),
+                                requested: est,
+                                live: dev.pool().live(),
+                                capacity,
                             });
-                            scheme = next;
-                            est = estimate(scheme);
                         }
-                        None => {
-                            if est > capacity {
-                                return Err(VgpuError::OutOfMemory {
-                                    device: dev.id(),
-                                    requested: est,
-                                    live: dev.pool().live(),
-                                    capacity,
-                                });
-                            }
-                            break; // between watermarks at the floor: admit
-                        }
+                        break; // between watermarks at the floor: admit
                     }
                 }
             }
@@ -248,7 +240,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             dev.charge(COMPUTE_STREAM, cost, 0.0)?;
             let state = problem.init(dev, sub)?;
             let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
-                .with_pressure(pressure, host_link);
+                .with_host_link(host_link);
             per_gpu.push(PerGpu { state, bufs, _topology: topology });
         }
         Ok(Runner { system, dist, problem, config, per_gpu, admission })
@@ -680,15 +672,13 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 if gpu == 0 {
                     self.rec.note_straggler();
                 }
-                if policy.evict_stragglers {
-                    // The straggler self-identifies (its barrier time *is* the
-                    // max, bitwise); everyone exits at this same superstep.
-                    return Err(if my_time == reduce.max_time_us {
-                        VgpuError::Timeout { device: gpu }
-                    } else {
-                        self.error.take().unwrap_or(VgpuError::Aborted)
-                    });
-                }
+                // The straggler self-identifies (its barrier time *is* the
+                // max, bitwise); everyone exits at this same superstep.
+                return Err(if my_time == reduce.max_time_us {
+                    VgpuError::Timeout { device: gpu }
+                } else {
+                    self.error.take().unwrap_or(VgpuError::Aborted)
+                });
             }
 
             if reduce.abort_count > 0 {
@@ -917,7 +907,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             let stage_fault = self.attempt(|run| {
                 let policy = run.config.recovery;
                 match run.send_stage(&groups[..sel], dst) {
-                    Err(e) if policy.fallback_to_direct && policy.is_transient(&e) => Ok(true),
+                    Err(e) if policy.degrade && e.is_transient() => Ok(true),
                     sent => sent.map(|()| false),
                 }
             });
@@ -1164,7 +1154,6 @@ mod tests {
         let config = EnactConfig {
             alloc_scheme: Some(AllocScheme::Max),
             kernel_threads: Some(3),
-            pressure: PressurePolicy::governed(),
             ..EnactConfig::default()
         };
         let runner = Runner::new(system, &dist, MinLabel, config).unwrap();

@@ -210,7 +210,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             self.dev.timeline.stamp_last(HostLayer::Mailbox, wall_start);
             match posted {
                 Ok(()) => break,
-                Err(e) if attempts < policy.max_retries && policy.is_transient(&e) => {
+                Err(e) if attempts < policy.max_retries && e.is_transient() => {
                     attempts += 1;
                     self.rec.note_transfer_retry();
                     let meta = SpanMeta::new(TraceKind::Retry, "transfer-retry").peer(dst);

@@ -7,7 +7,9 @@
 //! backstop armed "to prevent illegal memory access". The governor extends
 //! that stance from sizing policy to *survival* policy: every
 //! [`vgpu::VgpuError::OutOfMemory`] becomes a decision point instead of a
-//! fatal error.
+//! fatal error. The governor is always armed: a run that fits never
+//! reaches a decision point, so it leaves no trace in the report
+//! ([`GovernorLog::is_quiet`]) and changes nothing in the simulation.
 //!
 //! Three tiers, in escalation order:
 //!
@@ -23,14 +25,14 @@
 //!    of the chain: `duplicate-all → duplicate-1-hop` (re-partition) and
 //!    `broadcast → selective` (drop a comm override).
 //! 2. **Mid-run degradation** (`FrontierBufs` + `ops`): an OOM from
-//!    `prepare_intermediate`/`commit_output` first *spills cold buffer
+//!    `prepare_intermediate_budget`/`commit_output` first *spills cold buffer
 //!    capacity to host* (staged over the interconnect's host path and charged
 //!    to the BSP model, so `T = W + H·g + S·l` stays honest) and retries;
 //!    if the buffer still does not fit, the advance runs as a **chunked
 //!    multi-pass** whose per-pass budget derives from the pool's free bytes.
 //! 3. **Resilience integration**: an OOM the governor cannot absorb
-//!    propagates typed, where `RecoveryPolicy::is_transient` already treats
-//!    it exactly like an injected `oom:D@N` fault.
+//!    propagates typed, where [`vgpu::VgpuError::is_transient`] already
+//!    treats it exactly like an injected `oom:D@N` fault.
 //!
 //! **Determinism contract.** Every governor decision is a pure function of
 //! *simulated* accounting — pool capacity, live bytes, item counts — never of
@@ -54,23 +56,6 @@ pub(crate) const MIN_CHUNK: usize = 1;
 /// The admission budget of a pool of `capacity` bytes: its soft watermark.
 pub(crate) fn soft_budget(capacity: u64) -> u64 {
     (capacity as f64 * SOFT_WATERMARK) as u64
-}
-
-/// Governor policy. The default is fully off: no estimate is computed, no
-/// downgrade applied, every OOM propagates exactly as before — existing runs
-/// stay bit-identical.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct PressurePolicy {
-    /// Master switch.
-    pub enabled: bool,
-}
-
-impl PressurePolicy {
-    /// The standard governed preset: admission at an 85% soft watermark,
-    /// spill + chunked multi-pass enabled.
-    pub fn governed() -> Self {
-        PressurePolicy { enabled: true }
-    }
 }
 
 /// One recorded downgrade decision.
@@ -220,12 +205,6 @@ pub fn downgrade_scheme(scheme: AllocScheme) -> Option<AllocScheme> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_policy_is_off() {
-        assert!(!PressurePolicy::default().enabled);
-        assert!(PressurePolicy::governed().enabled);
-    }
 
     #[test]
     fn downgrade_chain_reaches_the_floor() {

@@ -78,7 +78,7 @@ pub use comm::{
 pub use direction::{Direction, DirectionConfig, DirectionState};
 pub use enactor::{EnactConfig, Runner};
 pub use executor::{Executor, ExecutorKind};
-pub use governor::{Downgrade, GovernorLog, PressurePolicy};
+pub use governor::{Downgrade, GovernorLog};
 pub use json::{Json, JsonError, JsonWriter};
 pub use problem::{MgpuProblem, Wire};
 pub use report::{CommReduction, DeviceMemStats, EnactReport, HostSync};

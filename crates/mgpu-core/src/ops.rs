@@ -1013,7 +1013,6 @@ mod parallel_tests {
 mod pressure_tests {
     use super::*;
     use crate::alloc::AllocScheme;
-    use crate::governor::PressurePolicy;
     use mgpu_graph::{Coo, Csr, GraphBuilder};
     use mgpu_partition::{DistGraph, Duplication};
     use vgpu::interconnect::Link;
@@ -1047,7 +1046,7 @@ mod pressure_tests {
             sub.csr.n_edges(),
         )
         .unwrap()
-        .with_pressure(PressurePolicy::governed(), Link { bandwidth_gb_s: 16.0, latency_us: 25.0 });
+        .with_host_link(Link { bandwidth_gb_s: 16.0, latency_us: 25.0 });
         let out =
             advance(&mut dev, sub, &mut bufs, &frontier, |s, _, d| (d > s).then_some(d)).unwrap();
         (out, dev.now(), dev.counters, bufs.governor().chunk_passes)
@@ -1088,10 +1087,7 @@ mod pressure_tests {
         let mut dev = Device::new(0, HardwareProfile::k40().with_capacity(600));
         let mut bufs = FrontierBufs::new(&mut dev, AllocScheme::JustEnough, 300, sub.csr.n_edges())
             .unwrap()
-            .with_pressure(
-                PressurePolicy::governed(),
-                Link { bandwidth_gb_s: 16.0, latency_us: 25.0 },
-            );
+            .with_host_link(Link { bandwidth_gb_s: 16.0, latency_us: 25.0 });
         let err = advance(&mut dev, sub, &mut bufs, &[0], |_, _, d| Some(d)).unwrap_err();
         assert!(matches!(err, VgpuError::OutOfMemory { .. }), "typed, not a panic: {err:?}");
     }

@@ -7,8 +7,9 @@
 //! decides — uniformly on every device, from the shared reduction — whether
 //! to abort.
 //!
-//! Three recovery mechanisms, all off by default (a default-configured run
-//! is bit-identical to a build without this module):
+//! Three recovery mechanisms, each off until a caller sets its field of
+//! [`RecoveryPolicy`] (a default-configured run is bit-identical to a build
+//! without this module):
 //!
 //! * **In-place retry** — transient launch faults are relaunched at the
 //!   fault site (see [`vgpu::Device::set_retry_policy`]; the fault fires
@@ -26,11 +27,13 @@
 //!   checkpoints are discarded deterministically. Global-id keying is what
 //!   lets a checkpoint taken on N devices restore onto a re-partitioned
 //!   N−1-device layout.
-//! * **Degradation** — on permanent device loss, [`ResilientRunner`]
+//! * **Degradation** ([`RecoveryPolicy::degrade`]) — on permanent device
+//!   loss, or a straggler evicted at a rendezvous, [`ResilientRunner`]
 //!   restores the last complete checkpoint, re-homes the lost device's
-//!   vertices onto the survivors, and continues on N−1 GPUs. The failed
-//!   attempt's simulated makespan is banked as
-//!   [`RecoveryLog::lost_time_us`] and folded into the final report.
+//!   vertices onto the survivors, and continues on N−1 GPUs; a butterfly
+//!   stage whose transfer retries run out falls back to a direct broadcast
+//!   for that superstep. The failed attempt's simulated makespan is banked
+//!   as [`RecoveryLog::lost_time_us`] and folded into the final report.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
@@ -58,23 +61,20 @@ pub struct RecoveryPolicy {
     /// Take a checkpoint every this many supersteps (0 = never).
     pub checkpoint_interval: usize,
     /// Rendezvous timeout: if the spread between the fastest and slowest
-    /// device at a superstep barrier exceeds this, the straggler is
-    /// detected (and evicted if [`Self::evict_stragglers`] is set). Every
-    /// device evaluates the identical condition from the shared reduction,
-    /// so the decision is uniform. `INFINITY` = never.
+    /// device at a superstep barrier exceeds this, the slowest device is
+    /// counted as a straggler and evicted (it exits with
+    /// [`VgpuError::Timeout`]; under [`Self::degrade`] the run fails over to
+    /// the survivors). Every device evaluates the identical condition from
+    /// the shared reduction, so the decision is uniform. `INFINITY` = never.
     pub straggler_timeout_us: f64,
-    /// Evict the slowest device when the rendezvous timeout trips (it exits
-    /// with [`VgpuError::Timeout`] and the run fails over to the
-    /// survivors); otherwise stragglers are only counted.
-    pub evict_stragglers: bool,
-    /// On permanent device loss, re-home the lost device's subgraph onto
-    /// the survivors and continue on N−1 GPUs instead of failing.
-    pub degrade_on_loss: bool,
-    /// When a butterfly collective stage hits a transient transfer fault
-    /// that exhausts its per-send retries, fall back to a direct broadcast
-    /// for that superstep (recorded as [`RecoveryLog::butterfly_fallbacks`]
-    /// and charged honestly in the trace) instead of failing the enact.
-    pub fallback_to_direct: bool,
+    /// Degrade instead of failing: on permanent device loss (or an evicted
+    /// straggler) re-home the lost device's subgraph onto the survivors and
+    /// continue on N−1 GPUs; when a butterfly collective stage hits a
+    /// transient transfer fault that exhausts its per-send retries, fall back
+    /// to a direct broadcast for that superstep (recorded as
+    /// [`RecoveryLog::butterfly_fallbacks`] and charged honestly in the
+    /// trace).
+    pub degrade: bool,
 }
 
 impl Default for RecoveryPolicy {
@@ -84,38 +84,23 @@ impl Default for RecoveryPolicy {
             retry_backoff_us: 0.0,
             checkpoint_interval: 0,
             straggler_timeout_us: f64::INFINITY,
-            evict_stragglers: false,
-            degrade_on_loss: false,
-            fallback_to_direct: false,
+            degrade: false,
         }
     }
 }
 
 impl RecoveryPolicy {
     /// A sensible everything-on preset: 3 retries with 25 µs backoff, a
-    /// checkpoint every 4 supersteps, degradation on loss, and butterfly
-    /// fallback to direct broadcast.
+    /// checkpoint every 4 supersteps, and degradation (failover on loss,
+    /// butterfly fallback to direct broadcast).
     pub fn resilient() -> Self {
         RecoveryPolicy {
             max_retries: 3,
             retry_backoff_us: 25.0,
             checkpoint_interval: 4,
-            degrade_on_loss: true,
-            fallback_to_direct: true,
+            degrade: true,
             ..RecoveryPolicy::default()
         }
-    }
-
-    /// Is `e` a transient fault that a bounded retry may clear (as opposed
-    /// to a permanent loss or a programming error)?
-    pub fn is_transient(&self, e: &VgpuError) -> bool {
-        matches!(
-            e,
-            VgpuError::KernelFailed { .. }
-                | VgpuError::TransferFailed { .. }
-                | VgpuError::Timeout { .. }
-                | VgpuError::OutOfMemory { .. }
-        )
     }
 }
 
@@ -435,23 +420,21 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
                         resume = Some(ck);
                     }
                     match e {
-                        VgpuError::DeviceLost { device }
-                            if policy.degrade_on_loss && alive.len() > 1 =>
-                        {
+                        VgpuError::DeviceLost { device } if policy.degrade && alive.len() > 1 => {
                             let original = alive.remove(device);
                             log.lost_devices.push(original);
                             log.failovers += 1;
                         }
                         VgpuError::Timeout { device }
-                            if policy.evict_stragglers
-                                && policy.degrade_on_loss
+                            if policy.straggler_timeout_us.is_finite()
+                                && policy.degrade
                                 && alive.len() > 1 =>
                         {
                             let original = alive.remove(device);
                             log.lost_devices.push(original);
                             log.failovers += 1;
                         }
-                        ref transient if policy.is_transient(transient) && retries_left > 0 => {
+                        ref transient if transient.is_transient() && retries_left > 0 => {
                             retries_left -= 1;
                         }
                         _ => return Err(e),
@@ -500,17 +483,7 @@ mod tests {
         assert_eq!(p.max_retries, 0);
         assert_eq!(p.checkpoint_interval, 0);
         assert!(p.straggler_timeout_us.is_infinite());
-        assert!(!p.evict_stragglers && !p.degrade_on_loss);
-    }
-
-    #[test]
-    fn transient_classification() {
-        let p = RecoveryPolicy::resilient();
-        assert!(p.is_transient(&VgpuError::KernelFailed { device: 0 }));
-        assert!(p.is_transient(&VgpuError::TransferFailed { from: 0, to: 1 }));
-        assert!(p.is_transient(&VgpuError::Timeout { device: 2 }));
-        assert!(!p.is_transient(&VgpuError::DeviceLost { device: 0 }));
-        assert!(!p.is_transient(&VgpuError::Aborted));
+        assert!(!p.degrade);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use rand_chacha::ChaCha8Rng;
 use vgpu::{Result, VgpuError};
 
 use crate::executor::Executor;
-use crate::governor::{self, PressurePolicy};
+use crate::governor;
 use crate::json::Json;
 use crate::report::EnactReport;
 
@@ -94,29 +94,19 @@ pub struct ServicePolicy {
     pub workers: usize,
     /// Maximum concurrent queries per wave (stream lanes); 0 = unbounded.
     pub lanes: usize,
-    /// Per-device memory capacity for admission (the hard watermark);
-    /// `None` = admission ledger disabled.
+    /// Per-device memory capacity for admission: the hard watermark, where
+    /// a lone query is rejected with a typed OOM. Its soft watermark (the
+    /// pressure governor's) is where queries start queueing. `None` =
+    /// admission ledger disabled.
     pub mem_cap: Option<u64>,
     /// Shared topology bytes per device, charged once per wave (queries
     /// add only their dynamic footprints on top).
     pub residency_bytes: u64,
-    /// Pressure-governor policy reused for admission: the soft watermark
-    /// is where queries start queueing; the hard cap is where a lone
-    /// query is rejected with a typed OOM. Admission engages only when
-    /// both `pressure.enabled` and `mem_cap` are set.
-    pub pressure: PressurePolicy,
 }
 
 impl Default for ServicePolicy {
     fn default() -> Self {
-        ServicePolicy {
-            seed: 0,
-            workers: 1,
-            lanes: 4,
-            mem_cap: None,
-            residency_bytes: 0,
-            pressure: PressurePolicy::governed(),
-        }
+        ServicePolicy { seed: 0, workers: 1, lanes: 4, mem_cap: None, residency_bytes: 0 }
     }
 }
 
@@ -279,7 +269,7 @@ impl Service {
             order.swap(i, j);
         }
         let lanes = if self.policy.lanes == 0 { usize::MAX } else { self.policy.lanes };
-        let capped = self.policy.pressure.enabled && self.policy.mem_cap.is_some();
+        let capped = self.policy.mem_cap.is_some();
         let cap = self.policy.mem_cap.unwrap_or(u64::MAX);
         let budget = if capped { governor::soft_budget(cap) } else { u64::MAX };
         let residency = self.policy.residency_bytes;

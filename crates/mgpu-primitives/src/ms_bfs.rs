@@ -707,7 +707,7 @@ mod tests {
     #[test]
     fn admission_prices_the_lane_scaled_state() {
         use mgpu_core::governor::estimate_footprint;
-        use mgpu_core::{MgpuProblem, PressurePolicy};
+        use mgpu_core::MgpuProblem;
         let g: Csr<u32, u64> = GraphBuilder::undirected(&mgpu_gen::gnm(96, 288, 5));
         let n_gpus = 2usize;
         let dist = dist_of(&g, n_gpus);
@@ -738,11 +738,8 @@ mod tests {
         let ms_floor = floor(state_bytes, 8);
         assert!(bfs_floor < ms_floor, "64 lanes must cost strictly more per vertex");
         let cap = (bfs_floor + ms_floor) / 2;
-        let config = EnactConfig {
-            alloc_scheme: Some(AllocScheme::JustEnough),
-            pressure: PressurePolicy::governed(),
-            ..EnactConfig::default()
-        };
+        let config =
+            EnactConfig { alloc_scheme: Some(AllocScheme::JustEnough), ..EnactConfig::default() };
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40().with_capacity(cap));
         match Runner::new(system, &dist, prim, config) {
             Err(vgpu::VgpuError::OutOfMemory { .. }) => {}

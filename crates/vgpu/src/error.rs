@@ -63,6 +63,20 @@ pub enum VgpuError {
     Aborted,
 }
 
+impl VgpuError {
+    /// Is this a transient fault that a bounded retry may clear (as opposed
+    /// to a permanent loss or a programming error)?
+    pub fn is_transient(&self) -> bool {
+        matches!(
+            self,
+            VgpuError::KernelFailed { .. }
+                | VgpuError::TransferFailed { .. }
+                | VgpuError::Timeout { .. }
+                | VgpuError::OutOfMemory { .. }
+        )
+    }
+}
+
 impl fmt::Display for VgpuError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -93,3 +107,17 @@ impl std::error::Error for VgpuError {}
 
 /// Result alias for substrate operations.
 pub type Result<T> = std::result::Result<T, VgpuError>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transient_classification() {
+        assert!(VgpuError::KernelFailed { device: 0 }.is_transient());
+        assert!(VgpuError::TransferFailed { from: 0, to: 1 }.is_transient());
+        assert!(VgpuError::Timeout { device: 2 }.is_transient());
+        assert!(!VgpuError::DeviceLost { device: 0 }.is_transient());
+        assert!(!VgpuError::Aborted.is_transient());
+    }
+}

@@ -289,7 +289,7 @@ impl FaultPlan {
     /// seeded chaos sweep exercises governor machinery and recovery
     /// together. Still transient-only. A distinct function rather than a
     /// flag so existing `random:` seed banks keep their exact plans.
-    pub fn random_with_pressure(
+    pub fn random_pressure_aware(
         seed: u64,
         n_devices: usize,
         n_faults: usize,

@@ -11,9 +11,7 @@
 //!   space after a failover, so post-failover faults land on the links and
 //!   devices they were planned for.
 
-use mgpu_graph_analytics::core::{
-    CommTopology, EnactConfig, PressurePolicy, RecoveryPolicy, ResilientRunner, Runner,
-};
+use mgpu_graph_analytics::core::{CommTopology, EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
@@ -41,13 +39,12 @@ fn resilient_config() -> EnactConfig {
 // governor × transient faults
 // ---------------------------------------------------------------------------
 
-/// The governed configuration both pressure tests share: the
+/// The configuration both pressure tests share: the
 /// memory-hungriest scheme (so admission has something to walk) plus the
 /// resilient recovery policy.
 fn governed_config() -> EnactConfig {
     EnactConfig {
         alloc_scheme: Some(mgpu_graph_analytics::core::AllocScheme::Max),
-        pressure: PressurePolicy::governed(),
         ..resilient_config()
     }
 }
@@ -235,7 +232,7 @@ fn post_failover_transfer_faults_land_on_the_remapped_links() {
 mod service_faults {
     use super::*;
     use mgpu_bench::service::{build_query_specs, parse_query_list};
-    use mgpu_core::{ExecutorKind, PressurePolicy, Service, ServicePolicy};
+    use mgpu_core::{ExecutorKind, Service, ServicePolicy};
     use mgpu_graph_analytics::partition::Partitioner;
 
     const GPUS: usize = 4;
@@ -247,7 +244,6 @@ mod service_faults {
             lanes: 0, // one wave: every query co-scheduled with the faulted ones
             mem_cap: None,
             residency_bytes: 0,
-            pressure: PressurePolicy::governed(),
         }
     }
 

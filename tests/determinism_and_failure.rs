@@ -4,6 +4,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use mgpu_graph_analytics::core::governor::estimate_footprint;
 use mgpu_graph_analytics::core::{
     AllocScheme, CommStrategy, CommTopology, EnactConfig, FrontierBufs, MgpuProblem,
     RecoveryPolicy, Runner,
@@ -80,29 +81,42 @@ fn oom_on_one_device_aborts_cleanly_without_deadlock() {
 
 #[test]
 fn mid_run_oom_is_reported_not_deadlocked() {
-    // Enough memory to initialize, too little for just-enough growth on the
-    // big middle iterations.
-    let g = graph();
-    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 1 }, 2, Duplication::All);
-    // labels 500*4 + topology ≈ 8600*... compute a budget that survives init:
-    let topo: u64 = dist.parts.iter().map(|p| p.topology_bytes()).max().unwrap();
-    let budget = topo + 4 * 500 + 2_500; // tight: init fits, growth may not
-    let profiles = vec![
-        HardwareProfile::k40().with_capacity(budget + (64 << 20)),
-        HardwareProfile::k40().with_capacity(budget),
-    ];
+    // Two hubs, each joined to every other vertex, both owned by device 1.
+    // A BFS from a leaf on device 0 brings them into device 1's frontier
+    // together in superstep 1.
+    let n = 500u32;
+    let edges = [0u32, 2]
+        .iter()
+        .flat_map(|&hub| (0..n).filter(move |&v| v != hub).map(move |v| (hub, v)))
+        .collect();
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(n as usize, edges, None));
+    let owner = (0..n).map(|v| (v % 2 == 0) as u32).collect();
+    let dist = DistGraph::build(&g, owner, 2, Duplication::All);
+    // Device 1 gets exactly its admission estimate at the just-enough floor,
+    // so the bind fits. What the pool has left after the bind holds neither
+    // the two hubs' adjacencies together nor, as a chunk grant, one hub's
+    // alone: the advance cannot be split finer than a vertex.
+    let bfs = Bfs::default();
+    let sub = &dist.parts[1];
+    let cap = estimate_footprint(
+        AllocScheme::JustEnough,
+        MgpuProblem::<u32, u64>::comm(&bfs),
+        2,
+        sub.n_vertices(),
+        sub.n_edges(),
+        sub.topology_bytes(),
+        MgpuProblem::<u32, u64>::state_bytes_per_vertex(&bfs),
+        4,
+        4,
+    )
+    .total();
+    let profiles = vec![HardwareProfile::k40(), HardwareProfile::k40().with_capacity(cap)];
     let sys =
         SimSystem::new(profiles, mgpu_graph_analytics::vgpu::Interconnect::pcie3(2, 4)).unwrap();
     let config = EnactConfig { alloc_scheme: Some(AllocScheme::JustEnough), ..Default::default() };
-    match Runner::new(sys, &dist, Bfs::default(), config) {
-        Ok(mut runner) => match runner.enact(Some(0u32)) {
-            Ok(_) => {} // budget happened to suffice — fine
-            Err(VgpuError::OutOfMemory { device, .. }) => assert_eq!(device, 1),
-            Err(e) => panic!("unexpected error {e}"),
-        },
-        Err(VgpuError::OutOfMemory { .. }) => {} // init-time OOM also acceptable
-        Err(e) => panic!("unexpected error {e}"),
-    }
+    let mut runner = Runner::new(sys, &dist, bfs, config).expect("the bind fits at the floor");
+    let err = runner.enact(Some(1u32)).expect_err("one hub outgrows the chunk grant");
+    assert!(matches!(err, VgpuError::OutOfMemory { device: 1, .. }), "{err}");
 }
 
 #[test]

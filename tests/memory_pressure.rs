@@ -10,13 +10,11 @@
 //!   `kernel_threads` (every governor decision is a function of simulated
 //!   pool accounting only).
 //! * Accounting — the report itemizes every governor decision (admission
-//!   downgrades, chunked passes, spill bytes, reclaim retries), and the
-//!   default (ungoverned) policy changes nothing at all.
+//!   downgrades, chunked passes, spill bytes, reclaim retries), and an
+//!   unconstrained run leaves the always-armed governor quiet.
 
 use mgpu_graph_analytics::core::problem::MgpuProblem;
-use mgpu_graph_analytics::core::{
-    AllocScheme, CommStrategy, EnactConfig, EnactReport, PressurePolicy, Runner,
-};
+use mgpu_graph_analytics::core::{AllocScheme, CommStrategy, EnactConfig, EnactReport, Runner};
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
@@ -36,8 +34,7 @@ fn weighted_graph() -> Csr<u32, u64> {
     GraphBuilder::undirected(&coo)
 }
 
-/// One run: 4 devices, optionally capped at `cap` bytes each (which also
-/// arms the governor), requesting the memory-hungriest scheme (`Max`) so the
+/// One run: 4 devices, optionally capped at `cap` bytes each, requesting the memory-hungriest scheme (`Max`) so the
 /// admission chain has something to walk.
 fn run_one<P, R>(
     g: &Csr<u32, u64>,
@@ -60,11 +57,6 @@ where
         alloc_scheme: Some(AllocScheme::Max),
         comm,
         kernel_threads: Some(threads),
-        pressure: if cap.is_some() {
-            PressurePolicy::governed()
-        } else {
-            PressurePolicy::default()
-        },
         ..Default::default()
     };
     let mut runner = Runner::new(SimSystem::homogeneous(4, profile), &dist, problem, config)?;
@@ -88,7 +80,7 @@ fn capacity_sweep<P, R>(
 {
     let (base, expect) = run_one(g, mk(), None, 1, comm, src, gather).unwrap();
     let full = base.peak_memory_per_device;
-    assert!(base.governor.is_quiet(), "{label}: ungoverned baseline must be quiet");
+    assert!(base.governor.is_quiet(), "{label}: uncapped baseline must be quiet");
 
     let (mut feasible, mut governed, mut infeasible) = (0u32, 0u32, 0u32);
     let mut cap = full;
@@ -215,47 +207,29 @@ fn report_itemizes_governor_decisions() {
 }
 
 #[test]
-fn disabled_policy_under_a_loose_cap_changes_nothing() {
+fn a_loose_cap_leaves_the_governor_quiet() {
     let g = graph();
-    let run = |pressure: PressurePolicy| {
-        let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 3 }, 4, Duplication::All);
-        let config = EnactConfig { pressure, ..Default::default() };
-        let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
-        let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
-        let report = runner.enact(Some(0u32)).unwrap();
-        (report, gather_labels(&runner, &dist))
-    };
-    let (off, l_off) = run(PressurePolicy::default());
-    let (on, l_on) = run(PressurePolicy::governed());
-    assert_eq!(l_off, l_on);
-    assert!(on.governor.is_quiet(), "an unconstrained governed run never has to act");
-    assert!(
-        off.same_simulation(&on),
-        "an armed but idle governor must be invisible to the simulation"
-    );
+    let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 3 }, 4, Duplication::All);
+    let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
+    let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
+    let report = runner.enact(Some(0u32)).unwrap();
+    assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+    assert!(report.governor.is_quiet(), "an unconstrained run never makes the governor act");
 }
 
 /// A sizing factor no pool could hold saturates the admission estimate
-/// instead of overflowing it: the governed bind walks down to just-enough
-/// and answers exactly, and the same bind ungoverned is the typed OOM.
+/// instead of overflowing it: the bind walks down to just-enough and
+/// answers exactly.
 #[test]
 fn an_absurd_sizing_factor_is_downgraded_not_overflowed() {
     let g = graph();
     let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 3 }, 4, Duplication::All);
-    let bind = |pressure| {
-        let config = EnactConfig {
-            alloc_scheme: Some(AllocScheme::Fixed { sizing_factor: 1e30 }),
-            pressure,
-            ..Default::default()
-        };
-        Runner::new(
-            SimSystem::homogeneous(4, HardwareProfile::k40()),
-            &dist,
-            Bfs::default(),
-            config,
-        )
+    let config = EnactConfig {
+        alloc_scheme: Some(AllocScheme::Fixed { sizing_factor: 1e30 }),
+        ..Default::default()
     };
-    let mut runner = bind(PressurePolicy::governed()).unwrap();
+    let system = SimSystem::homogeneous(4, HardwareProfile::k40());
+    let mut runner = Runner::new(system, &dist, Bfs::default(), config).unwrap();
     assert_eq!(runner.scheme(), AllocScheme::JustEnough);
     let report = runner.enact(Some(0)).unwrap();
     assert_eq!(report.governor.downgrades.len(), 4, "one downgrade per device");
@@ -264,7 +238,6 @@ fn an_absurd_sizing_factor_is_downgraded_not_overflowed() {
         assert_eq!(d.estimated_bytes, u64::MAX);
     }
     assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
-    assert!(matches!(bind(PressurePolicy::default()), Err(VgpuError::OutOfMemory { .. })));
 }
 
 #[test]
@@ -281,11 +254,6 @@ fn traced_pressure_run_charges_spills_and_chunks_in_the_trace() {
             alloc_scheme: Some(AllocScheme::Max),
             kernel_threads: Some(threads),
             tracing,
-            pressure: if cap.is_some() {
-                PressurePolicy::governed()
-            } else {
-                PressurePolicy::default()
-            },
             ..Default::default()
         };
         let mut runner =
@@ -378,7 +346,6 @@ mod service_admission {
             lanes: 0, // admission budget, not lane count, shapes the waves
             mem_cap,
             residency_bytes: rb,
-            pressure: PressurePolicy::governed(),
         };
         f(&fx, Service::new(pol).run(&specs))
     }

@@ -812,7 +812,7 @@ fn fault_plan_display_parse_round_trips() {
         let horizon = rng.gen_range(1u64..64);
         for plan in [
             FaultPlan::random(seed, n_devices, n_faults, horizon),
-            FaultPlan::random_with_pressure(seed, n_devices, n_faults, horizon),
+            FaultPlan::random_pressure_aware(seed, n_devices, n_faults, horizon),
         ] {
             let spec = plan.to_string();
             let parsed = FaultPlan::parse(&spec)

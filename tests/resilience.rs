@@ -267,8 +267,7 @@ fn straggling_devices_are_detected_and_evicted_on_timeout() {
     let config = EnactConfig {
         recovery: RecoveryPolicy {
             straggler_timeout_us: 1_000.0,
-            evict_stragglers: true,
-            degrade_on_loss: true,
+            degrade: true,
             checkpoint_interval: 2,
             ..Default::default()
         },

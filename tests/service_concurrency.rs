@@ -17,7 +17,7 @@
 //!   never different per-query results.
 
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes, QueryDesc};
-use mgpu_core::{PressurePolicy, Service, ServicePolicy, ServiceReport};
+use mgpu_core::{Service, ServicePolicy, ServiceReport};
 use mgpu_graph_analytics::core::EnactReport;
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
@@ -53,14 +53,7 @@ fn solo_runs(specs: &[mgpu_core::QuerySpec<u32>]) -> Vec<(EnactReport, Vec<u64>)
 }
 
 fn policy(seed: u64, workers: usize, lanes: usize) -> ServicePolicy {
-    ServicePolicy {
-        seed,
-        workers,
-        lanes,
-        mem_cap: None,
-        residency_bytes: 0,
-        pressure: PressurePolicy::governed(),
-    }
+    ServicePolicy { seed, workers, lanes, mem_cap: None, residency_bytes: 0 }
 }
 
 /// Assert every outcome of `rep` is bit-equal to its solo counterpart.

@@ -8,8 +8,7 @@
 //! against: DOBFS broadcast bytes drop ≥2× at six GPUs on an rmat analog.
 
 use mgpu_graph_analytics::core::{
-    CommStrategy, CommTopology, EnactConfig, EnactReport, PressurePolicy, RecoveryPolicy, Runner,
-    WireEncoding,
+    CommStrategy, CommTopology, EnactConfig, EnactReport, RecoveryPolicy, Runner, WireEncoding,
 };
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, grid2d, Dataset};
@@ -175,7 +174,6 @@ fn default_config_is_auto_encoding_with_suppression() {
         comm: None,
         kernel_threads: None,
         recovery: RecoveryPolicy::default(),
-        pressure: PressurePolicy::default(),
         comm_topology: CommTopology::Direct,
         wire_encoding: WireEncoding::Auto,
         suppression: true,
