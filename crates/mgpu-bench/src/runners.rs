@@ -183,7 +183,8 @@ pub fn pick_source<V: Id, O: Id>(g: &Csr<V, O>) -> V {
 }
 
 /// Bind + enact one attempt, recording any global downgrade `notes` the
-/// caller already took so they show up in the report's governor log.
+/// caller already took so they show up in the report's governor log. The
+/// outer error is the bind's (admission's), the inner one the enact's.
 fn dispatch<O: Id>(
     prim: Primitive,
     system: SimSystem,
@@ -192,13 +193,13 @@ fn dispatch<O: Id>(
     src: Option<u32>,
     notes: &[Downgrade],
     one_hop: bool,
-) -> Result<EnactReport> {
+) -> Result<Result<EnactReport>> {
     with_problem!(prim, one_hop, |p| {
         let mut r = Runner::new(system, dist, p, config)?;
         for d in notes {
             r.note_downgrade(d.clone());
         }
-        r.enact(src)
+        Ok(r.enact(src))
     })
 }
 
@@ -212,11 +213,13 @@ fn prefers_selective(prim: Primitive) -> bool {
 ///
 /// This layer owns the *global* links of the governor's admission downgrade
 /// chain, which need a re-bind the enactor cannot do itself: an
-/// `OutOfMemory` first drops a `broadcast` comm override back to the
-/// primitive's preferred `selective` (wire formats permitting), then
-/// re-partitions `duplicate-all → duplicate-1-hop` (BFS supports both).
-/// Each step is recorded in the report's governor log; only when the chain
-/// is exhausted does the typed OOM reach the caller.
+/// `OutOfMemory` refused at admission (`Runner::new`) first drops a
+/// `broadcast` comm override back to the primitive's preferred `selective`
+/// (wire formats permitting), then re-partitions `duplicate-all →
+/// duplicate-1-hop` (BFS supports both). Each step is recorded in the
+/// report's governor log; only when the chain is exhausted does the typed
+/// OOM reach the caller. An `OutOfMemory` the enact returns reaches the
+/// caller as it is: no re-bind answers a failure admission did not foresee.
 pub fn run_primitive<O: Id>(
     prim: Primitive,
     g: &Csr<u32, O>,
@@ -256,7 +259,9 @@ pub fn run_primitive<O: Id>(
         }
         let one_hop = dup == Duplication::OneHop;
         match dispatch(prim, sys, &dist, cfg, src, &notes, one_hop) {
-            Ok(report) => return Ok(RunOutcome { report, edges: g.n_edges(), ingest }),
+            Ok(enacted) => {
+                return enacted.map(|report| RunOutcome { report, edges: g.n_edges(), ingest })
+            }
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
                 if cfg.comm == Some(CommStrategy::Broadcast) && prefers_selective(prim) =>
             {
@@ -550,6 +555,28 @@ mod tests {
         )
         .unwrap();
         assert_eq!(out.report.iterations, selective.report.iterations);
+    }
+
+    /// An OOM the enact returns is no admission refusal: the global chain
+    /// must not answer it with a re-partition (which would then succeed and
+    /// log a `duplication` downgrade whose estimate is the injected error's).
+    #[test]
+    fn an_enact_time_oom_reaches_the_caller_typed() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(200, 6, 1));
+        let mut system = SimSystem::homogeneous(2, HardwareProfile::k40());
+        system.attach_fault_plan(&FaultPlan::parse("oom:0@3").unwrap());
+        let out = run_primitive(
+            Primitive::Bfs,
+            &g,
+            system,
+            &RandomPartitioner::default(),
+            EnactConfig::default(),
+        );
+        assert!(
+            matches!(out, Err(VgpuError::OutOfMemory { .. })),
+            "want the injected OOM, got {:?}",
+            out.map(|o| o.report.governor.downgrades)
+        );
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! pull forward, gather or scatter backward; `a` is the share of the two
 //! sweeps' `2|E_i|` read), so like DOBFS it needs the reverse adjacency.
 //! [`pr::Pagerank`] pushes rank *changes*: a superstep advances only the
-//! vertices whose change their f32 rank can still resolve and sends only the
-//! border proxies that received mass, where the paper's PR advances all
+//! vertices whose change its accuracy contract (every rank within `1e-4` of
+//! the power iterate) does not let them hold and sends only the border
+//! proxies that received mass, where the paper's PR advances all
 //! `|E_i|` and ships all `|B_i|` every iteration.
 //!
 //! Beyond Table I, [`ms_bfs::MsBfs`] runs up to 64 BFS sources in one enact

