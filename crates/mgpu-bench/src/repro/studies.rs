@@ -13,7 +13,7 @@ use vgpu::{HardwareProfile, Result};
 use super::{dataset, span, Ctx, Outcome};
 use crate::fmt::Table;
 use crate::runners::{run_multi_source, run_primitive, MultiSourceMode, Primitive};
-use crate::service::{build_query_specs, parse_query_list, residency_bytes};
+use crate::service::{build_query_specs, check_against_reference, parse_query_list, residency_bytes};
 
 /// One primitive on one dataset under each arm of [`comm_volume`].
 struct WireGroup {
@@ -248,12 +248,11 @@ pub(super) fn service(ctx: &Ctx) -> Result<Outcome> {
     let mut dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
     dist.build_cscs(); // the mix includes DOBFS and BC
     let owner = part.assign(&g, GPUS);
-    let specs = parse_query_list(MIX)
-        .and_then(|descs| {
-            let k40 = HardwareProfile::k40();
-            build_query_specs(&g, &dist, &owner, k40, ctx.shift, EnactConfig::default(), &descs)
-        })
-        .expect("MIX is in the grammar and every analog has a vertex 1");
+    let descs = parse_query_list(MIX).expect("MIX is in the grammar");
+    let k40 = HardwareProfile::k40();
+    let specs =
+        build_query_specs(&g, &dist, &owner, k40, ctx.shift, EnactConfig::default(), &descs)
+            .expect("every analog has a vertex 1");
     let residency = residency_bytes(&dist);
     let footprints = || specs.iter().map(|s| s.footprint_bytes);
     let (min_fp, max_fp) = (footprints().min().unwrap_or(0), footprints().max().unwrap_or(0));
@@ -322,6 +321,28 @@ pub(super) fn service(ctx: &Ctx) -> Result<Outcome> {
          harvested words, 8 queries x 3 arms",
         diverged.is_empty(),
         if diverged.is_empty() { "24 of 24".into() } else { format!("not: {diverged:?}") },
+    );
+    // every answer of every run, the serial one included, against the oracle
+    let runs = std::iter::once(("serial", &serial)).chain(arms.iter().map(|(n, rep)| (*n, rep)));
+    let mut wrong = Vec::new();
+    let mut checked = 0;
+    for (name, rep) in runs {
+        for ((o, desc), spec) in rep.outcomes.iter().zip(&descs).zip(&specs) {
+            checked += 1;
+            if let Err(e) = check_against_reference(desc.prim, &g, spec.source, &o.values) {
+                wrong.push(format!("{name} {}: {e}", o.name));
+            }
+        }
+    }
+    out.check(
+        "every harvested answer agrees with primitives::reference: BFS, SSSP and CC exactly, \
+         BC within 1e-3, PR within its accuracy contract, 8 queries x 4 runs",
+        wrong.is_empty(),
+        if wrong.is_empty() {
+            format!("{checked} of {checked}")
+        } else {
+            format!("not: {wrong:?}")
+        },
     );
     let [lanes4, unbounded, capped] = speedups;
     out.check(

@@ -20,10 +20,10 @@ use mgpu_core::problem::Wire;
 use mgpu_core::{EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
-use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
+use mgpu_primitives::{reference, Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
 use vgpu::{FaultPlan, HardwareProfile};
 
-use crate::runners::{overhead_scale, pick_source, scaled_system, with_problem, Primitive};
+use crate::runners::{overhead_scale, pick_source, scaled_system, with_problem, Primitive, PR_ITERS};
 
 /// One query descriptor, as parsed from a `--queries` spec entry.
 #[derive(Debug, Clone)]
@@ -190,6 +190,59 @@ pub fn build_query_specs<'g, O: Id>(
     Ok(specs)
 }
 
+/// Check one query's harvested result `words` against
+/// `primitives::reference`, the oracle that shares no code with the
+/// framework: BFS, SSSP and CC exactly, BC within the `1e-3` its f32 σ is
+/// checked at, PR within `pr.rs`'s `PR_REL_ERROR = 1e-4` plus the f32
+/// rounding of its (at most `PR_ITERS + 1`) supersteps. `Err` names the
+/// first disagreement.
+pub fn check_against_reference<O: Id>(
+    prim: Primitive,
+    graph: &Csr<u32, O>,
+    source: Option<u32>,
+    words: &[u64],
+) -> Result<(), String> {
+    let sized = |n: usize| {
+        if words.len() == n {
+            Ok(())
+        } else {
+            Err(format!("{} words for {n} vertices", words.len()))
+        }
+    };
+    let exact = |expect: Vec<u64>| {
+        sized(expect.len())?;
+        match words.iter().zip(&expect).position(|(w, e)| w != e) {
+            Some(v) => Err(format!("vertex {v}: {} vs {}", words[v], expect[v])),
+            None => Ok(()),
+        }
+    };
+    let close = |expect: Vec<f64>, rel: f64, abs: f64| {
+        sized(expect.len())?;
+        let got: Vec<f64> = words.iter().map(|&w| f64::from(f32::from_bits(w as u32))).collect();
+        // written so that a NaN is outside the tolerance
+        let within = |a: f64, b: f64| (a - b).abs() <= rel * b.abs() + abs;
+        match got.iter().zip(&expect).position(|(&a, &b)| !within(a, b)) {
+            Some(v) => Err(format!("vertex {v}: {} vs {}", got[v], expect[v])),
+            None => Ok(()),
+        }
+    };
+    let src = || source.expect("a sourced primitive was given its source");
+    match prim {
+        Primitive::Bfs | Primitive::Dobfs => {
+            exact(reference::bfs(graph, src()).into_iter().map(u64::from).collect())
+        }
+        Primitive::Sssp => {
+            exact(reference::sssp(graph, src()).into_iter().map(u64::from).collect())
+        }
+        Primitive::Cc => exact(reference::cc(graph).into_iter().map(|c| c as u64).collect()),
+        Primitive::Bc => close(reference::bc(graph, src()), 1e-3, 1e-3),
+        Primitive::Pr => {
+            let rounding = 2.0 * (PR_ITERS + 1) as f64 * f64::from(f32::EPSILON);
+            close(reference::pagerank(graph, 0.85, PR_ITERS), 1e-4 + rounding, 0.0)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,5 +265,21 @@ mod tests {
             parse_query_list("sssp:0@async").unwrap_err(),
             "unknown exec mode 'async' in 'sssp:0@async': want bsp|resilient"
         );
+    }
+
+    #[test]
+    fn the_oracle_rejects_a_wrong_word_a_short_answer_and_a_nan() {
+        use mgpu_graph::{Coo, GraphBuilder};
+        let path: Csr<u32, u64> =
+            GraphBuilder::undirected(&Coo::from_edges(3, vec![(0, 1), (1, 2)], None));
+        let check = |prim, words: &[u64]| check_against_reference(prim, &path, Some(0), words);
+        assert_eq!(check(Primitive::Bfs, &[0, 1, 2]), Ok(()));
+        assert_eq!(check(Primitive::Sssp, &[0, 1, 1]), Err("vertex 2: 1 vs 2".into()));
+        assert_eq!(check(Primitive::Cc, &[0, 0]), Err("2 words for 3 vertices".into()));
+        let ranks = reference::pagerank(&path, 0.85, PR_ITERS);
+        let mut words: Vec<u64> = ranks.iter().map(|&r| u64::from((r as f32).to_bits())).collect();
+        assert_eq!(check(Primitive::Pr, &words), Ok(()));
+        words[1] = u64::from(f32::NAN.to_bits());
+        assert!(check(Primitive::Pr, &words).is_err(), "a NaN rank is outside any tolerance");
     }
 }

@@ -1053,8 +1053,9 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     }
 
     /// Encode this device's owned vertices (global-id keyed) and its owned
-    /// slice of the next frontier, and offer them to the sink. The encode pass
-    /// is metered as a bulk kernel over the owned set.
+    /// slice of the pending set — the next frontier plus whatever the
+    /// primitive holds [`MgpuProblem::parked`] — and offer them to the sink.
+    /// The encode pass is metered as a bulk kernel over the owned set.
     fn offer_checkpoint(
         &mut self,
         sink: &CheckpointSink<V>,
@@ -1076,6 +1077,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let frontier: Vec<V> = next_input
             .iter()
             .copied()
+            .chain(problem.parked(state))
             .filter(|&v| sub.is_owned(v))
             .map(|v| sub.to_global(v))
             .collect();

@@ -15,8 +15,9 @@
 //! 3. **Combining remote and local data** — [`MgpuProblem::combine`], the
 //!    `Expand_Incoming` kernel body of Appendix A.
 //! 4. **Stop condition** — [`MgpuProblem::locally_done`] (default: empty
-//!    frontier) and [`MgpuProblem::globally_done`] (default: never) on top
-//!    of the built-in all-frontiers-empty rule.
+//!    frontier and nothing [`MgpuProblem::parked`]) and
+//!    [`MgpuProblem::globally_done`] (default: never) on top of the built-in
+//!    all-GPUs-done rule.
 
 use mgpu_graph::Id;
 use mgpu_partition::{Duplication, SubGraph};
@@ -222,11 +223,25 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
         None
     }
 
+    /// Pending vertices this GPU holds *outside* the frontier — work the
+    /// primitive parks in its own state (SSSP's far pile) instead of handing
+    /// it back in every output frontier. Local ids, each at most once, in any
+    /// order, and live ones only: an entry the primitive would drop unread
+    /// (a stale pile entry) must not be listed, or it keeps the GPU from
+    /// ever reporting done. The framework reads it twice: the default
+    /// [`Self::locally_done`] (parked work means not done) and the superstep
+    /// checkpoint, whose frontier is the next input plus these, so a resumed
+    /// run does not lose them. Default: nothing is parked.
+    fn parked<'a>(&'a self, _state: &'a Self::State) -> impl Iterator<Item = V> + 'a {
+        std::iter::empty()
+    }
+
     /// Is this GPU locally converged, given the next input frontier the
-    /// framework assembled? Default: the frontier is empty. Primitives with
-    /// phases (BC) or fixpoint semantics (PR, CC) override this.
-    fn locally_done(&self, _state: &Self::State, next_input: &[V]) -> bool {
-        next_input.is_empty()
+    /// framework assembled? Default: the frontier is empty and nothing is
+    /// [`Self::parked`]. Primitives with phases (BC) or fixpoint semantics
+    /// (PR) override this.
+    fn locally_done(&self, state: &Self::State, next_input: &[V]) -> bool {
+        next_input.is_empty() && self.parked(state).next().is_none()
     }
 
     /// Communication strategy for the *upcoming* superstep. Defaults to the

@@ -21,12 +21,13 @@
 //! * **Checkpointing** — every [`RecoveryPolicy::checkpoint_interval`]
 //!   supersteps, each device encodes its *owned* vertices' recoverable state
 //!   as one `u64` word each ([`crate::MgpuProblem::checkpoint_word`]) keyed
-//!   by **global** vertex id, plus its owned slice of the next input
-//!   frontier. A checkpoint completes only when all devices contribute — a
-//!   device that failed during the superstep never offers, so partial
-//!   checkpoints are discarded deterministically. Global-id keying is what
-//!   lets a checkpoint taken on N devices restore onto a re-partitioned
-//!   N−1-device layout.
+//!   by **global** vertex id, plus its owned slice of the pending set: the
+//!   next input frontier and whatever the primitive holds
+//!   [`crate::MgpuProblem::parked`]. A checkpoint completes only when all
+//!   devices contribute — a device that failed during the superstep never
+//!   offers, so partial checkpoints are discarded deterministically.
+//!   Global-id keying is what lets a checkpoint taken on N devices restore
+//!   onto a re-partitioned N−1-device layout.
 //! * **Degradation** ([`RecoveryPolicy::degrade`]) — on permanent device
 //!   loss, or a straggler evicted at a rendezvous, [`ResilientRunner`]
 //!   restores the last complete checkpoint, re-homes the lost device's

@@ -365,6 +365,59 @@ fn sssp_equals_dijkstra_under_every_executor() {
     assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
 }
 
+/// SSSP equals Dijkstra on the two-sided graphs, whether a pull ever
+/// stopped at its quantum or span cap with vertices left in the far pile
+/// (capped) or every pull drained it, at 1–6 vGPUs and under either wire.
+/// Weights include 0 (a pulled vertex re-enters the pile in its own bucket),
+/// `u32::MAX` (an edge no path improves through) and values just below it
+/// (buckets keyed next to `INF`). Overheads shrunk 1024× make the quantum a
+/// few edges, so a pull stops at it; at K40 scale only the span cap stops
+/// one.
+#[test]
+fn sssp_equals_dijkstra_with_a_capped_or_drained_far_pile() {
+    use mgpu_graph_analytics::core::CommStrategy;
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA36);
+    let (mut capped, mut drained) = (0, 0);
+    for case in 0..CASES {
+        let density = rng.gen_range(1usize..4);
+        let (n, edges, core) = arb_core_graph(&mut rng, density);
+        let top = [1u32, 4, 65][rng.gen_range(0..3)];
+        let weights: Vec<u32> = (0..edges.len())
+            .map(|_| match rng.gen_range(0u32..16) {
+                0..=2 => 0,
+                3 => u32::MAX,
+                4 => u32::MAX - rng.gen_range(1u32..200),
+                _ => rng.gen_range(1..=top),
+            })
+            .collect();
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(n, edges, Some(weights)));
+        let src = if rng.gen_bool(0.75) { core[0] } else { rng.gen_range(0..n as u32) };
+        let n_gpus = rng.gen_range(1usize..7);
+        let seed = rng.gen_range(0u64..1000);
+        let scale = if rng.gen_bool(0.5) { 1024.0 } else { 1.0 };
+        let expect = reference::sssp(&g, src);
+        let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
+        for comm in [CommStrategy::Selective, CommStrategy::Broadcast] {
+            let profile = HardwareProfile::k40().with_overhead_scale(scale);
+            let sys = SimSystem::homogeneous(n_gpus, profile);
+            let config = EnactConfig { comm: Some(comm), ..EnactConfig::default() };
+            let mut runner = Runner::new(sys, &dist, Sssp, config).unwrap();
+            runner.enact(Some(src)).unwrap();
+            assert_eq!(
+                gather_dists(&runner, &dist),
+                expect,
+                "case {case}, {n_gpus} vGPUs, {comm:?}, overheads /{scale}, source {src}"
+            );
+            if (0..n_gpus).any(|gpu| runner.state(gpu).capped_pulls > 0) {
+                capped += 1;
+            } else {
+                drained += 1;
+            }
+        }
+    }
+    assert!(capped > 0 && drained > 0, "{capped} capped and {drained} drained runs");
+}
+
 #[test]
 fn mgpu_cc_equals_union_find_on_arbitrary_graphs() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA17);

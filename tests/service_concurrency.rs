@@ -19,15 +19,15 @@
 //! * different scheduler seeds may produce different wave packings but
 //!   never different per-query results.
 
-use mgpu_bench::runners::{Primitive, PR_ITERS};
-use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes, QueryDesc};
+use mgpu_bench::service::{
+    build_query_specs, check_against_reference, parse_query_list, residency_bytes, QueryDesc,
+};
 use mgpu_core::{Service, ServicePolicy, ServiceReport};
 use mgpu_graph_analytics::core::EnactReport;
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, Partitioner, RandomPartitioner};
-use mgpu_graph_analytics::primitives::reference;
 use mgpu_graph_analytics::vgpu::HardwareProfile;
 use mgpu_graph_analytics::core::CommTopology;
 use mgpu_graph_analytics::core::EnactConfig;
@@ -76,10 +76,8 @@ fn assert_matches_solo(rep: &ServiceReport, solo: &[(EnactReport, Vec<u64>)], la
     }
 }
 
-/// Assert every harvested answer of `rep` against `primitives::reference`:
-/// BFS, SSSP and CC exactly, BC within the `1e-3` its f32 σ is checked at,
-/// PR within `pr.rs`'s `PR_REL_ERROR = 1e-4` plus the f32 rounding of its
-/// (at most `PR_ITERS + 1`) supersteps.
+/// Assert every harvested answer of `rep` against `primitives::reference`
+/// (see [`check_against_reference`] for the tolerance of each primitive).
 fn assert_matches_reference(
     rep: &ServiceReport,
     g: &Csr<u32, u64>,
@@ -88,32 +86,8 @@ fn assert_matches_reference(
     label: &str,
 ) {
     for ((o, desc), spec) in rep.outcomes.iter().zip(descs).zip(specs) {
-        let words = &o.values;
-        let exact = |expect: Vec<u64>| assert_eq!(words, &expect, "{label}: '{}'", o.name);
-        let close = |expect: Vec<f64>, rel: f64, abs: f64| {
-            assert_eq!(words.len(), expect.len(), "{label}: '{}'", o.name);
-            for (v, (&w, &b)) in words.iter().zip(&expect).enumerate() {
-                let a = f32::from_bits(w as u32) as f64;
-                assert!(
-                    (a - b).abs() <= rel * b.abs() + abs,
-                    "{label}: '{}' vertex {v}: {a} vs {b}",
-                    o.name
-                );
-            }
-        };
-        match desc.prim {
-            Primitive::Bfs | Primitive::Dobfs => {
-                exact(reference::bfs(g, spec.source.unwrap()).into_iter().map(u64::from).collect())
-            }
-            Primitive::Sssp => {
-                exact(reference::sssp(g, spec.source.unwrap()).into_iter().map(u64::from).collect())
-            }
-            Primitive::Cc => exact(reference::cc(g).into_iter().map(|c| c as u64).collect()),
-            Primitive::Bc => close(reference::bc(g, spec.source.unwrap()), 1e-3, 1e-3),
-            Primitive::Pr => {
-                let rounding = 2.0 * (PR_ITERS + 1) as f64 * f32::EPSILON as f64;
-                close(reference::pagerank(g, 0.85, PR_ITERS), 1e-4 + rounding, 0.0)
-            }
+        if let Err(e) = check_against_reference(desc.prim, g, spec.source, &o.values) {
+            panic!("{label}: '{}' {e}", o.name);
         }
     }
 }
