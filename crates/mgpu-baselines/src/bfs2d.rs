@@ -1,4 +1,4 @@
-//! A 2D-partitioned BFS baseline (Fu et al. [25], Bisson et al. [8]).
+//! A 2D-partitioned BFS baseline (Fu et al. \[25\], Bisson et al. \[8\]).
 //!
 //! The adjacency matrix is blocked over an R×C processor grid: GPU `(i,j)`
 //! stores the edges from row-slice `i` to column-slice `j`. Each iteration:
@@ -185,7 +185,6 @@ impl Bfs2d {
                 .iter()
                 .map(|d| mgpu_core::DeviceMemStats::of(d.pool()))
                 .collect(),
-            history: Vec::new(),
             recovery: mgpu_core::RecoveryLog::default(),
             governor: mgpu_core::GovernorLog::default(),
             comm: mgpu_core::CommReduction::default(),

@@ -203,7 +203,6 @@ impl HardwiredDobfs {
                 .iter()
                 .map(|d| mgpu_core::DeviceMemStats::of(d.pool()))
                 .collect(),
-            history: Vec::new(),
             recovery: mgpu_core::RecoveryLog::default(),
             governor: mgpu_core::GovernorLog::default(),
             comm: mgpu_core::CommReduction::default(),

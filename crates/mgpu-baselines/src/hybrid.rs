@@ -1,4 +1,4 @@
-//! Totem-like hybrid CPU+GPU placement (Gharaibeh et al. [13]).
+//! Totem-like hybrid CPU+GPU placement (Gharaibeh et al. \[13\]).
 //!
 //! Totem "either processes the workload on the CPU or transmits it to the
 //! GPU according to a performance estimation model" — in practice it

@@ -1,4 +1,4 @@
-//! An out-of-core Gather-Apply-Scatter engine (GraphReduce-like [15]).
+//! An out-of-core Gather-Apply-Scatter engine (GraphReduce-like \[15\]).
 //!
 //! The graph lives in host memory, sharded by source-vertex range; each
 //! superstep streams every shard whose sources are active across PCIe to a

@@ -53,7 +53,7 @@ flag_values!(
     PartitionerKind => "random|biased|metis|chunked",
     CommStrategy => "selective|broadcast",
     CommTopology => "direct|butterfly",
-    WireEncoding => "auto|list|bitmap|delta",
+    WireEncoding => "auto|list",
     AllocScheme => "just-enough|fixed|max|prealloc-fusion",
 );
 

@@ -433,7 +433,7 @@ mod tests {
     use mgpu_core::AllocScheme;
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
-    use mgpu_graph::{CsrAuto, GraphBuilder};
+    use mgpu_graph::GraphBuilder;
     use mgpu_partition::{ChunkedPartitioner, RandomPartitioner};
     use vgpu::HardwareProfile;
 
@@ -580,13 +580,11 @@ mod tests {
     }
 
     #[test]
-    fn auto_width_runs_narrow_and_matches_wide_results() {
+    fn narrow_offsets_run_faster_and_match_wide_results() {
         let coo = preferential_attachment(200, 6, 1);
-        let auto = GraphBuilder::undirected_auto(&coo);
-        assert_eq!(auto.label(), "u32", "a 200-vertex graph fits narrow offsets");
         let part = RandomPartitioner::default();
-        let CsrAuto::Narrow(narrow) = &auto else { panic!("narrow offsets expected") };
-        let narrow = run_on_k(Primitive::Bfs, narrow, 2, HardwareProfile::k40(), &part).unwrap();
+        let narrow: Csr<u32, u32> = GraphBuilder::undirected(&coo);
+        let narrow = run_on_k(Primitive::Bfs, &narrow, 2, HardwareProfile::k40(), &part).unwrap();
         let wide: Csr<u32, u64> = GraphBuilder::undirected(&coo);
         let wide = run_on_k(Primitive::Bfs, &wide, 2, HardwareProfile::k40(), &part).unwrap();
         assert_eq!(narrow.report.iterations, wide.report.iterations);

@@ -738,7 +738,7 @@ mod tests {
              --shift 10 --seed 7 --sources 0,5,11 --json --comm broadcast \
              --fault-plan lose:2@5,kfail:0@3 --recovery --mem-cap 3600000 \
              --alloc-scheme fixed --sizing-factor 2.5 --comm-topology butterfly \
-             --wire-encoding delta --trace-out t.jsonl --profile",
+             --wire-encoding list --trace-out t.jsonl --profile",
         )
         .unwrap();
         let expected = Cli {
@@ -761,7 +761,7 @@ mod tests {
             recovery: true,
             alloc_scheme: Some(AllocScheme::Fixed { sizing_factor: 2.5 }),
             sizing_factor: 2.5,
-            wire_encoding: WireEncoding::DeltaVarint,
+            wire_encoding: WireEncoding::List,
             trace_out: Some("t.jsonl".into()),
             bsp_profile: true,
             ..Cli::default()
@@ -868,10 +868,7 @@ mod tests {
                 format!("bad --sizing-factor {v}: want a number in (0, 2^32]")
             );
         }
-        assert_eq!(
-            bad("--wire-encoding legacy"),
-            "bad --wire-encoding legacy: want auto|list|bitmap|delta"
-        );
+        assert_eq!(bad("--wire-encoding legacy"), "bad --wire-encoding legacy: want auto|list");
         assert_eq!(bad("--primitive zork"), "bad --primitive zork: want bc|bfs|cc|dobfs|pr|sssp");
         assert_eq!(
             bad("--partitioner kway"),

@@ -22,9 +22,9 @@
 //!
 //! * **Encodings** ([`PackageEncoding`]): a plain list, a dense bitmap over
 //!   the broadcast space, or delta-varint over sorted ids. [`WireEncoding`]
-//!   selects per package; the default `Auto` takes the smallest. Forced
-//!   `List` with suppression off is the paper's `(id, label)` wire, kept as
-//!   the ablation arm the reductions are measured against.
+//!   is the policy: the default `Auto` takes the smallest eligible encoding
+//!   per package; `List` with suppression off is the paper's `(id, label)`
+//!   wire, kept as the ablation arm the reductions are measured against.
 //! * **Monotone send suppression** ([`SuppressState`]): for primitives whose
 //!   combiner is monotone (min-combine), a per-vertex floor of everything
 //!   already pushed to (or observed from) the wire proves that a repeated
@@ -78,20 +78,15 @@ named!(CommTopology { Direct => "direct", Butterfly => "butterfly" });
 /// bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WireEncoding {
-    /// Pick the smallest of the three encodings per package; the default.
+    /// Pick the smallest eligible of the three encodings per package; the
+    /// default.
     #[default]
     Auto,
-    /// Force the list encoding (ids + payloads verbatim).
+    /// Force the list encoding (ids + payloads verbatim): the paper's wire.
     List,
-    /// Force the bitmap encoding where eligible (uniform payload, sorted
-    /// ids, known vertex space), else fall back to list.
-    Bitmap,
-    /// Force delta-varint where eligible (sorted ids), else fall back to
-    /// list.
-    DeltaVarint,
 }
 
-named!(WireEncoding { Auto => "auto", List => "list", Bitmap => "bitmap", DeltaVarint => "delta" });
+named!(WireEncoding { Auto => "auto", List => "list" });
 
 /// The concrete encoding a package ended up with (reported in the
 /// `EnactReport` encoding histogram).
@@ -170,11 +165,10 @@ pub struct Package<V, M> {
 
 impl<V: Id, M: Wire> Package<V, M> {
     /// Build a package under an encoding policy: `Auto` picks the smallest
-    /// eligible encoding; a forced encoding that is ineligible falls back to
-    /// the list. `space` is the broadcast vertex-space size when known
-    /// (enables the bitmap); `uniform_hint` lets a primitive that already
-    /// knows every message of the superstep carries the same label skip the
-    /// O(n) payload scan.
+    /// eligible encoding, `List` always writes the list. `space` is the
+    /// broadcast vertex-space size when known (enables the bitmap);
+    /// `uniform_hint` lets a primitive that already knows every message of
+    /// the superstep carries the same label skip the O(n) payload scan.
     pub fn encode(
         vertices: Vec<V>,
         msgs: Vec<M>,
@@ -184,101 +178,42 @@ impl<V: Id, M: Wire> Package<V, M> {
     ) -> Self {
         debug_assert_eq!(vertices.len(), msgs.len());
         let len = vertices.len();
-        let ascending = vertices.windows(2).all(|w| w[0].idx() < w[1].idx());
         let uniform = uniform_hint.unwrap_or_else(|| msgs.windows(2).all(|w| w[0] == w[1]));
         debug_assert!(
             uniform_hint != Some(true) || msgs.windows(2).all(|w| w[0] == w[1]),
             "uniform_broadcast_msgs hint must be truthful"
         );
-        let list_bytes = (1 + len * (V::BYTES + M::BYTES)) as u64;
-        let bitmap_ok = ascending
-            && uniform
-            && len > 0
-            && space.is_some_and(|s| vertices.last().map(|v| v.idx() < s).unwrap_or(false));
-        let bitmap_bytes = space.map(|s| (1 + M::BYTES) as u64 + (s as u64).div_ceil(8));
-        let delta_bytes = ascending.then(|| {
-            let mut b = (1 + varint_len(len as u64)) as u64;
+        let mut best = ((1 + len * (V::BYTES + M::BYTES)) as u64, PackageEncoding::List);
+        if choice == WireEncoding::Auto && vertices.windows(2).all(|w| w[0].idx() < w[1].idx()) {
+            let mut delta = (1 + varint_len(len as u64)) as u64;
             let mut prev = 0u64;
             for (i, v) in vertices.iter().enumerate() {
                 let x = v.idx() as u64;
-                b += varint_len(if i == 0 { x } else { x - prev }) as u64;
+                delta += varint_len(if i == 0 { x } else { x - prev }) as u64;
                 prev = x;
             }
-            b + if uniform {
-                if len > 0 {
-                    M::BYTES as u64
-                } else {
-                    0
-                }
-            } else {
-                (len * M::BYTES) as u64
+            delta += match (uniform, len) {
+                (_, 0) => 0,
+                (true, _) => M::BYTES as u64,
+                (false, _) => (len * M::BYTES) as u64,
+            };
+            if delta < best.0 {
+                best = (delta, PackageEncoding::DeltaVarint);
             }
-        });
-        let enc = match choice {
-            WireEncoding::Bitmap if bitmap_ok => PackageEncoding::Bitmap,
-            WireEncoding::DeltaVarint if ascending => PackageEncoding::DeltaVarint,
-            WireEncoding::Auto => {
-                let mut best = (list_bytes, PackageEncoding::List);
-                if let Some(db) = delta_bytes {
-                    if db < best.0 {
-                        best = (db, PackageEncoding::DeltaVarint);
-                    }
-                }
-                if bitmap_ok {
-                    let bb = bitmap_bytes.expect("bitmap_ok implies space");
-                    if bb < best.0 {
-                        best = (bb, PackageEncoding::Bitmap);
-                    }
-                }
-                best.1
-            }
-            // forced List, forced-but-ineligible Bitmap/DeltaVarint
-            _ => PackageEncoding::List,
-        };
-        let mut out: Vec<u8> = Vec::new();
-        match enc {
-            PackageEncoding::List => {
-                out.reserve(list_bytes as usize);
-                out.push(0);
-                for (v, m) in vertices.iter().zip(&msgs) {
-                    write_id(&mut out, *v);
-                    m.write_to(&mut out);
-                }
-            }
-            PackageEncoding::Bitmap => {
-                let s = space.expect("bitmap requires a vertex space");
-                out.reserve(bitmap_bytes.unwrap_or(0) as usize);
-                out.push(1);
-                msgs[0].write_to(&mut out);
-                let base = out.len();
-                out.resize(base + s.div_ceil(8), 0);
-                for v in &vertices {
-                    let i = v.idx();
-                    out[base + i / 8] |= 1 << (i % 8);
-                }
-            }
-            PackageEncoding::DeltaVarint => {
-                out.reserve(delta_bytes.unwrap_or(0) as usize);
-                out.push(if uniform { 3 } else { 2 });
-                write_varint(&mut out, len as u64);
-                let mut prev = 0u64;
-                for (i, v) in vertices.iter().enumerate() {
-                    let x = v.idx() as u64;
-                    write_varint(&mut out, if i == 0 { x } else { x - prev });
-                    prev = x;
-                }
-                if uniform {
-                    if let Some(m) = msgs.first() {
-                        m.write_to(&mut out);
-                    }
-                } else {
-                    for m in &msgs {
-                        m.write_to(&mut out);
-                    }
+            // the bitmap also needs one shared payload and every id in the space
+            if let Some(s) =
+                space.filter(|&s| uniform && vertices.last().is_some_and(|v| v.idx() < s))
+            {
+                let bitmap = (1 + M::BYTES) as u64 + (s as u64).div_ceil(8);
+                if bitmap < best.0 {
+                    best = (bitmap, PackageEncoding::Bitmap);
                 }
             }
         }
-        Package { bytes: out, len, encoding: enc, wire: PhantomData }
+        let (bytes, encoding) = best;
+        let mut out = Vec::with_capacity(bytes as usize);
+        write(encoding, &vertices, &msgs, space, uniform, &mut out);
+        Package { bytes: out, len, encoding, wire: PhantomData }
     }
 
     /// The `(vertices, msgs)` view of the package, decoded from the wire
@@ -313,6 +248,54 @@ impl<V: Id, M: Wire> Package<V, M> {
     /// True if the package carries nothing.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+}
+
+/// Append `(vertices, msgs)` to `out` in `encoding`, which must be eligible
+/// for them: any package for the list; ascending ids for delta-varint
+/// (`uniform` stores one payload); ascending ids inside `space` with one
+/// shared payload, at least one vertex, for the bitmap.
+fn write<V: Id, M: Wire>(
+    encoding: PackageEncoding,
+    vertices: &[V],
+    msgs: &[M],
+    space: Option<usize>,
+    uniform: bool,
+    out: &mut Vec<u8>,
+) {
+    match encoding {
+        PackageEncoding::List => {
+            out.push(0);
+            for (v, m) in vertices.iter().zip(msgs) {
+                write_id(out, *v);
+                m.write_to(out);
+            }
+        }
+        PackageEncoding::Bitmap => {
+            let s = space.expect("bitmap requires a vertex space");
+            out.push(1);
+            msgs[0].write_to(out);
+            let base = out.len();
+            out.resize(base + s.div_ceil(8), 0);
+            for v in vertices {
+                let i = v.idx();
+                out[base + i / 8] |= 1 << (i % 8);
+            }
+        }
+        PackageEncoding::DeltaVarint => {
+            out.push(if uniform { 3 } else { 2 });
+            write_varint(out, vertices.len() as u64);
+            let mut prev = 0u64;
+            for (i, v) in vertices.iter().enumerate() {
+                let x = v.idx() as u64;
+                write_varint(out, if i == 0 { x } else { x - prev });
+                prev = x;
+            }
+            let payloads = if uniform { &msgs[..msgs.len().min(1)] } else { msgs };
+            for m in payloads {
+                m.write_to(out);
+            }
+        }
     }
 }
 
@@ -957,6 +940,43 @@ mod tests {
 #[cfg(test)]
 mod encoding_tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    const ENCODINGS: [PackageEncoding; 3] =
+        [PackageEncoding::List, PackageEncoding::Bitmap, PackageEncoding::DeltaVarint];
+
+    /// One writer driven directly, bypassing the size-based choice.
+    fn written<M: Wire>(
+        encoding: PackageEncoding,
+        vs: &[u32],
+        ms: &[M],
+        space: Option<usize>,
+    ) -> Package<u32, M> {
+        let uniform = ms.windows(2).all(|w| w[0] == w[1]);
+        let mut bytes = Vec::new();
+        write(encoding, vs, ms, space, uniform, &mut bytes);
+        Package { bytes, len: vs.len(), encoding, wire: PhantomData }
+    }
+
+    /// Whether `encoding` can carry the package (see [`write`]).
+    fn eligible<M: Wire>(
+        encoding: PackageEncoding,
+        vs: &[u32],
+        ms: &[M],
+        space: Option<usize>,
+    ) -> bool {
+        let ascending = vs.windows(2).all(|w| w[0] < w[1]);
+        match encoding {
+            PackageEncoding::List => true,
+            PackageEncoding::DeltaVarint => ascending,
+            PackageEncoding::Bitmap => {
+                ascending
+                    && ms.windows(2).all(|w| w[0] == w[1])
+                    && vs.last().is_some_and(|&v| space.is_some_and(|s| (v as usize) < s))
+            }
+        }
+    }
 
     #[test]
     fn varints_round_trip_across_widths() {
@@ -995,8 +1015,7 @@ mod encoding_tests {
     fn real_bitmap_encoding_round_trips() {
         let vs: Vec<u32> = vec![0, 3, 8, 62, 63];
         let ms = vec![7u32; 5];
-        let pkg = Package::encode(vs.clone(), ms.clone(), WireEncoding::Bitmap, Some(64), None);
-        assert_eq!(pkg.encoding(), PackageEncoding::Bitmap);
+        let pkg = written(PackageEncoding::Bitmap, &vs, &ms, Some(64));
         // tag + one msg + 64 bits
         assert_eq!(pkg.wire_bytes(), 1 + 4 + 8);
         round_trip(&pkg, &vs, &ms);
@@ -1006,26 +1025,23 @@ mod encoding_tests {
     fn real_delta_varint_round_trips_uniform_and_not() {
         let vs: Vec<u32> = vec![5, 6, 200, 100_000];
         let uni = vec![3u32; 4];
-        let pkg = Package::encode(vs.clone(), uni.clone(), WireEncoding::DeltaVarint, None, None);
-        assert_eq!(pkg.encoding(), PackageEncoding::DeltaVarint);
+        let pkg = written(PackageEncoding::DeltaVarint, &vs, &uni, None);
         // tag + varint count + varints (1 + 1 + 2 + 3) + one uniform payload
         assert_eq!(pkg.wire_bytes(), 2 + 7 + 4);
         round_trip(&pkg, &vs, &uni);
         let distinct = vec![4u32, 3, 2, 1];
-        let pkg =
-            Package::encode(vs.clone(), distinct.clone(), WireEncoding::DeltaVarint, None, None);
-        assert_eq!(pkg.encoding(), PackageEncoding::DeltaVarint);
+        let pkg = written(PackageEncoding::DeltaVarint, &vs, &distinct, None);
         round_trip(&pkg, &vs, &distinct);
     }
 
     #[test]
-    fn forced_encodings_fall_back_to_list_when_ineligible() {
+    fn unsorted_ids_go_out_as_a_list_under_either_policy() {
         // unsorted ids: neither bitmap nor delta can encode them
         let vs = vec![5u32, 2];
         let ms = vec![1u32, 1];
-        for choice in [WireEncoding::Bitmap, WireEncoding::DeltaVarint] {
+        for choice in [WireEncoding::Auto, WireEncoding::List] {
             let pkg = Package::encode(vs.clone(), ms.clone(), choice, Some(64), None);
-            assert_eq!(pkg.encoding(), PackageEncoding::List, "{choice:?} must fall back");
+            assert_eq!(pkg.encoding(), PackageEncoding::List, "{choice:?}");
             round_trip(&pkg, &vs, &ms);
         }
     }
@@ -1048,18 +1064,92 @@ mod encoding_tests {
 
     #[test]
     fn empty_and_single_vertex_packages_encode_and_decode() {
-        for choice in [
-            WireEncoding::Auto,
-            WireEncoding::List,
-            WireEncoding::Bitmap,
-            WireEncoding::DeltaVarint,
-        ] {
+        for choice in [WireEncoding::Auto, WireEncoding::List] {
             let pkg = Package::<u32, u32>::encode(vec![], vec![], choice, Some(64), None);
             let (vs, ms) = pkg.decode();
             assert!(vs.is_empty() && ms.is_empty(), "{choice:?}");
             let pkg = Package::encode(vec![42u32], vec![7u32], choice, Some(64), None);
             let (vs, ms) = pkg.decode();
             assert_eq!((vs.as_ref(), ms.as_ref()), ([42u32].as_slice(), [7u32].as_slice()));
+        }
+        for encoding in ENCODINGS {
+            if encoding != PackageEncoding::Bitmap {
+                round_trip(&written::<u32>(encoding, &[], &[], Some(64)), &[], &[]);
+            }
+            round_trip(&written(encoding, &[42], &[7], Some(64)), &[42], &[7]);
+        }
+    }
+
+    /// Every writer round-trips every id distribution it is eligible for —
+    /// empty packages, a single vertex, the last id of the space,
+    /// duplicates, unsorted ids, uniform and distinct payloads, and
+    /// multi-field tuple payloads — and `Auto` writes the smallest of them.
+    #[test]
+    fn every_writer_round_trips_arbitrary_distributions() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA19);
+        for case in 0..192 {
+            let space = rng.gen_range(1usize..400);
+            let len = match case % 4 {
+                0 => 0, // empty package
+                1 => 1, // single vertex
+                _ => rng.gen_range(0..=space.min(64)),
+            };
+            let mut ids: Vec<u32> = (0..len).map(|_| rng.gen_range(0..space as u32)).collect();
+            if case % 2 == 1 {
+                // the last id of the space: the bitmap's final bit
+                if let Some(first) = ids.first_mut() {
+                    *first = space as u32 - 1;
+                }
+            }
+            match case % 3 {
+                // sorted + deduplicated (the canonical monotone shape)
+                0 => {
+                    ids.sort_unstable();
+                    ids.dedup();
+                }
+                // sorted with duplicates kept
+                1 => ids.sort_unstable(),
+                // arbitrary order, duplicates possible
+                _ => {}
+            }
+            let n = ids.len();
+            let uniform_label = rng.gen_range(0u32..1000);
+            let labels: Vec<u32> = if case % 2 == 0 {
+                vec![uniform_label; n]
+            } else {
+                (0..n).map(|_| rng.gen_range(0u32..1000)).collect()
+            };
+            let pairs: Vec<(u32, u32)> =
+                labels.iter().map(|&l| (l, rng.gen_range(0u32..space as u32))).collect();
+            for space_arg in [Some(space), None] {
+                let auto = Package::encode(
+                    ids.clone(),
+                    labels.clone(),
+                    WireEncoding::Auto,
+                    space_arg,
+                    None,
+                );
+                let at = format!("case {case}, space {space_arg:?}");
+                assert!(eligible(auto.encoding(), &ids, &labels, space_arg), "{at}");
+                for encoding in ENCODINGS {
+                    if !eligible(encoding, &ids, &labels, space_arg) {
+                        continue;
+                    }
+                    let p = written(encoding, &ids, &labels, space_arg);
+                    round_trip(&p, &ids, &labels);
+                    assert!(
+                        p.wire_bytes() > 0,
+                        "{encoding:?}: even an empty package is a tag, {at}"
+                    );
+                    assert!(auto.wire_bytes() <= p.wire_bytes(), "{encoding:?} beats Auto, {at}");
+                    if eligible(encoding, &ids, &pairs, space_arg) {
+                        let p = written(encoding, &ids, &pairs, space_arg);
+                        let (vs, ms) = p.decode();
+                        assert_eq!(vs.as_ref(), &ids[..], "{encoding:?} tuple ids, {at}");
+                        assert_eq!(ms.as_ref(), &pairs[..], "{encoding:?} tuple msgs, {at}");
+                    }
+                }
+            }
         }
     }
 

@@ -2,10 +2,10 @@
 //! supersteps with framework-managed communication (§III-B, Fig. 1).
 //!
 //! [`Runner`] is the one engine: the bind ([`Runner::new`]), the enact
-//! scaffold ([`Runner::launch`]: clock reset, tracing, mailbox, one thread
+//! scaffold (`Runner::launch`: clock reset, tracing, mailbox, one thread
 //! per device, recovery log, root-cause selection), the report assembly, and
 //! the superstep loop below, written as methods of the per-device context
-//! [`DeviceRun`] ([`crate::executor`]). Per iteration, each device thread:
+//! `DeviceRun` ([`crate::executor`]). Per iteration, each device thread:
 //!
 //! 1. runs the unmodified single-GPU `iteration` on its local input
 //!    frontier (compute stream);
@@ -23,16 +23,16 @@
 //!    evaluated (all devices locally done, a primitive-specific global
 //!    predicate, or the iteration cap).
 //!
-//! Steps 1–3 are [`DeviceRun::direct_superstep`], or
-//! [`DeviceRun::butterfly_superstep`] when a broadcast superstep of a
+//! Steps 1–3 are `DeviceRun::direct_superstep`, or
+//! `DeviceRun::butterfly_superstep` when a broadcast superstep of a
 //! monotone primitive is staged through the dissemination exchange; step 4
-//! and the loop are [`DeviceRun::supersteps`]. Only what varies per
+//! and the loop are `DeviceRun::supersteps`. Only what varies per
 //! superstep is passed between them (`input`, `iter`, the strategy, the
-//! `SyncPoint`, the superstep's history entry); the rendezvous schedule —
-//! `sync`, the butterfly's block groups and its stash of early arrivals —
-//! is BSP-only and never enters the context.
+//! `SyncPoint`); the rendezvous schedule — `sync`, the butterfly's block
+//! groups and its stash of early arrivals — is BSP-only and never enters
+//! the context.
 //!
-//! Every piece of per-device work runs through [`DeviceRun::attempt`]: a
+//! Every piece of per-device work runs through `DeviceRun::attempt`: a
 //! device that fails (out of memory, an injected fault, a panic in problem
 //! code) keeps participating in rendezvous with its work skipped, so no
 //! peer deadlocks; its failure travels through the superstep reduction
@@ -65,7 +65,7 @@ use crate::comm::{
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog};
 use crate::problem::{MgpuProblem, Wire};
-use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync, SuperstepTrace};
+use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
 use crate::resilience::{
     guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
 };
@@ -462,9 +462,9 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
     }
 
     /// Fold the device threads' outcomes and the finished system into an
-    /// [`EnactReport`]: iterations are the deepest device's, histories sum
-    /// per superstep, and every system-derived field (`sim_time_us`,
-    /// counters, memory statistics, trace) is read here and nowhere else.
+    /// [`EnactReport`]: iterations are the deepest device's, and every
+    /// system-derived field (`sim_time_us`, counters, memory statistics,
+    /// trace) is read here and nowhere else.
     fn report(
         &self,
         outcomes: Vec<DeviceOutcome>,
@@ -473,21 +473,10 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         recovery: RecoveryLog,
     ) -> EnactReport {
         let mut iterations = 0usize;
-        let mut history: Vec<SuperstepTrace> = Vec::new();
         let mut comm = CommReduction::default();
-        for (i, local_hist, comm_stats) in &outcomes {
+        for (i, comm_stats) in &outcomes {
             iterations = iterations.max(*i);
             comm.merge(comm_stats);
-            if history.len() < local_hist.len() {
-                history.resize(local_hist.len(), SuperstepTrace::default());
-            }
-            for (acc, t) in history.iter_mut().zip(local_hist) {
-                acc.input += t.input;
-                acc.output += t.output;
-                acc.sent += t.sent;
-                acc.combined += t.combined;
-                acc.suppressed += t.suppressed;
-            }
         }
         let mut governor = self.admission.clone();
         for per in &self.per_gpu {
@@ -507,7 +496,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             total_peak_memory: system.total_peak_memory(),
             pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
             mem_per_device: system.devices.iter().map(|d| DeviceMemStats::of(d.pool())).collect(),
-            history,
             recovery,
             governor,
             comm,
@@ -602,15 +590,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let mut input: Vec<V> = init.unwrap_or_default();
 
         let mut iter = resume.map_or(0, |ck| ck.iter);
-        // History indices are *dense absolute superstep numbers*: a resumed
-        // attempt pads the supersteps it skipped with defaults so entry `i`
-        // always describes superstep `i` and `history.len() == iterations`,
-        // whether or not stages were elided or a checkpoint was replayed.
-        let mut history: Vec<SuperstepTrace> = vec![SuperstepTrace::default(); iter];
         loop {
-            let mut trace = SuperstepTrace { input: input.len() as u64, ..Default::default() };
-            let sent_before = self.dev.counters.h_vertices;
-            let supp_before = self.suppressed();
             // Strategy for this superstep: identical on every GPU because state
             // phases evolve from the shared reduction.
             let comm = match config.comm {
@@ -631,15 +611,10 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             // identical everywhere), so per-superstep barrier counts stay
             // aligned across devices.
             let next_input = if butterfly && comm == CommStrategy::Broadcast {
-                self.butterfly_superstep(&input, iter, sync, &mut trace)
+                self.butterfly_superstep(&input, iter, sync)
             } else {
-                self.direct_superstep(&input, iter, comm, sync, &mut trace)
+                self.direct_superstep(&input, iter, comm, sync)
             };
-
-            trace.sent = self.dev.counters.h_vertices - sent_before;
-            trace.combined = next_input.len() as u64; // local part + combined adds
-            trace.suppressed = self.suppressed() - supp_before;
-            history.push(trace);
 
             // ---- checkpoint offer: before the reduce, so a device that failed
             // this superstep never contributes and the partial stays incomplete
@@ -689,7 +664,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 // is not yet visible to peers — surface it here
                 return match self.error.take() {
                     Some(e) => Err(e),
-                    None => Ok(self.finish(iter, history)),
+                    None => Ok(self.finish(iter)),
                 };
             }
             input = next_input;
@@ -705,11 +680,9 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         iter: usize,
         comm: CommStrategy,
         sync: &SyncPoint,
-        trace: &mut SuperstepTrace,
     ) -> Vec<V> {
         let gpu = self.gpu();
-        let local =
-            self.attempt(|run| run.compute_and_send(input, iter, comm, trace)).unwrap_or_default();
+        let local = self.attempt(|run| run.compute_and_send(input, iter, comm)).unwrap_or_default();
         self.wait(|| sync.rendezvous(gpu));
         // drained whether or not this device still works: inboxes stay clean
         // for the peers
@@ -719,17 +692,9 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
 
     /// Run the primitive's iteration on `input`, split and package its
     /// output for `comm`, push the packages, and return the local part.
-    /// `trace.output` is written once everything has been pushed.
-    fn compute_and_send(
-        &mut self,
-        input: &[V],
-        iter: usize,
-        comm: CommStrategy,
-        trace: &mut SuperstepTrace,
-    ) -> Result<Vec<V>> {
+    fn compute_and_send(&mut self, input: &[V], iter: usize, comm: CommStrategy) -> Result<Vec<V>> {
         let (gpu, n, problem) = (self.gpu(), self.mailbox.n(), self.problem);
         let output = self.iterate(input, iter)?;
-        let output_len = output.len() as u64;
 
         type Sends<V, M> = Vec<(usize, Arc<Package<V, M>>)>;
         let (local, sends): (Vec<V>, Sends<V, P::Msg>) = if n == 1 {
@@ -788,7 +753,6 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 self.post(j, pkg)?;
             }
         }
-        trace.output = output_len;
         Ok(local)
     }
 
@@ -851,13 +815,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     /// exactly), which is precisely the window the receiver is missing —
     /// redundant blocks from the final-stage round-up are rejected by the
     /// monotone combiner.
-    fn butterfly_superstep(
-        &mut self,
-        input: &[V],
-        iter: usize,
-        sync: &SyncPoint,
-        trace: &mut SuperstepTrace,
-    ) -> Vec<V> {
+    fn butterfly_superstep(&mut self, input: &[V], iter: usize, sync: &SyncPoint) -> Vec<V> {
         let (gpu, n) = (self.gpu(), sync.n());
         // ---- compute + canonical own block (broadcast: the output frontier
         // itself is the local part) ----
@@ -874,7 +832,6 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 |m| problem.suppression_key(m),
                 |a, b| problem.merge_msgs(a, b),
             )?;
-            trace.output = output.len() as u64;
             Ok((output, own))
         });
         let (mut next, own) = computed.unwrap_or_default();

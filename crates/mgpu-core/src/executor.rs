@@ -10,11 +10,11 @@
 //!   describe yourself (engine kind, primitive name, device count, recovery
 //!   policy). The scheduler targets `Box<dyn Executor<V>>` and never learns
 //!   which driver is underneath.
-//! * [`DeviceRun`] is what one device thread owns for one enact, including
-//!   the device's failure state. [`DeviceRun::attempt`] is the failure
-//!   protocol; [`DeviceRun::post`] and [`DeviceRun::receive`] are the two
+//! * `DeviceRun` is what one device thread owns for one enact, including
+//!   the device's failure state. `DeviceRun::attempt` is the failure
+//!   protocol; `DeviceRun::post` and `DeviceRun::receive` are the two
 //!   ends of the wire. The BSP supersteps (`enactor.rs`) are further methods
-//!   of it; [`crate::enactor::Runner::launch`] hands one to each device
+//!   of it; `crate::enactor::Runner::launch` hands one to each device
 //!   thread.
 
 use std::sync::Arc;
@@ -32,7 +32,7 @@ use crate::comm::{
 };
 use crate::enactor::{EnactConfig, PerGpu};
 use crate::problem::MgpuProblem;
-use crate::report::{CommReduction, EnactReport, SuperstepTrace};
+use crate::report::{CommReduction, EnactReport};
 use crate::resilience::{guard, RecoveryCounters, RecoveryPolicy};
 
 /// Which driver an [`Executor`] is.
@@ -84,9 +84,9 @@ pub trait Executor<V: Id> {
     fn harvest(&self) -> Vec<u64>;
 }
 
-/// What one device thread returns from an enact: its supersteps, its
-/// superstep history, and its wire statistics.
-pub(crate) type DeviceOutcome = (usize, Vec<SuperstepTrace>, CommReduction);
+/// What one device thread returns from an enact: its supersteps and its wire
+/// statistics.
+pub(crate) type DeviceOutcome = (usize, CommReduction);
 
 /// Everything one device thread owns for the duration of one enact. The
 /// superstep loop is a method of this; it is also the one owner of the
@@ -134,22 +134,13 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         }
     }
 
-    /// Vertices dropped by send suppression so far.
-    pub(crate) fn suppressed(&self) -> u64 {
-        self.supp.as_ref().map_or(0, |s| s.suppressed_vertices)
-    }
-
     /// The device thread's successful return value.
-    pub(crate) fn finish(
-        mut self,
-        iterations: usize,
-        history: Vec<SuperstepTrace>,
-    ) -> DeviceOutcome {
+    pub(crate) fn finish(mut self, iterations: usize) -> DeviceOutcome {
         if let Some(s) = &self.supp {
             self.stats.suppressed_vertices = s.suppressed_vertices;
             self.stats.suppressed_bytes = s.suppressed_bytes;
         }
-        (iterations, history, self.stats)
+        (iterations, self.stats)
     }
 
     /// Run the primitive's unmodified single-GPU iteration on `input`.

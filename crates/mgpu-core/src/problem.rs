@@ -189,8 +189,8 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     }
 
     /// Total order on messages for the monotone contract: lower key =
-    /// stronger message under [`MonotoneOrder::MinKey`]; the message's bit
-    /// set under [`MonotoneOrder::OrBits`]. Only meaningful when
+    /// stronger message under [`MinKey`](crate::comm::MonotoneOrder::MinKey); the message's bit
+    /// set under [`OrBits`](crate::comm::MonotoneOrder::OrBits). Only meaningful when
     /// [`Self::monotone`] is `true`.
     fn suppression_key(&self, _msg: &Self::Msg) -> u64 {
         0
@@ -303,13 +303,10 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// harvest hook [`crate::executor::Executor::harvest`] reads per-vertex
     /// answers through, in whatever bit layout the primitive documents
     /// (labels/distances/components as integers; ranks and centrality
-    /// scores as `f32::to_bits`). The default reuses the checkpoint
-    /// encoding, which *is* the result for the monotone label primitives
-    /// (BFS, SSSP, CC); primitives without checkpoint support override
-    /// this directly.
-    fn result_word(&self, state: &Self::State, v: V) -> u64 {
-        self.checkpoint_word(state, v)
-    }
+    /// scores as `f32::to_bits`; reached-lane sets as bitfields). No
+    /// default: every primitive states its answer word. For the monotone
+    /// label primitives (BFS, SSSP, CC) it is the checkpoint word.
+    fn result_word(&self, state: &Self::State, v: V) -> u64;
 }
 
 #[cfg(test)]
@@ -419,6 +416,9 @@ pub(crate) mod testing {
         }
         fn suppression_key(&self, msg: &u32) -> u64 {
             u64::from(*msg)
+        }
+        fn result_word(&self, state: &Vec<u32>, v: u32) -> u64 {
+            u64::from(state[v as usize])
         }
     }
 }

@@ -6,22 +6,6 @@ use crate::governor::GovernorLog;
 use crate::json::Json;
 use crate::resilience::RecoveryLog;
 
-/// Aggregated per-superstep statistics (summed over devices) — the frontier
-/// evolution that drives direction switching and communication volume.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SuperstepTrace {
-    /// Input frontier vertices consumed this superstep.
-    pub input: u64,
-    /// Output frontier vertices produced by the primitive iterations.
-    pub output: u64,
-    /// Vertices pushed to peers.
-    pub sent: u64,
-    /// Vertices accepted by combiners into the next input frontier.
-    pub combined: u64,
-    /// Vertices dropped by monotone send suppression before packaging.
-    pub suppressed: u64,
-}
-
 /// Wire accounting, summed over devices: what the suppression cache, the
 /// encodings, and the butterfly collective did during the enact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -154,8 +138,6 @@ pub struct EnactReport {
     /// Per-device memory accounting snapshots (peak/live/reallocs), indexed
     /// by device id.
     pub mem_per_device: Vec<DeviceMemStats>,
-    /// Per-superstep frontier statistics, summed over devices.
-    pub history: Vec<SuperstepTrace>,
     /// Recovery events (retries, checkpoints, failovers) — all zero/empty
     /// for a fault-free run under the default policy.
     pub recovery: RecoveryLog,
@@ -192,11 +174,6 @@ impl EnactReport {
         self.sim_time_us / 1e3
     }
 
-    /// Speedup of this run over a baseline run (baseline_time / this_time).
-    pub fn speedup_over(&self, baseline: &EnactReport) -> f64 {
-        baseline.sim_time_us / self.sim_time_us
-    }
-
     /// Fold a subsequent enact on the same runner into this report — the
     /// aggregate a repeated single-source campaign pays, which is what the
     /// batched multi-source engine is priced against. Supersteps, simulated
@@ -229,7 +206,6 @@ impl EnactReport {
             mine.reallocs = mine.reallocs.max(theirs.reallocs);
             mine.realloc_copied = mine.realloc_copied.max(theirs.realloc_copied);
         }
-        self.history.extend(other.history.iter().copied());
         self.recovery.absorb(&other.recovery);
         self.governor.absorb(&other.governor);
         self.comm.merge(&other.comm);
@@ -251,7 +227,6 @@ impl EnactReport {
             && self.total_peak_memory == other.total_peak_memory
             && self.pool_reallocs == other.pool_reallocs
             && self.mem_per_device == other.mem_per_device
-            && self.history == other.history
             && self.recovery == other.recovery
             && self.governor == other.governor
             && self.comm == other.comm
@@ -339,7 +314,6 @@ mod tests {
             total_peak_memory: 0,
             pool_reallocs: 0,
             mem_per_device: Vec::new(),
-            history: Vec::new(),
             recovery: RecoveryLog::default(),
             governor: GovernorLog::default(),
             comm: CommReduction::default(),
@@ -351,13 +325,6 @@ mod tests {
     fn gteps_is_edges_over_time() {
         let r = report(1000.0); // 1 ms
         assert!((r.gteps(2_000_000) - 2.0).abs() < 1e-9, "2M edges / 1 ms = 2 GTEPS");
-    }
-
-    #[test]
-    fn speedup_is_ratio() {
-        let fast = report(500.0);
-        let slow = report(2000.0);
-        assert!((fast.speedup_over(&slow) - 4.0).abs() < 1e-12);
     }
 
     #[test]

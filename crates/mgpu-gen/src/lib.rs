@@ -5,7 +5,7 @@
 //! generates graphs with the structural properties the scalability analysis
 //! depends on — degree distribution, diameter and |E|/|V| ratio:
 //!
-//! * [`rmat`] — an R-MAT generator faithful to GTgraph (the paper's own
+//! * [`rmat`](mod@rmat) — an R-MAT generator faithful to GTgraph (the paper's own
 //!   generator), with the paper's parameters {A,B,C,D} = {0.57, 0.19, 0.19,
 //!   0.05} and Merrill's {0.45, 0.15, 0.15, 0.25} for the B40C comparison.
 //! * [`prefattach`] — preferential attachment, the "soc" (online social
@@ -14,7 +14,7 @@
 //!   locality and higher diameter, like uk-2002 / arabic-2005.
 //! * [`grid`] — 2D lattices, the road-network analog: high diameter, low
 //!   constant degree, the known-bad case for GPU traversal (§V-B).
-//! * [`gnm`] — uniform random (Erdős–Rényi G(n,m)) for tests.
+//! * [`gnm`](mod@gnm) — uniform random (Erdős–Rényi G(n,m)) for tests.
 //! * [`smallworld`] — Watts–Strogatz rings for diameter-controlled tests.
 //! * [`weights`] — the paper's SSSP edge weights: uniform integers [0, 64].
 //! * [`catalog`] — named, scaled-down analogs of every Table II dataset.

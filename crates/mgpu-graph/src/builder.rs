@@ -44,70 +44,6 @@ impl BuildOptions {
     }
 }
 
-/// A CSR at whichever offset width the graph needs: the narrow (u32) layout
-/// when the final edge count fits 32 bits — the paper's fast path, whose
-/// per-device cost model rewards the halved index bandwidth — widened to
-/// u64 offsets otherwise. Built by [`GraphBuilder::build_auto`]; the check
-/// is on the *post-preprocessing* edge count, and overflow always widens,
-/// never truncates.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CsrAuto<V: Id> {
-    /// `Csr<V, u32>` — edge count fits 32-bit offsets.
-    Narrow(Csr<V, u32>),
-    /// `Csr<V, u64>` — the checked widening fallback.
-    Wide(Csr<V, u64>),
-}
-
-impl<V: Id> CsrAuto<V> {
-    /// Number of vertices.
-    pub fn n_vertices(&self) -> usize {
-        match self {
-            CsrAuto::Narrow(g) => g.n_vertices(),
-            CsrAuto::Wide(g) => g.n_vertices(),
-        }
-    }
-
-    /// Number of directed edges.
-    pub fn n_edges(&self) -> usize {
-        match self {
-            CsrAuto::Narrow(g) => g.n_edges(),
-            CsrAuto::Wide(g) => g.n_edges(),
-        }
-    }
-
-    /// Bytes per edge offset in the chosen layout.
-    pub fn offset_bytes(&self) -> usize {
-        match self {
-            CsrAuto::Narrow(_) => 4,
-            CsrAuto::Wide(_) => 8,
-        }
-    }
-
-    /// Short label for reports ("u32" / "u64").
-    pub fn label(&self) -> &'static str {
-        match self {
-            CsrAuto::Narrow(_) => "u32",
-            CsrAuto::Wide(_) => "u64",
-        }
-    }
-
-    /// The narrow graph, if that is what was built.
-    pub fn narrow(&self) -> Option<&Csr<V, u32>> {
-        match self {
-            CsrAuto::Narrow(g) => Some(g),
-            CsrAuto::Wide(_) => None,
-        }
-    }
-
-    /// The wide graph, if the fallback engaged.
-    pub fn wide(&self) -> Option<&Csr<V, u64>> {
-        match self {
-            CsrAuto::Wide(g) => Some(g),
-            CsrAuto::Narrow(_) => None,
-        }
-    }
-}
-
 /// The cleaned adjacency before an offset width is chosen: row offsets are
 /// kept in `usize` so the width check sees the *post-preprocessing* edge
 /// count and the arrays are converted exactly once.
@@ -118,17 +54,14 @@ struct Clean<V: Id> {
 }
 
 impl<V: Id> Clean<V> {
-    fn check_width<O: Id>(&self) -> Result<(), CsrError> {
+    /// Convert to offset type `O`, or the typed overflow when the cleaned
+    /// edge count does not fit it.
+    fn into_csr<O: Id>(self) -> Result<Csr<V, O>, CsrError> {
         if self.cols.len() > O::MAX_AS_USIZE {
             return Err(CsrError::OffsetOverflow { edges: self.cols.len(), max: O::MAX_AS_USIZE });
         }
-        Ok(())
-    }
-
-    /// The caller has checked the width.
-    fn into_csr<O: Id>(self) -> Csr<V, O> {
         let offsets = self.offsets.into_iter().map(O::from_usize).collect();
-        Csr::from_parts(offsets, self.cols, self.weights)
+        Ok(Csr::from_parts(offsets, self.cols, self.weights))
     }
 }
 
@@ -255,9 +188,7 @@ impl GraphBuilder {
         coo: &Coo<V>,
         options: BuildOptions,
     ) -> Result<Csr<V, O>, CsrError> {
-        let clean = Self::clean(coo, options)?;
-        clean.check_width::<O>()?;
-        Ok(clean.into_csr())
+        Self::clean(coo, options)?.into_csr()
     }
 
     /// [`GraphBuilder::try_build`], panicking with the typed error's message.
@@ -268,44 +199,6 @@ impl GraphBuilder {
     /// The paper's default preprocessing.
     pub fn undirected<V: Id, O: Id>(coo: &Coo<V>) -> Csr<V, O> {
         Self::build(coo, BuildOptions::default())
-    }
-
-    /// The widening decision, generic over the narrow offset type `N` so
-    /// tests can exercise the fallback with `u16` (a genuine u32 overflow
-    /// would need a >4-billion-edge graph). The width is chosen once, from
-    /// the cleaned edge count: `Ok` is the narrow build, `Err` the u64
-    /// fallback. A vertex-width overflow or a bad endpoint is not recoverable
-    /// by widening offsets and panics with the typed error's message.
-    fn build_widening<V: Id, N: Id>(
-        coo: &Coo<V>,
-        options: BuildOptions,
-    ) -> Result<Csr<V, N>, Csr<V, u64>> {
-        let clean = Self::clean(coo, options).unwrap_or_else(|e| panic!("{e}"));
-        match clean.check_width::<N>() {
-            Ok(()) => Ok(clean.into_csr()),
-            Err(_) => Err(clean.into_csr()),
-        }
-    }
-
-    /// [`GraphBuilder::build_widening`] of an already clean edge list.
-    #[cfg(test)]
-    fn narrow_or_widen<V: Id, N: Id>(clean: &Coo<V>) -> Result<Csr<V, N>, Csr<V, u64>> {
-        Self::build_widening(clean, BuildOptions::raw())
-    }
-
-    /// [`GraphBuilder::build`] at the automatically chosen offset width:
-    /// narrow (u32) when the preprocessed edge count fits, else the checked
-    /// u64 fallback.
-    pub fn build_auto<V: Id>(coo: &Coo<V>, options: BuildOptions) -> CsrAuto<V> {
-        match Self::build_widening::<V, u32>(coo, options) {
-            Ok(g) => CsrAuto::Narrow(g),
-            Err(g) => CsrAuto::Wide(g),
-        }
-    }
-
-    /// [`GraphBuilder::undirected`] at the automatically chosen offset width.
-    pub fn undirected_auto<V: Id>(coo: &Coo<V>) -> CsrAuto<V> {
-        Self::build_auto(coo, BuildOptions::default())
     }
 }
 
@@ -368,43 +261,33 @@ mod tests {
     }
 
     #[test]
-    fn auto_build_is_narrow_when_edges_fit() {
-        let auto = GraphBuilder::undirected_auto(&messy());
-        let expected: Csr<u32, u32> = GraphBuilder::undirected(&messy());
-        assert_eq!(auto.label(), "u32");
-        assert_eq!(auto.offset_bytes(), 4);
-        assert_eq!(auto.n_vertices(), 4);
-        assert_eq!(auto.n_edges(), 4);
-        assert_eq!(auto.narrow(), Some(&expected));
-        assert!(auto.wide().is_none());
-    }
-
-    #[test]
     fn widening_fallback_preserves_every_edge() {
-        // A star too big for u16 offsets exercises the fallback arm; the
-        // widened build must match a direct u64 build edge for edge — the
-        // overflow may never truncate.
+        // The offset width is the caller's type, checked on the *cleaned*
+        // edge count: a star listed three times fits u16 offsets once
+        // deduplicated, while 70k distinct edges are refused typed — never
+        // truncated — and the same edges built at u64 offsets keep every one.
+        let thrice: Vec<(u32, u32)> = (0..3).flat_map(|_| (1..=30_000).map(|d| (0, d))).collect();
+        let coo = Coo::from_edges(30_001, thrice, None);
+        let g = GraphBuilder::try_build::<u32, u16>(&coo, BuildOptions::directed()).unwrap();
+        assert_eq!(g.degree(0), 30_000);
         let edges: Vec<(u32, u32)> = (1..=70_000).map(|d| (0, d)).collect();
         let coo = Coo::from_edges(70_001, edges, None);
-        assert!(matches!(
-            Csr::<u32, u16>::try_from_coo(&coo),
-            Err(CsrError::OffsetOverflow { edges: 70_000, .. })
-        ));
-        let wide = GraphBuilder::narrow_or_widen::<u32, u16>(&coo)
-            .expect_err("70k edges must not fit u16 offsets");
-        let direct: Csr<u32, u64> = Csr::from_coo(&coo);
-        assert_eq!(wide, direct);
+        assert_eq!(
+            GraphBuilder::try_build::<u32, u16>(&coo, BuildOptions::raw()),
+            Err(CsrError::OffsetOverflow { edges: 70_000, max: u16::MAX as usize })
+        );
+        let wide: Csr<u32, u64> = GraphBuilder::build(&coo, BuildOptions::raw());
         assert_eq!(wide.n_edges(), 70_000);
-        assert_eq!(wide.degree(0), 70_000);
+        assert_eq!(wide.neighbors(0), (1..=70_000).collect::<Vec<u32>>());
     }
 
     #[test]
     #[should_panic(expected = "vertex count")]
     fn vertex_overflow_panics_rather_than_widening() {
-        // 70k vertices cannot be addressed by u16 ids; widening the offset
-        // type cannot fix that, so the builder refuses loudly.
+        // 70k vertices cannot be addressed by u16 ids; a wider offset type
+        // cannot fix that, so the builder refuses loudly.
         let coo = Coo::<u16>::from_edges(70_000, vec![], None);
-        let _ = GraphBuilder::narrow_or_widen::<u16, u16>(&coo);
+        let _: Csr<u16, u64> = GraphBuilder::build(&coo, BuildOptions::raw());
     }
 
     #[test]

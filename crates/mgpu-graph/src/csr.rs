@@ -1,13 +1,11 @@
 //! Compressed sparse row adjacency — the device-resident graph format.
 
-use crate::coo::Coo;
 use crate::ids::Id;
 
 /// Why a graph cannot be represented at the requested index widths. The
-/// narrow (u32) CSR is the paper's fast path (Table V: 64-bit ids "double
-/// bandwidth requirements and our performance drops accordingly"); when a
-/// graph exceeds the 32-bit range the builder must *widen*, never silently
-/// truncate — these errors are how the checked fallback is driven.
+/// widths are the caller's explicit types (shipped paths build
+/// `Csr<u32, u64>`; Table V's variants name theirs), and a graph that exceeds
+/// them is refused with one of these, never silently truncated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CsrError {
     /// The edge count does not fit the offset type `O`.
@@ -122,49 +120,6 @@ impl<V: Id, O: Id> Csr<V, O> {
         Csr { row_offsets: vec![O::zero(); n + 1], col_indices: Vec::new(), weights: None }
     }
 
-    /// Build from an edge list by counting sort (stable: preserves the input
-    /// order of parallel edges within a row). `O(|V| + |E|)`. Panics on
-    /// index-width overflow; [`Csr::try_from_coo`] is the checked variant
-    /// the auto-widening builder uses.
-    pub fn from_coo(coo: &Coo<V>) -> Self {
-        Self::try_from_coo(coo).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Csr::from_coo`] with typed checks: errors (never truncates) when the
-    /// edge count overflows `O`, the vertex count overflows `V`, or an edge
-    /// names a vertex `>= n_vertices`.
-    pub fn try_from_coo(coo: &Coo<V>) -> Result<Self, CsrError> {
-        let n = coo.n_vertices;
-        if coo.n_edges() > O::MAX_AS_USIZE {
-            return Err(CsrError::OffsetOverflow { edges: coo.n_edges(), max: O::MAX_AS_USIZE });
-        }
-        CsrError::check_vertices::<V>(n)?;
-        let mut degree = vec![0usize; n];
-        for (edge, &(s, d)) in coo.edges.iter().enumerate() {
-            CsrError::check_edge(edge, (s, d), n)?;
-            degree[s.idx()] += 1;
-        }
-        let mut offsets = vec![O::zero(); n + 1];
-        let mut acc = 0usize;
-        for v in 0..n {
-            offsets[v] = O::from_usize(acc);
-            acc += degree[v];
-        }
-        offsets[n] = O::from_usize(acc);
-        let mut cols = vec![V::default(); coo.n_edges()];
-        let mut wout = coo.weights.as_ref().map(|_| vec![0u32; coo.n_edges()]);
-        let mut cursor: Vec<usize> = (0..n).map(|v| offsets[v].idx()).collect();
-        for (i, &(s, d)) in coo.edges.iter().enumerate() {
-            let at = cursor[s.idx()];
-            cols[at] = d;
-            if let (Some(wo), Some(wi)) = (&mut wout, &coo.weights) {
-                wo[at] = wi[i];
-            }
-            cursor[s.idx()] += 1;
-        }
-        Ok(Csr { row_offsets: offsets, col_indices: cols, weights: wout })
-    }
-
     /// Number of vertices.
     pub fn n_vertices(&self) -> usize {
         self.row_offsets.len() - 1
@@ -272,15 +227,24 @@ impl<V: Id, O: Id> Csr<V, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BuildOptions, Coo, GraphBuilder};
+
+    /// The edge list as given: no symmetrizing, cleaning or row sorting.
+    fn try_raw<V: Id, O: Id>(coo: &Coo<V>) -> Result<Csr<V, O>, CsrError> {
+        GraphBuilder::try_build(coo, BuildOptions::raw())
+    }
+
+    fn raw<V: Id, O: Id>(coo: &Coo<V>) -> Csr<V, O> {
+        GraphBuilder::build(coo, BuildOptions::raw())
+    }
 
     fn diamond() -> Csr<u32, u64> {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-        let coo = Coo::from_edges(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)], None);
-        Csr::from_coo(&coo)
+        raw(&Coo::from_edges(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)], None))
     }
 
     #[test]
-    fn from_coo_builds_correct_adjacency() {
+    fn raw_build_gives_correct_adjacency() {
         let g = diamond();
         assert_eq!(g.n_vertices(), 4);
         assert_eq!(g.n_edges(), 4);
@@ -293,7 +257,7 @@ mod tests {
     #[test]
     fn counting_sort_is_stable_for_parallel_edges() {
         let coo = Coo::from_edges(2, vec![(0, 1), (0, 0), (0, 1)], Some(vec![10, 20, 30]));
-        let g: Csr<u32, u64> = Csr::from_coo(&coo);
+        let g: Csr<u32, u64> = raw(&coo);
         assert_eq!(g.neighbors(0), &[1, 0, 1]);
         let ws: Vec<u32> = g.neighbors_weighted(0).map(|(_, w)| w).collect();
         assert_eq!(ws, vec![10, 20, 30]);
@@ -311,7 +275,7 @@ mod tests {
     #[test]
     fn transpose_carries_weights() {
         let coo = Coo::from_edges(3, vec![(0, 1), (1, 2)], Some(vec![5, 6]));
-        let g: Csr<u32, u64> = Csr::from_coo(&coo);
+        let g: Csr<u32, u64> = raw(&coo);
         let t = g.transpose();
         let w: Vec<_> = t.neighbors_weighted(2).collect();
         assert_eq!(w, vec![(1, 6)]);
@@ -322,7 +286,7 @@ mod tests {
         let g = diamond();
         assert_eq!(g.bytes(), (5 * 8 + 4 * 4) as u64);
         let coo = Coo::from_edges(2, vec![(0, 1)], Some(vec![1]));
-        let gw: Csr<u32, u32> = Csr::from_coo(&coo);
+        let gw: Csr<u32, u32> = raw(&coo);
         assert_eq!(gw.bytes(), (3 * 4 + 4 + 4) as u64);
     }
 
@@ -345,7 +309,7 @@ mod tests {
     fn offset_overflow_is_typed() {
         let edges: Vec<(u32, u32)> = (1..=70_000).map(|d| (0, d)).collect();
         let coo = Coo::from_edges(70_001, edges, None);
-        match Csr::<u32, u16>::try_from_coo(&coo) {
+        match try_raw::<u32, u16>(&coo) {
             Err(CsrError::OffsetOverflow { edges, max }) => {
                 assert_eq!(edges, 70_000);
                 assert_eq!(max, u16::MAX as usize);
@@ -357,7 +321,7 @@ mod tests {
     #[test]
     fn vertex_overflow_is_typed() {
         let coo = Coo::<u16>::from_edges(70_000, vec![], None);
-        match Csr::<u16, u64>::try_from_coo(&coo) {
+        match try_raw::<u16, u64>(&coo) {
             Err(CsrError::VertexOverflow { vertices, max }) => {
                 assert_eq!(vertices, 70_000);
                 assert_eq!(max, 65_536);
@@ -370,25 +334,25 @@ mod tests {
     fn width_boundaries_fit_exactly() {
         // 65535 edges is the largest count u16 offsets can terminate.
         let edges: Vec<(u32, u32)> = (1..=65_535).map(|d| (0, d)).collect();
-        let g = Csr::<u32, u16>::try_from_coo(&Coo::from_edges(65_536, edges, None)).unwrap();
+        let g = try_raw::<u32, u16>(&Coo::from_edges(65_536, edges, None)).unwrap();
         assert_eq!(g.n_edges(), 65_535);
         assert_eq!(g.degree(0), 65_535);
         // 65536 vertices is the largest population u16 ids can address.
         let coo = Coo::<u16>::from_edges(65_536, vec![(0, 65_535)], None);
-        assert!(Csr::<u16, u64>::try_from_coo(&coo).is_ok());
+        assert!(try_raw::<u16, u64>(&coo).is_ok());
     }
 
     #[test]
     #[should_panic(expected = "does not fit in the offset type")]
-    fn from_coo_panics_with_typed_message_on_overflow() {
+    fn build_panics_with_typed_message_on_overflow() {
         let edges: Vec<(u32, u32)> = (1..=70_000).map(|d| (0, d)).collect();
-        let _ = Csr::<u32, u16>::from_coo(&Coo::from_edges(70_001, edges, None));
+        let _: Csr<u32, u16> = raw(&Coo::from_edges(70_001, edges, None));
     }
 
     #[test]
     fn u64_ids_work() {
         let coo = Coo::<u64>::from_edges(3, vec![(0, 2), (2, 1)], None);
-        let g: Csr<u64, u64> = Csr::from_coo(&coo);
+        let g: Csr<u64, u64> = raw(&coo);
         assert_eq!(g.neighbors(0), &[2]);
         assert_eq!(g.bytes(), (4 * 8 + 2 * 8) as u64);
     }

@@ -76,24 +76,6 @@ impl Id for u64 {
     }
 }
 
-/// Combined width description of a graph's id types, used by the cost model
-/// when charging communication volume (H is counted in vertices; bytes are
-/// `vertices × id-and-payload widths`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IdWidths {
-    /// Bytes per vertex id on the wire.
-    pub vertex_bytes: usize,
-    /// Bytes per edge offset in memory.
-    pub edge_bytes: usize,
-}
-
-impl IdWidths {
-    /// Widths for a graph with vertex type `V` and offset type `O`.
-    pub fn of<V: Id, O: Id>() -> Self {
-        IdWidths { vertex_bytes: V::BYTES, edge_bytes: O::BYTES }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,12 +97,5 @@ mod tests {
     #[cfg(debug_assertions)]
     fn u32_overflow_is_caught_in_debug() {
         let _ = u32::from_usize(1 << 40);
-    }
-
-    #[test]
-    fn widths_reflect_types() {
-        let w = IdWidths::of::<u32, u64>();
-        assert_eq!(w.vertex_bytes, 4);
-        assert_eq!(w.edge_bytes, 8);
     }
 }

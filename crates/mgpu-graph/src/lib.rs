@@ -22,7 +22,7 @@ pub mod ids;
 pub mod io;
 pub mod stats;
 
-pub use builder::{BuildOptions, CsrAuto, GraphBuilder};
+pub use builder::{BuildOptions, GraphBuilder};
 pub use coo::Coo;
 pub use csr::{Csr, CsrError};
 pub use ids::Id;

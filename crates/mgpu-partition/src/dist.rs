@@ -455,7 +455,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_graph::{Coo, GraphBuilder};
+    use mgpu_graph::{BuildOptions, Coo, GraphBuilder};
 
     /// 6-cycle partitioned in halves: 0,1,2 on GPU0; 3,4,5 on GPU1.
     fn cycle6() -> (Csr<u32, u64>, Vec<u32>) {
@@ -557,7 +557,7 @@ mod tests {
     #[test]
     fn weights_follow_their_edges() {
         let coo = Coo::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)], Some(vec![1, 2, 3, 4]));
-        let g: Csr<u32, u64> = Csr::from_coo(&coo);
+        let g: Csr<u32, u64> = GraphBuilder::build(&coo, BuildOptions::directed());
         let dg = DistGraph::build(&g, vec![0, 0, 1, 1], 2, Duplication::OneHop);
         let p1 = &dg.parts[1];
         // GPU1 owns globals 2,3 (locals 0,1); edge 2→3 weight 3; 3→0 weight 4

@@ -1,6 +1,6 @@
 //! A from-scratch multilevel graph partitioner — the "Metis" stand-in.
 //!
-//! The paper evaluates Metis [11] as its third partitioner (Fig. 2): it
+//! The paper evaluates Metis \[11\] as its third partitioner (Fig. 2): it
 //! "only wins in a few situations, with small margins, but takes a much
 //! longer time to partition". We reproduce the *mechanism* that produces
 //! that behaviour with the classic multilevel scheme Metis introduced:

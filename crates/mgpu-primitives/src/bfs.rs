@@ -164,6 +164,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
     fn restore_word(&self, state: &mut Self::State, v: V, word: u64) {
         state.labels[v.idx()] = word as u32;
     }
+
+    fn result_word(&self, state: &Self::State, v: V) -> u64 {
+        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+    }
 }
 
 /// Gather per-vertex results from the owning GPUs back into global order —

@@ -200,6 +200,10 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
         state.label[v.idx()] = V::from_usize(word as usize);
         state.union(v.idx(), word as usize, &mut 0);
     }
+
+    fn result_word(&self, state: &Self::State, v: V) -> u64 {
+        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+    }
 }
 
 /// Gather component labels (smallest member id per component) into global

@@ -33,7 +33,7 @@
 //! Multi-source BC runs no lanes: its batch of sources enacts [`bc::Bc`]
 //! once per source on one bound runner and sums the scores.
 //!
-//! [`reference`] holds sequential CPU implementations of every primitive;
+//! [`reference`](mod@reference) holds sequential CPU implementations of every primitive;
 //! the test suites validate multi-GPU results against them exactly.
 
 pub mod bc;

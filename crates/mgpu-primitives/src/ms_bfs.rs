@@ -418,6 +418,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     fn merge_msgs(&self, a: &u64, b: &u64) -> u64 {
         a | b
     }
+
+    /// The reached-lane bitfield: bit `l` is set iff lane `l`'s traversal
+    /// reached the vertex (its depths are in [`gather_lane_depths`]).
+    fn result_word(&self, state: &Self::State, v: V) -> u64 {
+        state.seen[v.idx()]
+    }
 }
 
 /// Gather per-lane depths in global vertex order: `result[lane][g]` is the
@@ -542,6 +548,30 @@ mod tests {
         assert_eq!(report.iterations, deepest as usize + 1);
     }
 
+    /// `harvest()` reads the reached-lane bitfield: bit `l` of vertex `v`'s
+    /// word is set iff lane `l`'s depth of `v` is not `INF`.
+    #[test]
+    fn harvest_is_the_reached_lane_bitfield() {
+        let coo = Coo::from_edges(6, vec![(0, 1), (1, 2), (3, 4)], None);
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        for n_gpus in [1, 2] {
+            let dist = dist_of(&g, n_gpus);
+            let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+            let prim = MsBfs::new(vec![0, 3]);
+            let mut runner = Runner::new(system, &dist, prim, EnactConfig::default()).unwrap();
+            runner.enact(None).unwrap();
+            let depths = gather_lane_depths(&runner, &dist, 2);
+            let words = runner.harvest();
+            for (v, word) in words.iter().enumerate() {
+                for (lane, d) in depths.iter().enumerate() {
+                    let reached = (word >> lane) & 1 == 1;
+                    assert_eq!(reached, d[v] != INF, "{n_gpus} GPUs, vertex {v}, lane {lane}");
+                }
+            }
+            assert_eq!(words, [0b01, 0b01, 0b01, 0b10, 0b10, 0], "{n_gpus} GPUs");
+        }
+    }
+
     fn ladder() -> Csr<u32, u64> {
         let mut coo = Coo::<u32>::new(16);
         for i in 0..8u32 {
@@ -663,7 +693,7 @@ mod tests {
             sources.iter().map(|&s| crate::reference::bfs(&g, s as u32)).collect();
         for n_gpus in [2usize, 4, 8] {
             for topo in [CommTopology::Direct, CommTopology::Butterfly] {
-                for enc in [WireEncoding::Auto, WireEncoding::Bitmap] {
+                for enc in [WireEncoding::Auto, WireEncoding::List] {
                     let mut reports: Vec<EnactReport> = Vec::new();
                     for threads in [1usize, 4] {
                         let config = EnactConfig {

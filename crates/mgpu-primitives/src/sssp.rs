@@ -295,6 +295,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
     fn restore_word(&self, state: &mut Self::State, v: V, word: u64) {
         state.dists[v.idx()] = word as u32;
     }
+
+    fn result_word(&self, state: &Self::State, v: V) -> u64 {
+        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+    }
 }
 
 /// Gather final distances from a finished runner into global vertex order.

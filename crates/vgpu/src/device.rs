@@ -80,7 +80,7 @@ pub struct Device {
     /// Bandwidth multiplier on per-item kernel cost reflecting the graph's
     /// id widths (Table V: 64-bit vertex ids read 2× data per edge and
     /// record 0.5× performance). 1.0 = the 32-bit-vertex/32-bit-offset
-    /// baseline; set by the framework from the graph's `IdWidths`.
+    /// baseline; set by the framework from the graph's id types.
     width_factor: f64,
     /// Host worker threads available to kernel bodies (see [`crate::par`]).
     /// Affects wall-clock execution speed only — never the metered cost,

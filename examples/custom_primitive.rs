@@ -107,6 +107,11 @@ impl MgpuProblem<u32, u64> for Reachability {
     fn globally_done(&self, _reduce: &GlobalReduce, iter: usize) -> bool {
         iter >= self.max_hops
     }
+
+    // The answer `harvest()` reads: 1 if the vertex was reached, else 0.
+    fn result_word(&self, state: &ReachState, v: u32) -> u64 {
+        u64::from(state.reached[v as usize])
+    }
 }
 
 fn main() {
@@ -118,12 +123,7 @@ fn main() {
         let system = SimSystem::homogeneous(4, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, problem, EnactConfig::default()).unwrap();
         let report = runner.enact(None).unwrap();
-        let reached: usize = (0..graph.n_vertices())
-            .filter(|&v| {
-                let (gpu, local) = dist.locate(v as u32);
-                runner.state(gpu).reached[local as usize] == 1
-            })
-            .count();
+        let reached = runner.harvest().iter().filter(|&&word| word == 1).count();
         println!(
             "within {k} hop(s) of 3 seeds: {reached:>6} of {} vertices  ({} supersteps, {:.2} ms simulated)",
             graph.n_vertices(),

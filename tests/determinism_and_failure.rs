@@ -272,6 +272,9 @@ impl MgpuProblem<u32, u64> for FaultyBfs {
         }
         false
     }
+    fn result_word(&self, state: &FaultyState, v: u32) -> u64 {
+        MgpuProblem::<u32, u64>::result_word(&BFS, &state.bfs, v)
+    }
 }
 
 /// Enact [`FaultyBfs`] on a 64-ring (32 supersteps fault-free) and return

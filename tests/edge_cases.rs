@@ -1,15 +1,21 @@
 //! Edge-case integration tests: degenerate graphs, sources, and
 //! configurations that historically break BSP graph frameworks.
 
-use mgpu_graph_analytics::core::{AllocScheme, CommStrategy, EnactConfig, Runner};
+use std::sync::{Arc, Mutex};
+
+use mgpu_graph_analytics::core::{
+    AllocScheme, CommStrategy, EnactConfig, FrontierBufs, MgpuProblem, Runner,
+};
 use mgpu_graph_analytics::gen::smallworld::chain;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
 use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, cc::gather_components, reference, Bfs, Cc, Dobfs, Pagerank,
+    bfs::{gather_labels, BfsState},
+    cc::gather_components,
+    reference, Bfs, Cc, Dobfs, Pagerank,
 };
-use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
+use mgpu_graph_analytics::vgpu::{Device, HardwareProfile, Result as VgpuResult, SimSystem};
 
 const INF: u32 = u32::MAX;
 
@@ -142,27 +148,135 @@ fn alloc_scheme_override_changes_memory_but_not_answer() {
     assert!(peaks[1] > peaks[0], "max allocation uses more device memory");
 }
 
+/// One device's view of one superstep.
+#[derive(Debug, Clone, Copy, Default)]
+struct Step {
+    /// Input frontier the iteration consumed.
+    input: u64,
+    /// Output frontier the iteration produced.
+    output: u64,
+    /// Vertices the device had pushed to peers before this superstep.
+    sent_before: u64,
+    /// The next input frontier the framework assembled (the local part plus
+    /// the accepted received vertices).
+    next_input: u64,
+}
+
+/// BFS that writes down each superstep as its device sees it: the frontier
+/// sizes in `iteration` and `locally_done`, and the device's pushed-vertex
+/// counter when each iteration starts.
+struct WaveBfs {
+    steps: Arc<Mutex<Vec<Vec<Step>>>>,
+}
+
+struct WaveState {
+    bfs: BfsState,
+    device: usize,
+}
+
+const BFS: Bfs = Bfs { one_hop: false };
+
+impl MgpuProblem<u32, u64> for WaveBfs {
+    type State = WaveState;
+    type Msg = u32;
+
+    fn name(&self) -> &'static str {
+        "wave-bfs"
+    }
+    fn duplication(&self) -> Duplication {
+        MgpuProblem::<u32, u64>::duplication(&BFS)
+    }
+    fn comm(&self) -> CommStrategy {
+        MgpuProblem::<u32, u64>::comm(&BFS)
+    }
+    fn alloc_scheme(&self) -> AllocScheme {
+        MgpuProblem::<u32, u64>::alloc_scheme(&BFS)
+    }
+    fn init(&self, dev: &mut Device, sub: &SubGraph<u32, u64>) -> VgpuResult<WaveState> {
+        Ok(WaveState { bfs: BFS.init(dev, sub)?, device: dev.id() })
+    }
+    fn reset(
+        &self,
+        dev: &mut Device,
+        sub: &SubGraph<u32, u64>,
+        state: &mut WaveState,
+        src: Option<u32>,
+    ) -> VgpuResult<Vec<u32>> {
+        BFS.reset(dev, sub, &mut state.bfs, src)
+    }
+    fn iteration(
+        &self,
+        dev: &mut Device,
+        sub: &SubGraph<u32, u64>,
+        state: &mut WaveState,
+        bufs: &mut FrontierBufs<u32>,
+        input: &[u32],
+        iter: usize,
+    ) -> VgpuResult<Vec<u32>> {
+        let sent_before = dev.counters.h_vertices;
+        let output = BFS.iteration(dev, sub, &mut state.bfs, bufs, input, iter)?;
+        let step = Step {
+            input: input.len() as u64,
+            output: output.len() as u64,
+            sent_before,
+            next_input: 0,
+        };
+        self.steps.lock().unwrap()[state.device].push(step);
+        Ok(output)
+    }
+    fn package(&self, state: &WaveState, v: u32) -> u32 {
+        MgpuProblem::<u32, u64>::package(&BFS, &state.bfs, v)
+    }
+    fn combine(&self, state: &mut WaveState, v: u32, msg: &u32) -> bool {
+        MgpuProblem::<u32, u64>::combine(&BFS, &mut state.bfs, v, msg)
+    }
+    fn monotone(&self) -> bool {
+        true
+    }
+    fn suppression_key(&self, msg: &u32) -> u64 {
+        u64::from(*msg)
+    }
+    fn locally_done(&self, state: &WaveState, next_input: &[u32]) -> bool {
+        let mut steps = self.steps.lock().unwrap();
+        steps[state.device].last_mut().unwrap().next_input = next_input.len() as u64;
+        MgpuProblem::<u32, u64>::locally_done(&BFS, &state.bfs, next_input)
+    }
+    fn result_word(&self, state: &WaveState, v: u32) -> u64 {
+        MgpuProblem::<u32, u64>::result_word(&BFS, &state.bfs, v)
+    }
+}
+
 #[test]
 fn superstep_history_tracks_the_frontier_wave() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(400, 8, 12));
     let dist = DistGraph::partition(&g, &RandomPartitioner { seed: 2 }, 3, Duplication::All);
     let sys = SimSystem::homogeneous(3, HardwareProfile::k40());
-    let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
+    let steps = Arc::new(Mutex::new(vec![Vec::new(); 3]));
+    let wave = WaveBfs { steps: Arc::clone(&steps) };
+    let mut runner = Runner::new(sys, &dist, wave, EnactConfig::default()).unwrap();
     let r = runner.enact(Some(0u32)).unwrap();
-    assert_eq!(r.history.len(), r.iterations);
-    assert_eq!(r.history[0].input, 1, "the wave starts at the source");
+    let labels = runner.harvest();
+    let sent_total: Vec<u64> =
+        runner.system().devices.iter().map(|d| d.counters.h_vertices).collect();
+    let steps = steps.lock().unwrap().clone();
+    assert!(steps.iter().all(|d| d.len() == r.iterations), "one step per device per superstep");
+    let summed = |k: usize, f: fn(&Step) -> u64| steps.iter().map(|d| f(&d[k])).sum::<u64>();
+    assert_eq!(summed(0, |s| s.input), 1, "the wave starts at the source");
     // the final superstep may still *produce* candidates (late proxy
     // discoveries the owners already know), but none survive combining
-    assert_eq!(r.history.last().unwrap().combined, 0, "the wave dies out");
+    assert_eq!(summed(r.iterations - 1, |s| s.next_input), 0, "the wave dies out");
     // every vertex the traversal reached (beyond the source) entered exactly
     // one superstep's next-input frontier
-    let labels = gather_labels(&runner, &dist);
-    let reached = labels.iter().filter(|&&l| l != INF && l != 0).count() as u64;
-    let combined: u64 = r.history.iter().map(|t| t.combined).sum();
-    assert_eq!(combined, reached);
+    let reached = labels.iter().filter(|&&l| l != u64::from(INF) && l != 0).count() as u64;
+    let entered: u64 = (0..r.iterations).map(|k| summed(k, |s| s.next_input)).sum();
+    assert_eq!(entered, reached);
     // under selective comm, the iteration output splits into a local part
     // and the sent part — so sent never exceeds what was produced
-    for t in &r.history {
-        assert!(t.sent <= t.output, "sent {} > output {}", t.sent, t.output);
+    for (device, d) in steps.iter().enumerate() {
+        for (k, step) in d.iter().enumerate() {
+            let sent_after = d.get(k + 1).map_or(sent_total[device], |s| s.sent_before);
+            let sent = sent_after - step.sent_before;
+            assert!(sent <= step.output, "gpu {device} superstep {k}: sent {sent} > {step:?}");
+        }
     }
 }

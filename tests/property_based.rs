@@ -169,9 +169,8 @@ fn builder_equals_reference<V: Id>(seed: u64) {
             };
             let expected = reference_build(&coo, options);
             assert_eq!(GraphBuilder::build::<V, u64>(&coo, options), expected, "{options:?}");
-            let auto = GraphBuilder::build_auto(&coo, options);
-            let narrow = auto.narrow().expect("a few hundred edges fit u32 offsets");
-            assert_eq!(triples_of(narrow), triples_of(&expected), "{options:?}");
+            let narrow = GraphBuilder::build::<V, u32>(&coo, options);
+            assert_eq!(triples_of(&narrow), triples_of(&expected), "{options:?}");
         }
     }
 }
@@ -649,16 +648,15 @@ fn bsp_counters_are_conserved() {
     }
 }
 
-/// Every wire encoding round-trips every id distribution — empty packages,
+/// Both wire policies round-trip every id distribution — empty packages,
 /// a single vertex, the last id of the space, duplicates, unsorted ids,
-/// uniform and distinct payloads, and multi-field tuple payloads. Forced
-/// encodings that are ineligible for a distribution (bitmap without
-/// uniformity, delta without sorted ids) must fall back rather than corrupt.
+/// uniform and distinct payloads, and multi-field tuple payloads. `Auto`
+/// must pick only an encoding the distribution is eligible for (no bitmap
+/// without uniformity, no delta without sorted ids) rather than corrupt.
 #[test]
 fn every_package_encoding_round_trips_arbitrary_distributions() {
     use mgpu_graph_analytics::core::{Package, WireEncoding};
-    const ENCODINGS: [WireEncoding; 4] =
-        [WireEncoding::Auto, WireEncoding::List, WireEncoding::Bitmap, WireEncoding::DeltaVarint];
+    const ENCODINGS: [WireEncoding; 2] = [WireEncoding::Auto, WireEncoding::List];
     let mut rng = ChaCha8Rng::seed_from_u64(0xA19);
     for case in 0..CASES * 4 {
         let space = rng.gen_range(1usize..400);

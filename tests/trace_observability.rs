@@ -153,32 +153,6 @@ fn tracing_does_not_perturb_the_simulation() {
     }
 }
 
-// --- dense superstep history (elision regression) -----------------------
-
-#[test]
-fn superstep_history_is_dense_under_every_topology() {
-    // The butterfly path used to elide intermediate-frontier recording for
-    // some supersteps, leaving `history` shorter than `iterations`; the
-    // indices are now dense — one entry per superstep, always.
-    let g = graph(53);
-    for prim in ["bfs", "sssp", "cc"] {
-        for comm in COMMS {
-            for topology in TOPOLOGIES {
-                let report = run(prim, &g, 4, config(comm, topology, 4, false));
-                assert_eq!(
-                    report.history.len(),
-                    report.iterations,
-                    "{prim} comm {comm:?} {topology:?}: history not dense"
-                );
-                assert!(
-                    report.history.iter().any(|h| h.input > 0),
-                    "{prim}: dense history lost its content"
-                );
-            }
-        }
-    }
-}
-
 // --- exporters on real runs ---------------------------------------------
 
 #[test]

