@@ -180,8 +180,10 @@ impl<V: Id, O: Id> Csr<V, O> {
     }
 
     /// The transpose (reverse graph): the CSC view used by pull-mode
-    /// traversal. Weights follow their edges. A direct in-degree count and
-    /// scatter, `O(|V| + |E|)`; sources within a reverse row stay ascending.
+    /// traversal. Structure only: the result carries no weights, because no
+    /// pull kernel reads one, and a device holding the CSC is charged for
+    /// exactly what it stores. A direct in-degree count and scatter,
+    /// `O(|V| + |E|)`; sources within a reverse row stay ascending.
     pub fn transpose(&self) -> Csr<V, O> {
         let n = self.n_vertices();
         let mut offsets = vec![O::zero(); n + 1];
@@ -194,19 +196,15 @@ impl<V: Id, O: Id> Csr<V, O> {
             offsets[v + 1] = O::from_usize(cursor[v + 1]);
         }
         let mut cols = vec![V::default(); self.n_edges()];
-        let mut weights = self.weights.as_ref().map(|_| vec![0u32; self.n_edges()]);
         for v in 0..n {
-            let v = V::from_usize(v);
-            for e in self.edge_range(v) {
-                let at = &mut cursor[self.col_indices[e].idx()];
-                cols[*at] = v;
-                if let (Some(wo), Some(wi)) = (&mut weights, &self.weights) {
-                    wo[*at] = wi[e];
-                }
+            let u = V::from_usize(v);
+            for &d in self.neighbors(u) {
+                let at = &mut cursor[d.idx()];
+                cols[*at] = u;
                 *at += 1;
             }
         }
-        Csr { row_offsets: offsets, col_indices: cols, weights }
+        Csr { row_offsets: offsets, col_indices: cols, weights: None }
     }
 
     /// In-memory footprint in bytes: what storing this graph costs a device
@@ -272,13 +270,20 @@ mod tests {
         assert_eq!(t.transpose(), g, "transpose is an involution on canonical order");
     }
 
+    /// A weighted graph transposes to its reverse structure alone: the
+    /// reverse rows are right, no weight array is stored or charged, and
+    /// transposing back gives the forward structure.
     #[test]
-    fn transpose_carries_weights() {
-        let coo = Coo::from_edges(3, vec![(0, 1), (1, 2)], Some(vec![5, 6]));
+    fn transpose_is_structure_only() {
+        let coo = Coo::from_edges(3, vec![(0, 1), (1, 2), (0, 2)], Some(vec![5, 6, 7]));
         let g: Csr<u32, u64> = raw(&coo);
         let t = g.transpose();
-        let w: Vec<_> = t.neighbors_weighted(2).collect();
-        assert_eq!(w, vec![(1, 6)]);
+        assert_eq!(t.weights(), None);
+        assert_eq!(t.neighbors(2), &[0, 1]);
+        assert_eq!(t.bytes(), (4 * 8 + 3 * 4) as u64, "offsets and columns only");
+        let back = t.transpose();
+        assert_eq!(back.row_offsets(), g.row_offsets());
+        assert_eq!(back.col_indices(), g.col_indices());
     }
 
     #[test]

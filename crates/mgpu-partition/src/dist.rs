@@ -52,7 +52,8 @@ pub struct SubGraph<V: Id, O: Id> {
     /// proxies have out-degree zero).
     pub csr: Csr<V, O>,
     /// Reverse adjacency (built lazily via [`SubGraph::build_csc`]) for
-    /// pull-mode traversal.
+    /// pull-mode traversal: the transpose of `csr`, structure only (no
+    /// weights — no pull kernel reads one).
     pub csc: Option<Csr<V, O>>,
     /// Number of *owned* vertices `|L_i|`. Under duplicate-1-hop, owned
     /// vertices occupy local ids `0..n_local`. Under duplicate-all, owned
@@ -577,6 +578,26 @@ mod tests {
         let mut preds = csc.neighbors(1).to_vec();
         preds.sort_unstable();
         assert_eq!(preds, vec![0, 2]);
+    }
+
+    /// A part of a weighted graph holds its weights once, in the CSR: the
+    /// CSC is offsets and columns only, and the topology charge says so.
+    #[test]
+    fn the_csc_of_a_weighted_part_holds_no_weights() {
+        let coo = Coo::from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)], Some(vec![1, 2, 3, 4]));
+        let g: Csr<u32, u64> = GraphBuilder::build(&coo, BuildOptions::default());
+        let mut dg = DistGraph::build(&g, vec![0, 1, 0, 1], 2, Duplication::All);
+        dg.build_cscs();
+        for sub in &dg.parts {
+            assert!(sub.csr.is_weighted());
+            let csc = sub.csc.as_ref().unwrap();
+            assert_eq!(csc.weights(), None);
+            let (n, e) = (sub.n_vertices(), sub.n_edges());
+            assert_eq!(
+                sub.topology_bytes(),
+                sub.csr.bytes() + ((n + 1) * <u64 as Id>::BYTES + e * <u32 as Id>::BYTES) as u64
+            );
+        }
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //!
 //! * **State:** per local vertex, `seen` (lanes whose traversal reached the
 //!   vertex), `visit` (lanes newly arrived and not yet propagated), `prop`
-//!   (the consume-pass snapshot the advance reads), and a vertex-major
-//!   `depth[v·lanes + lane]` table over the owned rows — the per-lane BFS
-//!   depth is recovered from the superstep index, since every lane starts
-//!   at superstep 0 and a lane's bit first reaches a vertex exactly at its
-//!   BFS depth.
+//!   (the consume-pass snapshot the advance reads), and a row-major
+//!   `depth[row·lanes + lane]` table with one row per *owned* vertex
+//!   (`row_of` maps a local vertex to its row; proxies have none) — the
+//!   per-lane BFS depth is recovered from the superstep index, since every
+//!   lane starts at superstep 0 and a lane's bit first reaches a vertex
+//!   exactly at its BFS depth.
 //! * **Computation:** one consume pass ([`ops::consume_bits`]) plus one
 //!   advance per superstep, read from whichever side of the local edges is
 //!   cheaper (below). The push side claims destination bits with
@@ -50,13 +51,14 @@
 //! bits. The other side is the CSC (which MS-BFS therefore requires, as
 //! DOBFS and BC do): *pull* has every local vertex still missing a lane OR
 //! the `prop` words of its in-neighbours, and stop as soon as it holds every
-//! lane. The CSC is the transpose of this device's own edges, so every
-//! in-neighbour is an owned vertex whose `prop` is exact, and no broadcast
-//! is needed. The `prop` word of a vertex not active this superstep is
-//! stale, but its bits reached every out-neighbour in the superstep that
-//! spread them, so they add nothing. Pull claims and emits exactly as push
-//! does, so the emitted `(vertex, word)` set — and with it every
-//! message, `H` and `S` — does not depend on the side; only `W` does.
+//! lane. The CSC is the transpose of this device's own edges (their
+//! structure only: no weights), so every in-neighbour is an owned vertex
+//! whose `prop` is exact, and no broadcast is needed. The `prop` word of a
+//! vertex not active this superstep is stale, but its bits reached every
+//! out-neighbour in the superstep that spread them, so they add nothing.
+//! Pull claims and emits exactly as push does, so the emitted
+//! `(vertex, word)` set — and with it every message, `H` and `S` — does not
+//! depend on the side; only `W` does.
 //!
 //! A device picks, per superstep, on exact counts and no threshold, by the
 //! rule BC's forward sweep uses too ([`PullSide`]): pull iff
@@ -133,10 +135,13 @@ pub struct MsBfsState<V> {
     pub visit: DeviceArray<u64>,
     /// The consume-pass snapshot the advance reads.
     pub prop: DeviceArray<u64>,
-    /// Vertex-major per-lane depths: `depth[v·lanes + lane]`, valid where
-    /// the lane's `seen` bit is set (a clear bit reads as unreached, `INF`,
-    /// in [`gather_lane_depths`]). Owned rows only; proxy rows are never
-    /// written or read.
+    /// Local vertex → its row of `depth`: owned vertices are numbered
+    /// `0..n_local` in local id order, proxies hold `u32::MAX`.
+    pub row_of: DeviceArray<u32>,
+    /// Per-lane depths of the owned vertices only: `depth[row·lanes + lane]`
+    /// for `row = row_of[v]`, valid where the lane's `seen` bit is set (a
+    /// clear bit reads as unreached, `INF`, in [`gather_lane_depths`]).
+    /// Proxies are never stamped or read, so they hold no row.
     pub depth: DeviceArray<u32>,
     /// Remote copies whose `visit` bits were packaged last superstep
     /// (flush list for the next consume pass).
@@ -146,6 +151,9 @@ pub struct MsBfsState<V> {
     /// (read the in-edge side).
     pub pull: PullSide<V>,
 }
+
+/// `row_of` at a proxy: the vertex has no depth row on this device.
+const NO_ROW: u32 = u32::MAX;
 
 /// The depth a bit claimed in superstep `iter` carries, `iter + 1`, which
 /// must stay below [`INF`].
@@ -177,9 +185,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     }
 
     fn state_bytes_per_vertex(&self) -> usize {
-        // seen + visit + prop words, plus the per-lane depth table — the
-        // 8×-and-more growth the governor's admission must see honestly.
-        3 * 8 + 4 * self.lanes()
+        // seen + visit + prop words and the `row_of` entry, plus the
+        // per-lane depth table — the 8×-and-more growth the governor's
+        // admission must see honestly. The depth rows exist for owned
+        // vertices only, so this bounds a part's state from above and is
+        // exact where one device owns every vertex.
+        3 * 8 + 4 + 4 * self.lanes()
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
@@ -188,11 +199,16 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             "MS-BFS needs the reverse adjacency: call DistGraph::build_cscs() before Runner::new"
         );
         let n = sub.n_vertices();
+        let mut row_of = vec![NO_ROW; n];
+        for (row, v) in (0..n).filter(|&v| sub.is_owned(V::from_usize(v))).enumerate() {
+            row_of[v] = row as u32;
+        }
         Ok(MsBfsState {
             seen: dev.alloc(n)?,
             visit: dev.alloc(n)?,
             prop: dev.alloc(n)?,
-            depth: dev.alloc(n * self.lanes())?,
+            row_of: dev.upload(&row_of)?,
+            depth: dev.alloc(sub.n_local * self.lanes())?,
             sent: Vec::new(),
             pull: PullSide::default(),
         })
@@ -261,6 +277,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         // INF; the bits the consume takes arrived at `iter`.
         let arrived_at = depth_after(iter) - 1;
         let flushed = std::mem::take(&mut state.sent);
+        let row_of = state.row_of.as_slice();
         let depth = state.depth.as_mut_slice();
         let (active, act) = ops::consume_bits(
             dev,
@@ -270,9 +287,11 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             state.prop.as_mut_slice(),
             |v, bits| {
                 // every bit taken from `visit` arrived this superstep, by a
-                // local claim or through `combine`; only owned rows are read
-                if sub.is_owned(v) {
-                    let row = &mut depth[v.idx() * lanes..][..lanes];
+                // local claim or through `combine`; only owned vertices have
+                // a row to stamp
+                let row = row_of[v.idx()];
+                if row != NO_ROW {
+                    let row = &mut depth[row as usize * lanes..][..lanes];
                     let mut w = bits;
                     while w != 0 {
                         row[w.trailing_zeros() as usize] = arrived_at;
@@ -440,7 +459,8 @@ pub fn gather_lane_depths<V: Id, O: Id>(
         let (gpu, local) = dist.locate(V::from_usize(g));
         let state = runner.state(gpu);
         let seen = state.seen[local.idx()];
-        let row = &state.depth.as_slice()[local.idx() * lanes..][..lanes];
+        let row = state.row_of[local.idx()] as usize;
+        let row = &state.depth.as_slice()[row * lanes..][..lanes];
         for (lane, (depths, &d)) in out.iter_mut().zip(row).enumerate() {
             depths.push(if (seen >> lane) & 1 == 1 { d } else { INF });
         }
@@ -731,9 +751,10 @@ mod tests {
     }
 
     /// The 64-lane state honestly prices its 8×-plus growth over
-    /// single-source BFS (24 bitfield bytes + 4 per lane vs 4 flat): inside
-    /// the capacity window between the two footprints the governor admits
-    /// BFS and refuses MS-BFS at bind time with a typed OOM.
+    /// single-source BFS (24 bitfield bytes, a 4-byte row index and 4 per
+    /// lane vs 4 flat): inside the capacity window between the two
+    /// footprints the governor admits BFS and refuses MS-BFS at bind time
+    /// with a typed OOM.
     #[test]
     fn admission_prices_the_lane_scaled_state() {
         use mgpu_core::governor::estimate_footprint;
@@ -743,7 +764,9 @@ mod tests {
         let dist = dist_of(&g, n_gpus);
         let prim = MsBfs::new(MsBfs::spread_sources(64, g.n_vertices()));
         let state_bytes = <MsBfs as MgpuProblem<u32, u64>>::state_bytes_per_vertex(&prim);
-        assert_eq!(state_bytes, 24 + 4 * 64, "3 bitfield words + a u32 depth per lane");
+        // 3 bitfield words, the u32 `row_of` entry and a u32 depth per lane:
+        // the row index is a real per-vertex array, so the bound counts it
+        assert_eq!(state_bytes, 28 + 4 * 64, "3 bitfield words + row_of + a u32 depth per lane");
         let floor = |state: usize, msg: usize| {
             dist.parts
                 .iter()
@@ -780,6 +803,60 @@ mod tests {
         let mut bfs = Runner::new(system, &dist, crate::Bfs::default(), config)
             .expect("the same budget admits single-source BFS");
         bfs.enact(Some(0u32)).expect("and it runs to completion");
+    }
+
+    /// The depth table holds the owned vertices' rows only: at every GPU
+    /// count each device's table is `n_local · lanes` long, and the lane
+    /// depths it yields are the reference BFS depths.
+    #[test]
+    fn the_depth_table_holds_owned_rows_only() {
+        let g = ladder();
+        let sources = vec![0usize, 6, 9, 15];
+        for n_gpus in 1..=4 {
+            let dist = dist_of(&g, n_gpus);
+            let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+            let prim = MsBfs::new(sources.clone());
+            let mut runner = Runner::new(system, &dist, prim, EnactConfig::default()).unwrap();
+            runner.enact(None).unwrap();
+            for (gpu, sub) in dist.parts.iter().enumerate() {
+                let state = runner.state(gpu);
+                assert_eq!(
+                    state.depth.len(),
+                    sub.n_local * sources.len(),
+                    "{n_gpus} GPUs, gpu {gpu}"
+                );
+                assert_eq!(state.row_of.len(), sub.n_vertices());
+            }
+            let depths = gather_lane_depths(&runner, &dist, sources.len());
+            for (lane, &s) in sources.iter().enumerate() {
+                let expect = crate::reference::bfs(&g, s as u32);
+                assert_eq!(depths[lane], expect, "{n_gpus} GPUs, lane {lane}");
+            }
+        }
+    }
+
+    /// Admission's per-vertex price bounds what `init` allocates: at least
+    /// the pool bytes on every part, and exactly them on one GPU, where
+    /// every vertex is owned and holds a depth row.
+    #[test]
+    fn the_state_estimate_bounds_what_init_allocates() {
+        use mgpu_core::MgpuProblem;
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&mgpu_gen::gnm(96, 288, 5));
+        let prim = MsBfs::new(MsBfs::spread_sources(64, g.n_vertices()));
+        let per_vertex = <MsBfs as MgpuProblem<u32, u64>>::state_bytes_per_vertex(&prim) as u64;
+        for n_gpus in [1, 2] {
+            let dist = dist_of(&g, n_gpus);
+            for sub in &dist.parts {
+                let mut dev = Device::new(sub.gpu, HardwareProfile::k40());
+                let _state = prim.init(&mut dev, sub).unwrap();
+                let estimate = per_vertex * sub.n_vertices() as u64;
+                let allocated = dev.pool().live();
+                assert!(estimate >= allocated, "{n_gpus} GPUs: {estimate} < {allocated}");
+                if n_gpus == 1 {
+                    assert_eq!(estimate, allocated, "one GPU owns every row");
+                }
+            }
+        }
     }
 
     /// A fully instrumented run — tracing + suppression + auto encoding over

@@ -420,10 +420,14 @@ impl Device {
         Ok(a)
     }
 
-    /// Grow `array` to hold at least `need` elements, charging the
-    /// reallocation copy cost. This is the expensive event that the
-    /// just-enough allocation scheme's size estimation works to avoid
-    /// (§VI-B: "reallocation, which is expensive, is infrequent").
+    /// Grow `array` to hold at least `need` elements. Whenever `need > 0`
+    /// this charges the 2 µs allocation overhead — also when the capacity
+    /// already suffices and nothing is reallocated — plus, on a real
+    /// growth, the copy-over of the old contents at memory bandwidth. The
+    /// 2 µs is a constant: [`HardwareProfile::with_overhead_scale`] does not
+    /// divide it. Growth is the expensive event that the just-enough
+    /// allocation scheme's size estimation works to avoid (§VI-B:
+    /// "reallocation, which is expensive, is infrequent").
     pub fn ensure_capacity<T: Default + Clone>(
         &mut self,
         array: &mut DeviceArray<T>,
