@@ -74,7 +74,7 @@ mod tests {
     use mgpu_gen::preferential_attachment;
     use mgpu_graph::GraphBuilder;
     use mgpu_partition::{DistGraph, Duplication};
-    use mgpu_primitives::{bfs::gather_labels, reference, Bfs};
+    use mgpu_primitives::{reference, Bfs};
     use vgpu::SimSystem;
 
     #[test]
@@ -106,7 +106,8 @@ mod tests {
         let mut runner =
             Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+        let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+        assert_eq!(labels, reference::bfs(&g, 0u32));
     }
 
     #[test]

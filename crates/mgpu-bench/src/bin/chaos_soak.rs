@@ -23,13 +23,11 @@ use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_or_exit, Flag};
 use mgpu_bench::Primitive;
-use mgpu_core::{CommTopology, EnactConfig, Json, RecoveryPolicy, ResilientRunner};
+use mgpu_core::{CommTopology, EnactConfig, Executor, Json, RecoveryPolicy, ResilientRunner};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
 use mgpu_graph::{Csr, GraphBuilder};
-use mgpu_primitives::{
-    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
-};
+use mgpu_primitives::{reference, Bfs, Cc, Sssp};
 use vgpu::{FaultPlan, HardwareProfile};
 
 /// splitmix64 — the same generator the fault plans use, so the scenario
@@ -136,8 +134,7 @@ fn bank(seed: u64, n: usize) -> Vec<(Scenario, FaultPlan)> {
 }
 
 /// Run the resilient executor under `profile`/`config` with an optional
-/// fault plan; returns the gathered global-order result (canonicalized to
-/// u64) plus the report.
+/// fault plan; returns its harvest words plus the report.
 fn run(
     s: &Scenario,
     g: &Csr<u32, u64>,
@@ -146,27 +143,25 @@ fn run(
     plan: Option<&FaultPlan>,
 ) -> Result<(Vec<u64>, mgpu_core::EnactReport), String> {
     macro_rules! drive {
-        ($prim:expr, $gather:expr) => {{
+        ($prim:expr) => {{
             let mut runner = ResilientRunner::homogeneous(g, $prim, s.gpus, profile, config);
             if let Some(p) = plan {
                 runner = runner.with_fault_plan(p.clone());
             }
-            runner
-                .enact_with(Some(0u32), $gather)
-                .map(|(rep, out)| (out.into_iter().map(|x| x as u64).collect(), rep))
-                .map_err(|e| format!("{e:?}"))
+            let report = runner.enact(Some(0u32)).map_err(|e| format!("{e:?}"))?;
+            Ok((runner.harvest(), report))
         }};
     }
     match s.prim {
-        Primitive::Bfs => drive!(Bfs::default(), gather_labels),
-        Primitive::Sssp => drive!(Sssp, gather_dists),
-        Primitive::Cc => drive!(Cc, gather_components),
+        Primitive::Bfs => drive!(Bfs::default()),
+        Primitive::Sssp => drive!(Sssp),
+        Primitive::Cc => drive!(Cc),
         other => Err(format!("no soak scenario generates {}", other.name())),
     }
 }
 
 /// `primitives::reference` results from vertex 0, as the words the runs
-/// gather, built once per distinct graph — [`graph_for`] is a function of the
+/// harvest, built once per distinct graph — [`graph_for`] is a function of the
 /// primitive and the graph seed.
 #[derive(Default)]
 struct References(HashMap<(&'static str, u64), Vec<u64>>);

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, ResilientRunner, Runner};
+use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, Executor, ResilientRunner, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::{DistGraph, Duplication, Partitioner};
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};

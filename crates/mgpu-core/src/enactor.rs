@@ -301,8 +301,9 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         (report, log)
     }
 
-    /// Access a device's per-GPU primitive state (e.g. to read labels or
-    /// ranks after an enact).
+    /// A device's per-GPU primitive state: internals such as direction
+    /// flags, pull counters or MS-BFS depth rows, not answers. Answers are
+    /// read through [`Self::harvest`].
     pub fn state(&self, gpu: usize) -> &P::State {
         &self.per_gpu[gpu].state
     }

@@ -79,8 +79,9 @@ pub trait Executor<V: Id> {
     /// source-less primitives).
     fn enact(&mut self, src: Option<V>) -> Result<EnactReport>;
 
-    /// The per-vertex result words in global vertex order (see
-    /// [`crate::MgpuProblem::result_word`]).
+    /// The answer: one result word per global vertex, in global vertex
+    /// order, from the last successful [`Self::enact`]. Decode each word by
+    /// the primitive's layout (see [`crate::MgpuProblem::result_word`]).
     fn harvest(&self) -> Vec<u64>;
 }
 

@@ -299,12 +299,17 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// [`Self::reset`]). Called for owned vertices *and* proxies.
     fn restore_word(&self, _state: &mut Self::State, _v: V, _word: u64) {}
 
-    /// Encode local vertex `v`'s *result* as one 64-bit word — the uniform
-    /// harvest hook [`crate::executor::Executor::harvest`] reads per-vertex
-    /// answers through, in whatever bit layout the primitive documents
-    /// (labels/distances/components as integers; ranks and centrality
-    /// scores as `f32::to_bits`; reached-lane sets as bitfields). No
-    /// default: every primitive states its answer word. For the monotone
+    /// Encode local vertex `v`'s *answer* as one 64-bit word. This is the
+    /// only way an answer leaves a runner: [`crate::executor::Executor::harvest`]
+    /// returns these words in global vertex order, and a caller decodes each
+    /// by the primitive's bit layout:
+    ///
+    /// * depth labels (BFS, DOBFS) and distances (SSSP): `w as u32`;
+    /// * component ids (CC): `w as usize`;
+    /// * ranks (PR) and centrality scores (BC): `f32::from_bits(w as u32)`;
+    /// * reached-lane sets (MS-BFS): the word itself, bit `l` for lane `l`.
+    ///
+    /// No default: every primitive states its answer word. For the monotone
     /// label primitives (BFS, SSSP, CC) it is the checkpoint word.
     fn result_word(&self, state: &Self::State, v: V) -> u64;
 }

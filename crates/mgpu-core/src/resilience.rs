@@ -37,10 +37,10 @@
 //!   as [`RecoveryLog::lost_time_us`] and folded into the final report.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Mutex, PoisonError};
 
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
-use parking_lot::Mutex;
 use vgpu::{FaultPlan, HardwareProfile, Interconnect, Result, SimSystem, VgpuError};
 
 use crate::enactor::{EnactConfig, Runner};
@@ -244,7 +244,7 @@ impl<V: Id> CheckpointSink<V> {
     /// One device's contribution for boundary `iter`: its owned vertices'
     /// `(global id, word)` pairs and its owned slice of the next frontier.
     pub fn offer(&self, iter: usize, words: Vec<(V, u64)>, frontier: Vec<V>) {
-        let mut p = self.partial.lock();
+        let mut p = self.partial.lock().unwrap_or_else(PoisonError::into_inner);
         if p.iter != iter {
             p.iter = iter;
             p.offers = 0;
@@ -260,7 +260,8 @@ impl<V: Id> CheckpointSink<V> {
             words.sort_unstable_by_key(|&(g, _)| g);
             frontier.sort_unstable();
             frontier.dedup();
-            *self.complete.lock() = Some(GlobalCheckpoint { iter, words, frontier });
+            *self.complete.lock().unwrap_or_else(PoisonError::into_inner) =
+                Some(GlobalCheckpoint { iter, words, frontier });
             self.taken.fetch_add(1, Relaxed);
         }
     }
@@ -272,7 +273,7 @@ impl<V: Id> CheckpointSink<V> {
 
     /// Take the most recent complete checkpoint, if any.
     pub fn take_complete(&self) -> Option<GlobalCheckpoint<V>> {
-        self.complete.lock().take()
+        self.complete.lock().unwrap_or_else(PoisonError::into_inner).take()
     }
 }
 
@@ -352,20 +353,29 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
         self.build_csc = true;
         self
     }
+}
 
-    /// Enact from `src`, recovering per the config's [`RecoveryPolicy`].
-    pub fn enact(&self, src: Option<V>) -> Result<EnactReport> {
-        self.enact_with(src, |_, _| ()).map(|(report, ())| report)
+impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> Executor<V> for ResilientRunner<'g, V, O, P> {
+    fn kind(&self) -> ExecutorKind {
+        ExecutorKind::Resilient
     }
 
-    /// Enact, then run `extract` on the final (possibly degraded) runner and
-    /// partition before they are dropped — the hook for reading results out
-    /// of per-GPU state in the global vertex space.
-    pub fn enact_with<R>(
-        &self,
-        src: Option<V>,
-        extract: impl Fn(&Runner<'_, V, O, P>, &DistGraph<V, O>) -> R,
-    ) -> Result<(EnactReport, R)> {
+    fn primitive(&self) -> &'static str {
+        self.problem.name()
+    }
+
+    fn n_devices(&self) -> usize {
+        self.profiles.len()
+    }
+
+    fn recovery_policy(&self) -> RecoveryPolicy {
+        self.config.recovery
+    }
+
+    /// Enact from `src`, recovering per the config's [`RecoveryPolicy`],
+    /// and keep the final (possibly degraded) attempt's result words for
+    /// [`Self::harvest`].
+    fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
         let policy = self.config.recovery;
         let n_original = self.profiles.len();
         // Original ids of the devices still alive, indexed by runtime id.
@@ -410,10 +420,10 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
             log.absorb(&attempt_log);
             match outcome {
                 Ok(mut report) => {
-                    let value = extract(&runner, &dist);
+                    self.last_values = runner.harvest();
                     report.sim_time_us += log.lost_time_us;
                     report.recovery = log;
-                    return Ok((report, value));
+                    return Ok(report);
                 }
                 Err(e) => {
                     log.lost_time_us += runner.system().makespan_us();
@@ -443,30 +453,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
                 }
             }
         }
-    }
-}
-
-impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> Executor<V> for ResilientRunner<'g, V, O, P> {
-    fn kind(&self) -> ExecutorKind {
-        ExecutorKind::Resilient
-    }
-
-    fn primitive(&self) -> &'static str {
-        self.problem.name()
-    }
-
-    fn n_devices(&self) -> usize {
-        self.profiles.len()
-    }
-
-    fn recovery_policy(&self) -> RecoveryPolicy {
-        self.config.recovery
-    }
-
-    fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
-        let (report, values) = self.enact_with(src, |runner, _| runner.harvest())?;
-        self.last_values = values;
-        Ok(report)
     }
 
     fn harvest(&self) -> Vec<u64> {

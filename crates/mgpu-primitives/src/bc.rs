@@ -64,9 +64,8 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::direction::PullSide;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
-use mgpu_core::Runner;
 use mgpu_graph::{Csr, Id};
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
@@ -499,19 +498,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
     }
 }
 
-/// Gather centrality scores into global vertex order.
-pub fn gather_bc<V: Id, O: Id>(runner: &Runner<'_, V, O, Bc>, dist: &DistGraph<V, O>) -> Vec<f32> {
-    crate::bfs::gather(dist, |gpu, local| runner.state(gpu).bc[local.idx()])
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use crate::Bfs;
-    use mgpu_core::{EnactConfig, EnactReport};
+    use mgpu_core::{EnactConfig, EnactReport, Runner};
     use mgpu_gen::{gnm, grid2d, Dataset};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
+
+    /// A finished run's scores: its harvest words, `f32::from_bits`.
+    fn scores(words: Vec<u64>) -> Vec<f32> {
+        words.into_iter().map(|w| f32::from_bits(w as u32)).collect()
+    }
 
     pub(crate) fn dist_of(g: &Csr<u32, u64>, n_gpus: usize) -> DistGraph<u32, u64> {
         let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
@@ -529,7 +529,7 @@ pub(crate) mod tests {
         let mut total = vec![0.0f32; g.n_vertices()];
         for &src in sources {
             runner.enact(Some(src)).unwrap();
-            for (t, x) in total.iter_mut().zip(gather_bc(&runner, &dist)) {
+            for (t, x) in total.iter_mut().zip(scores(runner.harvest())) {
                 *t += x;
             }
         }
@@ -676,7 +676,7 @@ pub(crate) mod tests {
         let scattered: u32 = (0..2).map(|gpu| runner.state(gpu).scatter_levels).sum();
         assert!(pulled > 0, "no forward level pulled");
         assert!(scattered > 0, "no backward level scattered");
-        assert_close(&gather_bc(&runner, &dist), &crate::reference::bc(&g, hub), 1e-3);
+        assert_close(&scores(runner.harvest()), &crate::reference::bc(&g, hub), 1e-3);
     }
 
     /// On a lattice every level is thin next to |V|, so no forward level
@@ -700,6 +700,6 @@ pub(crate) mod tests {
             assert_eq!(runner.state(gpu).scatter_levels, shrinking, "gpu {gpu}");
         }
         assert_eq!(bc.iterations, bfs.iterations + 1 + (depth - 1));
-        assert_close(&gather_bc(&runner, &dist), &crate::reference::bc(&g, 0u32), 1e-3);
+        assert_close(&scores(runner.harvest()), &crate::reference::bc(&g, 0u32), 1e-3);
     }
 }

@@ -15,9 +15,8 @@ use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
-use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -101,30 +100,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
         input: &[V],
         iter: usize,
     ) -> Result<Vec<V>> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let next_label = iter as u32 + 1;
-        // Atomic view so the parallel operator kernels can claim vertices
-        // with CAS (the GPU atomicCAS idiom): each unvisited vertex is won by
-        // exactly one claimant, so the discovered *set* and final labels are
-        // schedule-independent.
-        let labels = vgpu::par::as_atomic_u32(state.labels.as_mut_slice());
-        if bufs.scheme().fused() {
-            // §VI-C: one kernel, no intermediate frontier.
-            ops::advance_filter_fused(dev, sub, bufs, input, |_, _, d| {
-                labels[d.idx()]
-                    .compare_exchange(INF, next_label, Relaxed, Relaxed)
-                    .is_ok()
-                    .then_some(d)
-            })
-        } else {
-            // Merrill-style expand (advance) then contract (filter).
-            let candidates = ops::advance(dev, sub, bufs, input, |_, _, d| {
-                (labels[d.idx()].load(Relaxed) == INF).then_some(d)
-            })?;
-            ops::filter(dev, &candidates, |v| {
-                labels[v.idx()].compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok()
-            })
-        }
+        push_level(dev, sub, state.labels.as_mut_slice(), bufs, input, iter as u32 + 1)
     }
 
     fn package(&self, state: &Self::State, v: V) -> u32 {
@@ -170,34 +146,49 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
     }
 }
 
-/// Gather per-vertex results from the owning GPUs back into global order —
-/// works for either duplication strategy via the conversion tables.
-pub fn gather<V: Id, O: Id, T: Copy>(
-    dist: &DistGraph<V, O>,
-    mut read: impl FnMut(usize, V) -> T,
-) -> Vec<T> {
-    (0..dist.n_global)
-        .map(|g| {
-            let (gpu, local) = dist.locate(V::from_usize(g));
-            read(gpu, local)
+/// One push level, BFS's every level and DOBFS's forward ones: label each
+/// unvisited out-neighbour of `input` with `next_label` and return them.
+/// Labels are claimed with CAS (the GPU atomicCAS idiom): each unvisited
+/// vertex is won by exactly one claimant, so the discovered *set* and final
+/// labels are schedule-independent.
+pub(crate) fn push_level<V: Id, O: Id>(
+    dev: &mut Device,
+    sub: &SubGraph<V, O>,
+    labels: &mut [u32],
+    bufs: &mut FrontierBufs<V>,
+    input: &[V],
+    next_label: u32,
+) -> Result<Vec<V>> {
+    use std::sync::atomic::Ordering::Relaxed;
+    let labels = vgpu::par::as_atomic_u32(labels);
+    if bufs.scheme().fused() {
+        // §VI-C: one kernel, no intermediate frontier.
+        ops::advance_filter_fused(dev, sub, bufs, input, |_, _, d| {
+            labels[d.idx()].compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok().then_some(d)
         })
-        .collect()
-}
-
-/// Convenience: gather BFS labels from a finished runner.
-pub fn gather_labels<V: Id, O: Id>(
-    runner: &Runner<'_, V, O, Bfs>,
-    dist: &DistGraph<V, O>,
-) -> Vec<u32> {
-    gather(dist, |gpu, local| runner.state(gpu).labels[local.idx()])
+    } else {
+        // Merrill-style expand (advance) then contract (filter).
+        let candidates = ops::advance(dev, sub, bufs, input, |_, _, d| {
+            (labels[d.idx()].load(Relaxed) == INF).then_some(d)
+        })?;
+        ops::filter(dev, &candidates, |v| {
+            labels[v.idx()].compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok()
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::EnactConfig;
+    use mgpu_core::{EnactConfig, Runner};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
+
+    /// A finished run's depth labels: its harvest words, `as u32`.
+    fn labels(words: Vec<u64>) -> Vec<u32> {
+        words.into_iter().map(|w| w as u32).collect()
+    }
 
     fn run_bfs(
         g: &Csr<u32, u64>,
@@ -212,7 +203,7 @@ mod tests {
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, bfs, EnactConfig::default()).unwrap();
         let report = runner.enact(Some(src)).unwrap();
-        (gather_labels(&runner, &dist), report)
+        (labels(runner.harvest()), report)
     }
 
     fn ladder() -> Csr<u32, u64> {
@@ -273,8 +264,7 @@ mod tests {
         let config = EnactConfig { alloc_scheme: Some(AllocScheme::Max), ..Default::default() };
         let mut runner = Runner::new(system, &dist, Bfs::default(), config).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        let labels = gather_labels(&runner, &dist);
-        assert_eq!(labels, crate::reference::bfs(&g, 0u32));
+        assert_eq!(labels(runner.harvest()), crate::reference::bfs(&g, 0u32));
     }
 
     #[test]
@@ -311,9 +301,9 @@ mod tests {
         let mut runner =
             Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         let r1 = runner.enact(Some(0u32)).unwrap();
-        let l1 = gather_labels(&runner, &dist);
+        let l1 = labels(runner.harvest());
         let r2 = runner.enact(Some(15u32)).unwrap();
-        let l2 = gather_labels(&runner, &dist);
+        let l2 = labels(runner.harvest());
         assert_eq!(l1[0], 0);
         assert_eq!(l2[15], 0);
         assert_eq!(l2, crate::reference::bfs(&g, 15u32));

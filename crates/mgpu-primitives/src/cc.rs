@@ -14,9 +14,8 @@
 use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::problem::{MgpuProblem, Wire};
-use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 /// Multi-GPU connected components.
@@ -206,21 +205,13 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
     }
 }
 
-/// Gather component labels (smallest member id per component) into global
-/// vertex order.
-pub fn gather_components<V: Id + Wire, O: Id>(
-    runner: &Runner<'_, V, O, Cc>,
-    dist: &DistGraph<V, O>,
-) -> Vec<usize> {
-    crate::bfs::gather(dist, |gpu, local| runner.state(gpu).component(local).idx())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::EnactConfig;
+    use mgpu_core::{EnactConfig, Runner};
     use mgpu_gen::{gnm, grid2d, Dataset};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
 
     fn run_cc(g: &Csr<u32, u64>, n_gpus: usize) -> (Vec<usize>, mgpu_core::EnactReport) {
@@ -236,7 +227,8 @@ mod tests {
         let mut runner = Runner::new(system, &dist, Cc, EnactConfig::default()).unwrap();
         let report = runner.enact(None).unwrap();
         let hops = (0..n_gpus).map(|gpu| runner.state(gpu).union_hops.unwrap()).sum();
-        (gather_components(&runner, &dist), report, hops)
+        let comp = runner.harvest().into_iter().map(|w| w as usize).collect();
+        (comp, report, hops)
     }
 
     #[test]

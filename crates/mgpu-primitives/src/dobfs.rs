@@ -29,12 +29,11 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::direction::{Direction, DirectionConfig, DirectionState};
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
-use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
-use crate::bfs::gather;
+use crate::bfs::push_level;
 use crate::INF;
 
 /// Multi-GPU direction-optimizing BFS.
@@ -146,27 +145,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
 
         let out = match dir {
             Direction::Forward => {
-                use std::sync::atomic::Ordering::Relaxed;
-                // CAS-claimed labels as in push BFS: the discovered set is
-                // schedule-independent, so the parallel kernels stay
-                // deterministic. The pull path below remains sequential
-                // (its scanned-edge charge is early-exit order dependent).
-                let labels = vgpu::par::as_atomic_u32(state.labels.as_mut_slice());
-                if bufs.scheme().fused() {
-                    ops::advance_filter_fused(dev, sub, bufs, input, |_, _, d| {
-                        labels[d.idx()]
-                            .compare_exchange(INF, next_label, Relaxed, Relaxed)
-                            .is_ok()
-                            .then_some(d)
-                    })?
-                } else {
-                    let cand = ops::advance(dev, sub, bufs, input, |_, _, d| {
-                        (labels[d.idx()].load(Relaxed) == INF).then_some(d)
-                    })?;
-                    ops::filter(dev, &cand, |v| {
-                        labels[v.idx()].compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok()
-                    })?
-                }
+                push_level(dev, sub, state.labels.as_mut_slice(), bufs, input, next_label)?
             }
             Direction::Backward => {
                 let csc = sub.csc.as_ref().expect("checked at init");
@@ -233,22 +212,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
     }
 }
 
-/// Gather final labels from a finished runner into global vertex order.
-pub fn gather_labels<V: Id, O: Id>(
-    runner: &Runner<'_, V, O, Dobfs>,
-    dist: &DistGraph<V, O>,
-) -> Vec<u32> {
-    gather(dist, |gpu, local| runner.state(gpu).labels[local.idx()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Bfs;
-    use mgpu_core::EnactConfig;
+    use mgpu_core::{EnactConfig, Runner};
     use mgpu_gen::preferential_attachment;
     use mgpu_graph::{Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
+
+    /// A finished run's depth labels: its harvest words, `as u32`.
+    fn labels(words: Vec<u64>) -> Vec<u32> {
+        words.into_iter().map(|w| w as u32).collect()
+    }
 
     fn soc_graph() -> Csr<u32, u64> {
         GraphBuilder::undirected(&preferential_attachment(600, 8, 13))
@@ -275,7 +252,7 @@ mod tests {
         let switched: Vec<bool> =
             (0..n_gpus).map(|g| runner.state(g).dir.switched_to_backward).collect();
         let scanned: u64 = (0..n_gpus).map(|g| runner.state(g).pull_edges_scanned).sum();
-        (gather_labels(&runner, &dist), report, switched, scanned)
+        (labels(runner.harvest()), report, switched, scanned)
     }
 
     /// Plain BFS (`Bfs`) on the partition `run_dobfs` builds.
@@ -285,7 +262,7 @@ mod tests {
         let mut runner =
             Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         let report = runner.enact(Some(src)).unwrap();
-        (crate::bfs::gather_labels(&runner, &dist), report)
+        (labels(runner.harvest()), report)
     }
 
     #[test]

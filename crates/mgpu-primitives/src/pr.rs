@@ -39,9 +39,8 @@ use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
-use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::sync::{Contribution, GlobalReduce};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
@@ -69,8 +68,8 @@ impl Default for Pagerank {
     }
 }
 
-/// Per-GPU PageRank state. Read ranks through [`gather_ranks`] or the
-/// harvest: a rank is `ranks + accum`, never one array alone.
+/// Per-GPU PageRank state. Read ranks through the harvest: a rank is
+/// `ranks + accum`, never one array alone.
 #[derive(Debug)]
 pub struct PrState {
     /// Rank already spread (`s`) for owned vertices (0 at proxies).
@@ -297,20 +296,13 @@ fn rank(state: &PrState, v: usize) -> f32 {
     state.ranks[v] + state.accum[v]
 }
 
-/// Gather final ranks from a finished runner into global vertex order.
-pub fn gather_ranks<V: Id, O: Id>(
-    runner: &Runner<'_, V, O, Pagerank>,
-    dist: &DistGraph<V, O>,
-) -> Vec<f32> {
-    crate::bfs::gather(dist, |gpu, local| rank(runner.state(gpu), local.idx()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::EnactConfig;
+    use mgpu_core::{EnactConfig, Runner};
     use mgpu_gen::{gnm, preferential_attachment, Dataset};
     use mgpu_graph::{Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
 
     fn run_with(
@@ -324,7 +316,8 @@ mod tests {
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, pr, config).unwrap();
         let report = runner.enact(None).unwrap();
-        (gather_ranks(&runner, &dist), report)
+        let ranks = runner.harvest().into_iter().map(|w| f32::from_bits(w as u32)).collect();
+        (ranks, report)
     }
 
     fn run_pr(

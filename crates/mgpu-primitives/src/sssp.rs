@@ -30,12 +30,10 @@ use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
-use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{Duplication, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
-use crate::bfs::gather;
 use crate::INF;
 
 /// Multi-GPU SSSP.
@@ -301,23 +299,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
     }
 }
 
-/// Gather final distances from a finished runner into global vertex order.
-pub fn gather_dists<V: Id, O: Id>(
-    runner: &Runner<'_, V, O, Sssp>,
-    dist: &DistGraph<V, O>,
-) -> Vec<u32> {
-    gather(dist, |gpu, local| runner.state(gpu).dists[local.idx()])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::EnactConfig;
-    use mgpu_core::EnactReport;
+    use mgpu_core::{EnactConfig, EnactReport, Runner};
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, Dataset};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
+    use mgpu_partition::DistGraph;
     use vgpu::{HardwareProfile, SimSystem};
+
+    /// A finished run's distances: its harvest words, `as u32`.
+    fn dists(words: Vec<u64>) -> Vec<u32> {
+        words.into_iter().map(|w| w as u32).collect()
+    }
 
     fn run_sssp(g: &Csr<u32, u64>, n_gpus: usize, src: u32) -> Vec<u32> {
         let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
@@ -325,7 +320,7 @@ mod tests {
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, Sssp, EnactConfig::default()).unwrap();
         runner.enact(Some(src)).unwrap();
-        gather_dists(&runner, &dist)
+        dists(runner.harvest())
     }
 
     #[test]
@@ -374,7 +369,7 @@ mod tests {
             EnactConfig { alloc_scheme: Some(AllocScheme::JustEnough), ..Default::default() };
         let mut runner = Runner::new(system, &dist, Sssp, config).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_dists(&runner, &dist), crate::reference::sssp(&g, 0u32));
+        assert_eq!(dists(runner.harvest()), crate::reference::sssp(&g, 0u32));
     }
 
     /// A checkpoint taken while the far pile holds vertices carries them
@@ -420,7 +415,7 @@ mod tests {
 
         let mut resumed = runner(0);
         resumed.enact_resilient(Some(0), Some(&ck), &CheckpointSink::new(2, 0)).0.unwrap();
-        assert_eq!(gather_dists(&resumed, &dist), crate::reference::sssp(&g, 0u32));
+        assert_eq!(dists(resumed.harvest()), crate::reference::sssp(&g, 0u32));
     }
 
     /// Two K40s whose fixed overheads are shrunk like the graph (what
@@ -435,7 +430,7 @@ mod tests {
         let system = SimSystem::homogeneous(2, profile);
         let mut runner = Runner::new(system, &dist, Sssp, EnactConfig::default()).unwrap();
         let report = runner.enact(Some(0)).unwrap();
-        assert_eq!(gather_dists(&runner, &dist), crate::reference::sssp(&g, 0u32));
+        assert_eq!(dists(runner.harvest()), crate::reference::sssp(&g, 0u32));
         let width = (0..2).map(|gpu| runner.state(gpu).width).max().unwrap();
         (g, width, report)
     }

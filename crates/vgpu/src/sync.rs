@@ -57,10 +57,8 @@
 //! waiting forever.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::error::{Result, VgpuError};
 use crate::fault::{FaultInjector, TransferFault};
@@ -243,8 +241,7 @@ pub struct SyncPoint {
     slots: Box<[Slot]>,
     /// Waiters currently on (or on their way to) the `Condvar`.
     sleepers: AtomicUsize,
-    /// `std`'s mutex, not the vendored `parking_lot`'s: a `Condvar` needs it.
-    park: std::sync::Mutex<()>,
+    park: Mutex<()>,
     wake: Condvar,
 }
 
@@ -266,7 +263,7 @@ impl SyncPoint {
             tickets: AtomicUsize::new(0),
             slots: (0..n).map(|_| Slot::default()).collect(),
             sleepers: AtomicUsize::new(0),
-            park: std::sync::Mutex::new(()),
+            park: Mutex::new(()),
             wake: Condvar::new(),
         }
     }
@@ -478,7 +475,7 @@ impl<T> Mailbox<T> {
                 Some(TransferFault::Timeout) => return Err(VgpuError::Timeout { device: src }),
             }
         }
-        self.inboxes[dst].lock().push(Delivery { src, arrival, payload });
+        self.inbox(dst).push(Delivery { src, arrival, payload });
         Ok(())
     }
 
@@ -486,9 +483,14 @@ impl<T> Mailbox<T> {
     /// for determinism (combine order must not depend on thread scheduling,
     /// or runs would not be reproducible).
     pub fn drain(&self, dst: usize) -> Vec<Delivery<T>> {
-        let mut out: Vec<Delivery<T>> = std::mem::take(&mut *self.inboxes[dst].lock());
+        let mut out: Vec<Delivery<T>> = std::mem::take(&mut *self.inbox(dst));
         out.sort_by_key(|d| d.src);
         out
+    }
+
+    /// `dst`'s inbox. A thread that panicked holding it leaves it usable.
+    fn inbox(&self, dst: usize) -> MutexGuard<'_, Vec<Delivery<T>>> {
+        self.inboxes[dst].lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

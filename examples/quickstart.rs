@@ -9,7 +9,6 @@ use mgpu_graph_analytics::core::{EnactConfig, Runner};
 use mgpu_graph_analytics::gen::{rmat, RmatParams};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::bfs::gather_labels;
 use mgpu_graph_analytics::primitives::Bfs;
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -53,8 +52,9 @@ fn main() {
         report.totals.h_bytes_sent / 1024
     );
 
-    // 5. Gather labels back to global order and summarize depths.
-    let labels = gather_labels(&runner, &dist);
+    // 5. Harvest the answer: one word per vertex in global order, here the
+    //    depth label (`as u32`), and summarize depths.
+    let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
     let reached = labels.iter().filter(|&&l| l != u32::MAX).count();
     let max_depth = labels.iter().filter(|&&l| l != u32::MAX).max().unwrap();
     println!("reached {} of {} vertices, max depth {}", reached, labels.len(), max_depth);

@@ -11,9 +11,6 @@ use mgpu_graph_analytics::core::{EnactConfig, Runner};
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::bc::gather_bc;
-use mgpu_graph_analytics::primitives::cc::gather_components;
-use mgpu_graph_analytics::primitives::pr::gather_ranks;
 use mgpu_graph_analytics::primitives::{Bc, Cc, Pagerank};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
@@ -43,7 +40,8 @@ fn main() {
     )
     .expect("init");
     let report = runner.enact(None).expect("pagerank");
-    let ranks = gather_ranks(&runner, &dist);
+    // a rank's harvest word is its f32 bit pattern
+    let ranks: Vec<f32> = runner.harvest().into_iter().map(|w| f32::from_bits(w as u32)).collect();
     println!(
         "\nPageRank converged in {} iterations ({:.2} ms simulated). Top members:",
         report.iterations,
@@ -68,8 +66,8 @@ fn main() {
     for &src in &sources {
         let report = runner.enact(Some(src)).expect("bc");
         total_ms += report.sim_time_us / 1e3;
-        for (acc, x) in centrality.iter_mut().zip(gather_bc(&runner, &dist)) {
-            *acc += x;
+        for (acc, w) in centrality.iter_mut().zip(runner.harvest()) {
+            *acc += f32::from_bits(w as u32);
         }
     }
     println!(
@@ -89,8 +87,8 @@ fn main() {
     )
     .expect("init");
     let report = runner.enact(None).expect("cc");
-    let comp = gather_components(&runner, &dist);
-    let mut roots: Vec<usize> = comp.clone();
+    // a component's harvest word is its smallest member's id
+    let mut roots: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
     roots.sort_unstable();
     roots.dedup();
     println!(

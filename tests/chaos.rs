@@ -11,14 +11,15 @@
 //!   space after a failover, so post-failover faults land on the links and
 //!   devices they were planned for.
 
-use mgpu_graph_analytics::core::{CommTopology, EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
+use mgpu_graph_analytics::core::{
+    CommTopology, EnactConfig, EnactReport, Executor, MgpuProblem, RecoveryPolicy, ResilientRunner,
+    Runner,
+};
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
-};
+use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem, VgpuError};
 
 fn graph() -> Csr<u32, u64> {
@@ -33,6 +34,16 @@ fn weighted_graph() -> Csr<u32, u64> {
 
 fn resilient_config() -> EnactConfig {
     EnactConfig { recovery: RecoveryPolicy::resilient(), ..Default::default() }
+}
+
+/// Enact `runner` from `src` and harvest: the report and the answer words,
+/// each `as u32` (BFS's depth labels, SSSP's distances).
+fn enact_u32<P: MgpuProblem<u32, u64> + Clone>(
+    mut runner: ResilientRunner<'_, u32, u64, P>,
+    src: Option<u32>,
+) -> Result<(EnactReport, Vec<u32>), VgpuError> {
+    let report = runner.enact(src)?;
+    Ok((report, runner.harvest().into_iter().map(|w| w as u32).collect()))
 }
 
 // ---------------------------------------------------------------------------
@@ -56,10 +67,11 @@ fn governed_cap(
     g: &Csr<u32, u64>,
     want: impl Fn(&mgpu_graph_analytics::core::GovernorLog) -> bool,
 ) -> (u64, Vec<u32>) {
-    let (clean, _) =
-        ResilientRunner::homogeneous(g, Sssp, 4, HardwareProfile::k40(), governed_config())
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap();
+    let (clean, _) = enact_u32(
+        ResilientRunner::homogeneous(g, Sssp, 4, HardwareProfile::k40(), governed_config()),
+        Some(0u32),
+    )
+    .unwrap();
     // The governed window sits between the static reservations and the
     // unconstrained peak — walk down from the peak in fine steps and stop
     // at the first hard-infeasible capacity.
@@ -67,9 +79,10 @@ fn governed_cap(
     let mut cap = peak;
     loop {
         let profile = HardwareProfile::k40().with_capacity(cap);
-        match ResilientRunner::homogeneous(g, Sssp, 4, profile, governed_config())
-            .enact_with(Some(0u32), gather_dists)
-        {
+        match enact_u32(
+            ResilientRunner::homogeneous(g, Sssp, 4, profile, governed_config()),
+            Some(0u32),
+        ) {
             Ok((rep, dists)) if want(&rep.governor) => return (cap, dists),
             Ok(_) => cap = cap * 15 / 16,
             Err(VgpuError::OutOfMemory { .. }) => {
@@ -89,10 +102,12 @@ fn governor_downgrades_compose_with_transient_kernel_faults() {
 
     let profile = HardwareProfile::k40().with_capacity(cap);
     let run = || {
-        ResilientRunner::homogeneous(&g, Sssp, 4, profile.clone(), governed_config())
-            .with_fault_plan(FaultPlan::new().kernel_fail(0, 2).transient_oom(1, 4))
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap()
+        enact_u32(
+            ResilientRunner::homogeneous(&g, Sssp, 4, profile.clone(), governed_config())
+                .with_fault_plan(FaultPlan::new().kernel_fail(0, 2).transient_oom(1, 4)),
+            Some(0u32),
+        )
+        .unwrap()
     };
     let (r1, d1) = run();
     let (r2, d2) = run();
@@ -144,7 +159,9 @@ fn a_link_burst_degrades_one_butterfly_superstep_to_direct_broadcast() {
         if let Some(p) = plan {
             runner = runner.with_fault_plan(p);
         }
-        runner.enact_with(None, gather_components).unwrap()
+        let report = runner.enact(None).unwrap();
+        let comps: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
+        (report, comps)
     };
     let (clean, clean_comps) = run(None);
     assert_eq!(clean_comps, expect);
@@ -204,16 +221,17 @@ fn post_failover_transfer_faults_land_on_the_remapped_links() {
     // exist under remapped runtime ids, so a correct completion with the
     // retries on record pins the endpoint rewrite end-to-end.
     let plan = FaultPlan::new().device_loss(1, 9).transfer_fail(3, 2, 1).transfer_fail(2, 3, 2);
-    let (report, labels) =
+    let (report, labels) = enact_u32(
         ResilientRunner::homogeneous(&g, Bfs::default(), 4, HardwareProfile::k40(), {
             EnactConfig {
                 recovery: RecoveryPolicy { checkpoint_interval: 2, ..RecoveryPolicy::resilient() },
                 ..Default::default()
             }
         })
-        .with_fault_plan(plan)
-        .enact_with(Some(0u32), gather_labels)
-        .unwrap();
+        .with_fault_plan(plan),
+        Some(0u32),
+    )
+    .unwrap();
     assert_eq!(labels, expect, "BFS must finish correctly on the survivors");
     assert_eq!(report.recovery.lost_devices, vec![1]);
     assert_eq!(report.recovery.failovers, 1);

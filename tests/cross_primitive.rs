@@ -10,16 +10,23 @@ use mgpu_graph_analytics::partition::{
     BiasedRandomPartitioner, DistGraph, Duplication, MultilevelPartitioner, Partitioner,
     RandomPartitioner,
 };
-use mgpu_graph_analytics::primitives::{
-    bc::gather_bc, bfs::gather_labels, cc::gather_components, dobfs, pr::gather_ranks, reference,
-    sssp::gather_dists, Bc, Bfs, Cc, Dobfs, Pagerank, Sssp,
-};
+use mgpu_graph_analytics::primitives::{reference, Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
 fn test_graph() -> Csr<u32, u64> {
     let mut coo = preferential_attachment(300, 7, 99);
     add_paper_weights(&mut coo, 100);
     GraphBuilder::undirected(&coo)
+}
+
+/// Harvest words `as u32`: BFS and DOBFS labels, SSSP distances.
+fn u32s(words: Vec<u64>) -> Vec<u32> {
+    words.into_iter().map(|w| w as u32).collect()
+}
+
+/// Harvest words `f32::from_bits`: PR ranks, BC scores.
+fn f32s(words: Vec<u64>) -> Vec<f32> {
+    words.into_iter().map(|w| f32::from_bits(w as u32)).collect()
 }
 
 fn partitions(g: &Csr<u32, u64>, n: usize) -> Vec<(&'static str, Vec<u32>)> {
@@ -41,7 +48,7 @@ fn bfs_correct_under_every_partitioner_and_gpu_count() {
             let mut runner =
                 Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
             runner.enact(Some(0u32)).unwrap();
-            assert_eq!(gather_labels(&runner, &dist), expect, "{name} x{n}");
+            assert_eq!(u32s(runner.harvest()), expect, "{name} x{n}");
         }
     }
 }
@@ -58,7 +65,7 @@ fn dobfs_correct_under_every_partitioner() {
             let mut runner =
                 Runner::new(sys, &dist, Dobfs::default(), EnactConfig::default()).unwrap();
             runner.enact(Some(3u32)).unwrap();
-            assert_eq!(dobfs::gather_labels(&runner, &dist), expect, "{name} x{n}");
+            assert_eq!(u32s(runner.harvest()), expect, "{name} x{n}");
         }
     }
 }
@@ -73,7 +80,7 @@ fn sssp_correct_under_every_partitioner() {
             let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
             let mut runner = Runner::new(sys, &dist, Sssp, EnactConfig::default()).unwrap();
             runner.enact(Some(1u32)).unwrap();
-            assert_eq!(gather_dists(&runner, &dist), expect, "{name} x{n}");
+            assert_eq!(u32s(runner.harvest()), expect, "{name} x{n}");
         }
     }
 }
@@ -93,7 +100,8 @@ fn cc_correct_on_fragmented_graph() {
             let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
             let mut runner = Runner::new(sys, &dist, Cc, EnactConfig::default()).unwrap();
             runner.enact(None).unwrap();
-            assert_eq!(gather_components(&runner, &dist), expect, "{name} x{n}");
+            let comps: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
+            assert_eq!(comps, expect, "{name} x{n}");
         }
     }
 }
@@ -109,7 +117,7 @@ fn pagerank_matches_reference_under_every_partitioner() {
             let pr = Pagerank { damping: 0.85, threshold: 0.0, max_iters: 15 };
             let mut runner = Runner::new(sys, &dist, pr, EnactConfig::default()).unwrap();
             runner.enact(None).unwrap();
-            for (v, (&a, &b)) in gather_ranks(&runner, &dist).iter().zip(&expect).enumerate() {
+            for (v, (&a, &b)) in f32s(runner.harvest()).iter().zip(&expect).enumerate() {
                 assert!(
                     (a as f64 - b).abs() < 1e-3 * (b + 1e-12),
                     "{name} x{n} vertex {v}: {a} vs {b}"
@@ -130,7 +138,7 @@ fn bc_matches_brandes_under_every_partitioner() {
             let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
             let mut runner = Runner::new(sys, &dist, Bc, EnactConfig::default()).unwrap();
             runner.enact(Some(2u32)).unwrap();
-            for (v, (&a, &b)) in gather_bc(&runner, &dist).iter().zip(&expect).enumerate() {
+            for (v, (&a, &b)) in f32s(runner.harvest()).iter().zip(&expect).enumerate() {
                 assert!(
                     (a as f64 - b).abs() < 1e-3 * (1.0 + b),
                     "{name} x{n} vertex {v}: {a} vs {b}"
@@ -155,15 +163,15 @@ fn web_graph_end_to_end_all_primitives() {
     let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
     let mut bfs = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
     bfs.enact(Some(0u32)).unwrap();
-    assert_eq!(gather_labels(&bfs, &dist), reference::bfs(&g, 0u32));
+    assert_eq!(u32s(bfs.harvest()), reference::bfs(&g, 0u32));
 
     let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
     let mut dob = Runner::new(sys, &dist, Dobfs::default(), EnactConfig::default()).unwrap();
     dob.enact(Some(0u32)).unwrap();
-    assert_eq!(dobfs::gather_labels(&dob, &dist), reference::bfs(&g, 0u32));
+    assert_eq!(u32s(dob.harvest()), reference::bfs(&g, 0u32));
 
     let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
     let mut ss = Runner::new(sys, &dist, Sssp, EnactConfig::default()).unwrap();
     ss.enact(Some(0u32)).unwrap();
-    assert_eq!(gather_dists(&ss, &dist), reference::sssp(&g, 0u32));
+    assert_eq!(u32s(ss.harvest()), reference::sssp(&g, 0u32));
 }

@@ -12,10 +12,7 @@ use mgpu_graph_analytics::core::{
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
-use mgpu_graph_analytics::primitives::{
-    bfs::{gather_labels, BfsState},
-    Bfs,
-};
+use mgpu_graph_analytics::primitives::{bfs::BfsState, Bfs};
 use mgpu_graph_analytics::vgpu::sync::GlobalReduce;
 use mgpu_graph_analytics::vgpu::{
     Device, FaultPlan, HardwareProfile, Result as VgpuResult, SimSystem, VgpuError,
@@ -33,7 +30,7 @@ fn simulated_time_is_exactly_reproducible() {
         let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         let r = runner.enact(Some(0u32)).unwrap();
-        (r.sim_time_us, r.totals, gather_labels(&runner, &dist))
+        (r.sim_time_us, r.totals, runner.harvest())
     };
     let (t1, c1, l1) = run();
     let (t2, c2, l2) = run();
@@ -51,7 +48,7 @@ fn wall_clock_parallelism_does_not_change_results_across_repeats() {
     let mut first = None;
     for _ in 0..10 {
         runner.enact(Some(7u32)).unwrap();
-        let labels = gather_labels(&runner, &dist);
+        let labels = runner.harvest();
         match &first {
             None => first = Some(labels),
             Some(f) => assert_eq!(&labels, f),
@@ -139,7 +136,7 @@ fn injected_transient_faults_keep_the_simulation_reproducible() {
         };
         let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
         let r = runner.enact(Some(0u32)).unwrap();
-        (r, gather_labels(&runner, &dist))
+        (r, runner.harvest())
     };
     let (r1, l1) = run();
     let (r2, l2) = run();
@@ -157,7 +154,8 @@ fn partitioner_seed_changes_partition_but_not_answer() {
         let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_labels(&runner, &dist), expect, "seed {seed}");
+        let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+        assert_eq!(labels, expect, "seed {seed}");
     }
 }
 
@@ -170,10 +168,8 @@ fn overhead_scaled_profiles_accepted_end_to_end() {
     let sys = SimSystem::new(vec![profile; 2], ic).unwrap();
     let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
     let r = runner.enact(Some(0u32)).unwrap();
-    assert_eq!(
-        gather_labels(&runner, &dist),
-        mgpu_graph_analytics::primitives::reference::bfs(&g, 0u32)
-    );
+    let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+    assert_eq!(labels, mgpu_graph_analytics::primitives::reference::bfs(&g, 0u32));
     assert!(r.sim_time_us > 0.0);
 }
 

@@ -10,21 +10,22 @@ use mgpu_graph_analytics::gen::smallworld::chain;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
-use mgpu_graph_analytics::primitives::{
-    bfs::{gather_labels, BfsState},
-    cc::gather_components,
-    reference, Bfs, Cc, Dobfs, Pagerank,
-};
+use mgpu_graph_analytics::primitives::{bfs::BfsState, reference, Bfs, Cc, Dobfs, Pagerank};
 use mgpu_graph_analytics::vgpu::{Device, HardwareProfile, Result as VgpuResult, SimSystem};
 
 const INF: u32 = u32::MAX;
+
+/// Harvest words `as u32`: BFS and DOBFS labels.
+fn u32s(words: Vec<u64>) -> Vec<u32> {
+    words.into_iter().map(|w| w as u32).collect()
+}
 
 fn run_bfs(g: &Csr<u32, u64>, n: usize, src: u32) -> Vec<u32> {
     let dist = DistGraph::partition(g, &RandomPartitioner { seed: 1 }, n, Duplication::All);
     let sys = SimSystem::homogeneous(n, HardwareProfile::k40());
     let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
     runner.enact(Some(src)).unwrap();
-    gather_labels(&runner, &dist)
+    u32s(runner.harvest())
 }
 
 #[test]
@@ -83,8 +84,7 @@ fn dobfs_on_a_chain_never_switches_but_stays_correct() {
     let sys = SimSystem::homogeneous(2, HardwareProfile::k40());
     let mut runner = Runner::new(sys, &dist, Dobfs::default(), EnactConfig::default()).unwrap();
     runner.enact(Some(0u32)).unwrap();
-    let labels = mgpu_graph_analytics::primitives::dobfs::gather_labels(&runner, &dist);
-    assert_eq!(labels, reference::bfs(&g, 0u32));
+    assert_eq!(u32s(runner.harvest()), reference::bfs(&g, 0u32));
 }
 
 #[test]
@@ -97,8 +97,8 @@ fn pagerank_on_a_single_gpu_with_zero_threshold_runs_to_cap() {
     let r = runner.enact(None).unwrap();
     // 1 spread + 7 updates at most: the run may end once nothing spreads
     assert!((2..=8).contains(&r.iterations), "{} supersteps", r.iterations);
-    let ranks = mgpu_graph_analytics::primitives::pr::gather_ranks(&runner, &dist);
-    for (v, (&got, want)) in ranks.iter().zip(reference::pagerank(&g, 0.85, 7)).enumerate() {
+    let ranks = runner.harvest().into_iter().map(|w| f32::from_bits(w as u32));
+    for (v, (got, want)) in ranks.zip(reference::pagerank(&g, 0.85, 7)).enumerate() {
         assert!((got as f64 - want).abs() <= 1e-3 * want, "vertex {v}: {got} vs {want}");
     }
 }
@@ -111,7 +111,8 @@ fn cc_single_edge_graph_across_gpus() {
     let sys = SimSystem::homogeneous(2, HardwareProfile::k40());
     let mut runner = Runner::new(sys, &dist, Cc, EnactConfig::default()).unwrap();
     runner.enact(None).unwrap();
-    assert_eq!(gather_components(&runner, &dist), vec![0, 0]);
+    let comps: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
+    assert_eq!(comps, vec![0, 0]);
 }
 
 #[test]
@@ -125,7 +126,7 @@ fn comm_override_changes_volume_but_not_answer() {
         let config = EnactConfig { comm: Some(comm), ..Default::default() };
         let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
         let r = runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_labels(&runner, &dist), expect);
+        assert_eq!(u32s(runner.harvest()), expect);
         volumes.push(r.totals.h_vertices);
     }
     assert!(volumes[1] > volumes[0], "broadcast moves more vertices than selective");
@@ -142,7 +143,7 @@ fn alloc_scheme_override_changes_memory_but_not_answer() {
         let config = EnactConfig { alloc_scheme: Some(scheme), ..Default::default() };
         let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_labels(&runner, &dist), expect);
+        assert_eq!(u32s(runner.harvest()), expect);
         peaks.push(runner.system().peak_memory_per_device());
     }
     assert!(peaks[1] > peaks[0], "max allocation uses more device memory");

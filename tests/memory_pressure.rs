@@ -19,9 +19,7 @@ use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
-};
+use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, Result, SimSystem, VgpuError};
 
 fn graph() -> Csr<u32, u64> {
@@ -35,16 +33,16 @@ fn weighted_graph() -> Csr<u32, u64> {
 }
 
 /// One run: 4 devices, optionally capped at `cap` bytes each, requesting the memory-hungriest scheme (`Max`) so the
-/// admission chain has something to walk.
-fn run_one<P, R>(
+/// admission chain has something to walk. Returns the report and the
+/// harvest words.
+fn run_one<P>(
     g: &Csr<u32, u64>,
     problem: P,
     cap: Option<u64>,
     threads: usize,
     comm: Option<CommStrategy>,
     src: Option<u32>,
-    gather: impl Fn(&Runner<u32, u64, P>, &DistGraph<u32, u64>) -> R,
-) -> Result<(EnactReport, R)>
+) -> Result<(EnactReport, Vec<u64>)>
 where
     P: MgpuProblem<u32, u64>,
 {
@@ -61,31 +59,29 @@ where
     };
     let mut runner = Runner::new(SimSystem::homogeneous(4, profile), &dist, problem, config)?;
     let report = runner.enact(src)?;
-    Ok((report, gather(&runner, &dist)))
+    Ok((report, runner.harvest()))
 }
 
 /// Shrink per-device capacity from the unconstrained peak toward zero: every
 /// feasible capacity must reproduce the unconstrained result exactly; every
 /// infeasible one must fail with a typed `OutOfMemory`.
-fn capacity_sweep<P, R>(
+fn capacity_sweep<P>(
     g: &Csr<u32, u64>,
     mk: impl Fn() -> P,
     comm: Option<CommStrategy>,
     src: Option<u32>,
-    gather: impl Fn(&Runner<u32, u64, P>, &DistGraph<u32, u64>) -> R + Copy,
     label: &str,
 ) where
     P: MgpuProblem<u32, u64>,
-    R: PartialEq + std::fmt::Debug,
 {
-    let (base, expect) = run_one(g, mk(), None, 1, comm, src, gather).unwrap();
+    let (base, expect) = run_one(g, mk(), None, 1, comm, src).unwrap();
     let full = base.peak_memory_per_device;
     assert!(base.governor.is_quiet(), "{label}: uncapped baseline must be quiet");
 
     let (mut feasible, mut governed, mut infeasible) = (0u32, 0u32, 0u32);
     let mut cap = full;
     while cap > full / 64 {
-        match run_one(g, mk(), Some(cap), 1, comm, src, gather) {
+        match run_one(g, mk(), Some(cap), 1, comm, src) {
             Ok((r, got)) => {
                 assert_eq!(got, expect, "{label} capped at {cap}: degraded run must be exact");
                 feasible += 1;
@@ -107,47 +103,42 @@ fn capacity_sweep<P, R>(
 fn bfs_capacity_sweep_selective_and_broadcast() {
     let g = graph();
     let expect = reference::bfs(&g, 0u32);
-    let (_, labels) = run_one(&g, Bfs::default(), None, 1, None, Some(0), gather_labels).unwrap();
+    let (_, words) = run_one(&g, Bfs::default(), None, 1, None, Some(0)).unwrap();
+    let labels: Vec<u32> = words.into_iter().map(|w| w as u32).collect();
     assert_eq!(labels, expect, "unconstrained baseline must match the reference");
-    capacity_sweep(&g, Bfs::default, None, Some(0), gather_labels, "bfs/selective");
-    capacity_sweep(
-        &g,
-        Bfs::default,
-        Some(CommStrategy::Broadcast),
-        Some(0),
-        gather_labels,
-        "bfs/broadcast",
-    );
+    capacity_sweep(&g, Bfs::default, None, Some(0), "bfs/selective");
+    capacity_sweep(&g, Bfs::default, Some(CommStrategy::Broadcast), Some(0), "bfs/broadcast");
 }
 
 #[test]
 fn sssp_capacity_sweep() {
     let g = weighted_graph();
     let expect = reference::sssp(&g, 0u32);
-    let (_, dists) = run_one(&g, Sssp, None, 1, None, Some(0), gather_dists).unwrap();
+    let (_, words) = run_one(&g, Sssp, None, 1, None, Some(0)).unwrap();
+    let dists: Vec<u32> = words.into_iter().map(|w| w as u32).collect();
     assert_eq!(dists, expect, "unconstrained baseline must match the reference");
-    capacity_sweep(&g, || Sssp, None, Some(0), gather_dists, "sssp/selective");
+    capacity_sweep(&g, || Sssp, None, Some(0), "sssp/selective");
 }
 
 #[test]
 fn cc_capacity_sweep() {
     let g = graph();
     let expect = reference::cc(&g);
-    let (_, comps) = run_one(&g, Cc, None, 1, None, None, gather_components).unwrap();
+    let (_, words) = run_one(&g, Cc, None, 1, None, None).unwrap();
+    let comps: Vec<usize> = words.into_iter().map(|w| w as usize).collect();
     assert_eq!(comps, expect, "unconstrained baseline must match the reference");
-    capacity_sweep(&g, || Cc, None, None, gather_components, "cc/broadcast");
+    capacity_sweep(&g, || Cc, None, None, "cc/broadcast");
 }
 
 #[test]
 fn tight_cap_simulation_is_bit_identical_across_kernel_threads() {
     let g = graph();
-    let (base, expect) =
-        run_one(&g, Bfs::default(), None, 1, None, Some(0), gather_labels).unwrap();
+    let (base, expect) = run_one(&g, Bfs::default(), None, 1, None, Some(0)).unwrap();
     // Walk down until a capacity actually exercises the governor.
     let mut cap = base.peak_memory_per_device;
     let mut chosen = None;
     while chosen.is_none() {
-        match run_one(&g, Bfs::default(), Some(cap), 1, None, Some(0), gather_labels) {
+        match run_one(&g, Bfs::default(), Some(cap), 1, None, Some(0)) {
             Ok((r, l)) if !r.governor.is_quiet() => chosen = Some((cap, r, l)),
             Ok(_) => cap = cap * 3 / 4,
             Err(e) => panic!("hit the infeasible floor before the governor acted: {e}"),
@@ -156,8 +147,7 @@ fn tight_cap_simulation_is_bit_identical_across_kernel_threads() {
     let (cap, r1, l1) = chosen.unwrap();
     assert_eq!(l1, expect, "starved run must still be exact");
     for threads in [2usize, 4] {
-        let (rn, ln) =
-            run_one(&g, Bfs::default(), Some(cap), threads, None, Some(0), gather_labels).unwrap();
+        let (rn, ln) = run_one(&g, Bfs::default(), Some(cap), threads, None, Some(0)).unwrap();
         assert_eq!(ln, l1, "labels at {threads} kernel threads");
         assert!(
             r1.same_simulation(&rn),
@@ -169,12 +159,12 @@ fn tight_cap_simulation_is_bit_identical_across_kernel_threads() {
 #[test]
 fn report_itemizes_governor_decisions() {
     let g = graph();
-    let (base, _) = run_one(&g, Bfs::default(), None, 1, None, Some(0), gather_labels).unwrap();
+    let (base, _) = run_one(&g, Bfs::default(), None, 1, None, Some(0)).unwrap();
     // Half the Max-scheme peak: low enough that the admission chain and/or
     // the mid-run tiers must act, high enough to stay feasible.
     let mut cap = base.peak_memory_per_device / 2;
     let (report, _) = loop {
-        match run_one(&g, Bfs::default(), Some(cap), 1, None, Some(0), gather_labels) {
+        match run_one(&g, Bfs::default(), Some(cap), 1, None, Some(0)) {
             Ok(out) if !out.0.governor.is_quiet() => break out,
             Ok(_) => cap = cap * 3 / 4,
             Err(e) => panic!("expected a feasible governed capacity, got {e}"),
@@ -213,7 +203,8 @@ fn a_loose_cap_leaves_the_governor_quiet() {
     let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
     let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
-    assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+    let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+    assert_eq!(labels, reference::bfs(&g, 0u32));
     assert!(report.governor.is_quiet(), "an unconstrained run never makes the governor act");
 }
 
@@ -237,7 +228,8 @@ fn an_absurd_sizing_factor_is_downgraded_not_overflowed() {
         assert_eq!((d.from, d.to), ("fixed", "just-enough"));
         assert_eq!(d.estimated_bytes, u64::MAX);
     }
-    assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+    let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+    assert_eq!(labels, reference::bfs(&g, 0u32));
 }
 
 #[test]
@@ -259,8 +251,7 @@ fn traced_pressure_run_charges_spills_and_chunks_in_the_trace() {
         let mut runner =
             Runner::new(SimSystem::homogeneous(4, profile), &dist, Bfs::default(), config).unwrap();
         let report = runner.enact(Some(0u32)).unwrap();
-        let labels = gather_labels(&runner, &dist);
-        (report, labels)
+        (report, runner.harvest())
     };
     let (base, expect) = traced_run(None, 1, true);
     assert!(base.trace.is_some());

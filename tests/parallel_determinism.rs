@@ -20,10 +20,7 @@ use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::core::MgpuProblem;
-use mgpu_graph_analytics::primitives::{
-    bc::gather_bc, bfs::gather_labels, ms_bfs::gather_lane_depths, pr::gather_ranks,
-    sssp::gather_dists, Bc, Bfs, MsBfs, Pagerank, Sssp,
-};
+use mgpu_graph_analytics::primitives::{ms_bfs::gather_lane_depths, Bc, Bfs, MsBfs, Pagerank, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
 const GPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -59,6 +56,12 @@ fn assert_identical(a: &(Vec<u32>, EnactReport), b: &(Vec<u32>, EnactReport), ct
     assert_eq!(a.1.per_device, b.1.per_device, "{ctx}: per-device counters differ");
 }
 
+/// Harvest words `as u32`: BFS labels and SSSP distances, and the raw f32
+/// bits of PR ranks and BC scores.
+fn words_u32(words: Vec<u64>) -> Vec<u32> {
+    words.into_iter().map(|w| w as u32).collect()
+}
+
 fn run_bfs(
     g: &Csr<u32, u64>,
     n_gpus: usize,
@@ -69,7 +72,7 @@ fn run_bfs(
     let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
     let mut runner = Runner::new(system, &dist, Bfs::default(), config(comm, threads)).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
-    (gather_labels(&runner, &dist), report)
+    (words_u32(runner.harvest()), report)
 }
 
 fn run_sssp(
@@ -83,7 +86,7 @@ fn run_sssp(
     let system = SimSystem::homogeneous(n_gpus, profile);
     let mut runner = Runner::new(system, &dist, Sssp, config(comm, threads)).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
-    (gather_dists(&runner, &dist), report)
+    (words_u32(runner.harvest()), report)
 }
 
 fn run_pr(
@@ -99,8 +102,7 @@ fn run_pr(
     let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
     let mut runner = Runner::new(system, &dist, pr, config(comm, threads)).unwrap();
     let report = runner.enact(None).unwrap();
-    let bits = gather_ranks(&runner, &dist).into_iter().map(f32::to_bits).collect();
-    (bits, report)
+    (words_u32(runner.harvest()), report)
 }
 
 fn run_bc(
@@ -113,8 +115,7 @@ fn run_bc(
     let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
     let mut runner = Runner::new(system, &dist, Bc, config(comm, threads)).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
-    let bits = gather_bc(&runner, &dist).into_iter().map(f32::to_bits).collect();
-    (bits, report)
+    (words_u32(runner.harvest()), report)
 }
 
 #[test]

@@ -13,14 +13,13 @@ use std::collections::BTreeSet;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use mgpu_graph_analytics::core::{EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
+use mgpu_graph_analytics::core::{EnactConfig, Executor, RecoveryPolicy, ResilientRunner, Runner};
 use mgpu_graph_analytics::graph::{BuildOptions, Coo, Csr, GraphBuilder, Id};
 use mgpu_graph_analytics::partition::{
     DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
 };
 use mgpu_graph_analytics::primitives::{
-    bc::gather_bc, bfs::gather_labels, cc::gather_components, ms_bfs::gather_lane_depths,
-    reference, sssp::gather_dists, Bc, Bfs, Cc, MsBfs, Sssp,
+    ms_bfs::gather_lane_depths, reference, Bc, Bfs, Cc, MsBfs, Sssp,
 };
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
@@ -295,7 +294,8 @@ fn mgpu_bfs_equals_reference_on_arbitrary_graphs() {
         let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         runner.enact(Some(src)).unwrap();
-        assert_eq!(gather_labels(&runner, &dist), reference::bfs(&g, src));
+        let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+        assert_eq!(labels, reference::bfs(&g, src));
     }
 }
 
@@ -311,7 +311,8 @@ fn mgpu_sssp_equals_dijkstra_on_arbitrary_graphs() {
         let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, Sssp, EnactConfig::default()).unwrap();
         runner.enact(Some(0u32)).unwrap();
-        assert_eq!(gather_dists(&runner, &dist), reference::sssp(&g, 0u32));
+        let dists: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+        assert_eq!(dists, reference::sssp(&g, 0u32));
     }
 }
 
@@ -357,11 +358,10 @@ fn sssp_equals_dijkstra_under_every_executor() {
         let n = n_gpus.max(2);
         let recovery = RecoveryPolicy { checkpoint_interval: 1, ..RecoveryPolicy::resilient() };
         let config = EnactConfig { recovery, ..EnactConfig::default() };
-        let (report, words) = ResilientRunner::homogeneous(&g, Sssp, n, profile(), config)
-            .with_fault_plan(FaultPlan::new().device_loss(n - 1, 14))
-            .enact_with(Some(src), |runner, _| runner.harvest())
-            .unwrap();
-        assert_eq!(words, expect, "case {case}: ResilientRunner, {n} vGPUs");
+        let mut resilient = ResilientRunner::homogeneous(&g, Sssp, n, profile(), config)
+            .with_fault_plan(FaultPlan::new().device_loss(n - 1, 14));
+        let report = resilient.enact(Some(src)).unwrap();
+        assert_eq!(resilient.harvest(), expect, "case {case}: ResilientRunner, {n} vGPUs");
         resumed += usize::from(report.recovery.resumed_at.is_some());
     }
     assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
@@ -405,9 +405,9 @@ fn sssp_equals_dijkstra_with_a_capped_or_drained_far_pile() {
             let config = EnactConfig { comm: Some(comm), ..EnactConfig::default() };
             let mut runner = Runner::new(sys, &dist, Sssp, config).unwrap();
             runner.enact(Some(src)).unwrap();
+            let dists: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
             assert_eq!(
-                gather_dists(&runner, &dist),
-                expect,
+                dists, expect,
                 "case {case}, {n_gpus} vGPUs, {comm:?}, overheads /{scale}, source {src}"
             );
             if (0..n_gpus).any(|gpu| runner.state(gpu).capped_pulls > 0) {
@@ -432,7 +432,8 @@ fn mgpu_cc_equals_union_find_on_arbitrary_graphs() {
         let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, Cc, EnactConfig::default()).unwrap();
         runner.enact(None).unwrap();
-        assert_eq!(gather_components(&runner, &dist), reference::cc(&g));
+        let comps: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
+        assert_eq!(comps, reference::cc(&g));
     }
 }
 
@@ -482,12 +483,10 @@ fn cc_equals_reference_under_every_executor() {
         let n = n_gpus.max(2);
         let recovery = RecoveryPolicy { checkpoint_interval: 1, ..RecoveryPolicy::resilient() };
         let config = EnactConfig { recovery, ..EnactConfig::default() };
-        let (report, words) =
-            ResilientRunner::homogeneous(&g, Cc, n, HardwareProfile::k40(), config)
-                .with_fault_plan(FaultPlan::new().device_loss(n - 1, 12))
-                .enact_with(None, |runner, _| runner.harvest())
-                .unwrap();
-        assert_eq!(words, expect, "case {case}: ResilientRunner, {n} vGPUs");
+        let mut resilient = ResilientRunner::homogeneous(&g, Cc, n, HardwareProfile::k40(), config)
+            .with_fault_plan(FaultPlan::new().device_loss(n - 1, 12));
+        let report = resilient.enact(None).unwrap();
+        assert_eq!(resilient.harvest(), expect, "case {case}: ResilientRunner, {n} vGPUs");
         resumed += usize::from(report.recovery.resumed_at.is_some());
     }
     assert!(resumed >= CASES / 4, "only {resumed} of {CASES} cases resumed from a checkpoint");
@@ -544,7 +543,8 @@ fn bc_equals_brandes_on_either_side() {
         let mut runner = Runner::new(sys, &dist, Bc, EnactConfig::default()).unwrap();
         runner.enact(Some(src)).unwrap();
         let expect = reference::bc(&g, src);
-        for (v, (&a, &b)) in gather_bc(&runner, &dist).iter().zip(&expect).enumerate() {
+        let scores = runner.harvest().into_iter().map(|w| f32::from_bits(w as u32));
+        for (v, (a, &b)) in scores.zip(&expect).enumerate() {
             assert!(
                 (a as f64 - b).abs() <= 1e-3 * (1.0 + b.abs()),
                 "case {case}, {n_gpus} vGPUs, source {src}, vertex {v}: {a} vs {b}"
@@ -809,7 +809,7 @@ fn arbitrary_traced_runs_are_well_formed() {
 /// across kernel thread counts, at every GPU count.
 #[test]
 fn dobfs_matches_reference_and_is_thread_count_invisible() {
-    use mgpu_graph_analytics::primitives::{dobfs::gather_labels as dobfs_labels, Dobfs};
+    use mgpu_graph_analytics::primitives::Dobfs;
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xF40);
     for case in 0..6 {
@@ -832,7 +832,7 @@ fn dobfs_matches_reference_and_is_thread_count_invisible() {
                 let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
                 let mut runner = Runner::new(sys, &dist, Dobfs::default(), cfg).unwrap();
                 let report = runner.enact(Some(src)).unwrap();
-                let labels = dobfs_labels(&runner, &dist);
+                let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
                 assert_eq!(labels, expect, "case {case}: x{n_gpus} t{threads} wrong labels");
                 let jsonl = report.trace.as_ref().unwrap().to_jsonl();
                 (report, jsonl)
@@ -999,7 +999,7 @@ fn json_reader_never_panics_and_inverts_the_writer() {
 #[test]
 fn pagerank_meets_its_accuracy_contract() {
     use mgpu_graph_analytics::core::CommStrategy;
-    use mgpu_graph_analytics::primitives::{pr::gather_ranks, Pagerank};
+    use mgpu_graph_analytics::primitives::Pagerank;
     // Restated, not imported: a test that read the constant would loosen
     // along with it.
     const PR_REL_ERROR: f64 = 1e-4;
@@ -1029,7 +1029,8 @@ fn pagerank_meets_its_accuracy_contract() {
             } else {
                 capped += 1;
             }
-            for (v, (&a, &b)) in gather_ranks(&runner, &dist).iter().zip(&expect).enumerate() {
+            let ranks = runner.harvest().into_iter().map(|w| f32::from_bits(w as u32));
+            for (v, (a, &b)) in ranks.zip(&expect).enumerate() {
                 assert!(
                     (a as f64 - b).abs() <= bound * b.abs(),
                     "case {case}, {n_gpus} vGPUs, {comm:?}, cap {max_iters}, vertex {v}: \

@@ -6,7 +6,8 @@
 //!   thread scheduling and `kernel_threads`.
 //! * Correctness under recovery — BFS / SSSP / CC complete after transient
 //!   faults, panics, stragglers and permanent device loss, and their
-//!   results equal the fault-free reference.
+//!   results equal the fault-free reference; DOBFS / BC / PR restart from
+//!   scratch on the survivors and match it too.
 //! * Zero overhead when disabled — an attached plan whose events never
 //!   fire changes nothing about the simulation.
 
@@ -15,14 +16,14 @@ use std::sync::Arc;
 
 use mgpu_graph_analytics::core::alloc::FrontierBufs;
 use mgpu_graph_analytics::core::problem::MgpuProblem;
-use mgpu_graph_analytics::core::{CommStrategy, EnactConfig, RecoveryPolicy, ResilientRunner, Runner};
+use mgpu_graph_analytics::core::{
+    CommStrategy, EnactConfig, EnactReport, Executor, RecoveryPolicy, ResilientRunner, Runner,
+};
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
-use mgpu_graph_analytics::primitives::{
-    bfs::gather_labels, cc::gather_components, reference, sssp::gather_dists, Bfs, Cc, Sssp,
-};
+use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
 use mgpu_graph_analytics::vgpu::{Device, FaultPlan, HardwareProfile, Result, SimSystem, VgpuError};
 
 fn graph() -> Csr<u32, u64> {
@@ -42,6 +43,16 @@ fn resilient_config() -> EnactConfig {
     }
 }
 
+/// Enact `runner` from `src` and harvest: the report and the answer words,
+/// each `as u32` (BFS's depth labels, SSSP's distances).
+fn enact_u32<P: MgpuProblem<u32, u64> + Clone>(
+    mut runner: ResilientRunner<'_, u32, u64, P>,
+    src: Option<u32>,
+) -> Result<(EnactReport, Vec<u32>)> {
+    let report = runner.enact(src)?;
+    Ok((report, runner.harvest().into_iter().map(|w| w as u32).collect()))
+}
+
 /// A plan mixing transients with a permanent loss of device 1 mid-run.
 fn loss_plan() -> FaultPlan {
     FaultPlan::new().kernel_fail(0, 3).transient_oom(2, 5).device_loss(1, 9)
@@ -55,15 +66,17 @@ fn loss_plan() -> FaultPlan {
 fn same_fault_plan_produces_bit_identical_reports_including_recovery() {
     let g = graph();
     let run = || {
-        ResilientRunner::homogeneous(
-            &g,
-            Bfs::default(),
-            4,
-            HardwareProfile::k40(),
-            resilient_config(),
+        enact_u32(
+            ResilientRunner::homogeneous(
+                &g,
+                Bfs::default(),
+                4,
+                HardwareProfile::k40(),
+                resilient_config(),
+            )
+            .with_fault_plan(loss_plan()),
+            Some(0u32),
         )
-        .with_fault_plan(loss_plan())
-        .enact_with(Some(0u32), gather_labels)
         .unwrap()
     };
     let (r1, l1) = run();
@@ -81,10 +94,12 @@ fn kernel_thread_count_does_not_change_a_recovered_simulation() {
     let g = weighted_graph();
     let run = |threads: usize| {
         let config = EnactConfig { kernel_threads: Some(threads), ..resilient_config() };
-        ResilientRunner::homogeneous(&g, Sssp, 4, HardwareProfile::k40(), config)
-            .with_fault_plan(loss_plan())
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap()
+        enact_u32(
+            ResilientRunner::homogeneous(&g, Sssp, 4, HardwareProfile::k40(), config)
+                .with_fault_plan(loss_plan()),
+            Some(0u32),
+        )
+        .unwrap()
     };
     let (r1, d1) = run(1);
     let (r4, d4) = run(4);
@@ -103,8 +118,9 @@ fn a_plan_that_never_fires_is_bit_identical_to_no_plan() {
         }
         let mut runner = Runner::new(sys, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         let report = runner.enact(Some(0u32)).unwrap();
-        (report, gather_labels(&runner, &dist))
+        (report, runner.harvest())
     };
+    // the words are BFS labels; equal words are equal labels
     let (bare, labels_bare) = run(None);
     let (empty, labels_empty) = run(Some(FaultPlan::new()));
     // events far beyond the horizon never fire either
@@ -133,28 +149,31 @@ fn bfs_sssp_cc_survive_device_loss_across_gpu_counts_and_comm_strategies() {
             let config = EnactConfig { comm, ..resilient_config() };
             let ctx = format!("{n} GPUs, comm {comm:?}");
 
-            let (br, bl) =
+            let (br, bl) = enact_u32(
                 ResilientRunner::homogeneous(&g, Bfs::default(), n, HardwareProfile::k40(), config)
-                    .with_fault_plan(plan.clone())
-                    .enact_with(Some(0u32), gather_labels)
-                    .unwrap();
+                    .with_fault_plan(plan.clone()),
+                Some(0u32),
+            )
+            .unwrap();
             assert_eq!(bl, bfs_expect, "BFS after loss, {ctx}");
             assert_eq!(br.n_devices, n - 1, "BFS must finish on the survivors, {ctx}");
             assert_eq!(br.recovery.lost_devices, vec![n - 1], "{ctx}");
 
-            let (_, dl) = ResilientRunner::homogeneous(&g, Sssp, n, HardwareProfile::k40(), config)
-                .with_fault_plan(plan.clone())
-                .enact_with(Some(0u32), gather_dists)
-                .unwrap();
+            let (_, dl) = enact_u32(
+                ResilientRunner::homogeneous(&g, Sssp, n, HardwareProfile::k40(), config)
+                    .with_fault_plan(plan.clone()),
+                Some(0u32),
+            )
+            .unwrap();
             assert_eq!(dl, sssp_expect, "SSSP after loss, {ctx}");
 
             // CC fixes its own comm strategy; only exercise it once per n.
             if comm.is_none() {
-                let (_, cl) =
+                let mut cc =
                     ResilientRunner::homogeneous(&g, Cc, n, HardwareProfile::k40(), config)
-                        .with_fault_plan(plan.clone())
-                        .enact_with(None, gather_components)
-                        .unwrap();
+                        .with_fault_plan(plan.clone());
+                cc.enact(None).unwrap();
+                let cl: Vec<usize> = cc.harvest().into_iter().map(|w| w as usize).collect();
                 assert_eq!(cl, cc_expect, "CC after loss, {n} GPUs");
             }
         }
@@ -176,7 +195,8 @@ fn transient_faults_are_retried_in_place_and_leave_results_intact() {
     };
     let mut runner = Runner::new(sys, &dist, Bfs::default(), config).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
-    assert_eq!(gather_labels(&runner, &dist), expect);
+    let labels: Vec<u32> = runner.harvest().into_iter().map(|w| w as u32).collect();
+    assert_eq!(labels, expect);
     assert_eq!(report.recovery.kernel_retries, 2, "one relaunch per kernel transient");
     assert_eq!(report.recovery.transfer_retries, 1, "one re-send for the link fault");
     assert_eq!(report.recovery.faults_injected, 3);
@@ -212,11 +232,12 @@ fn checkpoints_bound_the_recomputation_after_a_late_loss() {
     let expect = reference::sssp(&g, 0u32);
     // SSSP runs for many supersteps; lose a device late so a checkpoint
     // exists to resume from.
-    let (report, dists) =
+    let (report, dists) = enact_u32(
         ResilientRunner::homogeneous(&g, Sssp, 4, HardwareProfile::k40(), resilient_config())
-            .with_fault_plan(FaultPlan::new().device_loss(2, 60))
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap();
+            .with_fault_plan(FaultPlan::new().device_loss(2, 60)),
+        Some(0u32),
+    )
+    .unwrap();
     assert_eq!(dists, expect);
     assert!(report.recovery.checkpoints_taken >= 1, "a checkpoint must have completed");
     let resumed = report.recovery.resumed_at.expect("the retry must resume from a checkpoint");
@@ -236,17 +257,20 @@ fn the_default_wire_recovers_from_a_lost_device_to_the_reference() {
     let bfs_expect = reference::bfs(&g, 0u32);
     let sssp_expect = reference::sssp(&g, 0u32);
     let run_sssp = |n: usize, spec: &str| {
-        ResilientRunner::homogeneous(&g, Sssp, n, HardwareProfile::k40(), config)
-            .with_fault_plan(FaultPlan::parse(spec).unwrap())
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap()
+        enact_u32(
+            ResilientRunner::homogeneous(&g, Sssp, n, HardwareProfile::k40(), config)
+                .with_fault_plan(FaultPlan::parse(spec).unwrap()),
+            Some(0u32),
+        )
+        .unwrap()
     };
     for n in [2usize, 4] {
-        let (report, labels) =
+        let (report, labels) = enact_u32(
             ResilientRunner::homogeneous(&g, Bfs::default(), n, HardwareProfile::k40(), config)
-                .with_fault_plan(FaultPlan::parse("lose:0@5").unwrap())
-                .enact_with(Some(0u32), gather_labels)
-                .unwrap();
+                .with_fault_plan(FaultPlan::parse("lose:0@5").unwrap()),
+            Some(0u32),
+        )
+        .unwrap();
         assert_eq!(labels, bfs_expect, "BFS, {n} GPUs");
         assert_eq!(report.recovery.lost_devices, vec![0], "BFS, {n} GPUs");
 
@@ -258,6 +282,46 @@ fn the_default_wire_recovers_from_a_lost_device_to_the_reference() {
         assert_eq!(dists, sssp_expect, "SSSP, {n} GPUs, late loss");
         assert!(report.recovery.resumed_at.is_some(), "SSSP, {n} GPUs: resumes a checkpoint");
     }
+}
+
+/// DOBFS, BC and PR keep no checkpoint (their direction, phase and scalar
+/// state span supersteps), so a loss restarts them from scratch on the
+/// survivors; the answer that restart harvests is still the reference's.
+#[test]
+fn primitives_without_checkpoints_restart_on_the_survivors() {
+    use mgpu_bench::runners::PR_ITERS;
+    use mgpu_bench::service::check_against_reference;
+    use mgpu_bench::Primitive;
+    use mgpu_graph_analytics::primitives::{Bc, Dobfs, Pagerank};
+
+    fn fail_over<P: MgpuProblem<u32, u64> + Clone>(
+        g: &Csr<u32, u64>,
+        prim: Primitive,
+        problem: P,
+        src: Option<u32>,
+    ) {
+        let config = EnactConfig { recovery: RecoveryPolicy::resilient(), ..Default::default() };
+        let mut runner =
+            ResilientRunner::homogeneous(g, problem, 3, HardwareProfile::k40(), config)
+                .with_fault_plan(FaultPlan::parse("lose:1@3").unwrap());
+        if prim.needs_csc() {
+            runner = runner.with_csc();
+        }
+        let name = prim.name();
+        let report = runner.enact(src).unwrap();
+        assert_eq!(report.n_devices, 2, "{name} finishes on the survivors");
+        assert_eq!(report.recovery.failovers, 1, "{name}");
+        assert_eq!(report.recovery.resumed_at, None, "{name} restarts from scratch");
+        if let Err(e) = check_against_reference(prim, g, src, &runner.harvest()) {
+            panic!("{name} after the loss: {e}");
+        }
+    }
+
+    let g = graph();
+    fail_over(&g, Primitive::Dobfs, Dobfs::default(), Some(0));
+    fail_over(&g, Primitive::Bc, Bc, Some(0));
+    let pr = Pagerank { damping: 0.85, threshold: 0.0, max_iters: PR_ITERS };
+    fail_over(&g, Primitive::Pr, pr, None);
 }
 
 #[test]
@@ -273,11 +337,12 @@ fn straggling_devices_are_detected_and_evicted_on_timeout() {
         },
         ..Default::default()
     };
-    let (report, labels) =
+    let (report, labels) = enact_u32(
         ResilientRunner::homogeneous(&g, Bfs::default(), 4, HardwareProfile::k40(), config)
-            .with_fault_plan(FaultPlan::new().straggle(3, 6, 50_000.0))
-            .enact_with(Some(0u32), gather_labels)
-            .unwrap();
+            .with_fault_plan(FaultPlan::new().straggle(3, 6, 50_000.0)),
+        Some(0u32),
+    )
+    .unwrap();
     assert_eq!(labels, expect);
     assert!(report.recovery.stragglers_detected >= 1);
     assert_eq!(report.recovery.lost_devices, vec![3], "the straggler is evicted");
@@ -373,14 +438,11 @@ fn the_resilient_runner_recovers_from_a_problem_code_panic() {
     let g = graph();
     let expect = reference::bfs(&g, 0u32);
     let problem = PanicOnce { inner: Bfs::default(), fired: Arc::new(AtomicBool::new(false)) };
-    let (report, labels) =
-        ResilientRunner::homogeneous(&g, problem, 3, HardwareProfile::k40(), resilient_config())
-            .enact_with(Some(0u32), |r, d| {
-                mgpu_graph_analytics::primitives::bfs::gather(d, |gpu, local| {
-                    r.state(gpu).labels[local as usize]
-                })
-            })
-            .unwrap();
+    let (report, labels) = enact_u32(
+        ResilientRunner::homogeneous(&g, problem, 3, HardwareProfile::k40(), resilient_config()),
+        Some(0u32),
+    )
+    .unwrap();
     assert_eq!(labels, expect, "BFS completes correctly after the crash");
     assert_eq!(report.recovery.failovers, 1);
     assert_eq!(report.n_devices, 2, "the crashed device is retired");
@@ -406,15 +468,17 @@ fn random_plans_are_seed_deterministic_and_recoverable() {
     let expect = reference::bfs(&g, 0u32);
     for seed in 0..4u64 {
         let plan = FaultPlan::random(seed, 4, 6, 60);
-        let (report, labels) = ResilientRunner::homogeneous(
-            &g,
-            Bfs::default(),
-            4,
-            HardwareProfile::k40(),
-            resilient_config(),
+        let (report, labels) = enact_u32(
+            ResilientRunner::homogeneous(
+                &g,
+                Bfs::default(),
+                4,
+                HardwareProfile::k40(),
+                resilient_config(),
+            )
+            .with_fault_plan(plan),
+            Some(0u32),
         )
-        .with_fault_plan(plan)
-        .enact_with(Some(0u32), gather_labels)
         .unwrap();
         assert_eq!(labels, expect, "seed {seed}");
         // Random plans are transient-only, so no device may be lost.
@@ -433,12 +497,14 @@ fn traced_transient_recovery_pairs_retries_and_checkpoints_with_events() {
     let run = |threads: usize| {
         let config =
             EnactConfig { tracing: true, kernel_threads: Some(threads), ..resilient_config() };
-        ResilientRunner::homogeneous(&g, Sssp, 4, HardwareProfile::k40(), config)
-            .with_fault_plan(
-                FaultPlan::new().kernel_fail(0, 2).transient_oom(1, 4).transfer_fail(0, 1, 1),
-            )
-            .enact_with(Some(0u32), gather_dists)
-            .unwrap()
+        enact_u32(
+            ResilientRunner::homogeneous(&g, Sssp, 4, HardwareProfile::k40(), config)
+                .with_fault_plan(
+                    FaultPlan::new().kernel_fail(0, 2).transient_oom(1, 4).transfer_fail(0, 1, 1),
+                ),
+            Some(0u32),
+        )
+        .unwrap()
     };
     let (r1, d1) = run(1);
     let (r4, d4) = run(4);
@@ -466,10 +532,12 @@ fn traced_failover_trace_is_deterministic_and_reconciles_with_lost_time() {
     let run = |threads: usize| {
         let config =
             EnactConfig { tracing: true, kernel_threads: Some(threads), ..resilient_config() };
-        ResilientRunner::homogeneous(&g, Bfs::default(), 4, HardwareProfile::k40(), config)
-            .with_fault_plan(loss_plan())
-            .enact_with(Some(0u32), gather_labels)
-            .unwrap()
+        enact_u32(
+            ResilientRunner::homogeneous(&g, Bfs::default(), 4, HardwareProfile::k40(), config)
+                .with_fault_plan(loss_plan()),
+            Some(0u32),
+        )
+        .unwrap()
     };
     let (r1, l1) = run(1);
     let (r4, l4) = run(4);

@@ -14,8 +14,18 @@ use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, Dataset};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{ChunkedPartitioner, DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{bfs, cc, dobfs, reference, sssp, Bfs, Cc, Dobfs, Sssp};
+use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Dobfs, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
+
+/// Harvest words `as u32`: DOBFS and BFS labels, SSSP distances.
+fn u32s(words: Vec<u64>) -> Vec<u32> {
+    words.into_iter().map(|w| w as u32).collect()
+}
+
+/// Harvest words `as usize`: CC's component ids.
+fn usizes(words: Vec<u64>) -> Vec<usize> {
+    words.into_iter().map(|w| w as usize).collect()
+}
 
 /// The paper's `(id, label)` wire: forced list encoding, nothing suppressed.
 fn paper_wire() -> EnactConfig {
@@ -71,11 +81,7 @@ fn dobfs_is_bit_identical_in_every_configuration() {
                     Runner::new(sys(n), &dist, Dobfs::default(), with_threads(&cfg, threads))
                         .unwrap();
                 let report = runner.enact(Some(0)).unwrap();
-                assert_eq!(
-                    dobfs::gather_labels(&runner, &dist),
-                    expect,
-                    "{name}, {n} GPUs, {threads} threads"
-                );
+                assert_eq!(u32s(runner.harvest()), expect, "{name}, {n} GPUs, {threads} threads");
                 per_thread.push(report);
             }
             assert!(
@@ -98,11 +104,7 @@ fn cc_is_bit_identical_in_every_configuration() {
                 let mut runner =
                     Runner::new(sys(n), &dist, Cc, with_threads(&cfg, threads)).unwrap();
                 let report = runner.enact(None).unwrap();
-                assert_eq!(
-                    cc::gather_components(&runner, &dist),
-                    expect,
-                    "{name}, {n} GPUs, {threads} threads"
-                );
+                assert_eq!(usizes(runner.harvest()), expect, "{name}, {n} GPUs, {threads} threads");
                 per_thread.push(report);
             }
             assert!(
@@ -127,7 +129,7 @@ fn sssp_variants_are_bit_identical_in_every_configuration() {
                     Runner::new(sys(n), &dist, Sssp, with_threads(&cfg, threads)).unwrap();
                 runner.enact(Some(0)).unwrap();
                 assert_eq!(
-                    sssp::gather_dists(&runner, &dist),
+                    u32s(runner.harvest()),
                     expect,
                     "Sssp {name}, {n} GPUs, {threads} threads"
                 );
@@ -146,14 +148,14 @@ fn butterfly_handles_non_power_of_two_gpu_counts() {
     let cfg = EnactConfig { comm_topology: CommTopology::Butterfly, ..EnactConfig::default() };
     let mut runner = Runner::new(sys(7), &dist, Dobfs::default(), cfg).unwrap();
     let report = runner.enact(Some(0)).unwrap();
-    assert_eq!(dobfs::gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+    assert_eq!(u32s(runner.harvest()), reference::bfs(&g, 0u32));
     assert!(report.comm.collective_stages > 0, "butterfly path must have been taken");
 
     let dist = dist_for(&g, 7, false);
     let cfg = EnactConfig { suppression: false, ..cfg };
     let mut runner = Runner::new(sys(7), &dist, Cc, cfg).unwrap();
     runner.enact(None).unwrap();
-    assert_eq!(cc::gather_components(&runner, &dist), reference::cc(&g));
+    assert_eq!(usizes(runner.harvest()), reference::cc(&g));
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +226,7 @@ fn dobfs_broadcast_bytes_drop_at_least_2x_at_six_gpus() {
     let run = |cfg: EnactConfig| -> (Vec<u32>, EnactReport) {
         let mut runner = Runner::new(sys(6), &dist, Dobfs::default(), cfg).unwrap();
         let report = runner.enact(Some(src)).unwrap();
-        (dobfs::gather_labels(&runner, &dist), report)
+        (u32s(runner.harvest()), report)
     };
 
     let (labels_base, base) = run(paper_wire());
@@ -265,7 +267,7 @@ fn one_hop_broadcast_offers_the_bitmap_the_global_id_space() {
         };
         let mut runner = Runner::new(sys(4), &dist, Bfs { one_hop }, cfg).unwrap();
         let report = runner.enact(Some(0)).unwrap();
-        assert_eq!(bfs::gather_labels(&runner, &dist), reference::bfs(&g, 0u32));
+        assert_eq!(u32s(runner.harvest()), reference::bfs(&g, 0u32));
         report
     };
     let auto = run(Duplication::OneHop, WireEncoding::Auto);
