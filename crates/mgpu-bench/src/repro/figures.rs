@@ -114,20 +114,30 @@ pub(super) fn fig3(ctx: &Ctx) -> Result<Outcome> {
     ];
     let mut t =
         Table::new(&["dataset", "scheme", "peak mem/GPU", "reallocs", "sim time", "relative mem"]);
+    let k40 = HardwareProfile::k40();
     let (mut least_max_over_just, mut time_spread) = (f64::INFINITY, 0.0f64);
     let (mut mem_ordered, mut reallocs_ordered, mut fusion_faster) = (true, true, true);
+    // the largest (excess sim µs over max, what the run's reallocations charge)
+    let (mut excess, mut excess_charged) = (0.0f64, 0.0f64);
+    let mut reallocs_explain = true;
     for ds in Dataset::figure_trio() {
         let g = ds.build_undirected(ctx.shift, ctx.seed);
-        // (peak memory per device, pool reallocations, simulated µs) per scheme
+        // (peak memory per device, pool reallocations, simulated µs, µs the
+        // reallocations charge summed over devices) per scheme
         let mut runs = Vec::new();
         for scheme in schemes {
-            let sys = SimSystem::homogeneous(4, HardwareProfile::k40());
+            let sys = SimSystem::homogeneous(4, k40.clone());
             let config = EnactConfig { alloc_scheme: Some(scheme), ..Default::default() };
             let r = run_primitive(Primitive::Bfs, &g, sys, &ctx.random(), config)?.report;
-            runs.push((r.peak_memory_per_device, r.pool_reallocs, r.sim_time_us));
+            let charged: f64 = r
+                .mem_per_device
+                .iter()
+                .map(|m| m.reallocs as f64 * k40.alloc_us + k40.local_copy_us(m.realloc_copied))
+                .sum();
+            runs.push((r.peak_memory_per_device, r.pool_reallocs, r.sim_time_us, charged));
         }
         let [just, fixed, max, fusion] = runs[..] else { unreachable!("four schemes") };
-        for (scheme, (mem, reallocs, us)) in schemes.iter().zip(&runs) {
+        for (scheme, (mem, reallocs, us, _)) in schemes.iter().zip(&runs) {
             t.row(&[
                 ds.name.to_string(),
                 scheme.label().to_string(),
@@ -142,6 +152,13 @@ pub(super) fn fig3(ctx: &Ctx) -> Result<Outcome> {
         let (lo, hi) = span([just.2, fixed.2, max.2]);
         time_spread = time_spread.max(hi / lo - 1.0);
         reallocs_ordered &= just.1 > fixed.1 && fixed.1 > max.1 && max.1 == 0;
+        for run in [just, fixed] {
+            let over = run.2 - max.2;
+            reallocs_explain &= (0.0..=run.3).contains(&over);
+            if over > excess {
+                (excess, excess_charged) = (over, run.3);
+            }
+        }
         fusion_faster &= fusion.2 < just.2;
     }
 
@@ -154,9 +171,17 @@ pub(super) fn fig3(ctx: &Ctx) -> Result<Outcome> {
         format!("smallest max / just-enough {least_max_over_just:.2}x"),
     );
     out.check(
-        "computation times are near-identical across just-enough / fixed / max: within 1%",
-        time_spread <= 0.01,
-        format!("largest spread {:.2}%", time_spread * 100.0),
+        "computation times are near-identical across just-enough / fixed / max: within 1%; \
+         deviation: no superstep pays for an allocation, so a real reallocation is the only \
+         allocation charge left and it separates the schemes — asserted: each scheme is at most \
+         what its reallocations charge (reallocs x alloc_us + copy-over, summed over devices) \
+         slower than max",
+        reallocs_explain,
+        format!(
+            "largest spread {:.2}%, largest excess {excess:.1} µs of {excess_charged:.1} µs \
+             charged",
+            time_spread * 100.0
+        ),
     );
     out.check(
         "reallocations: just-enough > fixed > max = 0 on all three datasets",
@@ -318,9 +343,9 @@ pub(super) fn fig5(ctx: &Ctx) -> Result<Outcome> {
     );
     let ratio: Vec<f64> = dobfs_strong.iter().map(|s| s[7] / s[0]).collect();
     out.check(
-        "deviation, asserted: DOBFS is not flatter on P100 at this scale — the K80 and P100 \
-         8-GPU / 1-GPU ratios agree within 0.05",
-        (ratio[0] - ratio[1]).abs() <= 0.05,
+        "DOBFS is flatter on P100 (compute faster, interconnect unchanged): its 8-GPU / 1-GPU \
+         strong-scaling ratio is below K80's by more than 0.05",
+        ratio[0] - ratio[1] > 0.05,
         format!("K80 {:.3}, P100 {:.3}", ratio[0], ratio[1]),
     );
     Ok(out.headed(format!(

@@ -393,11 +393,11 @@ impl Device {
         Ok(end)
     }
 
-    /// Allocate a zeroed array, charging an allocation overhead to the
-    /// compute stream (`cudaMalloc` is not free).
+    /// Allocate a zeroed array, charging [`HardwareProfile::alloc_us`] to
+    /// the compute stream (`cudaMalloc` is not free).
     pub fn alloc<T: Default + Clone>(&mut self, len: usize) -> Result<DeviceArray<T>> {
         let a = self.pool.alloc::<T>(len)?;
-        self.charge(COMPUTE_STREAM, 2.0, 0.0)?;
+        self.charge(COMPUTE_STREAM, self.profile.alloc_us, 0.0)?;
         Ok(a)
     }
 
@@ -407,38 +407,39 @@ impl Device {
         cap: usize,
     ) -> Result<DeviceArray<T>> {
         let a = self.pool.alloc_with_capacity::<T>(cap)?;
-        self.charge(COMPUTE_STREAM, 2.0, 0.0)?;
+        self.charge(COMPUTE_STREAM, self.profile.alloc_us, 0.0)?;
         Ok(a)
     }
 
-    /// Copy host data to a fresh device array, charging the transfer at the
-    /// device's memory bandwidth (initialization-time H2D copies).
+    /// Copy host data to a fresh device array, charging the allocation plus
+    /// the transfer at the device's memory bandwidth (initialization-time
+    /// H2D copies).
     pub fn upload<T: Default + Clone>(&mut self, src: &[T]) -> Result<DeviceArray<T>> {
         let a = self.pool.alloc_from_slice(src)?;
-        let cost = self.profile.local_copy_us(a.bytes());
-        self.charge(COMPUTE_STREAM, 2.0 + cost, 0.0)?;
+        let cost = self.profile.alloc_us + self.profile.local_copy_us(a.bytes());
+        self.charge(COMPUTE_STREAM, cost, 0.0)?;
         Ok(a)
     }
 
-    /// Grow `array` to hold at least `need` elements. Whenever `need > 0`
-    /// this charges the 2 µs allocation overhead — also when the capacity
-    /// already suffices and nothing is reallocated — plus, on a real
-    /// growth, the copy-over of the old contents at memory bandwidth. The
-    /// 2 µs is a constant: [`HardwareProfile::with_overhead_scale`] does not
-    /// divide it. Growth is the expensive event that the just-enough
-    /// allocation scheme's size estimation works to avoid (§VI-B:
-    /// "reallocation, which is expensive, is infrequent").
+    /// Grow `array` to hold at least `need` elements. A call that fits the
+    /// current capacity is free: no allocation happens, so nothing is
+    /// charged. A real growth (the reallocation the pool counts) charges
+    /// [`HardwareProfile::alloc_us`] plus the copy-over of the old contents
+    /// at memory bandwidth. Growth is the expensive event that the
+    /// just-enough allocation scheme's size estimation works to avoid
+    /// (§VI-B: "reallocation, which is expensive, is infrequent").
     pub fn ensure_capacity<T: Default + Clone>(
         &mut self,
         array: &mut DeviceArray<T>,
         need: usize,
     ) -> Result<()> {
-        let copied = array.ensure_capacity(need)?;
-        if copied > 0 || need > 0 {
-            // alloc + copy-over cost; freeing the old allocation is cheap
-            let cost = 2.0 + self.profile.local_copy_us(copied);
-            self.charge(COMPUTE_STREAM, cost, 0.0)?;
+        if need <= array.capacity() {
+            return Ok(());
         }
+        let copied = array.ensure_capacity(need)?;
+        // alloc + copy-over cost; freeing the old allocation is cheap
+        let cost = self.profile.alloc_us + self.profile.local_copy_us(copied);
+        self.charge(COMPUTE_STREAM, cost, 0.0)?;
         Ok(())
     }
 
@@ -581,6 +582,42 @@ mod tests {
         let arr = d.upload(&data).unwrap();
         assert_eq!(arr.len(), 1 << 20);
         assert!(d.now() > 2.0, "H2D copy is not free");
+    }
+
+    #[test]
+    fn allocations_charge_the_profiles_alloc_us() {
+        let mut d = Device::new(0, HardwareProfile::k40().with_overhead_scale(4.0));
+        let alloc_us = d.profile().alloc_us;
+        assert_eq!(alloc_us, HardwareProfile::k40().alloc_us / 4.0, "scaled like every overhead");
+        let _a = d.alloc::<u32>(16).unwrap();
+        assert_eq!(d.now(), alloc_us);
+        let _b = d.alloc_with_capacity::<u32>(16).unwrap();
+        assert_eq!(d.now(), 2.0 * alloc_us);
+        let data = [7u32; 64];
+        let _c = d.upload(&data).unwrap();
+        let upload = alloc_us + d.profile().local_copy_us(256);
+        assert_eq!(d.now(), 2.0 * alloc_us + upload);
+    }
+
+    #[test]
+    fn ensure_capacity_charges_only_a_real_growth() {
+        let mut d = dev();
+        let mut a = d.alloc_with_capacity::<u32>(8).unwrap();
+        a.extend_from_slice(&[1, 2, 3]);
+        let (compute, comm) = (d.stream_time(COMPUTE_STREAM), d.stream_time(COMM_STREAM));
+        // fits: no allocation, so no charge on any stream
+        d.ensure_capacity(&mut a, 8).unwrap();
+        d.ensure_capacity(&mut a, 0).unwrap();
+        assert_eq!(d.stream_time(COMPUTE_STREAM), compute);
+        assert_eq!(d.stream_time(COMM_STREAM), comm);
+        assert_eq!(d.pool().reallocs(), 0);
+        // grows: one allocation plus the copy-over of the 12 live bytes
+        d.ensure_capacity(&mut a, 100).unwrap();
+        let grow = d.profile().alloc_us + d.profile().local_copy_us(12);
+        assert_eq!(d.stream_time(COMPUTE_STREAM), compute + grow);
+        assert_eq!(d.stream_time(COMM_STREAM), comm);
+        assert_eq!(d.pool().reallocs(), 1);
+        assert_eq!(a.capacity(), 100);
     }
 
     #[test]

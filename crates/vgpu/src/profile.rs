@@ -53,6 +53,10 @@ pub struct HardwareProfile {
     pub peer_sync_base_us: f64,
     /// Additional per-peer synchronization cost (fan-in of event waits).
     pub peer_sync_per_peer_us: f64,
+    /// Fixed overhead of one device allocation in microseconds
+    /// (`cudaMalloc` is not free); a reallocation pays it once more, plus
+    /// the copy-over.
+    pub alloc_us: f64,
 }
 
 impl HardwareProfile {
@@ -70,6 +74,7 @@ impl HardwareProfile {
             superstep_api_us: 55.0,
             peer_sync_base_us: 40.0,
             peer_sync_per_peer_us: 25.0,
+            alloc_us: 2.0,
         }
     }
 
@@ -117,6 +122,7 @@ impl HardwareProfile {
             superstep_api_us: 5.0,
             peer_sync_base_us: 5.0,
             peer_sync_per_peer_us: 2.0,
+            alloc_us: 2.0,
         }
     }
 
@@ -143,7 +149,7 @@ impl HardwareProfile {
     }
 
     /// Divide every *fixed* overhead (kernel launch, superstep API, peer
-    /// synchronization) by `scale`. In the BSP model `T = W + H·g + S·l`,
+    /// synchronization, allocation) by `scale`. In the BSP model `T = W + H·g + S·l`,
     /// shrinking a workload by `s` shrinks W and H by `s` but leaves the
     /// fixed `l` terms alone, which would let overheads swamp the scaled
     /// experiment; dividing the overheads by the same `s` preserves the
@@ -156,6 +162,7 @@ impl HardwareProfile {
         self.superstep_api_us /= scale;
         self.peer_sync_base_us /= scale;
         self.peer_sync_per_peer_us /= scale;
+        self.alloc_us /= scale;
         self
     }
 

@@ -11,13 +11,15 @@
 //! zero-cost-when-off guarantee (`same_simulation` holds between traced and
 //! untraced runs).
 
+use mgpu_bench::runners::scaled_system;
+use mgpu_bench::{run_primitive, Primitive};
 use mgpu_graph_analytics::core::{
     CommStrategy, CommTopology, EnactConfig, EnactReport, Profile, RecoveryPolicy, Runner,
 };
-use mgpu_graph_analytics::gen::gnm;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
+use mgpu_graph_analytics::gen::{gnm, Dataset};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, PartitionerKind};
 use mgpu_graph_analytics::primitives::{Bfs, Cc, Sssp};
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem};
 
@@ -132,6 +134,27 @@ fn reconciliation_attributes_the_whole_makespan() {
     assert!(profile.total.w_us > 0.0);
     assert!(profile.total.sync_us > 0.0);
     assert_eq!(profile.total.kernels, report.totals.kernel_launches);
+}
+
+#[test]
+fn a_deep_road_run_attributes_nothing_to_other() {
+    // Steady-state supersteps reuse their frontier buffers, so a fault-free
+    // run charges no allocation after bind: every µs of the makespan is W,
+    // C, H·g, S·l or barrier wait. The road lattice runs hundreds of
+    // near-empty supersteps, where a per-superstep charge would show most.
+    let shift = 8;
+    let coo = Dataset::by_name("road-analog").unwrap().generate(shift, 42);
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+    let system = scaled_system(2, HardwareProfile::k40(), shift);
+    let cfg = EnactConfig { tracing: true, ..Default::default() };
+    let partitioner = PartitionerKind::Random.seeded(42);
+    let report = run_primitive(Primitive::Bfs, &g, system, &partitioner, cfg).unwrap().report;
+    let profile = Profile::from_trace(report.trace.as_ref().unwrap());
+    profile.reconcile(&report).unwrap();
+    assert!(report.iterations > 100, "a deep run: {} supersteps", report.iterations);
+    for (d, row) in profile.per_device.iter().enumerate() {
+        assert_eq!(row.other_us, 0.0, "device {d} has unattributed time");
+    }
 }
 
 // --- zero-cost when off -------------------------------------------------
