@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, Executor, ResilientRunner, Runner};
 use mgpu_graph::{Csr, Id};
-use mgpu_partition::{DistGraph, Duplication, Partitioner};
+use mgpu_partition::{DistGraph, Partitioner, Reads};
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};
 use mgpu_core::problem::MgpuProblem;
 use vgpu::{FaultPlan, Result, SimSystem, VgpuError};
@@ -68,18 +68,6 @@ impl Primitive {
     pub fn needs_source(self) -> bool {
         !matches!(self, Primitive::Cc | Primitive::Pr)
     }
-
-    /// The vertex-duplication strategy the primitive requests (Table I).
-    pub fn duplication(self) -> Duplication {
-        Duplication::All
-    }
-
-    /// Does this primitive read the reverse adjacency (its pull sides), so
-    /// that its partition must carry `DistGraph::build_cscs`? The BFS batch
-    /// (`MsBfs`) pulls too; [`run_multi_source`] builds it there.
-    pub fn needs_csc(self) -> bool {
-        matches!(self, Primitive::Dobfs | Primitive::Bc)
-    }
 }
 
 /// The inverse of [`Primitive::label`].
@@ -122,6 +110,14 @@ macro_rules! with_problem {
     }};
 }
 pub(crate) use with_problem;
+
+impl Primitive {
+    /// What the problem this names reads beyond the CSR structure
+    /// ([`MgpuProblem::reads`]): what a partition built for it must carry.
+    pub fn reads(self) -> Reads {
+        with_problem!(self, false, |p| MgpuProblem::<u32, u64>::reads(&p))
+    }
+}
 
 /// Host wall of the ingest stages a run pays between the CSR and the bind
 /// (the CSR build itself is timed by whoever holds the edge list).
@@ -182,31 +178,26 @@ pub fn pick_source<V: Id, O: Id>(g: &Csr<V, O>) -> V {
     V::from_usize(best)
 }
 
-/// Bind + enact one attempt, recording any global downgrade `notes` the
-/// caller already took so they show up in the report's governor log. The
-/// outer error is the bind's (admission's), the inner one the enact's.
-fn dispatch<O: Id>(
-    prim: Primitive,
+/// Partition `g` on `system`'s device count the way `problem` reads it —
+/// its duplication, plus the reverse adjacency if it pulls — bind it, and
+/// hand the runner to `f`. The host wall of each stage is added to
+/// `ingest`. The error is the bind's (admission's).
+fn bind_partitioned<O: Id, P: MgpuProblem<u32, O>, T>(
+    g: &Csr<u32, O>,
+    partitioner: &impl Partitioner,
     system: SimSystem,
-    dist: &DistGraph<u32, O>,
     config: EnactConfig,
-    src: Option<u32>,
-    notes: &[Downgrade],
-    one_hop: bool,
-) -> Result<Result<EnactReport>> {
-    with_problem!(prim, one_hop, |p| {
-        let mut r = Runner::new(system, dist, p, config)?;
-        for d in notes {
-            r.note_downgrade(d.clone());
-        }
-        Ok(r.enact(src))
-    })
-}
-
-/// Does `prim`'s own communication preference allow dropping a broadcast
-/// override? (CC and DOBFS *require* broadcast wire ids.)
-fn prefers_selective(prim: Primitive) -> bool {
-    matches!(prim, Primitive::Bfs | Primitive::Sssp | Primitive::Bc | Primitive::Pr)
+    problem: P,
+    ingest: &mut IngestWall,
+    f: impl FnOnce(&mut Runner<'_, u32, O, P>) -> T,
+) -> Result<T> {
+    let n = system.n_devices();
+    let dup = problem.duplication();
+    let mut dist = timed(&mut ingest.partition_us, || DistGraph::partition(g, partitioner, n, dup));
+    if problem.reads().reverse {
+        timed(&mut ingest.csc_us, || dist.build_cscs());
+    }
+    Ok(f(&mut Runner::new(system, &dist, problem, config)?))
 }
 
 /// Partition `g` for `prim` and run it once on `system`.
@@ -227,7 +218,6 @@ pub fn run_primitive<O: Id>(
     partitioner: &impl Partitioner,
     config: EnactConfig,
 ) -> Result<RunOutcome> {
-    let n = system.n_devices();
     let src = prim.needs_source().then(|| pick_source(g));
     // A downgrade retry consumes the system, so capture what a rebuild needs
     // up front (profiles, fabric, fault injector).
@@ -236,7 +226,7 @@ pub fn run_primitive<O: Id>(
     let injector = system.fault_injector();
     let mut system = Some(system);
     let mut cfg = config;
-    let mut dup = prim.duplication();
+    let mut one_hop = false;
     let mut notes: Vec<Downgrade> = Vec::new();
     let mut ingest = IngestWall::default();
     loop {
@@ -252,18 +242,24 @@ pub fn run_primitive<O: Id>(
                 s
             }
         };
-        let mut dist =
-            timed(&mut ingest.partition_us, || DistGraph::partition(g, partitioner, n, dup));
-        if prim.needs_csc() {
-            timed(&mut ingest.csc_us, || dist.build_cscs());
-        }
-        let one_hop = dup == Duplication::OneHop;
-        match dispatch(prim, sys, &dist, cfg, src, &notes, one_hop) {
+        // a broadcast override may be dropped only for a problem that
+        // prefers selective itself (CC and DOBFS need broadcast wire ids)
+        let (attempt, selective) = with_problem!(prim, one_hop, |p| {
+            let selective = MgpuProblem::<u32, O>::comm(&p) == CommStrategy::Selective;
+            let bound = bind_partitioned(g, partitioner, sys, cfg, p, &mut ingest, |r| {
+                for d in &notes {
+                    r.note_downgrade(d.clone());
+                }
+                r.enact(src)
+            });
+            (bound, selective)
+        });
+        match attempt {
             Ok(enacted) => {
                 return enacted.map(|report| RunOutcome { report, edges: g.n_edges(), ingest })
             }
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
-                if cfg.comm == Some(CommStrategy::Broadcast) && prefers_selective(prim) =>
+                if cfg.comm == Some(CommStrategy::Broadcast) && selective =>
             {
                 notes.push(Downgrade {
                     device: None,
@@ -276,7 +272,7 @@ pub fn run_primitive<O: Id>(
                 cfg.comm = None;
             }
             Err(VgpuError::OutOfMemory { requested, capacity, .. })
-                if prim == Primitive::Bfs && dup == Duplication::All =>
+                if prim == Primitive::Bfs && !one_hop =>
             {
                 notes.push(Downgrade {
                     device: None,
@@ -286,7 +282,7 @@ pub fn run_primitive<O: Id>(
                     estimated_bytes: requested,
                     budget_bytes: capacity,
                 });
-                dup = Duplication::OneHop;
+                one_hop = true;
             }
             Err(e) => return Err(e),
         }
@@ -310,13 +306,10 @@ pub fn run_primitive_resilient(
     let owner = timed(&mut ingest.partition_us, || partitioner.assign(g, n));
     let src = prim.needs_source().then(|| pick_source(g));
     let report = with_problem!(prim, false, |p| {
-        let mut r = ResilientRunner::homogeneous(g, p, n, profile, config)
+        ResilientRunner::homogeneous(g, p, n, profile, config)
             .with_owner(owner)
-            .with_fault_plan(plan);
-        if prim.needs_csc() {
-            r = r.with_csc();
-        }
-        r.enact(src)?
+            .with_fault_plan(plan)
+            .enact(src)?
     });
     Ok(RunOutcome { report, edges: g.n_edges(), ingest })
 }
@@ -353,30 +346,22 @@ pub fn run_multi_source<O: Id>(
     mode: MultiSourceMode,
 ) -> Result<RunOutcome> {
     assert!(!sources.is_empty(), "multi-source run needs at least one source");
-    let prim = match mode {
-        MultiSourceMode::RepeatedBfs | MultiSourceMode::BatchedBfs => Primitive::Bfs,
-        MultiSourceMode::RepeatedBc => Primitive::Bc,
-    };
-    let n = system.n_devices();
     let mut ingest = IngestWall::default();
-    let mut dist = timed(&mut ingest.partition_us, || {
-        DistGraph::partition(g, partitioner, n, prim.duplication())
-    });
-    // Only repeated BFS never pulls.
-    if prim.needs_csc() || mode == MultiSourceMode::BatchedBfs {
-        timed(&mut ingest.csc_us, || dist.build_cscs());
-    }
+    let (part, ing) = (partitioner, &mut ingest);
     let report = match mode {
         MultiSourceMode::RepeatedBfs => {
-            absorb_enacts(&mut Runner::new(system, &dist, Bfs::default(), config)?, sources)?
+            bind_partitioned(g, part, system, config, Bfs::default(), ing, |r| {
+                absorb_enacts(r, sources)
+            })
         }
         MultiSourceMode::BatchedBfs => {
-            Runner::new(system, &dist, MsBfs::new(sources.to_vec()), config)?.enact(None)?
+            let batch = MsBfs::new(sources.to_vec());
+            bind_partitioned(g, part, system, config, batch, ing, |r| r.enact(None))
         }
         MultiSourceMode::RepeatedBc => {
-            absorb_enacts(&mut Runner::new(system, &dist, Bc, config)?, sources)?
+            bind_partitioned(g, part, system, config, Bc, ing, |r| absorb_enacts(r, sources))
         }
-    };
+    }??;
     // A repeated aggregate still credits one |E|: the BFS modes answer the
     // same batch of traversals, so GTEPS comparisons stay apples-to-apples.
     Ok(RunOutcome { report, edges: g.n_edges(), ingest })
@@ -429,36 +414,19 @@ pub fn scaled_system(n: usize, profile: vgpu::HardwareProfile, shift: u32) -> Si
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mgpu_core::governor::estimate_footprint;
+    use mgpu_core::governor::estimate_bind;
     use mgpu_core::AllocScheme;
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
     use mgpu_graph::GraphBuilder;
-    use mgpu_partition::{ChunkedPartitioner, RandomPartitioner};
+    use mgpu_partition::{ChunkedPartitioner, Duplication, RandomPartitioner};
     use vgpu::HardwareProfile;
 
     /// The admission floor estimate `Runner::new` compares against the hard
-    /// watermark for BFS (u32 ids, u32 messages, 4 state bytes/vertex),
-    /// maximized over devices.
+    /// watermark for BFS, maximized over devices.
     fn bfs_floor_estimate(dist: &DistGraph<u32, u64>, comm: CommStrategy) -> u64 {
-        dist.parts
-            .iter()
-            .map(|sub| {
-                estimate_footprint(
-                    AllocScheme::JustEnough,
-                    comm,
-                    dist.n_parts,
-                    sub.n_vertices(),
-                    sub.n_edges(),
-                    sub.topology_bytes(),
-                    4,
-                    4,
-                    4,
-                )
-                .total()
-            })
-            .max()
-            .unwrap()
+        let floor = |sub| estimate_bind(&Bfs::default(), sub, AllocScheme::JustEnough, comm);
+        dist.parts.iter().map(|sub| floor(sub).total()).max().unwrap()
     }
 
     #[test]
@@ -649,7 +617,7 @@ mod tests {
             run_multi_source(&g, system(), &part, config, &sources, MultiSourceMode::RepeatedBc)
                 .unwrap();
         assert!(out.ingest.csc_us > 0.0, "the CSC build is timed");
-        let mut dist = DistGraph::partition(&g, &part, 2, Primitive::Bc.duplication());
+        let mut dist = DistGraph::partition(&g, &part, 2, Duplication::All);
         dist.build_cscs();
         let mut runner = Runner::new(system(), &dist, Bc, config).unwrap();
         let (mut iterations, mut supersteps) = (0, 0);

@@ -11,12 +11,12 @@
 //! co-scheduled queries.
 //!
 //! Footprints fed to the service admission ledger come from the same
-//! [`mgpu_core::governor::estimate_footprint`] the enactor's admission
-//! walk uses: the per-device estimate *minus* the topology bytes (the
-//! topology is the shared residency, charged once per wave).
+//! [`mgpu_core::governor::estimate_bind`] the enactor's admission walk
+//! uses: the per-device estimate *minus* the topology bytes it adds, which
+//! are what the bind reserves (the topology is the shared residency,
+//! charged once per wave).
 
-use mgpu_core::governor::estimate_footprint;
-use mgpu_core::problem::Wire;
+use mgpu_core::governor::estimate_bind;
 use mgpu_core::{EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
@@ -74,9 +74,9 @@ fn parse_query(entry: &str) -> Result<QueryDesc, String> {
     Ok(QueryDesc { prim, source, mode, plan: None })
 }
 
-/// The shared-residency topology bytes per device: the max partition's
-/// CSR footprint (what [`mgpu_core::ServicePolicy::residency_bytes`]
-/// should carry).
+/// The shared-residency topology bytes per device: the largest part's
+/// `topology_bytes`, everything built for it (what
+/// [`mgpu_core::ServicePolicy::residency_bytes`] should carry).
 pub fn residency_bytes<O: Id>(dist: &DistGraph<u32, O>) -> u64 {
     dist.parts.iter().map(|s| s.topology_bytes()).max().unwrap_or(0)
 }
@@ -91,29 +91,16 @@ fn dynamic_footprint<O: Id, P: MgpuProblem<u32, O>>(
 ) -> u64 {
     let scheme = config.alloc_scheme.unwrap_or_else(|| p.alloc_scheme());
     let comm = config.comm.unwrap_or_else(|| p.comm());
-    dist.parts
-        .iter()
-        .map(|sub| {
-            estimate_footprint(
-                scheme,
-                comm,
-                dist.n_parts,
-                sub.n_vertices(),
-                sub.n_edges(),
-                sub.topology_bytes(),
-                p.state_bytes_per_vertex(),
-                4,
-                <P::Msg as Wire>::BYTES,
-            )
-            .total()
-            .saturating_sub(sub.topology_bytes())
-        })
-        .max()
-        .unwrap_or(0)
+    let dynamic = |sub| {
+        let est = estimate_bind(p, sub, scheme, comm);
+        est.total().saturating_sub(est.topology)
+    };
+    dist.parts.iter().map(dynamic).max().unwrap_or(0)
 }
 
 /// Build service query specs for `descs` against one shared residency:
-/// `dist` (with CSCs built if any descriptor is `dobfs`), the raw `graph`
+/// `dist` (carrying every array a descriptor reads, see
+/// [`Primitive::reads`]), the raw `graph`
 /// plus `owner` table for resilient queries, a hardware `profile` and
 /// overhead `shift` (see [`scaled_system`]), and the per-query enact
 /// `config`.
@@ -175,9 +162,6 @@ pub fn build_query_specs<'g, O: Id>(
                             config,
                         )
                         .with_owner(owner.clone());
-                        if prim.needs_csc() {
-                            runner = runner.with_csc();
-                        }
                         if let Some(p) = &plan {
                             runner = runner.with_fault_plan(p.clone());
                         }

@@ -36,7 +36,7 @@ use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
 use mgpu_graph::{read_mtx, Csr, GraphBuilder};
-use mgpu_partition::{DistGraph, Duplication, Partitioner, PartitionerKind};
+use mgpu_partition::{DistGraph, Duplication, Partitioner, PartitionerKind, Reads};
 use vgpu::{FaultPlan, HardwareProfile};
 
 /// Every flag of `run` and `serve`, resolved: the flag tables below write
@@ -441,7 +441,7 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
         ..Default::default()
     };
 
-    let (graph, built) = load_graph(&cli, prim == Primitive::Sssp)?;
+    let (graph, built) = load_graph(&cli, prim.reads().weights)?;
     // --- multi-source batch (--sources) ---
     let sources =
         cli.sources.as_deref().map(|spec| parse_sources(spec, graph.n_vertices())).transpose()?;
@@ -600,11 +600,11 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     let descs = parse_query_list(spec)
         .and_then(|d| if d.is_empty() { Err("the list is empty".into()) } else { Ok(d) })
         .map_err(|e| bad_command_line(format!("bad --queries {spec}: {e}")))?;
-    let wants_weights = descs.iter().any(|d| d.prim == Primitive::Sssp);
-    let wants_csc = descs.iter().any(|d| d.prim.needs_csc());
+    // the residency carries every array some query of the mix reads
+    let reads = |pick: fn(Reads) -> bool| descs.iter().any(|d| pick(d.prim.reads()));
 
-    // --- graph (weights whenever the mix contains SSSP) ---
-    let (graph, built) = load_graph(&cli, wants_weights)?;
+    // --- graph (weights whenever a query reads them) ---
+    let (graph, built) = load_graph(&cli, reads(|r| r.weights))?;
 
     // --mem-cap shrinks the per-query device pools too: admitted queries
     // that outgrow their estimate hit the runtime pressure machinery
@@ -616,11 +616,12 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     let mut ingest = IngestWall::default();
     let owner =
         timed(&mut ingest.partition_us, || cli.partitioner.seeded(cli.seed).assign(&graph, gpus));
-    // The resilient queries re-partition from the same table.
+    // The resilient queries re-partition from the same table. Every served
+    // problem is duplicate-all; a bind refuses any other partition typed.
     let mut dist = timed(&mut ingest.partition_us, || {
         DistGraph::build(&graph, owner.clone(), gpus, Duplication::All)
     });
-    if wants_csc {
+    if reads(|r| r.reverse) {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
 

@@ -49,7 +49,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mgpu_graph::Id;
-use mgpu_partition::DistGraph;
+use mgpu_partition::{DistGraph, Duplication};
 use vgpu::memory::Reservation;
 use vgpu::sync::{Contribution, Delivery};
 use vgpu::{
@@ -64,7 +64,7 @@ use crate::comm::{
 };
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog};
-use crate::problem::{MgpuProblem, Wire};
+use crate::problem::MgpuProblem;
 use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
 use crate::resilience::{
     guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
@@ -156,12 +156,15 @@ pub struct Runner<'g, V: Id, O: Id, P: MgpuProblem<V, O>> {
 }
 
 impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
-    /// Bind `problem` to `dist` on `system` (the only bind): reserves each
-    /// subgraph's topology in device memory and charges its H2D copy, sets
-    /// the id-width factor and kernel threads, walks admission control,
-    /// initializes per-GPU state and allocates the scheme-managed frontier
-    /// buffers. A system with a device count other than `dist.n_parts` is
-    /// [`VgpuError::BadDevice`].
+    /// Bind `problem` to `dist` on `system` (the only bind): reserves in
+    /// device memory what the problem reads of each subgraph
+    /// ([`MgpuProblem::reads`]) and charges its H2D copy, sets the id-width
+    /// factor and kernel threads, walks admission control, initializes
+    /// per-GPU state and allocates the scheme-managed frontier buffers. A
+    /// system with a device count other than `dist.n_parts` is
+    /// [`VgpuError::BadDevice`]; a partition built under another duplication
+    /// than the problem's, or without a CSC it reads, is
+    /// [`VgpuError::PartitionMismatch`].
     pub fn new(
         mut system: SimSystem,
         dist: &'g DistGraph<V, O>,
@@ -170,6 +173,17 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
     ) -> Result<Self> {
         if system.n_devices() != dist.n_parts {
             return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
+        }
+        let mismatch = |needs| VgpuError::PartitionMismatch { primitive: problem.name(), needs };
+        if dist.duplication != problem.duplication() {
+            return Err(mismatch(match problem.duplication() {
+                Duplication::All => "a duplicate-all partition",
+                Duplication::OneHop => "a duplicate-1-hop partition",
+            }));
+        }
+        let reads = problem.reads();
+        if reads.reverse && dist.parts.iter().any(|sub| sub.csc.is_none()) {
+            return Err(mismatch("the reverse adjacency (DistGraph::build_cscs)"));
         }
         let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
         let comm = config.comm.unwrap_or_else(|| problem.comm());
@@ -191,20 +205,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             let mut scheme = base_scheme;
             let capacity = dev.pool().capacity();
             let budget = governor::soft_budget(capacity);
-            let estimate = |scheme| {
-                governor::estimate_footprint(
-                    scheme,
-                    comm,
-                    dist.n_parts,
-                    sub.n_vertices(),
-                    sub.n_edges(),
-                    sub.topology_bytes(),
-                    problem.state_bytes_per_vertex(),
-                    V::BYTES,
-                    <P::Msg as Wire>::BYTES,
-                )
-                .total()
-            };
+            let estimate = |scheme| governor::estimate_bind(&problem, sub, scheme, comm).total();
             let mut est = estimate(scheme);
             while est > budget {
                 match governor::downgrade_scheme(scheme) {
@@ -233,7 +234,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
                     }
                 }
             }
-            let bytes = sub.topology_bytes();
+            let bytes = sub.read_bytes(reads);
             let topology = dev.pool().reserve_external(bytes)?;
             // charge the H2D copy of the graph at memory bandwidth
             let cost = dev.profile().local_copy_us(bytes);
@@ -1092,7 +1093,7 @@ mod tests {
     fn ring_of_eights() -> DistGraph<u32, u64> {
         let edges = (0..64u32).flat_map(|v| (1..=8).map(move |d| (v, (v + d) % 64))).collect();
         let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(64, edges, None));
-        DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::All)
+        DistGraph::partition(&g, &RandomPartitioner::default(), 2, Duplication::OneHop)
     }
 
     #[test]
@@ -1101,6 +1102,19 @@ mod tests {
         let three = SimSystem::homogeneous(3, HardwareProfile::k40());
         let bind = Runner::new(three, &dist, MinLabel, EnactConfig::default());
         assert_eq!(bind.err(), Some(VgpuError::BadDevice { device: 2, have: 3 }));
+    }
+
+    #[test]
+    fn a_partition_of_another_duplication_is_refused_typed() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&Coo::from_edges(4, vec![(0, 1)], None));
+        let dist = DistGraph::build(&g, vec![0, 1, 0, 1], 2, Duplication::All);
+        let system = SimSystem::homogeneous(2, HardwareProfile::k40());
+        let bind = Runner::new(system, &dist, MinLabel, EnactConfig::default());
+        let needs = "a duplicate-1-hop partition";
+        assert_eq!(
+            bind.err(),
+            Some(VgpuError::PartitionMismatch { primitive: "min-label", needs })
+        );
     }
 
     /// What the bind promises beyond the problem's own `init`: admission

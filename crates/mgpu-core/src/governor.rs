@@ -13,10 +13,11 @@
 //!
 //! Three tiers, in escalation order:
 //!
-//! 1. **Admission control** ([`estimate_footprint`], applied in
-//!    `Runner::new`): a pre-flight per-device estimate — CSR topology,
-//!    per-vertex problem state, frontier preallocation under the chosen
-//!    [`AllocScheme`], and comm staging — checked against soft/hard
+//! 1. **Admission control** ([`estimate_bind`], applied in
+//!    `Runner::new`): a pre-flight per-device estimate — the topology the
+//!    primitive reads (`MgpuProblem::reads`), per-vertex problem state,
+//!    frontier preallocation under the chosen [`AllocScheme`], and comm
+//!    staging — checked against soft/hard
 //!    watermarks of the pool capacity. Above the soft watermark the scheme is
 //!    walked down a deterministic downgrade chain
 //!    (`Max → Fixed → JustEnough`; `PreallocFusion → JustEnough`) before any
@@ -40,8 +41,12 @@
 //! across `kernel_threads`, and a memory-starved device produces results
 //! equal to an unconstrained one: slower, never wrong.
 
+use mgpu_graph::Id;
+use mgpu_partition::SubGraph;
+
 use crate::alloc::AllocScheme;
 use crate::comm::CommStrategy;
+use crate::problem::{MgpuProblem, Wire};
 
 /// Fraction of pool capacity the admission estimate may occupy before the
 /// downgrade chain is walked (the *soft* watermark; the *hard* watermark is
@@ -120,7 +125,8 @@ impl GovernorLog {
 /// A pre-flight per-device footprint estimate (admission tier).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FootprintEstimate {
-    /// CSR topology bytes (row offsets + column indices + values).
+    /// Topology bytes: what the bind reserves of the part (see
+    /// [`estimate_bind`]).
     pub topology: u64,
     /// Per-vertex problem state (labels, ranks, …).
     pub state: u64,
@@ -141,7 +147,7 @@ impl FootprintEstimate {
 }
 
 /// Estimate one device's footprint before any allocation: `topology_bytes`
-/// for the CSR, `state_bytes_per_vertex` per local vertex, the scheme's
+/// for the graph, `state_bytes_per_vertex` per local vertex, the scheme's
 /// frontier preallocation (input + output + intermediate unless fused) at
 /// `vertex_bytes` per element, and a comm staging bound — a whole-frontier
 /// package under broadcast, half under selective (the owned-border fraction
@@ -186,6 +192,28 @@ pub fn estimate_footprint(
         frontier: frontier_pre.max(1).saturating_mul(vertex_bytes).saturating_mul(n_bufs),
         comm: comm_elems.saturating_mul(vertex_bytes + msg_bytes as u64),
     }
+}
+
+/// [`estimate_footprint`] of binding `problem` to `sub` under `scheme` and
+/// `comm`. Its topology term is what the bind reserves:
+/// `sub.read_bytes(problem.reads())`, not everything the part carries.
+pub fn estimate_bind<V: Id, O: Id, P: MgpuProblem<V, O>>(
+    problem: &P,
+    sub: &SubGraph<V, O>,
+    scheme: AllocScheme,
+    comm: CommStrategy,
+) -> FootprintEstimate {
+    estimate_footprint(
+        scheme,
+        comm,
+        sub.n_parts,
+        sub.n_vertices(),
+        sub.n_edges(),
+        sub.read_bytes(problem.reads()),
+        problem.state_bytes_per_vertex(),
+        V::BYTES,
+        <P::Msg as Wire>::BYTES,
+    )
 }
 
 /// The next scheme in the deterministic downgrade chain, or `None` at the

@@ -20,7 +20,7 @@
 //!    all-GPUs-done rule.
 
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::sync::{Contribution, GlobalReduce};
 use vgpu::{Device, Result};
 
@@ -114,7 +114,14 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     fn name(&self) -> &'static str;
 
     /// Vertex-duplication strategy this primitive wants (§III-C / Table I).
+    /// A partition built under another one is refused at bind.
     fn duplication(&self) -> Duplication;
+
+    /// The arrays of its [`SubGraph`] this primitive reads beyond the CSR
+    /// structure. The bind reserves, uploads and prices exactly these and
+    /// refuses a partition lacking a CSC it reads; whoever builds a
+    /// partition asks this. No default: every primitive states it.
+    fn reads(&self) -> Reads;
 
     /// Communication strategy this primitive wants (§III-C / Table I).
     fn comm(&self) -> CommStrategy;
@@ -362,6 +369,9 @@ pub(crate) mod testing {
         }
         fn duplication(&self) -> Duplication {
             Duplication::OneHop
+        }
+        fn reads(&self) -> Reads {
+            Reads::default()
         }
         fn comm(&self) -> CommStrategy {
             CommStrategy::Selective

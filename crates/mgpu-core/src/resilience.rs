@@ -290,7 +290,9 @@ pub(crate) fn guard<T>(gpu: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
 
 /// A self-healing driver around [`Runner`]: binds a problem to a graph,
 /// enacts, and on failure retries from the last checkpoint — rebuilding the
-/// partition on the surviving devices when one is permanently lost.
+/// partition on the surviving devices when one is permanently lost. Each
+/// attempt's partition is what the problem asks for: its duplication, and
+/// the reverse adjacency if it reads one ([`MgpuProblem::reads`]).
 ///
 /// Device ids in [`RecoveryLog::lost_devices`] and in the fault plan are
 /// *original* ids; after a failover the plan is remapped onto the runtime
@@ -303,7 +305,6 @@ pub struct ResilientRunner<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> {
     owner: Vec<u32>,
     config: EnactConfig,
     plan: FaultPlan,
-    build_csc: bool,
     /// Result words harvested from the final (possibly degraded) attempt of
     /// the last [`Executor::enact`] drive — the inner [`Runner`] is torn
     /// down per attempt, so the trait's `harvest` reads this cache.
@@ -328,7 +329,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
             owner,
             config,
             plan: FaultPlan::new(),
-            build_csc: false,
             last_values: Vec::new(),
         }
     }
@@ -344,13 +344,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
     /// Attach a deterministic fault plan (device ids are original ids).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.plan = plan;
-        self
-    }
-
-    /// Build reverse adjacencies on every attempt's partition (needed by
-    /// pull-mode primitives).
-    pub fn with_csc(mut self) -> Self {
-        self.build_csc = true;
         self
     }
 }
@@ -403,7 +396,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> Executor<V> for ResilientRu
                 .collect();
             let mut dist =
                 DistGraph::build(self.graph, runtime_owner, n, self.problem.duplication());
-            if self.build_csc {
+            if self.problem.reads().reverse {
                 dist.build_cscs();
             }
             let profiles: Vec<HardwareProfile> =

@@ -36,6 +36,17 @@ pub enum Duplication {
     OneHop,
 }
 
+/// The arrays of a [`SubGraph`] a primitive reads beyond the CSR structure
+/// and the conversion tables, which every primitive reads. A bind reserves,
+/// uploads and prices exactly these; a residency may carry more.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reads {
+    /// The reverse adjacency ([`SubGraph::csc`]) its pull sides read.
+    pub reverse: bool,
+    /// The CSR's edge weights (an unweighted part reads as unit weights).
+    pub weights: bool,
+}
+
 /// The per-GPU slice of a partitioned graph.
 #[derive(Debug)]
 pub struct SubGraph<V: Id, O: Id> {
@@ -187,16 +198,26 @@ impl<V: Id, O: Id> SubGraph<V, O> {
         }
     }
 
-    /// Device-memory footprint of the graph topology in bytes (CSR + CSC if
-    /// built + conversion tables).
+    /// Footprint in bytes of everything built for this part: the CSR with
+    /// its weights, the CSC if built, and the conversion tables.
     pub fn topology_bytes(&self) -> u64 {
+        self.read_bytes(Reads { reverse: true, weights: true })
+    }
+
+    /// Device bytes of what a primitive declaring `reads` holds on this
+    /// part: the CSR structure and the conversion tables, plus the CSC and
+    /// the weights where it reads them and this part carries them.
+    pub fn read_bytes(&self, reads: Reads) -> u64 {
         let tables = self.local_to_global.as_ref().map_or(0, |t| t.len() * V::BYTES)
             + self.owner_local.as_ref().map_or(0, |t| t.len() * V::BYTES)
             + match &self.owner_of {
                 OwnerMap::Global(_) => 0, // shared, counted once host-side
                 OwnerMap::Local(t, _) => t.len() * 4,
             };
-        self.csr.bytes() + self.csc.as_ref().map_or(0, |c| c.bytes()) + tables as u64
+        let weights = self.csr.weights().map_or(0, |w| w.len() as u64 * 4);
+        let structure = self.csr.bytes() - weights;
+        let csc = self.csc.as_ref().filter(|_| reads.reverse).map_or(0, |c| c.bytes());
+        structure + if reads.weights { weights } else { 0 } + csc + tables as u64
     }
 }
 
@@ -446,8 +467,8 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         (self.partition_table[g.idx()] as usize, self.convert[g.idx()])
     }
 
-    /// Build the reverse adjacency on every part — required before running
-    /// pull-mode (direction-optimizing) primitives.
+    /// Build the reverse adjacency on every part — what a primitive whose
+    /// [`Reads::reverse`] is set needs before its bind.
     pub fn build_cscs(&mut self) {
         per_part(self.parts.iter_mut().map(|p| || p.build_csc()));
     }
@@ -593,10 +614,15 @@ mod tests {
             let csc = sub.csc.as_ref().unwrap();
             assert_eq!(csc.weights(), None);
             let (n, e) = (sub.n_vertices(), sub.n_edges());
-            assert_eq!(
-                sub.topology_bytes(),
-                sub.csr.bytes() + ((n + 1) * <u64 as Id>::BYTES + e * <u32 as Id>::BYTES) as u64
-            );
+            let csc_bytes = ((n + 1) * <u64 as Id>::BYTES + e * <u32 as Id>::BYTES) as u64;
+            assert_eq!(sub.topology_bytes(), sub.csr.bytes() + csc_bytes);
+            // a reader is charged the structure, plus only what it declares
+            let structure = sub.csr.bytes() - 4 * e as u64;
+            let reads = |reverse, weights| sub.read_bytes(Reads { reverse, weights });
+            assert_eq!(reads(false, false), structure);
+            assert_eq!(reads(true, false), structure + csc_bytes);
+            assert_eq!(reads(false, true), sub.csr.bytes());
+            assert_eq!(reads(true, true), sub.topology_bytes());
         }
     }
 

@@ -32,7 +32,7 @@ pub mod metrics;
 pub mod multilevel;
 pub mod partitioner;
 
-pub use dist::{DistGraph, Duplication, SubGraph};
+pub use dist::{DistGraph, Duplication, Reads, SubGraph};
 pub use metrics::PartitionQuality;
 pub use multilevel::MultilevelPartitioner;
 pub use partitioner::{

@@ -65,7 +65,7 @@ use mgpu_core::direction::PullSide;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_graph::{Csr, Id};
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::sync::GlobalReduce;
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
@@ -205,6 +205,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
         Duplication::All
     }
 
+    fn reads(&self) -> Reads {
+        Reads { reverse: true, weights: false }
+    }
+
     fn comm(&self) -> CommStrategy {
         CommStrategy::Selective
     }
@@ -225,15 +229,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
-        assert_eq!(
-            sub.duplication,
-            Duplication::All,
-            "this primitive's local ids must equal global ids (duplicate-all)"
-        );
-        assert!(
-            sub.csc.is_some(),
-            "BC needs the reverse adjacency: call DistGraph::build_cscs() before Runner::new"
-        );
         let n = sub.n_vertices();
         Ok(BcState {
             labels: dev.alloc(n)?,
@@ -269,7 +264,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
         }
         state.phase = BcPhase::Forward;
         state.scatter_levels = 0;
-        let csc = sub.csc.as_ref().expect("checked at init");
+        let csc = sub.csc.as_ref().expect("the bind refuses a partition without it");
         state.pull.reset((csc.n_edges() - src.map_or(0, |s| csc.degree(s))) as u64);
         state.levels = None;
         state.cur_depth = 0;
@@ -293,7 +288,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bc {
         input: &[V],
         iter: usize,
     ) -> Result<Vec<V>> {
-        let csc = sub.csc.as_ref().expect("checked at init");
+        let csc = sub.csc.as_ref().expect("the bind refuses a partition without it");
         match state.phase {
             BcPhase::Forward => {
                 let cur = iter as u32;
@@ -506,7 +501,7 @@ pub(crate) mod tests {
     use mgpu_gen::{gnm, grid2d, Dataset};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
     use mgpu_partition::DistGraph;
-    use vgpu::{HardwareProfile, SimSystem};
+    use vgpu::{HardwareProfile, SimSystem, VgpuError};
 
     /// A finished run's scores: its harvest words, `f32::from_bits`.
     fn scores(words: Vec<u64>) -> Vec<f32> {
@@ -617,12 +612,13 @@ pub(crate) mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "BC needs the reverse adjacency")]
     fn a_partition_without_the_csc_is_refused() {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(20, 40, 1));
         let dist = DistGraph::build(&g, vec![0; 20], 1, Duplication::All);
         let system = SimSystem::homogeneous(1, HardwareProfile::k40());
-        let _ = Runner::new(system, &dist, Bc, EnactConfig::default());
+        let bind = Runner::new(system, &dist, Bc, EnactConfig::default());
+        let needs = "the reverse adjacency (DistGraph::build_cscs)";
+        assert_eq!(bind.err(), Some(VgpuError::PartitionMismatch { primitive: "BC", needs }));
     }
 
     /// Summed scores match summed Brandes within the harness's tolerance,

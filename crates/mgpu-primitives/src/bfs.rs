@@ -16,7 +16,7 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -51,6 +51,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
         } else {
             Duplication::All
         }
+    }
+
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
 
     fn comm(&self) -> CommStrategy {

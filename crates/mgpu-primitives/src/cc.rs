@@ -15,7 +15,7 @@ use mgpu_core::alloc::{AllocScheme, FrontierBufs};
 use mgpu_core::comm::CommStrategy;
 use mgpu_core::problem::{MgpuProblem, Wire};
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 /// Multi-GPU connected components.
@@ -83,6 +83,10 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
         Duplication::All
     }
 
+    fn reads(&self) -> Reads {
+        Reads::default()
+    }
+
     fn comm(&self) -> CommStrategy {
         CommStrategy::Broadcast
     }
@@ -96,7 +100,6 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
-        assert_eq!(sub.duplication, Duplication::All, "CC needs the duplicate-all space");
         let n = sub.n_vertices();
         let (up, rank, label) = (dev.alloc(n)?, dev.alloc(n)?, dev.alloc(n)?);
         Ok(CcState { up, rank, label, union_hops: None })

@@ -30,7 +30,7 @@ use mgpu_core::direction::{Direction, DirectionConfig, DirectionState};
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::bfs::push_level;
@@ -73,6 +73,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
         Duplication::All
     }
 
+    fn reads(&self) -> Reads {
+        Reads { reverse: true, weights: false }
+    }
+
     fn comm(&self) -> CommStrategy {
         CommStrategy::Broadcast
     }
@@ -82,15 +86,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
-        assert_eq!(
-            sub.duplication,
-            Duplication::All,
-            "DOBFS broadcast ids must be global ids (duplicate-all)"
-        );
-        assert!(
-            sub.csc.is_some(),
-            "DOBFS needs the reverse adjacency: call DistGraph::build_cscs() before Runner::new"
-        );
         Ok(DobfsState {
             labels: dev.alloc(sub.n_vertices())?,
             dir: DirectionState::new(self.direction),
@@ -148,7 +143,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
                 push_level(dev, sub, state.labels.as_mut_slice(), bufs, input, next_label)?
             }
             Direction::Backward => {
-                let csc = sub.csc.as_ref().expect("checked at init");
+                let csc = sub.csc.as_ref().expect("the bind refuses a partition without it");
                 let labels = &state.labels;
                 // The first pull pays the one full vertex scan the switch is
                 // charged for; each later one drops the vertices discovered
@@ -220,7 +215,7 @@ mod tests {
     use mgpu_gen::preferential_attachment;
     use mgpu_graph::{Csr, GraphBuilder};
     use mgpu_partition::DistGraph;
-    use vgpu::{HardwareProfile, SimSystem};
+    use vgpu::{HardwareProfile, SimSystem, VgpuError};
 
     /// A finished run's depth labels: its harvest words, `as u32`.
     fn labels(words: Vec<u64>) -> Vec<u32> {
@@ -263,6 +258,38 @@ mod tests {
             Runner::new(system, &dist, Bfs::default(), EnactConfig::default()).unwrap();
         let report = runner.enact(Some(src)).unwrap();
         (labels(runner.harvest()), report)
+    }
+
+    /// A partition DOBFS cannot read is a typed error at bind, not a panic.
+    fn refusal(dist: &DistGraph<u32, u64>) -> Option<VgpuError> {
+        let system = SimSystem::homogeneous(dist.n_parts, HardwareProfile::k40());
+        Runner::new(system, dist, Dobfs::default(), EnactConfig::default()).err()
+    }
+
+    #[test]
+    fn a_partition_without_the_csc_is_refused() {
+        let g = soc_graph();
+        let dist = DistGraph::build(&g, vec![0; g.n_vertices()], 1, Duplication::All);
+        let needs = "the reverse adjacency (DistGraph::build_cscs)";
+        assert_eq!(
+            refusal(&dist),
+            Some(VgpuError::PartitionMismatch { primitive: "DOBFS", needs })
+        );
+    }
+
+    /// Its broadcast ids are global ids, so a duplicate-1-hop partition is
+    /// refused, CSC or not.
+    #[test]
+    fn a_one_hop_partition_is_refused() {
+        let g = soc_graph();
+        let owner = (0..g.n_vertices()).map(|v| (v % 2) as u32).collect();
+        let mut dist = DistGraph::build(&g, owner, 2, Duplication::OneHop);
+        dist.build_cscs();
+        let needs = "a duplicate-all partition";
+        assert_eq!(
+            refusal(&dist),
+            Some(VgpuError::PartitionMismatch { primitive: "DOBFS", needs })
+        );
     }
 
     #[test]

@@ -78,7 +78,7 @@ use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_core::Runner;
 use mgpu_graph::Id;
-use mgpu_partition::{DistGraph, Duplication, SubGraph};
+use mgpu_partition::{DistGraph, Duplication, Reads, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -176,6 +176,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         Duplication::All
     }
 
+    fn reads(&self) -> Reads {
+        Reads { reverse: true, weights: false }
+    }
+
     fn comm(&self) -> CommStrategy {
         CommStrategy::Selective
     }
@@ -194,10 +198,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
-        assert!(
-            sub.csc.is_some(),
-            "MS-BFS needs the reverse adjacency: call DistGraph::build_cscs() before Runner::new"
-        );
         let n = sub.n_vertices();
         let mut row_of = vec![NO_ROW; n];
         for (row, v) in (0..n).filter(|&v| sub.is_owned(V::from_usize(v))).enumerate() {
@@ -252,7 +252,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
         }
         // a source of every lane (one lane, or one vertex sourcing them all)
         // starts full
-        let csc = sub.csc.as_ref().expect("checked at init");
+        let csc = sub.csc.as_ref().expect("the bind refuses a partition without it");
         let full_in: usize = frontier
             .iter()
             .filter(|v| state.seen[v.idx()] == self.full())
@@ -314,7 +314,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
             });
         }
         let full = self.full();
-        let csc = sub.csc.as_ref().expect("checked at init");
+        let csc = sub.csc.as_ref().expect("the bind refuses a partition without it");
         // The decision: push reads the active frontier's out-rows, pull
         // scans its candidates and at most the in-rows of every vertex still
         // missing a lane here.
@@ -473,7 +473,7 @@ mod tests {
     use super::*;
     use mgpu_core::{EnactConfig, EnactReport};
     use mgpu_graph::{Coo, Csr, GraphBuilder};
-    use vgpu::{HardwareProfile, SimSystem};
+    use vgpu::{HardwareProfile, SimSystem, VgpuError};
 
     fn run_ms_bfs(
         g: &Csr<u32, u64>,
@@ -519,12 +519,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "MS-BFS needs the reverse adjacency")]
     fn a_partition_without_the_csc_is_refused() {
         let g = ladder();
         let dist = DistGraph::build(&g, vec![0; 16], 1, Duplication::All);
         let system = SimSystem::homogeneous(1, HardwareProfile::k40());
-        let _ = Runner::new(system, &dist, MsBfs::new(vec![0]), EnactConfig::default());
+        let bind = Runner::new(system, &dist, MsBfs::new(vec![0]), EnactConfig::default());
+        let needs = "the reverse adjacency (DistGraph::build_cscs)";
+        assert_eq!(bind.err(), Some(VgpuError::PartitionMismatch { primitive: "MS-BFS", needs }));
     }
 
     /// On power-law graphs the late levels cover most of V while almost
@@ -757,8 +758,12 @@ mod tests {
     /// with a typed OOM.
     #[test]
     fn admission_prices_the_lane_scaled_state() {
-        use mgpu_core::governor::estimate_footprint;
+        use mgpu_core::governor::estimate_bind;
         use mgpu_core::MgpuProblem;
+        fn floor<P: MgpuProblem<u32, u64>>(p: &P, dist: &DistGraph<u32, u64>) -> u64 {
+            let at_floor = |sub| estimate_bind(p, sub, AllocScheme::JustEnough, p.comm()).total();
+            dist.parts.iter().map(at_floor).max().unwrap()
+        }
         let g: Csr<u32, u64> = GraphBuilder::undirected(&mgpu_gen::gnm(96, 288, 5));
         let n_gpus = 2usize;
         let dist = dist_of(&g, n_gpus);
@@ -767,28 +772,8 @@ mod tests {
         // 3 bitfield words, the u32 `row_of` entry and a u32 depth per lane:
         // the row index is a real per-vertex array, so the bound counts it
         assert_eq!(state_bytes, 28 + 4 * 64, "3 bitfield words + row_of + a u32 depth per lane");
-        let floor = |state: usize, msg: usize| {
-            dist.parts
-                .iter()
-                .map(|sub| {
-                    estimate_footprint(
-                        AllocScheme::JustEnough,
-                        CommStrategy::Selective,
-                        dist.n_parts,
-                        sub.n_vertices(),
-                        sub.n_edges(),
-                        sub.topology_bytes(),
-                        state,
-                        4,
-                        msg,
-                    )
-                    .total()
-                })
-                .max()
-                .unwrap()
-        };
-        let bfs_floor = floor(4, 4);
-        let ms_floor = floor(state_bytes, 8);
+        let bfs_floor = floor(&crate::Bfs::default(), &dist);
+        let ms_floor = floor(&prim, &dist);
         assert!(bfs_floor < ms_floor, "64 lanes must cost strictly more per vertex");
         let cap = (bfs_floor + ms_floor) / 2;
         let config =

@@ -40,7 +40,7 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::sync::{Contribution, GlobalReduce};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
@@ -111,6 +111,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         Duplication::All
     }
 
+    fn reads(&self) -> Reads {
+        Reads::default()
+    }
+
     fn comm(&self) -> CommStrategy {
         CommStrategy::Selective
     }
@@ -122,11 +126,6 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
     }
 
     fn init(&self, dev: &mut Device, sub: &SubGraph<V, O>) -> Result<Self::State> {
-        assert_eq!(
-            sub.duplication,
-            Duplication::All,
-            "this primitive's local ids must equal global ids (duplicate-all)"
-        );
         let n = sub.n_vertices();
         let ranks = dev.alloc(n)?;
         let accum = dev.alloc(n)?;

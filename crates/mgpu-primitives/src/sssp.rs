@@ -31,7 +31,7 @@ use mgpu_core::comm::CommStrategy;
 use mgpu_core::ops;
 use mgpu_core::problem::MgpuProblem;
 use mgpu_graph::Id;
-use mgpu_partition::{Duplication, SubGraph};
+use mgpu_partition::{Duplication, Reads, SubGraph};
 use vgpu::{Device, DeviceArray, KernelKind, Result, COMPUTE_STREAM};
 
 use crate::INF;
@@ -100,6 +100,10 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
 
     fn duplication(&self) -> Duplication {
         Duplication::All
+    }
+
+    fn reads(&self) -> Reads {
+        Reads { reverse: false, weights: true }
     }
 
     fn comm(&self) -> CommStrategy {

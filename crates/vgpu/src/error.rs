@@ -61,6 +61,15 @@ pub enum VgpuError {
     /// The run was aborted because a *peer* device thread failed; the peer's
     /// own error carries the root cause.
     Aborted,
+    /// A primitive was bound to a partition it cannot read: one built under
+    /// another vertex duplication, or without the reverse adjacency its pull
+    /// sides read.
+    PartitionMismatch {
+        /// The primitive's name.
+        primitive: &'static str,
+        /// What the partition lacks.
+        needs: &'static str,
+    },
 }
 
 impl VgpuError {
@@ -99,6 +108,9 @@ impl fmt::Display for VgpuError {
             }
             VgpuError::Timeout { device } => write!(f, "device {device} timed out"),
             VgpuError::Aborted => write!(f, "run aborted because a peer device thread failed"),
+            VgpuError::PartitionMismatch { primitive, needs } => {
+                write!(f, "{primitive} cannot bind this partition: it needs {needs}")
+            }
         }
     }
 }
@@ -119,5 +131,7 @@ mod tests {
         assert!(VgpuError::Timeout { device: 2 }.is_transient());
         assert!(!VgpuError::DeviceLost { device: 0 }.is_transient());
         assert!(!VgpuError::Aborted.is_transient());
+        let mismatch = VgpuError::PartitionMismatch { primitive: "BC", needs: "duplicate-all" };
+        assert!(!mismatch.is_transient());
     }
 }

@@ -15,7 +15,7 @@ use mgpu_graph_analytics::core::problem::MgpuProblem;
 use mgpu_graph_analytics::core::{AllocScheme, CommStrategy, EnactConfig, FrontierBufs, Runner};
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, Reads, SubGraph};
 use mgpu_graph_analytics::vgpu::sync::GlobalReduce;
 use mgpu_graph_analytics::vgpu::{Device, DeviceArray, HardwareProfile, Result, SimSystem};
 
@@ -39,6 +39,11 @@ impl MgpuProblem<u32, u64> for Reachability {
 
     fn duplication(&self) -> Duplication {
         Duplication::All
+    }
+
+    // Reachability pushes along out-edges only: no CSC, no weights.
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
 
     fn comm(&self) -> CommStrategy {

@@ -4,14 +4,14 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use mgpu_graph_analytics::core::governor::estimate_footprint;
+use mgpu_graph_analytics::core::governor::estimate_bind;
 use mgpu_graph_analytics::core::{
     AllocScheme, CommStrategy, CommTopology, EnactConfig, FrontierBufs, MgpuProblem,
     RecoveryPolicy, Runner,
 };
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, Reads, SubGraph};
 use mgpu_graph_analytics::primitives::{bfs::BfsState, Bfs};
 use mgpu_graph_analytics::vgpu::sync::GlobalReduce;
 use mgpu_graph_analytics::vgpu::{
@@ -95,18 +95,9 @@ fn mid_run_oom_is_reported_not_deadlocked() {
     // alone: the advance cannot be split finer than a vertex.
     let bfs = Bfs::default();
     let sub = &dist.parts[1];
-    let cap = estimate_footprint(
-        AllocScheme::JustEnough,
-        MgpuProblem::<u32, u64>::comm(&bfs),
-        2,
-        sub.n_vertices(),
-        sub.n_edges(),
-        sub.topology_bytes(),
-        MgpuProblem::<u32, u64>::state_bytes_per_vertex(&bfs),
-        4,
-        4,
-    )
-    .total();
+    let cap =
+        estimate_bind(&bfs, sub, AllocScheme::JustEnough, MgpuProblem::<u32, u64>::comm(&bfs))
+            .total();
     let profiles = vec![HardwareProfile::k40(), HardwareProfile::k40().with_capacity(cap)];
     let sys =
         SimSystem::new(profiles, mgpu_graph_analytics::vgpu::Interconnect::pcie3(2, 4)).unwrap();
@@ -211,6 +202,9 @@ impl MgpuProblem<u32, u64> for FaultyBfs {
     }
     fn duplication(&self) -> Duplication {
         Duplication::All
+    }
+    fn reads(&self) -> Reads {
+        Reads::default()
     }
     fn comm(&self) -> CommStrategy {
         CommStrategy::Broadcast

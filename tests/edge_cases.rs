@@ -9,7 +9,7 @@ use mgpu_graph_analytics::core::{
 use mgpu_graph_analytics::gen::smallworld::chain;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, Reads, SubGraph};
 use mgpu_graph_analytics::primitives::{bfs::BfsState, reference, Bfs, Cc, Dobfs, Pagerank};
 use mgpu_graph_analytics::vgpu::{Device, HardwareProfile, Result as VgpuResult, SimSystem};
 
@@ -186,6 +186,9 @@ impl MgpuProblem<u32, u64> for WaveBfs {
     }
     fn duplication(&self) -> Duplication {
         MgpuProblem::<u32, u64>::duplication(&BFS)
+    }
+    fn reads(&self) -> Reads {
+        MgpuProblem::<u32, u64>::reads(&BFS)
     }
     fn comm(&self) -> CommStrategy {
         MgpuProblem::<u32, u64>::comm(&BFS)

@@ -12,14 +12,18 @@
 //! * Accounting — the report itemizes every governor decision (admission
 //!   downgrades, chunked passes, spill bytes, reclaim retries), and an
 //!   unconstrained run leaves the always-armed governor quiet.
+//! * Bind charge — a bind reserves what its problem reads
+//!   (`MgpuProblem::reads`), whatever else the residency carries, and the
+//!   admission estimate covers what the bind allocates.
 
+use mgpu_graph_analytics::core::governor::estimate_bind;
 use mgpu_graph_analytics::core::problem::MgpuProblem;
 use mgpu_graph_analytics::core::{AllocScheme, CommStrategy, EnactConfig, EnactReport, Runner};
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
+use mgpu_graph_analytics::primitives::{reference, Bc, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, Result, SimSystem, VgpuError};
 
 fn graph() -> Csr<u32, u64> {
@@ -430,4 +434,89 @@ mod service_admission {
             }
         });
     }
+}
+
+/// One graph twice: with the paper's weights, and its structure alone.
+fn weighted_and_plain() -> (Csr<u32, u64>, Csr<u32, u64>) {
+    let mut coo = preferential_attachment(400, 6, 11);
+    let plain = GraphBuilder::undirected(&coo);
+    add_paper_weights(&mut coo, 5);
+    (GraphBuilder::undirected(&coo), plain)
+}
+
+/// Two round-robin parts of `weighted_and_plain()` under `problem`'s
+/// duplication, carrying everything (`full`) or only what it reads.
+fn parts<P: MgpuProblem<u32, u64>>(problem: &P, full: bool) -> DistGraph<u32, u64> {
+    let (weighted, plain) = weighted_and_plain();
+    let reads = problem.reads();
+    let g = if full || reads.weights { &weighted } else { &plain };
+    let owner = (0..g.n_vertices()).map(|v| (v % 2) as u32).collect();
+    let mut dist = DistGraph::build(g, owner, 2, problem.duplication());
+    if full || reads.reverse {
+        dist.build_cscs();
+    }
+    dist
+}
+
+/// Bind `problem` to `dist` at the just-enough floor: each device's live
+/// bytes right after the bind, and the report of one enact from `src`.
+fn bind_and_enact<P: MgpuProblem<u32, u64>>(
+    dist: &DistGraph<u32, u64>,
+    problem: P,
+    src: Option<u32>,
+) -> (Vec<u64>, EnactReport) {
+    let config = EnactConfig { alloc_scheme: Some(AllocScheme::JustEnough), ..Default::default() };
+    let system = SimSystem::homogeneous(dist.n_parts, HardwareProfile::k40());
+    let mut runner = Runner::new(system, dist, problem, config).unwrap();
+    let live = runner.system().devices.iter().map(|d| d.pool().live()).collect();
+    (live, runner.enact(src).unwrap())
+}
+
+/// Run `check` on every primitive, each from vertex 0 where it takes a
+/// source (the macro stands in for a closure generic over the problem).
+macro_rules! for_all_seven {
+    ($check:ident) => {
+        let lanes = MsBfs::spread_sources(64, weighted_and_plain().0.n_vertices());
+        $check(Bfs::default, Some(0));
+        $check(Dobfs::default, Some(0));
+        $check(|| Sssp, Some(0));
+        $check(|| Bc, Some(0));
+        $check(|| Cc, None);
+        $check(|| Pagerank { damping: 0.85, threshold: 0.0, max_iters: 20 }, None);
+        $check(|| MsBfs::new(lanes.clone()), None);
+    };
+}
+
+/// A bind charges the arrays its problem reads and nothing else the
+/// residency carries: on a weighted partition with CSCs built, each device
+/// holds after the bind, and peaks at over the enact, exactly what it does
+/// on a partition carrying only the declared arrays.
+#[test]
+fn bind_charge_does_not_depend_on_the_residency() {
+    fn check<P: MgpuProblem<u32, u64>>(mk: impl Fn() -> P, src: Option<u32>) {
+        let name = mk().name();
+        let (full_live, full) = bind_and_enact(&parts(&mk(), true), mk(), src);
+        let (lean_live, lean) = bind_and_enact(&parts(&mk(), false), mk(), src);
+        assert_eq!(full_live, lean_live, "{name}: live bytes after the bind");
+        assert_eq!(full.peak_memory_per_device, lean.peak_memory_per_device, "{name}: peak");
+    }
+    for_all_seven!(check);
+}
+
+/// Admission prices what the bind allocates: on the full residency, the
+/// governor's estimate for the problem is at least each device's live
+/// bytes right after the bind (the reserved topology, the state and the
+/// frontier buffers).
+#[test]
+fn bind_estimate_covers_what_the_bind_allocates() {
+    fn check<P: MgpuProblem<u32, u64>>(mk: impl Fn() -> P, src: Option<u32>) {
+        let (problem, dist) = (mk(), parts(&mk(), true));
+        let (live, _) = bind_and_enact(&dist, mk(), src);
+        for (sub, live) in dist.parts.iter().zip(live) {
+            let est = estimate_bind(&problem, sub, AllocScheme::JustEnough, problem.comm());
+            let (name, est) = (problem.name(), est.total());
+            assert!(est >= live, "{name}: estimate {est} B < {live} B after the bind");
+        }
+    }
+    for_all_seven!(check);
 }

@@ -22,7 +22,7 @@ use mgpu_graph_analytics::core::{
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, SubGraph};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner, Reads, SubGraph};
 use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
 use mgpu_graph_analytics::vgpu::{Device, FaultPlan, HardwareProfile, Result, SimSystem, VgpuError};
 
@@ -304,9 +304,6 @@ fn primitives_without_checkpoints_restart_on_the_survivors() {
         let mut runner =
             ResilientRunner::homogeneous(g, problem, 3, HardwareProfile::k40(), config)
                 .with_fault_plan(FaultPlan::parse("lose:1@3").unwrap());
-        if prim.needs_csc() {
-            runner = runner.with_csc();
-        }
         let name = prim.name();
         let report = runner.enact(src).unwrap();
         assert_eq!(report.n_devices, 2, "{name} finishes on the survivors");
@@ -370,6 +367,9 @@ impl MgpuProblem<u32, u64> for PanicOnce {
     }
     fn duplication(&self) -> Duplication {
         <Bfs as MgpuProblem<u32, u64>>::duplication(&self.inner)
+    }
+    fn reads(&self) -> Reads {
+        <Bfs as MgpuProblem<u32, u64>>::reads(&self.inner)
     }
     fn comm(&self) -> CommStrategy {
         <Bfs as MgpuProblem<u32, u64>>::comm(&self.inner)
