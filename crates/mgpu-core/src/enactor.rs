@@ -79,7 +79,8 @@ pub struct EnactConfig {
     /// Override the primitive's communication strategy.
     pub comm: Option<CommStrategy>,
     /// Host threads for kernel bodies on every device (default: the
-    /// `MGPU_KERNEL_THREADS` env var, else available parallelism). Purely a
+    /// `MGPU_KERNEL_THREADS` env var, else the available parallelism shared
+    /// among the devices, `vgpu::par::default_kernel_threads`). Purely a
     /// wall-clock knob — simulated time and BSP counters are identical at
     /// every value (see `vgpu::par`).
     pub kernel_threads: Option<usize>,
@@ -192,12 +193,13 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         // Id-width bandwidth factor (Table V): baseline is 32-bit vertices
         // with 32-bit offsets; wider ids read proportionally more per edge.
         let width_factor = (V::BYTES as f64 + O::BYTES as f64 / 4.0) / 5.0;
+        let threads = config
+            .kernel_threads
+            .unwrap_or_else(|| vgpu::par::default_kernel_threads(dist.n_parts));
         let mut per_gpu = Vec::with_capacity(dist.n_parts);
         for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
             dev.set_width_factor(width_factor);
-            if let Some(t) = config.kernel_threads {
-                dev.set_kernel_threads(t);
-            }
+            dev.set_kernel_threads(threads);
             // ---- admission control: walk the scheme down the downgrade
             // chain until the pre-flight estimate fits under the soft
             // watermark; a floor scheme past the hard watermark is refused
@@ -1136,6 +1138,20 @@ mod tests {
         for dev in &runner.system().devices {
             assert_eq!(dev.width_factor(), 1.2, "u32 ids over u64 offsets (Table V)");
             assert_eq!(dev.kernel_threads(), 3);
+        }
+    }
+
+    /// Without a configured count the devices share the cores: each gets
+    /// its part of the available parallelism (or `MGPU_KERNEL_THREADS`,
+    /// which stays a per-device count), so a two-device bind on two cores
+    /// runs two kernel threads in all, not four.
+    #[test]
+    fn an_unset_kernel_thread_count_shares_the_cores_among_devices() {
+        let dist = ring_of_eights();
+        let system = SimSystem::homogeneous(2, HardwareProfile::k40());
+        let runner = Runner::new(system, &dist, MinLabel, EnactConfig::default()).unwrap();
+        for dev in &runner.system().devices {
+            assert_eq!(dev.kernel_threads(), vgpu::par::default_kernel_threads(2));
         }
     }
 }

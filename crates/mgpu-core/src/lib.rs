@@ -87,4 +87,4 @@ pub use service::{
     AdmissionRecord, BuildExecutor, QueryOutcome, QuerySpec, SchedulePlan, Service, ServicePolicy,
     ServiceReport,
 };
-pub use trace::{BspRow, Profile, Trace, WallRow};
+pub use trace::{BspRow, KernelWall, Profile, Trace, WallRow};

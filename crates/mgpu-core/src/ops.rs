@@ -48,7 +48,14 @@
 //! frontier, every charge, and every BSP counter are bit-identical at any
 //! thread count. Functors must therefore be `Fn + Sync`; frontier-claiming
 //! state goes through atomics with order-independent outcomes (CAS claims,
-//! `fetch_min` — see `vgpu::par::as_atomic_u32`). [`pull`] and
+//! `fetch_min` — see `vgpu::par::as_atomic_u32`).
+//!
+//! A claim tests before its atomic: a relaxed load rejects a destination
+//! the claim cannot win, so only the edges that may win pay a locked
+//! read-modify-write (BFS's `load == INF && compare_exchange`, SSSP's
+//! `nd < load && fetch_min`, MS-BFS's new-bits test before `fetch_or`). The
+//! atomic still decides every race the load lets through, so the claimed
+//! set — and every charge — is the one the bare atomic gives. [`pull`] and
 //! [`advance_filter_fused_seq`] stay sequential because their result or
 //! their charge depends on visit order; they charge by the same rules.
 

@@ -32,7 +32,8 @@
 //! BSP one: the wall stamps traced spans carry ([`vgpu::WallSpan`]) summed
 //! per layer — kernel bodies, split + package + encode, mailbox, decode +
 //! combine, rendezvous wait — per device and per superstep, plus the kernel
-//! bodies by kernel name. Stamps are measurements of one run on one host:
+//! bodies by kernel name with the items the meter charged them and the host
+//! ns per item. Stamps are measurements of one run on one host:
 //! no exporter writes them, and [`Profile::reconcile`] and
 //! `EnactReport::same_simulation` never look at them.
 //! [`Profile::check_wall`] checks them against the enact's wall instead.
@@ -294,6 +295,31 @@ impl WallRow {
     }
 }
 
+/// Host wall and charged items of the kernel bodies of one name, summed
+/// over devices. A kernel span's name is its `vgpu::KernelKind::name`, so a
+/// name is a kind.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KernelWall {
+    /// Kernel name (`advance+filter`, `filter`, `bulk`, …).
+    pub name: &'static str,
+    /// Measured host µs of its bodies.
+    pub wall_us: f64,
+    /// Work items the meter charged its launches.
+    pub items: u64,
+}
+
+impl KernelWall {
+    /// Host ns per charged item: how slow the body is for the work it was
+    /// charged (0 when it was charged none).
+    pub fn ns_per_item(&self) -> f64 {
+        if self.items == 0 {
+            0.0
+        } else {
+            1e3 * self.wall_us / self.items as f64
+        }
+    }
+}
+
 /// The folded BSP attribution of one [`Trace`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Profile {
@@ -315,9 +341,10 @@ pub struct Profile {
     pub wall_per_device: Vec<WallRow>,
     /// Measured host wall per layer, per superstep (summed over devices).
     pub wall_per_superstep: Vec<WallRow>,
-    /// Host wall of the kernel bodies by kernel name, summed over devices,
-    /// largest first.
-    pub wall_by_kernel: Vec<(&'static str, f64)>,
+    /// Host wall and charged items of the kernel bodies by kernel name,
+    /// summed over devices, largest wall first. The walls add up to the
+    /// kernel column.
+    pub wall_by_kernel: Vec<KernelWall>,
 }
 
 impl Profile {
@@ -327,7 +354,7 @@ impl Profile {
         let mut per_superstep: Vec<BspRow> = Vec::new();
         let mut wall_per_device = Vec::with_capacity(trace.n_devices());
         let mut wall_per_superstep: Vec<WallRow> = Vec::new();
-        let mut wall_by_kernel: Vec<(&'static str, f64)> = Vec::new();
+        let mut wall_by_kernel: Vec<KernelWall> = Vec::new();
         let mut makespan = 0.0f64;
         for events in &trace.per_device {
             let mut row = BspRow::default();
@@ -349,16 +376,23 @@ impl Profile {
                 wall_row.absorb(wall);
                 wall_per_superstep[step].absorb(wall);
                 if wall.layer == HostLayer::Kernel {
-                    match wall_by_kernel.iter_mut().find(|(name, _)| *name == e.name) {
-                        Some((_, us)) => *us += wall.dur_us,
-                        None => wall_by_kernel.push((e.name, wall.dur_us)),
+                    match wall_by_kernel.iter_mut().find(|k| k.name == e.name) {
+                        Some(k) => {
+                            k.wall_us += wall.dur_us;
+                            k.items += e.items;
+                        }
+                        None => wall_by_kernel.push(KernelWall {
+                            name: e.name,
+                            wall_us: wall.dur_us,
+                            items: e.items,
+                        }),
                     }
                 }
             }
             per_device.push(row);
             wall_per_device.push(wall_row);
         }
-        wall_by_kernel.sort_by(|a, b| b.1.total_cmp(&a.1));
+        wall_by_kernel.sort_by(|a, b| b.wall_us.total_cmp(&a.wall_us));
         let mut total = BspRow::default();
         for row in &per_device {
             total.w_us += row.w_us;
@@ -422,7 +456,8 @@ impl Profile {
     }
 
     /// Render the host-wall table: per superstep (summed over devices), per
-    /// device against the enact wall, and the kernel bodies by name.
+    /// device against the enact wall, and the kernel bodies by name with
+    /// their charged items and host ns per item.
     pub fn format_wall_table(&self, enact_wall_us: f64) -> String {
         let mut out = format!(
             "host wall (us, summed over {} devices)\n{:>5} {:>12} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
@@ -453,9 +488,15 @@ impl Profile {
                 enact_wall_us / steps
             ));
         }
-        let kernels: Vec<String> =
-            self.wall_by_kernel.iter().map(|(name, us)| format!("{name} {us:.1}")).collect();
-        out.push_str(&format!("kernel bodies by name (us): {}\n", kernels.join(", ")));
+        let kernels: Vec<String> = self
+            .wall_by_kernel
+            .iter()
+            .map(|k| {
+                let KernelWall { name, wall_us, items } = k;
+                format!("{name} {wall_us:.1} us {items} items {:.2} ns/item", k.ns_per_item())
+            })
+            .collect();
+        out.push_str(&format!("kernel bodies by name: {}\n", kernels.join(", ")));
         out
     }
 
@@ -735,9 +776,14 @@ mod tests {
     fn wall_stamps_fold_by_layer_and_kernel_name() {
         let wall = |layer, dur_us| Some(WallSpan { layer, start_us: 0.0, dur_us });
         let events = vec![
-            TraceEvent { wall: wall(HostLayer::Kernel, 5.0), ..span(TraceKind::Kernel, 0.0, 1.0) },
+            TraceEvent {
+                items: 2_000,
+                wall: wall(HostLayer::Kernel, 5.0),
+                ..span(TraceKind::Kernel, 0.0, 1.0)
+            },
             TraceEvent {
                 name: "advance",
+                items: 100,
                 wall: wall(HostLayer::Kernel, 2.0),
                 ..span(TraceKind::Kernel, 1.0, 1.0)
             },
@@ -764,10 +810,17 @@ mod tests {
         assert_eq!(p.wall_per_device, [want]);
         assert_eq!(p.wall_per_superstep[1].combine_us, 0.25);
         assert_eq!(p.wall_per_superstep[0].total(), 11.5);
-        assert_eq!(p.wall_by_kernel, [("kernel", 5.0), ("advance", 2.0)], "largest first");
+        let kernel = KernelWall { name: "kernel", wall_us: 5.0, items: 2_000 };
+        let advance = KernelWall { name: "advance", wall_us: 2.0, items: 100 };
+        assert_eq!(p.wall_by_kernel, [kernel, advance], "largest first");
+        assert_eq!((kernel.ns_per_item(), advance.ns_per_item()), (2.5, 20.0));
+        assert_eq!(KernelWall { items: 0, ..kernel }.ns_per_item(), 0.0);
         assert_eq!(p.check_wall(23.5), Ok(0.5));
         assert!(p.check_wall(10.0).is_err(), "columns past the enact wall");
-        assert!(p.format_wall_table(23.5).contains("kernel bodies by name (us): kernel 5.0"));
+        assert!(p.format_wall_table(23.5).contains(
+            "kernel bodies by name: kernel 5.0 us 2000 items 2.50 ns/item, \
+             advance 2.0 us 100 items 20.00 ns/item"
+        ));
     }
 
     /// Hop labels from vertex 0 over a ring of 64 vertices each joined to its
@@ -806,10 +859,32 @@ mod tests {
             assert!(row.total() <= report.wall_time_us, "device {dev}: {row:?}");
         }
         assert!(profile.check_wall(report.wall_time_us).is_ok());
-        assert_eq!(profile.wall_by_kernel.first().map(|k| k.0), Some("advance"));
+        assert_eq!(profile.wall_by_kernel.first().map(|k| k.name), Some("advance"));
         // every rendezvous wait reaches the table through a sync span
         let syncs = report.trace.as_ref().unwrap().per_device.iter().flatten();
         assert!(syncs.filter(|e| e.kind == TraceKind::Sync).all(|e| e.wall.is_some()));
+    }
+
+    /// The kernel line names the owner of the kernel column: its walls add
+    /// up to the column and its items to every item the trace's primitive
+    /// kernels were charged, so each name's ns per item is its share.
+    #[test]
+    fn the_kernel_line_splits_the_kernel_column_and_the_charged_items() {
+        let (report, _) = enact_min_label(true);
+        let trace = report.trace.as_ref().expect("traced");
+        let profile = Profile::from_trace(trace);
+        let column: f64 = profile.wall_per_device.iter().map(|r| r.kernel_us).sum();
+        let walls: f64 = profile.wall_by_kernel.iter().map(|k| k.wall_us).sum();
+        assert!(column > 0.0);
+        assert!((walls - column).abs() <= 1e-9 * column, "{walls} us by name, {column} us column");
+        let kernels = trace.per_device.iter().flatten().filter(|e| e.kind == TraceKind::Kernel);
+        let items: u64 = kernels.map(|e| e.items).sum();
+        assert_eq!(profile.wall_by_kernel.iter().map(|k| k.items).sum::<u64>(), items);
+        assert!(profile.wall_by_kernel.iter().any(|k| k.name == "advance" && k.items > 0));
+        let mut names: Vec<_> = profile.wall_by_kernel.iter().map(|k| k.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), profile.wall_by_kernel.len(), "one entry per name");
     }
 
     #[test]

@@ -86,14 +86,30 @@ pub struct SubGraph<V: Id, O: Id> {
     /// owned by j that this GPU's edges point at (outgoing vertex border,
     /// §III-A). `border_out[gpu] == 0`.
     pub border_out: Vec<usize>,
+    /// The outgoing border itself: every non-owned local vertex an owned
+    /// row points at, ascending local ids (`n_local..` under
+    /// duplicate-1-hop, where those are exactly the proxies). Counted per
+    /// owner it is `border_out`.
+    pub border: Vec<V>,
 }
 
-/// Set bit `i` of a border bitset; true the first time it is set.
-fn first_sight(seen: &mut [u64], i: usize) -> bool {
-    let (word, bit) = (i / 64, 1u64 << (i % 64));
-    let first = seen[word] & bit == 0;
-    seen[word] |= bit;
-    first
+/// Set bit `i` of a border bitset.
+fn mark(seen: &mut [u64], i: usize) {
+    seen[i / 64] |= 1 << (i % 64);
+}
+
+/// The set bits of a bitset, ascending.
+fn set_bits(seen: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    seen.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
 }
 
 /// Run one job per part concurrently — the first on the calling thread, the
@@ -310,7 +326,6 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         let mut cols = Vec::with_capacity(n_edges);
         let mut weights = graph.weights().map(|_| Vec::with_capacity(n_edges));
         let mut seen = vec![0u64; n.div_ceil(64)];
-        let mut border_out = vec![0usize; n_parts];
         for v in 0..n {
             offsets.push(O::from_usize(cols.len()));
             if table[v] as usize != gpu {
@@ -323,13 +338,17 @@ impl<V: Id, O: Id> DistGraph<V, O> {
                 out.extend_from_slice(&w[range]);
             }
             for &d in row {
-                let od = table[d.idx()] as usize;
-                if od != gpu && first_sight(&mut seen, d.idx()) {
-                    border_out[od] += 1;
+                if table[d.idx()] as usize != gpu {
+                    mark(&mut seen, d.idx());
                 }
             }
         }
         offsets.push(O::from_usize(cols.len()));
+        let border: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
+        let mut border_out = vec![0usize; n_parts];
+        for b in &border {
+            border_out[table[b.idx()] as usize] += 1;
+        }
         SubGraph {
             gpu,
             n_parts,
@@ -342,6 +361,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             owner_of: OwnerMap::Global(Arc::clone(table)),
             owner_local: None,
             border_out,
+            border,
         }
     }
 
@@ -394,17 +414,16 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         let n = graph.n_vertices();
         let n_local = owned.len();
         let mut seen = vec![0u64; n.div_ceil(64)];
-        let mut proxies: Vec<V> = Vec::new();
         let mut n_edges = 0usize;
         for &v in owned {
             n_edges += graph.degree(v);
             for &d in graph.neighbors(v) {
-                if table[d.idx()] as usize != gpu && first_sight(&mut seen, d.idx()) {
-                    proxies.push(d);
+                if table[d.idx()] as usize != gpu {
+                    mark(&mut seen, d.idx());
                 }
             }
         }
-        proxies.sort_unstable();
+        let proxies: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
 
         // Global → local for everything this part's edges can name; entries
         // of vertices that are neither owned nor proxied are never read.
@@ -457,6 +476,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             owner_of: OwnerMap::Local(owner_of, std::marker::PhantomData),
             owner_local: Some(owner_local),
             border_out,
+            border: (n_local..n_vi).map(V::from_usize).collect(),
         }
     }
 
@@ -624,6 +644,72 @@ mod tests {
             assert_eq!(reads(false, true), sub.csr.bytes());
             assert_eq!(reads(true, true), sub.topology_bytes());
         }
+    }
+
+    /// The border by its definition, read off a part's local CSR: every
+    /// non-owned local vertex with an in-edge from an owned row, ascending.
+    fn naive_border(sub: &SubGraph<u32, u64>) -> Vec<u32> {
+        let n = sub.n_vertices() as u32;
+        let mut hit = vec![false; n as usize];
+        for v in (0..n).filter(|&v| sub.is_owned(v)) {
+            for &d in sub.csr.neighbors(v) {
+                hit[d as usize] |= !sub.is_owned(d);
+            }
+        }
+        (0..n).filter(|&v| hit[v as usize]).collect()
+    }
+
+    /// Check every part's border against the naive scan and, counted per
+    /// owner, against `border_out`.
+    fn check_borders(g: &Csr<u32, u64>, owner: &[u32], n_parts: usize) -> Vec<usize> {
+        let mut sizes = Vec::new();
+        for dup in [Duplication::All, Duplication::OneHop] {
+            let dg = DistGraph::build(g, owner.to_vec(), n_parts, dup);
+            for sub in &dg.parts {
+                let at = format!("{dup:?}, part {} of {n_parts}", sub.gpu);
+                assert_eq!(sub.border, naive_border(sub), "{at}");
+                let mut per_owner = vec![0usize; n_parts];
+                for &b in &sub.border {
+                    per_owner[sub.owner(b) as usize] += 1;
+                }
+                assert_eq!(per_owner, sub.border_out, "{at}");
+                if dup == Duplication::OneHop {
+                    let proxies: Vec<u32> = (sub.n_local as u32..sub.n_vertices() as u32).collect();
+                    assert_eq!(sub.border, proxies, "{at}: the border is the proxy range");
+                }
+                sizes.push(sub.border.len());
+            }
+        }
+        sizes
+    }
+
+    #[test]
+    fn the_border_is_every_proxy_an_owned_row_points_at() {
+        use crate::partitioner::{ChunkedPartitioner, RandomPartitioner};
+        let undirected = {
+            let mut coo = mgpu_gen::gnm(150, 500, 3);
+            coo.n_vertices = 160; // ten isolated vertices at the end
+            GraphBuilder::undirected(&coo)
+        };
+        let directed: Csr<u32, u64> =
+            GraphBuilder::build(&mgpu_gen::gnm(120, 300, 4), BuildOptions::directed());
+        for g in [&undirected, &directed] {
+            for n_parts in 1..=4 {
+                let random = RandomPartitioner::default().assign(g, n_parts);
+                let chunked = ChunkedPartitioner.assign(g, n_parts);
+                for owner in [random, chunked] {
+                    let sizes = check_borders(g, &owner, n_parts);
+                    assert_eq!(sizes.iter().any(|&b| b > 0), n_parts > 1, "{n_parts} parts");
+                }
+            }
+        }
+        // two components, one per part, and a third part owning only the
+        // isolated vertices: no part has a cut edge, so none has a border
+        let mut edges: Vec<(u32, u32)> = (0..5).map(|i| (i, i + 1)).collect();
+        edges.extend((6..11).map(|i| (i, i + 1)));
+        let g = GraphBuilder::undirected(&Coo::from_edges(15, edges, None));
+        let owner: Vec<u32> = (0..15).map(|v| (v / 6).min(2)).collect();
+        assert_eq!(check_borders(&g, &owner, 3), vec![0; 6]);
     }
 
     #[test]

@@ -154,7 +154,9 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
 /// unvisited out-neighbour of `input` with `next_label` and return them.
 /// Labels are claimed with CAS (the GPU atomicCAS idiom): each unvisited
 /// vertex is won by exactly one claimant, so the discovered *set* and final
-/// labels are schedule-independent.
+/// labels are schedule-independent. A claim tests before its atomic: an edge
+/// into a labelled vertex costs one relaxed load, not a locked CAS, and the
+/// CAS still decides every race the load lets through.
 pub(crate) fn push_level<V: Id, O: Id>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
@@ -168,7 +170,10 @@ pub(crate) fn push_level<V: Id, O: Id>(
     if bufs.scheme().fused() {
         // §VI-C: one kernel, no intermediate frontier.
         ops::advance_filter_fused(dev, sub, bufs, input, |_, _, d| {
-            labels[d.idx()].compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok().then_some(d)
+            let label = &labels[d.idx()];
+            (label.load(Relaxed) == INF
+                && label.compare_exchange(INF, next_label, Relaxed, Relaxed).is_ok())
+            .then_some(d)
         })
     } else {
         // Merrill-style expand (advance) then contract (filter).

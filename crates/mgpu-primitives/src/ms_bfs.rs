@@ -452,17 +452,34 @@ pub fn gather_lane_depths<V: Id, O: Id>(
     dist: &DistGraph<V, O>,
     lanes: usize,
 ) -> Vec<Vec<u32>> {
-    // one `locate` per vertex, then its contiguous lane row: the per-lane
-    // `gather` resolved every vertex `lanes` times and read with a row stride
-    let mut out: Vec<Vec<u32>> = (0..lanes).map(|_| Vec::with_capacity(dist.n_global)).collect();
-    for g in 0..dist.n_global {
-        let (gpu, local) = dist.locate(V::from_usize(g));
-        let state = runner.state(gpu);
-        let seen = state.seen[local.idx()];
-        let row = state.row_of[local.idx()] as usize;
-        let row = &state.depth.as_slice()[row * lanes..][..lanes];
-        for (lane, (depths, &d)) in out.iter_mut().zip(row).enumerate() {
-            depths.push(if (seen >> lane) & 1 == 1 { d } else { INF });
+    // Every lane starts unreached. Then, one tile of vertices at a time,
+    // each vertex is located once and every lane's slice of the tile is
+    // filled from the tile's depth rows, which stay in cache across lanes:
+    // each store lands next to the last one instead of `lanes` arrays apart.
+    const TILE: usize = 256;
+    let n = dist.n_global;
+    let mut out = vec![vec![INF; n]; lanes];
+    let mut tile: Vec<(u64, &[u32])> = Vec::with_capacity(TILE);
+    for base in (0..n).step_by(TILE) {
+        tile.clear();
+        tile.extend((base..n.min(base + TILE)).map(|g| {
+            let (gpu, local) = dist.locate(V::from_usize(g));
+            let state = runner.state(gpu);
+            match state.seen[local.idx()] {
+                0 => (0, &[][..]),
+                seen => {
+                    let row = state.row_of[local.idx()] as usize;
+                    (seen, &state.depth.as_slice()[row * lanes..][..lanes])
+                }
+            }
+        }));
+        for (lane, depths) in out.iter_mut().enumerate() {
+            let slots = &mut depths[base..base + tile.len()];
+            for (slot, &(seen, row)) in slots.iter_mut().zip(&tile) {
+                if (seen >> lane) & 1 == 1 {
+                    *slot = row[lane];
+                }
+            }
         }
     }
     out
@@ -567,6 +584,29 @@ mod tests {
             assert_eq!(depths[lane], expect, "lane {lane}");
         }
         assert_eq!(report.iterations, deepest as usize + 1);
+    }
+
+    /// The tiled gather writes every lane of every vertex: on 613 vertices
+    /// (two full tiles and a partial one) whose last 13 are isolated, each
+    /// lane equals an independent BFS, `INF` where it never reached, at 1,
+    /// 3 and 64 lanes over 1–3 GPUs. The 64-lane batch starts one lane on
+    /// an isolated vertex, which reaches only itself.
+    #[test]
+    fn gathered_lanes_equal_independent_bfs_runs_past_a_partial_tile() {
+        let mut coo = mgpu_gen::gnm(600, 1400, 7);
+        coo.n_vertices = 613;
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        for lanes in [1, 3, 64] {
+            let sources = MsBfs::spread_sources(lanes, g.n_vertices());
+            let expect: Vec<Vec<u32>> =
+                sources.iter().map(|&s| crate::reference::bfs(&g, s as u32)).collect();
+            assert!(expect.iter().all(|d| d.contains(&INF)), "every lane misses some vertex");
+            for n_gpus in 1..=3 {
+                let dist = dist_of(&g, n_gpus);
+                let (depths, _, _) = enact(&dist, sources.clone(), EnactConfig::default());
+                assert_eq!(depths, expect, "{lanes} lanes on {n_gpus} GPUs");
+            }
+        }
     }
 
     /// `harvest()` reads the reached-lane bitfield: bit `l` of vertex `v`'s

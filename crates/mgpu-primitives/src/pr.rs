@@ -27,7 +27,8 @@
 //! * **Communication:** selective. Only the border proxies whose accumulated
 //!   mass is non-zero after the advance go to their hosts, and only those
 //!   are cleared — the changed border, not the paper's fixed remote
-//!   sub-frontier. `H ∈ O(|B_i|)` per superstep at most.
+//!   sub-frontier. `H ∈ O(|B_i|)` per superstep at most. The border is the
+//!   partition's ([`SubGraph::border`]); the bind scans only ownership.
 //! * **Combination:** atomicAdd of received mass into the owner's `A`.
 //! * **Convergence:** the run ends after superstep `max_iters` (which
 //!   applies the change and sends nothing), after the first superstep past
@@ -71,7 +72,7 @@ impl Default for Pagerank {
 /// Per-GPU PageRank state. Read ranks through the harvest: a rank is
 /// `ranks + accum`, never one array alone.
 #[derive(Debug)]
-pub struct PrState {
+pub struct PrState<V> {
     /// Rank already spread (`s`) for owned vertices (0 at proxies).
     ranks: DeviceArray<f32>,
     /// Unspread rank change (`A`) of owned vertices; mass bound for the
@@ -82,12 +83,10 @@ pub struct PrState {
     /// `is_owned[v]`: received mass lands only here, so a broadcast copy of
     /// another device's proxy never becomes mass this device sends on.
     is_owned: Vec<bool>,
-    /// Border vertices: proxies with local in-edges.
-    border: Vec<usize>,
     /// The border proxies sent last superstep, cleared by the next apply.
-    sent: Vec<usize>,
+    sent: Vec<V>,
     /// The vertices this superstep spreads (scratch, reused).
-    active: Vec<usize>,
+    active: Vec<V>,
     /// Residual `Σ|A|` read by the last apply pass.
     residual: f64,
     /// `|V|`: under duplicate-all the local space is the global one.
@@ -100,7 +99,7 @@ pub struct PrState {
 }
 
 impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
-    type State = PrState;
+    type State = PrState<V>;
     type Msg = f32;
 
     fn name(&self) -> &'static str {
@@ -129,27 +128,17 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         let n = sub.n_vertices();
         let ranks = dev.alloc(n)?;
         let accum = dev.alloc(n)?;
-        // One pass over local edges discovers the border.
-        let (owned, is_owned, border) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
+        // One ownership scan; the border comes with the partition.
+        let (owned, is_owned) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
             let is_owned: Vec<bool> = (0..n).map(|v| sub.is_owned(V::from_usize(v))).collect();
             let owned: Vec<usize> = (0..n).filter(|&v| is_owned[v]).collect();
-            let mut is_border = vec![false; n];
-            for &v in &owned {
-                for &d in sub.csr.neighbors(V::from_usize(v)) {
-                    if !is_owned[d.idx()] {
-                        is_border[d.idx()] = true;
-                    }
-                }
-            }
-            let border: Vec<usize> = (0..n).filter(|&v| is_border[v]).collect();
-            ((owned, is_owned, border), (n + sub.n_edges()) as u64)
+            ((owned, is_owned), n as u64)
         })?;
         Ok(PrState {
             ranks,
             accum,
             owned,
             is_owned,
-            border,
             sent: Vec::new(),
             active: Vec::new(),
             residual: f64::INFINITY,
@@ -204,8 +193,8 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         // spread it.
         let PrState { ranks, accum, owned, sent, active, .. } = state;
         state.residual = ops::compute(dev, (owned.len() + sent.len()) as u64, || {
-            for &v in sent.iter() {
-                accum[v] = 0.0;
+            for v in sent.iter() {
+                accum[v.idx()] = 0.0;
             }
             sent.clear();
             active.clear();
@@ -220,7 +209,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
                     accum[v] = a;
                     if !last && a.abs() > tau * (ranks[v] + a) {
                         ranks[v] += a;
-                        active.push(v);
+                        active.push(V::from_usize(v));
                     }
                 }
             }
@@ -234,22 +223,20 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         // the merge happens in chunk order, so the resulting f32 bits are
         // identical at every thread count.
         let damping = self.damping as f32;
-        let frontier: Vec<V> = state.active.iter().map(|&v| V::from_usize(v)).collect();
-        let PrState { accum, partial_scratch, .. } = state;
+        let PrState { accum, partial_scratch, active, .. } = state;
         ops::advance_accumulate(
             dev,
             sub,
             bufs,
-            &frontier,
+            active,
             accum.as_mut_slice(),
             partial_scratch,
             |s, a| damping * a / sub.csr.degree(s) as f32,
         )?;
         // Send: the border proxies the advance left holding mass.
-        let border: Vec<V> = state.border.iter().map(|&v| V::from_usize(v)).collect();
         let accum = &state.accum;
-        let out = ops::filter(dev, &border, |v| accum[v.idx()] != 0.0)?;
-        state.sent.extend(out.iter().map(|v| v.idx()));
+        let out = ops::filter(dev, &sub.border, |v| accum[v.idx()] != 0.0)?;
+        state.sent.extend_from_slice(&out);
         Ok(out)
     }
 
@@ -291,7 +278,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
 }
 
 /// The rank of owned local vertex `v`: what it spread plus what it holds.
-fn rank(state: &PrState, v: usize) -> f32 {
+fn rank<V>(state: &PrState<V>, v: usize) -> f32 {
     state.ranks[v] + state.accum[v]
 }
 
@@ -347,6 +334,25 @@ mod tests {
                 let (ranks, report) = run_with(&g, n, pr, config);
                 assert_close(&ranks, &reference, 1e-3);
                 assert!(report.iterations <= 21, "{n} GPUs {comm:?}: {}", report.iterations);
+            }
+        }
+    }
+
+    /// The border comes with the partition, so a bind scans ownership only:
+    /// one launch charged the device's `n` vertices, not `n + |E_i|`.
+    #[test]
+    fn the_bind_charges_the_ownership_scan_only() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(100, 600, 21));
+        for n_gpus in [1, 2, 3] {
+            let owner: Vec<u32> = (0..g.n_vertices()).map(|v| (v % n_gpus) as u32).collect();
+            let dist = DistGraph::build(&g, owner, n_gpus, Duplication::All);
+            let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
+            let config = EnactConfig::default();
+            let runner = Runner::new(system, &dist, Pagerank::default(), config).unwrap();
+            for (dev, sub) in runner.system().devices.iter().zip(&dist.parts) {
+                assert!(sub.n_edges() > 0);
+                assert_eq!(dev.counters.w_items, sub.n_vertices() as u64, "{n_gpus} GPUs");
+                assert_eq!(dev.counters.kernel_launches, 1, "{n_gpus} GPUs");
             }
         }
     }

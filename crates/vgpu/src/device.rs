@@ -120,7 +120,7 @@ impl Device {
             pool,
             streams: vec![Stream::new(0.0), Stream::new(0.0)],
             width_factor: 1.0,
-            kernel_threads: crate::par::default_kernel_threads(),
+            kernel_threads: crate::par::default_kernel_threads(1),
             fault: None,
             pending_fault: None,
             retry_max: 0,

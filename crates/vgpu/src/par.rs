@@ -71,11 +71,12 @@ pub fn plan_weighted_chunks(
     chunks
 }
 
-/// Default worker count for kernel bodies: `MGPU_KERNEL_THREADS` if set to a
-/// positive integer, otherwise the machine's available parallelism capped at
-/// 8 (beyond that the per-launch spawn cost outweighs the win for the kernel
-/// sizes this substrate sees).
-pub fn default_kernel_threads() -> usize {
+/// Default worker count for the kernel bodies of each of `devices` devices
+/// that run at once: `MGPU_KERNEL_THREADS` if set to a positive integer (a
+/// per-device count), otherwise the machine's available parallelism shared
+/// among the devices, at least 1 and at most 8 (beyond that the per-launch
+/// spawn cost outweighs the win for the kernel sizes this substrate sees).
+pub fn default_kernel_threads(devices: usize) -> usize {
     if let Ok(s) = std::env::var("MGPU_KERNEL_THREADS") {
         if let Ok(n) = s.trim().parse::<usize>() {
             if n >= 1 {
@@ -83,7 +84,8 @@ pub fn default_kernel_threads() -> usize {
             }
         }
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (cores / devices.max(1)).clamp(1, 8)
 }
 
 /// Run `n_chunks` independent tasks on up to `threads` workers and return
@@ -284,6 +286,20 @@ mod tests {
     fn env_override_is_clamped_to_one() {
         // can't set the env var safely under the parallel test harness; just
         // exercise the default path
-        assert!(default_kernel_threads() >= 1);
+        assert!(default_kernel_threads(1) >= 1);
+    }
+
+    #[test]
+    fn the_default_shares_the_cores_among_devices() {
+        // can't set the env var safely under the parallel test harness, so
+        // the shares are checked only where it is unset
+        if std::env::var_os("MGPU_KERNEL_THREADS").is_some() {
+            return;
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(default_kernel_threads(1), cores.min(8));
+        assert_eq!(default_kernel_threads(2), (cores / 2).clamp(1, 8));
+        assert_eq!(default_kernel_threads(cores + 1), 1, "never below one thread");
+        assert_eq!(default_kernel_threads(0), default_kernel_threads(1));
     }
 }

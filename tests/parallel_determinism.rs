@@ -5,7 +5,7 @@
 //! `kernel_threads` host threads, but every metered quantity — kernel item
 //! counts, wire bytes, combine items, and therefore `sim_time_us` and every
 //! BSP counter — is a pure function of the workload, never of the thread
-//! schedule. These tests pin that contract end-to-end: BFS, SSSP, BC,
+//! schedule. These tests pin that contract end-to-end: BFS, DOBFS, SSSP, BC,
 //! MS-BFS and PageRank produce bit-identical results, simulated clocks and
 //! counters at 1 and 4 kernel threads, across GPU counts and both
 //! communication strategies.
@@ -20,7 +20,9 @@ use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication};
 use mgpu_graph_analytics::core::MgpuProblem;
-use mgpu_graph_analytics::primitives::{ms_bfs::gather_lane_depths, Bc, Bfs, MsBfs, Pagerank, Sssp};
+use mgpu_graph_analytics::primitives::{
+    ms_bfs::gather_lane_depths, Bc, Bfs, Dobfs, MsBfs, Pagerank, Sssp,
+};
 use mgpu_graph_analytics::vgpu::{HardwareProfile, SimSystem};
 
 const GPU_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -62,7 +64,9 @@ fn words_u32(words: Vec<u64>) -> Vec<u32> {
     words.into_iter().map(|w| w as u32).collect()
 }
 
-fn run_bfs(
+/// A single-source traversal (BFS, DOBFS, BC) from vertex 0.
+fn run_from_zero<P: MgpuProblem<u32, u64>>(
+    problem: P,
     g: &Csr<u32, u64>,
     n_gpus: usize,
     comm: Option<CommStrategy>,
@@ -70,9 +74,18 @@ fn run_bfs(
 ) -> (Vec<u32>, EnactReport) {
     let dist = dist_for(g, n_gpus);
     let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-    let mut runner = Runner::new(system, &dist, Bfs::default(), config(comm, threads)).unwrap();
+    let mut runner = Runner::new(system, &dist, problem, config(comm, threads)).unwrap();
     let report = runner.enact(Some(0u32)).unwrap();
     (words_u32(runner.harvest()), report)
+}
+
+fn run_bfs(
+    g: &Csr<u32, u64>,
+    n_gpus: usize,
+    comm: Option<CommStrategy>,
+    threads: usize,
+) -> (Vec<u32>, EnactReport) {
+    run_from_zero(Bfs::default(), g, n_gpus, comm, threads)
 }
 
 fn run_sssp(
@@ -105,19 +118,6 @@ fn run_pr(
     (words_u32(runner.harvest()), report)
 }
 
-fn run_bc(
-    g: &Csr<u32, u64>,
-    n_gpus: usize,
-    comm: Option<CommStrategy>,
-    threads: usize,
-) -> (Vec<u32>, EnactReport) {
-    let dist = dist_for(g, n_gpus);
-    let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-    let mut runner = Runner::new(system, &dist, Bc, config(comm, threads)).unwrap();
-    let report = runner.enact(Some(0u32)).unwrap();
-    (words_u32(runner.harvest()), report)
-}
-
 #[test]
 fn bfs_is_bit_identical_across_kernel_thread_counts() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(200, 1200, 17));
@@ -126,6 +126,23 @@ fn bfs_is_bit_identical_across_kernel_thread_counts() {
             let seq = run_bfs(&g, n, comm, 1);
             let par = run_bfs(&g, n, comm, 4);
             assert_identical(&seq, &par, &format!("BFS {n} GPUs comm {comm:?}"));
+        }
+    }
+}
+
+/// DOBFS's forward levels run BFS's claim (a relaxed load, then the CAS);
+/// on a power-law graph its middle levels pull. Labels, clocks and every
+/// charge are identical at 1 and 4 kernel threads, and equal BFS's labels.
+#[test]
+fn dobfs_is_bit_identical_across_kernel_thread_counts() {
+    let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(3000, 8, 11));
+    for n in [1usize, 2, 4] {
+        for comm in COMMS {
+            let seq = run_from_zero(Dobfs::default(), &g, n, comm, 1);
+            let par = run_from_zero(Dobfs::default(), &g, n, comm, 4);
+            assert_identical(&seq, &par, &format!("DOBFS {n} GPUs comm {comm:?}"));
+            assert!(seq.1.same_simulation(&par.1), "DOBFS {n} GPUs comm {comm:?}");
+            assert_eq!(seq.0, run_bfs(&g, n, comm, 1).0, "DOBFS {n} GPUs comm {comm:?}");
         }
     }
 }
@@ -178,8 +195,8 @@ fn bc_is_bit_identical_across_kernel_thread_counts() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&preferential_attachment(3000, 8, 5));
     for n in [1usize, 2, 4] {
         for comm in COMMS {
-            let seq = run_bc(&g, n, comm, 1);
-            let par = run_bc(&g, n, comm, 4);
+            let seq = run_from_zero(Bc, &g, n, comm, 1);
+            let par = run_from_zero(Bc, &g, n, comm, 4);
             assert_identical(&seq, &par, &format!("BC {n} GPUs comm {comm:?}"));
             assert!(seq.1.same_simulation(&par.1), "BC {n} GPUs comm {comm:?}");
         }
