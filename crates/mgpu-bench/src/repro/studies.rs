@@ -6,7 +6,7 @@ use mgpu_core::{
     CommTopology, EnactConfig, EnactReport, Profile, Service, ServicePolicy, ServiceReport,
     WireEncoding,
 };
-use mgpu_partition::{DistGraph, Duplication, Partitioner};
+use mgpu_partition::{DistGraph, Duplication};
 use mgpu_primitives::MsBfs;
 use vgpu::{HardwareProfile, Result};
 
@@ -247,12 +247,10 @@ pub(super) fn service(ctx: &Ctx) -> Result<Outcome> {
     let part = ctx.random();
     let mut dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
     dist.build_cscs(); // the mix includes DOBFS and BC
-    let owner = part.assign(&g, GPUS);
     let descs = parse_query_list(MIX).expect("MIX is in the grammar");
     let k40 = HardwareProfile::k40();
-    let specs =
-        build_query_specs(&g, &dist, &owner, k40, ctx.shift, EnactConfig::default(), &descs)
-            .expect("every analog has a vertex 1");
+    let specs = build_query_specs(&g, &dist, k40, ctx.shift, EnactConfig::default(), &descs)
+        .expect("every analog has a vertex 1");
     let residency = residency_bytes(&dist);
     let footprints = || specs.iter().map(|s| s.footprint_bytes);
     let (min_fp, max_fp) = (footprints().min().unwrap_or(0), footprints().max().unwrap_or(0));

@@ -1,14 +1,13 @@
 //! Uniform primitive dispatch for the experiment binaries.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, Executor, ResilientRunner, Runner};
+use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::{DistGraph, Partitioner, Reads};
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};
 use mgpu_core::problem::MgpuProblem;
-use vgpu::{FaultPlan, Result, SimSystem, VgpuError};
+use vgpu::{Result, SimSystem, VgpuError};
 
 /// The six evaluated primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,9 +123,7 @@ impl Primitive {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IngestWall {
     /// `Partitioner::assign` + `DistGraph::build` in µs, summed over the
-    /// re-partitions of a governed retry chain. The resilient executor
-    /// builds its host graphs inside each attempt, so there this is the
-    /// `assign` alone.
+    /// re-partitions of a governed retry chain.
     pub partition_us: f64,
     /// `DistGraph::build_cscs` in µs; 0 for primitives that never pull.
     pub csc_us: f64,
@@ -219,34 +216,20 @@ pub fn run_primitive<O: Id>(
     config: EnactConfig,
 ) -> Result<RunOutcome> {
     let src = prim.needs_source().then(|| pick_source(g));
-    // A downgrade retry consumes the system, so capture what a rebuild needs
-    // up front (profiles, fabric, fault injector).
-    let profiles: Vec<_> = system.devices.iter().map(|d| d.profile().clone()).collect();
-    let fabric = (*system.interconnect).clone();
-    let injector = system.fault_injector();
-    let mut system = Some(system);
+    let all: Vec<usize> = (0..system.n_devices()).collect();
+    let mut system = system;
     let mut cfg = config;
     let mut one_hop = false;
     let mut notes: Vec<Downgrade> = Vec::new();
     let mut ingest = IngestWall::default();
     loop {
-        let sys = match system.take() {
-            Some(s) => s,
-            None => {
-                let mut s = SimSystem::new(profiles.clone(), fabric.clone())?;
-                if let Some(inj) = &injector {
-                    for d in &mut s.devices {
-                        d.set_fault_injector(Some(Arc::clone(inj)));
-                    }
-                }
-                s
-            }
-        };
+        // a bind consumes its system: a refused one retries on a fresh copy
+        let retry = system.survivors(&all);
         // a broadcast override may be dropped only for a problem that
         // prefers selective itself (CC and DOBFS need broadcast wire ids)
         let (attempt, selective) = with_problem!(prim, one_hop, |p| {
             let selective = MgpuProblem::<u32, O>::comm(&p) == CommStrategy::Selective;
-            let bound = bind_partitioned(g, partitioner, sys, cfg, p, &mut ingest, |r| {
+            let bound = bind_partitioned(g, partitioner, system, cfg, p, &mut ingest, |r| {
                 for d in &notes {
                     r.note_downgrade(d.clone());
                 }
@@ -254,6 +237,7 @@ pub fn run_primitive<O: Id>(
             });
             (bound, selective)
         });
+        system = retry;
         match attempt {
             Ok(enacted) => {
                 return enacted.map(|report| RunOutcome { report, edges: g.n_edges(), ingest })
@@ -287,31 +271,6 @@ pub fn run_primitive<O: Id>(
             Err(e) => return Err(e),
         }
     }
-}
-
-/// Partition `g` for `prim` and run it under a fault plan through the
-/// self-healing [`ResilientRunner`] — the path `mgpu run --fault-plan
-/// --recovery` takes. The enact retries transient faults and degrades to
-/// the surviving devices on a permanent loss, per `config.recovery`.
-pub fn run_primitive_resilient(
-    prim: Primitive,
-    g: &Csr<u32, u64>,
-    n: usize,
-    profile: vgpu::HardwareProfile,
-    partitioner: &impl Partitioner,
-    config: EnactConfig,
-    plan: FaultPlan,
-) -> Result<RunOutcome> {
-    let mut ingest = IngestWall::default();
-    let owner = timed(&mut ingest.partition_us, || partitioner.assign(g, n));
-    let src = prim.needs_source().then(|| pick_source(g));
-    let report = with_problem!(prim, false, |p| {
-        ResilientRunner::homogeneous(g, p, n, profile, config)
-            .with_owner(owner)
-            .with_fault_plan(plan)
-            .enact(src)?
-    });
-    Ok(RunOutcome { report, edges: g.n_edges(), ingest })
 }
 
 /// How a multi-source campaign is executed. Each mode names the body it
@@ -420,7 +379,7 @@ mod tests {
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
     use mgpu_graph::GraphBuilder;
     use mgpu_partition::{ChunkedPartitioner, Duplication, RandomPartitioner};
-    use vgpu::HardwareProfile;
+    use vgpu::{FaultPlan, HardwareProfile};
 
     /// The admission floor estimate `Runner::new` compares against the hard
     /// watermark for BFS, maximized over devices.

@@ -2,11 +2,10 @@
 //! specs: the piece `repro service`, the CLI `serve` subcommand,
 //! and the concurrency test-suite all share.
 //!
-//! The shared residency is one immutable [`DistGraph`] (plus the raw CSR
-//! and an ownership table for resilient queries). Each descriptor turns
-//! into a [`QuerySpec`] whose factory builds a fresh executor — BSP
-//! [`Runner`] or [`ResilientRunner`] per its mode — on a fresh
-//! overhead-scaled simulated system borrowing that residency, so
+//! The shared residency is one immutable [`DistGraph`]. Each descriptor
+//! turns into a [`QuerySpec`] whose factory binds a fresh [`Runner`] — a
+//! resilient query's config carrying [`RecoveryPolicy::resilient`] — on a
+//! fresh overhead-scaled simulated system borrowing that residency, so
 //! every query's simulated clocks are deterministic and independent of
 //! co-scheduled queries.
 //!
@@ -17,13 +16,13 @@
 //! charged once per wave).
 
 use mgpu_core::governor::estimate_bind;
-use mgpu_core::{EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, ResilientRunner, Runner};
+use mgpu_core::{EnactConfig, Executor, ExecutorKind, MgpuProblem, QuerySpec, RecoveryPolicy, Runner};
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
 use mgpu_primitives::{reference, Bc, Bfs, Cc, Dobfs, Pagerank, Sssp};
 use vgpu::{FaultPlan, HardwareProfile};
 
-use crate::runners::{overhead_scale, pick_source, scaled_system, with_problem, Primitive, PR_ITERS};
+use crate::runners::{pick_source, scaled_system, with_problem, Primitive, PR_ITERS};
 
 /// One query descriptor, as parsed from a `--queries` spec entry.
 #[derive(Debug, Clone)]
@@ -100,15 +99,13 @@ fn dynamic_footprint<O: Id, P: MgpuProblem<u32, O>>(
 
 /// Build service query specs for `descs` against one shared residency:
 /// `dist` (carrying every array a descriptor reads, see
-/// [`Primitive::reads`]), the raw `graph`
-/// plus `owner` table for resilient queries, a hardware `profile` and
-/// overhead `shift` (see [`scaled_system`]), and the per-query enact
-/// `config`.
-#[allow(clippy::too_many_arguments)]
+/// [`Primitive::reads`]) of `graph`, a hardware `profile` and overhead
+/// `shift` (see [`scaled_system`]), and the per-query enact `config` — a
+/// resilient query's with [`RecoveryPolicy::resilient`] in place of its
+/// recovery policy.
 pub fn build_query_specs<'g, O: Id>(
     graph: &'g Csr<u32, O>,
     dist: &'g DistGraph<u32, O>,
-    owner: &[u32],
     profile: HardwareProfile,
     shift: u32,
     config: EnactConfig,
@@ -135,39 +132,22 @@ pub fn build_query_specs<'g, O: Id>(
             None => format!("{}@{}", prim.name(), desc.mode.label()),
         };
         let plan = desc.plan.clone();
-        let mode = desc.mode;
+        let config = match desc.mode {
+            ExecutorKind::Bsp => config,
+            ExecutorKind::Resilient => {
+                EnactConfig { recovery: RecoveryPolicy::resilient(), ..config }
+            }
+        };
         let profile = profile.clone();
-        let owner: Vec<u32> = owner.to_vec();
         with_problem!(prim, false, |problem| {
             let fp = dynamic_footprint(&problem, dist, &config);
             specs.push(QuerySpec::new(name, source, fp, move || {
-                let faulty_system = || {
-                    let mut s = scaled_system(n, profile.clone(), shift);
-                    if let Some(p) = &plan {
-                        s.attach_fault_plan(p);
-                    }
-                    s
-                };
-                Ok(match mode {
-                    ExecutorKind::Bsp => {
-                        Box::new(Runner::new(faulty_system(), dist, problem, config)?)
-                            as Box<dyn Executor<u32> + Send + 'g>
-                    }
-                    ExecutorKind::Resilient => {
-                        let mut runner = ResilientRunner::homogeneous(
-                            graph,
-                            problem,
-                            n,
-                            profile.clone().with_overhead_scale(overhead_scale(shift)),
-                            config,
-                        )
-                        .with_owner(owner.clone());
-                        if let Some(p) = &plan {
-                            runner = runner.with_fault_plan(p.clone());
-                        }
-                        Box::new(runner)
-                    }
-                })
+                let mut system = scaled_system(n, profile.clone(), shift);
+                if let Some(p) = &plan {
+                    system.attach_fault_plan(p);
+                }
+                Ok(Box::new(Runner::new(system, dist, problem, config)?)
+                    as Box<dyn Executor<u32> + Send + 'g>)
             }));
         });
     }

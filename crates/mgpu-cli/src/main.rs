@@ -22,10 +22,7 @@ use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_flags, usage_lines, Flag, FlagValue, Hardware, Shift, SizingFactor};
-use mgpu_bench::runners::{
-    overhead_scale, run_primitive_resilient, scaled_system, timed, IngestWall, MultiSourceMode,
-    Primitive,
-};
+use mgpu_bench::runners::{scaled_system, timed, IngestWall, MultiSourceMode, Primitive};
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{run_multi_source, run_primitive};
 use mgpu_core::{
@@ -36,7 +33,7 @@ use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::Dataset;
 use mgpu_graph::{read_mtx, Csr, GraphBuilder};
-use mgpu_partition::{DistGraph, Duplication, Partitioner, PartitionerKind, Reads};
+use mgpu_partition::{DistGraph, Duplication, PartitionerKind, Reads};
 use vgpu::{FaultPlan, HardwareProfile};
 
 /// Every flag of `run` and `serve`, resolved: the flag tables below write
@@ -168,7 +165,7 @@ const RUN: &[Flag<Cli>] = &[
         "fault events (kfail:D@N,lose:D@N,…), random:SEED:COUNT:HORIZON or randomp:…",
         |o, a| a.text().map(|s| o.fault_plan = Some(s)),
     ),
-    Flag::new("--recovery", "", "enact through the resilient runner", |o, _| {
+    Flag::new("--recovery", "", "retry, checkpoint and fail over", |o, _| {
         o.recovery = true;
         Ok(())
     }),
@@ -416,9 +413,6 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
         if !matches!(prim, Primitive::Bfs | Primitive::Bc) {
             return Err(failed("--sources needs a source-parallel primitive (bfs or bc)".into()));
         }
-        if cli.recovery {
-            return Err(failed("--sources does not combine with --recovery".into()));
-        }
         if prim == Primitive::Bc && (cli.bsp_profile || cli.trace_out.is_some()) {
             return Err(failed(
                 "bc --sources is one enact per source, which no one trace covers: \
@@ -446,10 +440,10 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
     let sources =
         cli.sources.as_deref().map(|spec| parse_sources(spec, graph.n_vertices())).transpose()?;
 
+    // The enact answers the plan's faults per `config.recovery`: without
+    // --recovery the first one the run cannot absorb fails it typed.
     let mut system = scaled_system(cli.gpus, cli.hardware.profile.clone(), cli.shift);
-    if let (Some(p), false) = (&plan, cli.recovery) {
-        // No recovery requested: inject into the plain BSP enactor and let
-        // the run succeed (transients absorbed by retry=0 → fail) or fail.
+    if let Some(p) = &plan {
         system.attach_fault_plan(p);
     }
 
@@ -462,9 +456,6 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
             MultiSourceMode::RepeatedBc
         };
         run_multi_source(&graph, system, &partitioner, config, srcs, mode)
-    } else if let (Some(p), true) = (&plan, cli.recovery) {
-        let profile = cli.hardware.profile.clone().with_overhead_scale(overhead_scale(cli.shift));
-        run_primitive_resilient(prim, &graph, cli.gpus, profile, &partitioner, config, p.clone())
     } else {
         run_primitive(prim, &graph, system, &partitioner, config)
     }
@@ -614,19 +605,18 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     // --- one shared residency for every query ---
     let gpus = cli.gpus;
     let mut ingest = IngestWall::default();
-    let owner =
-        timed(&mut ingest.partition_us, || cli.partitioner.seeded(cli.seed).assign(&graph, gpus));
-    // The resilient queries re-partition from the same table. Every served
-    // problem is duplicate-all; a bind refuses any other partition typed.
+    // Every served problem is duplicate-all; a bind refuses any other
+    // partition typed.
+    let partitioner = cli.partitioner.seeded(cli.seed);
     let mut dist = timed(&mut ingest.partition_us, || {
-        DistGraph::build(&graph, owner.clone(), gpus, Duplication::All)
+        DistGraph::partition(&graph, &partitioner, gpus, Duplication::All)
     });
     if reads(|r| r.reverse) {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
 
     let profile = cli.hardware.profile.clone();
-    let specs = build_query_specs(&graph, &dist, &owner, profile, cli.shift, config, &descs)
+    let specs = build_query_specs(&graph, &dist, profile, cli.shift, config, &descs)
         .map_err(|e| failed(format!("bad query mix: {e}")))?;
 
     let policy = ServicePolicy {

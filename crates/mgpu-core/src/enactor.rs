@@ -1,7 +1,8 @@
 //! The multi-GPU enactor: one dedicated CPU thread per device, BSP
 //! supersteps with framework-managed communication (§III-B, Fig. 1).
 //!
-//! [`Runner`] is the one engine: the bind ([`Runner::new`]), the enact
+//! [`Runner`] is the one engine: the bind ([`Runner::new`]), the attempt
+//! loop of the whole [`RecoveryPolicy`] ([`Runner::enact`]), the enact
 //! scaffold (`Runner::launch`: clock reset, tracing, mailbox, one thread
 //! per device, recovery log, root-cause selection), the report assembly, and
 //! the superstep loop below, written as methods of the per-device context
@@ -44,6 +45,7 @@
 //! `SyncPoint` instead, which releases its peers with `abort_count ≥ 1` at
 //! whatever rendezvous they are in.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
@@ -147,18 +149,108 @@ pub(crate) struct Launched<T> {
 /// enact many times (the paper's `Init` / `Reset`+`Enact` split).
 pub struct Runner<'g, V: Id, O: Id, P: MgpuProblem<V, O>> {
     system: SimSystem,
-    dist: &'g DistGraph<V, O>,
+    /// The caller's partition, or the re-homed one a failover built.
+    dist: Cow<'g, DistGraph<V, O>>,
     problem: P,
     config: EnactConfig,
     per_gpu: Vec<PerGpu<V, P::State>>,
-    /// Admission-control decisions taken at bind time (plus any downgrades a
-    /// driver recorded afterwards); folded into every enact's report.
+    /// Admission-control decisions taken at the latest bind; folded into
+    /// every enact's report, followed by `noted`.
     admission: GovernorLog,
+    /// Downgrades a higher layer recorded ([`Self::note_downgrade`]); a
+    /// rebind keeps them.
+    noted: Vec<Downgrade>,
+}
+
+/// What a bind yields: each device's share and the admission log.
+type Bound<V, S> = (Vec<PerGpu<V, S>>, GovernorLog);
+
+/// Bind `problem` to `dist` on `system`: what [`Runner::new`] documents.
+fn bind<V: Id, O: Id, P: MgpuProblem<V, O>>(
+    system: &mut SimSystem,
+    dist: &DistGraph<V, O>,
+    problem: &P,
+    config: &EnactConfig,
+) -> Result<Bound<V, P::State>> {
+    if system.n_devices() != dist.n_parts {
+        return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
+    }
+    let mismatch = |needs| VgpuError::PartitionMismatch { primitive: problem.name(), needs };
+    if dist.duplication != problem.duplication() {
+        return Err(mismatch(match problem.duplication() {
+            Duplication::All => "a duplicate-all partition",
+            Duplication::OneHop => "a duplicate-1-hop partition",
+        }));
+    }
+    let reads = problem.reads();
+    if reads.reverse && dist.parts.iter().any(|sub| sub.csc.is_none()) {
+        return Err(mismatch("the reverse adjacency (DistGraph::build_cscs)"));
+    }
+    let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
+    let comm = config.comm.unwrap_or_else(|| problem.comm());
+    let host_link = system.interconnect.host_link();
+    let mut admission = GovernorLog::default();
+    // Id-width bandwidth factor (Table V): baseline is 32-bit vertices
+    // with 32-bit offsets; wider ids read proportionally more per edge.
+    let width_factor = (V::BYTES as f64 + O::BYTES as f64 / 4.0) / 5.0;
+    let threads =
+        config.kernel_threads.unwrap_or_else(|| vgpu::par::default_kernel_threads(dist.n_parts));
+    let mut per_gpu = Vec::with_capacity(dist.n_parts);
+    for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
+        dev.set_width_factor(width_factor);
+        dev.set_kernel_threads(threads);
+        // ---- admission control: walk the scheme down the downgrade
+        // chain until the pre-flight estimate fits under the soft
+        // watermark; a floor scheme past the hard watermark is refused
+        // with a typed OOM before anything is allocated.
+        let mut scheme = base_scheme;
+        let capacity = dev.pool().capacity();
+        let budget = governor::soft_budget(capacity);
+        let estimate = |scheme| governor::estimate_bind(problem, sub, scheme, comm).total();
+        let mut est = estimate(scheme);
+        while est > budget {
+            match governor::downgrade_scheme(scheme) {
+                Some(next) => {
+                    admission.downgrades.push(Downgrade {
+                        device: Some(dev.id()),
+                        kind: "alloc-scheme",
+                        from: scheme.label(),
+                        to: next.label(),
+                        estimated_bytes: est,
+                        budget_bytes: budget,
+                    });
+                    scheme = next;
+                    est = estimate(scheme);
+                }
+                None => {
+                    if est > capacity {
+                        return Err(VgpuError::OutOfMemory {
+                            device: dev.id(),
+                            requested: est,
+                            live: dev.pool().live(),
+                            capacity,
+                        });
+                    }
+                    break; // between watermarks at the floor: admit
+                }
+            }
+        }
+        let bytes = sub.read_bytes(reads);
+        let topology = dev.pool().reserve_external(bytes)?;
+        // charge the H2D copy of the graph at memory bandwidth
+        let cost = dev.profile().local_copy_us(bytes);
+        dev.charge(COMPUTE_STREAM, cost, 0.0)?;
+        let state = problem.init(dev, sub)?;
+        let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
+            .with_host_link(host_link);
+        per_gpu.push(PerGpu { state, bufs, _topology: topology });
+    }
+    Ok((per_gpu, admission))
 }
 
 impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
-    /// Bind `problem` to `dist` on `system` (the only bind): reserves in
-    /// device memory what the problem reads of each subgraph
+    /// Bind `problem` to `dist` on `system` (a restart rebinds alike):
+    /// reserves in device memory what the problem reads of each subgraph
     /// ([`MgpuProblem::reads`]) and charges its H2D copy, sets the id-width
     /// factor and kernel threads, walks admission control, initializes
     /// per-GPU state and allocates the scheme-managed frontier buffers. A
@@ -172,81 +264,9 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         problem: P,
         config: EnactConfig,
     ) -> Result<Self> {
-        if system.n_devices() != dist.n_parts {
-            return Err(VgpuError::BadDevice { device: dist.n_parts, have: system.n_devices() });
-        }
-        let mismatch = |needs| VgpuError::PartitionMismatch { primitive: problem.name(), needs };
-        if dist.duplication != problem.duplication() {
-            return Err(mismatch(match problem.duplication() {
-                Duplication::All => "a duplicate-all partition",
-                Duplication::OneHop => "a duplicate-1-hop partition",
-            }));
-        }
-        let reads = problem.reads();
-        if reads.reverse && dist.parts.iter().any(|sub| sub.csc.is_none()) {
-            return Err(mismatch("the reverse adjacency (DistGraph::build_cscs)"));
-        }
-        let base_scheme = config.alloc_scheme.unwrap_or_else(|| problem.alloc_scheme());
-        let comm = config.comm.unwrap_or_else(|| problem.comm());
-        let host_link = system.interconnect.host_link();
-        let mut admission = GovernorLog::default();
-        // Id-width bandwidth factor (Table V): baseline is 32-bit vertices
-        // with 32-bit offsets; wider ids read proportionally more per edge.
-        let width_factor = (V::BYTES as f64 + O::BYTES as f64 / 4.0) / 5.0;
-        let threads = config
-            .kernel_threads
-            .unwrap_or_else(|| vgpu::par::default_kernel_threads(dist.n_parts));
-        let mut per_gpu = Vec::with_capacity(dist.n_parts);
-        for (dev, sub) in system.devices.iter_mut().zip(dist.parts.iter()) {
-            dev.set_width_factor(width_factor);
-            dev.set_kernel_threads(threads);
-            // ---- admission control: walk the scheme down the downgrade
-            // chain until the pre-flight estimate fits under the soft
-            // watermark; a floor scheme past the hard watermark is refused
-            // with a typed OOM before anything is allocated.
-            let mut scheme = base_scheme;
-            let capacity = dev.pool().capacity();
-            let budget = governor::soft_budget(capacity);
-            let estimate = |scheme| governor::estimate_bind(&problem, sub, scheme, comm).total();
-            let mut est = estimate(scheme);
-            while est > budget {
-                match governor::downgrade_scheme(scheme) {
-                    Some(next) => {
-                        admission.downgrades.push(Downgrade {
-                            device: Some(dev.id()),
-                            kind: "alloc-scheme",
-                            from: scheme.label(),
-                            to: next.label(),
-                            estimated_bytes: est,
-                            budget_bytes: budget,
-                        });
-                        scheme = next;
-                        est = estimate(scheme);
-                    }
-                    None => {
-                        if est > capacity {
-                            return Err(VgpuError::OutOfMemory {
-                                device: dev.id(),
-                                requested: est,
-                                live: dev.pool().live(),
-                                capacity,
-                            });
-                        }
-                        break; // between watermarks at the floor: admit
-                    }
-                }
-            }
-            let bytes = sub.read_bytes(reads);
-            let topology = dev.pool().reserve_external(bytes)?;
-            // charge the H2D copy of the graph at memory bandwidth
-            let cost = dev.profile().local_copy_us(bytes);
-            dev.charge(COMPUTE_STREAM, cost, 0.0)?;
-            let state = problem.init(dev, sub)?;
-            let bufs = FrontierBufs::new(dev, scheme, sub.n_vertices(), sub.n_edges())?
-                .with_host_link(host_link);
-            per_gpu.push(PerGpu { state, bufs, _topology: topology });
-        }
-        Ok(Runner { system, dist, problem, config, per_gpu, admission })
+        let (per_gpu, admission) = bind(&mut system, dist, &problem, &config)?;
+        let dist = Cow::Borrowed(dist);
+        Ok(Runner { system, dist, problem, config, per_gpu, admission, noted: Vec::new() })
     }
 
     /// Record a downgrade decision a higher layer took before (re)binding —
@@ -254,7 +274,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
     /// or dropped a broadcast override after an admission refusal. It shows
     /// up in every subsequent report's governor log.
     pub fn note_downgrade(&mut self, d: Downgrade) {
-        self.admission.downgrades.push(d);
+        self.noted.push(d);
     }
 
     /// The allocation scheme in force.
@@ -270,17 +290,82 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
     /// Run one traversal from `src` (a *global* vertex id; `None` for
     /// primitives without a source, e.g. PR and CC). Device clocks and
     /// counters are reset so each enact reports an independent measurement.
+    ///
+    /// Per the [`RecoveryPolicy`] (the default answers no failure), a
+    /// transient error within `max_retries` restarts from the newest
+    /// complete checkpoint, and under `degrade` a lost device's (or evicted
+    /// straggler's) vertices are first re-homed onto the survivors, which
+    /// the runner keeps. Each restart rebinds on [`SimSystem::survivors`];
+    /// failed attempts add their makespans as [`RecoveryLog::lost_time_us`].
     pub fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
-        let interval = self.config.recovery.checkpoint_interval;
-        let sink = CheckpointSink::new(self.dist.n_parts, interval);
-        self.enact_resilient(src, None, &sink).0
+        let policy = self.config.recovery;
+        let evicts = policy.straggler_timeout_us.is_finite();
+        let (mut log, mut resume, mut retries) = (RecoveryLog::default(), None, policy.max_retries);
+        // Entry ids of the live devices by runtime id, and the ownership a
+        // failover re-homes from.
+        let mut alive: Vec<usize> = (0..self.dist.n_parts).collect();
+        let owner = Arc::clone(&self.dist.partition_table);
+        loop {
+            let sink = CheckpointSink::new(alive.len(), policy.checkpoint_interval);
+            let (outcome, attempt) = self.enact_resilient(src, resume.as_ref(), &sink);
+            log.absorb(&attempt);
+            let e = match outcome {
+                Ok(mut report) => {
+                    report.sim_time_us += log.lost_time_us;
+                    report.recovery = log;
+                    return Ok(report);
+                }
+                Err(e) => e,
+            };
+            log.lost_time_us += self.system.makespan_us();
+            resume = sink.take_complete().or(resume);
+            let degrade = policy.degrade && alive.len() > 1;
+            let lost = match e {
+                VgpuError::DeviceLost { device } if degrade => Some(device),
+                VgpuError::Timeout { device } if degrade && evicts => Some(device),
+                ref transient if transient.is_transient() && retries > 0 => {
+                    retries -= 1;
+                    None
+                }
+                _ => return Err(e),
+            };
+            let keep: Vec<usize> = (0..alive.len()).filter(|&r| Some(r) != lost).collect();
+            let rehomed = lost.map(|device| {
+                log.lost_devices.push(alive.remove(device));
+                log.failovers += 1;
+                self.rehome(&owner, &alive)
+            });
+            // a refused bind leaves the runner as it was
+            let mut system = self.system.survivors(&keep);
+            let dist = rehomed.as_ref().unwrap_or(&self.dist);
+            (self.per_gpu, self.admission) = bind(&mut system, dist, &self.problem, &self.config)?;
+            self.system = system;
+            if let Some(dist) = rehomed {
+                self.dist = Cow::Owned(dist);
+            }
+        }
     }
 
-    /// [`Self::enact`] with explicit recovery plumbing: optionally resume
-    /// from a [`GlobalCheckpoint`] and offer new checkpoints into `sink`.
-    /// Returns the attempt's [`RecoveryLog`] alongside the result so a
-    /// driver ([`crate::resilience::ResilientRunner`]) can account for
-    /// failed attempts too.
+    /// The partition after a failover: a surviving owner keeps its vertices
+    /// (under its runtime id), a lost owner's are dealt round-robin over
+    /// the survivors, and the parts are rebuilt from the parent graph.
+    fn rehome(&self, owner: &[u32], alive: &[usize]) -> DistGraph<V, O> {
+        let n = alive.len();
+        let survivor = |o: u32| alive.iter().position(|&a| a == o as usize);
+        let table = owner.iter().enumerate().map(|(v, &o)| survivor(o).unwrap_or(v % n) as u32);
+        let mut dist =
+            DistGraph::build(&self.dist.parent(), table.collect(), n, self.dist.duplication);
+        if self.problem.reads().reverse {
+            dist.build_cscs();
+        }
+        dist
+    }
+
+    /// One attempt of [`Self::enact`]: optionally resume from a
+    /// [`GlobalCheckpoint`] and offer new checkpoints into `sink`. Returns
+    /// the attempt's [`RecoveryLog`] alongside the result so the attempt
+    /// loop can account for failed attempts too. Public for the tests that
+    /// take a checkpoint and resume from it by hand.
     pub fn enact_resilient(
         &mut self,
         src: Option<V>,
@@ -346,7 +431,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             // Downgrades were decided once at bind time, before any trace
             // existed; replay them as instant markers at t=0 so every
             // governor decision in the report is paired with a trace event.
-            for d in &self.admission.downgrades {
+            for d in self.admission.downgrades.iter().chain(&self.noted) {
                 let id = d.device.unwrap_or(0).min(self.system.devices.len() - 1);
                 self.system.devices[id].timeline.record(TraceEvent {
                     device: id,
@@ -483,6 +568,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             comm.merge(comm_stats);
         }
         let mut governor = self.admission.clone();
+        governor.downgrades.extend(self.noted.iter().cloned());
         for per in &self.per_gpu {
             governor.absorb(per.bufs.governor());
         }

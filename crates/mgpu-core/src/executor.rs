@@ -1,9 +1,10 @@
 //! What the engine stands on: the interface drivers target and the
 //! per-device context the superstep loop is a method of.
 //!
-//! Two drivers run an [`crate::MgpuProblem`] on a partitioned graph: the
-//! BSP [`crate::enactor::Runner`] and the self-healing
-//! [`crate::resilience::ResilientRunner`] wrapped around it.
+//! One engine runs an [`crate::MgpuProblem`] on a partitioned graph: the
+//! BSP [`crate::enactor::Runner`], recovery included.
+//! [`crate::resilience::ResilientRunner`] builds one from a graph and an
+//! ownership table.
 //!
 //! * [`Executor`] is the interface both implement: enact a traversal,
 //!   harvest the per-vertex result words in global vertex order, and
@@ -41,7 +42,7 @@ pub enum ExecutorKind {
     /// Bulk-synchronous supersteps with deterministic simulated clocks
     /// ([`crate::enactor::Runner`]).
     Bsp,
-    /// BSP with checkpoint/re-home/failover recovery wrapped around it
+    /// A [`crate::enactor::Runner`] that partitions and binds per enact
     /// ([`crate::resilience::ResilientRunner`]).
     Resilient,
 }

@@ -1,5 +1,5 @@
-//! Superstep-granular resilience: recovery policy, checkpointing, and a
-//! driver that degrades gracefully after permanent device loss.
+//! Superstep-granular resilience: the recovery policy, its log, and
+//! checkpointing.
 //!
 //! The BSP superstep boundary is the natural recovery point: every device's
 //! state is globally consistent there (all pushes combined, clocks aligned),
@@ -29,19 +29,24 @@
 //!   Global-id keying is what lets a checkpoint taken on N devices restore
 //!   onto a re-partitioned N−1-device layout.
 //! * **Degradation** ([`RecoveryPolicy::degrade`]) — on permanent device
-//!   loss, or a straggler evicted at a rendezvous, [`ResilientRunner`]
+//!   loss, or a straggler evicted at a rendezvous, [`Runner::enact`]
 //!   restores the last complete checkpoint, re-homes the lost device's
-//!   vertices onto the survivors, and continues on N−1 GPUs; a butterfly
+//!   vertices onto the survivors (rebuilding the parent graph from the
+//!   parts, [`DistGraph::parent`]), and continues on N−1 GPUs; a butterfly
 //!   stage whose transfer retries run out falls back to a direct broadcast
 //!   for that superstep. The failed attempt's simulated makespan is banked
 //!   as [`RecoveryLog::lost_time_us`] and folded into the final report.
+//!
+//! [`Runner::enact`] runs the whole policy; [`ResilientRunner`] is only a
+//! constructor around it (partition, node, fault plan) kept for the
+//! harness and the tests.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, PoisonError};
 
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::DistGraph;
-use vgpu::{FaultPlan, HardwareProfile, Interconnect, Result, SimSystem, VgpuError};
+use vgpu::{FaultPlan, HardwareProfile, Result, SimSystem, VgpuError};
 
 use crate::enactor::{EnactConfig, Runner};
 use crate::executor::{Executor, ExecutorKind};
@@ -54,8 +59,8 @@ use crate::report::EnactReport;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Retry budget for transient faults: in-place kernel relaunches,
-    /// per-package re-sends, and (for [`ResilientRunner`]) whole-attempt
-    /// restarts from the last checkpoint.
+    /// per-package re-sends, and whole-attempt restarts from the last
+    /// checkpoint ([`Runner::enact`]).
     pub max_retries: u32,
     /// Simulated backoff charged per retry attempt, in microseconds.
     pub retry_backoff_us: f64,
@@ -105,10 +110,9 @@ impl RecoveryPolicy {
     }
 }
 
-/// Every recovery event of an enact (or of a whole [`ResilientRunner`]
-/// drive, accumulated across attempts). All counts derive from
-/// deterministic fault sites, so two runs of the same plan produce equal
-/// logs — [`EnactReport::same_simulation`] includes this.
+/// Every recovery event of an enact, accumulated across its attempts. All
+/// counts derive from deterministic fault sites, so two runs of the same
+/// plan produce equal logs — [`EnactReport::same_simulation`] includes this.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryLog {
     /// In-place kernel relaunches (summed over devices).
@@ -153,9 +157,7 @@ impl RecoveryLog {
         self.lost_devices.extend(&other.lost_devices);
         self.failovers += other.failovers;
         self.lost_time_us += other.lost_time_us;
-        if other.resumed_at.is_some() {
-            self.resumed_at = other.resumed_at;
-        }
+        self.resumed_at = other.resumed_at.or(self.resumed_at);
     }
 
     /// Did anything at all happen?
@@ -209,7 +211,9 @@ struct PartialCheckpoint<V> {
 /// Collects per-device checkpoint offers and finalizes a
 /// [`GlobalCheckpoint`] once all devices have contributed for the same
 /// superstep. A failed device never offers, so its superstep's partial is
-/// silently superseded by the next due one.
+/// silently superseded by the next due one. Public, with
+/// [`Runner::enact_resilient`], for the tests that take a checkpoint and
+/// resume from it by hand.
 pub struct CheckpointSink<V> {
     interval: usize,
     n: usize,
@@ -288,26 +292,25 @@ pub(crate) fn guard<T>(gpu: usize, f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// A self-healing driver around [`Runner`]: binds a problem to a graph,
-/// enacts, and on failure retries from the last checkpoint — rebuilding the
-/// partition on the surviving devices when one is permanently lost. Each
-/// attempt's partition is what the problem asks for: its duplication, and
-/// the reverse adjacency if it reads one ([`MgpuProblem::reads`]).
+/// A [`Runner`] built from a graph and an ownership table: the constructor
+/// the harness and the tests drive the recovery policy through. Each enact
+/// partitions the graph the way the problem reads it, binds on
+/// [`SimSystem::homogeneous`] with the fault plan attached, and hands the
+/// attempt loop to [`Runner::enact`]; the answer of
+/// the final (possibly degraded) attempt is cached for [`Self::harvest`].
 ///
 /// Device ids in [`RecoveryLog::lost_devices`] and in the fault plan are
-/// *original* ids; after a failover the plan is remapped onto the runtime
-/// ids of the survivors and the dead device's remaining events are dropped.
+/// *original* ids.
 pub struct ResilientRunner<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> {
     graph: &'g Csr<V, O>,
     problem: P,
-    profiles: Vec<HardwareProfile>,
+    n: usize,
+    profile: HardwareProfile,
     /// Global vertex id → original owning device.
     owner: Vec<u32>,
     config: EnactConfig,
     plan: FaultPlan,
-    /// Result words harvested from the final (possibly degraded) attempt of
-    /// the last [`Executor::enact`] drive — the inner [`Runner`] is torn
-    /// down per attempt, so the trait's `harvest` reads this cache.
+    /// Result words harvested from the last successful enact.
     last_values: Vec<u64>,
 }
 
@@ -325,7 +328,8 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> ResilientRunner<'g, V, O, P
         ResilientRunner {
             graph,
             problem,
-            profiles: vec![profile; n],
+            n,
+            profile,
             owner,
             config,
             plan: FaultPlan::new(),
@@ -358,94 +362,27 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O> + Clone> Executor<V> for ResilientRu
     }
 
     fn n_devices(&self) -> usize {
-        self.profiles.len()
+        self.n
     }
 
     fn recovery_policy(&self) -> RecoveryPolicy {
         self.config.recovery
     }
 
-    /// Enact from `src`, recovering per the config's [`RecoveryPolicy`],
-    /// and keep the final (possibly degraded) attempt's result words for
-    /// [`Self::harvest`].
     fn enact(&mut self, src: Option<V>) -> Result<EnactReport> {
-        let policy = self.config.recovery;
-        let n_original = self.profiles.len();
-        // Original ids of the devices still alive, indexed by runtime id.
-        let mut alive: Vec<usize> = (0..n_original).collect();
-        let mut resume: Option<GlobalCheckpoint<V>> = None;
-        let mut log = RecoveryLog::default();
-        let mut retries_left = policy.max_retries;
-        loop {
-            let n = alive.len();
-            let mut orig_to_runtime: Vec<Option<usize>> = vec![None; n_original];
-            for (r, &o) in alive.iter().enumerate() {
-                orig_to_runtime[o] = Some(r);
-            }
-            // Re-home: surviving owners keep their vertices (renumbered to
-            // runtime ids); a dead device's vertices are dealt round-robin
-            // over the survivors.
-            let runtime_owner: Vec<u32> = self
-                .owner
-                .iter()
-                .enumerate()
-                .map(|(v, &o)| match orig_to_runtime[o as usize] {
-                    Some(r) => r as u32,
-                    None => (v % n) as u32,
-                })
-                .collect();
-            let mut dist =
-                DistGraph::build(self.graph, runtime_owner, n, self.problem.duplication());
-            if self.problem.reads().reverse {
-                dist.build_cscs();
-            }
-            let profiles: Vec<HardwareProfile> =
-                alive.iter().map(|&o| self.profiles[o].clone()).collect();
-            let mut system = SimSystem::new(profiles, Interconnect::pcie3(n, 4))
-                .expect("matching sizes by construction");
-            if !self.plan.is_empty() {
-                system.attach_fault_plan(&self.plan.remap(&alive));
-            }
-            let sink = CheckpointSink::new(n, policy.checkpoint_interval);
-
-            let mut runner = Runner::new(system, &dist, self.problem.clone(), self.config)?;
-            let (outcome, attempt_log) = runner.enact_resilient(src, resume.as_ref(), &sink);
-            log.absorb(&attempt_log);
-            match outcome {
-                Ok(mut report) => {
-                    self.last_values = runner.harvest();
-                    report.sim_time_us += log.lost_time_us;
-                    report.recovery = log;
-                    return Ok(report);
-                }
-                Err(e) => {
-                    log.lost_time_us += runner.system().makespan_us();
-                    if let Some(ck) = sink.take_complete() {
-                        resume = Some(ck);
-                    }
-                    match e {
-                        VgpuError::DeviceLost { device } if policy.degrade && alive.len() > 1 => {
-                            let original = alive.remove(device);
-                            log.lost_devices.push(original);
-                            log.failovers += 1;
-                        }
-                        VgpuError::Timeout { device }
-                            if policy.straggler_timeout_us.is_finite()
-                                && policy.degrade
-                                && alive.len() > 1 =>
-                        {
-                            let original = alive.remove(device);
-                            log.lost_devices.push(original);
-                            log.failovers += 1;
-                        }
-                        ref transient if transient.is_transient() && retries_left > 0 => {
-                            retries_left -= 1;
-                        }
-                        _ => return Err(e),
-                    }
-                }
-            }
+        let dup = self.problem.duplication();
+        let mut dist = DistGraph::build(self.graph, self.owner.clone(), self.n, dup);
+        if self.problem.reads().reverse {
+            dist.build_cscs();
         }
+        let mut system = SimSystem::homogeneous(self.n, self.profile.clone());
+        if !self.plan.is_empty() {
+            system.attach_fault_plan(&self.plan);
+        }
+        let mut runner = Runner::new(system, &dist, self.problem.clone(), self.config)?;
+        let report = runner.enact(src)?;
+        self.last_values = runner.harvest();
+        Ok(report)
     }
 
     fn harvest(&self) -> Vec<u64> {

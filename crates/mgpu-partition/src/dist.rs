@@ -48,7 +48,7 @@ pub struct Reads {
 }
 
 /// The per-GPU slice of a partitioned graph.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SubGraph<V: Id, O: Id> {
     /// This GPU's id.
     pub gpu: usize,
@@ -127,7 +127,7 @@ fn per_part<T: Send, J: FnOnce() -> T + Send>(jobs: impl IntoIterator<Item = J>)
     })
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum OwnerMap<V> {
     /// Shared global partition table indexed by global (= local) id.
     Global(Arc<Vec<u32>>),
@@ -238,7 +238,7 @@ impl<V: Id, O: Id> SubGraph<V, O> {
 }
 
 /// A graph partitioned across `n_parts` GPUs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DistGraph<V: Id, O: Id> {
     /// Global vertex count.
     pub n_global: usize,
@@ -487,6 +487,26 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         (self.partition_table[g.idx()] as usize, self.convert[g.idx()])
     }
 
+    /// The graph these parts were built from: each vertex's row is its
+    /// owner's local row mapped back through [`SubGraph::to_global`], with
+    /// its weights. Both duplications copy rows in parent order, so this
+    /// equals the input of [`Self::build`] — what a failover re-partitions.
+    pub fn parent(&self) -> Csr<V, O> {
+        let mut offsets = vec![O::from_usize(0)];
+        let mut cols = Vec::with_capacity(self.n_global_edges);
+        let mut weights = self.parts[0].csr.weights().map(|_| Vec::with_capacity(cols.capacity()));
+        for g in 0..self.n_global {
+            let (gpu, local) = self.locate(V::from_usize(g));
+            let (sub, range) = (&self.parts[gpu], self.parts[gpu].csr.edge_range(local));
+            cols.extend(sub.csr.col_indices()[range.clone()].iter().map(|&d| sub.to_global(d)));
+            if let (Some(out), Some(w)) = (&mut weights, sub.csr.weights()) {
+                out.extend_from_slice(&w[range]);
+            }
+            offsets.push(O::from_usize(cols.len()));
+        }
+        Csr::from_parts(offsets, cols, weights)
+    }
+
     /// Build the reverse adjacency on every part — what a primitive whose
     /// [`Reads::reverse`] is set needs before its bind.
     pub fn build_cscs(&mut self) {
@@ -710,6 +730,28 @@ mod tests {
         let g = GraphBuilder::undirected(&Coo::from_edges(15, edges, None));
         let owner: Vec<u32> = (0..15).map(|v| (v / 6).min(2)).collect();
         assert_eq!(check_borders(&g, &owner, 3), vec![0; 6]);
+    }
+
+    /// Rebuilding the parent from the parts gives back the input, under
+    /// both duplications, weighted or not, isolated vertices included.
+    #[test]
+    fn the_parent_rebuilt_from_the_parts_equals_the_input() {
+        use crate::partitioner::RandomPartitioner;
+        let mut coo = mgpu_gen::gnm(90, 300, 5);
+        coo.n_vertices = 100; // ten isolated vertices at the end
+        let unweighted: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        mgpu_gen::weights::add_paper_weights(&mut coo, 3);
+        let weighted: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        assert!(weighted.is_weighted() && !unweighted.is_weighted());
+        for g in [&unweighted, &weighted] {
+            for n_parts in 1..=4 {
+                let owner = RandomPartitioner { seed: n_parts as u64 }.assign(g, n_parts);
+                for dup in [Duplication::All, Duplication::OneHop] {
+                    let dg = DistGraph::build(g, owner.clone(), n_parts, dup);
+                    assert_eq!(&dg.parent(), g, "{dup:?} over {n_parts} parts");
+                }
+            }
+        }
     }
 
     #[test]

@@ -98,6 +98,16 @@ impl Interconnect {
         self.n
     }
 
+    /// The fabric among the devices `keep` names, renumbered in that order;
+    /// each keeps its peer group, so every link keeps its class.
+    pub fn restricted(&self, keep: &[usize]) -> Self {
+        Interconnect {
+            n: keep.len(),
+            group: keep.iter().map(|&d| self.group[d]).collect(),
+            ..self.clone()
+        }
+    }
+
     /// Divide per-message wire latencies by `scale` — the interconnect half
     /// of [`crate::HardwareProfile::with_overhead_scale`]'s dimensional
     /// scaling (latency is a fixed per-message cost, bandwidth terms scale
@@ -210,6 +220,22 @@ mod tests {
         let inflated = ic.transfer_us(0, 1, 1 << 20);
         let lat = ic.link(0, 1).latency_us;
         assert!(((inflated - lat) - 3.0 * (base - lat)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn a_restricted_fabric_keeps_each_link_class() {
+        // within one peer group the survivors are a smaller node of the same kind
+        let four = Interconnect::pcie3(4, 4).restricted(&[0, 2, 3]);
+        let three = Interconnect::pcie3(3, 4);
+        assert_eq!(four.n_devices(), 3);
+        for (a, b) in [(0, 1), (0, 2), (1, 2), (2, 2)] {
+            assert_eq!(four.link_class(a, b), three.link_class(a, b));
+        }
+        // across groups a survivor keeps its own group, not a renumbered one
+        let eight = Interconnect::pcie3(8, 4).with_latency_scale(2.0).restricted(&[0, 1, 3, 4]);
+        assert_eq!(eight.link_class(0, 2), LinkClass::Peer);
+        assert_eq!(eight.link_class(2, 3), LinkClass::HostStaged);
+        assert_eq!(eight.link(0, 1).latency_us, 7.5 / 2.0, "the latency scale survives");
     }
 
     #[test]

@@ -20,8 +20,8 @@ pub struct SimSystem {
     pub devices: Vec<Device>,
     /// The shared inter-device fabric.
     pub interconnect: Arc<Interconnect>,
-    /// The shared fault injector, when a fault plan is attached.
-    fault: Option<Arc<FaultInjector>>,
+    /// The attached fault plan and the shared injector compiled from it.
+    fault: Option<(FaultPlan, Arc<FaultInjector>)>,
 }
 
 impl SimSystem {
@@ -55,13 +55,26 @@ impl SimSystem {
         for d in &mut self.devices {
             d.set_fault_injector(Some(Arc::clone(&inj)));
         }
-        self.fault = Some(inj);
+        self.fault = Some((plan.clone(), inj));
     }
 
     /// The attached fault injector, if any (shared with mailboxes by the
     /// enactors so transfers consult the same plan).
     pub fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.fault.clone()
+        self.fault.as_ref().map(|(_, inj)| Arc::clone(inj))
+    }
+
+    /// A fresh system of the devices `keep` names, in that order: their
+    /// profiles, the fabric restricted to them and the plan remapped onto
+    /// them ([`FaultPlan::remap`]), every clock, pool and counter at zero.
+    pub fn survivors(&self, keep: &[usize]) -> SimSystem {
+        let profiles = keep.iter().map(|&d| self.devices[d].profile().clone()).collect();
+        let mut system = SimSystem::new(profiles, self.interconnect.restricted(keep))
+            .expect("one profile per kept device");
+        if let Some((plan, _)) = &self.fault {
+            system.attach_fault_plan(&plan.remap(keep));
+        }
+        system
     }
 
     /// Number of devices.
@@ -137,6 +150,29 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sys.devices[1].profile().name, "Xeon E5-2690 v2");
+    }
+
+    #[test]
+    fn survivors_start_fresh_with_the_plan_remapped() {
+        use crate::fault::KernelFault;
+        let mut sys = SimSystem::homogeneous(4, HardwareProfile::k40().with_capacity(1 << 20));
+        sys.attach_fault_plan(&FaultPlan::new().kernel_fail(1, 0).kernel_fail(3, 0));
+        sys.devices[0].kernel(COMPUTE_STREAM, KernelKind::Advance, || ((), 10)).unwrap();
+        let inj = sys.fault_injector().unwrap();
+        assert_eq!(inj.on_kernel(3), Some(KernelFault::Fail));
+
+        let rest = sys.survivors(&[0, 2, 3]);
+        assert_eq!(rest.n_devices(), 3);
+        assert_eq!(rest.devices[2].id(), 2, "runtime ids are renumbered");
+        assert_eq!(rest.devices[1].pool().capacity(), 1 << 20, "profiles are kept");
+        assert_eq!(rest.makespan_us(), 0.0, "clocks start fresh");
+        let inj = rest.fault_injector().unwrap();
+        assert_eq!(inj.on_kernel(1), None, "device 1's event died with it");
+        assert_eq!(inj.on_kernel(2), Some(KernelFault::Fail), "device 3 is now 2, counters reset");
+        assert!(SimSystem::homogeneous(2, HardwareProfile::k40())
+            .survivors(&[1])
+            .fault_injector()
+            .is_none());
     }
 
     #[test]

@@ -251,7 +251,6 @@ mod service_faults {
     use super::*;
     use mgpu_bench::service::{build_query_specs, parse_query_list};
     use mgpu_core::{ExecutorKind, Service, ServicePolicy};
-    use mgpu_graph_analytics::partition::Partitioner;
 
     const GPUS: usize = 4;
 
@@ -274,21 +273,21 @@ mod service_faults {
         let g = weighted_graph();
         let part = RandomPartitioner { seed: 3 };
         let dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
-        let owner = part.assign(&g, GPUS);
         let mut descs = parse_query_list("bfs:0,sssp:1@resilient,cc,bfs:2,sssp:0").unwrap();
         descs[1].plan = Some(FaultPlan::parse("lose:1@2").unwrap());
         descs[3].plan = Some(FaultPlan::parse("lose:0@1").unwrap());
         descs[4].plan = Some(FaultPlan::parse("tfail:0>1@1").unwrap());
         assert_eq!(descs[1].mode, ExecutorKind::Resilient);
 
-        let config = resilient_config();
+        // The @bsp queries keep retries but do not degrade, so q3's loss
+        // stays fatal; the @resilient query degrades under its own policy.
+        let recovery = RecoveryPolicy { degrade: false, ..RecoveryPolicy::resilient() };
+        let config = EnactConfig { recovery, ..Default::default() };
         let faulted =
-            build_query_specs(&g, &dist, &owner, HardwareProfile::k40(), 0, config, &descs)
-                .unwrap();
+            build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
         let clean_descs = parse_query_list("bfs:0,sssp:1@resilient,cc,bfs:2,sssp:0").unwrap();
         let clean =
-            build_query_specs(&g, &dist, &owner, HardwareProfile::k40(), 0, config, &clean_descs)
-                .unwrap();
+            build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &clean_descs).unwrap();
 
         let frep = Service::new(policy()).run(&faulted);
         let crep = Service::new(policy()).run(&clean);
@@ -340,12 +339,11 @@ mod service_faults {
         let g = weighted_graph();
         let part = RandomPartitioner { seed: 3 };
         let dist = DistGraph::partition(&g, &part, GPUS, Duplication::All);
-        let owner = part.assign(&g, GPUS);
         let mut descs = parse_query_list("bfs:0,sssp:1@resilient,cc").unwrap();
         descs[1].plan = Some(FaultPlan::parse("lose:2@2").unwrap());
         let config = resilient_config();
-        let specs = build_query_specs(&g, &dist, &owner, HardwareProfile::k40(), 0, config, &descs)
-            .unwrap();
+        let specs =
+            build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
         let a = Service::new(policy()).run(&specs);
         let b = Service::new(policy()).run(&specs);
         for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {

@@ -304,7 +304,6 @@ mod service_admission {
     use super::*;
     use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
     use mgpu_core::{Service, ServicePolicy};
-    use mgpu_graph_analytics::partition::Partitioner;
 
     const MIX: &str = "bfs:0,sssp:1,cc,bc:2";
 
@@ -321,18 +320,10 @@ mod service_admission {
         let part = RandomPartitioner { seed: 3 };
         let mut dist = DistGraph::partition(&g, &part, 2, Duplication::All);
         dist.build_cscs(); // the mix includes BC
-        let owner = part.assign(&g, 2);
         let descs = parse_query_list(MIX).unwrap();
-        let specs = build_query_specs(
-            &g,
-            &dist,
-            &owner,
-            HardwareProfile::k40(),
-            0,
-            EnactConfig::default(),
-            &descs,
-        )
-        .unwrap();
+        let specs =
+            build_query_specs(&g, &dist, HardwareProfile::k40(), 0, EnactConfig::default(), &descs)
+                .unwrap();
         let rb = residency_bytes(&dist);
         let fx = Fixture { rb, fps: specs.iter().map(|s| s.footprint_bytes).collect() };
         let pol = ServicePolicy {

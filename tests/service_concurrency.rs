@@ -27,7 +27,7 @@ use mgpu_graph_analytics::core::EnactReport;
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
-use mgpu_graph_analytics::partition::{DistGraph, Duplication, Partitioner, RandomPartitioner};
+use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
 use mgpu_graph_analytics::vgpu::HardwareProfile;
 use mgpu_graph_analytics::core::CommTopology;
 use mgpu_graph_analytics::core::EnactConfig;
@@ -111,12 +111,10 @@ fn concurrent_mixed_queries_are_bit_equal_to_solo_runs_across_the_matrix() {
         for topology in [CommTopology::Direct, CommTopology::Butterfly] {
             let mut dist = DistGraph::partition(&g, &part, gpus, Duplication::All);
             dist.build_cscs(); // the mix includes BC
-            let owner = part.assign(&g, gpus);
             let config = EnactConfig { comm_topology: topology, ..Default::default() };
             let descs = parse_query_list(MIX).unwrap();
             let specs =
-                build_query_specs(&g, &dist, &owner, HardwareProfile::k40(), 0, config, &descs)
-                    .unwrap();
+                build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
             let solo = solo_runs(&specs);
             for seed in [0u64, 7, 99] {
                 let label = format!("gpus={gpus} topo={topology:?} seed={seed}");
@@ -135,18 +133,10 @@ fn schedule_and_aggregates_are_invariant_across_worker_threads() {
     let part = RandomPartitioner { seed: 3 };
     let mut dist = DistGraph::partition(&g, &part, 4, Duplication::All);
     dist.build_cscs(); // the mix includes BC
-    let owner = part.assign(&g, 4);
     let descs = parse_query_list(MIX).unwrap();
-    let specs = build_query_specs(
-        &g,
-        &dist,
-        &owner,
-        HardwareProfile::k40(),
-        0,
-        EnactConfig::default(),
-        &descs,
-    )
-    .unwrap();
+    let specs =
+        build_query_specs(&g, &dist, HardwareProfile::k40(), 0, EnactConfig::default(), &descs)
+            .unwrap();
     for seed in [0u64, 42] {
         let one = Service::new(policy(seed, 1, 3)).run(&specs);
         let four = Service::new(policy(seed, 4, 3)).run(&specs);
@@ -170,18 +160,10 @@ fn scheduler_seeds_repack_waves_but_never_change_results() {
     let part = RandomPartitioner { seed: 3 };
     let mut dist = DistGraph::partition(&g, &part, 2, Duplication::All);
     dist.build_cscs(); // the mix includes BC
-    let owner = part.assign(&g, 2);
     let descs = parse_query_list(MIX).unwrap();
-    let specs = build_query_specs(
-        &g,
-        &dist,
-        &owner,
-        HardwareProfile::k40(),
-        0,
-        EnactConfig::default(),
-        &descs,
-    )
-    .unwrap();
+    let specs =
+        build_query_specs(&g, &dist, HardwareProfile::k40(), 0, EnactConfig::default(), &descs)
+            .unwrap();
     let solo = solo_runs(&specs);
     let mut packings = std::collections::HashSet::new();
     for seed in 0u64..6 {
@@ -204,12 +186,10 @@ fn service_reports_carry_per_query_admission_and_bsp_attribution() {
     let g = weighted_graph();
     let part = RandomPartitioner { seed: 3 };
     let dist = DistGraph::partition(&g, &part, 2, Duplication::All);
-    let owner = part.assign(&g, 2);
     let descs: Vec<QueryDesc> = parse_query_list("bfs:0,cc").unwrap();
     // Per-query BSP attribution rides the trace.
     let config = EnactConfig { tracing: true, ..Default::default() };
-    let specs =
-        build_query_specs(&g, &dist, &owner, HardwareProfile::k40(), 0, config, &descs).unwrap();
+    let specs = build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
     let rb = residency_bytes(&dist);
     let pol = ServicePolicy { residency_bytes: rb, ..policy(1, 1, 2) };
     let rep = Service::new(pol).run(&specs);
