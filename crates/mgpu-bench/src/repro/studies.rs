@@ -42,16 +42,15 @@ impl WireGroup {
 
 /// Comm-volume study — DOBFS, SSSP and CC at six GPUs on two analogs under
 /// three arms, the paper's wire first: `list` (forced `(id, label)` list
-/// encoding, nothing suppressed), `default` (`Auto` encoding + monotone send
-/// suppression) and `reduced` (the default over the butterfly broadcast
-/// collective). Then 64 BFS sources as 64 enacts on one runner (4-byte
+/// encoding), `default` (`Auto` encoding) and `reduced` (the default over
+/// the butterfly broadcast collective). Then 64 BFS sources as 64 enacts on one runner (4-byte
 /// labels) against one batched bitfield enact (8-byte lane masks), both on
 /// the same partition.
 pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
     const GPUS: usize = 6;
     let default = EnactConfig::default();
     let arms = [
-        ("list", EnactConfig { wire_encoding: WireEncoding::List, suppression: false, ..default }),
+        ("list", EnactConfig { wire_encoding: WireEncoding::List, ..default }),
         ("default", default),
         ("reduced", EnactConfig { comm_topology: CommTopology::Butterfly, ..default }),
     ];
@@ -135,13 +134,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
          butterfly, in 0 stages",
         selective().all(|g| g.cut(1, 2) == 1.0 && g.stages(2) == 0),
         "default vs reduced, 2 rows".into(),
-    );
-    let arms = || groups.iter().flat_map(|g| &g.arms);
-    let suppressed: u64 = arms().map(|(_, r)| r.comm.suppressed_vertices).sum();
-    out.check(
-        "monotone suppression drops 0 vertices on every row",
-        suppressed == 0,
-        format!("{suppressed} vertices over {} rows", arms().count()),
     );
     let batch: Vec<&WireGroup> = of(&["MS-BFS(64)"]).collect();
     out.check(

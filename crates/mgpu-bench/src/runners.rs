@@ -374,7 +374,7 @@ pub fn scaled_system(n: usize, profile: vgpu::HardwareProfile, shift: u32) -> Si
 mod tests {
     use super::*;
     use mgpu_core::governor::estimate_bind;
-    use mgpu_core::AllocScheme;
+    use mgpu_core::{AllocScheme, RecoveryPolicy};
     use mgpu_gen::weights::add_paper_weights;
     use mgpu_gen::{gnm, grid2d, preferential_attachment};
     use mgpu_graph::GraphBuilder;
@@ -587,6 +587,55 @@ mod tests {
         }
         assert_eq!(out.report.iterations, iterations);
         assert_eq!(out.report.totals.supersteps, supersteps);
+    }
+
+    /// A campaign whose later enact fails over ends on the survivors: the
+    /// aggregate reports their count, and each survivor's slot sums what
+    /// that device did in every enact, under its id before and after the
+    /// renumbering.
+    #[test]
+    fn a_bc_campaign_that_fails_over_reports_the_survivors_in_their_slots() {
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(120, 480, 3));
+        let sources = [0, 17, 42, 99];
+        let part = RandomPartitioner::default();
+        let mut dist = DistGraph::partition(&g, &part, 4, Duplication::All);
+        dist.build_cscs();
+        let config =
+            EnactConfig { recovery: RecoveryPolicy::resilient(), ..EnactConfig::default() };
+        let fresh = || SimSystem::homogeneous(4, HardwareProfile::k40());
+        // lose device 1 halfway through the second enact
+        let first = Runner::new(fresh(), &dist, Bc, config).unwrap().enact(Some(0)).unwrap();
+        let launches = first.per_device[1].kernel_launches;
+        let system = || {
+            let mut system = fresh();
+            system.attach_fault_plan(&FaultPlan::new().device_loss(1, launches * 3 / 2));
+            system
+        };
+        let out =
+            run_multi_source(&g, system(), &part, config, &sources, MultiSourceMode::RepeatedBc)
+                .unwrap();
+        let mut runner = Runner::new(system(), &dist, Bc, config).unwrap();
+        let reports: Vec<EnactReport> =
+            sources.iter().map(|&s| runner.enact(Some(s as u32)).unwrap()).collect();
+        let failed_over: Vec<u64> = reports.iter().map(|r| r.recovery.failovers).collect();
+        assert_eq!(failed_over[0], 0, "the loss must come after the first enact");
+        assert_eq!(failed_over.iter().sum::<u64>(), 1);
+        // what each original device did, following it through the renumbering
+        let (mut slots, mut items) = ((0..4).collect::<Vec<usize>>(), [0u64; 4]);
+        for r in &reports {
+            let lost = &r.recovery.lost_devices;
+            let kept = slots.iter().enumerate().filter(|(entry, _)| !lost.contains(entry));
+            slots = kept.map(|(_, &device)| device).collect();
+            for (&device, c) in slots.iter().zip(&r.per_device) {
+                items[device] += c.w_items;
+            }
+        }
+        let r = &out.report;
+        assert_eq!((r.n_devices, r.recovery.failovers), (3, 1));
+        assert_eq!((r.mem_per_device.len(), r.host_sync.per_device.len()), (3, 3));
+        let got: Vec<u64> = r.per_device.iter().map(|c| c.w_items).collect();
+        let want: Vec<u64> = slots.iter().map(|&device| items[device]).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

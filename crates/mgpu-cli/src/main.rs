@@ -511,13 +511,8 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
         if r.comm != mgpu_core::CommReduction::default() {
             let cm = &r.comm;
             println!(
-                "wire reduction {} vertices suppressed ({} KiB), encodings {} list / {} bitmap / {} delta, {} collective stages",
-                cm.suppressed_vertices,
-                cm.suppressed_bytes / 1024,
-                cm.enc_list,
-                cm.enc_bitmap,
-                cm.enc_delta,
-                cm.collective_stages
+                "wire reduction encodings {} list / {} bitmap / {} delta, {} collective stages",
+                cm.enc_list, cm.enc_bitmap, cm.enc_delta, cm.collective_stages
             );
         }
         println!("peak mem/GPU   {} KiB", r.peak_memory_per_device / 1024);

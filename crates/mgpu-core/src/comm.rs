@@ -17,23 +17,18 @@
 //! # The wire (DESIGN.md §10)
 //!
 //! A package *is* its encoded bytes, and `wire_bytes` is their length — the
-//! `H` term is a measurement, never an estimate. Three mechanisms keep it
+//! `H` term is a measurement, never an estimate. Two mechanisms keep it
 //! small without changing results:
 //!
 //! * **Encodings** ([`PackageEncoding`]): a plain list, a dense bitmap over
 //!   the broadcast space, or delta-varint over sorted ids. [`WireEncoding`]
 //!   is the policy: the default `Auto` takes the smallest eligible encoding
-//!   per package; `List` with suppression off is the paper's `(id, label)`
-//!   wire, kept as the ablation arm the reductions are measured against.
-//! * **Monotone send suppression** ([`SuppressState`]): for primitives whose
-//!   combiner is monotone (min-combine), a per-vertex floor of everything
-//!   already pushed to (or observed from) the wire proves that a repeated
-//!   message with a key `≥ floor` would be rejected by every receiver's
-//!   combiner — so it is dropped before it is packaged.
+//!   per package; `List` is the paper's `(id, label)` wire, kept as the
+//!   ablation arm the reductions are measured against.
 //! * **Canonical packages**: monotone packages are sorted by vertex id and
-//!   deduplicated (keeping the minimum key), which both enables the sorted
-//!   encodings and removes intra-package duplicates a monotone combiner
-//!   would reject anyway.
+//!   deduplicated (keeping the minimum key, or the OR of the bits), which
+//!   both enables the sorted encodings and removes intra-package duplicates
+//!   a monotone combiner would reject anyway.
 
 use std::borrow::Cow;
 use std::marker::PhantomData;
@@ -360,108 +355,20 @@ fn decode_bytes<V: Id, M: Wire>(b: &[u8]) -> (Vec<V>, Vec<M>) {
     }
 }
 
-// --- monotone send suppression --------------------------------------------
+// --- monotone canonicalization --------------------------------------------
 
-/// The partial order a monotone combiner improves under. Suppression and
-/// canonicalization are lattice operations; this names which lattice.
+/// The partial order a monotone combiner improves under: which lattice
+/// canonicalization keeps the best of a vertex's duplicate messages in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MonotoneOrder {
     /// Total order on `u64` keys, lower = better (BFS depth, SSSP distance).
-    /// The floor is the minimum key sent; duplicates keep the lowest key.
+    /// Duplicates keep the lowest key.
     #[default]
     MinKey,
     /// Bitfield lattice: keys are `u64` bit sets, combined by OR, larger =
-    /// better (MS-BFS reached sets). The floor is the union of bits sent; a
-    /// message is dominated iff it carries no bit outside the floor.
-    /// Duplicates merge by a problem-supplied OR-style merge.
+    /// better (MS-BFS reached sets). Duplicates merge by a problem-supplied
+    /// OR-style merge.
     OrBits,
-}
-
-/// Per-device suppression cache for monotone primitives: one floor word per
-/// local vertex recording the best key this device has already pushed to —
-/// or observed arriving from — the wire. "Best" is lattice-dependent: the
-/// minimum key under [`MonotoneOrder::MinKey`], the union of bits under
-/// [`MonotoneOrder::OrBits`].
-///
-/// Soundness (DESIGN.md §10, §14): for a monotone combiner, every
-/// receiver's state for vertex `v` is at least as good as the floor
-/// (selective: the owner combined all our previous sends; broadcast: every
-/// device received everything that contributed to the floor). `combine`
-/// accepts only strict improvements, so a message dominated by the floor
-/// (key ≥ floor, or no new bits) would be rejected by every receiver —
-/// dropping it is observationally equivalent.
-#[derive(Debug)]
-pub struct SuppressState {
-    order: MonotoneOrder,
-    floor: Vec<u64>,
-    /// Vertices dropped before packaging.
-    pub suppressed_vertices: u64,
-    /// Wire bytes those vertices would have cost under list accounting.
-    pub suppressed_bytes: u64,
-}
-
-impl SuppressState {
-    /// A fresh min-key cache over `n` local vertices (no floor yet).
-    pub fn new(n: usize) -> Self {
-        Self::with_order(n, MonotoneOrder::MinKey)
-    }
-
-    /// A fresh cache over `n` local vertices for the given lattice. The
-    /// empty floor is the lattice bottom: `u64::MAX` for min-key (nothing
-    /// sent yet beats any key), `0` for or-bits (no bits sent yet).
-    pub fn with_order(n: usize, order: MonotoneOrder) -> Self {
-        let empty = match order {
-            MonotoneOrder::MinKey => u64::MAX,
-            MonotoneOrder::OrBits => 0,
-        };
-        SuppressState { order, floor: vec![empty; n], suppressed_vertices: 0, suppressed_bytes: 0 }
-    }
-
-    /// Clear the floors and counters for a fresh traversal.
-    pub fn reset(&mut self) {
-        let empty = match self.order {
-            MonotoneOrder::MinKey => u64::MAX,
-            MonotoneOrder::OrBits => 0,
-        };
-        self.floor.fill(empty);
-        self.suppressed_vertices = 0;
-        self.suppressed_bytes = 0;
-    }
-
-    /// Should a message with `key` for local vertex `idx` go on the wire?
-    /// Records the send (improving the floor) when admitted; counts the
-    /// suppression (charging `wire_cost` bytes saved) when not.
-    pub fn admit(&mut self, idx: usize, key: u64, wire_cost: u64) -> bool {
-        let dominated = match self.order {
-            MonotoneOrder::MinKey => key >= self.floor[idx],
-            MonotoneOrder::OrBits => key & !self.floor[idx] == 0,
-        };
-        if dominated {
-            self.suppressed_vertices += 1;
-            self.suppressed_bytes += wire_cost;
-            false
-        } else {
-            match self.order {
-                MonotoneOrder::MinKey => self.floor[idx] = key,
-                MonotoneOrder::OrBits => self.floor[idx] |= key,
-            }
-            true
-        }
-    }
-
-    /// Fold an observed incoming broadcast key into the floor (everything a
-    /// device receives on a broadcast was also received by every peer).
-    pub fn observe(&mut self, idx: usize, key: u64) {
-        let f = &mut self.floor[idx];
-        match self.order {
-            MonotoneOrder::MinKey => {
-                if key < *f {
-                    *f = key;
-                }
-            }
-            MonotoneOrder::OrBits => *f |= key,
-        }
-    }
 }
 
 // --- packaging policy -----------------------------------------------------
@@ -480,7 +387,7 @@ pub struct PackagePolicy {
     /// a superstep carries the same payload.
     pub uniform_hint: Option<bool>,
     /// `MgpuProblem::monotone_order()` — which lattice the combiner
-    /// improves under (decides suppression floors and duplicate handling).
+    /// improves under (decides duplicate handling).
     pub order: MonotoneOrder,
 }
 
@@ -579,15 +486,13 @@ pub fn split_and_package<V: Id, O: Id, M: Wire>(
         scratch,
         packager,
         PackagePolicy::default(),
-        None,
         |_| 0,
         |a, _| a.clone(),
     )
 }
 
-/// [`split_and_package`] under an explicit policy: the encoding, an optional
-/// suppression cache (keyed by the *sender-local* id and the primitive's
-/// suppression key), the key extractor, and the duplicate merge used by
+/// [`split_and_package`] under an explicit policy: the encoding, the
+/// primitive's monotone key extractor, and the duplicate merge used by
 /// or-bits canonicalization (ignored under min-key).
 #[allow(clippy::too_many_arguments)]
 pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
@@ -597,7 +502,6 @@ pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
     scratch: &mut SplitScratch,
     mut packager: impl FnMut(V) -> M,
     policy: PackagePolicy,
-    mut suppress: Option<&mut SuppressState>,
     key: impl Fn(&M) -> u64,
     merge: impl Fn(&M, &M) -> M,
 ) -> Result<SplitOutput<V, M>> {
@@ -614,27 +518,19 @@ pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
                 counts[sub.owner(v) as usize] += 1;
             }
         }
-        // pass 2: scatter into exact-capacity buffers (an admitted upper
-        // bound when suppression is on)
+        // pass 2: scatter into exact-capacity buffers
         let mut local = Vec::with_capacity(counts[n_parts]);
         let mut parts: Vec<(Vec<V>, Vec<M>)> = counts[..n_parts]
             .iter()
             .map(|&c| (Vec::with_capacity(c), Vec::with_capacity(c)))
             .collect();
-        let per_vertex = (V::BYTES + M::BYTES) as u64;
         for &v in frontier {
             if sub.is_owned(v) {
                 local.push(v);
             } else {
-                let m = packager(v);
-                if let Some(s) = suppress.as_deref_mut() {
-                    if !s.admit(v.idx(), key(&m), per_vertex) {
-                        continue;
-                    }
-                }
                 let peer = sub.owner(v) as usize;
                 parts[peer].0.push(sub.to_owner_local(v));
-                parts[peer].1.push(m);
+                parts[peer].1.push(packager(v));
             }
         }
         let pkgs: Vec<Option<Package<V, M>>> = parts
@@ -656,81 +552,44 @@ pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
     })
 }
 
-/// Broadcast packaging: the whole frontier (as global ids) goes to every
-/// peer; the local sub-frontier is the whole frontier — the caller keeps
-/// using its own frontier vector, so nothing is copied for the local part.
-/// No split pass is needed, only id conversion and data packaging — still
-/// one Split-class kernel, but the per-peer loop disappears. The returned
-/// package is wrapped in an `Arc` by the sender and fanned out to all peers
-/// without further copies.
-pub fn broadcast_package<V: Id, O: Id, M: Wire>(
-    dev: &mut Device,
-    sub: &SubGraph<V, O>,
-    frontier: &[V],
-    packager: impl FnMut(V) -> M,
-) -> Result<Package<V, M>> {
-    broadcast_package_with(
-        dev,
-        sub,
-        frontier,
-        packager,
-        PackagePolicy::default(),
-        None,
-        |_| 0,
-        |a, _| a.clone(),
-    )
-}
-
-/// [`broadcast_package`] under an explicit policy. Suppression floors are
-/// keyed by the sender-local id; the enactor additionally folds *received*
-/// broadcast keys into the cache via [`SuppressState::observe`].
-#[allow(clippy::too_many_arguments)]
+/// Broadcast packaging under `policy`: the whole frontier (as global ids)
+/// goes to every peer; the local sub-frontier is the whole frontier — the
+/// caller keeps using its own frontier vector, so nothing is copied for the
+/// local part. No split pass is needed, only id conversion and data
+/// packaging — still one Split-class kernel, but the per-peer loop
+/// disappears. The returned package is wrapped in an `Arc` by the sender
+/// and fanned out to all peers without further copies.
 pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
     frontier: &[V],
     packager: impl FnMut(V) -> M,
     policy: PackagePolicy,
-    suppress: Option<&mut SuppressState>,
     key: impl Fn(&M) -> u64,
     merge: impl Fn(&M, &M) -> M,
 ) -> Result<Package<V, M>> {
-    let (vertices, msgs) =
-        broadcast_block(dev, sub, frontier, packager, policy, suppress, key, merge)?;
+    let (vertices, msgs) = broadcast_block(dev, sub, frontier, packager, policy, key, merge)?;
     // broadcast ids live in the global space; the bitmap alternative spans
     // that space
     Ok(Package::encode(vertices, msgs, policy.encoding, Some(sub.n_global), policy.uniform_hint))
 }
 
-/// The unencoded half of [`broadcast_package_with`]: the admitted frontier
-/// as `(global id, message)` arrays, canonical when the policy is monotone.
+/// The unencoded half of [`broadcast_package_with`]: the frontier as
+/// `(global id, message)` arrays, canonical when the policy is monotone.
 /// One Split kernel over the frontier. The butterfly keeps this block to
 /// merge with the windows it receives before anything is encoded.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn broadcast_block<V: Id, O: Id, M: Wire>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
     frontier: &[V],
     mut packager: impl FnMut(V) -> M,
     policy: PackagePolicy,
-    mut suppress: Option<&mut SuppressState>,
     key: impl Fn(&M) -> u64,
     merge: impl Fn(&M, &M) -> M,
 ) -> Result<(Vec<V>, Vec<M>)> {
     dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
-        let per_vertex = (V::BYTES + M::BYTES) as u64;
-        let mut vertices: Vec<V> = Vec::with_capacity(frontier.len());
-        let mut msgs: Vec<M> = Vec::with_capacity(frontier.len());
-        for &v in frontier {
-            let m = packager(v);
-            if let Some(s) = suppress.as_deref_mut() {
-                if !s.admit(v.idx(), key(&m), per_vertex) {
-                    continue;
-                }
-            }
-            vertices.push(sub.to_global(v));
-            msgs.push(m);
-        }
+        let vertices: Vec<V> = frontier.iter().map(|&v| sub.to_global(v)).collect();
+        let msgs: Vec<M> = frontier.iter().map(|&v| packager(v)).collect();
         let block = if policy.monotone {
             canonicalize_ordered(vertices, msgs, policy.order, &key, &merge)
         } else {
@@ -795,7 +654,16 @@ mod tests {
         let dg = cycle6(Duplication::OneHop);
         let mut dev = Device::new(0, HardwareProfile::k40());
         let frontier = [2u32, 4];
-        let pkg = broadcast_package(&mut dev, &dg.parts[0], &frontier, |_| ()).unwrap();
+        let pkg = broadcast_package_with(
+            &mut dev,
+            &dg.parts[0],
+            &frontier,
+            |_| (),
+            PackagePolicy::default(),
+            |_| 0,
+            |a, _| *a,
+        )
+        .unwrap();
         // the caller's own frontier *is* the local part — nothing is copied
         let (vs, _) = pkg.decode();
         assert_eq!(vs.as_ref(), &[2, 5], "local 4 is global 5");
@@ -829,100 +697,6 @@ mod tests {
             let total: usize = local.len() + pkgs.iter().flatten().map(Package::len).sum::<usize>();
             assert_eq!(total, frontier.len(), "split conserves the frontier");
         }
-    }
-
-    #[test]
-    fn suppression_drops_dominated_resends_in_split() {
-        let dg = cycle6(Duplication::All);
-        let mut dev = Device::new(0, HardwareProfile::k40());
-        let mut scratch = SplitScratch::default();
-        let mut supp = SuppressState::new(dg.parts[0].n_vertices());
-        let policy = PackagePolicy { monotone: true, ..PackagePolicy::default() };
-        // first send of {3, 5} establishes the floor
-        let (_, pkgs) = split_and_package_with(
-            &mut dev,
-            &dg.parts[0],
-            &[3, 5],
-            &mut scratch,
-            |v| v * 10,
-            policy,
-            Some(&mut supp),
-            |m| u64::from(*m),
-            |a, _| *a,
-        )
-        .unwrap();
-        assert_eq!(pkgs[1].as_ref().unwrap().len(), 2);
-        assert_eq!(supp.suppressed_vertices, 0);
-        // an equal re-send is provably rejected by the remote combiner
-        let (_, pkgs) = split_and_package_with(
-            &mut dev,
-            &dg.parts[0],
-            &[3, 5],
-            &mut scratch,
-            |v| v * 10,
-            policy,
-            Some(&mut supp),
-            |m| u64::from(*m),
-            |a, _| *a,
-        )
-        .unwrap();
-        assert!(pkgs.iter().all(Option::is_none), "dominated sends are dropped");
-        assert_eq!(supp.suppressed_vertices, 2);
-        assert_eq!(supp.suppressed_bytes, 2 * 8);
-        // a strictly better key goes through again
-        let (_, pkgs) = split_and_package_with(
-            &mut dev,
-            &dg.parts[0],
-            &[3],
-            &mut scratch,
-            |_| 1u32,
-            policy,
-            Some(&mut supp),
-            |m| u64::from(*m),
-            |a, _| *a,
-        )
-        .unwrap();
-        assert_eq!(pkgs[1].as_ref().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn broadcast_suppression_observes_incoming_floors() {
-        let dg = cycle6(Duplication::All);
-        let mut dev = Device::new(0, HardwareProfile::k40());
-        let mut supp = SuppressState::new(dg.parts[0].n_vertices());
-        let policy = PackagePolicy { monotone: true, ..PackagePolicy::default() };
-        // a peer broadcast delivered key 5 for vertex 2 to everyone
-        supp.observe(2, 5);
-        let pkg = broadcast_package_with(
-            &mut dev,
-            &dg.parts[0],
-            &[2u32, 4],
-            |_| 5u32,
-            policy,
-            Some(&mut supp),
-            |m| u64::from(*m),
-            |a, _| *a,
-        )
-        .unwrap();
-        let (vs, _) = pkg.decode();
-        assert_eq!(vs.as_ref(), &[4], "vertex 2's key 5 cannot improve any peer");
-        assert_eq!(supp.suppressed_vertices, 1);
-    }
-
-    #[test]
-    fn orbits_floor_admits_only_new_bits() {
-        let mut supp = SuppressState::with_order(4, MonotoneOrder::OrBits);
-        assert!(supp.admit(0, 0b0011, 8), "fresh bits go through");
-        assert!(!supp.admit(0, 0b0001, 8), "subset of the floor is dominated");
-        assert!(supp.admit(0, 0b0101, 8), "one new bit is enough");
-        assert!(!supp.admit(0, 0b0111, 8), "floor is now the union 0b0111");
-        assert_eq!(supp.suppressed_vertices, 2);
-        assert_eq!(supp.suppressed_bytes, 2 * 8);
-        // observed broadcast bits fold into the floor by union
-        supp.observe(1, 0b1000);
-        assert!(!supp.admit(1, 0b1000, 8));
-        supp.reset();
-        assert!(supp.admit(0, 0b0001, 8), "reset returns the floor to bottom");
     }
 
     #[test]

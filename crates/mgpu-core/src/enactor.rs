@@ -62,7 +62,7 @@ use vgpu::{
 use crate::alloc::{AllocScheme, FrontierBufs};
 use crate::comm::{
     broadcast_block, broadcast_package_with, canonicalize_ordered, CommStrategy, CommTopology,
-    Package, PackagePolicy, SuppressState, WireEncoding,
+    Package, PackagePolicy, WireEncoding,
 };
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog};
@@ -73,7 +73,7 @@ use crate::resilience::{
 };
 
 /// Per-enact configuration overrides. The default wire is the measured-best
-/// one: `Auto` encoding with monotone suppression over the direct topology.
+/// one: `Auto` encoding over the direct topology.
 #[derive(Debug, Clone, Copy)]
 pub struct EnactConfig {
     /// Override the primitive's allocation scheme (Fig. 3 sweeps this).
@@ -98,10 +98,9 @@ pub struct EnactConfig {
     /// length of its encoded bytes. The default `Auto` picks the smallest
     /// encoding per package.
     pub wire_encoding: WireEncoding,
-    /// Monotone send suppression (only effective when the primitive
-    /// declares `monotone()`): provably dominated messages are dropped
-    /// before packaging. On by default; forced `List` with this off is the
-    /// paper's `(id, label)` wire, the arm reductions are measured against.
+    /// Ignored: no message is ever suppressed. The field stays only because
+    /// the wall-clock harness (`benchmark/src/api.rs`) still spells it; it
+    /// goes when the harness is re-linked (ROADMAP item 1, step 1).
     pub suppression: bool,
     /// Record a structured [`crate::trace::Trace`] of the run (every kernel,
     /// send/receive, barrier, retry, spill, collective stage and checkpoint
@@ -120,7 +119,7 @@ impl Default for EnactConfig {
             recovery: RecoveryPolicy::default(),
             comm_topology: CommTopology::Direct,
             wire_encoding: WireEncoding::Auto,
-            suppression: true,
+            suppression: false,
             tracing: false,
         }
     }
@@ -458,10 +457,9 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         let fired_before = fired(&self.system);
         let (problem, config) = (&self.problem, &self.config);
         let policy = config.recovery;
-        let monotone = problem.monotone();
         let pkg_policy = PackagePolicy {
             encoding: config.wire_encoding,
-            monotone,
+            monotone: problem.monotone(),
             uniform_hint: problem.uniform_broadcast_msgs(),
             order: problem.monotone_order(),
         };
@@ -478,13 +476,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
                     dev.set_retry_policy(policy.max_retries, policy.retry_backoff_us);
                     let (mailbox, rec, device_loop) = (&mailbox, &rec, &device_loop);
                     scope.spawn(move || {
-                        // Fresh suppression cache per enact: floors never
-                        // survive a traversal (a retried or resumed attempt
-                        // starts from scratch, so a send that was lost with
-                        // its device can never leave a stale floor behind).
-                        let supp = (config.suppression && monotone && n > 1)
-                            .then(|| SuppressState::with_order(sub.n_vertices(), pkg_policy.order));
-                        let stats = CommReduction::default();
                         let run = DeviceRun {
                             problem,
                             dev,
@@ -495,8 +486,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
                             config,
                             rec,
                             pkg_policy,
-                            supp,
-                            stats,
+                            stats: CommReduction::default(),
                             error: None,
                         };
                         device_loop(run, src_local)
@@ -814,8 +804,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                         &output,
                         |v| problem.package(state, v),
                         self.pkg_policy,
-                        self.supp.as_mut(),
-                        |m| problem.suppression_key(m),
+                        |m| problem.monotone_key(m),
                         |a, b| problem.merge_msgs(a, b),
                     )?;
                     // the output frontier itself is the local part — no copy
@@ -918,8 +907,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 &output,
                 |v| problem.package(state, v),
                 run.pkg_policy,
-                run.supp.as_mut(),
-                |m| problem.suppression_key(m),
+                |m| problem.monotone_key(m),
                 |a, b| problem.merge_msgs(a, b),
             )?;
             Ok((output, own))
@@ -1016,7 +1004,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                 vs,
                 ms,
                 policy.order,
-                &|m| problem.suppression_key(m),
+                &|m| problem.monotone_key(m),
                 &|a, b| problem.merge_msgs(a, b),
             );
             let pkg = Package::encode(vs, ms, policy.encoding, Some(n_global), policy.uniform_hint);
@@ -1115,7 +1103,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             for l in 0..sub.n_vertices() {
                 let lv = V::from_usize(l);
                 if sub.is_owned(lv) {
-                    words.push((sub.to_global(lv), problem.checkpoint_word(state, lv)));
+                    words.push((sub.to_global(lv), problem.result_word(state, lv)));
                 }
             }
             let n = words.len() as u64;

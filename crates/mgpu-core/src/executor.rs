@@ -28,9 +28,7 @@ use vgpu::{
     TraceKind, VgpuError, COMM_STREAM,
 };
 
-use crate::comm::{
-    split_and_package_with, CommStrategy, Package, PackagePolicy, SplitOutput, SuppressState,
-};
+use crate::comm::{split_and_package_with, CommStrategy, Package, PackagePolicy, SplitOutput};
 use crate::enactor::{EnactConfig, PerGpu};
 use crate::problem::MgpuProblem;
 use crate::report::{CommReduction, EnactReport};
@@ -103,9 +101,6 @@ pub(crate) struct DeviceRun<'a, V: Id, O: Id, P: MgpuProblem<V, O>> {
     pub(crate) config: &'a EnactConfig,
     pub(crate) rec: &'a RecoveryCounters,
     pub(crate) pkg_policy: PackagePolicy,
-    /// Monotone send-suppression floors, when the config and the primitive
-    /// allow them.
-    pub(crate) supp: Option<SuppressState>,
     pub(crate) stats: CommReduction,
     /// The first error this device hit. Once set, the device's work is
     /// skipped ([`Self::attempt`]) while its loop keeps running.
@@ -137,11 +132,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     }
 
     /// The device thread's successful return value.
-    pub(crate) fn finish(mut self, iterations: usize) -> DeviceOutcome {
-        if let Some(s) = &self.supp {
-            self.stats.suppressed_vertices = s.suppressed_vertices;
-            self.stats.suppressed_bytes = s.suppressed_bytes;
-        }
+    pub(crate) fn finish(self, iterations: usize) -> DeviceOutcome {
         (iterations, self.stats)
     }
 
@@ -152,8 +143,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     }
 
     /// Split `output` into its local part and one package per remote owner
-    /// (selective communication), under the run's wire policy and
-    /// suppression floors.
+    /// (selective communication), under the run's wire policy.
     pub(crate) fn split(&mut self, output: &[V]) -> Result<SplitOutput<V, P::Msg>> {
         let (problem, per) = (self.problem, &mut *self.per);
         let state = &per.state;
@@ -164,8 +154,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             &mut per.bufs.split,
             |v| problem.package(state, v),
             self.pkg_policy,
-            self.supp.as_mut(),
-            |m| problem.suppression_key(m),
+            |m| problem.monotone_key(m),
             |a, b| problem.merge_msgs(a, b),
         )
     }
@@ -231,11 +220,9 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     /// Waits for the simulated arrival, counts the bytes toward `H`, records the
     /// `Recv` span, then runs one `Combine` kernel that decodes the package, maps
     /// each wire id to a local vertex (`Selective`: owner-local, used as is;
-    /// `Broadcast`: global, skipped when this device holds no copy), folds the
-    /// key into the suppression floor on broadcast (whatever arrives on a
-    /// broadcast was delivered to every peer), calls `problem.combine` and
-    /// appends the accepted vertices to `next`. Returns the decoded block: the
-    /// butterfly forwards it at its next stage.
+    /// `Broadcast`: global, skipped when this device holds no copy), calls
+    /// `problem.combine` and appends the accepted vertices to `next`. Returns
+    /// the decoded block: the butterfly forwards it at its next stage.
     pub(crate) fn receive(
         &mut self,
         comm: CommStrategy,
@@ -263,20 +250,14 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             });
         }
         let (problem, sub, state) = (self.problem, self.sub, &mut self.per.state);
-        let mut supp = self.supp.as_mut();
         let block = dev.kernel(COMM_STREAM, KernelKind::Combine, || {
             let (vs, ms) = pkg.decode();
             for (&wire, m) in vs.iter().zip(ms.iter()) {
-                let v = match comm {
-                    CommStrategy::Selective => wire,
-                    CommStrategy::Broadcast => {
-                        let Some(v) = sub.from_global(wire) else { continue };
-                        if let Some(s) = supp.as_deref_mut() {
-                            s.observe(v.idx(), problem.suppression_key(m));
-                        }
-                        v
-                    }
+                let local = match comm {
+                    CommStrategy::Selective => Some(wire),
+                    CommStrategy::Broadcast => sub.from_global(wire),
                 };
+                let Some(v) = local else { continue };
                 if problem.combine(state, v, m) {
                     next.push(v);
                 }
@@ -378,21 +359,15 @@ mod tests {
         // ids 0,1,2,4 are owner-local under Selective and global under
         // Broadcast, where global 1 has no copy on part 1
         let cases = [
-            (CommStrategy::Selective, vec![2, 0, 2, 4], vec![7, 4, 3, u32::MAX, 6], [true; 5]),
-            (
-                CommStrategy::Broadcast,
-                vec![2, 3, 4],
-                vec![u32::MAX, 4, u32::MAX, 7, 3],
-                [true, false, true, true, false],
-            ),
+            (CommStrategy::Selective, vec![2, 0, 2, 4], vec![7, 4, 3, u32::MAX, 6]),
+            (CommStrategy::Broadcast, vec![2, 3, 4], vec![u32::MAX, 4, u32::MAX, 7, 3]),
         ];
         let traced = EnactConfig { tracing: true, ..EnactConfig::default() };
-        for (comm, want_next, want_state, admits_key_6) in cases {
-            let (block, next, state, comm_clock, counters, events, admitted) =
+        for (comm, want_next, want_state) in cases {
+            let (block, next, state, comm_clock, counters, events) =
                 on_device_1(&dg, traced, |run| {
                     run.per.state = vec![u32::MAX; n_local];
                     run.per.state[1] = 4; // a label the delivery cannot improve
-                    run.supp = Some(SuppressState::new(n_local));
                     let pkg: Package<u32, u32> = Package::encode(
                         vec![0, 1, 2, 4],
                         vec![7, 9, 3, 6],
@@ -405,8 +380,6 @@ mod tests {
                         Delivery { src: 0, arrival: Event::at(50.0), payload: Arc::new(pkg) };
                     let mut next = vec![2];
                     let block = run.receive(comm, delivery, &mut next).unwrap();
-                    let supp = run.supp.as_mut().unwrap();
-                    let admitted: Vec<bool> = (0..5).map(|v| supp.admit(v, 6, 0)).collect();
                     (
                         block,
                         next,
@@ -414,7 +387,6 @@ mod tests {
                         run.dev.stream_time(COMM_STREAM),
                         run.dev.counters,
                         run.dev.timeline.events().to_vec(),
-                        admitted,
                     )
                 });
             assert_eq!(block, (vec![0, 1, 2, 4], vec![7, 9, 3, 6]), "{comm:?}: decoded block");
@@ -458,8 +430,6 @@ mod tests {
             let events: Vec<_> =
                 events.into_iter().map(|e| TraceEvent { wall: None, ..e }).collect();
             assert_eq!(events, [recv, combine], "{comm:?}");
-            // only a broadcast folds what arrived into the suppression floors
-            assert_eq!(admitted, admits_key_6, "{comm:?}");
         }
     }
 }

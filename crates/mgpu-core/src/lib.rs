@@ -73,7 +73,7 @@ pub mod trace;
 pub use alloc::{AllocScheme, FrontierBufs};
 pub use comm::{
     CommStrategy, CommTopology, MonotoneOrder, Package, PackageEncoding, PackagePolicy,
-    SplitScratch, SuppressState, WireEncoding,
+    SplitScratch, WireEncoding,
 };
 pub use direction::{Direction, DirectionConfig, DirectionState};
 pub use enactor::{EnactConfig, Runner};

@@ -179,7 +179,7 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     fn combine(&self, state: &mut Self::State, v: V, msg: &Self::Msg) -> bool;
 
     /// Is [`Self::combine`] a *monotone min-combine* under
-    /// [`Self::suppression_key`]? The contract: `combine` accepts a message
+    /// [`Self::monotone_key`]? The contract: `combine` accepts a message
     /// only when its key is strictly below the key currently recorded for
     /// that vertex, and a rejected message leaves state unchanged. Label
     /// traversals (BFS/DOBFS: depth; SSSP: distance; CC: the label a vertex
@@ -187,10 +187,9 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// sender's, which only lowers labels) satisfy this; additive combiners
     /// (PR rank, BC sigma) do not.
     ///
-    /// Declaring `true` enables monotone send suppression (under
-    /// `EnactConfig::suppression`), package canonicalization, and the
-    /// butterfly collective — all observationally equivalent for a truthful
-    /// declaration, all off for the default `false`.
+    /// Declaring `true` enables package canonicalization and the butterfly
+    /// collective — both observationally equivalent for a truthful
+    /// declaration, both off for the default `false`.
     fn monotone(&self) -> bool {
         false
     }
@@ -199,15 +198,15 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// stronger message under [`MinKey`](crate::comm::MonotoneOrder::MinKey); the message's bit
     /// set under [`OrBits`](crate::comm::MonotoneOrder::OrBits). Only meaningful when
     /// [`Self::monotone`] is `true`.
-    fn suppression_key(&self, _msg: &Self::Msg) -> u64 {
+    fn monotone_key(&self, _msg: &Self::Msg) -> u64 {
         0
     }
 
     /// Which lattice the monotone combiner improves under. The default
     /// `MinKey` is the label-traversal total order; bitfield OR-combiners
-    /// (MS-BFS reached sets) declare `OrBits`, switching suppression floors
-    /// to bit unions and duplicate canonicalization to [`Self::merge_msgs`].
-    /// Only meaningful when [`Self::monotone`] is `true`.
+    /// (MS-BFS reached sets) declare `OrBits`, switching duplicate
+    /// canonicalization to [`Self::merge_msgs`]. Only meaningful when
+    /// [`Self::monotone`] is `true`.
     fn monotone_order(&self) -> crate::comm::MonotoneOrder {
         crate::comm::MonotoneOrder::MinKey
     }
@@ -284,8 +283,8 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     }
 
     /// Does this primitive support superstep checkpointing — i.e. is its
-    /// per-vertex recoverable state fully captured by
-    /// [`Self::checkpoint_word`] / [`Self::restore_word`]? Default: no
+    /// per-vertex recoverable state fully captured by its answer word
+    /// ([`Self::result_word`]) and [`Self::restore_word`]? Default: no
     /// (checkpoints are silently skipped). Monotone label primitives (BFS,
     /// SSSP, CC) encode one word per vertex; primitives with cross-superstep
     /// scalar state evolving in [`Self::after_superstep`] (e.g. PR) should
@@ -294,16 +293,10 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
         false
     }
 
-    /// Encode local vertex `v`'s recoverable state as one 64-bit word (the
-    /// framework keys it by *global* id, so a checkpoint restores onto any
-    /// partition layout). Only called when [`Self::supports_checkpoint`].
-    fn checkpoint_word(&self, _state: &Self::State, _v: V) -> u64 {
-        0
-    }
-
-    /// Overwrite local vertex `v`'s state from a checkpoint word (inverse
-    /// of [`Self::checkpoint_word`], applied after a fresh
-    /// [`Self::reset`]). Called for owned vertices *and* proxies.
+    /// Overwrite local vertex `v`'s state from a checkpoint word — the
+    /// vertex's [`Self::result_word`], keyed by *global* id so a checkpoint
+    /// restores onto any partition layout — applied after a fresh
+    /// [`Self::reset`]. Called for owned vertices *and* proxies.
     fn restore_word(&self, _state: &mut Self::State, _v: V, _word: u64) {}
 
     /// Encode local vertex `v`'s *answer* as one 64-bit word. This is the
@@ -316,8 +309,8 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// * ranks (PR) and centrality scores (BC): `f32::from_bits(w as u32)`;
     /// * reached-lane sets (MS-BFS): the word itself, bit `l` for lane `l`.
     ///
-    /// No default: every primitive states its answer word. For the monotone
-    /// label primitives (BFS, SSSP, CC) it is the checkpoint word.
+    /// No default: every primitive states its answer word. When
+    /// [`Self::supports_checkpoint`], it is also the checkpoint word.
     fn result_word(&self, state: &Self::State, v: V) -> u64;
 }
 
@@ -429,7 +422,7 @@ pub(crate) mod testing {
         fn monotone(&self) -> bool {
             true
         }
-        fn suppression_key(&self, msg: &u32) -> u64 {
+        fn monotone_key(&self, msg: &u32) -> u64 {
             u64::from(*msg)
         }
         fn result_word(&self, state: &Vec<u32>, v: u32) -> u64 {

@@ -6,15 +6,15 @@ use crate::governor::GovernorLog;
 use crate::json::Json;
 use crate::resilience::RecoveryLog;
 
-/// Wire accounting, summed over devices: what the suppression cache, the
-/// encodings, and the butterfly collective did during the enact.
+/// Wire accounting, summed over devices: what the encodings and the
+/// butterfly collective did during the enact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommReduction {
-    /// Vertices dropped before packaging because their key could not
-    /// improve any receiver (monotone suppression).
+    /// Ignored, always 0: no message is ever suppressed. The field stays
+    /// only because the wall-clock harness (`benchmark/src/api.rs`) still
+    /// reads it; it goes when the harness is re-linked (ROADMAP item 1,
+    /// step 1).
     pub suppressed_vertices: u64,
-    /// Wire bytes those vertices would have cost under list accounting.
-    pub suppressed_bytes: u64,
     /// Packages that went out list-encoded.
     pub enc_list: u64,
     /// Packages that went out bitmap-encoded.
@@ -29,8 +29,6 @@ pub struct CommReduction {
 impl CommReduction {
     /// Fold another device's accounting into this one.
     pub fn merge(&mut self, other: &CommReduction) {
-        self.suppressed_vertices += other.suppressed_vertices;
-        self.suppressed_bytes += other.suppressed_bytes;
         self.enc_list += other.enc_list;
         self.enc_bitmap += other.enc_bitmap;
         self.enc_delta += other.enc_delta;
@@ -145,8 +143,8 @@ pub struct EnactReport {
     /// chunked passes, spills, reclaim retries) — quiet when the governor
     /// never had to act.
     pub governor: GovernorLog,
-    /// Wire-volume reduction accounting (suppression, encoding histogram,
-    /// collective stages), summed over devices.
+    /// Wire-volume reduction accounting (encoding histogram, collective
+    /// stages), summed over devices.
     pub comm: CommReduction,
     /// The structured event trace of the run, present when
     /// `EnactConfig::tracing` was on (see [`crate::trace`]). Deliberately
@@ -181,7 +179,17 @@ impl EnactReport {
     /// pool counters take the max (the pool persists across enacts, so its
     /// numbers are already cumulative, not per-enact). The aggregate carries
     /// no trace: each enact's trace reconciles with its own report only.
+    ///
+    /// An enact that failed over ends on the survivors of the devices it
+    /// started on, renumbered in order; the aggregate then keeps only their
+    /// slots, so every per-device counter lands on the device that earned
+    /// it, and reports the device count the campaign ended on.
     pub fn absorb(&mut self, other: &EnactReport) {
+        let lost = &other.recovery.lost_devices;
+        survivors(&mut self.per_device, lost);
+        survivors(&mut self.mem_per_device, lost);
+        survivors(&mut self.host_sync.per_device, lost);
+        self.n_devices = other.n_devices;
         self.trace = None;
         self.iterations += other.iterations;
         self.sim_time_us += other.sim_time_us;
@@ -273,8 +281,6 @@ impl EnactReport {
             ("spill_events", gov.spill_events.into()),
             ("spilled_bytes", gov.spilled_bytes.into()),
             ("reclaim_retries", gov.reclaim_retries.into()),
-            ("suppressed_vertices", comm.suppressed_vertices.into()),
-            ("suppressed_bytes", comm.suppressed_bytes.into()),
             ("enc_list", comm.enc_list.into()),
             ("enc_bitmap", comm.enc_bitmap.into()),
             ("enc_delta", comm.enc_delta.into()),
@@ -294,6 +300,11 @@ impl EnactReport {
         ])
         .to_string()
     }
+}
+
+/// Drop the slots of the `lost` device ids from a per-device vector.
+fn survivors<T: Copy>(slots: &mut Vec<T>, lost: &[usize]) {
+    *slots = slots.iter().enumerate().filter(|(d, _)| !lost.contains(d)).map(|(_, &s)| s).collect();
 }
 
 #[cfg(test)]
@@ -391,18 +402,13 @@ mod tests {
         assert_eq!(j.get("primitive"), Some(&"test".into()));
         assert_eq!(j.get("sim_time_us"), Some(&123.5.into()));
         assert_eq!(j.get("iterations"), Some(&3u64.into()));
-        for counter in [
-            "downgrades",
-            "butterfly_fallbacks",
-            "spilled_bytes",
-            "suppressed_vertices",
-            "enc_delta",
-            "collective_stages",
-        ] {
+        for counter in
+            ["downgrades", "butterfly_fallbacks", "spilled_bytes", "enc_delta", "collective_stages"]
+        {
             assert_eq!(j.get(counter), Some(&0u64.into()), "{counter}");
         }
         let Json::Obj(fields) = &j else { panic!("the report is an object") };
-        assert_eq!(fields.len(), 41, "40 flat fields + host_sync");
-        assert_eq!(fields[40].0, "host_sync");
+        assert_eq!(fields.len(), 39, "38 flat fields + host_sync");
+        assert_eq!(fields[38].0, "host_sync");
     }
 }

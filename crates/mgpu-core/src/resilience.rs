@@ -20,7 +20,7 @@
 //!   attempt.
 //! * **Checkpointing** — every [`RecoveryPolicy::checkpoint_interval`]
 //!   supersteps, each device encodes its *owned* vertices' recoverable state
-//!   as one `u64` word each ([`crate::MgpuProblem::checkpoint_word`]) keyed
+//!   as one `u64` word each ([`crate::MgpuProblem::result_word`]) keyed
 //!   by **global** vertex id, plus its owned slice of the pending set: the
 //!   next input frontier and whatever the primitive holds
 //!   [`crate::MgpuProblem::parked`]. A checkpoint completes only when all

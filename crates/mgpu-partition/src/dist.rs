@@ -82,14 +82,10 @@ pub struct SubGraph<V: Id, O: Id> {
     /// Local id → owner-local id (what to put on the wire for selective
     /// communication). `None` = identity (duplicate-all).
     owner_local: Option<Vec<V>>,
-    /// `|B_{i,j}|` for each peer j: the number of distinct remote vertices
-    /// owned by j that this GPU's edges point at (outgoing vertex border,
-    /// §III-A). `border_out[gpu] == 0`.
-    pub border_out: Vec<usize>,
-    /// The outgoing border itself: every non-owned local vertex an owned
-    /// row points at, ascending local ids (`n_local..` under
+    /// The outgoing vertex border (§III-A): every non-owned local vertex an
+    /// owned row points at, ascending local ids (`n_local..` under
     /// duplicate-1-hop, where those are exactly the proxies). Counted per
-    /// owner it is `border_out`.
+    /// owner j it is `|B_{i,j}|`.
     pub border: Vec<V>,
 }
 
@@ -200,11 +196,10 @@ impl<V: Id, O: Id> SubGraph<V, O> {
         }
     }
 
-    /// Total outgoing border size `|B_i|` (union over peers, with
-    /// duplication — a vertex bordering two peers counts twice, matching the
-    /// paper's definition).
+    /// Total outgoing border size `|B_i|`: the sum of `|B_{i,j}|` over
+    /// peers, which are disjoint (each border vertex has one owner).
     pub fn border_total(&self) -> usize {
-        self.border_out.iter().sum()
+        self.border.len()
     }
 
     /// Build and cache the reverse (CSC) adjacency for pull traversal.
@@ -345,10 +340,6 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         }
         offsets.push(O::from_usize(cols.len()));
         let border: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
-        let mut border_out = vec![0usize; n_parts];
-        for b in &border {
-            border_out[table[b.idx()] as usize] += 1;
-        }
         SubGraph {
             gpu,
             n_parts,
@@ -360,7 +351,6 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             local_to_global: None,
             owner_of: OwnerMap::Global(Arc::clone(table)),
             owner_local: None,
-            border_out,
             border,
         }
     }
@@ -428,13 +418,11 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         // Global → local for everything this part's edges can name; entries
         // of vertices that are neither owned nor proxied are never read.
         let mut local_of = vec![V::zero(); n];
-        let mut border_out = vec![0usize; n_parts];
         for &v in owned {
             local_of[v.idx()] = convert[v.idx()];
         }
         for (i, &g) in proxies.iter().enumerate() {
             local_of[g.idx()] = V::from_usize(n_local + i);
-            border_out[table[g.idx()] as usize] += 1;
         }
 
         let n_vi = n_local + proxies.len();
@@ -475,7 +463,6 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             local_to_global: Some(local_to_global),
             owner_of: OwnerMap::Local(owner_of, std::marker::PhantomData),
             owner_local: Some(owner_local),
-            border_out,
             border: (n_local..n_vi).map(V::from_usize).collect(),
         }
     }
@@ -548,8 +535,15 @@ mod tests {
         let (g, owner) = cycle6();
         let dg = DistGraph::build(&g, owner, 2, Duplication::All);
         // GPU0 owns {0,1,2}; its cut edges are 0→5 and 2→3 ⇒ border to GPU1 = {5,3}
-        assert_eq!(dg.parts[0].border_out, vec![0, 2]);
-        assert_eq!(dg.parts[1].border_out, vec![2, 0]);
+        let per_owner = |part: &SubGraph<u32, u64>| {
+            let mut count = vec![0usize; 2];
+            for &b in &part.border {
+                count[part.owner(b) as usize] += 1;
+            }
+            count
+        };
+        assert_eq!(per_owner(&dg.parts[0]), vec![0, 2]);
+        assert_eq!(per_owner(&dg.parts[1]), vec![2, 0]);
         assert_eq!(dg.parts[0].border_total(), 2);
     }
 
@@ -679,8 +673,7 @@ mod tests {
         (0..n).filter(|&v| hit[v as usize]).collect()
     }
 
-    /// Check every part's border against the naive scan and, counted per
-    /// owner, against `border_out`.
+    /// Check every part's border against the naive scan.
     fn check_borders(g: &Csr<u32, u64>, owner: &[u32], n_parts: usize) -> Vec<usize> {
         let mut sizes = Vec::new();
         for dup in [Duplication::All, Duplication::OneHop] {
@@ -688,11 +681,6 @@ mod tests {
             for sub in &dg.parts {
                 let at = format!("{dup:?}, part {} of {n_parts}", sub.gpu);
                 assert_eq!(sub.border, naive_border(sub), "{at}");
-                let mut per_owner = vec![0usize; n_parts];
-                for &b in &sub.border {
-                    per_owner[sub.owner(b) as usize] += 1;
-                }
-                assert_eq!(per_owner, sub.border_out, "{at}");
                 if dup == Duplication::OneHop {
                     let proxies: Vec<u32> = (sub.n_local as u32..sub.n_vertices() as u32).collect();
                     assert_eq!(sub.border, proxies, "{at}: the border is the proxy range");

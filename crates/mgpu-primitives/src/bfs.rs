@@ -120,12 +120,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
         }
     }
 
-    // Strict min-combine on the depth label: dominated re-sends are safe to
-    // suppress, and every message of a superstep carries the same depth.
+    // Strict min-combine on the depth label, and every message of a
+    // superstep carries the same depth.
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &u32) -> u64 {
+    fn monotone_key(&self, msg: &u32) -> u64 {
         u64::from(*msg)
     }
     fn uniform_broadcast_msgs(&self) -> Option<bool> {
@@ -137,16 +137,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Bfs {
         true
     }
 
-    fn checkpoint_word(&self, state: &Self::State, v: V) -> u64 {
-        state.labels[v.idx()] as u64
-    }
-
     fn restore_word(&self, state: &mut Self::State, v: V, word: u64) {
         state.labels[v.idx()] = word as u32;
     }
 
     fn result_word(&self, state: &Self::State, v: V) -> u64 {
-        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+        state.labels[v.idx()] as u64
     }
 }
 
@@ -282,12 +278,9 @@ mod tests {
         let dist =
             DistGraph::build(&g, (0..16).map(|v| (v % 2) as u32).collect(), 2, Duplication::All);
         let system = SimSystem::homogeneous(2, HardwareProfile::k40());
-        // the paper's wire: forced list, nothing suppressed
-        let config = EnactConfig {
-            wire_encoding: mgpu_core::WireEncoding::List,
-            suppression: false,
-            ..Default::default()
-        };
+        // the paper's wire: forced list
+        let config =
+            EnactConfig { wire_encoding: mgpu_core::WireEncoding::List, ..Default::default() };
         let mut runner = Runner::new(system, &dist, Bfs::default(), config).unwrap();
         let report = runner.enact(Some(0u32)).unwrap();
         let t = &report.totals;

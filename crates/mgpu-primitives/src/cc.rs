@@ -184,7 +184,7 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &V) -> u64 {
+    fn monotone_key(&self, msg: &V) -> u64 {
         msg.idx() as u64
     }
 
@@ -194,17 +194,13 @@ impl<V: Id + Wire, O: Id> MgpuProblem<V, O> for Cc {
         true
     }
 
-    fn checkpoint_word(&self, state: &Self::State, v: V) -> u64 {
-        state.component(v).idx() as u64
-    }
-
     fn restore_word(&self, state: &mut Self::State, v: V, word: u64) {
         state.label[v.idx()] = V::from_usize(word as usize);
         state.union(v.idx(), word as usize, &mut 0);
     }
 
     fn result_word(&self, state: &Self::State, v: V) -> u64 {
-        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+        state.component(v).idx() as u64
     }
 }
 

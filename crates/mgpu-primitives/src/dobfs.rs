@@ -193,7 +193,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &u32) -> u64 {
+    fn monotone_key(&self, msg: &u32) -> u64 {
         u64::from(*msg)
     }
     fn uniform_broadcast_msgs(&self) -> Option<bool> {

@@ -33,8 +33,8 @@
 //!   word (`Msg = u64`, 8 wire bytes, non-uniform payloads — the encodings
 //!   size them honestly via the per-vertex paths).
 //! * **Combination:** OR-combine — monotone under the
-//!   [`MonotoneOrder::OrBits`] lattice, so suppression floors (union of
-//!   bits sent) and OR-merging canonicalization apply.
+//!   [`MonotoneOrder::OrBits`] lattice, so OR-merging canonicalization
+//!   applies.
 //! * **Convergence:** all frontiers empty; `S` = depth of the *deepest*
 //!   single traversal, not the sum over sources.
 //!
@@ -423,15 +423,15 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for MsBfs {
     }
 
     // OR-combine over the lane bitfield: monotone under the or-bits
-    // lattice — floors are bit unions, canonical duplicates merge by OR,
-    // and payloads are non-uniform (every vertex carries its own bit set).
+    // lattice — canonical duplicates merge by OR, and payloads are
+    // non-uniform (every vertex carries its own bit set).
     fn monotone(&self) -> bool {
         true
     }
     fn monotone_order(&self) -> MonotoneOrder {
         MonotoneOrder::OrBits
     }
-    fn suppression_key(&self, msg: &u64) -> u64 {
+    fn monotone_key(&self, msg: &u64) -> u64 {
         *msg
     }
     fn merge_msgs(&self, a: &u64, b: &u64) -> u64 {
@@ -884,8 +884,8 @@ mod tests {
         }
     }
 
-    /// A fully instrumented run — tracing + suppression + auto encoding over
-    /// the butterfly — reconciles exactly: the profile built from the trace
+    /// A fully instrumented run — tracing + auto encoding over the
+    /// butterfly — reconciles exactly: the profile built from the trace
     /// matches the report's counters, and the per-superstep lane occupancy
     /// the batch records peaks at the full lane count.
     #[test]
@@ -895,7 +895,6 @@ mod tests {
         let sources = vec![0usize, 5, 9, 15];
         let config = EnactConfig {
             tracing: true,
-            suppression: true,
             wire_encoding: WireEncoding::Auto,
             comm_topology: CommTopology::Butterfly,
             comm: Some(CommStrategy::Broadcast),
@@ -919,11 +918,8 @@ mod tests {
     #[test]
     fn wire_bytes_price_the_eight_byte_payload() {
         let g = ladder();
-        let paper_wire = EnactConfig {
-            wire_encoding: mgpu_core::WireEncoding::List,
-            suppression: false,
-            ..EnactConfig::default()
-        };
+        let paper_wire =
+            EnactConfig { wire_encoding: mgpu_core::WireEncoding::List, ..EnactConfig::default() };
         let (_, report) = run_ms_bfs(&g, 2, vec![0, 15], paper_wire);
         let t = &report.totals;
         assert!(t.h_vertices > 0, "cut edges force communication");

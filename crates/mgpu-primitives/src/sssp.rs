@@ -271,7 +271,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &u32) -> u64 {
+    fn monotone_key(&self, msg: &u32) -> u64 {
         u64::from(*msg)
     }
 
@@ -290,16 +290,12 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Sssp {
         true
     }
 
-    fn checkpoint_word(&self, state: &Self::State, v: V) -> u64 {
-        state.dists[v.idx()] as u64
-    }
-
     fn restore_word(&self, state: &mut Self::State, v: V, word: u64) {
         state.dists[v.idx()] = word as u32;
     }
 
     fn result_word(&self, state: &Self::State, v: V) -> u64 {
-        MgpuProblem::<V, O>::checkpoint_word(self, state, v)
+        state.dists[v.idx()] as u64
     }
 }
 

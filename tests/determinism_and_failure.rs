@@ -248,7 +248,7 @@ impl MgpuProblem<u32, u64> for FaultyBfs {
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &u32) -> u64 {
+    fn monotone_key(&self, msg: &u32) -> u64 {
         u64::from(*msg)
     }
     fn after_superstep(&self, state: &mut FaultyState, _: &GlobalReduce, iter: usize) {

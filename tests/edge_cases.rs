@@ -237,7 +237,7 @@ impl MgpuProblem<u32, u64> for WaveBfs {
     fn monotone(&self) -> bool {
         true
     }
-    fn suppression_key(&self, msg: &u32) -> u64 {
+    fn monotone_key(&self, msg: &u32) -> u64 {
         u64::from(*msg)
     }
     fn locally_done(&self, state: &WaveState, next_input: &[u32]) -> bool {

@@ -259,7 +259,11 @@ fn dist_graph_equals_the_naive_per_part_reference() {
                 let want = naive_part(&g, &owner, n_parts, gpu as u32, dup);
                 assert_eq!(part.csr, want.csr, "{dup:?} part {gpu}/{n_parts}");
                 assert_eq!(part.n_local, want.n_local);
-                assert_eq!(part.border_out, want.border_out);
+                let mut border_out = vec![0usize; n_parts];
+                for &b in &part.border {
+                    border_out[part.owner(b) as usize] += 1;
+                }
+                assert_eq!(border_out, want.border_out);
                 for (l, &gl) in want.to_global.iter().enumerate() {
                     let l = l as u32;
                     assert_eq!(part.to_global(l), gl);
@@ -619,12 +623,8 @@ fn msbfs_equals_reference_on_either_side() {
 #[test]
 fn bsp_counters_are_conserved() {
     use mgpu_graph_analytics::core::WireEncoding;
-    // the paper's wire: forced list, nothing suppressed
-    let paper_wire = EnactConfig {
-        wire_encoding: WireEncoding::List,
-        suppression: false,
-        ..EnactConfig::default()
-    };
+    // the paper's wire: forced list
+    let paper_wire = EnactConfig { wire_encoding: WireEncoding::List, ..EnactConfig::default() };
     let mut rng = ChaCha8Rng::seed_from_u64(0xA18);
     for _ in 0..CASES {
         let (n, edges, weights) = arb_graph(&mut rng);
@@ -740,7 +740,6 @@ fn arbitrary_traced_runs_are_well_formed() {
                 CommTopology::Butterfly
             },
             kernel_threads: Some(1 + case % 4),
-            suppression: case % 3 == 0,
             ..Default::default()
         };
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());

@@ -248,12 +248,8 @@ fn checkpoints_bound_the_recomputation_after_a_late_loss() {
 
 #[test]
 fn the_default_wire_recovers_from_a_lost_device_to_the_reference() {
-    // Suppression is on by default: floors a device built before the loss
-    // must not survive into the restarted attempt, or a resumed sender would
-    // hold back keys its re-homed peers never received.
     let g = weighted_graph();
     let config = EnactConfig { recovery: RecoveryPolicy::resilient(), ..EnactConfig::default() };
-    assert!(config.suppression, "the default config is the one under test");
     let bfs_expect = reference::bfs(&g, 0u32);
     let sssp_expect = reference::sssp(&g, 0u32);
     let run_sssp = |n: usize, spec: &str| {
@@ -408,9 +404,6 @@ impl MgpuProblem<u32, u64> for PanicOnce {
     }
     fn supports_checkpoint(&self) -> bool {
         <Bfs as MgpuProblem<u32, u64>>::supports_checkpoint(&self.inner)
-    }
-    fn checkpoint_word(&self, state: &Self::State, v: u32) -> u64 {
-        <Bfs as MgpuProblem<u32, u64>>::checkpoint_word(&self.inner, state, v)
     }
     fn restore_word(&self, state: &mut Self::State, v: u32, word: u64) {
         <Bfs as MgpuProblem<u32, u64>>::restore_word(&self.inner, state, v, word)

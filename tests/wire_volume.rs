@@ -1,11 +1,11 @@
 //! Wire-volume acceptance suite.
 //!
-//! The wire — monotone send suppression, package encodings, and the
-//! butterfly broadcast collective — must be *invisible* in results: every
-//! configuration produces bit-identical labels, distances and components.
-//! The default is `Auto` encoding with suppression; the paper's wire (forced
-//! list, nothing suppressed) is the arm the headline reductions are measured
-//! against: DOBFS broadcast bytes drop ≥2× at six GPUs on an rmat analog.
+//! The wire — package encodings and the butterfly broadcast collective —
+//! must be *invisible* in results: every configuration produces
+//! bit-identical labels, distances and components. The default is `Auto`
+//! encoding; the paper's wire (forced list) is the arm the headline
+//! reductions are measured against: DOBFS broadcast bytes drop ≥2× at six
+//! GPUs on an rmat analog.
 
 use mgpu_graph_analytics::core::{
     CommStrategy, CommTopology, EnactConfig, EnactReport, RecoveryPolicy, Runner, WireEncoding,
@@ -27,9 +27,9 @@ fn usizes(words: Vec<u64>) -> Vec<usize> {
     words.into_iter().map(|w| w as usize).collect()
 }
 
-/// The paper's `(id, label)` wire: forced list encoding, nothing suppressed.
+/// The paper's `(id, label)` wire: forced list encoding.
 fn paper_wire() -> EnactConfig {
-    EnactConfig { wire_encoding: WireEncoding::List, suppression: false, ..EnactConfig::default() }
+    EnactConfig { wire_encoding: WireEncoding::List, ..EnactConfig::default() }
 }
 
 /// All wire configurations worth checking, defaults first.
@@ -37,7 +37,6 @@ fn configs() -> Vec<(&'static str, EnactConfig)> {
     let base = EnactConfig::default();
     vec![
         ("default", base),
-        ("no-suppression", EnactConfig { suppression: false, ..base }),
         ("paper-wire", paper_wire()),
         ("butterfly", EnactConfig { comm_topology: CommTopology::Butterfly, ..base }),
         (
@@ -152,7 +151,6 @@ fn butterfly_handles_non_power_of_two_gpu_counts() {
     assert!(report.comm.collective_stages > 0, "butterfly path must have been taken");
 
     let dist = dist_for(&g, 7, false);
-    let cfg = EnactConfig { suppression: false, ..cfg };
     let mut runner = Runner::new(sys(7), &dist, Cc, cfg).unwrap();
     runner.enact(None).unwrap();
     assert_eq!(usizes(runner.harvest()), reference::cc(&g));
@@ -163,7 +161,7 @@ fn butterfly_handles_non_power_of_two_gpu_counts() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn default_config_is_auto_encoding_with_suppression() {
+fn default_config_is_auto_encoding_over_the_direct_topology() {
     let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(200, 900, 5));
     let dist = dist_for(&g, 4, true);
     let run = |cfg: EnactConfig| {
@@ -178,7 +176,7 @@ fn default_config_is_auto_encoding_with_suppression() {
         recovery: RecoveryPolicy::default(),
         comm_topology: CommTopology::Direct,
         wire_encoding: WireEncoding::Auto,
-        suppression: true,
+        suppression: false,
         tracing: false,
     };
     let report = run(EnactConfig::default());
@@ -188,7 +186,6 @@ fn default_config_is_auto_encoding_with_suppression() {
     let paper = run(paper_wire());
     assert!(report.totals.h_bytes_sent < paper.totals.h_bytes_sent);
     assert_eq!(paper.comm.enc_bitmap + paper.comm.enc_delta, 0);
-    assert_eq!(paper.comm.suppressed_vertices, 0);
 }
 
 #[test]
@@ -201,7 +198,6 @@ fn paper_wire_costs_a_tag_per_package_and_id_plus_label_per_vertex() {
     let report = runner.enact(Some(0)).unwrap();
     let t = &report.totals;
     assert_eq!(t.h_bytes_sent, t.h_messages + t.h_vertices * 8);
-    assert_eq!(report.comm.suppressed_vertices, 0);
     assert_eq!(report.comm.collective_stages, 0);
 }
 
