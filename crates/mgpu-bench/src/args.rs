@@ -12,7 +12,7 @@ use std::num::NonZeroUsize;
 use std::slice::Iter;
 use std::str::FromStr;
 
-use mgpu_core::{AllocScheme, CommStrategy, CommTopology, WireEncoding};
+use mgpu_core::{AllocScheme, CommStrategy, WireEncoding};
 use mgpu_gen::Dataset;
 use mgpu_partition::PartitionerKind;
 use vgpu::HardwareProfile;
@@ -52,7 +52,6 @@ flag_values!(
     Primitive => "bc|bfs|cc|dobfs|pr|sssp",
     PartitionerKind => "random|biased|metis|chunked",
     CommStrategy => "selective|broadcast",
-    CommTopology => "direct|butterfly",
     WireEncoding => "auto|list",
     AllocScheme => "just-enough|fixed|max|prealloc-fusion",
 );
@@ -249,7 +248,6 @@ mod tests {
         assert_eq!(Primitive::WANT, labels(&Primitive::all(), |p| p.label()));
         assert_eq!(PartitionerKind::WANT, labels(PartitionerKind::ALL, PartitionerKind::label));
         assert_eq!(CommStrategy::WANT, labels(CommStrategy::ALL, CommStrategy::label));
-        assert_eq!(CommTopology::WANT, labels(CommTopology::ALL, CommTopology::label));
         assert_eq!(WireEncoding::WANT, labels(WireEncoding::ALL, WireEncoding::label));
         assert!(AllocScheme::WANT.split('|').all(|n| AllocScheme::parse_flag(n).is_some()));
         assert!(Hardware::WANT.split('|').all(|n| Hardware::parse_flag(n).is_some()));

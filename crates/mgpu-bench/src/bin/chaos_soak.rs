@@ -1,6 +1,6 @@
 //! Seeded chaos soak: the differential oracle for the unified recovery
-//! layer. Sweeps random fault plans × memory caps × {direct, butterfly} ×
-//! {BFS, SSSP, CC} × 2/4/8 GPUs on the resilient executor and asserts that
+//! layer. Sweeps random fault plans × memory caps × {BFS, SSSP, CC} ×
+//! 2/4/8 GPUs on the resilient executor and asserts that
 //! every faulty run's *results* are bit-equal to the fault-free run under
 //! the identical configuration, that the fault-free results are what
 //! `primitives::reference` computes (the oracle that catches a bug both arms
@@ -23,7 +23,7 @@ use std::process::ExitCode;
 
 use mgpu_bench::args::{parse_or_exit, Flag};
 use mgpu_bench::Primitive;
-use mgpu_core::{CommTopology, EnactConfig, Executor, Json, RecoveryPolicy, ResilientRunner};
+use mgpu_core::{EnactConfig, Executor, Json, RecoveryPolicy, ResilientRunner};
 use mgpu_gen::weights::add_paper_weights;
 use mgpu_gen::{gnm, preferential_attachment};
 use mgpu_graph::{Csr, GraphBuilder};
@@ -48,7 +48,6 @@ struct Scenario {
     gpus: usize,
     /// BFS, SSSP or CC.
     prim: Primitive,
-    topology: CommTopology,
     /// Cap device memory at 3/4 of the clean run's peak, so the pressure
     /// governor has to act.
     capped: bool,
@@ -58,11 +57,10 @@ struct Scenario {
 impl Scenario {
     fn label(&self) -> String {
         format!(
-            "#{:03} {:4} {}gpu {:9} capped={} gseed={}",
+            "#{:03} {:4} {}gpu capped={} gseed={}",
             self.id,
             self.prim.label(),
             self.gpus,
-            self.topology.label(),
             self.capped,
             self.graph_seed,
         )
@@ -82,29 +80,13 @@ fn graph_for(s: &Scenario) -> Csr<u32, u64> {
     }
 }
 
-/// Derive the scenario's fault plan from the bank stream. Butterfly
-/// scenarios occasionally get a consecutive-index transfer burst that
-/// exhausts the per-send retry budget and forces the direct-broadcast
-/// fallback; capped scenarios draw from the pressure-aware pool.
+/// Derive the scenario's fault plan from the bank stream; capped scenarios
+/// draw from the pressure-aware pool.
 fn plan_for(s: &Scenario, rng: &mut u64) -> FaultPlan {
     let seed = splitmix(rng);
     let count = 1 + (splitmix(rng) % 4) as usize;
     let horizon = 8 + splitmix(rng) % 40;
-    // The burst only makes sense where the butterfly actually engages:
-    // broadcast-comm primitives (CC here). Elsewhere a 4-deep consecutive
-    // burst on one link is correctly fatal — there is no collective to
-    // degrade.
-    if s.prim == Primitive::Cc
-        && s.topology == CommTopology::Butterfly
-        && splitmix(rng).is_multiple_of(3)
-    {
-        // 4 consecutive faults on one link = max_retries(3) + 1: the stage
-        // send exhausts its in-place retries and the superstep must degrade
-        // to direct broadcast.
-        let b = splitmix(rng) % 3;
-        let spec = (0..4).map(|k| format!("tfail:0>1@{}", b + k)).collect::<Vec<_>>().join(",");
-        FaultPlan::parse(&spec).expect("burst spec is well-formed")
-    } else if s.capped {
+    if s.capped {
         FaultPlan::random_pressure_aware(seed, s.gpus, count, horizon)
     } else {
         FaultPlan::random(seed, s.gpus, count, horizon)
@@ -119,14 +101,9 @@ fn bank(seed: u64, n: usize) -> Vec<(Scenario, FaultPlan)> {
             let gpus = [2usize, 4, 8][(splitmix(&mut rng) % 3) as usize];
             let prim =
                 [Primitive::Bfs, Primitive::Sssp, Primitive::Cc][(splitmix(&mut rng) % 3) as usize];
-            let topology = if splitmix(&mut rng).is_multiple_of(2) {
-                CommTopology::Butterfly
-            } else {
-                CommTopology::Direct
-            };
             let capped = splitmix(&mut rng).is_multiple_of(3);
             let graph_seed = splitmix(&mut rng) % 1000;
-            let s = Scenario { id, gpus, prim, topology, capped, graph_seed };
+            let s = Scenario { id, gpus, prim, capped, graph_seed };
             let plan = plan_for(&s, &mut rng);
             (s, plan)
         })
@@ -189,11 +166,7 @@ fn soak(s: &Scenario, plan: &FaultPlan, refs: &mut References) -> Result<(), Str
         }
     };
     // Fault-free oracle, uncapped.
-    let config = EnactConfig {
-        recovery: RecoveryPolicy::resilient(),
-        comm_topology: s.topology,
-        ..EnactConfig::default()
-    };
+    let config = EnactConfig { recovery: RecoveryPolicy::resilient(), ..EnactConfig::default() };
     let (clean, clean_rep) = run(s, &g, HardwareProfile::k40(), config, None)?;
     against_reference(&clean)?;
     // Pick the scenario's real profile: a tight cap derived from the clean

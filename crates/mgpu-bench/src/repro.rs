@@ -117,11 +117,7 @@ pub const EXPERIMENTS: [Experiment; 18] = [
         sections::ablation,
     ),
     exp("scaleout", "§VIII — scale-out vs scale-up at 8 GPUs", sections::scaleout),
-    exp(
-        "comm_volume",
-        "Wire volume — list wire vs default vs default + butterfly; MS-BFS(64)",
-        studies::comm_volume,
-    ),
+    exp("comm_volume", "Wire volume — list wire vs default; MS-BFS(64)", studies::comm_volume),
     exp(
         "bsp_profile",
         "BSP attribution — traced W/C/H/S·l per primitive, reconciled",

@@ -3,8 +3,7 @@
 //! (`bsp_profile`) and what the query service overlaps (`service`).
 
 use mgpu_core::{
-    CommTopology, EnactConfig, EnactReport, Profile, Service, ServicePolicy, ServiceReport,
-    WireEncoding,
+    EnactConfig, EnactReport, Profile, Service, ServicePolicy, ServiceReport, WireEncoding,
 };
 use mgpu_partition::{DistGraph, Duplication};
 use mgpu_primitives::MsBfs;
@@ -33,26 +32,19 @@ impl WireGroup {
     fn steps(&self, i: usize) -> usize {
         self.arms[i].1.iterations
     }
-
-    /// Butterfly stages arm `i` ran.
-    fn stages(&self, i: usize) -> u64 {
-        self.arms[i].1.comm.collective_stages
-    }
 }
 
 /// Comm-volume study — DOBFS, SSSP and CC at six GPUs on two analogs under
-/// three arms, the paper's wire first: `list` (forced `(id, label)` list
-/// encoding), `default` (`Auto` encoding) and `reduced` (the default over
-/// the butterfly broadcast collective). Then 64 BFS sources as 64 enacts on one runner (4-byte
-/// labels) against one batched bitfield enact (8-byte lane masks), both on
-/// the same partition.
+/// two arms, the paper's wire first: `list` (forced `(id, label)` list
+/// encoding) and `default` (`Auto` encoding). Then 64 BFS sources as 64
+/// enacts on one runner (4-byte labels) against one batched bitfield enact
+/// (8-byte lane masks), both on the same partition.
 pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
     const GPUS: usize = 6;
     let default = EnactConfig::default();
     let arms = [
         ("list", EnactConfig { wire_encoding: WireEncoding::List, ..default }),
         ("default", default),
-        ("reduced", EnactConfig { comm_topology: CommTopology::Butterfly, ..default }),
     ];
     let part = ctx.random();
     let mut groups = Vec::new();
@@ -86,7 +78,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
         "supersteps",
         "H bytes",
         "vs first arm",
-        "stages",
     ]);
     for group in &groups {
         for (i, (arm, r)) in group.arms.iter().enumerate() {
@@ -98,7 +89,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
                 format!("{}", r.iterations),
                 format!("{}", r.totals.h_bytes_sent),
                 if i == 0 { "-".into() } else { format!("{:.2}x", group.cut(0, i)) },
-                format!("{}", r.comm.collective_stages),
             ]);
         }
     }
@@ -109,8 +99,8 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
     let mut out = Outcome::default();
     out.table(
         format!(
-            "Wire volume at {GPUS} GPUs — the paper's list wire, the default wire, the default \
-             over the butterfly.\n'vs first arm' is the first arm's H bytes over this arm's."
+            "Wire volume at {GPUS} GPUs — the paper's list wire and the default wire.\n'vs first \
+             arm' is the first arm's H bytes over this arm's."
         ),
         t,
     );
@@ -121,19 +111,6 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
          the broadcast primitives (DOBFS, CC) and >= 1.5x fewer for SSSP",
         wide.0 >= 30.0 && narrow.0 >= 1.5,
         format!("DOBFS/CC {:.1}-{:.1}x, SSSP {:.2}-{:.2}x", wide.0, wide.1, narrow.0, narrow.1),
-    );
-    let further = span(broadcast().map(|g| g.cut(1, 2)));
-    let stages = span(broadcast().map(|g| g.stages(2) as f64));
-    out.check(
-        "the butterfly cuts DOBFS and CC a further >= 1.4x, in collective stages",
-        further.0 >= 1.4 && stages.0 > 0.0,
-        format!("{:.2}-{:.2}x in {}-{} stages", further.0, further.1, stages.0, stages.1),
-    );
-    out.check(
-        "selective primitives never enter the collective: SSSP moves the same bytes over the \
-         butterfly, in 0 stages",
-        selective().all(|g| g.cut(1, 2) == 1.0 && g.stages(2) == 0),
-        "default vs reduced, 2 rows".into(),
     );
     let batch: Vec<&WireGroup> = of(&["MS-BFS(64)"]).collect();
     out.check(
@@ -152,15 +129,14 @@ pub(super) fn comm_volume(ctx: &Ctx) -> Result<Outcome> {
 }
 
 /// BSP cost attribution — BFS, SSSP and CC on the soc-orkut analog at 2/4/8
-/// GPUs under both broadcast topologies, traced; every trace is folded into
-/// the per-device `W/C/H/S·l` buckets and reconciled bitwise with its report.
+/// GPUs, traced; every trace is folded into the per-device `W/C/H/S·l`
+/// buckets and reconciled bitwise with its report.
 pub(super) fn bsp_profile(ctx: &Ctx) -> Result<Outcome> {
     let g = ctx.weighted(&dataset("soc-orkut"), 0xabc);
     let part = ctx.random();
     let mut t = Table::new(&[
         "primitive",
         "gpus",
-        "topology",
         "steps",
         "sim ms",
         "W ms",
@@ -171,58 +147,39 @@ pub(super) fn bsp_profile(ctx: &Ctx) -> Result<Outcome> {
         "events",
     ]);
     let mut unreconciled = Vec::new();
-    // (direct, butterfly) pairs that are one simulation: [BFS + SSSP, CC]
-    let mut same = [0usize; 2];
     for prim in [Primitive::Bfs, Primitive::Sssp, Primitive::Cc] {
         for gpus in [2usize, 4, 8] {
-            let mut reports = Vec::new();
-            for &comm_topology in CommTopology::ALL {
-                let cfg = EnactConfig { tracing: true, comm_topology, ..Default::default() };
-                let report = run_primitive(prim, &g, ctx.k40s(gpus), &part, cfg)?.report;
-                let trace = report.trace.as_ref().expect("the config turned tracing on");
-                let profile = Profile::from_trace(trace);
-                if let Err(e) = profile.reconcile(&report) {
-                    unreconciled.push(format!(
-                        "{} x{gpus} {}: {e}",
-                        prim.name(),
-                        comm_topology.label()
-                    ));
-                }
-                let ms = |us: f64| format!("{:.3}", us / 1e3);
-                let total = &profile.total;
-                t.row(&[
-                    prim.name().into(),
-                    format!("{gpus}"),
-                    comm_topology.label().into(),
-                    format!("{}", profile.n_supersteps()),
-                    ms(report.sim_time_us),
-                    ms(total.w_us),
-                    ms(total.c_us),
-                    ms(total.h_us),
-                    ms(total.sync_us),
-                    ms(total.wait_us),
-                    format!("{}", trace.n_events()),
-                ]);
-                reports.push(report);
+            let cfg = EnactConfig { tracing: true, ..Default::default() };
+            let report = run_primitive(prim, &g, ctx.k40s(gpus), &part, cfg)?.report;
+            let trace = report.trace.as_ref().expect("the config turned tracing on");
+            let profile = Profile::from_trace(trace);
+            if let Err(e) = profile.reconcile(&report) {
+                unreconciled.push(format!("{} x{gpus}: {e}", prim.name()));
             }
-            same[usize::from(prim == Primitive::Cc)] +=
-                usize::from(reports[0].same_simulation(&reports[1]));
+            let ms = |us: f64| format!("{:.3}", us / 1e3);
+            let total = &profile.total;
+            t.row(&[
+                prim.name().into(),
+                format!("{gpus}"),
+                format!("{}", profile.n_supersteps()),
+                ms(report.sim_time_us),
+                ms(total.w_us),
+                ms(total.c_us),
+                ms(total.h_us),
+                ms(total.sync_us),
+                ms(total.wait_us),
+                format!("{}", trace.n_events()),
+            ]);
         }
     }
 
     let mut out = Outcome::default();
     out.table("BSP cost attribution on the soc-orkut analog, summed over devices", t);
     out.check(
-        "all 18 traces reconcile exactly: every per-device W/C/H/S·l bucket, every tally and \
+        "all 9 traces reconcile exactly: every per-device W/C/H/S·l bucket, every tally and \
          the makespan equal the report's, bitwise for the f64 sums",
         unreconciled.is_empty(),
-        if unreconciled.is_empty() { "18 of 18".into() } else { unreconciled.join("; ") },
-    );
-    out.check(
-        "BFS and SSSP are one simulation under direct and butterfly at every GPU count \
-         (selective never enters the collective); CC is not",
-        same == [6, 0],
-        format!("same_simulation on {} of 6 BFS + SSSP pairs, {} of 3 CC pairs", same[0], same[1]),
+        if unreconciled.is_empty() { "9 of 9".into() } else { unreconciled.join("; ") },
     );
     Ok(out)
 }

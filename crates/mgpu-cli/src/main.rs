@@ -26,8 +26,7 @@ use mgpu_bench::runners::{scaled_system, timed, IngestWall, MultiSourceMode, Pri
 use mgpu_bench::service::{build_query_specs, parse_query_list, residency_bytes};
 use mgpu_bench::{run_multi_source, run_primitive};
 use mgpu_core::{
-    AllocScheme, CommStrategy, CommTopology, EnactConfig, RecoveryPolicy, Service, ServicePolicy,
-    WireEncoding,
+    AllocScheme, CommStrategy, EnactConfig, RecoveryPolicy, Service, ServicePolicy, WireEncoding,
 };
 use mgpu_gen::catalog::{COMPARISON, TABLE2};
 use mgpu_gen::weights::add_paper_weights;
@@ -50,7 +49,6 @@ struct Cli {
     shift: u32,
     seed: u64,
     mem_cap: Option<u64>,
-    comm_topology: CommTopology,
     json: bool,
     // ---- run ----
     primitive: Option<Primitive>,
@@ -81,7 +79,6 @@ impl Default for Cli {
             shift: 8,
             seed: 42,
             mem_cap: None,
-            comm_topology: CommTopology::Direct,
             json: false,
             primitive: None,
             sources: None,
@@ -136,9 +133,6 @@ const SHARED: &[Flag<Cli>] = &[
         "per-device pool cap (the governor downgrades to fit it)",
         |o, a| a.parse().map(|cap| o.mem_cap = Some(cap)),
     ),
-    Flag::new("--comm-topology", CommTopology::WANT, "broadcast shape [default direct]", |o, a| {
-        a.parse().map(|t| o.comm_topology = t)
-    }),
     Flag::new("--json", "", "emit the report as JSON instead of text", |o, _| {
         o.json = true;
         Ok(())
@@ -297,6 +291,9 @@ fn load_graph(cli: &Cli, wants_weights: bool) -> Result<(Csr<u32, u64>, BuildWal
         }
         _ => return Err(bad_command_line(format!("give one of --dataset and --mtx\n{}", usage()))),
     };
+    if coo.n_vertices == 0 {
+        return Err(failed("the graph has no vertex: nothing to partition".into()));
+    }
     if wants_weights && coo.weights.is_none() {
         add_paper_weights(&mut coo, cli.seed ^ 0x77);
     }
@@ -343,7 +340,8 @@ fn print_ingest(built: &BuildWall, ingest: &IngestWall) {
 /// [`FaultPlan::parse`], the shorthand `random:SEED:COUNT:HORIZON` for a
 /// seed-derived transient-only plan, or `randomp:SEED:COUNT:HORIZON` for a
 /// seed-derived plan that also targets the pressure paths (spill transfers,
-/// chunked-advance passes, arena leases).
+/// chunked-advance passes, arena leases). A plan naming a device the run
+/// does not have is refused: it would never fire.
 fn parse_fault_plan(spec: &str, n_devices: usize) -> Result<FaultPlan, String> {
     let random = |rest: &str, pressure: bool| -> Result<FaultPlan, String> {
         let parts: Vec<&str> = rest.split(':').collect();
@@ -353,18 +351,25 @@ fn parse_fault_plan(spec: &str, n_devices: usize) -> Result<FaultPlan, String> {
         let seed = seed.parse::<u64>().map_err(|e| format!("seed: {e}"))?;
         let count = count.parse::<usize>().map_err(|e| format!("count: {e}"))?;
         let horizon = horizon.parse::<u64>().map_err(|e| format!("horizon: {e}"))?;
+        if horizon == 0 {
+            return Err("horizon: want an integer >= 1".into());
+        }
         Ok(if pressure {
             FaultPlan::random_pressure_aware(seed, n_devices, count, horizon)
         } else {
             FaultPlan::random(seed, n_devices, count, horizon)
         })
     };
-    if let Some(rest) = spec.strip_prefix("randomp:") {
+    let plan = if let Some(rest) = spec.strip_prefix("randomp:") {
         random(rest, true)
     } else if let Some(rest) = spec.strip_prefix("random:") {
         random(rest, false)
     } else {
         FaultPlan::parse(spec)
+    }?;
+    match plan.max_device() {
+        Some(d) if d >= n_devices => Err(format!("device {d} is not one of the {n_devices} GPUs")),
+        _ => Ok(plan),
     }
 }
 
@@ -424,7 +429,6 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
     let config = EnactConfig {
         alloc_scheme: cli.alloc_scheme,
         comm: cli.comm,
-        comm_topology: cli.comm_topology,
         wire_encoding: cli.wire_encoding,
         tracing: cli.trace_out.is_some() || cli.bsp_profile,
         recovery: if cli.recovery {
@@ -511,8 +515,8 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
         if r.comm != mgpu_core::CommReduction::default() {
             let cm = &r.comm;
             println!(
-                "wire reduction encodings {} list / {} bitmap / {} delta, {} collective stages",
-                cm.enc_list, cm.enc_bitmap, cm.enc_delta, cm.collective_stages
+                "wire reduction encodings {} list / {} bitmap / {} delta",
+                cm.enc_list, cm.enc_bitmap, cm.enc_delta
             );
         }
         println!("peak mem/GPU   {} KiB", r.peak_memory_per_device / 1024);
@@ -558,12 +562,6 @@ fn run(cli: Cli) -> Result<ExitCode, Failure> {
                 "recovery       {} kernel + {} transfer retries, {} checkpoints, {} failovers",
                 rec.kernel_retries, rec.transfer_retries, rec.checkpoints_taken, rec.failovers
             );
-            if rec.butterfly_fallbacks > 0 {
-                println!(
-                    "               {} butterfly superstep(s) fell back to direct broadcast",
-                    rec.butterfly_fallbacks
-                );
-            }
             if !rec.lost_devices.is_empty() {
                 println!(
                     "lost devices   {:?} ({:.3} ms of work discarded)",
@@ -592,11 +590,6 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     // --- graph (weights whenever a query reads them) ---
     let (graph, built) = load_graph(&cli, reads(|r| r.weights))?;
 
-    // --mem-cap shrinks the per-query device pools too: admitted queries
-    // that outgrow their estimate hit the runtime pressure machinery
-    // (spill, chunking) rather than silently exceeding the cap.
-    let config = EnactConfig { comm_topology: cli.comm_topology, ..Default::default() };
-
     // --- one shared residency for every query ---
     let gpus = cli.gpus;
     let mut ingest = IngestWall::default();
@@ -610,7 +603,11 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
 
+    // --mem-cap shrinks the per-query device pools too: admitted queries
+    // that outgrow their estimate hit the runtime pressure machinery
+    // (spill, chunking) rather than silently exceeding the cap.
     let profile = cli.hardware.profile.clone();
+    let config = EnactConfig::default();
     let specs = build_query_specs(&graph, &dist, profile, cli.shift, config, &descs)
         .map_err(|e| failed(format!("bad query mix: {e}")))?;
 
@@ -723,8 +720,8 @@ mod tests {
             "--primitive dobfs --dataset soc-orkut --gpus 6 --partitioner metis --profile p100 \
              --shift 10 --seed 7 --sources 0,5,11 --json --comm broadcast \
              --fault-plan lose:2@5,kfail:0@3 --recovery --mem-cap 3600000 \
-             --alloc-scheme fixed --sizing-factor 2.5 --comm-topology butterfly \
-             --wire-encoding list --trace-out t.jsonl --profile",
+             --alloc-scheme fixed --sizing-factor 2.5 --wire-encoding list \
+             --trace-out t.jsonl --profile",
         )
         .unwrap();
         let expected = Cli {
@@ -738,7 +735,6 @@ mod tests {
             partitioner: PartitionerKind::Metis,
             seed: 7,
             mem_cap: Some(3_600_000),
-            comm_topology: CommTopology::Butterfly,
             json: true,
             primitive: Some(Primitive::Dobfs),
             sources: Some("0,5,11".into()),
@@ -780,8 +776,7 @@ mod tests {
         let cli = parse(
             SERVE,
             "--queries bfs:0,cc --mtx g.mtx --gpus 2 --partitioner chunked --profile k80 \
-             --shift 6 --seed 9 --sched-seed 3 --lanes 0 --workers 4 --mem-cap 6291456 \
-             --comm-topology butterfly --json",
+             --shift 6 --seed 9 --sched-seed 3 --lanes 0 --workers 4 --mem-cap 6291456 --json",
         )
         .unwrap();
         let expected = Cli {
@@ -795,7 +790,6 @@ mod tests {
             partitioner: PartitionerKind::Chunked,
             seed: 9,
             mem_cap: Some(6_291_456),
-            comm_topology: CommTopology::Butterfly,
             json: true,
             queries: Some("bfs:0,cc".into()),
             sched_seed: Some(3),
@@ -828,6 +822,10 @@ mod tests {
         assert_eq!(parse(SERVE, "--primitive bfs").unwrap_err(), "unknown flag --primitive");
         assert_eq!(parse(RUN, "--src 3").unwrap_err(), "unknown flag --src");
         assert_eq!(parse(RUN, "--suppression on").unwrap_err(), "unknown flag --suppression");
+        assert_eq!(
+            parse(SERVE, "--comm-topology direct").unwrap_err(),
+            "unknown flag --comm-topology"
+        );
     }
 
     /// The bad-value lines `.claude/skills/verify/SKILL.md` quotes.
@@ -861,7 +859,6 @@ mod tests {
             "bad --partitioner kway: want random|biased|metis|chunked"
         );
         assert_eq!(bad("--comm unicast"), "bad --comm unicast: want selective|broadcast");
-        assert_eq!(bad("--comm-topology ring"), "bad --comm-topology ring: want direct|butterfly");
         assert_eq!(
             bad("--alloc-scheme huge"),
             "bad --alloc-scheme huge: want just-enough|fixed|max|prealloc-fusion"
@@ -888,7 +885,6 @@ mod tests {
         round_trips(&Primitive::all(), |p| p.label());
         round_trips(ExecutorKind::ALL, ExecutorKind::label);
         round_trips(CommStrategy::ALL, CommStrategy::label);
-        round_trips(CommTopology::ALL, CommTopology::label);
         round_trips(WireEncoding::ALL, WireEncoding::label);
         round_trips(PartitionerKind::ALL, PartitionerKind::label);
         let schemes = [
@@ -910,6 +906,15 @@ mod tests {
         );
         assert!(parse_fault_plan("random:7:6", 4).is_err());
         assert!(parse_fault_plan("lose:2@5,kfail:0@3", 4).is_ok());
+        assert_eq!(
+            parse_fault_plan("randomp:1:0:0", 2).unwrap_err(),
+            "horizon: want an integer >= 1"
+        );
+        assert_eq!(
+            parse_fault_plan("lose:7@1", 2).unwrap_err(),
+            "device 7 is not one of the 2 GPUs"
+        );
+        assert!(parse_fault_plan("tfail:0>2@1", 2).is_err(), "the far end of a link counts too");
     }
 
     #[test]
@@ -917,7 +922,7 @@ mod tests {
         let readme = include_str!("../../../README.md");
         let usage = usage();
         for flag in SHARED.iter().chain(RUN).chain(SERVE) {
-            // the whole flag, not a prefix of a longer one (`--comm` / `--comm-topology`)
+            // the whole flag, not a prefix of a longer word
             let named = readme.match_indices(flag.name).any(|(at, name)| {
                 !readme[at + name.len()..].starts_with(|c: char| c.is_ascii_lowercase() || c == '-')
             });

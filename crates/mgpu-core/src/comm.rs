@@ -50,20 +50,17 @@ pub enum CommStrategy {
 
 named!(CommStrategy { Selective => "selective", Broadcast => "broadcast" });
 
-/// How broadcast traffic is routed between the devices (`EnactConfig`
-/// knob). Orthogonal to [`CommStrategy`]: the topology decides *who talks
-/// to whom*, the strategy decides *what is on the wire*.
+/// Ignored, like the `EnactConfig::comm_topology` field that holds it:
+/// every sender pushes its package directly to all n−1 peers (the paper's
+/// model). Both variants stay only because the wall-clock harness
+/// (`benchmark/src/api.rs`) still spells `Butterfly`; the type goes when the
+/// harness is re-linked (ROADMAP item 1, step 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CommTopology {
-    /// Every sender pushes its package directly to all n−1 peers (the
-    /// paper's model; the default).
+    /// The direct n×(n−1) fan-out.
     #[default]
     Direct,
-    /// A ⌈log₂ n⌉-stage butterfly (dissemination) exchange: stage k sends
-    /// the union of everything held so far to peer `(i + 2^k) mod n`,
-    /// cutting per-link traffic and the latency term. Engaged only for
-    /// broadcast supersteps of monotone primitives; other supersteps fall
-    /// back to direct.
+    /// Ignored: runs exactly as `Direct`.
     Butterfly,
 }
 
@@ -392,9 +389,8 @@ pub struct PackagePolicy {
 }
 
 /// Sort `(vertex, msg)` pairs by (vertex id, key) and keep only the lowest
-/// key per vertex — the canonical form of a monotone package. Exposed for
-/// the butterfly stage unions.
-pub fn canonicalize_monotone<V: Id, M: Wire>(
+/// key per vertex — the canonical form of a monotone package.
+fn canonicalize_monotone<V: Id, M: Wire>(
     vertices: Vec<V>,
     msgs: Vec<M>,
     key: &impl Fn(&M) -> u64,
@@ -410,7 +406,7 @@ pub fn canonicalize_monotone<V: Id, M: Wire>(
 /// (OR has no "lowest key to keep" — the canonical form is the union). The
 /// sort is stable and the merge folds left-to-right, so the result is a
 /// pure function of the input multiset order.
-pub fn canonicalize_or_merge<V: Id, M: Wire>(
+fn canonicalize_or_merge<V: Id, M: Wire>(
     vertices: Vec<V>,
     msgs: Vec<M>,
     merge: &impl Fn(&M, &M) -> M,
@@ -435,9 +431,8 @@ pub fn canonicalize_or_merge<V: Id, M: Wire>(
 }
 
 /// Canonicalize per the policy's lattice: min-keep under `MinKey`, OR-merge
-/// under `OrBits`. The shared entry point for the packaging functions and
-/// the butterfly stage unions.
-pub fn canonicalize_ordered<V: Id, M: Wire>(
+/// under `OrBits`. The shared entry point for the packaging functions.
+fn canonicalize_ordered<V: Id, M: Wire>(
     vertices: Vec<V>,
     msgs: Vec<M>,
     order: MonotoneOrder,
@@ -556,29 +551,11 @@ pub fn split_and_package_with<V: Id, O: Id, M: Wire>(
 /// goes to every peer; the local sub-frontier is the whole frontier — the
 /// caller keeps using its own frontier vector, so nothing is copied for the
 /// local part. No split pass is needed, only id conversion and data
-/// packaging — still one Split-class kernel, but the per-peer loop
-/// disappears. The returned package is wrapped in an `Arc` by the sender
-/// and fanned out to all peers without further copies.
+/// packaging (canonical when the policy is monotone) — still one
+/// Split-class kernel, but the per-peer loop disappears. The returned
+/// package is wrapped in an `Arc` by the sender and fanned out to all peers
+/// without further copies.
 pub fn broadcast_package_with<V: Id, O: Id, M: Wire>(
-    dev: &mut Device,
-    sub: &SubGraph<V, O>,
-    frontier: &[V],
-    packager: impl FnMut(V) -> M,
-    policy: PackagePolicy,
-    key: impl Fn(&M) -> u64,
-    merge: impl Fn(&M, &M) -> M,
-) -> Result<Package<V, M>> {
-    let (vertices, msgs) = broadcast_block(dev, sub, frontier, packager, policy, key, merge)?;
-    // broadcast ids live in the global space; the bitmap alternative spans
-    // that space
-    Ok(Package::encode(vertices, msgs, policy.encoding, Some(sub.n_global), policy.uniform_hint))
-}
-
-/// The unencoded half of [`broadcast_package_with`]: the frontier as
-/// `(global id, message)` arrays, canonical when the policy is monotone.
-/// One Split kernel over the frontier. The butterfly keeps this block to
-/// merge with the windows it receives before anything is encoded.
-pub(crate) fn broadcast_block<V: Id, O: Id, M: Wire>(
     dev: &mut Device,
     sub: &SubGraph<V, O>,
     frontier: &[V],
@@ -586,8 +563,8 @@ pub(crate) fn broadcast_block<V: Id, O: Id, M: Wire>(
     policy: PackagePolicy,
     key: impl Fn(&M) -> u64,
     merge: impl Fn(&M, &M) -> M,
-) -> Result<(Vec<V>, Vec<M>)> {
-    dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
+) -> Result<Package<V, M>> {
+    let (vertices, msgs) = dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
         let vertices: Vec<V> = frontier.iter().map(|&v| sub.to_global(v)).collect();
         let msgs: Vec<M> = frontier.iter().map(|&v| packager(v)).collect();
         let block = if policy.monotone {
@@ -596,7 +573,10 @@ pub(crate) fn broadcast_block<V: Id, O: Id, M: Wire>(
             (vertices, msgs)
         };
         (block, frontier.len() as u64)
-    })
+    })?;
+    // broadcast ids live in the global space; the bitmap alternative spans
+    // that space
+    Ok(Package::encode(vertices, msgs, policy.encoding, Some(sub.n_global), policy.uniform_hint))
 }
 
 #[cfg(test)]

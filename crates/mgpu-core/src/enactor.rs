@@ -24,14 +24,12 @@
 //!    evaluated (all devices locally done, a primitive-specific global
 //!    predicate, or the iteration cap).
 //!
-//! Steps 1–3 are `DeviceRun::direct_superstep`, or
-//! `DeviceRun::butterfly_superstep` when a broadcast superstep of a
-//! monotone primitive is staged through the dissemination exchange; step 4
-//! and the loop are `DeviceRun::supersteps`. Only what varies per
-//! superstep is passed between them (`input`, `iter`, the strategy, the
-//! `SyncPoint`); the rendezvous schedule — `sync`, the butterfly's block
-//! groups and its stash of early arrivals — is BSP-only and never enters
-//! the context.
+//! Steps 1–3 are `DeviceRun::superstep`; step 4 and the loop are
+//! `DeviceRun::supersteps`. Only what varies per superstep is passed
+//! between them (`input`, `iter`, the strategy, the `SyncPoint`); the
+//! rendezvous schedule — one rendezvous and one superstep reduction per
+//! superstep, whatever the strategy — is BSP-only and never enters the
+//! context.
 //!
 //! Every piece of per-device work runs through `DeviceRun::attempt`: a
 //! device that fails (out of memory, an injected fault, a panic in problem
@@ -40,8 +38,7 @@
 //! (`Contribution::aborting` → `GlobalReduce::abort_count`), so every device
 //! makes the identical exit decision at the identical superstep and the
 //! enact call returns the deterministic root-cause error. A thread that
-//! cannot keep attending — it unwinds outside `attempt`, or it lost the
-//! strategy that fixes the superstep's rendezvous schedule — poisons the
+//! cannot keep attending — it unwinds outside `attempt` — poisons the
 //! `SyncPoint` instead, which releases its peers with `abort_count ≥ 1` at
 //! whatever rendezvous they are in.
 
@@ -61,19 +58,18 @@ use vgpu::{
 
 use crate::alloc::{AllocScheme, FrontierBufs};
 use crate::comm::{
-    broadcast_block, broadcast_package_with, canonicalize_ordered, CommStrategy, CommTopology,
-    Package, PackagePolicy, WireEncoding,
+    broadcast_package_with, CommStrategy, CommTopology, Package, PackagePolicy, WireEncoding,
 };
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog};
 use crate::problem::MgpuProblem;
 use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
 use crate::resilience::{
-    guard, CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
+    CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
 };
 
 /// Per-enact configuration overrides. The default wire is the measured-best
-/// one: `Auto` encoding over the direct topology.
+/// one: `Auto` encoding.
 #[derive(Debug, Clone, Copy)]
 pub struct EnactConfig {
     /// Override the primitive's allocation scheme (Fig. 3 sweeps this).
@@ -89,10 +85,10 @@ pub struct EnactConfig {
     /// Recovery policy (retries, checkpoints, straggler timeout). The
     /// default is fully off and adds zero simulated-time overhead.
     pub recovery: RecoveryPolicy,
-    /// Broadcast routing topology. The default `Direct` is the paper's
-    /// n×(n−1) fan-out; `Butterfly` stages broadcast supersteps of monotone
-    /// primitives through a ⌈log₂ n⌉-stage dissemination exchange, trading
-    /// `H·g` for `S·l`.
+    /// Ignored: every broadcast is the paper's n×(n−1) direct fan-out. The
+    /// field stays only because the wall-clock harness
+    /// (`benchmark/src/api.rs`) still spells it; it goes when the harness is
+    /// re-linked (ROADMAP item 1, step 1).
     pub comm_topology: CommTopology,
     /// Wire-encoding policy for packages; every package is charged the
     /// length of its encoded bytes. The default `Auto` picks the smallest
@@ -103,10 +99,10 @@ pub struct EnactConfig {
     /// goes when the harness is re-linked (ROADMAP item 1, step 1).
     pub suppression: bool,
     /// Record a structured [`crate::trace::Trace`] of the run (every kernel,
-    /// send/receive, barrier, retry, spill, collective stage and checkpoint
-    /// as a typed span) into `EnactReport::trace`. Off by default and free
-    /// when off: no allocation and no clock perturbation — `same_simulation`
-    /// holds between traced and untraced runs.
+    /// send/receive, barrier, retry, spill and checkpoint as a typed span)
+    /// into `EnactReport::trace`. Off by default and free when off: no
+    /// allocation and no clock perturbation — `same_simulation` holds
+    /// between traced and untraced runs.
     pub tracing: bool,
 }
 
@@ -508,7 +504,6 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
             transfer_retries,
             faults_injected: fired(&self.system) - fired_before,
             stragglers_detected: rec.stragglers.load(Relaxed),
-            butterfly_fallbacks: rec.butterfly_fallbacks.load(Relaxed),
             backoff_us: (kernel_retries + transfer_retries) as f64 * policy.retry_backoff_us,
             ..RecoveryLog::default()
         };
@@ -621,12 +616,8 @@ impl Drop for PoisonOnUnwind<'_> {
     }
 }
 
-/// Delivered packages a device has drained but not yet combined.
-type Stash<V, M> = Vec<Delivery<Arc<Package<V, M>>>>;
-
-/// One butterfly block window: how many origin blocks it covers, and their
-/// canonical merged `(global id, message)` arrays.
-type Group<V, M> = (usize, Vec<V>, Vec<M>);
+/// The packages a device drained from its inbox, not yet combined.
+type Drained<V, M> = Vec<Delivery<Arc<Package<V, M>>>>;
 
 impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     /// The per-device control loop (the `BFSThread` + `Iteration_Loop` of
@@ -649,8 +640,6 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let _release_peers = PoisonOnUnwind(sync);
         let config = self.config;
         let policy = config.recovery;
-        let butterfly =
-            config.comm_topology == CommTopology::Butterfly && self.pkg_policy.monotone && n > 1;
 
         // Reset: primitive state + initial frontier ("Put tsrc into initial
         // frontier on GPU src_gpu"). The host vector drives the iteration
@@ -672,29 +661,16 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         let mut iter = resume.map_or(0, |ck| ck.iter);
         loop {
             // Strategy for this superstep: identical on every GPU because state
-            // phases evolve from the shared reduction.
+            // phases evolve from the shared reduction. A device that failed
+            // skips the superstep's work, which is all the strategy steers:
+            // the one rendezvous is the same under either.
             let comm = match config.comm {
                 Some(c) => c,
-                None => match guard(gpu, || Ok(self.problem.comm_now(&self.per.state))) {
-                    Ok(c) => c,
-                    // Without the strategy this device does not know how many
-                    // rendezvous the superstep has (one, or a butterfly's
-                    // stages), so it cannot keep attending them.
-                    Err(e) => {
-                        sync.poison();
-                        return Err(e);
-                    }
-                },
+                None => self
+                    .attempt(|run| Ok(run.problem.comm_now(&run.per.state)))
+                    .unwrap_or(CommStrategy::Selective),
             };
-            // The butterfly engages only for broadcast supersteps of monotone
-            // primitives — a uniform decision (the strategy and the config are
-            // identical everywhere), so per-superstep barrier counts stay
-            // aligned across devices.
-            let next_input = if butterfly && comm == CommStrategy::Broadcast {
-                self.butterfly_superstep(&input, iter, sync)
-            } else {
-                self.direct_superstep(&input, iter, comm, sync)
-            };
+            let next_input = self.superstep(&input, iter, comm, sync);
 
             // ---- checkpoint offer: before the reduce, so a device that failed
             // this superstep never contributes and the partial stays incomplete
@@ -751,10 +727,10 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         }
     }
 
-    /// One superstep over the direct topology: compute + split/package/push
-    /// (Fig. 1's top half), the rendezvous after which every peer's pushes
-    /// are posted, then combine (Fig. 1's bottom half).
-    fn direct_superstep(
+    /// One superstep: compute + split/package/push (Fig. 1's top half), the
+    /// rendezvous after which every peer's pushes are posted, then combine
+    /// (Fig. 1's bottom half).
+    fn superstep(
         &mut self,
         input: &[V],
         iter: usize,
@@ -835,256 +811,22 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
         Ok(local)
     }
 
-    /// Combine `deliveries` into `next` in order, then commit the merged
-    /// frontier.
+    /// Combine `deliveries` into `next` in order, make the merged frontier
+    /// resident under the allocation scheme and let the next iteration's
+    /// compute wait for combine completion.
     fn combine_received(
         &mut self,
         comm: CommStrategy,
-        deliveries: Stash<V, P::Msg>,
+        deliveries: Drained<V, P::Msg>,
         mut next: Vec<V>,
     ) -> Result<Vec<V>> {
         for delivery in deliveries {
             self.receive(comm, delivery, &mut next)?;
         }
-        self.commit_frontier(&next)?;
-        Ok(next)
-    }
-
-    /// Make the merged frontier resident under the allocation scheme and let
-    /// the next iteration's compute wait for combine completion.
-    fn commit_frontier(&mut self, next: &[V]) -> Result<()> {
-        self.per.bufs.commit_output(self.dev, next)?;
+        self.per.bufs.commit_output(self.dev, &next)?;
         let done = self.dev.record_event(COMM_STREAM);
-        self.dev.stream_wait(COMPUTE_STREAM, done)
-    }
-
-    /// Mark a butterfly stage (or its fallback) on the compute stream.
-    fn record_stage(&mut self, name: &'static str, items: u64, peer: i64) {
-        let dev = &mut *self.dev;
-        if dev.timeline.is_enabled() {
-            let at = dev.stream_time(COMPUTE_STREAM);
-            dev.timeline.record(TraceEvent {
-                device: dev.id(),
-                stream: COMPUTE_STREAM.0,
-                kind: TraceKind::Stage,
-                name,
-                start_us: at,
-                items,
-                peer,
-                ..TraceEvent::default()
-            });
-        }
-    }
-
-    /// One butterfly (dissemination) superstep for a broadcast-comm monotone
-    /// primitive: compute, then ⌈log₂ n⌉ exchange stages, each sending the
-    /// most recent origin blocks held to peer `(i + 2^k) mod n` as one
-    /// canonical merged package and combining the symmetric package received
-    /// from `(i − 2^k) mod n`. Every device walks the identical stage structure
-    /// and attends every stage barrier, so the superstep count and barrier
-    /// schedule are deterministic; empty stage packages are elided (the barrier
-    /// makes "nothing arrived" an unambiguous empty window). A device that
-    /// fails mid-superstep keeps attending every stage barrier with its work
-    /// skipped — exactly the failure protocol of the direct path.
-    ///
-    /// Block accounting (DESIGN.md §10): after stage k each device holds the
-    /// contiguous ring window of `have` most recent origin blocks ending at its
-    /// own id. The stage sends the most recent `min(have, n − have)` blocks
-    /// (rounded up to a whole prefix of held groups; early stages match
-    /// exactly), which is precisely the window the receiver is missing —
-    /// redundant blocks from the final-stage round-up are rejected by the
-    /// monotone combiner.
-    fn butterfly_superstep(&mut self, input: &[V], iter: usize, sync: &SyncPoint) -> Vec<V> {
-        let (gpu, n) = (self.gpu(), sync.n());
-        // ---- compute + canonical own block (broadcast: the output frontier
-        // itself is the local part) ----
-        let computed = self.attempt(|run| {
-            let output = run.iterate(input, iter)?;
-            let (problem, state) = (run.problem, &run.per.state);
-            let own = broadcast_block(
-                run.dev,
-                run.sub,
-                &output,
-                |v| problem.package(state, v),
-                run.pkg_policy,
-                |m| problem.monotone_key(m),
-                |a, b| problem.merge_msgs(a, b),
-            )?;
-            Ok((output, own))
-        });
-        let (mut next, own) = computed.unwrap_or_default();
-
-        // groups[k] = the block window received at stage k (groups[0] = the own
-        // block), newest first; counts are structural and identical on every
-        // device, so no origin metadata travels on the wire.
-        let mut groups: Vec<Group<V, P::Msg>> = vec![(1, own.0, own.1)];
-        let mut have = 1usize;
-        let mut hop = 1usize; // 2^k
-        let mut stash: Stash<V, P::Msg> = Vec::new();
-        while have < n {
-            let target = have.min(n - have);
-            // smallest whole prefix of groups covering ≥ target blocks
-            let mut sel = 0usize;
-            let mut count = 0usize;
-            while count < target {
-                count += groups[sel].0;
-                sel += 1;
-            }
-            let dst = (gpu + hop) % n;
-            let src = (gpu + n - hop) % n;
-
-            // ---- merge + encode + push. A stage whose transient retries are
-            // exhausted does not doom the attempt when the policy allows
-            // degrading: the device votes for a uniform fall-back to direct
-            // broadcast at the stage rendezvous below. Non-transient errors
-            // keep the direct path's failure protocol (attend every barrier,
-            // abort at the superstep reduce).
-            let stage_fault = self.attempt(|run| {
-                let policy = run.config.recovery;
-                match run.send_stage(&groups[..sel], dst) {
-                    Err(e) if policy.degrade && e.is_transient() => Ok(true),
-                    sent => sent.map(|()| false),
-                }
-            });
-
-            // ---- stage rendezvous: the peer's push is posted. The rendezvous
-            // doubles as the fall-back vote: the u64 reduction is identical on
-            // every device, so the decision to degrade this superstep to direct
-            // broadcast is uniform and costs no extra barrier. ----
-            let vote = Contribution {
-                u64_add: stage_fault.unwrap_or(false) as u64,
-                ..Contribution::default()
-            };
-            let now = self.dev.now();
-            let reduce = self.wait(|| sync.superstep(gpu, now, false, vote));
-            if reduce.u64_sum > 0 {
-                if gpu == 0 {
-                    self.rec.note_butterfly_fallback();
-                }
-                return self.butterfly_fallback(sync, &groups[0], stash, next);
-            }
-
-            // ---- take this stage's package; early arrivals from faster peers
-            // wait in the stash, a failed sender contributes an empty window ----
-            stash.extend(self.mailbox.drain(gpu));
-            let got = stash.iter().position(|d| d.src == src).map(|i| stash.swap_remove(i));
-            let received = got.and_then(|delivery| {
-                self.attempt(|run| {
-                    let decoded = run.receive(CommStrategy::Broadcast, delivery, &mut next)?;
-                    // the next stage's merge (compute stream) forwards what
-                    // this combine decoded
-                    let done = run.dev.record_event(COMM_STREAM);
-                    run.dev.stream_wait(COMPUTE_STREAM, done)?;
-                    Ok(decoded)
-                })
-            });
-            let (rvs, rms) = received.unwrap_or_default();
-            groups.push((count, rvs, rms));
-            have += count;
-            hop <<= 1;
-        }
-
-        // ---- commit the merged frontier, as the direct combine path does ----
-        self.attempt(|run| run.commit_frontier(&next).map(|()| next)).unwrap_or_default()
-    }
-
-    /// One butterfly stage's send: merge `groups` into one canonical block
-    /// (one Split kernel per stage), encode it and push it to `dst`.
-    fn send_stage(&mut self, groups: &[Group<V, P::Msg>], dst: usize) -> Result<()> {
-        let (problem, policy, n_global) = (self.problem, self.pkg_policy, self.sub.n_global);
-        let merged = self.dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
-            let total: usize = groups.iter().map(|g| g.1.len()).sum();
-            let mut vs: Vec<V> = Vec::with_capacity(total);
-            let mut ms: Vec<P::Msg> = Vec::with_capacity(total);
-            for (_, gv, gm) in groups {
-                vs.extend_from_slice(gv);
-                ms.extend(gm.iter().cloned());
-            }
-            let (vs, ms) = canonicalize_ordered(
-                vs,
-                ms,
-                policy.order,
-                &|m| problem.monotone_key(m),
-                &|a, b| problem.merge_msgs(a, b),
-            );
-            let pkg = Package::encode(vs, ms, policy.encoding, Some(n_global), policy.uniform_hint);
-            (pkg, total as u64)
-        })?;
-        self.stats.collective_stages += 1;
-        self.record_stage("butterfly-stage", merged.len() as u64, dst as i64);
-        // Empty stage packages are elided: the stage barrier guarantees every
-        // posted send is drained by its receiver, so a missing delivery
-        // deterministically means an empty window — the same signature a
-        // failed sender leaves.
-        if merged.is_empty() {
-            return Ok(());
-        }
-        self.stats.count_package(merged.encoding());
-        let ready = self.dev.record_event(COMPUTE_STREAM);
-        self.dev.stream_wait(COMM_STREAM, ready)?;
-        self.post(dst, Arc::new(merged))
-    }
-
-    /// Degraded completion of a butterfly superstep after a mid-stage fault
-    /// survived its transient retries: every device re-broadcasts its *own*
-    /// canonical block directly to all peers, then combines everything that
-    /// arrived — the interrupted stage's packages plus the direct
-    /// re-broadcasts. Every origin block reaches every device without relying
-    /// on forwarding, and the monotone combiner rejects whatever the completed
-    /// stages already applied, so the superstep's result is identical to a
-    /// fault-free exchange. The degradation costs one extra rendezvous
-    /// (uniform: every device attends it) and direct-broadcast wire charges on
-    /// top of the stages already paid — all visible in the trace.
-    fn butterfly_fallback(
-        &mut self,
-        sync: &SyncPoint,
-        own: &Group<V, P::Msg>,
-        mut stash: Stash<V, P::Msg>,
-        next: Vec<V>,
-    ) -> Vec<V> {
-        let (gpu, n) = (self.gpu(), sync.n());
-        // ---- re-encode the own block and push it directly to every peer; a
-        // failure here is terminal for the attempt (the resilience layer owns
-        // the next level of recovery) ----
-        self.attempt(|run| {
-            let (policy, n_global) = (run.pkg_policy, run.sub.n_global);
-            let pkg = run.dev.kernel(COMPUTE_STREAM, KernelKind::Split, || {
-                let items = own.1.len() as u64;
-                let pkg = Package::encode(
-                    own.1.clone(),
-                    own.2.clone(),
-                    policy.encoding,
-                    Some(n_global),
-                    policy.uniform_hint,
-                );
-                (pkg, items)
-            })?;
-            run.record_stage("butterfly-fallback", pkg.len() as u64, -1);
-            // empty own blocks are elided exactly as empty stage windows are
-            if pkg.is_empty() {
-                return Ok(());
-            }
-            let ready = run.dev.record_event(COMPUTE_STREAM);
-            run.dev.stream_wait(COMM_STREAM, ready)?;
-            let pkg = Arc::new(pkg);
-            for peer in (0..n).filter(|&peer| peer != gpu) {
-                run.stats.count_package(pkg.encoding());
-                run.post(peer, Arc::clone(&pkg))?;
-            }
-            Ok(())
-        });
-
-        // ---- one extra rendezvous: every surviving peer's direct push (and
-        // any package from the interrupted stage) is posted ----
-        self.wait(|| sync.rendezvous(gpu));
-
-        // ---- drain & combine; a stable sort by sender keeps combine order
-        // independent of thread scheduling (stash entries from one sender were
-        // posted in that sender's program order) ----
-        stash.extend(self.mailbox.drain(gpu));
-        stash.sort_by_key(|d| d.src);
-        self.attempt(|run| run.combine_received(CommStrategy::Broadcast, stash, next))
-            .unwrap_or_default()
+        self.dev.stream_wait(COMPUTE_STREAM, done)?;
+        Ok(next)
     }
 
     /// Encode this device's owned vertices (global-id keyed) and its owned

@@ -199,9 +199,8 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                     self.dev.charge_as(COMM_STREAM, policy.retry_backoff_us, 0.0, meta)?;
                 }
                 Err(e) => {
-                    // Not a retry and no time of its own: the run may go on
-                    // (a butterfly stage falls back to direct), so the trace
-                    // must say that this attempt delivered nothing either.
+                    // Not a retry and no time of its own, but the trace must
+                    // say that this attempt delivered nothing either.
                     let meta = SpanMeta::new(TraceKind::Retry, "transfer-abandoned").peer(dst);
                     self.dev.charge_as(COMM_STREAM, 0.0, 0.0, meta)?;
                     return Err(e);
@@ -221,14 +220,13 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
     /// `Recv` span, then runs one `Combine` kernel that decodes the package, maps
     /// each wire id to a local vertex (`Selective`: owner-local, used as is;
     /// `Broadcast`: global, skipped when this device holds no copy), calls
-    /// `problem.combine` and appends the accepted vertices to `next`. Returns
-    /// the decoded block: the butterfly forwards it at its next stage.
+    /// `problem.combine` and appends the accepted vertices to `next`.
     pub(crate) fn receive(
         &mut self,
         comm: CommStrategy,
         delivery: Delivery<Arc<Package<V, P::Msg>>>,
         next: &mut Vec<V>,
-    ) -> Result<(Vec<V>, Vec<P::Msg>)> {
+    ) -> Result<()> {
         let dev = &mut *self.dev;
         let wall_start = dev.timeline.wall_now();
         dev.stream_wait(COMM_STREAM, delivery.arrival)?;
@@ -250,7 +248,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
             });
         }
         let (problem, sub, state) = (self.problem, self.sub, &mut self.per.state);
-        let block = dev.kernel(COMM_STREAM, KernelKind::Combine, || {
+        dev.kernel(COMM_STREAM, KernelKind::Combine, || {
             let (vs, ms) = pkg.decode();
             for (&wire, m) in vs.iter().zip(ms.iter()) {
                 let local = match comm {
@@ -262,11 +260,11 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                     next.push(v);
                 }
             }
-            ((vs.into_owned(), ms.into_owned()), pkg.len() as u64)
+            ((), pkg.len() as u64)
         })?;
         // the combine span carries the whole receive
         dev.timeline.stamp_last(HostLayer::Combine, wall_start);
-        Ok(block)
+        Ok(())
     }
 
     /// Run one rendezvous with the peer device threads, adding the host wall
@@ -364,32 +362,29 @@ mod tests {
         ];
         let traced = EnactConfig { tracing: true, ..EnactConfig::default() };
         for (comm, want_next, want_state) in cases {
-            let (block, next, state, comm_clock, counters, events) =
-                on_device_1(&dg, traced, |run| {
-                    run.per.state = vec![u32::MAX; n_local];
-                    run.per.state[1] = 4; // a label the delivery cannot improve
-                    let pkg: Package<u32, u32> = Package::encode(
-                        vec![0, 1, 2, 4],
-                        vec![7, 9, 3, 6],
-                        crate::comm::WireEncoding::Auto,
-                        Some(6),
-                        None,
-                    );
-                    assert_eq!(pkg.wire_bytes(), 22);
-                    let delivery =
-                        Delivery { src: 0, arrival: Event::at(50.0), payload: Arc::new(pkg) };
-                    let mut next = vec![2];
-                    let block = run.receive(comm, delivery, &mut next).unwrap();
-                    (
-                        block,
-                        next,
-                        run.per.state.clone(),
-                        run.dev.stream_time(COMM_STREAM),
-                        run.dev.counters,
-                        run.dev.timeline.events().to_vec(),
-                    )
-                });
-            assert_eq!(block, (vec![0, 1, 2, 4], vec![7, 9, 3, 6]), "{comm:?}: decoded block");
+            let (next, state, comm_clock, counters, events) = on_device_1(&dg, traced, |run| {
+                run.per.state = vec![u32::MAX; n_local];
+                run.per.state[1] = 4; // a label the delivery cannot improve
+                let pkg: Package<u32, u32> = Package::encode(
+                    vec![0, 1, 2, 4],
+                    vec![7, 9, 3, 6],
+                    crate::comm::WireEncoding::Auto,
+                    Some(6),
+                    None,
+                );
+                assert_eq!(pkg.wire_bytes(), 22);
+                let delivery =
+                    Delivery { src: 0, arrival: Event::at(50.0), payload: Arc::new(pkg) };
+                let mut next = vec![2];
+                run.receive(comm, delivery, &mut next).unwrap();
+                (
+                    next,
+                    run.per.state.clone(),
+                    run.dev.stream_time(COMM_STREAM),
+                    run.dev.counters,
+                    run.dev.timeline.events().to_vec(),
+                )
+            });
             assert_eq!(next, want_next, "{comm:?}");
             assert_eq!(state, want_state, "{comm:?}");
             assert_eq!(comm_clock, 53.0008, "{comm:?}");

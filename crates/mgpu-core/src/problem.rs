@@ -187,9 +187,8 @@ pub trait MgpuProblem<V: Id, O: Id>: Sync {
     /// sender's, which only lowers labels) satisfy this; additive combiners
     /// (PR rank, BC sigma) do not.
     ///
-    /// Declaring `true` enables package canonicalization and the butterfly
-    /// collective — both observationally equivalent for a truthful
-    /// declaration, both off for the default `false`.
+    /// Declaring `true` enables package canonicalization — observationally
+    /// equivalent for a truthful declaration, off for the default `false`.
     fn monotone(&self) -> bool {
         false
     }

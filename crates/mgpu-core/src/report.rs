@@ -6,8 +6,8 @@ use crate::governor::GovernorLog;
 use crate::json::Json;
 use crate::resilience::RecoveryLog;
 
-/// Wire accounting, summed over devices: what the encodings and the
-/// butterfly collective did during the enact.
+/// Wire accounting, summed over devices: what the encodings did during the
+/// enact.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommReduction {
     /// Ignored, always 0: no message is ever suppressed. The field stays
@@ -21,8 +21,10 @@ pub struct CommReduction {
     pub enc_bitmap: u64,
     /// Packages that went out delta-varint-encoded.
     pub enc_delta: u64,
-    /// Butterfly collective stages executed (summed over devices and
-    /// supersteps; zero under the direct topology).
+    /// Ignored, always 0: every broadcast is direct, so no collective stage
+    /// runs. The field stays only because the wall-clock harness
+    /// (`benchmark/src/api.rs`) still reads it; it goes when the harness is
+    /// re-linked (ROADMAP item 1, step 1).
     pub collective_stages: u64,
 }
 
@@ -32,7 +34,6 @@ impl CommReduction {
         self.enc_list += other.enc_list;
         self.enc_bitmap += other.enc_bitmap;
         self.enc_delta += other.enc_delta;
-        self.collective_stages += other.collective_stages;
     }
 
     /// Count one package into the encoding histogram.
@@ -143,8 +144,8 @@ pub struct EnactReport {
     /// chunked passes, spills, reclaim retries) — quiet when the governor
     /// never had to act.
     pub governor: GovernorLog,
-    /// Wire-volume reduction accounting (encoding histogram, collective
-    /// stages), summed over devices.
+    /// Wire-volume reduction accounting (encoding histogram), summed over
+    /// devices.
     pub comm: CommReduction,
     /// The structured event trace of the run, present when
     /// `EnactConfig::tracing` was on (see [`crate::trace`]). Deliberately
@@ -271,7 +272,6 @@ impl EnactReport {
             ("faults_injected", rec.faults_injected.into()),
             ("checkpoints_taken", rec.checkpoints_taken.into()),
             ("stragglers_detected", rec.stragglers_detected.into()),
-            ("butterfly_fallbacks", rec.butterfly_fallbacks.into()),
             ("failovers", rec.failovers.into()),
             ("lost_devices", rec.lost_devices.len().into()),
             ("lost_time_us", rec.lost_time_us.into()),
@@ -402,13 +402,11 @@ mod tests {
         assert_eq!(j.get("primitive"), Some(&"test".into()));
         assert_eq!(j.get("sim_time_us"), Some(&123.5.into()));
         assert_eq!(j.get("iterations"), Some(&3u64.into()));
-        for counter in
-            ["downgrades", "butterfly_fallbacks", "spilled_bytes", "enc_delta", "collective_stages"]
-        {
+        for counter in ["downgrades", "spilled_bytes", "enc_delta", "collective_stages"] {
             assert_eq!(j.get(counter), Some(&0u64.into()), "{counter}");
         }
         let Json::Obj(fields) = &j else { panic!("the report is an object") };
-        assert_eq!(fields.len(), 39, "38 flat fields + host_sync");
-        assert_eq!(fields[38].0, "host_sync");
+        assert_eq!(fields.len(), 38, "37 flat fields + host_sync");
+        assert_eq!(fields[37].0, "host_sync");
     }
 }

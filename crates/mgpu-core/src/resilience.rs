@@ -32,10 +32,9 @@
 //!   loss, or a straggler evicted at a rendezvous, [`Runner::enact`]
 //!   restores the last complete checkpoint, re-homes the lost device's
 //!   vertices onto the survivors (rebuilding the parent graph from the
-//!   parts, [`DistGraph::parent`]), and continues on N−1 GPUs; a butterfly
-//!   stage whose transfer retries run out falls back to a direct broadcast
-//!   for that superstep. The failed attempt's simulated makespan is banked
-//!   as [`RecoveryLog::lost_time_us`] and folded into the final report.
+//!   parts, [`DistGraph::parent`]), and continues on N−1 GPUs. The failed
+//!   attempt's simulated makespan is banked as [`RecoveryLog::lost_time_us`]
+//!   and folded into the final report.
 //!
 //! [`Runner::enact`] runs the whole policy; [`ResilientRunner`] is only a
 //! constructor around it (partition, node, fault plan) kept for the
@@ -75,11 +74,7 @@ pub struct RecoveryPolicy {
     pub straggler_timeout_us: f64,
     /// Degrade instead of failing: on permanent device loss (or an evicted
     /// straggler) re-home the lost device's subgraph onto the survivors and
-    /// continue on N−1 GPUs; when a butterfly collective stage hits a
-    /// transient transfer fault that exhausts its per-send retries, fall back
-    /// to a direct broadcast for that superstep (recorded as
-    /// [`RecoveryLog::butterfly_fallbacks`] and charged honestly in the
-    /// trace).
+    /// continue on N−1 GPUs.
     pub degrade: bool,
 }
 
@@ -97,8 +92,7 @@ impl Default for RecoveryPolicy {
 
 impl RecoveryPolicy {
     /// A sensible everything-on preset: 3 retries with 25 µs backoff, a
-    /// checkpoint every 4 supersteps, and degradation (failover on loss,
-    /// butterfly fallback to direct broadcast).
+    /// checkpoint every 4 supersteps, and degradation (failover on loss).
     pub fn resilient() -> Self {
         RecoveryPolicy {
             max_retries: 3,
@@ -126,10 +120,6 @@ pub struct RecoveryLog {
     /// Superstep barriers whose fast–slow spread exceeded the rendezvous
     /// timeout.
     pub stragglers_detected: u64,
-    /// Supersteps where the butterfly collective fell back to a direct
-    /// broadcast after an unrecoverable mid-stage transfer fault (counted
-    /// once per superstep, not per device).
-    pub butterfly_fallbacks: u64,
     /// Total simulated backoff charged across retries, in microseconds.
     pub backoff_us: f64,
     /// Devices permanently lost, by *original* device id, in loss order.
@@ -152,7 +142,6 @@ impl RecoveryLog {
         self.faults_injected += other.faults_injected;
         self.checkpoints_taken += other.checkpoints_taken;
         self.stragglers_detected += other.stragglers_detected;
-        self.butterfly_fallbacks += other.butterfly_fallbacks;
         self.backoff_us += other.backoff_us;
         self.lost_devices.extend(&other.lost_devices);
         self.failovers += other.failovers;
@@ -171,7 +160,6 @@ impl RecoveryLog {
 pub(crate) struct RecoveryCounters {
     pub(crate) transfer_retries: AtomicU64,
     pub(crate) stragglers: AtomicU64,
-    pub(crate) butterfly_fallbacks: AtomicU64,
 }
 
 impl RecoveryCounters {
@@ -181,10 +169,6 @@ impl RecoveryCounters {
 
     pub(crate) fn note_straggler(&self) {
         self.stragglers.fetch_add(1, Relaxed);
-    }
-
-    pub(crate) fn note_butterfly_fallback(&self) {
-        self.butterfly_fallbacks.fetch_add(1, Relaxed);
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! When [`crate::EnactConfig::tracing`] is on, every device records its
 //! typed [`TraceEvent`] spans (kernels, sends/receives, barrier waits,
-//! superstep syncs, retries, collective stages, spills, chunked passes,
-//! checkpoints) into its `vgpu` timeline; [`Trace::collect`] snapshots them
-//! into the report. A [`Profile`] folds the trace into per-device and
-//! per-superstep BSP attribution tables — `W` (primitive kernels), `C`
+//! superstep syncs, retries, spills, chunked passes, checkpoints) into its
+//! `vgpu` timeline; [`Trace::collect`] snapshots them into the report. A
+//! [`Profile`] folds the trace into per-device and per-superstep BSP
+//! attribution tables — `W` (primitive kernels), `C`
 //! (communication computation), `H·g` (wire occupancy), `S·l` (sync
 //! charges), barrier wait/skew — and [`Profile::reconcile`] asserts the
 //! **exact reconciliation invariant**:
@@ -165,8 +165,6 @@ pub struct BspRow {
     pub retries: u64,
     /// Governor downgrade markers (admission decisions replayed at t=0).
     pub downgrades: u64,
-    /// Butterfly collective stages.
-    pub stages: u64,
     /// Host-spill transfers.
     pub spills: u64,
     /// Chunked multi-pass advances.
@@ -236,7 +234,6 @@ impl BspRow {
                 }
             }
             TraceKind::Downgrade => self.downgrades += 1,
-            TraceKind::Stage => self.stages += 1,
             TraceKind::Spill => {
                 self.spills += 1;
                 self.h_us += e.h_us;
@@ -407,7 +404,6 @@ impl Profile {
             total.recvs += row.recvs;
             total.retries += row.retries;
             total.downgrades += row.downgrades;
-            total.stages += row.stages;
             total.spills += row.spills;
             total.chunks += row.chunks;
             total.checkpoints += row.checkpoints;
@@ -585,7 +581,6 @@ impl Profile {
                 ("recvs", r.recvs.into()),
                 ("retries", r.retries.into()),
                 ("downgrades", r.downgrades.into()),
-                ("stages", r.stages.into()),
                 ("spills", r.spills.into()),
                 ("chunks", r.chunks.into()),
                 ("checkpoints", r.checkpoints.into()),

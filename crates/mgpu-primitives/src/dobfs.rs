@@ -189,7 +189,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Dobfs {
 
     // Strict min-combine on the depth label; broadcast packages carry one
     // depth for the whole frontier — the shape the DeltaVarint shared
-    // payload and the butterfly union both exploit.
+    // payload exploits.
     fn monotone(&self) -> bool {
         true
     }

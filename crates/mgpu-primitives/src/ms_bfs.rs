@@ -741,49 +741,39 @@ mod tests {
     }
 
     /// The batched engine's answer is a property of the graph, nothing else:
-    /// across GPU counts, kernel-thread counts, broadcast topologies, and
+    /// across GPU counts, kernel-thread counts, communication strategies and
     /// wire encodings, every lane's depths are bit-equal to an independent
     /// single-source reference, and within each cell the two thread counts
     /// produce the *same simulation* (identical counters, clocks, traffic).
     #[test]
     fn matrix_lane_depths_are_invariant_across_the_config_space() {
-        use mgpu_core::{CommStrategy, CommTopology, WireEncoding};
+        use mgpu_core::{CommStrategy, WireEncoding};
         let g: Csr<u32, u64> = GraphBuilder::undirected(&mgpu_gen::gnm(48, 144, 7));
         let sources = MsBfs::spread_sources(16, 48);
         let refs: Vec<Vec<u32>> =
             sources.iter().map(|&s| crate::reference::bfs(&g, s as u32)).collect();
         for n_gpus in [2usize, 4, 8] {
-            for topo in [CommTopology::Direct, CommTopology::Butterfly] {
+            // MS-BFS's own selective preference, and a broadcast override
+            for comm in [None, Some(CommStrategy::Broadcast)] {
                 for enc in [WireEncoding::Auto, WireEncoding::List] {
                     let mut reports: Vec<EnactReport> = Vec::new();
                     for threads in [1usize, 4] {
                         let config = EnactConfig {
                             kernel_threads: Some(threads),
-                            comm_topology: topo,
                             wire_encoding: enc,
-                            // the butterfly collective only engages on
-                            // broadcast supersteps, so those cells override
-                            // MS-BFS's selective preference
-                            comm: (topo == CommTopology::Butterfly)
-                                .then_some(CommStrategy::Broadcast),
+                            comm,
                             ..EnactConfig::default()
                         };
                         let (depths, report) = run_ms_bfs(&g, n_gpus, sources.clone(), config);
-                        let cell = format!("{n_gpus} GPUs, {threads} threads, {topo:?}, {enc:?}");
+                        let cell = format!("{n_gpus} GPUs, {threads} threads, {comm:?}, {enc:?}");
                         for (lane, r) in refs.iter().enumerate() {
                             assert_eq!(&depths[lane], r, "{cell}, lane {lane}");
-                        }
-                        if topo == CommTopology::Butterfly && n_gpus > 2 {
-                            assert!(
-                                report.comm.collective_stages > 0,
-                                "{cell}: the butterfly must actually stage"
-                            );
                         }
                         reports.push(report);
                     }
                     assert!(
                         reports[0].same_simulation(&reports[1]),
-                        "{n_gpus} GPUs, {topo:?}, {enc:?}: kernel threads are a wall-clock \
+                        "{n_gpus} GPUs, {comm:?}, {enc:?}: kernel threads are a wall-clock \
                          knob and must not perturb the simulation"
                     );
                 }
@@ -884,19 +874,18 @@ mod tests {
         }
     }
 
-    /// A fully instrumented run — tracing + auto encoding over the
-    /// butterfly — reconciles exactly: the profile built from the trace
+    /// A fully instrumented run — tracing + auto encoding over broadcast —
+    /// reconciles exactly: the profile built from the trace
     /// matches the report's counters, and the per-superstep lane occupancy
     /// the batch records peaks at the full lane count.
     #[test]
     fn traced_run_reconciles_and_records_lane_occupancy() {
-        use mgpu_core::{CommStrategy, CommTopology, Profile, WireEncoding};
+        use mgpu_core::{CommStrategy, Profile, WireEncoding};
         let g = ladder();
         let sources = vec![0usize, 5, 9, 15];
         let config = EnactConfig {
             tracing: true,
             wire_encoding: WireEncoding::Auto,
-            comm_topology: CommTopology::Butterfly,
             comm: Some(CommStrategy::Broadcast),
             ..EnactConfig::default()
         };

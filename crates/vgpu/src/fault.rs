@@ -190,6 +190,17 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
+    /// The largest device id any event names (`None` for an empty plan).
+    pub fn max_device(&self) -> Option<usize> {
+        self.events
+            .iter()
+            .map(|ev| match ev.devices() {
+                (a, Some(b)) => a.max(b),
+                (a, None) => a,
+            })
+            .max()
+    }
+
     /// Plan a kernel failure at `device`'s `launch`-th kernel launch.
     pub fn kernel_fail(mut self, device: usize, launch: u64) -> Self {
         self.events.push(FaultEvent::Kernel { device, launch, fault: KernelFault::Fail });
@@ -628,6 +639,13 @@ mod tests {
         assert_eq!(inj.on_transfer(0, 1), Some(TransferFault::Fail));
         assert_eq!(inj.on_transfer(1, 0), Some(TransferFault::Timeout));
         assert_eq!(inj.on_transfer(1, 0), None);
+    }
+
+    #[test]
+    fn max_device_reads_both_ends_of_a_link() {
+        assert_eq!(FaultPlan::new().max_device(), None);
+        assert_eq!(FaultPlan::new().kernel_fail(2, 0).transfer_fail(1, 5, 0).max_device(), Some(5));
+        assert_eq!(FaultPlan::new().spill_fail(3, 0).transfer_fail(2, 0, 0).max_device(), Some(3));
     }
 
     #[test]

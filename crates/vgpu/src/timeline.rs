@@ -1,9 +1,9 @@
 //! Execution timelines: an opt-in structured tracer for the virtual devices.
 //!
 //! When enabled on a [`crate::Device`], every kernel launch, explicit charge,
-//! package send/receive, barrier wait, superstep sync, retry, collective
-//! stage, host spill, chunked pass and checkpoint is recorded as a typed
-//! [`TraceEvent`] span on its stream's timeline. `mgpu_core::Trace` snapshots
+//! package send/receive, barrier wait, superstep sync, retry, host spill,
+//! chunked pass and checkpoint is recorded as a typed [`TraceEvent`] span on
+//! its stream's timeline. `mgpu_core::Trace` snapshots
 //! the timelines and exports them (JSONL, or the Chrome trace-event JSON one
 //! would inspect computation/communication overlap with on a real multi-GPU
 //! run — here it visualizes the simulated schedule instead: the compute
@@ -55,8 +55,6 @@ pub enum TraceKind {
     /// footprint estimate that forced it). Admission-time decisions are
     /// replayed into the trace at enact start.
     Downgrade,
-    /// One stage of a butterfly collective (instant marker).
-    Stage,
     /// A host-spill transfer under memory pressure; `h_us` carries the
     /// occupancy portion, `bytes` the bytes freed.
     Spill,
@@ -82,7 +80,6 @@ impl TraceKind {
             TraceKind::Sync => "sync",
             TraceKind::Retry => "retry",
             TraceKind::Downgrade => "downgrade",
-            TraceKind::Stage => "stage",
             TraceKind::Spill => "spill",
             TraceKind::Chunk => "chunk",
             TraceKind::Checkpoint => "checkpoint",

@@ -4,22 +4,18 @@
 //! * Memory-pressure governing composes with transient kernel faults — one
 //!   run can downgrade *and* retry, and both logs say so, without touching
 //!   the results.
-//! * The butterfly collective degrades a superstep to a direct broadcast
-//!   when a mid-stage link burst exhausts in-place retries, visibly in both
-//!   the recovery log and the structured trace.
 //! * `FaultPlan::remap` rewrites every event class onto the survivor id
 //!   space after a failover, so post-failover faults land on the links and
 //!   devices they were planned for.
 
 use mgpu_graph_analytics::core::{
-    CommTopology, EnactConfig, EnactReport, Executor, MgpuProblem, RecoveryPolicy, ResilientRunner,
-    Runner,
+    EnactConfig, EnactReport, Executor, MgpuProblem, RecoveryPolicy, ResilientRunner, Runner,
 };
 use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::gen::{gnm, preferential_attachment};
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
-use mgpu_graph_analytics::primitives::{reference, Bfs, Cc, Sssp};
+use mgpu_graph_analytics::primitives::{reference, Bfs, Sssp};
 use mgpu_graph_analytics::vgpu::{FaultPlan, HardwareProfile, SimSystem, VgpuError};
 
 fn graph() -> Csr<u32, u64> {
@@ -142,44 +138,6 @@ fn an_injected_spill_fault_surfaces_typed_from_an_unguarded_runner() {
         Ok(_) => panic!("the capped run must spill and hit the planned spill fault"),
         Err(other) => panic!("expected TransferFailed from the spill fault, got {other}"),
     }
-}
-
-// ---------------------------------------------------------------------------
-// butterfly fallback
-// ---------------------------------------------------------------------------
-
-#[test]
-fn a_link_burst_degrades_one_butterfly_superstep_to_direct_broadcast() {
-    let g = graph();
-    let expect = reference::cc(&g);
-    let config =
-        EnactConfig { comm_topology: CommTopology::Butterfly, tracing: true, ..resilient_config() };
-    let run = |plan: Option<FaultPlan>| {
-        let mut runner = ResilientRunner::homogeneous(&g, Cc, 4, HardwareProfile::k40(), config);
-        if let Some(p) = plan {
-            runner = runner.with_fault_plan(p);
-        }
-        let report = runner.enact(None).unwrap();
-        let comps: Vec<usize> = runner.harvest().into_iter().map(|w| w as usize).collect();
-        (report, comps)
-    };
-    let (clean, clean_comps) = run(None);
-    assert_eq!(clean_comps, expect);
-    assert_eq!(clean.recovery.butterfly_fallbacks, 0, "no fault, no fallback");
-
-    // Four consecutive faults on one stage link: the in-place budget is
-    // 1 + 3 retries, so the stage vote must trip and the superstep degrade.
-    let burst = FaultPlan::parse("tfail:0>1@0, tfail:0>1@1, tfail:0>1@2, tfail:0>1@3").unwrap();
-    let (faulty, comps) = run(Some(burst));
-    assert_eq!(comps, expect, "the degraded superstep must still converge correctly");
-    assert!(faulty.recovery.butterfly_fallbacks >= 1, "the fallback must be on the record");
-    assert!(faulty.recovery.transfer_retries >= 3, "the stage burned its retry budget first");
-    assert!(faulty.recovery.lost_devices.is_empty(), "degradation must not cost a device");
-    let jsonl = faulty.trace.as_ref().unwrap().to_jsonl();
-    assert!(
-        jsonl.contains("butterfly-fallback"),
-        "the fallback broadcast must be visible in the trace"
-    );
 }
 
 // ---------------------------------------------------------------------------

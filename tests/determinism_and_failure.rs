@@ -6,8 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use mgpu_graph_analytics::core::governor::estimate_bind;
 use mgpu_graph_analytics::core::{
-    AllocScheme, CommStrategy, CommTopology, EnactConfig, FrontierBufs, MgpuProblem,
-    RecoveryPolicy, Runner,
+    AllocScheme, CommStrategy, EnactConfig, FrontierBufs, MgpuProblem, RecoveryPolicy, Runner,
 };
 use mgpu_graph_analytics::gen::preferential_attachment;
 use mgpu_graph_analytics::graph::{Coo, Csr, GraphBuilder};
@@ -181,8 +180,8 @@ enum Trip {
     GloballyDoneOnce(AtomicBool),
 }
 
-/// BFS over broadcast communication (so the butterfly can carry it) with a
-/// panic planted in problem code that runs outside every kernel.
+/// BFS over broadcast communication with a panic planted in problem code
+/// that runs outside every kernel.
 struct FaultyBfs(Trip);
 
 struct FaultyState {
@@ -269,7 +268,7 @@ impl MgpuProblem<u32, u64> for FaultyBfs {
 
 /// Enact [`FaultyBfs`] on a 64-ring (32 supersteps fault-free) and return
 /// the error, failing if the enact has not returned within 30 s.
-fn enact_faulty(trip: Trip, n_gpus: usize, topology: CommTopology) -> VgpuError {
+fn enact_faulty(trip: Trip, n_gpus: usize) -> VgpuError {
     let (done, finished) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let ring: Vec<(u32, u32)> = (0..64).map(|i| (i, (i + 1) % 64)).collect();
@@ -277,8 +276,7 @@ fn enact_faulty(trip: Trip, n_gpus: usize, topology: CommTopology) -> VgpuError 
         let owner: Vec<u32> = (0..64).map(|v| (v % n_gpus) as u32).collect();
         let dist = DistGraph::build(&g, owner, n_gpus, Duplication::All);
         let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
-        let config = EnactConfig { comm_topology: topology, ..Default::default() };
-        let mut runner = Runner::new(sys, &dist, FaultyBfs(trip), config).unwrap();
+        let mut runner = Runner::new(sys, &dist, FaultyBfs(trip), EnactConfig::default()).unwrap();
         let _ = done.send(runner.enact(Some(0u32)).map(|r| r.iterations));
     });
     match finished.recv_timeout(std::time::Duration::from_secs(30)) {
@@ -290,26 +288,22 @@ fn enact_faulty(trip: Trip, n_gpus: usize, topology: CommTopology) -> VgpuError 
 
 #[test]
 fn a_panicking_comm_now_is_a_lost_device_not_a_hang() {
-    for topology in [CommTopology::Direct, CommTopology::Butterfly] {
-        for n_gpus in [2, 4] {
-            assert_eq!(
-                enact_faulty(Trip::CommNow, n_gpus, topology),
-                VgpuError::DeviceLost { device: 1 },
-                "{n_gpus} vGPUs over {topology:?}"
-            );
-        }
+    for n_gpus in [2, 4] {
+        assert_eq!(
+            enact_faulty(Trip::CommNow, n_gpus),
+            VgpuError::DeviceLost { device: 1 },
+            "{n_gpus} vGPUs"
+        );
     }
 }
 
 #[test]
 fn a_device_thread_that_unwinds_releases_its_peers() {
-    for topology in [CommTopology::Direct, CommTopology::Butterfly] {
-        for n_gpus in [2, 4] {
-            let trip = Trip::GloballyDoneOnce(AtomicBool::new(true));
-            match enact_faulty(trip, n_gpus, topology) {
-                VgpuError::DeviceLost { device } => assert!(device < n_gpus),
-                e => panic!("{n_gpus} vGPUs over {topology:?}: expected a lost device, got {e}"),
-            }
+    for n_gpus in [2, 4] {
+        let trip = Trip::GloballyDoneOnce(AtomicBool::new(true));
+        match enact_faulty(trip, n_gpus) {
+            VgpuError::DeviceLost { device } => assert!(device < n_gpus),
+            e => panic!("{n_gpus} vGPUs: expected a lost device, got {e}"),
         }
     }
 }

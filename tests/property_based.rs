@@ -571,7 +571,7 @@ fn bc_equals_brandes_on_either_side() {
 /// usual cases.
 #[test]
 fn msbfs_equals_reference_on_either_side() {
-    use mgpu_graph_analytics::core::{CommStrategy, CommTopology};
+    use mgpu_graph_analytics::core::CommStrategy;
     const RUNS: usize = 4 * CASES;
     let mut rng = ChaCha8Rng::seed_from_u64(0xA29);
     let mut pulled = 0;
@@ -591,25 +591,21 @@ fn msbfs_equals_reference_on_either_side() {
                 }
             })
             .collect();
-        let butterfly = case == 0;
-        let n_gpus = if butterfly { 4 } else { rng.gen_range(1usize..7) };
+        // one case forces broadcast over MS-BFS's selective preference
+        let broadcast = case == 0;
+        let n_gpus = if broadcast { 4 } else { rng.gen_range(1usize..7) };
         let seed = rng.gen_range(0u64..1000);
         let mut dist =
             DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
         dist.build_cscs();
-        let config = if butterfly {
-            EnactConfig {
-                comm: Some(CommStrategy::Broadcast),
-                comm_topology: CommTopology::Butterfly,
-                ..EnactConfig::default()
-            }
+        let config = if broadcast {
+            EnactConfig { comm: Some(CommStrategy::Broadcast), ..EnactConfig::default() }
         } else {
             EnactConfig::default()
         };
         let sys = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(sys, &dist, MsBfs::new(sources.clone()), config).unwrap();
-        let report = runner.enact(None).unwrap();
-        assert_eq!(report.comm.collective_stages > 0, butterfly, "case {case}");
+        runner.enact(None).unwrap();
         for (lane, depths) in gather_lane_depths(&runner, &dist, lanes).iter().enumerate() {
             let s = sources[lane];
             let expect = reference::bfs(&g, s as u32);
@@ -722,7 +718,7 @@ fn every_package_encoding_round_trips_arbitrary_distributions() {
 /// logs is paired with a trace event of the matching kind.
 #[test]
 fn arbitrary_traced_runs_are_well_formed() {
-    use mgpu_graph_analytics::core::{CommTopology, Profile};
+    use mgpu_graph_analytics::core::Profile;
     use mgpu_graph_analytics::vgpu::TraceKind;
     let mut rng = ChaCha8Rng::seed_from_u64(0xA1A);
     for case in 0..CASES {
@@ -732,16 +728,8 @@ fn arbitrary_traced_runs_are_well_formed() {
         let src = (rng.gen_range(0usize..100) % n) as u32;
         let g = build(n, &edges, &weights);
         let dist = DistGraph::partition(&g, &RandomPartitioner { seed }, n_gpus, Duplication::All);
-        let cfg = EnactConfig {
-            tracing: true,
-            comm_topology: if case % 2 == 0 {
-                CommTopology::Direct
-            } else {
-                CommTopology::Butterfly
-            },
-            kernel_threads: Some(1 + case % 4),
-            ..Default::default()
-        };
+        let cfg =
+            EnactConfig { tracing: true, kernel_threads: Some(1 + case % 4), ..Default::default() };
         let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
         let mut runner = Runner::new(system, &dist, Sssp, cfg).unwrap();
         let report = runner.enact(Some(src)).unwrap();

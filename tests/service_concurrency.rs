@@ -7,8 +7,7 @@
 //! over one shared residency:
 //!
 //! * every query's `EnactReport` is `same_simulation`-bit-equal to the
-//!   same spec enacted alone, at {2, 4, 8} GPUs × {direct, butterfly}
-//!   broadcast topologies, across scheduler seeds;
+//!   same spec enacted alone, at {2, 4, 8} GPUs, across scheduler seeds;
 //! * every query's harvested result words are identical to the solo run's,
 //!   and every harvested answer agrees with `primitives::reference`, the
 //!   oracle that shares no code with the framework: BFS, SSSP and CC
@@ -29,7 +28,6 @@ use mgpu_graph_analytics::gen::weights::add_paper_weights;
 use mgpu_graph_analytics::graph::{Csr, GraphBuilder};
 use mgpu_graph_analytics::partition::{DistGraph, Duplication, RandomPartitioner};
 use mgpu_graph_analytics::vgpu::HardwareProfile;
-use mgpu_graph_analytics::core::CommTopology;
 use mgpu_graph_analytics::core::EnactConfig;
 
 /// The heterogeneous mix every configuration runs: two traversal sources,
@@ -108,21 +106,19 @@ fn concurrent_mixed_queries_are_bit_equal_to_solo_runs_across_the_matrix() {
     let g = weighted_graph();
     let part = RandomPartitioner { seed: 3 };
     for gpus in [2usize, 4, 8] {
-        for topology in [CommTopology::Direct, CommTopology::Butterfly] {
-            let mut dist = DistGraph::partition(&g, &part, gpus, Duplication::All);
-            dist.build_cscs(); // the mix includes BC
-            let config = EnactConfig { comm_topology: topology, ..Default::default() };
-            let descs = parse_query_list(MIX).unwrap();
-            let specs =
-                build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
-            let solo = solo_runs(&specs);
-            for seed in [0u64, 7, 99] {
-                let label = format!("gpus={gpus} topo={topology:?} seed={seed}");
-                let rep = Service::new(policy(seed, 1, 3)).run(&specs);
-                assert_matches_solo(&rep, &solo, &label);
-                assert_matches_reference(&rep, &g, &descs, &specs, &label);
-                assert!(rep.waves >= 3, "{label}: 8 queries over 3 lanes need >= 3 waves");
-            }
+        let mut dist = DistGraph::partition(&g, &part, gpus, Duplication::All);
+        dist.build_cscs(); // the mix includes BC
+        let config = EnactConfig::default();
+        let descs = parse_query_list(MIX).unwrap();
+        let specs =
+            build_query_specs(&g, &dist, HardwareProfile::k40(), 0, config, &descs).unwrap();
+        let solo = solo_runs(&specs);
+        for seed in [0u64, 7, 99] {
+            let label = format!("gpus={gpus} seed={seed}");
+            let rep = Service::new(policy(seed, 1, 3)).run(&specs);
+            assert_matches_solo(&rep, &solo, &label);
+            assert_matches_reference(&rep, &g, &descs, &specs, &label);
+            assert!(rep.waves >= 3, "{label}: 8 queries over 3 lanes need >= 3 waves");
         }
     }
 }

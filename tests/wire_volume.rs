@@ -1,9 +1,8 @@
 //! Wire-volume acceptance suite.
 //!
-//! The wire — package encodings and the butterfly broadcast collective —
-//! must be *invisible* in results: every configuration produces
-//! bit-identical labels, distances and components. The default is `Auto`
-//! encoding; the paper's wire (forced list) is the arm the headline
+//! The wire — package encodings — must be *invisible* in results: every
+//! configuration produces bit-identical labels, distances and components.
+//! The default is `Auto` encoding; the paper's wire (forced list) is the arm the headline
 //! reductions are measured against: DOBFS broadcast bytes drop ≥2× at six
 //! GPUs on an rmat analog.
 
@@ -34,16 +33,7 @@ fn paper_wire() -> EnactConfig {
 
 /// All wire configurations worth checking, defaults first.
 fn configs() -> Vec<(&'static str, EnactConfig)> {
-    let base = EnactConfig::default();
-    vec![
-        ("default", base),
-        ("paper-wire", paper_wire()),
-        ("butterfly", EnactConfig { comm_topology: CommTopology::Butterfly, ..base }),
-        (
-            "butterfly-paper-wire",
-            EnactConfig { comm_topology: CommTopology::Butterfly, ..paper_wire() },
-        ),
-    ]
+    vec![("default", EnactConfig::default()), ("paper-wire", paper_wire())]
 }
 
 fn with_threads(cfg: &EnactConfig, threads: usize) -> EnactConfig {
@@ -137,25 +127,6 @@ fn sssp_variants_are_bit_identical_in_every_configuration() {
     }
 }
 
-#[test]
-fn butterfly_handles_non_power_of_two_gpu_counts() {
-    // n=7: the final dissemination stage overshoots (sends a prefix covering
-    // more blocks than strictly missing); redundant blocks must be absorbed
-    // by the monotone combine without changing any result.
-    let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(350, 2000, 47));
-    let dist = dist_for(&g, 7, true);
-    let cfg = EnactConfig { comm_topology: CommTopology::Butterfly, ..EnactConfig::default() };
-    let mut runner = Runner::new(sys(7), &dist, Dobfs::default(), cfg).unwrap();
-    let report = runner.enact(Some(0)).unwrap();
-    assert_eq!(u32s(runner.harvest()), reference::bfs(&g, 0u32));
-    assert!(report.comm.collective_stages > 0, "butterfly path must have been taken");
-
-    let dist = dist_for(&g, 7, false);
-    let mut runner = Runner::new(sys(7), &dist, Cc, cfg).unwrap();
-    runner.enact(None).unwrap();
-    assert_eq!(usizes(runner.harvest()), reference::cc(&g));
-}
-
 // ---------------------------------------------------------------------------
 // What the default is, and what the paper's wire costs
 // ---------------------------------------------------------------------------
@@ -182,7 +153,6 @@ fn default_config_is_auto_encoding_over_the_direct_topology() {
     let report = run(EnactConfig::default());
     assert!(report.same_simulation(&run(explicit)));
     assert!(report.comm.enc_bitmap + report.comm.enc_delta > 0, "Auto picks compressed encodings");
-    assert_eq!(report.comm.collective_stages, 0, "the butterfly is not the default");
     let paper = run(paper_wire());
     assert!(report.totals.h_bytes_sent < paper.totals.h_bytes_sent);
     assert_eq!(paper.comm.enc_bitmap + paper.comm.enc_delta, 0);
@@ -198,7 +168,6 @@ fn paper_wire_costs_a_tag_per_package_and_id_plus_label_per_vertex() {
     let report = runner.enact(Some(0)).unwrap();
     let t = &report.totals;
     assert_eq!(t.h_bytes_sent, t.h_messages + t.h_vertices * 8);
-    assert_eq!(report.comm.collective_stages, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,8 +195,7 @@ fn dobfs_broadcast_bytes_drop_at_least_2x_at_six_gpus() {
     };
 
     let (labels_base, base) = run(paper_wire());
-    let (labels_opt, opt) =
-        run(EnactConfig { comm_topology: CommTopology::Butterfly, ..EnactConfig::default() });
+    let (labels_opt, opt) = run(EnactConfig::default());
 
     assert_eq!(labels_base, labels_opt, "reductions must not change BFS labels");
     assert_eq!(labels_base, reference::bfs(&g, src));
@@ -239,7 +207,6 @@ fn dobfs_broadcast_bytes_drop_at_least_2x_at_six_gpus() {
         base.totals.h_bytes_sent,
         opt.totals.h_bytes_sent
     );
-    assert!(opt.comm.collective_stages > 0);
     assert!(opt.comm.enc_bitmap + opt.comm.enc_delta > 0, "Auto must pick compressed encodings");
 }
 
