@@ -96,10 +96,11 @@ impl HardwiredDobfs {
                         dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
                             let mut found = Vec::new();
                             let mut edges = 0u64;
+                            let cols = sub.csr.col_indices();
                             for &v in &frontier {
                                 for e in sub.csr.edge_range(v) {
                                     edges += 1;
-                                    let d = sub.csr.col_indices()[e];
+                                    let d = cols[e];
                                     if labels[d.idx()] == INF {
                                         labels[d.idx()] = cur + 1;
                                         found.push(d);

@@ -4,7 +4,7 @@ use std::time::Instant;
 
 use mgpu_core::{CommStrategy, Downgrade, EnactConfig, EnactReport, Runner};
 use mgpu_graph::{Csr, Id};
-use mgpu_partition::{DistGraph, Partitioner, Reads};
+use mgpu_partition::{DistGraph, HostBytes, Partitioner, Reads};
 use mgpu_primitives::{Bc, Bfs, Cc, Dobfs, MsBfs, Pagerank, Sssp};
 use mgpu_core::problem::MgpuProblem;
 use vgpu::{Result, SimSystem, VgpuError};
@@ -119,7 +119,8 @@ impl Primitive {
 }
 
 /// Host wall of the ingest stages a run pays between the CSR and the bind
-/// (the CSR build itself is timed by whoever holds the edge list).
+/// (the CSR build itself is timed by whoever holds the edge list), and the
+/// host bytes they leave resident.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IngestWall {
     /// `Partitioner::assign` + `DistGraph::build` in µs, summed over the
@@ -127,6 +128,8 @@ pub struct IngestWall {
     pub partition_us: f64,
     /// `DistGraph::build_cscs` in µs; 0 for primitives that never pull.
     pub csc_us: f64,
+    /// What the graph and the last partition built hold on the host.
+    pub host: HostBytes,
 }
 
 /// Run `f`, adding its host wall in µs to `acc`.
@@ -194,6 +197,7 @@ fn bind_partitioned<O: Id, P: MgpuProblem<u32, O>, T>(
     if problem.reads().reverse {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
+    ingest.host = dist.host_bytes();
     Ok(f(&mut Runner::new(system, &dist, problem, config)?))
 }
 

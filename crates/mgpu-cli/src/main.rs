@@ -325,14 +325,20 @@ fn host_sync_line(r: &mgpu_core::EnactReport) -> String {
 }
 
 /// The one ingest line of the human output: where the host time before the
-/// bind went, and how fast the builder took the input in.
+/// bind went, how fast the builder took the input in, and the host bytes
+/// the graph, the partition beyond it and the CSCs hold.
 fn print_ingest(built: &BuildWall, ingest: &IngestWall) {
+    let host = &ingest.host;
     println!(
-        "ingest         build {:.1} ms, partition {:.1} ms, CSC {:.1} ms ({:.1} input Medges/s)",
+        "ingest         build {:.1} ms, partition {:.1} ms, CSC {:.1} ms ({:.1} input Medges/s); \
+         host bytes graph {}, partition {}, CSC {}",
         built.us / 1e3,
         ingest.partition_us / 1e3,
         ingest.csc_us / 1e3,
-        built.input_edges as f64 / built.us.max(1e-3)
+        built.input_edges as f64 / built.us.max(1e-3),
+        host.graph,
+        host.partition,
+        host.csc
     );
 }
 
@@ -602,6 +608,7 @@ fn serve(cli: Cli) -> Result<ExitCode, Failure> {
     if reads(|r| r.reverse) {
         timed(&mut ingest.csc_us, || dist.build_cscs());
     }
+    ingest.host = dist.host_bytes();
 
     // --mem-cap shrinks the per-query device pools too: admitted queries
     // that outgrow their estimate hit the runtime pressure machinery

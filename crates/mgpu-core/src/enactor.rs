@@ -349,7 +349,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         let survivor = |o: u32| alive.iter().position(|&a| a == o as usize);
         let table = owner.iter().enumerate().map(|(v, &o)| survivor(o).unwrap_or(v % n) as u32);
         let mut dist =
-            DistGraph::build(&self.dist.parent(), table.collect(), n, self.dist.duplication);
+            DistGraph::build(self.dist.parent(), table.collect(), n, self.dist.duplication);
         if self.problem.reads().reverse {
             dist.build_cscs();
         }

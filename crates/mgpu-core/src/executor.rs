@@ -198,13 +198,7 @@ impl<V: Id, O: Id, P: MgpuProblem<V, O>> DeviceRun<'_, V, O, P> {
                     let meta = SpanMeta::new(TraceKind::Retry, "transfer-retry").peer(dst);
                     self.dev.charge_as(COMM_STREAM, policy.retry_backoff_us, 0.0, meta)?;
                 }
-                Err(e) => {
-                    // Not a retry and no time of its own, but the trace must
-                    // say that this attempt delivered nothing either.
-                    let meta = SpanMeta::new(TraceKind::Retry, "transfer-abandoned").peer(dst);
-                    self.dev.charge_as(COMM_STREAM, 0.0, 0.0, meta)?;
-                    return Err(e);
-                }
+                Err(e) => return Err(e),
             }
         }
         self.dev.counters.h_bytes_sent += charged;

@@ -123,9 +123,10 @@ where
     let parts = par::run_chunks(threads, chunks.len(), |c| {
         let (lo, hi) = chunks[c];
         let mut out = arena.lease();
+        let cols = sub.csr.col_indices();
         for &v in &input[lo..hi] {
             for e in sub.csr.edge_range(v) {
-                let d = sub.csr.col_indices()[e];
+                let d = cols[e];
                 if let Some(emit) = f(v, e, d) {
                     out.push(emit);
                 }
@@ -452,10 +453,11 @@ pub fn advance_filter_fused<V: Id, O: Id>(
             let (lo, hi) = chunks[c];
             let mut out = bufs.arena.lease();
             let mut edges = 0u64;
+            let cols = sub.csr.col_indices();
             for &v in &input[lo..hi] {
                 for e in sub.csr.edge_range(v) {
                     edges += 1;
-                    let d = sub.csr.col_indices()[e];
+                    let d = cols[e];
                     if let Some(emit) = f(v, e, d) {
                         out.push(emit);
                     }
@@ -484,10 +486,11 @@ pub fn advance_filter_fused_seq<V: Id, O: Id>(
     dev.kernel(COMPUTE_STREAM, KernelKind::FusedAdvanceFilter, || {
         let mut out = Vec::new();
         let mut edges = 0u64;
+        let cols = sub.csr.col_indices();
         for &v in input {
             for e in sub.csr.edge_range(v) {
                 edges += 1;
-                let d = sub.csr.col_indices()[e];
+                let d = cols[e];
                 if let Some(emit) = f(v, e, d) {
                     out.push(emit);
                 }
@@ -544,6 +547,7 @@ pub fn advance_accumulate<V: Id, O: Id>(
             par::for_each_slot_mut(threads, &mut slots, |c, slot| {
                 slot.fill(0.0);
                 let (lo, hi) = chunks[c];
+                let cols = sub.csr.col_indices();
                 for &v in &input[lo..hi] {
                     // Evaluate the functor only for vertices that emit edges
                     // — like edge-centric advance, it never sees a
@@ -554,7 +558,7 @@ pub fn advance_accumulate<V: Id, O: Id>(
                     }
                     let cv = share(v, src[v.idx()]);
                     for e in edges {
-                        slot[sub.csr.col_indices()[e].idx()] += cv;
+                        slot[cols[e].idx()] += cv;
                     }
                 }
             });

@@ -189,8 +189,8 @@ pub struct BspRow {
 impl BspRow {
     /// Fold one span into the row. `last_send` threads the most recent send
     /// attempt's (bytes, items) so the retry span that follows a failed
-    /// attempt (or the marker that abandons it) can roll back its success
-    /// tallies (the counters only credit the attempt that delivered).
+    /// attempt can roll back its success tallies (the counters only credit
+    /// the attempt that delivered).
     fn absorb(&mut self, e: &TraceEvent, last_send: &mut (u64, u64)) {
         match e.kind {
             TraceKind::Kernel => {
@@ -220,12 +220,9 @@ impl BspRow {
                 self.syncs += 1;
             }
             TraceKind::Retry => {
-                // "transfer-abandoned" closes a send whose retries ran out:
-                // nothing was retried, but the attempt is undone all the same
-                let abandoned = e.name == "transfer-abandoned";
-                self.retries += u64::from(!abandoned);
+                self.retries += 1;
                 self.other_us += e.dur_us;
-                if abandoned || e.name == "transfer-retry" {
+                if e.name == "transfer-retry" {
                     // the immediately preceding send attempt failed — it
                     // occupied the link (h_us stands) but delivered nothing
                     self.bytes_sent -= last_send.0;
@@ -686,18 +683,15 @@ mod tests {
             TraceEvent { bytes: 100, items: 10, h_us: 1.0, ..span(TraceKind::Send, 0.0, 1.0) },
             TraceEvent { name: "transfer-retry", ..span(TraceKind::Retry, 1.0, 2.0) },
             TraceEvent { bytes: 100, items: 10, h_us: 1.0, ..span(TraceKind::Send, 3.0, 1.0) },
-            // a second package whose only attempt fails with no retry left
-            TraceEvent { bytes: 60, items: 6, h_us: 0.5, ..span(TraceKind::Send, 4.0, 0.5) },
-            TraceEvent { name: "transfer-abandoned", ..span(TraceKind::Retry, 4.5, 0.0) },
         ];
         let p = Profile::from_trace(&Trace { per_device: vec![events] });
         let r = &p.per_device[0];
-        assert_eq!(r.sends, 3, "every attempt occupied the link");
-        assert_eq!(r.h_us, 2.5, "H charges accrue per attempt");
+        assert_eq!(r.sends, 2, "every attempt occupied the link");
+        assert_eq!(r.h_us, 2.0, "H charges accrue per attempt");
         assert_eq!(r.messages, 1, "only one package delivered");
         assert_eq!(r.bytes_sent, 100);
         assert_eq!(r.vertices_sent, 10);
-        assert_eq!(r.retries, 1, "giving up is not a retry");
+        assert_eq!(r.retries, 1);
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Compressed sparse row adjacency — the device-resident graph format.
 
+use std::sync::Arc;
+
 use crate::ids::Id;
 
 /// Why a graph cannot be represented at the requested index widths. The
@@ -90,11 +92,16 @@ impl CsrError {
 /// `O` must be wide enough for `n_edges`; the builder checks this. The
 /// paper's "32bit eID / 64bit eID / 64bit vID" variants of Table V are
 /// `Csr<u32, u32>`, `Csr<u32, u64>` and `Csr<u64, u64>`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The arrays are shared, so a clone is O(1); equality is logical (rows and
+/// weights), so a [`Csr::with_rows`] view equals the compact copy of its rows.
+#[derive(Debug, Clone)]
 pub struct Csr<V: Id = u32, O: Id = u64> {
-    row_offsets: Vec<O>,
-    col_indices: Vec<V>,
-    weights: Option<Vec<u32>>,
+    row_offsets: Arc<Vec<O>>,
+    col_indices: Arc<Vec<V>>,
+    weights: Option<Arc<Vec<u32>>>,
+    /// The kept rows as a `|V|`-bit set (`None`: every row), and their edges.
+    kept: Option<Arc<Vec<u64>>>,
+    n_edges: usize,
 }
 
 impl<V: Id, O: Id> Csr<V, O> {
@@ -112,12 +119,32 @@ impl<V: Id, O: Id> Csr<V, O> {
         if let Some(w) = &weights {
             assert_eq!(w.len(), col_indices.len(), "one weight per edge");
         }
-        Csr { row_offsets, col_indices, weights }
+        Csr {
+            n_edges: col_indices.len(),
+            row_offsets: Arc::new(row_offsets),
+            col_indices: Arc::new(col_indices),
+            weights: weights.map(Arc::new),
+            kept: None,
+        }
     }
 
     /// An edgeless graph over `n` vertices.
     pub fn empty(n: usize) -> Self {
-        Csr { row_offsets: vec![O::zero(); n + 1], col_indices: Vec::new(), weights: None }
+        Self::from_parts(vec![O::zero(); n + 1], Vec::new(), None)
+    }
+
+    /// This graph's kept rows that `keep` accepts; every other row reads as
+    /// empty, and `n_edges` and `bytes` count these rows alone. `O(|V|)`:
+    /// the arrays are shared, so edge ids stay this graph's.
+    pub fn with_rows(&self, keep: impl Fn(V) -> bool) -> Self {
+        let n = self.n_vertices();
+        let mut kept = vec![0u64; n.div_ceil(64)];
+        let mut n_edges = 0;
+        for v in (0..n).map(V::from_usize).filter(|&v| self.keeps(v.idx()) && keep(v)) {
+            kept[v.idx() / 64] |= 1 << (v.idx() % 64);
+            n_edges += self.degree(v);
+        }
+        Csr { kept: Some(Arc::new(kept)), n_edges, ..self.clone() }
     }
 
     /// Number of vertices.
@@ -125,19 +152,27 @@ impl<V: Id, O: Id> Csr<V, O> {
         self.row_offsets.len() - 1
     }
 
-    /// Number of directed edges.
+    /// Number of directed edges (of the kept rows).
     pub fn n_edges(&self) -> usize {
-        self.col_indices.len()
+        self.n_edges
     }
 
     /// Out-degree of `v`.
     pub fn degree(&self, v: V) -> usize {
-        self.row_offsets[v.idx() + 1].idx() - self.row_offsets[v.idx()].idx()
+        self.edge_range(v).len()
     }
 
-    /// The edge-id range of `v`'s out-edges.
+    /// The edge-id range of `v`'s out-edges (empty for a row not kept).
+    #[inline]
     pub fn edge_range(&self, v: V) -> std::ops::Range<usize> {
-        self.row_offsets[v.idx()].idx()..self.row_offsets[v.idx() + 1].idx()
+        let (v, lo) = (v.idx(), self.row_offsets[v.idx()].idx());
+        lo..if self.keeps(v) { self.row_offsets[v + 1].idx() } else { lo }
+    }
+
+    /// Whether row `v` is kept (every row is, unless [`Csr::with_rows`]).
+    #[inline]
+    fn keeps(&self, v: usize) -> bool {
+        self.kept.as_ref().is_none_or(|kept| kept[v / 64] >> (v % 64) & 1 != 0)
     }
 
     /// Out-neighbors of `v`.
@@ -147,11 +182,13 @@ impl<V: Id, O: Id> Csr<V, O> {
 
     /// Out-neighbors of `v` with weights (1 if unweighted).
     pub fn neighbors_weighted(&self, v: V) -> impl Iterator<Item = (V, u32)> + '_ {
-        let r = self.edge_range(v);
-        let cols = &self.col_indices[r.clone()];
-        let ws = self.weights.as_deref();
-        let start = r.start;
-        cols.iter().enumerate().map(move |(i, &d)| (d, ws.map_or(1, |w| w[start + i])))
+        let ws = self.row_weights(v);
+        self.neighbors(v).iter().enumerate().map(move |(i, &d)| (d, ws.map_or(1, |w| w[i])))
+    }
+
+    /// The weights of `v`'s out-edges, if the graph carries any.
+    fn row_weights(&self, v: V) -> Option<&[u32]> {
+        self.weights().map(|w| &w[self.edge_range(v)])
     }
 
     /// The weight of edge id `e` (1 if unweighted).
@@ -164,31 +201,32 @@ impl<V: Id, O: Id> Csr<V, O> {
         self.weights.is_some()
     }
 
-    /// Raw row offsets (length `n_vertices + 1`).
+    /// Raw row offsets (length `n_vertices + 1`) of the shared storage.
     pub fn row_offsets(&self) -> &[O] {
         &self.row_offsets
     }
 
-    /// Raw column indices (length `n_edges`).
+    /// Raw column indices of the shared storage, indexed by edge id.
     pub fn col_indices(&self) -> &[V] {
         &self.col_indices
     }
 
-    /// Raw edge weights (length `n_edges`), if the graph carries any.
+    /// Raw edge weights of the shared storage, if the graph carries any.
     pub fn weights(&self) -> Option<&[u32]> {
-        self.weights.as_deref()
+        self.weights.as_deref().map(Vec::as_slice)
     }
 
-    /// The transpose (reverse graph): the CSC view used by pull-mode
-    /// traversal. Structure only: the result carries no weights, because no
-    /// pull kernel reads one, and a device holding the CSC is charged for
-    /// exactly what it stores. A direct in-degree count and scatter,
-    /// `O(|V| + |E|)`; sources within a reverse row stay ascending.
+    /// The compact transpose (reverse graph) of the kept rows: the CSC view
+    /// used by pull-mode traversal. Structure only: the result carries no
+    /// weights, because no pull kernel reads one, and a device holding the
+    /// CSC is charged for exactly what it stores. A direct in-degree count
+    /// and scatter, `O(|V| + |E|)`; sources within a reverse row stay
+    /// ascending.
     pub fn transpose(&self) -> Csr<V, O> {
         let n = self.n_vertices();
         let mut offsets = vec![O::zero(); n + 1];
         let mut cursor = vec![0usize; n + 1];
-        for &d in &self.col_indices {
+        for &d in (0..n).flat_map(|v| self.neighbors(V::from_usize(v))) {
             cursor[d.idx() + 1] += 1;
         }
         for v in 0..n {
@@ -204,16 +242,28 @@ impl<V: Id, O: Id> Csr<V, O> {
                 *at += 1;
             }
         }
-        Csr { row_offsets: offsets, col_indices: cols, weights: None }
+        Self::from_parts(offsets, cols, None)
     }
 
     /// In-memory footprint in bytes: what storing this graph costs a device
-    /// (offsets + columns + weights). This is what partition subgraphs charge
-    /// against device memory pools.
+    /// (offsets + columns + weights of the kept rows: what a compact copy
+    /// holds). This is what partition subgraphs charge against device pools.
     pub fn bytes(&self) -> u64 {
-        (self.row_offsets.len() * O::BYTES
-            + self.col_indices.len() * V::BYTES
-            + self.weights.as_ref().map_or(0, |w| w.len() * 4)) as u64
+        self.bytes_of(self.n_edges)
+    }
+
+    /// Host bytes this graph holds beyond `base`: its kept-row set, plus its
+    /// whole storage unless it shares `base`'s (a graph shares all or none).
+    pub fn host_bytes_beyond(&self, base: &Csr<V, O>) -> u64 {
+        let own = !Arc::ptr_eq(&self.col_indices, &base.col_indices);
+        let storage = if own { self.bytes_of(self.col_indices.len()) } else { 0 };
+        storage + self.kept.as_ref().map_or(0, |k| k.len() as u64 * 8)
+    }
+
+    /// Offsets plus `edges` columns and weights.
+    fn bytes_of(&self, edges: usize) -> u64 {
+        let per_edge = V::BYTES + if self.is_weighted() { 4 } else { 0 };
+        (self.row_offsets.len() * O::BYTES + edges * per_edge) as u64
     }
 
     /// Sum of out-degrees of the given frontier — the advance workload size.
@@ -221,6 +271,19 @@ impl<V: Id, O: Id> Csr<V, O> {
         frontier.iter().map(|&v| self.degree(v)).sum()
     }
 }
+
+impl<V: Id, O: Id> PartialEq for Csr<V, O> {
+    fn eq(&self, other: &Self) -> bool {
+        self.n_vertices() == other.n_vertices()
+            && self.n_edges == other.n_edges
+            && (0..self.n_vertices()).map(V::from_usize).all(|v| {
+                self.neighbors(v) == other.neighbors(v)
+                    && self.row_weights(v) == other.row_weights(v)
+            })
+    }
+}
+
+impl<V: Id, O: Id> Eq for Csr<V, O> {}
 
 #[cfg(test)]
 mod tests {
@@ -284,6 +347,28 @@ mod tests {
         let back = t.transpose();
         assert_eq!(back.row_offsets(), g.row_offsets());
         assert_eq!(back.col_indices(), g.col_indices());
+    }
+
+    /// A row restriction reads as the compact copy of its rows, shares the
+    /// arrays (edge ids stay the parent's) and transposes compactly.
+    #[test]
+    fn kept_rows_read_as_their_compact_copy() {
+        let coo = Coo::from_edges(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)], Some(vec![5, 6, 7, 8]));
+        let g: Csr<u32, u64> = raw(&coo);
+        let view = g.with_rows(|v| v != 1);
+        let copy: Csr<u32, u64> =
+            raw(&Coo::from_edges(4, vec![(0, 1), (0, 2), (2, 3)], Some(vec![5, 6, 8])));
+        assert_eq!(view, copy);
+        assert_ne!(view, g);
+        assert_eq!((view.n_edges(), view.bytes()), (3, copy.bytes()));
+        assert_eq!(view.degree(1), 0);
+        assert_eq!(view.edge_range(2), 3..4, "the parent's edge ids");
+        assert_eq!(view.edge_weight(3), 8);
+        assert_eq!(view.transpose(), copy.transpose());
+        assert_eq!(view.col_indices().as_ptr(), g.col_indices().as_ptr());
+        assert_eq!(view.host_bytes_beyond(&g), 8, "one word of kept rows");
+        let narrower = view.with_rows(|v| v != 0);
+        assert_eq!((narrower.n_edges(), narrower.degree(1)), (1, 0), "restrictions compose");
     }
 
     #[test]

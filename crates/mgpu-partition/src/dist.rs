@@ -60,7 +60,9 @@ pub struct SubGraph<V: Id, O: Id> {
     /// to [`SubGraph::n_vertices`] under duplicate-all only).
     pub n_global: usize,
     /// Local adjacency over `V_i` (owned vertices carry their out-edges;
-    /// proxies have out-degree zero).
+    /// proxies have out-degree zero). Under duplicate-all it is the parent's
+    /// arrays restricted to the owned rows ([`Csr::with_rows`]), so its edge
+    /// ids are the parent's; under duplicate-1-hop it is a renumbered copy.
     pub csr: Csr<V, O>,
     /// Reverse adjacency (built lazily via [`SubGraph::build_csc`]) for
     /// pull-mode traversal: the transpose of `csr`, structure only (no
@@ -225,7 +227,7 @@ impl<V: Id, O: Id> SubGraph<V, O> {
                 OwnerMap::Global(_) => 0, // shared, counted once host-side
                 OwnerMap::Local(t, _) => t.len() * 4,
             };
-        let weights = self.csr.weights().map_or(0, |w| w.len() as u64 * 4);
+        let weights = if self.csr.is_weighted() { self.csr.n_edges() as u64 * 4 } else { 0 };
         let structure = self.csr.bytes() - weights;
         let csc = self.csc.as_ref().filter(|_| reads.reverse).map_or(0, |c| c.bytes());
         structure + if reads.weights { weights } else { 0 } + csc + tables as u64
@@ -237,8 +239,6 @@ impl<V: Id, O: Id> SubGraph<V, O> {
 pub struct DistGraph<V: Id, O: Id> {
     /// Global vertex count.
     pub n_global: usize,
-    /// Global (directed) edge count.
-    pub n_global_edges: usize,
     /// Number of parts (GPUs).
     pub n_parts: usize,
     /// Duplication strategy used.
@@ -250,6 +250,20 @@ pub struct DistGraph<V: Id, O: Id> {
     pub convert: Arc<Vec<V>>,
     /// The per-GPU subgraphs, indexed by GPU id.
     pub parts: Vec<SubGraph<V, O>>,
+    /// The input graph (an O(1) clone: duplicate-all parts share its arrays).
+    parent: Csr<V, O>,
+}
+
+/// Host bytes a partitioned graph holds, by owner; a shared array counts once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostBytes {
+    /// The parent graph: offsets, columns and weights.
+    pub graph: u64,
+    /// What the partition holds beyond the graph: its tables, each part's
+    /// kept-row set, border and id tables, and duplicate-1-hop rows.
+    pub partition: u64,
+    /// The parts' reverse adjacencies.
+    pub csc: u64,
 }
 
 impl<V: Id, O: Id> DistGraph<V, O> {
@@ -284,68 +298,51 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     fn build_dup_all(graph: &Csr<V, O>, table: Arc<Vec<u32>>, n_parts: usize) -> Self {
         let n = graph.n_vertices();
         let convert: Arc<Vec<V>> = Arc::new((0..n).map(V::from_usize).collect());
-        // Per-part sizes in one pass, so every array below is allocated once.
         let mut n_local = vec![0usize; n_parts];
-        let mut n_edges = vec![0usize; n_parts];
-        for v in 0..n {
-            n_local[table[v] as usize] += 1;
-            n_edges[table[v] as usize] += graph.degree(V::from_usize(v));
+        for &o in table.iter() {
+            n_local[o as usize] += 1;
         }
         let parts = per_part((0..n_parts).map(|gpu| {
-            let (table, n_local, n_edges) = (&table, n_local[gpu], n_edges[gpu]);
-            move || Self::dup_all_part(graph, table, gpu, n_parts, n_local, n_edges)
+            let (table, n_local) = (&table, n_local[gpu]);
+            move || Self::dup_all_part(graph, table, gpu, n_parts, n_local)
         }));
         DistGraph {
             n_global: n,
-            n_global_edges: graph.n_edges(),
             n_parts,
             duplication: Duplication::All,
             partition_table: table,
             convert,
             parts,
+            parent: graph.clone(),
         }
     }
 
-    /// One duplicate-all host graph: the parent's rows owned by `gpu`, copied
-    /// by slice into the full vertex space (every other row stays empty).
+    /// One duplicate-all host graph: the parent's arrays restricted to the
+    /// rows owned by `gpu` (every other row reads as empty), copying none.
     fn dup_all_part(
         graph: &Csr<V, O>,
         table: &Arc<Vec<u32>>,
         gpu: usize,
         n_parts: usize,
         n_local: usize,
-        n_edges: usize,
     ) -> SubGraph<V, O> {
         let n = graph.n_vertices();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(n_edges);
-        let mut weights = graph.weights().map(|_| Vec::with_capacity(n_edges));
+        let csr = graph.with_rows(|v| table[v.idx()] as usize == gpu);
         let mut seen = vec![0u64; n.div_ceil(64)];
-        for v in 0..n {
-            offsets.push(O::from_usize(cols.len()));
-            if table[v] as usize != gpu {
-                continue;
-            }
-            let range = graph.edge_range(V::from_usize(v));
-            let row = &graph.col_indices()[range.clone()];
-            cols.extend_from_slice(row);
-            if let (Some(out), Some(w)) = (&mut weights, graph.weights()) {
-                out.extend_from_slice(&w[range]);
-            }
-            for &d in row {
+        for v in (0..n).map(V::from_usize) {
+            for &d in csr.neighbors(v) {
                 if table[d.idx()] as usize != gpu {
                     mark(&mut seen, d.idx());
                 }
             }
         }
-        offsets.push(O::from_usize(cols.len()));
         let border: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
         SubGraph {
             gpu,
             n_parts,
             duplication: Duplication::All,
             n_global: n,
-            csr: Csr::from_parts(offsets, cols, weights),
+            csr,
             csc: None,
             n_local,
             local_to_global: None,
@@ -381,12 +378,12 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         }));
         DistGraph {
             n_global: n,
-            n_global_edges: graph.n_edges(),
             n_parts,
             duplication: Duplication::OneHop,
             partition_table: table,
             convert,
             parts,
+            parent: graph.clone(),
         }
     }
 
@@ -474,24 +471,29 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         (self.partition_table[g.idx()] as usize, self.convert[g.idx()])
     }
 
-    /// The graph these parts were built from: each vertex's row is its
-    /// owner's local row mapped back through [`SubGraph::to_global`], with
-    /// its weights. Both duplications copy rows in parent order, so this
-    /// equals the input of [`Self::build`] — what a failover re-partitions.
-    pub fn parent(&self) -> Csr<V, O> {
-        let mut offsets = vec![O::from_usize(0)];
-        let mut cols = Vec::with_capacity(self.n_global_edges);
-        let mut weights = self.parts[0].csr.weights().map(|_| Vec::with_capacity(cols.capacity()));
-        for g in 0..self.n_global {
-            let (gpu, local) = self.locate(V::from_usize(g));
-            let (sub, range) = (&self.parts[gpu], self.parts[gpu].csr.edge_range(local));
-            cols.extend(sub.csr.col_indices()[range.clone()].iter().map(|&d| sub.to_global(d)));
-            if let (Some(out), Some(w)) = (&mut weights, sub.csr.weights()) {
-                out.extend_from_slice(&w[range]);
-            }
-            offsets.push(O::from_usize(cols.len()));
+    /// The graph these parts were built from, the input of [`Self::build`]
+    /// itself — what a failover re-partitions.
+    pub fn parent(&self) -> &Csr<V, O> {
+        &self.parent
+    }
+
+    /// The host bytes this partition and its parent graph hold, by owner.
+    pub fn host_bytes(&self) -> HostBytes {
+        let tables = (self.partition_table.len() * 4 + self.convert.len() * V::BYTES) as u64;
+        let part = |p: &SubGraph<V, O>| {
+            let ids = |t: &Option<Vec<V>>| t.as_ref().map_or(0, |t| t.len() * V::BYTES);
+            let owners = match &p.owner_of {
+                OwnerMap::Global(_) => 0, // the partition table, counted above
+                OwnerMap::Local(t, _) => t.len() * 4,
+            };
+            let own = p.border.len() * V::BYTES + ids(&p.local_to_global) + ids(&p.owner_local);
+            p.csr.host_bytes_beyond(&self.parent) + (own + owners) as u64
+        };
+        HostBytes {
+            graph: self.parent.bytes(),
+            partition: tables + self.parts.iter().map(part).sum::<u64>(),
+            csc: self.parts.iter().filter_map(|p| p.csc.as_ref()).map(Csr::bytes).sum(),
         }
-        Csr::from_parts(offsets, cols, weights)
     }
 
     /// Build the reverse adjacency on every part — what a primitive whose
@@ -720,10 +722,10 @@ mod tests {
         assert_eq!(check_borders(&g, &owner, 3), vec![0; 6]);
     }
 
-    /// Rebuilding the parent from the parts gives back the input, under
-    /// both duplications, weighted or not, isolated vertices included.
+    /// The parent is the input itself, under both duplications, weighted or
+    /// not: the same arrays, not a copy rebuilt from the parts.
     #[test]
-    fn the_parent_rebuilt_from_the_parts_equals_the_input() {
+    fn the_parent_is_the_input_and_shares_its_storage() {
         use crate::partitioner::RandomPartitioner;
         let mut coo = mgpu_gen::gnm(90, 300, 5);
         coo.n_vertices = 100; // ten isolated vertices at the end
@@ -736,7 +738,16 @@ mod tests {
                 let owner = RandomPartitioner { seed: n_parts as u64 }.assign(g, n_parts);
                 for dup in [Duplication::All, Duplication::OneHop] {
                     let dg = DistGraph::build(g, owner.clone(), n_parts, dup);
-                    assert_eq!(&dg.parent(), g, "{dup:?} over {n_parts} parts");
+                    let at = format!("{dup:?} over {n_parts} parts");
+                    assert_eq!(dg.parent(), g, "{at}");
+                    assert_eq!(
+                        dg.parent().col_indices().as_ptr(),
+                        g.col_indices().as_ptr(),
+                        "{at}"
+                    );
+                    let ws = |c: &Csr<u32, u64>| c.weights().map(<[u32]>::as_ptr);
+                    assert_eq!(ws(dg.parent()), ws(g), "{at}");
+                    assert_eq!(dg.parent().host_bytes_beyond(g), 0, "{at}: nothing of its own");
                 }
             }
         }

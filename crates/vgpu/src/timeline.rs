@@ -48,8 +48,7 @@ pub enum TraceKind {
     BarrierWait,
     /// The per-superstep synchronization charge `l` — folds into `S·l`.
     Sync,
-    /// A retry backoff (kernel relaunch or transfer resend), or the instant
-    /// `transfer-abandoned` marker closing a send whose retries ran out.
+    /// A retry backoff (kernel relaunch or transfer resend).
     Retry,
     /// A governor downgrade decision (instant marker; `bytes` = the
     /// footprint estimate that forced it). Admission-time decisions are

@@ -16,7 +16,7 @@ use rand_chacha::ChaCha8Rng;
 use mgpu_graph_analytics::core::{EnactConfig, Executor, RecoveryPolicy, ResilientRunner, Runner};
 use mgpu_graph_analytics::graph::{BuildOptions, Coo, Csr, GraphBuilder, Id};
 use mgpu_graph_analytics::partition::{
-    DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner,
+    DistGraph, Duplication, PartitionQuality, Partitioner, RandomPartitioner, Reads,
 };
 use mgpu_graph_analytics::primitives::{
     ms_bfs::gather_lane_depths, reference, Bc, Bfs, Cc, MsBfs, Sssp,
@@ -253,17 +253,47 @@ fn dist_graph_equals_the_naive_per_part_reference() {
         // rank of every vertex among its owner's vertices, in global order
         let rank = |v: u32| owner[..v as usize].iter().filter(|&&o| o == owner[v as usize]).count();
         for dup in [Duplication::All, Duplication::OneHop] {
-            let dist = DistGraph::build(&g, owner.clone(), n_parts, dup);
+            let mut dist = DistGraph::build(&g, owner.clone(), n_parts, dup);
+            dist.build_cscs();
             assert_eq!(dist.parts.len(), n_parts);
             for (gpu, part) in dist.parts.iter().enumerate() {
                 let want = naive_part(&g, &owner, n_parts, gpu as u32, dup);
-                assert_eq!(part.csr, want.csr, "{dup:?} part {gpu}/{n_parts}");
+                let at = format!("{dup:?} part {gpu}/{n_parts}");
+                assert_eq!(part.csr, want.csr, "{at}");
                 assert_eq!(part.n_local, want.n_local);
+                for v in 0..part.n_vertices() as u32 {
+                    assert_eq!(part.csr.degree(v), want.csr.degree(v), "{at}: row {v}");
+                }
+                assert_eq!(part.n_edges(), want.csr.n_edges(), "{at}");
+                assert_eq!(part.csr.bytes(), want.csr.bytes(), "{at}");
+                assert_eq!(part.csc.as_ref(), Some(&want.csr.transpose()), "{at}");
+                let weights = if g.is_weighted() { 4 * want.csr.n_edges() as u64 } else { 0 };
+                let tables = match dup {
+                    Duplication::All => 0,
+                    Duplication::OneHop => 12 * want.to_global.len() as u64,
+                };
+                let structure = want.csr.bytes() - weights + tables;
+                let csc = want.csr.transpose().bytes();
+                for (reverse, weighted) in
+                    [(false, false), (false, true), (true, false), (true, true)]
+                {
+                    let expect = structure
+                        + if reverse { csc } else { 0 }
+                        + if weighted { weights } else { 0 };
+                    let reads = Reads { reverse, weights: weighted };
+                    assert_eq!(part.read_bytes(reads), expect, "{at}: {reads:?}");
+                }
                 let mut border_out = vec![0usize; n_parts];
                 for &b in &part.border {
                     border_out[part.owner(b) as usize] += 1;
                 }
                 assert_eq!(border_out, want.border_out);
+                // every remote local id an owned row points at, ascending
+                let pointed: BTreeSet<u32> =
+                    triples_of(&want.csr).into_iter().map(|(_, d, _)| d).collect();
+                let remote = |&l: &u32| owner[want.to_global[l as usize] as usize] != gpu as u32;
+                let border: Vec<u32> = pointed.into_iter().filter(remote).collect();
+                assert_eq!(part.border, border, "{at}");
                 for (l, &gl) in want.to_global.iter().enumerate() {
                     let l = l as u32;
                     assert_eq!(part.to_global(l), gl);
@@ -280,6 +310,41 @@ fn dist_graph_equals_the_naive_per_part_reference() {
             for v in 0..n as u32 {
                 let local = if dup == Duplication::All { v } else { rank(v) as u32 };
                 assert_eq!(dist.locate(v), (owner[v as usize] as usize, local));
+            }
+        }
+    }
+}
+
+/// Duplicate-all parts hold no edge array of their own: every part's
+/// columns and weights are the parent's storage, and the partition's host
+/// bytes are its tables, kept-row sets and borders alone. Duplicate-1-hop
+/// parts renumber their rows, so they own their copies.
+#[test]
+fn duplicate_all_parts_share_the_parent_storage() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xB04);
+    for case in 0..CASES {
+        let mut coo = arb_coo::<u32>(&mut rng);
+        coo.weights = (case % 2 == 0).then(|| (0..coo.n_edges()).map(|i| i as u32 % 65).collect());
+        let g: Csr<u32, u64> = GraphBuilder::undirected(&coo);
+        let n = g.n_vertices();
+        let n_parts = 1 + case % 8;
+        let owner: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n_parts as u32)).collect();
+        let ws = |c: &Csr<u32, u64>| c.weights().map(<[u32]>::as_ptr);
+        let dist = DistGraph::build(&g, owner.clone(), n_parts, Duplication::All);
+        for part in &dist.parts {
+            let at = format!("part {}/{n_parts}, weighted {}", part.gpu, g.is_weighted());
+            assert_eq!(part.csr.col_indices().as_ptr(), g.col_indices().as_ptr(), "{at}");
+            assert_eq!(ws(&part.csr), ws(&g), "{at}");
+        }
+        let kept_and_border: usize =
+            dist.parts.iter().map(|p| n.div_ceil(64) * 8 + p.border.len() * 4).sum();
+        assert_eq!(dist.host_bytes().partition, (8 * n + kept_and_border) as u64);
+        assert_eq!(dist.host_bytes().graph, g.bytes());
+        if g.n_edges() > 0 {
+            let dist = DistGraph::build(&g, owner, n_parts, Duplication::OneHop);
+            for part in dist.parts.iter().filter(|p| p.n_edges() > 0) {
+                assert_ne!(part.csr.col_indices().as_ptr(), g.col_indices().as_ptr());
+                assert!(part.csr.host_bytes_beyond(&g) >= part.csr.bytes());
             }
         }
     }
