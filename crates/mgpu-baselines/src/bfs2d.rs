@@ -168,28 +168,8 @@ impl Bfs2d {
             iterations += 1;
         }
 
-        let report = EnactReport {
-            primitive: "2D-partitioned BFS",
-            n_devices: n_gpus,
-            iterations,
-            sim_time_us: system.makespan_us(),
-            wall_time_us: t0.elapsed().as_secs_f64() * 1e6,
-            host_sync: Default::default(),
-            totals: system.total_counters(),
-            per_device: system.devices.iter().map(|d| d.counters).collect(),
-            peak_memory_per_device: system.peak_memory_per_device(),
-            total_peak_memory: system.total_peak_memory(),
-            pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
-            mem_per_device: system
-                .devices
-                .iter()
-                .map(|d| mgpu_core::DeviceMemStats::of(d.pool()))
-                .collect(),
-            recovery: mgpu_core::RecoveryLog::default(),
-            governor: mgpu_core::GovernorLog::default(),
-            comm: mgpu_core::CommReduction::default(),
-            trace: None,
-        };
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6;
+        let report = EnactReport::of_system("2D-partitioned BFS", system, iterations, wall_us);
         Ok((report, labels))
     }
 }

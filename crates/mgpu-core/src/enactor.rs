@@ -63,7 +63,7 @@ use crate::comm::{
 use crate::executor::{DeviceOutcome, DeviceRun, Executor, ExecutorKind};
 use crate::governor::{self, Downgrade, GovernorLog};
 use crate::problem::MgpuProblem;
-use crate::report::{CommReduction, DeviceMemStats, EnactReport, HostSync};
+use crate::report::{CommReduction, EnactReport, HostSync};
 use crate::resilience::{
     CheckpointSink, GlobalCheckpoint, RecoveryCounters, RecoveryLog, RecoveryPolicy,
 };
@@ -343,7 +343,7 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
 
     /// The partition after a failover: a surviving owner keeps its vertices
     /// (under its runtime id), a lost owner's are dealt round-robin over
-    /// the survivors, and the parts are rebuilt from the parent graph.
+    /// the survivors, and the parent graph is partitioned again.
     fn rehome(&self, owner: &[u32], alive: &[usize]) -> DistGraph<V, O> {
         let n = alive.len();
         let survivor = |o: u32| alive.iter().position(|&a| a == o as usize);
@@ -559,22 +559,13 @@ impl<'g, V: Id, O: Id, P: MgpuProblem<V, O>> Runner<'g, V, O, P> {
         }
         let system = &self.system;
         EnactReport {
-            primitive: self.problem.name(),
             n_devices: self.dist.n_parts,
-            iterations,
-            sim_time_us: system.makespan_us(),
-            wall_time_us,
             host_sync,
-            totals: system.total_counters(),
-            per_device: system.devices.iter().map(|d| d.counters).collect(),
-            peak_memory_per_device: system.peak_memory_per_device(),
-            total_peak_memory: system.total_peak_memory(),
-            pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
-            mem_per_device: system.devices.iter().map(|d| DeviceMemStats::of(d.pool())).collect(),
             recovery,
             governor,
             comm,
             trace: self.config.tracing.then(|| crate::trace::Trace::collect(system)),
+            ..EnactReport::of_system(self.problem.name(), system, iterations, wall_time_us)
         }
     }
 }

@@ -59,6 +59,8 @@
 //! [`advance_filter_fused_seq`] stay sequential because their result or
 //! their charge depends on visit order; they charge by the same rules.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use mgpu_graph::{Csr, Id};
 use mgpu_partition::SubGraph;
 use vgpu::{par, Arena, Device, KernelFault, KernelKind, Result, VgpuError, COMPUTE_STREAM};
@@ -107,8 +109,9 @@ fn concat_reclaim<V: Id>(arena: &Arena<V>, parts: Vec<Vec<V>>) -> Vec<V> {
 }
 
 /// Run the push-advance body over the planned chunks and concatenate the
-/// per-chunk emissions in chunk order. Per-chunk buffers are leased from the
-/// arena, so steady-state supersteps reuse capacity instead of re-growing.
+/// per-chunk emissions in chunk order, with the number of edges visited.
+/// Per-chunk buffers are leased from the arena, so steady-state supersteps
+/// reuse capacity instead of re-growing.
 fn advance_chunks<V: Id, O: Id, F>(
     threads: usize,
     sub: &SubGraph<V, O>,
@@ -116,25 +119,30 @@ fn advance_chunks<V: Id, O: Id, F>(
     chunks: &[(usize, usize)],
     arena: &Arena<V>,
     f: &F,
-) -> Vec<V>
+) -> (Vec<V>, u64)
 where
     F: Fn(V, usize, V) -> Option<V> + Sync,
 {
+    let edges = AtomicU64::new(0);
     let parts = par::run_chunks(threads, chunks.len(), |c| {
         let (lo, hi) = chunks[c];
         let mut out = arena.lease();
+        let mut visited = 0;
         let cols = sub.csr.col_indices();
         for &v in &input[lo..hi] {
-            for e in sub.csr.edge_range(v) {
+            let range = sub.csr.edge_range(v);
+            visited += range.len() as u64;
+            for e in range {
                 let d = cols[e];
                 if let Some(emit) = f(v, e, d) {
                     out.push(emit);
                 }
             }
         }
+        edges.fetch_add(visited, Ordering::Relaxed);
         out
     });
-    concat_reclaim(arena, parts)
+    (concat_reclaim(arena, parts), edges.into_inner())
 }
 
 /// Split the frontier into contiguous passes whose edge work fits `granted`
@@ -256,7 +264,7 @@ where
         arm_pressure_faults(dev, true);
         let part = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
             let chunks = plan_chunks(sub, slice, chunk_target::<V>());
-            let emitted = advance_chunks(threads, sub, slice, &chunks, &bufs.arena, f);
+            let (emitted, _) = advance_chunks(threads, sub, slice, &chunks, &bufs.arena, f);
             let items = match mode {
                 AdvanceMode::LoadBalanced => sub.csr.frontier_out_degree(slice) as u64,
                 AdvanceMode::ThreadMapped => (slice.len() * max_deg) as u64,
@@ -324,7 +332,7 @@ pub fn advance_with_mode<V: Id, O: Id>(
     let (out, resident) = if granted >= need {
         arm_pressure_faults(dev, false);
         let out = dev.kernel(COMPUTE_STREAM, KernelKind::Advance, || {
-            (advance_chunks(threads, sub, input, &chunks, &bufs.arena, &f), charged_items)
+            (advance_chunks(threads, sub, input, &chunks, &bufs.arena, &f).0, charged_items)
         })?;
         let resident = out.len();
         (out, resident)
@@ -449,29 +457,7 @@ pub fn advance_filter_fused<V: Id, O: Id>(
     let threads = dev.kernel_threads();
     dev.kernel(COMPUTE_STREAM, KernelKind::FusedAdvanceFilter, || {
         let chunks = plan_chunks(sub, input, chunk_target::<V>());
-        let parts = par::run_chunks(threads, chunks.len(), |c| {
-            let (lo, hi) = chunks[c];
-            let mut out = bufs.arena.lease();
-            let mut edges = 0u64;
-            let cols = sub.csr.col_indices();
-            for &v in &input[lo..hi] {
-                for e in sub.csr.edge_range(v) {
-                    edges += 1;
-                    let d = cols[e];
-                    if let Some(emit) = f(v, e, d) {
-                        out.push(emit);
-                    }
-                }
-            }
-            (out, edges)
-        });
-        let edges: u64 = parts.iter().map(|(_, e)| e).sum();
-        let mut out = Vec::with_capacity(parts.iter().map(|(p, _)| p.len()).sum());
-        for (p, _) in parts {
-            out.extend_from_slice(&p);
-            bufs.arena.reclaim(p);
-        }
-        (out, edges)
+        advance_chunks(threads, sub, input, &chunks, &bufs.arena, &f)
     })
 }
 
@@ -488,8 +474,9 @@ pub fn advance_filter_fused_seq<V: Id, O: Id>(
         let mut edges = 0u64;
         let cols = sub.csr.col_indices();
         for &v in input {
-            for e in sub.csr.edge_range(v) {
-                edges += 1;
+            let range = sub.csr.edge_range(v);
+            edges += range.len() as u64;
+            for e in range {
                 let d = cols[e];
                 if let Some(emit) = f(v, e, d) {
                     out.push(emit);

@@ -1,6 +1,6 @@
 //! Traversal reports: the measurements every experiment consumes.
 
-use vgpu::{BspCounters, HostSyncStats, MemoryPool};
+use vgpu::{BspCounters, HostSyncStats, MemoryPool, SimSystem};
 
 use crate::governor::GovernorLog;
 use crate::json::Json;
@@ -156,6 +156,35 @@ pub struct EnactReport {
 }
 
 impl EnactReport {
+    /// The report of a `primitive` run of `iterations` supersteps that left
+    /// `system` as it is: its makespan, counters and pools, with no host
+    /// sync, recovery, governor, wire accounting or trace.
+    pub fn of_system(
+        primitive: &'static str,
+        system: &SimSystem,
+        iterations: usize,
+        wall_time_us: f64,
+    ) -> Self {
+        EnactReport {
+            primitive,
+            n_devices: system.n_devices(),
+            iterations,
+            sim_time_us: system.makespan_us(),
+            wall_time_us,
+            host_sync: HostSync::default(),
+            totals: system.total_counters(),
+            per_device: system.devices.iter().map(|d| d.counters).collect(),
+            peak_memory_per_device: system.peak_memory_per_device(),
+            total_peak_memory: system.total_peak_memory(),
+            pool_reallocs: system.devices.iter().map(|d| d.pool().reallocs()).sum(),
+            mem_per_device: system.devices.iter().map(|d| DeviceMemStats::of(d.pool())).collect(),
+            recovery: RecoveryLog::default(),
+            governor: GovernorLog::default(),
+            comm: CommReduction::default(),
+            trace: None,
+        }
+    }
+
     /// Traversed-edges-per-second metric in GTEPS, given the number of edges
     /// the traversal is credited with (the paper credits DOBFS with the full
     /// |E| of the traversed component even though edge skipping visits far

@@ -31,8 +31,8 @@
 //! * **Degradation** ([`RecoveryPolicy::degrade`]) — on permanent device
 //!   loss, or a straggler evicted at a rendezvous, [`Runner::enact`]
 //!   restores the last complete checkpoint, re-homes the lost device's
-//!   vertices onto the survivors (rebuilding the parent graph from the
-//!   parts, [`DistGraph::parent`]), and continues on N−1 GPUs. The failed
+//!   vertices onto the survivors (re-partitioning the parent graph the
+//!   partition holds, [`DistGraph::parent`]), and continues on N−1 GPUs. The failed
 //!   attempt's simulated makespan is banked as [`RecoveryLog::lost_time_us`]
 //!   and folded into the final report.
 //!

@@ -80,7 +80,7 @@ pub struct SubGraph<V: Id, O: Id> {
     local_to_global: Option<Vec<V>>,
     /// Local id → owning GPU. Under duplicate-all this is the global
     /// partition table (shared); under duplicate-1-hop it is per-subgraph.
-    owner_of: OwnerMap<V>,
+    owner_of: Arc<Vec<u32>>,
     /// Local id → owner-local id (what to put on the wire for selective
     /// communication). `None` = identity (duplicate-all).
     owner_local: Option<Vec<V>>,
@@ -125,14 +125,6 @@ fn per_part<T: Send, J: FnOnce() -> T + Send>(jobs: impl IntoIterator<Item = J>)
     })
 }
 
-#[derive(Debug, Clone)]
-enum OwnerMap<V> {
-    /// Shared global partition table indexed by global (= local) id.
-    Global(Arc<Vec<u32>>),
-    /// Per-local-id owners (duplicate-1-hop).
-    Local(Vec<u32>, std::marker::PhantomData<V>),
-}
-
 impl<V: Id, O: Id> SubGraph<V, O> {
     /// Total vertices in the local space `|V_i|` (owned + proxies).
     pub fn n_vertices(&self) -> usize {
@@ -156,10 +148,7 @@ impl<V: Id, O: Id> SubGraph<V, O> {
     /// Owning GPU of local vertex `v`.
     #[inline]
     pub fn owner(&self, v: V) -> u32 {
-        match &self.owner_of {
-            OwnerMap::Global(t) => t[v.idx()],
-            OwnerMap::Local(t, _) => t[v.idx()],
-        }
+        self.owner_of[v.idx()]
     }
 
     /// Global id of local vertex `v`.
@@ -221,16 +210,17 @@ impl<V: Id, O: Id> SubGraph<V, O> {
     /// part: the CSR structure and the conversion tables, plus the CSC and
     /// the weights where it reads them and this part carries them.
     pub fn read_bytes(&self, reads: Reads) -> u64 {
-        let tables = self.local_to_global.as_ref().map_or(0, |t| t.len() * V::BYTES)
-            + self.owner_local.as_ref().map_or(0, |t| t.len() * V::BYTES)
-            + match &self.owner_of {
-                OwnerMap::Global(_) => 0, // shared, counted once host-side
-                OwnerMap::Local(t, _) => t.len() * 4,
-            };
         let weights = if self.csr.is_weighted() { self.csr.n_edges() as u64 * 4 } else { 0 };
         let structure = self.csr.bytes() - weights;
         let csc = self.csc.as_ref().filter(|_| reads.reverse).map_or(0, |c| c.bytes());
-        structure + if reads.weights { weights } else { 0 } + csc + tables as u64
+        structure + if reads.weights { weights } else { 0 } + csc + self.table_bytes()
+    }
+
+    /// Bytes of the part's own id tables: under duplicate-1-hop a global id,
+    /// an owner-local id and an owner per local vertex; none under
+    /// duplicate-all, whose owner table is the shared partition table.
+    fn table_bytes(&self) -> u64 {
+        self.local_to_global.as_ref().map_or(0, |t| t.len() * (2 * V::BYTES + 4)) as u64
     }
 }
 
@@ -346,7 +336,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             csc: None,
             n_local,
             local_to_global: None,
-            owner_of: OwnerMap::Global(Arc::clone(table)),
+            owner_of: Arc::clone(table),
             owner_local: None,
             border,
         }
@@ -437,18 +427,10 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         // proxies carry no out-edges
         offsets.resize(n_vi + 1, O::from_usize(cols.len()));
 
-        let mut local_to_global = Vec::with_capacity(n_vi);
-        local_to_global.extend_from_slice(owned);
-        local_to_global.extend_from_slice(&proxies);
-
-        let mut owner_of: Vec<u32> = Vec::with_capacity(n_vi);
-        owner_of.extend(std::iter::repeat_n(gpu as u32, n_local));
-        owner_of.extend(proxies.iter().map(|g| table[g.idx()]));
-
-        let mut owner_local: Vec<V> = Vec::with_capacity(n_vi);
-        owner_local.extend((0..n_local).map(V::from_usize));
-        owner_local.extend(proxies.iter().map(|g| convert[g.idx()]));
-
+        // Owned vertices are this GPU's, at their owner-local ranks.
+        let local_to_global: Vec<V> = owned.iter().chain(&proxies).copied().collect();
+        let owner_of = local_to_global.iter().map(|g| table[g.idx()]).collect();
+        let owner_local = local_to_global.iter().map(|g| convert[g.idx()]).collect();
         SubGraph {
             gpu,
             n_parts,
@@ -458,7 +440,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             csc: None,
             n_local,
             local_to_global: Some(local_to_global),
-            owner_of: OwnerMap::Local(owner_of, std::marker::PhantomData),
+            owner_of: Arc::new(owner_of),
             owner_local: Some(owner_local),
             border: (n_local..n_vi).map(V::from_usize).collect(),
         }
@@ -481,13 +463,8 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     pub fn host_bytes(&self) -> HostBytes {
         let tables = (self.partition_table.len() * 4 + self.convert.len() * V::BYTES) as u64;
         let part = |p: &SubGraph<V, O>| {
-            let ids = |t: &Option<Vec<V>>| t.as_ref().map_or(0, |t| t.len() * V::BYTES);
-            let owners = match &p.owner_of {
-                OwnerMap::Global(_) => 0, // the partition table, counted above
-                OwnerMap::Local(t, _) => t.len() * 4,
-            };
-            let own = p.border.len() * V::BYTES + ids(&p.local_to_global) + ids(&p.owner_local);
-            p.csr.host_bytes_beyond(&self.parent) + (own + owners) as u64
+            let border = (p.border.len() * V::BYTES) as u64;
+            p.csr.host_bytes_beyond(&self.parent) + p.table_bytes() + border
         };
         HostBytes {
             graph: self.parent.bytes(),

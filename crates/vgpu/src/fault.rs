@@ -267,32 +267,7 @@ impl FaultPlan {
     /// Fully determined by `seed` — the generator is a fixed splitmix64
     /// stream, so the same arguments always produce the same plan.
     pub fn random(seed: u64, n_devices: usize, n_faults: usize, horizon: u64) -> Self {
-        assert!(n_devices > 0 && horizon > 0, "need at least one device and a nonzero horizon");
-        let mut s = seed ^ 0x51ed_270b_d4d2_5f84;
-        let mut next = move || splitmix64(&mut s);
-        let mut plan = FaultPlan::new();
-        for _ in 0..n_faults {
-            let device = (next() % n_devices as u64) as usize;
-            let site = next() % horizon;
-            match next() % 5 {
-                0 => plan = plan.kernel_fail(device, site),
-                1 => plan = plan.transient_oom(device, site),
-                2 => {
-                    let delay_us = 10.0 + (next() % 90) as f64;
-                    plan = plan.straggle(device, site, delay_us);
-                }
-                3 if n_devices > 1 => {
-                    let to = (device + 1 + (next() % (n_devices as u64 - 1)) as usize) % n_devices;
-                    plan = plan.transfer_fail(device, to, site);
-                }
-                _ if n_devices > 1 => {
-                    let to = (device + 1 + (next() % (n_devices as u64 - 1)) as usize) % n_devices;
-                    plan = plan.transfer_timeout(device, to, site);
-                }
-                _ => plan = plan.kernel_fail(device, site),
-            }
-        }
-        plan
+        Self::random_of(5, seed, n_devices, n_faults, horizon)
     }
 
     /// Like [`FaultPlan::random`] but the draw also covers the pressure
@@ -306,6 +281,13 @@ impl FaultPlan {
         n_faults: usize,
         horizon: u64,
     ) -> Self {
+        Self::random_of(8, seed, n_devices, n_faults, horizon)
+    }
+
+    /// The draw behind both random plans: each fault's class is one of the
+    /// first `classes` arms below (5: the transient classes, 8: plus the
+    /// pressure sites).
+    fn random_of(classes: u64, seed: u64, n_devices: usize, n_faults: usize, horizon: u64) -> Self {
         assert!(n_devices > 0 && horizon > 0, "need at least one device and a nonzero horizon");
         let mut s = seed ^ 0x51ed_270b_d4d2_5f84;
         let mut next = move || splitmix64(&mut s);
@@ -313,7 +295,7 @@ impl FaultPlan {
         for _ in 0..n_faults {
             let device = (next() % n_devices as u64) as usize;
             let site = next() % horizon;
-            match next() % 8 {
+            match next() % classes {
                 0 => plan = plan.kernel_fail(device, site),
                 1 => plan = plan.transient_oom(device, site),
                 2 => {
