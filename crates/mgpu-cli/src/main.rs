@@ -355,7 +355,9 @@ fn parse_fault_plan(spec: &str, n_devices: usize) -> Result<FaultPlan, String> {
             return Err(format!("expected SEED:COUNT:HORIZON after the prefix, got {spec}"));
         };
         let seed = seed.parse::<u64>().map_err(|e| format!("seed: {e}"))?;
-        let count = count.parse::<usize>().map_err(|e| format!("count: {e}"))?;
+        // the plan is built eagerly, one event per count
+        let count = count.parse::<usize>().ok().filter(|&c| c <= 65_536);
+        let count = count.ok_or("count: want an integer in 0..=65536")?;
         let horizon = horizon.parse::<u64>().map_err(|e| format!("horizon: {e}"))?;
         if horizon == 0 {
             return Err("horizon: want an integer >= 1".into());
@@ -922,6 +924,11 @@ mod tests {
             "device 7 is not one of the 2 GPUs"
         );
         assert!(parse_fault_plan("tfail:0>2@1", 2).is_err(), "the far end of a link counts too");
+        assert_eq!(
+            parse_fault_plan("random:1:65537:5", 2).unwrap_err(),
+            "count: want an integer in 0..=65536"
+        );
+        assert!(parse_fault_plan("randomp:1:-1:5", 2).is_err());
     }
 
     #[test]

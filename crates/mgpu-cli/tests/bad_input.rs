@@ -20,9 +20,12 @@ fn unrunnable_input_is_one_line_and_exit_1_or_2() {
     let run = ["run", "--primitive", "bfs", "--dataset", "soc-orkut"];
     let serve = ["serve", "--dataset", "soc-orkut"];
     let run_mtx = |path| ["run", "--primitive", "bfs", "--mtx", path];
-    let rows: [(&str, &[&str], &[&str], i32); 11] = [
+    let rows: [(&str, &[&str], &[&str], i32); 14] = [
         ("zero random horizon", &run, &["--fault-plan", "random:1:0:0"], 2),
         ("zero randomp horizon", &run, &["--fault-plan", "randomp:1:0:0"], 2),
+        ("a random count past the cap", &run, &["--fault-plan", "random:1:100000000:5"], 2),
+        ("an infinite straggler delay", &run, &["--fault-plan", "slow:0@1:inf"], 2),
+        ("a NaN straggler delay", &run, &["--fault-plan", "slow:0@1:nan"], 2),
         ("a device the run lacks", &run, &["--fault-plan", "lose:7@1"], 2),
         ("a graph with no vertex", &run_mtx(&no_vertex), &[], 1),
         ("the deleted topology flag", &run, &["--comm-topology", "butterfly"], 2),

@@ -21,7 +21,7 @@
 //! sends carry global ids (which under duplicate-all are already local ids
 //! everywhere, which is why the paper pairs broadcast with duplicate-all).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mgpu_graph::{Csr, Id};
 
@@ -84,30 +84,25 @@ pub struct SubGraph<V: Id, O: Id> {
     /// Local id → owner-local id (what to put on the wire for selective
     /// communication). `None` = identity (duplicate-all).
     owner_local: Option<Vec<V>>,
-    /// The outgoing vertex border (§III-A): every non-owned local vertex an
-    /// owned row points at, ascending local ids (`n_local..` under
-    /// duplicate-1-hop, where those are exactly the proxies). Counted per
-    /// owner j it is `|B_{i,j}|`.
-    pub border: Vec<V>,
+    /// [`SubGraph::border`], walked on its first read.
+    border: OnceLock<Vec<V>>,
 }
 
-/// Set bit `i` of a border bitset.
-fn mark(seen: &mut [u64], i: usize) {
-    seen[i / 64] |= 1 << (i % 64);
-}
-
-/// The set bits of a bitset, ascending.
-fn set_bits(seen: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    seen.iter().enumerate().flat_map(|(w, &word)| {
+/// The distinct ids among `ids` (all below `n`), ascending: marked in one
+/// `n`-bit set, then read off its set bits in order.
+fn distinct<V: Id>(n: usize, ids: impl Iterator<Item = V>) -> Vec<V> {
+    let mut seen = vec![0u64; n.div_ceil(64)];
+    // internal iteration: a flattened row walk runs as nested loops
+    ids.for_each(|v| seen[v.idx() / 64] |= 1 << (v.idx() % 64));
+    let mut out = Vec::new();
+    for (w, &word) in seen.iter().enumerate() {
         let mut rest = word;
-        std::iter::from_fn(move || {
-            (rest != 0).then(|| {
-                let bit = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                w * 64 + bit
-            })
-        })
-    })
+        while rest != 0 {
+            out.push(V::from_usize(w * 64 + rest.trailing_zeros() as usize));
+            rest &= rest - 1;
+        }
+    }
+    out
 }
 
 /// Run one job per part concurrently — the first on the calling thread, the
@@ -187,10 +182,23 @@ impl<V: Id, O: Id> SubGraph<V, O> {
         }
     }
 
+    /// The outgoing vertex border `B_i` (§III-A): every non-owned local
+    /// vertex an owned row points at, ascending local ids (`n_local..` under
+    /// duplicate-1-hop, where those are exactly the proxies). Counted per
+    /// owner j it is `|B_{i,j}|`. Walked over the owned rows (the only rows
+    /// with edges) on the first read, and kept.
+    pub fn border(&self) -> &[V] {
+        self.border.get_or_init(|| {
+            let rows = (0..self.n_vertices()).map(V::from_usize);
+            let pointed = rows.flat_map(|v| self.csr.neighbors(v)).copied();
+            distinct(self.n_vertices(), pointed.filter(|&d| !self.is_owned(d)))
+        })
+    }
+
     /// Total outgoing border size `|B_i|`: the sum of `|B_{i,j}|` over
     /// peers, which are disjoint (each border vertex has one owner).
     pub fn border_total(&self) -> usize {
-        self.border.len()
+        self.border().len()
     }
 
     /// Build and cache the reverse (CSC) adjacency for pull traversal.
@@ -250,7 +258,7 @@ pub struct HostBytes {
     /// The parent graph: offsets, columns and weights.
     pub graph: u64,
     /// What the partition holds beyond the graph: its tables, each part's
-    /// kept-row set, border and id tables, and duplicate-1-hop rows.
+    /// kept-row set, id tables and border once read, and duplicate-1-hop rows.
     pub partition: u64,
     /// The parts' reverse adjacencies.
     pub csc: u64,
@@ -316,29 +324,18 @@ impl<V: Id, O: Id> DistGraph<V, O> {
         n_parts: usize,
         n_local: usize,
     ) -> SubGraph<V, O> {
-        let n = graph.n_vertices();
-        let csr = graph.with_rows(|v| table[v.idx()] as usize == gpu);
-        let mut seen = vec![0u64; n.div_ceil(64)];
-        for v in (0..n).map(V::from_usize) {
-            for &d in csr.neighbors(v) {
-                if table[d.idx()] as usize != gpu {
-                    mark(&mut seen, d.idx());
-                }
-            }
-        }
-        let border: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
         SubGraph {
             gpu,
             n_parts,
             duplication: Duplication::All,
-            n_global: n,
-            csr,
+            n_global: graph.n_vertices(),
+            csr: graph.with_rows(|v| table[v.idx()] as usize == gpu),
             csc: None,
             n_local,
             local_to_global: None,
             owner_of: Arc::clone(table),
             owner_local: None,
-            border,
+            border: OnceLock::new(),
         }
     }
 
@@ -390,17 +387,9 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     ) -> SubGraph<V, O> {
         let n = graph.n_vertices();
         let n_local = owned.len();
-        let mut seen = vec![0u64; n.div_ceil(64)];
-        let mut n_edges = 0usize;
-        for &v in owned {
-            n_edges += graph.degree(v);
-            for &d in graph.neighbors(v) {
-                if table[d.idx()] as usize != gpu {
-                    mark(&mut seen, d.idx());
-                }
-            }
-        }
-        let proxies: Vec<V> = set_bits(&seen).map(V::from_usize).collect();
+        let n_edges = owned.iter().map(|&v| graph.degree(v)).sum();
+        let pointed = owned.iter().flat_map(|&v| graph.neighbors(v)).copied();
+        let proxies = distinct(n, pointed.filter(|d| table[d.idx()] as usize != gpu));
 
         // Global → local for everything this part's edges can name; entries
         // of vertices that are neither owned nor proxied are never read.
@@ -442,7 +431,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
             local_to_global: Some(local_to_global),
             owner_of: Arc::new(owner_of),
             owner_local: Some(owner_local),
-            border: (n_local..n_vi).map(V::from_usize).collect(),
+            border: OnceLock::new(),
         }
     }
 
@@ -463,7 +452,7 @@ impl<V: Id, O: Id> DistGraph<V, O> {
     pub fn host_bytes(&self) -> HostBytes {
         let tables = (self.partition_table.len() * 4 + self.convert.len() * V::BYTES) as u64;
         let part = |p: &SubGraph<V, O>| {
-            let border = (p.border.len() * V::BYTES) as u64;
+            let border = p.border.get().map_or(0, |b| (b.len() * V::BYTES) as u64);
             p.csr.host_bytes_beyond(&self.parent) + p.table_bytes() + border
         };
         HostBytes {
@@ -516,7 +505,7 @@ mod tests {
         // GPU0 owns {0,1,2}; its cut edges are 0→5 and 2→3 ⇒ border to GPU1 = {5,3}
         let per_owner = |part: &SubGraph<u32, u64>| {
             let mut count = vec![0usize; 2];
-            for &b in &part.border {
+            for &b in part.border() {
                 count[part.owner(b) as usize] += 1;
             }
             count
@@ -659,12 +648,12 @@ mod tests {
             let dg = DistGraph::build(g, owner.to_vec(), n_parts, dup);
             for sub in &dg.parts {
                 let at = format!("{dup:?}, part {} of {n_parts}", sub.gpu);
-                assert_eq!(sub.border, naive_border(sub), "{at}");
+                assert_eq!(sub.border(), naive_border(sub), "{at}");
                 if dup == Duplication::OneHop {
                     let proxies: Vec<u32> = (sub.n_local as u32..sub.n_vertices() as u32).collect();
-                    assert_eq!(sub.border, proxies, "{at}: the border is the proxy range");
+                    assert_eq!(sub.border(), proxies, "{at}: the border is the proxy range");
                 }
-                sizes.push(sub.border.len());
+                sizes.push(sub.border_total());
             }
         }
         sizes

@@ -24,8 +24,8 @@
 //!   conversion tables map between spaces.
 //!
 //! The border sets `B_{i,j}` — whose size, not the edge cut, is what
-//! actually drives communication volume in this system (§V-C) — are
-//! computed at build time and exposed for the Fig. 2 analysis.
+//! actually drives communication volume in this system (§V-C) — have one
+//! definition, [`SubGraph::border`], which the Fig. 2 analysis reads too.
 
 pub mod dist;
 pub mod metrics;

@@ -7,9 +7,9 @@
 //! same remote vertex transmit one value. These metrics let the Fig. 2
 //! experiment report both objectives side by side.
 
-use std::collections::HashSet;
-
 use mgpu_graph::{Csr, Id};
+
+use crate::dist::{DistGraph, Duplication};
 
 /// Quality measures of a 1D vertex assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -18,9 +18,9 @@ pub struct PartitionQuality {
     pub n_parts: usize,
     /// Directed edges whose endpoints live on different parts.
     pub edge_cut: usize,
-    /// Per-part outgoing border size `|B_i|` (distinct remote neighbors,
-    /// counted once per (part, peer) pair, per the paper's union-with-
-    /// duplication definition).
+    /// Per-part outgoing border size `|B_i|` ([`crate::SubGraph::border`]:
+    /// distinct remote neighbors; each has one owner, so this is the sum of
+    /// `|B_{i,j}|` over peers, the paper's union-with-duplication definition).
     pub border: Vec<usize>,
     /// Per-part owned vertex count `|L_i|`.
     pub vertices: Vec<usize>,
@@ -29,31 +29,23 @@ pub struct PartitionQuality {
 }
 
 impl PartitionQuality {
-    /// Measure an assignment.
+    /// Measure an assignment: the parts of its duplicate-all build.
     pub fn measure<V: Id, O: Id>(graph: &Csr<V, O>, owner: &[u32], n_parts: usize) -> Self {
-        assert_eq!(owner.len(), graph.n_vertices());
-        let mut edge_cut = 0usize;
-        let mut vertices = vec![0usize; n_parts];
-        let mut edges = vec![0usize; n_parts];
-        // distinct (src_part, dst_part, dst_vertex)
-        let mut border_sets: Vec<Vec<HashSet<V>>> =
-            (0..n_parts).map(|_| (0..n_parts).map(|_| HashSet::new()).collect()).collect();
-        for v in 0..graph.n_vertices() {
-            let pv = owner[v] as usize;
-            vertices[pv] += 1;
-            let vid = V::from_usize(v);
-            edges[pv] += graph.degree(vid);
-            for &u in graph.neighbors(vid) {
-                let pu = owner[u.idx()] as usize;
-                if pu != pv {
-                    edge_cut += 1;
-                    border_sets[pv][pu].insert(u);
-                }
-            }
+        let dist = DistGraph::build(graph, owner.to_vec(), n_parts, Duplication::All);
+        let edge_cut = (0..graph.n_vertices())
+            .map(|v| {
+                let neighbors = graph.neighbors(V::from_usize(v));
+                neighbors.iter().filter(|u| owner[u.idx()] != owner[v]).count()
+            })
+            .sum();
+        let parts = &dist.parts;
+        PartitionQuality {
+            n_parts,
+            edge_cut,
+            border: parts.iter().map(|p| p.border_total()).collect(),
+            vertices: parts.iter().map(|p| p.n_local).collect(),
+            edges: parts.iter().map(|p| p.n_edges()).collect(),
         }
-        let border =
-            border_sets.iter().map(|per_peer| per_peer.iter().map(HashSet::len).sum()).collect();
-        PartitionQuality { n_parts, edge_cut, border, vertices, edges }
     }
 
     /// Max border over parts — the paper's scalability-relevant objective.

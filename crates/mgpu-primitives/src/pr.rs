@@ -28,7 +28,7 @@
 //!   mass is non-zero after the advance go to their hosts, and only those
 //!   are cleared — the changed border, not the paper's fixed remote
 //!   sub-frontier. `H ∈ O(|B_i|)` per superstep at most. The border is the
-//!   partition's ([`SubGraph::border`]); the bind scans only ownership.
+//!   partition's ([`SubGraph::border`]); the bind makes its first read.
 //! * **Combination:** atomicAdd of received mass into the owner's `A`.
 //! * **Convergence:** the run ends after superstep `max_iters` (which
 //!   applies the change and sends nothing), after the first superstep past
@@ -128,7 +128,9 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         let n = sub.n_vertices();
         let ranks = dev.alloc(n)?;
         let accum = dev.alloc(n)?;
-        // One ownership scan; the border comes with the partition.
+        // One ownership scan; the border comes with the partition. Its first
+        // read walks it on the host: here, so that no enact's wall holds it.
+        sub.border();
         let (owned, is_owned) = dev.kernel(COMPUTE_STREAM, KernelKind::Bulk, || {
             let is_owned: Vec<bool> = (0..n).map(|v| sub.is_owned(V::from_usize(v))).collect();
             let owned: Vec<usize> = (0..n).filter(|&v| is_owned[v]).collect();
@@ -235,7 +237,7 @@ impl<V: Id, O: Id> MgpuProblem<V, O> for Pagerank {
         )?;
         // Send: the border proxies the advance left holding mass.
         let accum = &state.accum;
-        let out = ops::filter(dev, &sub.border, |v| accum[v.idx()] != 0.0)?;
+        let out = ops::filter(dev, sub.border(), |v| accum[v.idx()] != 0.0)?;
         state.sent.extend_from_slice(&out);
         Ok(out)
     }
@@ -339,7 +341,9 @@ mod tests {
     }
 
     /// The border comes with the partition, so a bind scans ownership only:
-    /// one launch charged the device's `n` vertices, not `n + |E_i|`.
+    /// one launch charged the device's `n` vertices, not `n + |E_i|`. The
+    /// bind is where an unread border is walked (on the host, uncharged),
+    /// so no enact's wall holds the walk.
     #[test]
     fn the_bind_charges_the_ownership_scan_only() {
         let g: Csr<u32, u64> = GraphBuilder::undirected(&gnm(100, 600, 21));
@@ -348,7 +352,11 @@ mod tests {
             let dist = DistGraph::build(&g, owner, n_gpus, Duplication::All);
             let system = SimSystem::homogeneous(n_gpus, HardwareProfile::k40());
             let config = EnactConfig::default();
+            let unread = dist.host_bytes().partition;
             let runner = Runner::new(system, &dist, Pagerank::default(), config).unwrap();
+            let bound = dist.host_bytes().partition;
+            let borders: usize = dist.parts.iter().map(|p| p.border_total() * 4).sum();
+            assert_eq!(bound, unread + borders as u64, "{n_gpus} GPUs: the bind read the border");
             for (dev, sub) in runner.system().devices.iter().zip(&dist.parts) {
                 assert!(sub.n_edges() > 0);
                 assert_eq!(dev.counters.w_items, sub.n_vertices() as u64, "{n_gpus} GPUs");

@@ -379,8 +379,10 @@ impl FaultPlan {
                         .rsplit_once(':')
                         .ok_or_else(|| format!("fault event `{ev}`: missing delay"))?;
                     let (d, n) = site(head)?;
-                    let delay: f64 =
-                        us.parse().map_err(|_| format!("fault event `{ev}`: bad delay `{us}`"))?;
+                    let delay = us.parse().ok().filter(|d: &f64| d.is_finite() && *d >= 0.0);
+                    let bad =
+                        || format!("fault event `{ev}`: bad delay `{us}` (want finite µs >= 0)");
+                    let delay = delay.ok_or_else(bad)?;
                     plan.straggle(d, n, delay)
                 }
                 "lose" => {
@@ -665,6 +667,21 @@ mod tests {
         assert!(FaultPlan::parse("kfail:0").is_err());
         assert!(FaultPlan::parse("slow:0@1").is_err());
         assert!(FaultPlan::parse("").unwrap().is_empty());
+    }
+
+    /// A straggler delay is a finite, non-negative count of µs: anything
+    /// else would make the simulated clock infinite or leave it untouched
+    /// while the run reports an injected fault.
+    #[test]
+    fn parse_refuses_a_delay_out_of_range() {
+        for delay in ["inf", "-inf", "nan", "NaN", "-5", "-0.5", "1e400"] {
+            let err = FaultPlan::parse(&format!("slow:0@1:{delay}")).unwrap_err();
+            assert!(err.contains("bad delay") && !err.contains('\n'), "{delay}: {err}");
+        }
+        for (delay, us) in [("0", 0.0), ("-0", 0.0), ("2.5", 2.5), ("1e3", 1e3)] {
+            let plan = FaultPlan::parse(&format!("slow:0@1:{delay}")).unwrap();
+            assert_eq!(plan, FaultPlan::new().straggle(0, 1, us), "{delay}");
+        }
     }
 
     #[test]

@@ -56,6 +56,43 @@ fn partition_covers_every_vertex_exactly_once() {
     }
 }
 
+/// The partition-quality measures (Fig. 2) equal a naive count per part over
+/// the edge list: owned vertices, local edges, cut edges and distinct remote
+/// destinations.
+#[test]
+fn partition_quality_equals_a_naive_per_part_count() {
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA14);
+    for case in 0..CASES {
+        let coo = arb_coo::<u32>(&mut rng);
+        let options =
+            if case % 2 == 0 { BuildOptions::default() } else { BuildOptions::directed() };
+        let g: Csr<u32, u64> = GraphBuilder::build(&coo, options);
+        let n_parts = 1 + case % 8;
+        let owner: Vec<u32> =
+            (0..g.n_vertices()).map(|_| rng.gen_range(0..n_parts as u32)).collect();
+        let q = PartitionQuality::measure(&g, &owner, n_parts);
+        let of = |v: u32| owner[v as usize] as usize;
+        let triples = triples_of(&g);
+        let mut remote = vec![BTreeSet::new(); n_parts];
+        let (mut vertices, mut edges) = (vec![0; n_parts], vec![0; n_parts]);
+        for &o in &owner {
+            vertices[o as usize] += 1;
+        }
+        for &(s, d, _) in &triples {
+            edges[of(s)] += 1;
+            if of(d) != of(s) {
+                remote[of(s)].insert(d);
+            }
+        }
+        let at = format!("case {case}, {n_parts} parts");
+        assert_eq!(q.n_parts, n_parts, "{at}");
+        assert_eq!(q.vertices, vertices, "{at}");
+        assert_eq!(q.edges, edges, "{at}");
+        assert_eq!(q.edge_cut, triples.iter().filter(|&&(s, d, _)| of(s) != of(d)).count(), "{at}");
+        assert_eq!(q.border, remote.iter().map(BTreeSet::len).collect::<Vec<_>>(), "{at}");
+    }
+}
+
 #[test]
 fn dup_all_subgraphs_partition_the_edges() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xA12);
@@ -284,7 +321,7 @@ fn dist_graph_equals_the_naive_per_part_reference() {
                     assert_eq!(part.read_bytes(reads), expect, "{at}: {reads:?}");
                 }
                 let mut border_out = vec![0usize; n_parts];
-                for &b in &part.border {
+                for &b in part.border() {
                     border_out[part.owner(b) as usize] += 1;
                 }
                 assert_eq!(border_out, want.border_out);
@@ -293,7 +330,7 @@ fn dist_graph_equals_the_naive_per_part_reference() {
                     triples_of(&want.csr).into_iter().map(|(_, d, _)| d).collect();
                 let remote = |&l: &u32| owner[want.to_global[l as usize] as usize] != gpu as u32;
                 let border: Vec<u32> = pointed.into_iter().filter(remote).collect();
-                assert_eq!(part.border, border, "{at}");
+                assert_eq!(part.border(), border, "{at}");
                 for (l, &gl) in want.to_global.iter().enumerate() {
                     let l = l as u32;
                     assert_eq!(part.to_global(l), gl);
@@ -317,8 +354,8 @@ fn dist_graph_equals_the_naive_per_part_reference() {
 
 /// Duplicate-all parts hold no edge array of their own: every part's
 /// columns and weights are the parent's storage, and the partition's host
-/// bytes are its tables, kept-row sets and borders alone. Duplicate-1-hop
-/// parts renumber their rows, so they own their copies.
+/// bytes are its tables and kept-row sets alone, plus each border once it is
+/// read. Duplicate-1-hop parts renumber their rows, so they own their copies.
 #[test]
 fn duplicate_all_parts_share_the_parent_storage() {
     let mut rng = ChaCha8Rng::seed_from_u64(0xB04);
@@ -336,9 +373,10 @@ fn duplicate_all_parts_share_the_parent_storage() {
             assert_eq!(part.csr.col_indices().as_ptr(), g.col_indices().as_ptr(), "{at}");
             assert_eq!(ws(&part.csr), ws(&g), "{at}");
         }
-        let kept_and_border: usize =
-            dist.parts.iter().map(|p| n.div_ceil(64) * 8 + p.border.len() * 4).sum();
-        assert_eq!(dist.host_bytes().partition, (8 * n + kept_and_border) as u64);
+        let tables_and_kept = 8 * n + n_parts * n.div_ceil(64) * 8;
+        assert_eq!(dist.host_bytes().partition, tables_and_kept as u64, "a build walks no border");
+        let borders: usize = dist.parts.iter().map(|p| p.border().len() * 4).sum();
+        assert_eq!(dist.host_bytes().partition, (tables_and_kept + borders) as u64);
         assert_eq!(dist.host_bytes().graph, g.bytes());
         if g.n_edges() > 0 {
             let dist = DistGraph::build(&g, owner, n_parts, Duplication::OneHop);
